@@ -18,6 +18,7 @@ import tempfile
 import numpy as np
 
 from . import __version__
+from .algebra import rng_from
 from .clifford import (
     build_system,
     equivalence_profile,
@@ -170,7 +171,7 @@ def _cmd_compose(args) -> int:
     if 2 * args.check_pairs > args.count:
         print("error: --check-pairs needs at least two samples per pair", file=sys.stderr)
         return 2
-    rng = np.random.Generator(np.random.PCG64(args.seed))
+    rng = rng_from(args.seed)
     x = rng.standard_normal((args.count, system.dim))
     x /= np.linalg.norm(x, axis=1)[:, None]
     classes = [composed_class(system, spec, row) for row in x]

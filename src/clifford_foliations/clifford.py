@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
@@ -62,7 +63,8 @@ DEFAULT_DIM_CAP = 512
 
 
 class MalformedSystemError(ValueError):
-    """A system whose dimensions are inconsistent with its rank."""
+    """A system whose dimensions are inconsistent with its rank, or a payload
+    that does not describe a system."""
 
 
 def delta(m: int) -> int:
@@ -220,6 +222,20 @@ class CliffordSystem:
             g = self.generators[i]
             self._dense[i] = g.to_dense() if isinstance(g, SignedPermMatrix) else g
         return self._dense[i]
+
+    @cached_property
+    def generator_stack(self):
+        """All generators stacked for batched application, built once.
+
+        Exact systems give ``(cols, signs)``, each of shape (m+1, 2l): entry r
+        of P_i x is ``signs[i, r] * x[cols[i, r]]``.  Other systems give the
+        (m+1, 2l, 2l) stack of dense generators.
+        """
+        if self.exact:
+            cols = np.stack([g._col_at_row for g in self.generators])
+            signs = np.stack([g._sign_at_row for g in self.generators])
+            return cols, signs
+        return np.stack([self.dense_generator(i) for i in range(self.m + 1)])
 
     def apply_generator(self, i: int, x: np.ndarray) -> np.ndarray:
         """P_i applied along the last axis of x."""
@@ -424,6 +440,25 @@ def system_to_dict(system: CliffordSystem, encoding: Optional[str] = None) -> di
 
 
 def system_from_dict(data: dict) -> CliffordSystem:
+    """Inverse of :func:`system_to_dict`.
+
+    Any payload that does not describe a system (not a JSON object, a missing
+    key, a field of the wrong type or shape) raises :class:`MalformedSystemError`.
+    """
+    if not isinstance(data, dict):
+        raise MalformedSystemError("system payload must be a JSON object")
+    missing = [key for key in ("m", "l", "encoding", "generators") if key not in data]
+    if missing:
+        raise MalformedSystemError(f"system payload lacks {', '.join(missing)}")
+    try:
+        return _system_from_fields(data)
+    except MalformedSystemError:
+        raise
+    except (TypeError, ValueError, IndexError, KeyError) as exc:
+        raise MalformedSystemError(f"malformed system payload: {exc}") from exc
+
+
+def _system_from_fields(data: dict) -> CliffordSystem:
     m = int(data["m"])
     l = int(data["l"])
     encoding = data["encoding"]
@@ -431,6 +466,9 @@ def system_from_dict(data: dict) -> CliffordSystem:
     if len(payload) != m + 1:
         raise MalformedSystemError("generator count does not match rank")
     if encoding == "signed_perm":
+        for cols in payload:
+            if any(len(c) != 2 for c in cols):
+                raise MalformedSystemError("signed_perm columns must be [row, sign] pairs")
         gens = tuple(
             SignedPermMatrix(np.array([c[0] for c in cols], dtype=np.int64),
                              np.array([c[1] for c in cols], dtype=np.int64))

@@ -62,7 +62,12 @@ class FoliationSpec:
     of the leaf through a given unit vector; the ambient distance estimator
     falls back to single-direction fibers without it.  ``leaves_are_fibers``
     marks the trivial by-points foliation, whose composed leaves are plain
-    fibers and can be constrained directly.
+    fibers and can be constrained directly.  ``invariant_jacobian``, when
+    present, is the Jacobian of v -> invariant_map(v / |v|) at nonzero v,
+    along the last axis: a batch (S, m+1) maps to (S, t, m+1) for a
+    t-component invariant.  The ambient distance estimator chains it into
+    its leaf constraints; without it, central differences of
+    ``invariant_map`` (2(m+1) extra calls per point) stand in.
     """
 
     name: str
@@ -72,6 +77,7 @@ class FoliationSpec:
     quotient_distance: Optional[Callable[[np.ndarray, np.ndarray], float]] = None
     leaf_sampler: Optional[Callable[[np.ndarray, np.random.Generator], np.ndarray]] = None
     leaves_are_fibers: bool = False
+    invariant_jacobian: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
 
 def signed_svd_triple(mat: np.ndarray) -> np.ndarray:
@@ -127,6 +133,7 @@ def builtin_spec(name: str, m: int, pole: Optional[np.ndarray] = None) -> Foliat
             has_zero_dim_leaves=False,
             quotient_distance=lambda u, v: 0.0,
             leaf_sampler=lambda v, rng: sample_unit_vectors(rng, dim, 1)[0],
+            invariant_jacobian=lambda v: np.zeros(np.shape(v)[:-1] + (1, dim)),
         )
     if name == "height":
         p0 = np.zeros(dim) if pole is None else np.asarray(pole, dtype=float)
@@ -143,6 +150,12 @@ def builtin_spec(name: str, m: int, pole: Optional[np.ndarray] = None) -> Foliat
                 return c * p0
             return c * p0 + np.sqrt(max(0.0, 1.0 - c * c)) * (q / nq)
 
+        def height_jacobian(v):
+            # d<v/|v|, p0>/dv = (p0 - <v^, p0> v^) / |v|
+            r = np.linalg.norm(v, axis=-1, keepdims=True)
+            vhat = v / r
+            return ((p0 - np.sum(vhat * p0, axis=-1, keepdims=True) * vhat) / r)[..., None, :]
+
         return FoliationSpec(
             "height", dim,
             invariant_map=lambda v: np.array([np.dot(v, p0)]),
@@ -151,6 +164,7 @@ def builtin_spec(name: str, m: int, pole: Optional[np.ndarray] = None) -> Foliat
                 np.arccos(np.clip(np.dot(u, p0), -1.0, 1.0))
                 - np.arccos(np.clip(np.dot(v, p0), -1.0, 1.0)))),
             leaf_sampler=sample_leaf,
+            invariant_jacobian=height_jacobian,
         )
     if name == "tensor_svd":
         if m != 8:
@@ -276,90 +290,151 @@ def _leaf_sample_blocks(system: CliffordSystem, spec: FoliationSpec, v: np.ndarr
 
 def _constraint_state(system: CliffordSystem, spec: FoliationSpec, z: np.ndarray,
                       target_r2: float, target_tail: Optional[np.ndarray], fd_step: float = 1e-6):
-    """Constraint residual c(z) and its tangent-space Jacobian rows at z.
+    """Constraint residuals c(z) and tangent-space Jacobian rows at each row of z.
 
-    Constraints: |pi|^2 fixed, plus the direction invariant fixed when the
-    class is off the origin.  For point leaves, and for the origin class
-    (whose leaf is the fiber over 0 for every spec), the quotient value
-    itself is the constraint; the |pi|^2 form would have a vanishing
-    gradient exactly on the focal manifold.  Otherwise the invariant map's
-    Jacobian comes from central differences, chained through the pi_C
-    gradients.
+    z holds one point per row, shape (S, 2l); c has shape (S, k) and the rows
+    (S, k, 2l).  Constraints: |pi|^2 fixed, plus the direction invariant
+    fixed when the class is off the origin.  For point leaves, and for the
+    origin class (whose leaf is the fiber over 0 for every spec), the
+    quotient value itself is the constraint; the |pi|^2 form would have a
+    vanishing gradient exactly on the focal manifold.  Otherwise the
+    invariant's Jacobian (the spec's closed form, or central differences of
+    its invariant map) is chained through the pi_C gradients.
     """
     v = pi_c(system, z)
-    rows_pi = pi_jacobian_rows(system, z)  # (m+1, 2l)
+    rows_pi = np.moveaxis(pi_jacobian_rows(system, z), 0, -2)  # (S, m+1, 2l)
     if target_tail is None:
         return v, rows_pi
     if spec.leaves_are_fibers:
         return v - np.sqrt(target_r2) * target_tail, rows_pi
-    r2 = float(v @ v)
-    c = [r2 - target_r2]
-    rows = [2.0 * (v @ rows_pi)]
-    r = np.sqrt(max(r2, 1e-30))
-    vhat = v / r
-    tail = np.asarray(spec.invariant_map(vhat), dtype=float)
-    c.extend(tail - target_tail)
-    dim = v.shape[0]
-    jac = np.empty((tail.shape[0], dim))
-    for j in range(dim):
-        e = np.zeros(dim)
-        e[j] = fd_step
-        up = np.asarray(spec.invariant_map(_unit(v + e)), dtype=float)
-        dn = np.asarray(spec.invariant_map(_unit(v - e)), dtype=float)
-        jac[:, j] = (up - dn) / (2.0 * fd_step)
-    rows.append(jac @ rows_pi)
-    return np.array(c), np.vstack(rows)
+    r2 = np.sum(v * v, axis=-1)
+    vhat = v / np.sqrt(np.maximum(r2, 1e-30))[:, None]
+    tail = np.array([np.asarray(spec.invariant_map(u), dtype=float) for u in vhat])
+    if spec.invariant_jacobian is not None:
+        # a contiguous operand takes the same matmul path at every batch size
+        jac = np.ascontiguousarray(spec.invariant_jacobian(v), dtype=float)
+    else:
+        jac = np.array([_fd_jacobian(spec.invariant_map, u, fd_step) for u in v])
+    c = np.concatenate([(r2 - target_r2)[:, None], tail - target_tail], axis=1)
+    rows = np.concatenate([2.0 * (v[:, None, :] @ rows_pi), jac @ rows_pi], axis=1)
+    return c, rows
+
+
+def _fd_jacobian(invariant_map, v: np.ndarray, step: float) -> np.ndarray:
+    """Central differences of v -> invariant_map(v / |v|) at one point v."""
+    cols = []
+    for j in range(v.shape[0]):
+        e = np.zeros(v.shape[0])
+        e[j] = step
+        up = np.asarray(invariant_map(_unit(v + e)), dtype=float)
+        dn = np.asarray(invariant_map(_unit(v - e)), dtype=float)
+        cols.append((up - dn) / (2.0 * step))
+    return np.stack(cols, axis=-1)
 
 
 def _unit(v: np.ndarray) -> np.ndarray:
-    return v / np.linalg.norm(v)
+    return v / np.linalg.norm(v, axis=-1, keepdims=True)
+
+
+def _min_norm_solve(g: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Minimum-norm least-squares solutions of g[s] x = rhs[s], row by row.
+
+    Singular values at or below lstsq's default cutoff (machine epsilon times
+    the larger dimension, relative to the largest) count as zero.
+    """
+    u, sv, vt = np.linalg.svd(g, full_matrices=False)
+    keep = sv > np.finfo(float).eps * max(g.shape[-2:]) * sv[:, :1]
+    inv = np.divide(1.0, sv, out=np.zeros_like(sv), where=keep)
+    coef = (np.swapaxes(u, -1, -2) @ rhs[..., None])[..., 0] * inv
+    return (np.swapaxes(vt, -1, -2) @ coef[..., None])[..., 0]
+
+
+def _tangent_projection(g: np.ndarray, grad: np.ndarray) -> np.ndarray:
+    """grad minus its component in the row space of g, row by row.
+
+    The normal equations are regularized by 1e-14.  If the batched solve
+    finds a singular system, every row is solved on its own and only the
+    singular rows fall back to lstsq, so no row depends on another.
+    """
+    g_t = np.swapaxes(g, -1, -2)
+    gg = g @ g_t
+    rhs = g @ grad[..., None]
+    reg = gg + 1e-14 * np.eye(gg.shape[-1])
+    try:
+        coef = np.linalg.solve(reg, rhs)
+    except np.linalg.LinAlgError:
+        coef = np.empty(rhs.shape)
+        for i in range(len(g)):
+            try:
+                coef[i] = np.linalg.solve(reg[i:i + 1], rhs[i:i + 1])[0]
+            except np.linalg.LinAlgError:
+                coef[i, :, 0] = np.linalg.lstsq(gg[i], rhs[i, :, 0], rcond=None)[0]
+    return grad - (g_t @ coef)[..., 0]
 
 
 def _restore(system, spec, z, target_r2, target_tail, iters: int = 8):
-    """Newton corrections back onto the leaf; returns (point, residual)."""
-    resid = np.inf
+    """Newton corrections of every row of z back onto the leaf.
+
+    Each row stops once its residual drops below 1e-12.  Returns the points,
+    their residuals and their constraint Jacobian rows.
+    """
+    z = np.array(z, dtype=float)
+    resid = np.empty(len(z))
+    rows = None
+    live = np.arange(len(z))
     for _ in range(iters):
-        c, g = _constraint_state(system, spec, z, target_r2, target_tail)
-        resid = float(np.max(np.abs(c)))
-        if resid < 1e-12:
-            break
-        step, *_ = np.linalg.lstsq(g, -c, rcond=None)
-        z = _unit(z + step)
-    if resid >= 1e-12:
-        c, _ = _constraint_state(system, spec, z, target_r2, target_tail)
-        resid = float(np.max(np.abs(c)))
-    return z, resid
+        c, g = _constraint_state(system, spec, z[live], target_r2, target_tail)
+        if rows is None:
+            rows = np.empty((len(z),) + g.shape[1:])
+        res = np.max(np.abs(c), axis=1)
+        resid[live], rows[live] = res, g
+        more = res >= 1e-12
+        live = live[more]
+        if not live.size:
+            return z, resid, rows
+        z[live] = _unit(z[live] + _min_norm_solve(g[more], -c[more]))
+    c, g = _constraint_state(system, spec, z[live], target_r2, target_tail)
+    resid[live], rows[live] = np.max(np.abs(c), axis=1), g
+    return z, resid, rows
 
 
 def _descend(system, spec, x, z, target_r2, target_tail, max_iter: int = 120):
-    """Projected ascent of <x, .> on the leaf through z (Gauss-Newton steps).
+    """Projected ascent of <x, .> on the leaf from every row of z, in lockstep.
 
-    A step is accepted only when the restored point is feasible again;
-    otherwise an off-leaf point could undercut the true leaf distance.
+    Each row is one start with its own Gauss-Newton direction, line-search
+    step and acceptance.  A step is accepted only when the restored point is
+    feasible again (otherwise an off-leaf point could undercut the true leaf
+    distance) and raises <x, .>; a row stops when its projected gradient
+    vanishes or no step of its line search is accepted.  Returns the best
+    <x, .> of every row.
     """
-    best = float(x @ z)
+    z = np.array(z, dtype=float)
+    best = np.sum(z * x, axis=-1)
+    _, rows = _constraint_state(system, spec, z, target_r2, target_tail)
+    active = np.arange(len(z))
     for _ in range(max_iter):
-        c, g = _constraint_state(system, spec, z, target_r2, target_tail)
-        grad = x - float(x @ z) * z
-        gg = g @ g.T
-        try:
-            coef = np.linalg.solve(gg + 1e-14 * np.eye(gg.shape[0]), g @ grad)
-        except np.linalg.LinAlgError:
-            coef, *_ = np.linalg.lstsq(gg, g @ grad, rcond=None)
-        d = grad - g.T @ coef
-        nd = np.linalg.norm(d)
-        if nd < 1e-12:
-            break
-        step = 1.0
-        improved = False
+        za = z[active]
+        d = _tangent_projection(rows[active], x - best[active, None] * za)
+        moving = np.linalg.norm(d, axis=-1) >= 1e-12
+        active, za, d = active[moving], za[moving], d[moving]
+        step = np.ones(len(active))
+        pending = np.arange(len(active))
+        improved = np.zeros(len(active), dtype=bool)
         for _ in range(20):
-            cand, resid = _restore(system, spec, _unit(z + step * d), target_r2, target_tail)
-            val = float(x @ cand)
-            if resid <= 1e-10 and val > best + 1e-15:
-                z, best, improved = cand, val, True
+            if not pending.size:
                 break
-            step *= 0.5
-        if not improved:
+            cand, resid, cand_rows = _restore(
+                system, spec, _unit(za[pending] + step[pending, None] * d[pending]),
+                target_r2, target_tail)
+            val = np.sum(cand * x, axis=-1)
+            ok = (resid <= 1e-10) & (val > best[active[pending]] + 1e-15)
+            accepted = active[pending[ok]]
+            z[accepted], best[accepted], rows[accepted] = cand[ok], val[ok], cand_rows[ok]
+            improved[pending[ok]] = True
+            pending = pending[~ok]
+            step[pending] *= 0.5
+        active = active[improved]
+        if not active.size:
             break
     return best
 
@@ -373,8 +448,13 @@ def leaf_to_leaf_ambient_distance(system: CliffordSystem, spec: FoliationSpec,
     <x, .> on the leaf from the best starts.  Descent starts are taken from
     the first 2048 samples so that growing the budget only tightens the
     sampled floor; the estimate is nonincreasing in the budget beyond that
-    prefix.  Boundary leaves are handled in closed form per sampled direction
-    (the nearest point of a great subsphere is an orthogonal projection).
+    prefix.  All starts ascend together as one (starts, 2l) batch, each with
+    its own step and acceptance.  On exact systems a start's result is bit
+    for bit the one it reaches alone; on dense systems the batched matmul
+    in ``pi_c`` may round differently, at the last bit.  Leaf constraints use the spec's ``invariant_jacobian``
+    when it has one, else central differences of its invariant map.
+    Boundary leaves are handled in closed form per sampled direction (the
+    nearest point of a great subsphere is an orthogonal projection).
     """
     _check_spec(system, spec)
     x = np.asarray(x, dtype=float)
@@ -415,7 +495,7 @@ def leaf_to_leaf_ambient_distance(system: CliffordSystem, spec: FoliationSpec,
     rest = champions[len(greedy):]
     spread = [rest[j * len(rest) // max(1, n_starts - len(greedy))]
               for j in range(n_starts - len(greedy))] if rest else []
-    for idx in dict.fromkeys(greedy + spread):
-        best_dot = max(best_dot, _descend(system, spec, x, samples[idx].copy(),
-                                          target_r2, target_tail))
+    starts_idx = list(dict.fromkeys(greedy + spread))
+    refined = _descend(system, spec, x, samples[starts_idx], target_r2, target_tail)
+    best_dot = max(best_dot, float(np.max(refined)))
     return float(np.arccos(np.clip(best_dot, -1.0, 1.0)))

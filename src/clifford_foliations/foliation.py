@@ -65,6 +65,28 @@ def _check_unit(x: np.ndarray, what: str = "point") -> np.ndarray:
     return x
 
 
+def _generator_images(system: CliffordSystem, x: np.ndarray) -> np.ndarray:
+    """P_i x for every generator, stacked: shape x.shape[:-1] + (m+1, 2l).
+
+    Exact systems gather and sign the coordinates of x (``np.take`` returns
+    a C-contiguous stack, whatever the batch size); dense systems take one
+    stacked matmul against the transposed generators.
+    """
+    stack = system.generator_stack
+    if isinstance(stack, tuple):
+        cols, signs = stack
+        return signs * np.take(x, cols, axis=-1)
+    gens_t = np.swapaxes(stack, -1, -2)
+    if x.ndim == 1:
+        return x @ gens_t
+    return np.moveaxis(x[..., None, :, :] @ gens_t, -3, -2)
+
+
+def _quadratic_values(px: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """<P_i x, x> from the stacked images px of x."""
+    return np.sum(px * x[..., None, :], axis=-1)
+
+
 def pi_c(system: CliffordSystem, x: np.ndarray) -> np.ndarray:
     """Quotient-map coordinates (<P_i x, x>)_i along the last axis of x.
 
@@ -72,10 +94,7 @@ def pi_c(system: CliffordSystem, x: np.ndarray) -> np.ndarray:
     be unit-norm.
     """
     x = _check_unit(x)
-    out = np.empty(x.shape[:-1] + (system.m + 1,))
-    for i in range(system.m + 1):
-        out[..., i] = np.sum(system.apply_generator(i, x) * x, axis=-1)
-    return out
+    return _quadratic_values(_generator_images(system, x), x)
 
 
 def eig_split(p: np.ndarray, tol: float = 1e-10):
@@ -186,13 +205,16 @@ class HorizontalFrame:
 
 
 def pi_jacobian_rows(system: CliffordSystem, x: np.ndarray) -> np.ndarray:
-    """Rows X_{P_i}(x) = 2 P_i x - 2 <P_i x, x> x of the differential of pi_C."""
+    """Rows X_{P_i}(x) = 2 P_i x - 2 <P_i x, x> x of the differential of pi_C.
+
+    Shape (m+1,) + x.shape; for a batch this is a view whose rows axis moved
+    to the front, and ``np.moveaxis(rows, 0, -2)`` recovers the contiguous
+    (..., m+1, 2l) array.
+    """
     x = np.asarray(x, dtype=float)
-    rows = np.empty((system.m + 1,) + x.shape)
-    for i in range(system.m + 1):
-        px = system.apply_generator(i, x)
-        rows[i] = 2.0 * px - 2.0 * np.sum(px * x, axis=-1, keepdims=True) * x
-    return rows
+    px = _generator_images(system, x)
+    rows = 2.0 * px - 2.0 * _quadratic_values(px, x)[..., None] * x[..., None, :]
+    return np.moveaxis(rows, -2, 0)
 
 
 def horizontal_basis(system: CliffordSystem, x: np.ndarray) -> HorizontalFrame:

@@ -79,6 +79,27 @@ class TestVerify:
         assert run("verify", "--system", tmp_path / "absent.json") == 2
 
 
+class TestMalformedSystemFiles:
+    @staticmethod
+    def assert_rejected(tmp_path, capsys, payload):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(payload))
+        assert run("invariant", "--system", path) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+
+    def test_missing_key(self, tmp_path, capsys):
+        self.assert_rejected(tmp_path, capsys, {"m": 2})
+
+    def test_not_an_object(self, tmp_path, capsys):
+        self.assert_rejected(tmp_path, capsys, [1, 2])
+
+    def test_signed_perm_column_without_sign(self, tmp_path, capsys):
+        payload = json.loads(GOLDEN.read_text())
+        payload["generators"][1] = [[0] for _ in payload["generators"][1]]
+        self.assert_rejected(tmp_path, capsys, payload)
+
+
 class TestInvariantAndClassify:
     def test_invariant_output(self, tmp_path, capsys):
         system = tmp_path / "s.json"

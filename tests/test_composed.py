@@ -1,11 +1,16 @@
 """Composed foliations: specs, leaf classes, cone metric, ambient distances."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from clifford_foliations.algebra import haar_rotation, rng_from, sample_unit_vectors
 from clifford_foliations.clifford import build_system
 from clifford_foliations.composed import (
+    FoliationSpec,
+    _descend,
+    _leaf_sample_blocks,
     builtin_spec,
     composed_class,
     composed_quotient_distance,
@@ -298,6 +303,102 @@ class TestAmbientLeafDistance:
                      for b in (2048, 4096, 6144, 8192)]
         for small, large in zip(estimates, estimates[1:]):
             assert large <= small + 1e-15
+
+    def test_monotone_in_budget_points_large_rank(self):
+        s51 = build_system(5, 1)
+        pts = builtin_spec("points", 5)
+        xa = fiber_sample(s51, np.array([0.4, 0.0, -0.2, 0.1, 0.0, 0.3]), 1, 34)[0]
+        xb = fiber_sample(s51, np.array([-0.2, 0.3, 0.0, 0.0, 0.4, -0.1]), 1, 35)[0]
+        estimates = [leaf_to_leaf_ambient_distance(s51, pts, xa, xb, b, 36)
+                     for b in (2048, 4096, 6144, 8192)]
+        for small, large in zip(estimates, estimates[1:]):
+            assert large <= small + 1e-15
+
+    @pytest.mark.parametrize("kind, tol", [("height", 1e-2), ("points", 1e-3)])
+    def test_user_spec_without_jacobian_matches_cone_metric(self, s22, kind, tol):
+        # central differences of the invariant map stand in for a closed form;
+        # the point spec is given only by an identity invariant, so |pi|^2 and
+        # the direction are constrained separately
+        if kind == "height":
+            user = dataclasses.replace(builtin_spec("height", 2), invariant_jacobian=None)
+        else:
+            user = FoliationSpec(
+                "user_points", 3, invariant_map=lambda v: np.asarray(v, dtype=float),
+                has_zero_dim_leaves=True,
+                quotient_distance=lambda u, v: float(np.arccos(np.clip(np.dot(u, v), -1.0, 1.0))))
+        rng = rng_from(37)
+        for i in range(3):
+            va = sample_unit_vectors(rng, 3, 1)[0] * float(rng.uniform(0.2, 0.85))
+            vb = sample_unit_vectors(rng, 3, 1)[0] * float(rng.uniform(0.2, 0.85))
+            xa = fiber_sample(s22, va, 1, 1200 + i)[0]
+            xb = fiber_sample(s22, vb, 1, 1300 + i)[0]
+            d = leaf_to_leaf_ambient_distance(s22, user, xa, xb, 4000, 1400 + i, starts=6)
+            dq = composed_quotient_distance(s22, user, xa, xb)
+            assert dq - d <= 1e-9
+            assert abs(d - dq) <= tol
+
+
+class TestBatchedAscent:
+    @pytest.mark.parametrize("mk", [(2, 2), (1, 4), (9, 1)])
+    @pytest.mark.parametrize("spec_name", ["points", "height", "user"])
+    def test_batch_equals_each_start_alone(self, mk, spec_name):
+        # the lockstep ascent keeps every start's arithmetic to its own row
+        system = build_system(*mk)
+        m = system.m
+        if spec_name == "user":
+            spec = dataclasses.replace(builtin_spec("height", m), invariant_jacobian=None)
+        else:
+            spec = builtin_spec(spec_name, m)
+        rng = rng_from(39, m)
+        va = sample_unit_vectors(rng, m + 1, 1)[0] * 0.6
+        vb = sample_unit_vectors(rng, m + 1, 1)[0] * 0.4
+        x = fiber_sample(system, va, 1, 40)[0]
+        y = fiber_sample(system, vb, 1, 41)[0]
+        v = pi_c(system, y)
+        r = float(np.linalg.norm(v))
+        tail = np.asarray(spec.invariant_map(v / r), dtype=float)
+        starts = _leaf_sample_blocks(system, spec, v, 256, rng_from(42))[::32]
+        batch = _descend(system, spec, x, starts, r * r, tail)
+        alone = np.array([_descend(system, spec, x, starts[i:i + 1], r * r, tail)[0]
+                          for i in range(len(starts))])
+        assert batch.shape == (len(starts),)
+        np.testing.assert_array_equal(batch, alone)
+        # each start only climbs
+        assert np.all(batch >= starts @ x - 1e-15)
+
+
+class TestInvariantJacobian:
+    @staticmethod
+    def central_differences(fn, v, h=1e-6):
+        cols = []
+        for j in range(v.shape[0]):
+            e = np.zeros(v.shape[0])
+            e[j] = h
+            up = fn((v + e) / np.linalg.norm(v + e))
+            dn = fn((v - e) / np.linalg.norm(v - e))
+            cols.append((up - dn) / (2.0 * h))
+        return np.stack(cols, axis=-1)
+
+    @pytest.mark.parametrize("pole", [None, np.array([0.3, -0.5, 0.2, 0.1, 0.7])])
+    def test_height_closed_form_matches_differences(self, pole):
+        spec = builtin_spec("height", 4, pole=pole)
+        p0 = np.eye(5)[0] if pole is None else pole / np.linalg.norm(pole)
+        rng = rng_from(43)
+        dirs = sample_unit_vectors(rng, 5, 20)
+        near = p0 + 1e-4 * sample_unit_vectors(rng, 5, 5)
+        near /= np.linalg.norm(near, axis=1)[:, None]
+        dirs = np.concatenate([dirs, near, [p0, -p0]])
+        v = dirs * rng.uniform(0.05, 1.0, size=(len(dirs), 1))
+        jac = spec.invariant_jacobian(v)
+        assert jac.shape == (len(v), 1, 5)
+        for row, j in zip(v, jac):
+            np.testing.assert_allclose(j, self.central_differences(spec.invariant_map, row),
+                                       rtol=0, atol=1e-7)
+
+    def test_one_leaf_jacobian_is_zero(self):
+        spec = builtin_spec("one_leaf", 3)
+        v = sample_unit_vectors(rng_from(44), 4, 6) * 0.5
+        np.testing.assert_array_equal(spec.invariant_jacobian(v), np.zeros((6, 1, 4)))
 
 
 class TestDiameterScenario:
