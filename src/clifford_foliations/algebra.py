@@ -23,6 +23,7 @@ __all__ = [
     "max_abs",
     "orthonormal_columns",
     "projector_colspace_basis",
+    "eig_split",
     "rng_from",
     "sample_unit_vectors",
     "haar_orthogonal",
@@ -284,6 +285,20 @@ def projector_colspace_basis(p: np.ndarray, cutoff: float = 0.5) -> np.ndarray:
     """
     u, s, _ = np.linalg.svd(p)
     return u[:, s > cutoff]
+
+
+def eig_split(p: np.ndarray, tol: float = 1e-10):
+    """Orthonormal bases (B_plus, B_minus) of the +-1 eigenspaces of an involution.
+
+    Bases come from the projectors (Id +- P)/2; each has l columns.
+    """
+    p = np.asarray(p, dtype=float)
+    n = p.shape[0]
+    if max_abs(p @ p - np.eye(n)) > tol:
+        raise ValueError("matrix is not an involution to the requested tolerance")
+    b_plus = projector_colspace_basis((np.eye(n) + p) / 2.0)
+    b_minus = projector_colspace_basis((np.eye(n) - p) / 2.0)
+    return b_plus, b_minus
 
 
 # --------------------------------------------------------------------------- #

@@ -20,7 +20,7 @@ combinations that the trace invariant |tr(P_0 ... P_m)| tells apart.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional, Sequence
 
@@ -30,6 +30,7 @@ from .algebra import (
     Octonion,
     Quaternion,
     SignedPermMatrix,
+    eig_split,
     max_abs,
     oct_mul,
     quat_mul,
@@ -200,14 +201,14 @@ class CliffordSystem:
 
     Generators are either exact :class:`SignedPermMatrix` objects (systems
     from :func:`build_system`) or dense symmetric matrices (conjugated or
-    loaded systems).  Treat instances as immutable.
+    loaded systems).  Treat instances as immutable: derived data such as
+    :attr:`generator_stack` and :attr:`p0_eigenbases` is cached on first use.
     """
 
     m: int
     l: int
     generators: tuple
     provenance: Optional[Provenance] = None
-    _dense: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
     def dim(self) -> int:
@@ -218,10 +219,9 @@ class CliffordSystem:
         return all(isinstance(p, SignedPermMatrix) for p in self.generators)
 
     def dense_generator(self, i: int) -> np.ndarray:
-        if i not in self._dense:
-            g = self.generators[i]
-            self._dense[i] = g.to_dense() if isinstance(g, SignedPermMatrix) else g
-        return self._dense[i]
+        """P_i as a dense matrix: the stored array, or a fresh one for exact P_i."""
+        g = self.generators[i]
+        return g.to_dense() if isinstance(g, SignedPermMatrix) else g
 
     @cached_property
     def generator_stack(self):
@@ -235,24 +235,36 @@ class CliffordSystem:
             cols = np.stack([g._col_at_row for g in self.generators])
             signs = np.stack([g._sign_at_row for g in self.generators])
             return cols, signs
-        return np.stack([self.dense_generator(i) for i in range(self.m + 1)])
+        return np.stack(self.generators)
 
-    def apply_generator(self, i: int, x: np.ndarray) -> np.ndarray:
-        """P_i applied along the last axis of x."""
-        g = self.generators[i]
-        if isinstance(g, SignedPermMatrix):
-            return g.apply(x)
-        return x @ g.T
+    @cached_property
+    def p0_eigenbases(self):
+        """Orthonormal bases (B_plus, B_minus) of E_+(P_0) and E_-(P_0).
+
+        Computed once by :func:`~clifford_foliations.algebra.eig_split`, whose
+        involution check runs on that first use.
+        """
+        return eig_split(self.dense_generator(0))
 
     def span_matrix(self, coords: np.ndarray) -> np.ndarray:
-        """Dense matrix of sum_i coords[i] * P_i."""
+        """Dense matrix of sum_i coords[i] * P_i.
+
+        Exact systems scatter coords[i] * signs[i, r] to (r, cols[i, r]).  Two
+        anticommuting symmetric signed permutations never share a nonzero
+        entry (a shared entry at (r, c) would make (P_i P_j + P_j P_i)[r, r]
+        equal +-2), so the scatter equals the dense sum bit for bit.
+        """
         coords = np.asarray(coords, dtype=float)
         if coords.shape != (self.m + 1,):
             raise ValueError("span coordinates must have length m+1")
         out = np.zeros((self.dim, self.dim))
-        for i, c in enumerate(coords):
-            if c != 0.0:
-                out += c * self.dense_generator(i)
+        used = np.flatnonzero(coords)
+        if self.exact:
+            cols, signs = self.generator_stack
+            out[np.arange(self.dim), cols[used]] = coords[used, None] * signs[used]
+            return out
+        for i in used:
+            out += coords[i] * self.generators[i]
         return out
 
 
@@ -485,4 +497,31 @@ def _system_from_fields(data: dict) -> CliffordSystem:
             raise MalformedSystemError("generator dimension does not match l")
     prov = data.get("provenance")
     provenance = Provenance(int(prov["k"]), int(prov["flips"])) if prov else None
-    return CliffordSystem(m, l, gens, provenance)
+    system = CliffordSystem(m, l, gens, provenance)
+    _check_loaded(system)
+    return system
+
+
+def _check_loaded(system: CliffordSystem) -> None:
+    """Reject a loaded system that breaks the relations or its provenance.
+
+    Relations are checked exactly for signed permutations and to 1e-12 for
+    dense generators; a provenance must match l = k delta(m), have
+    0 <= flips <= k and, when m is a multiple of 4, give kappa = |k - 2 flips|.
+    """
+    report = verify_relations(system)
+    for check in report.checks:
+        if not check.passed:
+            raise MalformedSystemError(
+                f"generators fail the {check.name} relation: violation {check.violation:.3g}"
+                f" exceeds {check.tol:.3g}")
+    prov = system.provenance
+    if prov is None:
+        return
+    if not 0 <= prov.flips <= prov.k:
+        raise MalformedSystemError(f"provenance flips = {prov.flips} is outside [0, k = {prov.k}]")
+    kappa = equivalence_profile(system).kappa
+    if kappa is not None and kappa != abs(prov.k - 2 * prov.flips):
+        raise MalformedSystemError(
+            f"provenance gives |k - 2 flips| = {abs(prov.k - 2 * prov.flips)}"
+            f" but the trace invariant is {kappa}")

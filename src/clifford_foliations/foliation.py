@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import max_abs, projector_colspace_basis, rng_from, sample_unit_vectors
+from .algebra import eig_split, max_abs, rng_from, sample_unit_vectors
 from .clifford import CliffordSystem
 
 __all__ = [
@@ -51,6 +51,7 @@ __all__ = [
 
 _UNIT_TOL = 1e-9
 _BOUNDARY_TOL = 1e-9
+_INVOLUTION_TOL = 1e-10
 
 
 class EmptyFocalError(ValueError):
@@ -69,13 +70,16 @@ def _generator_images(system: CliffordSystem, x: np.ndarray) -> np.ndarray:
     """P_i x for every generator, stacked: shape x.shape[:-1] + (m+1, 2l).
 
     Exact systems gather and sign the coordinates of x (``np.take`` returns
-    a C-contiguous stack, whatever the batch size); dense systems take one
-    stacked matmul against the transposed generators.
+    a new C-contiguous stack, whatever the batch size, which is signed in
+    place); dense systems take one stacked matmul against the transposed
+    generators.
     """
     stack = system.generator_stack
     if isinstance(stack, tuple):
         cols, signs = stack
-        return signs * np.take(x, cols, axis=-1)
+        images = np.take(x, cols, axis=-1)
+        images *= signs
+        return images
     gens_t = np.swapaxes(stack, -1, -2)
     if x.ndim == 1:
         return x @ gens_t
@@ -97,20 +101,6 @@ def pi_c(system: CliffordSystem, x: np.ndarray) -> np.ndarray:
     return _quadratic_values(_generator_images(system, x), x)
 
 
-def eig_split(p: np.ndarray, tol: float = 1e-10):
-    """Orthonormal bases (B_plus, B_minus) of the +-1 eigenspaces of an involution.
-
-    Bases come from the projectors (Id +- P)/2; each has l columns.
-    """
-    p = np.asarray(p, dtype=float)
-    n = p.shape[0]
-    if max_abs(p @ p - np.eye(n)) > tol:
-        raise ValueError("matrix is not an involution to the requested tolerance")
-    b_plus = projector_colspace_basis((np.eye(n) + p) / 2.0)
-    b_minus = projector_colspace_basis((np.eye(n) - p) / 2.0)
-    return b_plus, b_minus
-
-
 # --------------------------------------------------------------------------- #
 # Fiber samplers
 # --------------------------------------------------------------------------- #
@@ -120,13 +110,26 @@ def boundary_fiber_sample(system: CliffordSystem, p_coords: np.ndarray,
     """n uniform samples of the boundary fiber over P = sum p_i P_i.
 
     The fiber over a boundary point is the unit sphere of the positive
-    eigenspace E_+(P); samples are returned as rows of shape (n, 2l).
+    eigenspace E_+(P).  A Gaussian y in R^(2l) maps to z = y + P y, twice its
+    orthogonal projection onto E_+(P), which is a Gaussian of E_+(P); so z/|z|
+    is uniform on the fiber, with no eigenbasis needed.  Rows with |z| below
+    1e-8 are redrawn.  Samples are returned as rows of shape (n, 2l).
     """
     p_coords = _check_unit(p_coords, "span element")
-    b_plus, _ = eig_split(system.span_matrix(p_coords))
+    p_t = system.span_matrix(p_coords).T
+    # P^2 = |p|^2 Id on a Clifford system: the involution check, without P @ P
+    if abs(float(p_coords @ p_coords) - 1.0) > _INVOLUTION_TOL:
+        raise ValueError("span element is not an involution to the requested tolerance")
     rng = rng_from(seed)
-    z = sample_unit_vectors(rng, b_plus.shape[1], n)
-    return z @ b_plus.T
+    z = rng.standard_normal((n, system.dim))
+    z += z @ p_t
+    norms = np.linalg.norm(z, axis=1)
+    while np.any(norms < 1e-8):
+        bad = norms < 1e-8
+        fresh = rng.standard_normal((int(np.sum(bad)), system.dim))
+        z[bad] = fresh + fresh @ p_t
+        norms = np.linalg.norm(z, axis=1)
+    return z / norms[:, None]
 
 
 def mplus_sample(system: CliffordSystem, n: int, seed: int) -> np.ndarray:
@@ -143,12 +146,12 @@ def mplus_sample(system: CliffordSystem, n: int, seed: int) -> np.ndarray:
     if l == m + 1:
         warnings.warn("l = m+1: the complement fibers are 0-spheres, so fibers are disconnected",
                       stacklevel=2)
-    b_plus, b_minus = eig_split(system.dense_generator(0))
+    b_plus, b_minus = system.p0_eigenbases
     rng = rng_from(seed)
     x_plus = sample_unit_vectors(rng, l, n) @ b_plus.T
 
     # P_1 x+, ..., P_m x+ are orthonormal vectors of E_-(P_0) at each sample
-    w = np.stack([system.apply_generator(i, x_plus) for i in range(1, m + 1)], axis=1)
+    w = _generator_images(system, x_plus)[:, 1:]
     g = rng.standard_normal((n, l)) @ b_minus.T
     if m:
         g -= np.einsum("nmd,nm->nd", w, np.einsum("nmd,nd->nm", w, g))
@@ -285,8 +288,7 @@ def geodesic_eval(g: HorizontalGeodesic, t) -> np.ndarray:
 
 def project_geodesic_params(system: CliffordSystem, g: HorizontalGeodesic):
     """(P, Q) with Q_i = <P_i x_plus, x_minus>, so pi_C(gamma(t)) = -cos(2t) P + sin(2t) Q."""
-    q = np.array([float(system.apply_generator(i, g.x_plus) @ g.x_minus)
-                  for i in range(system.m + 1)])
+    q = np.array([float(px @ g.x_minus) for px in _generator_images(system, g.x_plus)])
     return np.array(g.p_coords, dtype=float), q
 
 

@@ -99,6 +99,46 @@ class TestMalformedSystemFiles:
         payload["generators"][1] = [[0] for _ in payload["generators"][1]]
         self.assert_rejected(tmp_path, capsys, payload)
 
+    @staticmethod
+    def constructed(tmp_path, *argv):
+        path = tmp_path / "built.json"
+        assert run("construct", *argv, "--out", path) == 0
+        return json.loads(path.read_text())
+
+    def test_signed_perm_equal_generators(self, tmp_path, capsys):
+        payload = self.constructed(tmp_path, "--m", 3, "--k", 2)
+        payload["generators"][2] = payload["generators"][1]
+        self.assert_rejected(tmp_path, capsys, payload)
+
+    def test_dense_equal_generators(self, tmp_path, capsys):
+        payload = self.constructed(tmp_path, "--m", 3, "--k", 2, "--encoding", "dense")
+        payload["generators"][2] = payload["generators"][1]
+        self.assert_rejected(tmp_path, capsys, payload)
+
+    def test_dense_relations_checked_to_1e12(self, tmp_path, capsys):
+        payload = self.constructed(tmp_path, "--m", 2, "--k", 2, "--encoding", "dense")
+        assert run("invariant", "--system", tmp_path / "built.json") == 0
+        n = 2 * payload["l"]
+        payload["generators"][0][0] += 1e-9
+        payload["generators"][0][n + 1] -= 1e-9
+        self.assert_rejected(tmp_path, capsys, payload)
+
+    def test_wrong_flips(self, tmp_path, capsys):
+        payload = self.constructed(tmp_path, "--m", 4, "--k", 3, "--flips", 1)
+        payload["provenance"]["flips"] = 0
+        self.assert_rejected(tmp_path, capsys, payload)
+
+    def test_wrong_flips_dense(self, tmp_path, capsys):
+        payload = self.constructed(tmp_path, "--m", 4, "--k", 3, "--flips", 1,
+                                   "--encoding", "dense")
+        payload["provenance"]["flips"] = 0
+        self.assert_rejected(tmp_path, capsys, payload)
+
+    def test_flips_outside_range(self, tmp_path, capsys):
+        payload = self.constructed(tmp_path, "--m", 3, "--k", 2)
+        payload["provenance"]["flips"] = 3
+        self.assert_rejected(tmp_path, capsys, payload)
+
 
 class TestInvariantAndClassify:
     def test_invariant_output(self, tmp_path, capsys):

@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from clifford_foliations.algebra import max_abs, rng_from, sample_unit_vectors
-from clifford_foliations.clifford import build_system, sub_system
+from clifford_foliations import algebra
+from clifford_foliations.algebra import haar_orthogonal, max_abs, rng_from, sample_unit_vectors
+from clifford_foliations.clifford import build_system, conjugate_system, sub_system
 from clifford_foliations.foliation import (
     EmptyFocalError,
     boundary_fiber_sample,
@@ -152,6 +153,92 @@ class TestFiberSamplers:
         assert s22.l - s22.m == 2
 
 
+def dense_span(system, coords):
+    """sum_i coords[i] * P_i as a plain dense sum, zero coordinates included."""
+    out = np.zeros((system.dim, system.dim))
+    for i, c in enumerate(coords):
+        out += c * system.dense_generator(i)
+    return out
+
+
+def mplus_reference(system, n, seed):
+    """The M+ sampler written out with a fresh eig_split and dense generators."""
+    b_plus, b_minus = eig_split(system.dense_generator(0))
+    rng = rng_from(seed)
+    x_plus = sample_unit_vectors(rng, system.l, n) @ b_plus.T
+    w = np.stack([x_plus @ system.dense_generator(i).T for i in range(1, system.m + 1)], axis=1)
+    g = rng.standard_normal((n, system.l)) @ b_minus.T
+    g -= np.einsum("nmd,nm->nd", w, np.einsum("nmd,nd->nm", w, g))
+    norms = np.linalg.norm(g, axis=1)
+    assert norms.min() >= 1e-8  # no redraws, so the draws above are all of them
+    return (x_plus + g / norms[:, None]) / np.sqrt(2.0)
+
+
+def boundary_cases():
+    conj = conjugate_system(build_system(3, 2), haar_orthogonal(rng_from(30), 16))
+    for system in (build_system(2, 2), build_system(4, 3, flips=1), conj):
+        e0 = np.eye(system.m + 1)[0]
+        yield system, e0
+        yield system, -e0
+        yield system, sample_unit_vectors(rng_from(31, system.dim), system.m + 1, 1)[0]
+
+
+class TestSamplerFormulas:
+    @pytest.mark.parametrize("case", range(9))
+    def test_boundary_samples_in_positive_eigenspace(self, case):
+        system, p = list(boundary_cases())[case]
+        x = boundary_fiber_sample(system, p, 200, 32 + case)
+        assert max_abs(x @ dense_span(system, p).T - x) <= 1e-12
+        assert max_abs(np.linalg.norm(x, axis=1) - 1.0) <= 1e-12
+        again = boundary_fiber_sample(system, p, 200, 32 + case)
+        assert x.tobytes() == again.tobytes()
+
+    def test_boundary_rejects_non_involution(self, s22):
+        # unit to the 1e-9 point tolerance, but P^2 - Id = (|p|^2 - 1) Id exceeds 1e-10
+        with pytest.raises(ValueError, match="involution"):
+            boundary_fiber_sample(s22, np.array([1.0 + 5e-10, 0.0, 0.0]), 4, 0)
+
+    def test_boundary_uniform_second_moment(self, s22):
+        # uniform on the unit sphere of E_+(P): E[x x^T] = (Id + P) / (2l)
+        p = sample_unit_vectors(rng_from(33), 3, 1)[0]
+        n = 20000
+        x = boundary_fiber_sample(s22, p, n, 34)
+        outer = x[:, :, None] * x[:, None, :]
+        expected = (np.eye(s22.dim) + dense_span(s22, p)) / s22.dim
+        sigma = outer.std(axis=0) / np.sqrt(n)
+        assert np.all(np.abs(outer.mean(axis=0) - expected) <= 5.0 * sigma + 1e-12)
+
+    @pytest.mark.parametrize("mk", [(2, 2), (3, 2), (4, 3), (6, 2), (9, 1)])
+    def test_exact_samplers_match_dense_formulas_bitwise(self, mk):
+        system = build_system(*mk)
+        coords = sample_unit_vectors(rng_from(35, *mk), system.m + 1, 1)[0]
+        coords[1] = 0.0
+        assert system.span_matrix(coords).tobytes() == dense_span(system, coords).tobytes()
+        assert mplus_sample(system, 40, 36).tobytes() == mplus_reference(system, 40, 36).tobytes()
+        v = 0.6 * coords / np.linalg.norm(coords)
+        r = np.linalg.norm(v)
+        t = np.arcsin(r) / 2.0
+        x = mplus_reference(system, 40, 37)
+        q_mat = dense_span(system, v / r)
+        expected = np.cos(t) * x + np.sin(t) * (x @ q_mat.T)
+        assert fiber_sample(system, v, 40, 37).tobytes() == expected.tobytes()
+
+    def test_no_eigenbasis_after_first_call(self, monkeypatch):
+        system = build_system(4, 3)
+        mplus_sample(system, 4, 38)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("projector_colspace_basis called")
+
+        monkeypatch.setattr(algebra, "projector_colspace_basis", refuse)
+        v = np.array([0.3, -0.2, 0.1, 0.0, 0.4])
+        mplus_sample(system, 4, 39)
+        fiber_sample(system, v, 4, 40)
+        boundary_fiber_sample(system, v / np.linalg.norm(v), 4, 41)
+        # a boundary fiber never needs an eigenbasis, even on a fresh system
+        boundary_fiber_sample(build_system(3, 2), np.eye(4)[2], 4, 42)
+
+
 class TestHorizontalFrame:
     def test_interior_frame(self, s22):
         x = fiber_sample(s22, np.array([0.2, 0.1, -0.3]), 1, 11)[0]
@@ -239,7 +326,7 @@ class TestGeodesics:
         p = np.array([1.0, 0.0, 0.0])
         plus, minus = eig_split(s22.span_matrix(p))
         xp = plus @ sample_unit_vectors(rng_from(22), s22.l, 1)[0]
-        w = np.stack([s22.apply_generator(i, xp) for i in range(3)])
+        w = np.stack([s22.dense_generator(i) @ xp for i in range(3)])
         g_raw = minus @ sample_unit_vectors(rng_from(23), s22.l, 1)[0]
         g_raw -= w.T @ (w @ g_raw)
         xm = g_raw / np.linalg.norm(g_raw)
