@@ -26,16 +26,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .algebra import (
-    Octonion,
-    Quaternion,
-    SignedPermMatrix,
-    eig_split,
-    max_abs,
-    oct_mul,
-    quat_mul,
-    signed_perm_kron,
-)
+from .algebra import SignedPermMatrix, cd_units, eig_split, max_abs, signed_perm_kron
 from .reports import CheckResult, VerificationReport
 
 __all__ = [
@@ -87,32 +78,15 @@ def dimension_cap() -> int:
 # Anticommuting complex structures
 # --------------------------------------------------------------------------- #
 
-def _left_mult_structure(units, mul, dim: int, index: int) -> SignedPermMatrix:
-    """Signed-perm matrix of left multiplication by basis unit ``index``."""
-    u = units(index)
-    rows = np.empty(dim, dtype=np.int64)
-    signs = np.empty(dim, dtype=np.int64)
-    for j in range(dim):
-        col = mul(u, units(j)).as_array()
-        r = int(np.argmax(np.abs(col)))
-        rows[j] = r
-        signs[j] = 1 if col[r] > 0 else -1
-    return SignedPermMatrix(rows, signs)
-
-
 def _minimal_structures(n: int) -> list:
-    """n pairwise anticommuting complex structures on R^(delta(n+1))."""
-    if n == 0:
-        return []
-    if n == 1:
-        # the 2x2 rotation generator
-        return [SignedPermMatrix(np.array([1, 0]), np.array([1, -1]))]
-    if n <= 3:
-        return [_left_mult_structure(Quaternion.unit, quat_mul, 4, r + 1)
-                for r in range(n)]
+    """n pairwise anticommuting complex structures on R^(delta(n+1)).
+
+    Up to n = 7 these are left multiplications by the imaginary units
+    e_1..e_n of C, H or O (dimension delta(n+1)).
+    """
     if n <= 7:
-        return [_left_mult_structure(Octonion.unit, oct_mul, 8, r + 1)
-                for r in range(n)]
+        rows, signs = cd_units(delta(n + 1))
+        return [SignedPermMatrix(rows[r + 1], signs[r + 1]) for r in range(n)]
     if n == 8:
         seven = _minimal_structures(7)
         doubled = []
@@ -232,8 +206,8 @@ class CliffordSystem:
         (m+1, 2l, 2l) stack of dense generators.
         """
         if self.exact:
-            cols = np.stack([g._col_at_row for g in self.generators])
-            signs = np.stack([g._sign_at_row for g in self.generators])
+            cols = np.stack([np.argsort(g.rows) for g in self.generators])
+            signs = np.stack([g.signs[c] for g, c in zip(self.generators, cols)])
             return cols, signs
         return np.stack(self.generators)
 
@@ -313,30 +287,47 @@ def build_system(m: int, k: int, flips: int = 0,
 # Relations, invariants, equivalence
 # --------------------------------------------------------------------------- #
 
-def _dense_relation_violations(system: CliffordSystem):
+def _gather_gap(cols_a, signs_a, cols_b, signs_b, sign: int) -> float:
+    """max |A + sign B| for signed permutations given as gathers, over all leading axes.
+
+    Row r of A x is signs_a[r] x[cols_a[r]].  A row whose columns differ
+    contributes 1, any other row |signs_a[r] + sign signs_b[r]|.
+    """
+    rowwise = np.where(cols_a == cols_b, np.abs(signs_a + sign * signs_b), 1)
+    return float(np.max(rowwise, initial=0))
+
+
+def _relation_violations(system: CliffordSystem):
+    """Largest entries of P_i^T - P_i, P_i^2 - Id and P_i P_j + P_j P_i (i < j).
+
+    Exact systems compare gather forms: P_i P_j gathers cols_j[cols_i] with
+    signs s_i s_j[cols_i], and P_i^T is the scatter of (r, s_i[r]) to
+    cols_i[r].  Dense systems multiply out.
+    """
+    if system.exact:
+        cols, signs = system.generator_stack
+        gens = np.arange(system.m + 1)
+        pair_cols = cols[gens[None, :, None], cols[:, None, :]]  # [i, j] = P_i P_j
+        pair_signs = signs[:, None, :] * signs[gens[None, :, None], cols[:, None, :]]
+        t_cols, t_signs = np.empty_like(cols), np.empty_like(signs)
+        np.put_along_axis(t_cols, cols, np.arange(system.dim)[None, :], axis=1)
+        np.put_along_axis(t_signs, cols, signs, axis=1)
+        diag_cols, diag_signs = pair_cols[gens, gens], pair_signs[gens, gens]
+        i, j = np.triu_indices(system.m + 1, 1)
+        sym = _gather_gap(t_cols, t_signs, cols, signs, -1)
+        invol = _gather_gap(diag_cols, diag_signs, np.arange(system.dim), 1, -1)
+        anti = _gather_gap(pair_cols[i, j], pair_signs[i, j], pair_cols[j, i], pair_signs[j, i], 1)
+        return sym, invol, anti
     eye = np.eye(system.dim)
     sym = invol = anti = 0.0
     dense = [system.dense_generator(i) for i in range(system.m + 1)]
+    # np.maximum keeps a NaN violation, where max() would drop it
     for i, p in enumerate(dense):
-        sym = max(sym, max_abs(p.T - p))
-        invol = max(invol, max_abs(p @ p - eye))
+        sym = np.maximum(sym, max_abs(p.T - p))
+        invol = np.maximum(invol, max_abs(p @ p - eye))
         for q in dense[i + 1:]:
-            anti = max(anti, max_abs(p @ q + q @ p))
-    return sym, invol, anti
-
-
-def _exact_relation_violations(system: CliffordSystem):
-    gens = system.generators
-    sym = invol = anti = 0.0
-    for i, p in enumerate(gens):
-        if not p.is_symmetric():
-            sym = max(sym, max_abs(p.to_dense().T - p.to_dense()))
-        if not p.is_involution():
-            invol = max(invol, max_abs((p @ p).to_dense() - np.eye(system.dim)))
-        for q in gens[i + 1:]:
-            if not p.anticommutes_with(q):
-                anti = max(anti, max_abs((p @ q).to_dense() + (q @ p).to_dense()))
-    return sym, invol, anti
+            anti = np.maximum(anti, max_abs(p @ q + q @ p))
+    return float(sym), float(invol), float(anti)
 
 
 def verify_relations(system: CliffordSystem, tol: Optional[float] = None) -> VerificationReport:
@@ -347,10 +338,7 @@ def verify_relations(system: CliffordSystem, tol: Optional[float] = None) -> Ver
     """
     if tol is None:
         tol = 0.0 if system.exact else 1e-12
-    if system.exact:
-        sym, invol, anti = _exact_relation_violations(system)
-    else:
-        sym, invol, anti = _dense_relation_violations(system)
+    sym, invol, anti = _relation_violations(system)
     checks = [
         CheckResult.from_violation("symmetry", "each generator equals its transpose", sym, tol),
         CheckResult.from_violation("involution", "each generator squares to the identity", invol, tol),
@@ -466,7 +454,7 @@ def system_from_dict(data: dict) -> CliffordSystem:
         return _system_from_fields(data)
     except MalformedSystemError:
         raise
-    except (TypeError, ValueError, IndexError, KeyError) as exc:
+    except (TypeError, ValueError, IndexError, KeyError, OverflowError) as exc:
         raise MalformedSystemError(f"malformed system payload: {exc}") from exc
 
 

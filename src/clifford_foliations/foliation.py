@@ -61,8 +61,8 @@ class EmptyFocalError(ValueError):
 def _check_unit(x: np.ndarray, what: str = "point") -> np.ndarray:
     x = np.asarray(x, dtype=float)
     norms = np.linalg.norm(x, axis=-1)
-    if np.any(np.abs(norms - 1.0) > _UNIT_TOL):
-        raise ValueError(f"{what} must be a unit vector")
+    if not np.all(np.abs(norms - 1.0) <= _UNIT_TOL):
+        raise ValueError(f"{what} must be a finite unit vector")
     return x
 
 
@@ -118,7 +118,7 @@ def boundary_fiber_sample(system: CliffordSystem, p_coords: np.ndarray,
     p_coords = _check_unit(p_coords, "span element")
     p_t = system.span_matrix(p_coords).T
     # P^2 = |p|^2 Id on a Clifford system: the involution check, without P @ P
-    if abs(float(p_coords @ p_coords) - 1.0) > _INVOLUTION_TOL:
+    if not abs(float(p_coords @ p_coords) - 1.0) <= _INVOLUTION_TOL:
         raise ValueError("span element is not an involution to the requested tolerance")
     rng = rng_from(seed)
     z = rng.standard_normal((n, system.dim))
@@ -178,8 +178,8 @@ def fiber_sample(system: CliffordSystem, v: np.ndarray, n: int, seed: int) -> np
     """
     v = np.asarray(v, dtype=float)
     r = float(np.linalg.norm(v))
-    if r > 1.0 + 1e-12:
-        raise ValueError("disk point has norm > 1")
+    if not r <= 1.0 + 1e-12:
+        raise ValueError("disk point has norm > 1 or is not finite")
     if r <= 1e-12:
         return mplus_sample(system, n, seed)
     if r >= 1.0 - 1e-12:
@@ -319,8 +319,8 @@ def quotient_lift(v: np.ndarray) -> np.ndarray:
     """
     v = np.asarray(v, dtype=float)
     r2 = np.sum(v * v, axis=-1)
-    if np.any(r2 > 1.0 + 2e-12):
-        raise ValueError("disk point has norm > 1")
+    if not np.all(r2 <= 1.0 + 2e-12):
+        raise ValueError("disk point has norm > 1 or is not finite")
     rad = np.maximum(0.0, 1.0 - r2)
     height = np.sqrt(np.where(rad < 1e-13, 0.0, rad))
     return 0.5 * np.concatenate([v, np.expand_dims(height, -1)], axis=-1)

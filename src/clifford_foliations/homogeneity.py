@@ -24,7 +24,7 @@ from typing import Optional
 
 import numpy as np
 
-from .algebra import rng_from
+from .algebra import cd_mul, cd_units, haar_rotation, rng_from, sign_fixed_q
 from .clifford import EquivalenceProfile, delta
 
 __all__ = [
@@ -48,33 +48,31 @@ FIELD_FOR_M = {1: "R", 2: "C", 4: "H"}
 # --------------------------------------------------------------------------- #
 
 def _f_conj(a: np.ndarray) -> np.ndarray:
+    """Conjugates of scalars of F given as component arrays (..., dim F)."""
     out = -np.asarray(a, dtype=float)
-    out[0] = -out[0]
+    out[..., 0] = -out[..., 0]
     return out
 
 
-def _f_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Product of two scalars of F given as component arrays of length 1, 2, or 4."""
-    d = len(a)
-    if d == 1:
-        return np.array([a[0] * b[0]])
-    if d == 2:
-        return np.array([a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0]])
-    w1, x1, y1, z1 = a
-    w2, x2, y2, z2 = b
-    return np.array([
-        w1 * w2 - x1 * x2 - y1 * y2 - z1 * z2,
-        w1 * x2 + x1 * w2 + y1 * z2 - z1 * y2,
-        w1 * y2 - x1 * z2 + y1 * w2 + z1 * x2,
-        w1 * z2 + x1 * y2 - y1 * x2 + z1 * w2,
-    ])
+def _row_sum(terms: np.ndarray) -> np.ndarray:
+    """Sum of the rows of terms, added one by one to zeros in row order."""
+    out = np.zeros(terms.shape[-1])
+    for t in terms:
+        out += t
+    return out
 
 
-def _right_mult_matrix(q: np.ndarray) -> np.ndarray:
-    """Real d x d matrix of x -> x * q on F."""
-    d = len(q)
-    eye = np.eye(d)
-    return np.stack([_f_mul(eye[s], q) for s in range(d)], axis=1)
+def _right_mult_matrices(q: np.ndarray) -> np.ndarray:
+    """Real d x d matrices of x -> x * q on F, for q of shape (..., d).
+
+    Column s is e_s q = sum_j signs[s, j] q_j e_rows[s, j], a signed copy of
+    q placed by the unit table.
+    """
+    d = q.shape[-1]
+    rows, signs = cd_units(d)
+    out = np.empty(q.shape + (d,))
+    out[..., rows, np.arange(d)[:, None]] = signs * q[..., None, :]
+    return out
 
 
 # --------------------------------------------------------------------------- #
@@ -95,13 +93,10 @@ class GroupElement:
     entries: np.ndarray
 
     def action_matrix(self) -> np.ndarray:
-        d = FIELD_DIM[self.field]
-        k = self.k
-        out = np.zeros((k * d, k * d))
-        for i in range(k):
-            for j in range(k):
-                out[i * d:(i + 1) * d, j * d:(j + 1) * d] = _right_mult_matrix(self.entries[j, i])
-        return out
+        n = self.k * FIELD_DIM[self.field]
+        # block (i, j) is the matrix of x -> x * entries[j, i]
+        blocks = _right_mult_matrices(np.swapaxes(self.entries, 0, 1))
+        return blocks.swapaxes(1, 2).reshape(n, n)
 
 
 def _quaternionic_unitary(rng: np.random.Generator, k: int) -> np.ndarray:
@@ -111,11 +106,8 @@ def _quaternionic_unitary(rng: np.random.Generator, k: int) -> np.ndarray:
         for _ in range(2):  # re-orthogonalize once for full precision
             for a in range(j):
                 # <col_a, col_j> in H, then col_j -= col_a * overlap
-                ov = np.zeros(4)
-                for i in range(k):
-                    ov += _f_mul(_f_conj(g[i, a]), g[i, j])
-                for i in range(k):
-                    g[i, j] -= _f_mul(g[i, a], ov)
+                ov = _row_sum(cd_mul(_f_conj(g[:, a]), g[:, j]))
+                g[:, j] -= cd_mul(g[:, a], ov)
         g[:, j] /= np.linalg.norm(g[:, j])
     return g
 
@@ -131,19 +123,9 @@ def sample_group_element(field: str, k: int, seed: int) -> GroupElement:
         raise ValueError("k must be >= 1")
     rng = rng_from(seed)
     if field == "R":
-        q, r = np.linalg.qr(rng.standard_normal((k, k)))
-        d = np.diagonal(r).copy()
-        d[d == 0] = 1.0
-        q = q * np.sign(d)
-        if np.linalg.det(q) < 0:
-            q[:, -1] = -q[:, -1]
-        return GroupElement("R", k, q[..., None].copy())
+        return GroupElement("R", k, haar_rotation(rng, k)[..., None])
     if field == "C":
-        a = rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k))
-        q, r = np.linalg.qr(a)
-        d = np.diagonal(r).copy()
-        d[d == 0] = 1.0
-        q = q * (d / np.abs(d))
+        q = sign_fixed_q(rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k)))
         q = q * np.exp(-1j * np.angle(np.linalg.det(q)) / k)
         return GroupElement("C", k, np.stack([q.real, q.imag], axis=-1))
     if field == "H":
@@ -199,8 +181,8 @@ def _stable_sqrt(rad: float) -> float:
 def normal_form(x: np.ndarray, field: str) -> NormalForm:
     """Normal form of a unit point of F^k x F^k under the diagonal group."""
     x = np.asarray(x, dtype=float)
-    if abs(float(np.linalg.norm(x)) - 1.0) > 1e-9:
-        raise ValueError("normal_form expects a unit vector")
+    if not abs(float(np.linalg.norm(x)) - 1.0) <= 1e-9:
+        raise ValueError("normal_form expects a finite unit vector")
     d = FIELD_DIM[field]
     l = x.shape[0] // 2
     if l % d:
@@ -209,9 +191,7 @@ def normal_form(x: np.ndarray, field: str) -> NormalForm:
     u = x[:l].reshape(k, d)
     v = x[l:].reshape(k, d)
     r0 = float(np.sum(u * u) - np.sum(v * v))
-    w = np.zeros(d)
-    for i in range(k):
-        w += _f_mul(u[i], _f_conj(v[i]))
+    w = _row_sum(cd_mul(u, _f_conj(v)))
     u1 = _stable_sqrt(max(0.0, (1.0 + r0) / 2.0))
     if u1 > 1e-8:
         v1 = _f_conj(w) / u1

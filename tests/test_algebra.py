@@ -6,25 +6,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from clifford_foliations.algebra import (
-    Octonion,
-    Quaternion,
     SignedPermMatrix,
+    cd_mul,
+    cd_units,
     haar_orthogonal,
     haar_rotation,
-    left_mult_matrix,
     max_abs,
-    oct_mul,
-    orthonormal_columns,
     projector_colspace_basis,
-    quat_mul,
     rng_from,
     sample_unit_vectors,
+    sign_fixed_q,
     signed_perm_kron,
 )
+from clifford_foliations.clifford import build_complex_structures, build_system, delta
 
 # ---------------------------------------------------------------------------
 # Oracle: bilinear expansion of the Hamilton product over a hand-typed
-# basis table, fully independent of quat_mul's closed-form implementation.
+# basis table, fully independent of the doubling that builds cd_units.
 # ---------------------------------------------------------------------------
 
 # basis products 1,i,j,k as (index, sign)
@@ -36,14 +34,33 @@ _HAMILTON_TABLE = {
 }
 
 
-def quat_mul_oracle(a: Quaternion, b: Quaternion) -> np.ndarray:
+def hamilton_oracle(a, b) -> np.ndarray:
     out = np.zeros(4)
-    av, bv = a.as_array(), b.as_array()
     for i in range(4):
         for j in range(4):
             idx, sign = _HAMILTON_TABLE[(i, j)]
-            out[idx] += sign * av[i] * bv[j]
+            out[idx] += sign * a[i] * b[j]
     return out
+
+
+def hamilton_closed_form(a, b) -> np.ndarray:
+    """The Hamilton product written out term by term."""
+    w1, x1, y1, z1 = a
+    w2, x2, y2, z2 = b
+    return np.array([
+        w1 * w2 - x1 * x2 - y1 * y2 - z1 * z2,
+        w1 * x2 + x1 * w2 + y1 * z2 - z1 * y2,
+        w1 * y2 - x1 * z2 + y1 * w2 + z1 * x2,
+        w1 * z2 + x1 * y2 - y1 * x2 + z1 * w2,
+    ])
+
+
+def unit(d: int, index: int) -> np.ndarray:
+    return np.eye(d)[index]
+
+
+def norm(a) -> float:
+    return float(np.linalg.norm(a))
 
 
 finite = st.floats(min_value=-10, max_value=10, allow_nan=False, allow_infinity=False)
@@ -51,132 +68,157 @@ finite = st.floats(min_value=-10, max_value=10, allow_nan=False, allow_infinity=
 
 class TestQuaternions:
     def test_identity(self):
-        q = Quaternion(0.3, -1.2, 0.5, 2.0)
-        assert quat_mul(Quaternion.unit(0), q) == q
+        q = np.array([0.3, -1.2, 0.5, 2.0])
+        assert np.array_equal(cd_mul(unit(4, 0), q), q)
 
     def test_hamilton_relations(self):
-        i, j, k = (Quaternion.unit(n) for n in (1, 2, 3))
-        assert quat_mul(i, j) == k
-        assert quat_mul(j, i) == Quaternion(0, 0, 0, -1)
-        assert quat_mul(i, i) == Quaternion(-1, 0, 0, 0)
+        i, j, k = (unit(4, n) for n in (1, 2, 3))
+        np.testing.assert_array_equal(cd_mul(i, j), k)
+        np.testing.assert_array_equal(cd_mul(j, i), -k)
+        np.testing.assert_array_equal(cd_mul(i, i), -unit(4, 0))
 
     def test_mixed_product_matches_expansion_oracle(self):
         # (i+j)(i-j): expected value frozen from the bilinear oracle: -2k
-        a = Quaternion(0, 1, 1, 0)
-        b = Quaternion(0, 1, -1, 0)
-        expected = quat_mul_oracle(a, b)
+        a = np.array([0.0, 1, 1, 0])
+        b = np.array([0.0, 1, -1, 0])
+        expected = hamilton_oracle(a, b)
         np.testing.assert_array_equal(expected, [0, 0, 0, -2])
-        np.testing.assert_array_equal(quat_mul(a, b).as_array(), expected)
+        np.testing.assert_array_equal(cd_mul(a, b), expected)
 
     @given(st.tuples(*[finite] * 8))
     @settings(max_examples=60, deadline=None)
     def test_matches_oracle_bilinearly(self, coeffs):
-        a = Quaternion(*coeffs[:4])
-        b = Quaternion(*coeffs[4:])
-        np.testing.assert_allclose(quat_mul(a, b).as_array(),
-                                   quat_mul_oracle(a, b), atol=1e-9)
+        a, b = np.array(coeffs[:4]), np.array(coeffs[4:])
+        np.testing.assert_allclose(cd_mul(a, b), hamilton_oracle(a, b), atol=1e-9)
 
     @given(st.tuples(*[finite] * 8))
     @settings(max_examples=60, deadline=None)
     def test_norm_multiplicative(self, coeffs):
-        a = Quaternion(*coeffs[:4])
-        b = Quaternion(*coeffs[4:])
-        assert abs(quat_mul(a, b).norm() - a.norm() * b.norm()) <= 1e-10 * (1 + a.norm() * b.norm())
+        a, b = np.array(coeffs[:4]), np.array(coeffs[4:])
+        assert abs(norm(cd_mul(a, b)) - norm(a) * norm(b)) <= 1e-10 * (1 + norm(a) * norm(b))
 
     def test_associativity_on_random_triples(self):
         rng = rng_from(1)
-        for _ in range(50):
-            a, b, c = (Quaternion(*rng.standard_normal(4)) for _ in range(3))
-            lhs = quat_mul(quat_mul(a, b), c).as_array()
-            rhs = quat_mul(a, quat_mul(b, c)).as_array()
-            np.testing.assert_allclose(lhs, rhs, atol=1e-12)
+        for d in (1, 2, 4):
+            a, b, c = rng.standard_normal((3, 50, d))
+            np.testing.assert_allclose(cd_mul(cd_mul(a, b), c), cd_mul(a, cd_mul(b, c)),
+                                       atol=1e-12)
 
     def test_norm_multiplicative_on_unit_inputs(self):
         for row in sample_unit_vectors(rng_from(2), 8, 300):
-            a, b = Quaternion(*row[:4] * 2), Quaternion(*row[4:] * 2)
-            a = Quaternion(*(a.as_array() / a.norm()))
-            b = Quaternion(*(b.as_array() / b.norm()))
-            assert abs(quat_mul(a, b).norm() - 1.0) <= 1e-14
+            a, b = row[:4] / norm(row[:4]), row[4:] / norm(row[4:])
+            assert abs(norm(cd_mul(a, b)) - 1.0) <= 1e-14
+
+    def test_bits_match_closed_forms(self):
+        # summed in order of the left index from the i = 0 term, the table
+        # product reproduces the written-out products to the last bit
+        rng = rng_from(11)
+        a, b = rng.standard_normal((2, 2000, 4))
+        closed = np.array([hamilton_closed_form(x, y) for x, y in zip(a, b)])
+        assert np.array_equal(cd_mul(a, b).view(np.int64), closed.view(np.int64))
+        a2, b2 = a[:, :2], b[:, :2]
+        complex_form = np.stack([a2[:, 0] * b2[:, 0] - a2[:, 1] * b2[:, 1],
+                                 a2[:, 0] * b2[:, 1] + a2[:, 1] * b2[:, 0]], axis=1)
+        assert np.array_equal(cd_mul(a2, b2).view(np.int64), complex_form.view(np.int64))
+
+    def test_batch_equals_one_by_one(self):
+        a, b = rng_from(12).standard_normal((2, 30, 4))
+        batch = cd_mul(a, b)
+        for x, y, z in zip(a, b, batch):
+            assert np.array_equal(cd_mul(x, y), z)
 
 
 class TestOctonions:
     def test_identity_and_unit_squares(self):
-        one = Octonion.unit(0)
-        x = Octonion.from_array(np.arange(8) + 0.5)
-        assert oct_mul(one, x) == x
+        x = np.arange(8) + 0.5
+        assert np.array_equal(cd_mul(unit(8, 0), x), x)
         for r in range(1, 8):
-            e = Octonion.unit(r)
-            np.testing.assert_array_equal(oct_mul(e, e).as_array(),
-                                          -Octonion.unit(0).as_array())
+            np.testing.assert_array_equal(cd_mul(unit(8, r), unit(8, r)), -unit(8, 0))
 
     def test_imaginary_units_anticommute(self):
         # all 21 unordered pairs, by direct expansion
         for r in range(1, 8):
             for s in range(r + 1, 8):
-                er, es = Octonion.unit(r), Octonion.unit(s)
-                total = oct_mul(er, es).as_array() + oct_mul(es, er).as_array()
-                np.testing.assert_array_equal(total, np.zeros(8))
+                er, es = unit(8, r), unit(8, s)
+                np.testing.assert_array_equal(cd_mul(er, es) + cd_mul(es, er), np.zeros(8))
 
     @given(st.tuples(*[finite] * 16))
     @settings(max_examples=60, deadline=None)
     def test_norm_multiplicative(self, coeffs):
-        a = Octonion.from_array(coeffs[:8])
-        b = Octonion.from_array(coeffs[8:])
-        prod = oct_mul(a, b)
-        assert abs(prod.norm() - a.norm() * b.norm()) <= 1e-10 * (1 + a.norm() * b.norm())
+        a, b = np.array(coeffs[:8]), np.array(coeffs[8:])
+        assert abs(norm(cd_mul(a, b)) - norm(a) * norm(b)) <= 1e-10 * (1 + norm(a) * norm(b))
 
     @given(st.tuples(*[finite] * 16))
     @settings(max_examples=60, deadline=None)
     def test_alternative_law(self, coeffs):
-        a = Octonion.from_array(coeffs[:8])
-        b = Octonion.from_array(coeffs[8:])
-        lhs = oct_mul(a, oct_mul(a, b)).as_array()
-        rhs = oct_mul(oct_mul(a, a), b).as_array()
-        np.testing.assert_allclose(lhs, rhs, atol=1e-9 * (1 + a.norm() ** 2 * b.norm()))
+        a, b = np.array(coeffs[:8]), np.array(coeffs[8:])
+        np.testing.assert_allclose(cd_mul(a, cd_mul(a, b)), cd_mul(cd_mul(a, a), b),
+                                   atol=1e-9 * (1 + norm(a) ** 2 * norm(b)))
+        np.testing.assert_allclose(cd_mul(cd_mul(b, a), a), cd_mul(b, cd_mul(a, a)),
+                                   atol=1e-9 * (1 + norm(a) ** 2 * norm(b)))
 
     def test_norm_multiplicative_on_unit_inputs(self):
-        for row in sample_unit_vectors(rng_from(3), 16, 300):
-            a = Octonion.from_array(row[:8] / np.linalg.norm(row[:8]))
-            b = Octonion.from_array(row[8:] / np.linalg.norm(row[8:]))
-            assert abs(oct_mul(a, b).norm() - 1.0) <= 1e-14
+        rows = sample_unit_vectors(rng_from(3), 16, 300)
+        a = rows[:, :8] / np.linalg.norm(rows[:, :8], axis=1)[:, None]
+        b = rows[:, 8:] / np.linalg.norm(rows[:, 8:], axis=1)[:, None]
+        assert max_abs(np.linalg.norm(cd_mul(a, b), axis=1) - 1.0) <= 1e-14
 
     def test_alternative_law_on_unit_inputs(self):
-        for row in sample_unit_vectors(rng_from(4), 16, 300):
-            a = Octonion.from_array(row[:8] / np.linalg.norm(row[:8]))
-            b = Octonion.from_array(row[8:] / np.linalg.norm(row[8:]))
-            gap = oct_mul(a, oct_mul(a, b)) - oct_mul(oct_mul(a, a), b)
-            assert max_abs(gap.as_array()) <= 1e-14
+        rows = sample_unit_vectors(rng_from(4), 16, 300)
+        a = rows[:, :8] / np.linalg.norm(rows[:, :8], axis=1)[:, None]
+        b = rows[:, 8:] / np.linalg.norm(rows[:, 8:], axis=1)[:, None]
+        assert max_abs(cd_mul(a, cd_mul(a, b)) - cd_mul(cd_mul(a, a), b)) <= 1e-14
 
     def test_not_associative(self):
-        e1, e2, e4 = Octonion.unit(1), Octonion.unit(2), Octonion.unit(4)
-        lhs = oct_mul(oct_mul(e1, e2), e4).as_array()
-        rhs = oct_mul(e1, oct_mul(e2, e4)).as_array()
+        e1, e2, e4 = unit(8, 1), unit(8, 2), unit(8, 4)
+        lhs = cd_mul(cd_mul(e1, e2), e4)
+        rhs = cd_mul(e1, cd_mul(e2, e4))
         assert max_abs(lhs - rhs) > 1e-6
 
 
 class TestLeftMultMatrix:
+    """Left multiplication by a unit, read off one row of the unit table."""
+
+    @staticmethod
+    def left_mult(d: int, r: int) -> np.ndarray:
+        rows, signs = cd_units(d)
+        return SignedPermMatrix(rows[r], signs[r]).to_dense()
+
     def test_skew_square_and_signed_columns(self):
-        for r in range(1, 8):
-            m = left_mult_matrix(Octonion.unit(r))
-            np.testing.assert_array_equal(m.T, -m)
-            np.testing.assert_array_equal(m @ m, -np.eye(8))
-            assert set(np.unique(m)) <= {-1.0, 0.0, 1.0}
-            assert np.all(np.sum(np.abs(m), axis=0) == 1)
+        for d in (2, 4, 8):
+            for r in range(1, d):
+                m = self.left_mult(d, r)
+                np.testing.assert_array_equal(m.T, -m)
+                np.testing.assert_array_equal(m @ m, -np.eye(d))
+                assert set(np.unique(m)) <= {-1.0, 0.0, 1.0}
+                assert np.all(np.sum(np.abs(m), axis=0) == 1)
+                # column j is e_r e_j
+                np.testing.assert_array_equal(m, cd_mul(unit(d, r), np.eye(d)).T)
 
     def test_pairs_anticommute(self):
-        mats = [left_mult_matrix(Octonion.unit(r)) for r in range(1, 8)]
+        mats = [self.left_mult(8, r) for r in range(1, 8)]
         for i in range(7):
             for j in range(i + 1, 7):
                 np.testing.assert_array_equal(mats[i] @ mats[j] + mats[j] @ mats[i],
                                               np.zeros((8, 8)))
 
     def test_rejects_bad_input(self):
-        with pytest.raises(ValueError):
-            left_mult_matrix(Octonion.unit(0))  # not imaginary
-        with pytest.raises(ValueError):
-            left_mult_matrix(Octonion.from_array([0, 2, 0, 0, 0, 0, 0, 0]))  # not unit
-        with pytest.raises(ValueError):
-            left_mult_matrix(Octonion.from_array([0, 0.6, 0.8, 0, 0, 0, 0, 0]))  # not basis
+        for d in (0, 3, 16):
+            with pytest.raises(ValueError):
+                cd_units(d)
+
+    def test_structures_are_left_multiplications(self):
+        # J_r x = e_(r+1) x in the algebra of dimension delta(n+1)
+        for n in range(1, 8):
+            d = delta(n + 1)
+            x = rng_from(13, n).standard_normal((20, d))
+            for r, j in enumerate(build_complex_structures(n, d)):
+                np.testing.assert_array_equal(x @ j.to_dense().T, cd_mul(unit(d, r + 1), x))
+
+    def test_hamilton_table_is_the_doubled_table(self):
+        rows, signs = cd_units(4)
+        for (i, j), (k, s) in _HAMILTON_TABLE.items():
+            assert (rows[i, j], signs[i, j]) == (k, s)
 
 
 class TestSignedPerm:
@@ -188,17 +230,19 @@ class TestSignedPerm:
             signs = rng.choice([-1, 1], size=n)
             a = SignedPermMatrix(perm, signs)
             da = a.to_dense()
-            np.testing.assert_array_equal(a.transpose().to_dense(), da.T)
-            x = rng.standard_normal(n)
-            np.testing.assert_allclose(a.apply(x), da @ x)
+            np.testing.assert_array_equal(da[perm, np.arange(n)], signs)
+            assert np.count_nonzero(da) == n
             b = SignedPermMatrix(rng.permutation(n), rng.choice([-1, 1], size=n))
             np.testing.assert_array_equal((a @ b).to_dense(), da @ b.to_dense())
             assert a.trace() == int(round(np.trace(da)))
 
     def test_batch_apply_along_last_axis(self):
-        a = SignedPermMatrix(np.array([2, 0, 1]), np.array([1, -1, 1]))
-        x = rng_from(4).standard_normal((5, 3))
-        np.testing.assert_allclose(a.apply(x), x @ a.to_dense().T)
+        # generator_stack applies signed permutations as a gather on the last axis
+        system = build_system(3, 2, 1)
+        cols, signs = system.generator_stack
+        x = rng_from(4).standard_normal((5, system.dim))
+        for i, g in enumerate(system.generators):
+            np.testing.assert_array_equal(signs[i] * x[:, cols[i]], x @ g.to_dense().T)
 
     def test_kron_matches_numpy(self):
         a = SignedPermMatrix(np.array([1, 0]), np.array([1, -1]))
@@ -214,16 +258,26 @@ class TestSignedPerm:
 
 
 class TestDenseHelpers:
-    def test_orthonormal_columns_contract(self):
+    def test_sign_fixed_q_contract(self):
         # condition number 1e6: orthogonality still at 1e-12
         rng = rng_from(5)
         u = haar_orthogonal(rng, 40)
         v = haar_orthogonal(rng, 12)
         a = u[:, :12] @ np.diag(np.logspace(0, -6, 12)) @ v
-        q = orthonormal_columns(a)
+        q = sign_fixed_q(a)
         assert max_abs(q.T @ q - np.eye(12)) <= 1e-12
-        # spans the same space
+        # spans the same space, and a = Q R with R's diagonal positive
         assert max_abs(a - q @ (q.T @ a)) <= 1e-9
+        assert np.all(np.diagonal(q.T @ a) > 0)
+
+    def test_sign_fixed_q_complex(self):
+        rng = rng_from(14)
+        a = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
+        q = sign_fixed_q(a)
+        assert max_abs(q.conj().T @ q - np.eye(6)) <= 1e-12
+        r = q.conj().T @ a
+        assert max_abs(np.tril(r, -1)) <= 1e-12
+        assert max_abs(np.diagonal(r).imag) <= 1e-12 and np.all(np.diagonal(r).real > 0)
 
     def test_projector_basis(self):
         rng = rng_from(6)

@@ -1,13 +1,25 @@
 """Command-line surface: exit codes, files, determinism, golden format."""
 
+import contextlib
+import copy
 import csv
+import io
 import json
 import pathlib
+import tempfile
 
 import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from clifford_foliations.cli import main
-from clifford_foliations.clifford import system_from_dict
+from clifford_foliations.clifford import (
+    CliffordSystem,
+    MalformedSystemError,
+    build_system,
+    system_from_dict,
+    system_to_dict,
+)
 
 GOLDEN = pathlib.Path(__file__).parent / "golden" / "system_m2_k1.json"
 
@@ -78,6 +90,15 @@ class TestVerify:
     def test_missing_file_exit_two(self, tmp_path):
         assert run("verify", "--system", tmp_path / "absent.json") == 2
 
+    def test_report_path_is_directory_exit_two(self, tmp_path, capsys):
+        system = tmp_path / "s.json"
+        run("construct", "--m", 2, "--k", 2, "--out", system)
+        assert run("verify", "--system", system, "--suite", "relations",
+                   "--report", tmp_path) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["s.json"]
+
 
 class TestMalformedSystemFiles:
     @staticmethod
@@ -90,6 +111,11 @@ class TestMalformedSystemFiles:
 
     def test_missing_key(self, tmp_path, capsys):
         self.assert_rejected(tmp_path, capsys, {"m": 2})
+
+    def test_system_path_is_directory(self, tmp_path, capsys):
+        assert run("invariant", "--system", tmp_path) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
 
     def test_not_an_object(self, tmp_path, capsys):
         self.assert_rejected(tmp_path, capsys, [1, 2])
@@ -133,6 +159,15 @@ class TestMalformedSystemFiles:
                                    "--encoding", "dense")
         payload["provenance"]["flips"] = 0
         self.assert_rejected(tmp_path, capsys, payload)
+
+    def test_non_finite_numbers(self, tmp_path, capsys):
+        payload = self.constructed(tmp_path, "--m", 2, "--k", 2)
+        payload["m"] = float("inf")
+        self.assert_rejected(tmp_path, capsys, payload)
+        for bad in (float("inf"), float("nan")):
+            payload = self.constructed(tmp_path, "--m", 2, "--k", 1, "--encoding", "dense")
+            payload["generators"][1][1] = bad
+            self.assert_rejected(tmp_path, capsys, payload)
 
     def test_flips_outside_range(self, tmp_path, capsys):
         payload = self.constructed(tmp_path, "--m", 3, "--k", 2)
@@ -188,6 +223,15 @@ class TestFiberCsv:
         run("construct", "--m", 2, "--k", 2, "--out", system)
         assert run("fiber", "--system", system, "--at", "0.2,0.1") == 2
 
+    def test_non_finite_coordinates(self, tmp_path, capsys):
+        system = tmp_path / "s.json"
+        run("construct", "--m", 2, "--k", 2, "--out", system)
+        capsys.readouterr()
+        for at in ("nan,0,0", "0.1,inf,0", "-inf,0,0"):
+            assert run("fiber", "--system", system, f"--at={at}") == 2
+            captured = capsys.readouterr()
+            assert captured.err.startswith("error:") and captured.out == ""
+
 
 class TestComposeAndHomogeneity:
     def test_compose_csv(self, tmp_path, capsys):
@@ -220,3 +264,78 @@ class TestReportCommand:
         payload = json.loads(out.read_text())
         assert payload["summary"]["passed"] == payload["summary"]["total"] > 0
         assert "suites passed" in capsys.readouterr().out
+
+
+# ---------------------------------------------------------------------------
+# Fuzzing: any JSON payload either loads or is rejected with exit code 2
+# ---------------------------------------------------------------------------
+
+json_scalars = (st.none() | st.booleans() | st.integers(-3, 40)
+                | st.floats(allow_nan=True, allow_infinity=True) | st.text(max_size=4)
+                | st.sampled_from([float("nan"), float("inf"), -float("inf"), 10 ** 30]))
+json_values = st.recursive(
+    json_scalars,
+    lambda inner: st.lists(inner, max_size=5) | st.dictionaries(st.text(max_size=4), inner,
+                                                               max_size=4),
+    max_leaves=24)
+free_payloads = st.fixed_dictionaries(
+    {"m": json_values, "l": json_values,
+     "encoding": st.sampled_from(["signed_perm", "dense", "other"]) | json_values,
+     "generators": json_values},
+    optional={"provenance": json_values})
+
+
+def valid_payloads():
+    return [system_to_dict(build_system(2, 1)), system_to_dict(build_system(3, 1, 1)),
+            system_to_dict(build_system(4, 2, 1)), system_to_dict(build_system(1, 2)),
+            system_to_dict(build_system(2, 1), "dense"),
+            system_to_dict(build_system(4, 1), "dense")]
+
+
+@st.composite
+def mutated_payloads(draw):
+    """A valid payload with one to three nodes replaced, removed or nudged."""
+    payload = copy.deepcopy(draw(st.sampled_from(valid_payloads())))
+    for _ in range(draw(st.integers(1, 3))):
+        parent, key = payload, draw(st.sampled_from(sorted(payload)))
+        while isinstance(parent[key], (dict, list)) and parent[key] and draw(st.booleans()):
+            parent = parent[key]
+            key = draw(st.sampled_from(sorted(parent) if isinstance(parent, dict)
+                                       else range(len(parent))))
+        action = draw(st.sampled_from(["replace", "remove", "nudge"]))
+        if action == "remove" and isinstance(parent, dict):
+            del parent[key]
+        elif action == "nudge" and isinstance(parent[key], (int, float)):
+            parent[key] = parent[key] + draw(st.sampled_from([-1, 1, 1e-9, 0.5, float("inf"),
+                                                              10 ** 30]))
+        else:
+            parent[key] = draw(json_values)
+    return payload
+
+
+payloads = free_payloads | mutated_payloads() | st.sampled_from(valid_payloads()) | json_values
+
+
+class TestFuzz:
+    @given(payloads)
+    @settings(max_examples=150, deadline=None)
+    def test_loader_returns_system_or_malformed(self, payload):
+        try:
+            system = system_from_dict(payload)
+        except MalformedSystemError:
+            return
+        assert isinstance(system, CliffordSystem)
+
+    @given(payloads)
+    @settings(max_examples=40, deadline=None)
+    def test_cli_exit_codes(self, payload):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = pathlib.Path(tmp) / "fuzz.json"
+            path.write_text(json.dumps(payload))
+            for argv in (["invariant", "--system", path], ["homogeneity", "--system", path],
+                         ["classify", "--system", path, "--other", path]):
+                err = io.StringIO()
+                with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+                    code = run(*argv)
+                assert code in (0, 2)
+                assert "Traceback" not in err.getvalue()

@@ -40,13 +40,14 @@ class TestDelta:
 
 
 def assert_anticommuting_structures(structures, dim):
-    eye = SignedPermMatrix.identity(dim)
-    for i, j in enumerate(structures):
-        assert j.n == dim
-        assert j.transpose().equals(j.neg()), f"structure {i} not skew"
-        assert (j @ j).equals(eye.neg()), f"structure {i} does not square to -Id"
-        for other in structures[i + 1:]:
-            assert j.anticommutes_with(other)
+    dense = [j.to_dense().astype(np.int64) for j in structures]
+    for i, j in enumerate(dense):
+        assert j.shape == (dim, dim)
+        assert np.array_equal(j.T, -j), f"structure {i} not skew"
+        assert np.array_equal(j @ j, -np.eye(dim, dtype=np.int64)), \
+            f"structure {i} does not square to -Id"
+        for other in dense[i + 1:]:
+            assert not np.any(j @ other + other @ j)
 
 
 class TestComplexStructures:
@@ -124,11 +125,41 @@ class TestBuildSystem:
 
     def test_negating_one_generator_preserves_relations(self):
         s = build_system(3, 2)
+        g1 = s.generators[1]
         flipped = CliffordSystem(s.m, s.l,
-                                 (s.generators[0], s.generators[1].neg()) + s.generators[2:],
+                                 (s.generators[0], SignedPermMatrix(g1.rows, -g1.signs))
+                                 + s.generators[2:],
                                  None)
         report = verify_relations(flipped)
         assert report.passed and report.max_violation == 0.0
+
+
+class TestRelationViolations:
+    def test_exact_values_match_dense_on_broken_systems(self):
+        # the exact gather comparison must report what the dense matmuls report
+        rng = rng_from(21)
+        for m, k in [(2, 1), (3, 2), (4, 1), (8, 1)]:
+            s = build_system(m, k)
+            for trial in range(12):
+                gens = list(s.generators)
+                i = int(rng.integers(len(gens)))
+                rows, signs = gens[i].rows.copy(), gens[i].signs.copy()
+                if trial % 4 == 0:
+                    signs[rng.integers(len(signs))] *= -1
+                elif trial % 4 == 1:
+                    a, b = rng.choice(len(rows), 2, replace=False)
+                    rows[[a, b]] = rows[[b, a]]
+                elif trial % 4 == 2:
+                    rows, signs = rng.permutation(len(rows)), rng.choice([-1, 1], len(rows))
+                else:
+                    rows, signs = gens[(i + 1) % len(gens)].rows, gens[(i + 1) % len(gens)].signs
+                gens[i] = SignedPermMatrix(rows, signs)
+                exact = CliffordSystem(m, s.l, tuple(gens))
+                dense = CliffordSystem(m, s.l, tuple(g.to_dense() for g in gens))
+                got = [c.violation for c in verify_relations(exact, tol=0.0).checks]
+                want = [c.violation for c in verify_relations(dense, tol=0.0).checks]
+                assert got == want
+                assert max(got) > 0.0
 
 
 class TestTraceInvariant:
@@ -205,7 +236,9 @@ class TestSubSystem:
     def test_keep_all_is_identity(self):
         s = build_system(3, 1)
         t = sub_system(s, range(4))
-        assert t.m == 3 and all(a.equals(b) for a, b in zip(t.generators, s.generators))
+        assert t.m == 3
+        for a, b in zip(t.generators, s.generators):
+            assert np.array_equal(a.to_dense(), b.to_dense())
 
     def test_restriction_gives_disconnected_case(self):
         s = sub_system(build_system(2, 1), [0, 1])
@@ -230,7 +263,7 @@ class TestSerialization:
         assert t.m == s.m and t.l == s.l
         assert t.provenance == s.provenance
         for a, b in zip(s.generators, t.generators):
-            assert a.equals(b)
+            assert np.array_equal(a.rows, b.rows) and np.array_equal(a.signs, b.signs)
         assert json.dumps(system_to_dict(t)) == blob
 
     def test_dense_roundtrip(self):

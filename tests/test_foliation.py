@@ -86,6 +86,43 @@ class TestPiC:
             pi_c(s22, np.ones(s22.dim))
 
 
+NON_FINITE = [np.nan, np.inf, -np.inf]
+
+
+class TestNonFiniteInputs:
+    """NaN and inf fail the norm tests instead of slipping past them."""
+
+    @pytest.mark.parametrize("bad", NON_FINITE)
+    def test_pi_c(self, s22, bad):
+        x = np.zeros(s22.dim)
+        x[0] = bad
+        with pytest.raises(ValueError):
+            pi_c(s22, x)
+        batch = np.eye(s22.dim)[:3].copy()
+        batch[1, 2] = bad
+        with pytest.raises(ValueError):
+            pi_c(s22, batch)
+
+    @pytest.mark.parametrize("bad", NON_FINITE)
+    def test_fiber_sample(self, s22, bad):
+        with pytest.raises(ValueError):
+            fiber_sample(s22, np.array([bad, 0.0, 0.0]), 4, 0)
+        with pytest.raises(ValueError):
+            fiber_sample(s22, np.array([0.1, bad, 0.2]), 4, 0)
+
+    @pytest.mark.parametrize("bad", NON_FINITE)
+    def test_boundary_fiber_sample(self, s22, bad):
+        with pytest.raises(ValueError):
+            boundary_fiber_sample(s22, np.array([bad, 0.0, 0.0]), 4, 0)
+
+    @pytest.mark.parametrize("bad", NON_FINITE)
+    def test_quotient_lift(self, bad):
+        with pytest.raises(ValueError):
+            quotient_lift(np.array([bad, 0.0]))
+        with pytest.raises(ValueError):
+            quotient_lift(np.array([[0.1, 0.0], [0.0, bad]]))
+
+
 class TestEigSplit:
     def test_diagonal_involution(self):
         p = np.diag([1.0, 1.0, -1.0, -1.0])

@@ -115,6 +115,13 @@ class TestNormalForm:
         np.testing.assert_allclose(nf.v1, [1.0, 0.0], atol=1e-12)
         assert nf.v2 == 0.0
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite(self, bad):
+        x = np.zeros(8)
+        x[0] = bad
+        with pytest.raises(ValueError):
+            normal_form(x, "C")
+
     @pytest.mark.parametrize("m,k", [(1, 3), (2, 2), (4, 2)])
     def test_constant_on_orbits_and_fibers(self, m, k):
         system = build_system(m, k)
