@@ -151,25 +151,26 @@ def max_abs(a: np.ndarray) -> float:
     return 0.0 if a.size == 0 else float(np.max(np.abs(a)))
 
 
-def projector_colspace_basis(p: np.ndarray, cutoff: float = 0.5) -> np.ndarray:
+def projector_colspace_basis(p: np.ndarray) -> np.ndarray:
     """Orthonormal basis of the column space of an orthogonal projector.
 
-    Singular values of a projector are 0 or 1; columns of U above ``cutoff``
-    span the image.
+    Singular values of a projector are 0 or 1; columns of U above 1/2 span
+    the image.
     """
     u, s, _ = np.linalg.svd(p)
-    return u[:, s > cutoff]
+    return u[:, s > 0.5]
 
 
-def eig_split(p: np.ndarray, tol: float = 1e-10):
+def eig_split(p: np.ndarray):
     """Orthonormal bases (B_plus, B_minus) of the +-1 eigenspaces of an involution.
 
-    Bases come from the projectors (Id +- P)/2; each has l columns.
+    Bases come from the projectors (Id +- P)/2; each has l columns.  Raises
+    ``ValueError`` when P^2 differs from Id by more than 1e-10.
     """
     p = np.asarray(p, dtype=float)
     n = p.shape[0]
-    if max_abs(p @ p - np.eye(n)) > tol:
-        raise ValueError("matrix is not an involution to the requested tolerance")
+    if max_abs(p @ p - np.eye(n)) > 1e-10:
+        raise ValueError("matrix is not an involution to 1e-10")
     b_plus = projector_colspace_basis((np.eye(n) + p) / 2.0)
     b_minus = projector_colspace_basis((np.eye(n) - p) / 2.0)
     return b_plus, b_minus

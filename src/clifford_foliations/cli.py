@@ -18,7 +18,7 @@ import tempfile
 import numpy as np
 
 from . import __version__
-from .algebra import rng_from
+from .algebra import rng_from, sample_unit_vectors
 from .clifford import (
     build_system,
     equivalence_profile,
@@ -30,7 +30,6 @@ from .composed import BUILTIN_SPEC_NAMES, builtin_spec, composed_class, same_lea
 from .foliation import fiber_sample, pi_c
 from .homogeneity import classify_homogeneity
 from .verify import (
-    IncompatibleSuiteError,
     SUITE_IDS,
     SuiteConfig,
     default_plan,
@@ -63,11 +62,7 @@ def _load_system(path: str):
 
 
 def _cmd_construct(args) -> int:
-    try:
-        system = build_system(args.m, args.k, args.flips)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    system = build_system(args.m, args.k, args.flips)
     _atomic_write(args.out, _dump_json(system_to_dict(system, args.encoding)))
     print(f"wrote {args.out}: profile {equivalence_profile(system)}")
     return 0
@@ -88,12 +83,8 @@ def _cmd_verify(args) -> int:
         payload = {"reports": [r.to_json_dict() for r in reports], "summary": summary}
         passed = all(r.passed for r in reports) and not summary["errors"]
     else:
-        try:
-            report = run_suite(SuiteConfig(args.suite, system, seed=args.seed,
-                                           samples=args.samples, budget=budget))
-        except IncompatibleSuiteError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+        report = run_suite(SuiteConfig(args.suite, system, seed=args.seed,
+                                       samples=args.samples, budget=budget))
         payload = report.to_json_dict()
         passed = report.passed
         for check in report.checks:
@@ -145,12 +136,8 @@ def _write_csv(path, header, rows):
 
 def _cmd_fiber(args) -> int:
     system = _load_system(args.system)
-    try:
-        v = _parse_disk_point(args.at, system.m + 1)
-        points = fiber_sample(system, v, args.count, args.seed)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    v = _parse_disk_point(args.at, system.m + 1)
+    points = fiber_sample(system, v, args.count, args.seed)
     values = pi_c(system, points)
     header = [f"x{i}" for i in range(system.dim)] + [f"pi{i}" for i in range(system.m + 1)]
     rows = ([f"{c:.17g}" for c in row] + [f"{c:.17g}" for c in val]
@@ -163,19 +150,13 @@ def _cmd_fiber(args) -> int:
 
 def _cmd_compose(args) -> int:
     system = _load_system(args.system)
-    try:
-        spec = builtin_spec(args.spec, system.m)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    spec = builtin_spec(args.spec, system.m)
     if 2 * args.check_pairs > args.count:
         print("error: --check-pairs needs at least two samples per pair", file=sys.stderr)
         return 2
-    rng = rng_from(args.seed)
-    x = rng.standard_normal((args.count, system.dim))
-    x /= np.linalg.norm(x, axis=1)[:, None]
+    x = sample_unit_vectors(rng_from(args.seed), system.dim, args.count)
     classes = [composed_class(system, spec, row) for row in x]
-    tail_dim = max((0 if c.tail is None else len(c.tail)) for c in classes)
+    tail_dim = max((0 if c.tail is None else len(c.tail) for c in classes), default=0)
     rows = []
     for c in classes:
         tail = [""] * tail_dim if c.tail is None else [f"{t:.17g}" for t in c.tail]
@@ -281,10 +262,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:
+        # IncompatibleSuiteError and MalformedSystemError are ValueErrors
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -242,13 +242,13 @@ class CliffordSystem:
         return out
 
 
-def build_system(m: int, k: int, flips: int = 0,
-                 dim_cap: Optional[int] = None) -> CliffordSystem:
+def build_system(m: int, k: int, flips: int = 0) -> CliffordSystem:
     """Rank-(m+1) system of multiplicity k on R^(2 k delta(m)), built exactly.
 
     ``flips`` of the k irreducible blocks carry -P_0 instead of P_0.  The
     degenerate pair (m, k) = (1, 1) is rejected: its boundary fibers are
     antipodal point pairs, which none of the geometry downstream supports.
+    2l may not exceed :func:`dimension_cap`.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
@@ -260,7 +260,7 @@ def build_system(m: int, k: int, flips: int = 0,
         raise ValueError("(m, k) = (1, 1) is degenerate (fibers are point pairs) and not supported")
     d = delta(m)
     l = k * d
-    cap = dim_cap if dim_cap is not None else dimension_cap()
+    cap = dimension_cap()
     if 2 * l > cap:
         raise ValueError(f"system dimension 2l = {2 * l} exceeds the cap {cap}"
                          " (override with CFL_MAX_DIM)")
@@ -330,14 +330,13 @@ def _relation_violations(system: CliffordSystem):
     return float(sym), float(invol), float(anti)
 
 
-def verify_relations(system: CliffordSystem, tol: Optional[float] = None) -> VerificationReport:
+def verify_relations(system: CliffordSystem) -> VerificationReport:
     """Check symmetry, involutivity, and pairwise anticommutation.
 
-    For exact (signed-permutation) systems the default tolerance is 0; for
-    dense representations it is 1e-12.
+    The tolerance is 0 for exact (signed-permutation) systems and 1e-12 for
+    dense ones.
     """
-    if tol is None:
-        tol = 0.0 if system.exact else 1e-12
+    tol = 0.0 if system.exact else 1e-12
     sym, invol, anti = _relation_violations(system)
     checks = [
         CheckResult.from_violation("symmetry", "each generator equals its transpose", sym, tol),
@@ -486,7 +485,9 @@ def _system_from_fields(data: dict) -> CliffordSystem:
     prov = data.get("provenance")
     provenance = Provenance(int(prov["k"]), int(prov["flips"])) if prov else None
     system = CliffordSystem(m, l, gens, provenance)
-    _check_loaded(system)
+    # inf/NaN entries fail the checks; numpy need not warn about them first
+    with np.errstate(invalid="ignore", over="ignore"):
+        _check_loaded(system)
     return system
 
 

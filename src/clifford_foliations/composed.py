@@ -47,6 +47,7 @@ __all__ = [
 
 _ORIGIN_TOL = 1e-10
 _BOUNDARY_TOL = 1e-9
+_SAME_LEAF_TOL = 1e-9
 
 BUILTIN_SPEC_NAMES = ("points", "one_leaf", "height", "tensor_svd")
 
@@ -73,7 +74,6 @@ class FoliationSpec:
     name: str
     ambient_dim: int
     invariant_map: Callable[[np.ndarray], np.ndarray]
-    has_zero_dim_leaves: bool
     quotient_distance: Optional[Callable[[np.ndarray, np.ndarray], float]] = None
     leaf_sampler: Optional[Callable[[np.ndarray, np.random.Generator], np.ndarray]] = None
     leaves_are_fibers: bool = False
@@ -122,7 +122,6 @@ def builtin_spec(name: str, m: int, pole: Optional[np.ndarray] = None) -> Foliat
         return FoliationSpec(
             "points", dim,
             invariant_map=lambda v: np.asarray(v, dtype=float),
-            has_zero_dim_leaves=True,
             quotient_distance=lambda u, v: float(np.arccos(np.clip(np.dot(u, v), -1.0, 1.0))),
             leaves_are_fibers=True,
         )
@@ -130,7 +129,6 @@ def builtin_spec(name: str, m: int, pole: Optional[np.ndarray] = None) -> Foliat
         return FoliationSpec(
             "one_leaf", dim,
             invariant_map=lambda v: np.zeros(1),
-            has_zero_dim_leaves=False,
             quotient_distance=lambda u, v: 0.0,
             leaf_sampler=lambda v, rng: sample_unit_vectors(rng, dim, 1)[0],
             invariant_jacobian=lambda v: np.zeros(np.shape(v)[:-1] + (1, dim)),
@@ -159,7 +157,6 @@ def builtin_spec(name: str, m: int, pole: Optional[np.ndarray] = None) -> Foliat
         return FoliationSpec(
             "height", dim,
             invariant_map=lambda v: np.array([np.dot(v, p0)]),
-            has_zero_dim_leaves=True,
             quotient_distance=lambda u, v: float(abs(
                 np.arccos(np.clip(np.dot(u, p0), -1.0, 1.0))
                 - np.arccos(np.clip(np.dot(v, p0), -1.0, 1.0)))),
@@ -179,7 +176,6 @@ def builtin_spec(name: str, m: int, pole: Optional[np.ndarray] = None) -> Foliat
         return FoliationSpec(
             "tensor_svd", dim,
             invariant_map=lambda v: signed_svd_triple(v),
-            has_zero_dim_leaves=False,
             quotient_distance=tensor_orbit_distance,
             leaf_sampler=sample_leaf,
         )
@@ -216,18 +212,17 @@ def composed_class(system: CliffordSystem, spec: FoliationSpec, x: np.ndarray) -
     return ComposedClass(r, np.asarray(spec.invariant_map(v / r), dtype=float))
 
 
-def same_leaf(system: CliffordSystem, spec: FoliationSpec, x: np.ndarray, y: np.ndarray,
-              tol: float = 1e-9) -> bool:
-    """True iff x and y belong to the same composed leaf, up to tol."""
+def same_leaf(system: CliffordSystem, spec: FoliationSpec, x: np.ndarray, y: np.ndarray) -> bool:
+    """True iff x and y belong to the same composed leaf, up to 1e-9."""
     cx = composed_class(system, spec, x)
     cy = composed_class(system, spec, y)
-    if abs(cx.radius - cy.radius) > tol:
+    if abs(cx.radius - cy.radius) > _SAME_LEAF_TOL:
         return False
-    if cx.radius <= tol and cy.radius <= tol:
+    if cx.radius <= _SAME_LEAF_TOL and cy.radius <= _SAME_LEAF_TOL:
         return True
     if cx.tail is None or cy.tail is None:
         return False
-    return float(np.max(np.abs(cx.tail - cy.tail))) <= tol
+    return float(np.max(np.abs(cx.tail - cy.tail))) <= _SAME_LEAF_TOL
 
 
 def composed_quotient_distance(system: CliffordSystem, spec: FoliationSpec,
@@ -289,7 +284,7 @@ def _leaf_sample_blocks(system: CliffordSystem, spec: FoliationSpec, v: np.ndarr
 
 
 def _constraint_state(system: CliffordSystem, spec: FoliationSpec, z: np.ndarray,
-                      target_r2: float, target_tail: Optional[np.ndarray], fd_step: float = 1e-6):
+                      target_r2: float, target_tail: Optional[np.ndarray]):
     """Constraint residuals c(z) and tangent-space Jacobian rows at each row of z.
 
     z holds one point per row, shape (S, 2l); c has shape (S, k) and the rows
@@ -314,14 +309,15 @@ def _constraint_state(system: CliffordSystem, spec: FoliationSpec, z: np.ndarray
         # a contiguous operand takes the same matmul path at every batch size
         jac = np.ascontiguousarray(spec.invariant_jacobian(v), dtype=float)
     else:
-        jac = np.array([_fd_jacobian(spec.invariant_map, u, fd_step) for u in v])
+        jac = np.array([_fd_jacobian(spec.invariant_map, u) for u in v])
     c = np.concatenate([(r2 - target_r2)[:, None], tail - target_tail], axis=1)
     rows = np.concatenate([2.0 * (v[:, None, :] @ rows_pi), jac @ rows_pi], axis=1)
     return c, rows
 
 
-def _fd_jacobian(invariant_map, v: np.ndarray, step: float) -> np.ndarray:
-    """Central differences of v -> invariant_map(v / |v|) at one point v."""
+def _fd_jacobian(invariant_map, v: np.ndarray) -> np.ndarray:
+    """Central differences, step 1e-6, of v -> invariant_map(v / |v|) at one point v."""
+    step = 1e-6
     cols = []
     for j in range(v.shape[0]):
         e = np.zeros(v.shape[0])
@@ -372,17 +368,18 @@ def _tangent_projection(g: np.ndarray, grad: np.ndarray) -> np.ndarray:
     return grad - (g_t @ coef)[..., 0]
 
 
-def _restore(system, spec, z, target_r2, target_tail, iters: int = 8):
+def _restore(system, spec, z, target_r2, target_tail):
     """Newton corrections of every row of z back onto the leaf.
 
-    Each row stops once its residual drops below 1e-12.  Returns the points,
-    their residuals and their constraint Jacobian rows.
+    At most 8 corrections; each row stops once its residual drops below
+    1e-12.  Returns the points, their residuals and their constraint
+    Jacobian rows.
     """
     z = np.array(z, dtype=float)
     resid = np.empty(len(z))
     rows = None
     live = np.arange(len(z))
-    for _ in range(iters):
+    for _ in range(8):
         c, g = _constraint_state(system, spec, z[live], target_r2, target_tail)
         if rows is None:
             rows = np.empty((len(z),) + g.shape[1:])
@@ -398,21 +395,21 @@ def _restore(system, spec, z, target_r2, target_tail, iters: int = 8):
     return z, resid, rows
 
 
-def _descend(system, spec, x, z, target_r2, target_tail, max_iter: int = 120):
+def _descend(system, spec, x, z, target_r2, target_tail):
     """Projected ascent of <x, .> on the leaf from every row of z, in lockstep.
 
     Each row is one start with its own Gauss-Newton direction, line-search
     step and acceptance.  A step is accepted only when the restored point is
     feasible again (otherwise an off-leaf point could undercut the true leaf
     distance) and raises <x, .>; a row stops when its projected gradient
-    vanishes or no step of its line search is accepted.  Returns the best
-    <x, .> of every row.
+    vanishes, no step of its line search is accepted, or after 120
+    iterations.  Returns the best <x, .> of every row.
     """
     z = np.array(z, dtype=float)
     best = np.sum(z * x, axis=-1)
     _, rows = _constraint_state(system, spec, z, target_r2, target_tail)
     active = np.arange(len(z))
-    for _ in range(max_iter):
+    for _ in range(120):
         za = z[active]
         d = _tangent_projection(rows[active], x - best[active, None] * za)
         moving = np.linalg.norm(d, axis=-1) >= 1e-12

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import eig_split, max_abs, rng_from, sample_unit_vectors
+from .algebra import eig_split, rng_from, sample_unit_vectors
 from .clifford import CliffordSystem
 
 __all__ = [
@@ -29,16 +29,12 @@ __all__ = [
     "boundary_fiber_sample",
     "mplus_sample",
     "fiber_sample",
-    "horizontal_basis",
-    "HorizontalFrame",
     "pi_jacobian_rows",
     "fkm_f0",
     "HorizontalGeodesic",
-    "make_horizontal_geodesic",
     "random_horizontal_geodesic",
     "geodesic_eval",
     "project_geodesic_params",
-    "QuotientPoint",
     "quotient_lift",
     "quotient_distance",
     "reflect_symmetry",
@@ -50,7 +46,6 @@ __all__ = [
 ]
 
 _UNIT_TOL = 1e-9
-_BOUNDARY_TOL = 1e-9
 _INVOLUTION_TOL = 1e-10
 
 
@@ -191,21 +186,8 @@ def fiber_sample(system: CliffordSystem, v: np.ndarray, n: int, seed: int) -> np
 
 
 # --------------------------------------------------------------------------- #
-# Horizontal space and the quartic form
+# Differential of pi_C and the quartic form
 # --------------------------------------------------------------------------- #
-
-@dataclass
-class HorizontalFrame:
-    """Rows spanning the space orthogonal to the fiber at a point.
-
-    Interior points carry the m+1 gradients X_{P_i}(x) = 2 P_i x - 2 <P_i x, x> x;
-    at a boundary point those degenerate and the l-dimensional normal space
-    E_-(P) is returned instead, with ``at_boundary`` set.
-    """
-
-    vectors: np.ndarray
-    at_boundary: bool
-
 
 def pi_jacobian_rows(system: CliffordSystem, x: np.ndarray) -> np.ndarray:
     """Rows X_{P_i}(x) = 2 P_i x - 2 <P_i x, x> x of the differential of pi_C.
@@ -218,16 +200,6 @@ def pi_jacobian_rows(system: CliffordSystem, x: np.ndarray) -> np.ndarray:
     px = _generator_images(system, x)
     rows = 2.0 * px - 2.0 * _quadratic_values(px, x)[..., None] * x[..., None, :]
     return np.moveaxis(rows, -2, 0)
-
-
-def horizontal_basis(system: CliffordSystem, x: np.ndarray) -> HorizontalFrame:
-    """Frame of the horizontal space at x; see :class:`HorizontalFrame`."""
-    x = _check_unit(x)
-    v = pi_c(system, x)
-    if np.linalg.norm(v) >= 1.0 - _BOUNDARY_TOL:
-        _, b_minus = eig_split(system.span_matrix(v / np.linalg.norm(v)))
-        return HorizontalFrame(b_minus.T, True)
-    return HorizontalFrame(pi_jacobian_rows(system, x), False)
 
 
 def fkm_f0(system: CliffordSystem, x: np.ndarray):
@@ -257,26 +229,16 @@ class HorizontalGeodesic:
     x_minus: np.ndarray
 
 
-def make_horizontal_geodesic(system: CliffordSystem, p_coords: np.ndarray,
-                             x_plus: np.ndarray, x_minus: np.ndarray) -> HorizontalGeodesic:
-    """Validated geodesic: checks the eigenvector and orthogonality conditions."""
-    p_coords = _check_unit(p_coords, "span element")
-    x_plus = _check_unit(x_plus)
-    x_minus = _check_unit(x_minus)
-    p = system.span_matrix(p_coords)
-    if max_abs(p @ x_plus - x_plus) > 1e-9 or max_abs(p @ x_minus + x_minus) > 1e-9:
-        raise ValueError("endpoints are not +-1 eigenvectors of the span element")
-    if abs(float(x_plus @ x_minus)) > 1e-12:
-        raise ValueError("eigenvectors of distinct eigenvalues must be orthogonal")
-    return HorizontalGeodesic(p_coords, x_plus, x_minus)
-
-
 def random_horizontal_geodesic(system: CliffordSystem, seed: int) -> HorizontalGeodesic:
+    """Geodesic over a uniform unit span element P with uniform x_+- in E_+-(P).
+
+    E_-(P) is E_+(-P), so both endpoints are boundary-fiber samples over +-P,
+    drawn with seeds from the geodesic's own generator.
+    """
     rng = rng_from(seed)
     p_coords = sample_unit_vectors(rng, system.m + 1, 1)[0]
-    b_plus, b_minus = eig_split(system.span_matrix(p_coords))
-    x_plus = b_plus @ sample_unit_vectors(rng, b_plus.shape[1], 1)[0]
-    x_minus = b_minus @ sample_unit_vectors(rng, b_minus.shape[1], 1)[0]
+    x_plus = boundary_fiber_sample(system, p_coords, 1, int(rng.integers(2**62)))[0]
+    x_minus = boundary_fiber_sample(system, -p_coords, 1, int(rng.integers(2**62)))[0]
     return HorizontalGeodesic(p_coords, x_plus, x_minus)
 
 
@@ -295,19 +257,6 @@ def project_geodesic_params(system: CliffordSystem, g: HorizontalGeodesic):
 # --------------------------------------------------------------------------- #
 # Quotient metric via the hemisphere lift
 # --------------------------------------------------------------------------- #
-
-@dataclass(frozen=True)
-class QuotientPoint:
-    """Disk point together with its radius-1/2 hemisphere lift."""
-
-    disk_coords: np.ndarray
-    lift: np.ndarray
-
-    @classmethod
-    def from_disk(cls, v: np.ndarray) -> "QuotientPoint":
-        v = np.asarray(v, dtype=float)
-        return cls(v, quotient_lift(v))
-
 
 def quotient_lift(v: np.ndarray) -> np.ndarray:
     """Lift of a disk point to the radius-1/2 upper hemisphere in R^(m+2).

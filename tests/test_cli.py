@@ -20,6 +20,7 @@ from clifford_foliations.clifford import (
     system_from_dict,
     system_to_dict,
 )
+from clifford_foliations.composed import BUILTIN_SPEC_NAMES
 
 GOLDEN = pathlib.Path(__file__).parent / "golden" / "system_m2_k1.json"
 
@@ -246,6 +247,14 @@ class TestComposeAndHomogeneity:
             rows = list(csv.reader(handle))
         assert rows[0][0] == "radius" and len(rows) == 13
 
+    def test_compose_zero_count(self, tmp_path):
+        system = tmp_path / "s.json"
+        run("construct", "--m", 2, "--k", 2, "--out", system)
+        out = tmp_path / "classes.csv"
+        assert run("compose", "--system", system, "--spec", "height",
+                   "--count", 0, "--out", out) == 0
+        assert out.read_text().splitlines() == ["radius"]
+
     def test_homogeneity_verdicts(self, tmp_path, capsys):
         system = tmp_path / "s.json"
         run("construct", "--m", 9, "--k", 1, "--out", system)
@@ -314,6 +323,33 @@ def mutated_payloads(draw):
 
 
 payloads = free_payloads | mutated_payloads() | st.sampled_from(valid_payloads()) | json_values
+# systems the geometry commands run on: valid ones, an m = 8 one for tensor_svd, and mutants
+geometry_payloads = (st.sampled_from(valid_payloads() + [system_to_dict(build_system(8, 1))])
+                     | mutated_payloads())
+small_ints = st.integers(-3, 40)
+seeds = st.integers(-2, 2**64)
+coordinates = (st.floats(-0.7, 0.7) | st.floats(allow_nan=True, allow_infinity=True)
+               | st.sampled_from([0.0, -0.0, 1.0, -1.0, 1.0 + 1e-9]))
+disk_points = (st.lists(coordinates, min_size=1, max_size=6).map(
+    lambda c: ",".join(repr(x) for x in c)) | st.text(max_size=8))
+
+
+def write_payload(directory, payload):
+    path = pathlib.Path(directory) / "fuzz.json"
+    path.write_text(json.dumps(payload))
+    return path
+
+
+def assert_contract(*argv):
+    """One cfl call exits 0 or 2 with no traceback; argparse rejections count as exit 2."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        try:
+            code = run(*argv)
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, 2), (argv, code, err.getvalue())
+    assert "Traceback" not in err.getvalue(), (argv, err.getvalue())
 
 
 class TestFuzz:
@@ -330,12 +366,42 @@ class TestFuzz:
     @settings(max_examples=40, deadline=None)
     def test_cli_exit_codes(self, payload):
         with tempfile.TemporaryDirectory() as tmp:
-            path = pathlib.Path(tmp) / "fuzz.json"
-            path.write_text(json.dumps(payload))
+            path = write_payload(tmp, payload)
             for argv in (["invariant", "--system", path], ["homogeneity", "--system", path],
                          ["classify", "--system", path, "--other", path]):
-                err = io.StringIO()
-                with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
-                    code = run(*argv)
-                assert code in (0, 2)
-                assert "Traceback" not in err.getvalue()
+                assert_contract(*argv)
+
+    @given(payloads, seeds, small_ints)
+    @settings(max_examples=40, deadline=None)
+    def test_verify_relations_exit_codes(self, payload, seed, samples):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = write_payload(tmp, payload)
+            assert_contract("verify", "--system", path, "--suite", "relations",
+                            "--seed", seed, "--samples", samples,
+                            "--report", pathlib.Path(tmp) / "report.json")
+
+    @given(st.integers(-2, 9), st.integers(-2, 5), st.integers(-2, 6),
+           st.sampled_from(["signed_perm", "dense"]), st.booleans())
+    @settings(max_examples=40, deadline=None)
+    def test_construct_exit_codes(self, m, k, flips, encoding, out_is_dir):
+        with tempfile.TemporaryDirectory() as tmp:
+            out = tmp if out_is_dir else pathlib.Path(tmp) / "s.json"
+            assert_contract("construct", "--m", m, "--k", k, "--flips", flips,
+                            "--encoding", encoding, "--out", out)
+
+    @given(geometry_payloads, disk_points, small_ints, seeds)
+    @settings(max_examples=40, deadline=None)
+    def test_fiber_exit_codes(self, payload, at, count, seed):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = write_payload(tmp, payload)
+            assert_contract("fiber", "--system", path, f"--at={at}", "--count", count,
+                            "--seed", seed, "--out", pathlib.Path(tmp) / "fiber.csv")
+
+    @given(geometry_payloads, st.sampled_from(BUILTIN_SPEC_NAMES), small_ints, small_ints, seeds)
+    @settings(max_examples=40, deadline=None)
+    def test_compose_exit_codes(self, payload, spec, count, pairs, seed):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = write_payload(tmp, payload)
+            assert_contract("compose", "--system", path, "--spec", spec, "--count", count,
+                            "--check-pairs", pairs, "--seed", seed,
+                            "--out", pathlib.Path(tmp) / "classes.csv")

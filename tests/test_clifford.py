@@ -1,7 +1,7 @@
 """System construction, relations, invariants, equivalence, serialization."""
 
 import json
-import os
+import warnings
 
 import numpy as np
 import pytest
@@ -89,19 +89,18 @@ class TestBuildSystem:
         with pytest.raises(ValueError):
             build_system(2, 2, flips=3)
 
-    def test_dimension_cap(self):
-        with pytest.raises(ValueError):
-            build_system(12, 4, dim_cap=256)
+    def test_dimension_cap(self, monkeypatch):
+        build_system(12, 4)  # 2l = 512 is the default cap
         with pytest.raises(ValueError):
             build_system(13, 4)  # 2l = 1024 over the default cap
-        os.environ["CFL_MAX_DIM"] = "1024"
-        try:
-            s = build_system(13, 4)  # allowed once the env override raises the cap
-            assert s.dim == 8 * delta(13)
-            with pytest.raises(ValueError):
-                build_system(17, 4)  # 2l = 2048 > 1024
-        finally:
-            del os.environ["CFL_MAX_DIM"]
+        monkeypatch.setenv("CFL_MAX_DIM", "256")
+        with pytest.raises(ValueError):
+            build_system(12, 4)  # the env override also lowers the cap
+        monkeypatch.setenv("CFL_MAX_DIM", "1024")
+        s = build_system(13, 4)  # allowed once the env override raises the cap
+        assert s.dim == 8 * delta(13)
+        with pytest.raises(ValueError):
+            build_system(17, 4)  # 2l = 2048 > 1024
 
     def test_rank_and_dimension(self):
         s = build_system(1, 2)
@@ -156,10 +155,16 @@ class TestRelationViolations:
                 gens[i] = SignedPermMatrix(rows, signs)
                 exact = CliffordSystem(m, s.l, tuple(gens))
                 dense = CliffordSystem(m, s.l, tuple(g.to_dense() for g in gens))
-                got = [c.violation for c in verify_relations(exact, tol=0.0).checks]
-                want = [c.violation for c in verify_relations(dense, tol=0.0).checks]
+                got = [c.violation for c in verify_relations(exact).checks]
+                want = [c.violation for c in verify_relations(dense).checks]
                 assert got == want
                 assert max(got) > 0.0
+
+    def test_tolerance_follows_representation(self):
+        s = build_system(3, 2)
+        assert [c.tol for c in verify_relations(s).checks] == [0.0] * 3
+        dense = conjugate_system(s, haar_orthogonal(rng_from(22), s.dim))
+        assert [c.tol for c in verify_relations(dense).checks] == [1e-12] * 3
 
 
 class TestTraceInvariant:
@@ -277,3 +282,12 @@ class TestSerialization:
         d["generators"] = d["generators"][:-1]
         with pytest.raises(MalformedSystemError):
             system_from_dict(d)
+
+    @pytest.mark.parametrize("bad", [float("inf"), -float("inf"), float("nan")])
+    def test_non_finite_dense_rejected_without_warnings(self, bad):
+        d = system_to_dict(build_system(2, 2), "dense")
+        d["generators"][1][1] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(MalformedSystemError):
+                system_from_dict(d)

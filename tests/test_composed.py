@@ -82,13 +82,13 @@ class TestBuiltinSpecs:
         spec = builtin_spec("points", 4)
         v = sample_unit_vectors(rng_from(0), 5, 1)[0]
         np.testing.assert_array_equal(spec.invariant_map(v), v)
-        assert spec.has_zero_dim_leaves
+        assert spec.leaves_are_fibers
 
     def test_one_leaf_constant(self):
         spec = builtin_spec("one_leaf", 3)
         u, v = sample_unit_vectors(rng_from(1), 4, 2)
         np.testing.assert_array_equal(spec.invariant_map(u), spec.invariant_map(v))
-        assert not spec.has_zero_dim_leaves
+        assert not spec.leaves_are_fibers
         assert spec.quotient_distance(u, v) == 0.0
 
     def test_height_leaves_and_sampler(self):
@@ -245,7 +245,7 @@ class TestConeMetric:
 
     def test_missing_leaf_metric_rejected(self, s22):
         from clifford_foliations.composed import FoliationSpec
-        bare = FoliationSpec("bare", 3, lambda v: np.zeros(1), False)
+        bare = FoliationSpec("bare", 3, lambda v: np.zeros(1))
         x = sample_unit_vectors(rng_from(17), s22.dim, 2)
         with pytest.raises(ValueError):
             composed_quotient_distance(s22, bare, x[0], x[1])
@@ -324,7 +324,6 @@ class TestAmbientLeafDistance:
         else:
             user = FoliationSpec(
                 "user_points", 3, invariant_map=lambda v: np.asarray(v, dtype=float),
-                has_zero_dim_leaves=True,
                 quotient_distance=lambda u, v: float(np.arccos(np.clip(np.dot(u, v), -1.0, 1.0))))
         rng = rng_from(37)
         for i in range(3):

@@ -8,13 +8,12 @@ from clifford_foliations.algebra import haar_orthogonal, max_abs, rng_from, samp
 from clifford_foliations.clifford import build_system, conjugate_system, sub_system
 from clifford_foliations.foliation import (
     EmptyFocalError,
+    HorizontalGeodesic,
     boundary_fiber_sample,
     eig_split,
     fiber_sample,
     fkm_f0,
     geodesic_eval,
-    horizontal_basis,
-    make_horizontal_geodesic,
     mplus_sample,
     pi_c,
     pi_jacobian_rows,
@@ -278,12 +277,12 @@ class TestSamplerFormulas:
 
 class TestHorizontalFrame:
     def test_interior_frame(self, s22):
+        # the m+1 gradient rows span the horizontal space at an interior point
         x = fiber_sample(s22, np.array([0.2, 0.1, -0.3]), 1, 11)[0]
-        frame = horizontal_basis(s22, x)
-        assert not frame.at_boundary
-        assert frame.vectors.shape == (3, s22.dim)
-        assert max_abs(frame.vectors @ x) <= 1e-12
-        sv = np.linalg.svd(frame.vectors, compute_uv=False)
+        rows = pi_jacobian_rows(s22, x)
+        assert rows.shape == (3, s22.dim)
+        assert max_abs(rows @ x) <= 1e-12
+        sv = np.linalg.svd(rows, compute_uv=False)
         assert sv[-1] > 1e-6 * sv[0]
 
     def test_focal_frame_orthogonal_of_norm_two(self, s22):
@@ -293,11 +292,15 @@ class TestHorizontalFrame:
         np.testing.assert_allclose(gram, 4.0 * np.eye(3), atol=1e-12)
 
     def test_boundary_flagged(self, s22):
+        # a boundary point shows as a rank drop: the rows lie in the normal
+        # space E_-(P) and span only the m directions along the boundary sphere
         p = np.array([1.0, 0.0, 0.0])
         x = boundary_fiber_sample(s22, p, 1, 13)[0]
-        frame = horizontal_basis(s22, x)
-        assert frame.at_boundary
-        assert frame.vectors.shape == (s22.l, s22.dim)
+        rows = pi_jacobian_rows(s22, x)
+        assert max_abs(rows @ s22.span_matrix(p).T + rows) <= 1e-12
+        assert max_abs(p @ rows) <= 1e-12
+        sv = np.linalg.svd(rows, compute_uv=False)
+        assert sv[1] > 0.5 and sv[2] <= 1e-12
 
     def test_finite_difference_agreement(self, s22):
         x = fiber_sample(s22, np.array([0.25, 0.2, 0.1]), 1, 14)[0]
@@ -331,15 +334,38 @@ class TestFkm:
 class TestGeodesics:
     def test_worked_example_projection(self, s12):
         # P = first generator, x+ = e1, x- = e3: frozen image (-cos 2t, sin 2t)
-        g = make_horizontal_geodesic(
-            s12, np.array([1.0, 0.0]),
-            np.array([1.0, 0, 0, 0]), np.array([0, 0, 1.0, 0]))
+        g = HorizontalGeodesic(np.array([1.0, 0.0]),
+                               np.array([1.0, 0, 0, 0]), np.array([0, 0, 1.0, 0]))
+        p0 = s12.dense_generator(0)
+        np.testing.assert_array_equal(p0 @ g.x_plus, g.x_plus)
+        np.testing.assert_array_equal(p0 @ g.x_minus, -g.x_minus)
         ts = np.linspace(0, np.pi, 40)
         np.testing.assert_allclose(
             pi_c(s12, geodesic_eval(g, ts)),
             np.stack([-np.cos(2 * ts), np.sin(2 * ts)], axis=1), atol=1e-14)
         p, q = project_geodesic_params(s12, g)
         np.testing.assert_allclose(q, [0.0, 1.0], atol=1e-15)
+
+    def test_random_endpoints_are_eigenvectors(self, monkeypatch):
+        # both endpoints come from the boundary sampler, with no eigenbasis
+        def refuse(*args, **kwargs):
+            raise AssertionError("random_horizontal_geodesic must not build eigenbases")
+
+        monkeypatch.setattr(algebra, "projector_colspace_basis", refuse)
+        for system in (build_system(2, 2), build_system(4, 3, 1),
+                       conjugate_system(build_system(3, 2), haar_orthogonal(rng_from(25), 16))):
+            for i in range(5):
+                g = random_horizontal_geodesic(system, 30 + i)
+                p = system.span_matrix(g.p_coords)
+                assert abs(np.linalg.norm(g.p_coords) - 1.0) <= 1e-12
+                assert max_abs(p @ g.x_plus - g.x_plus) <= 1e-12
+                assert max_abs(p @ g.x_minus + g.x_minus) <= 1e-12
+                assert abs(np.linalg.norm(g.x_plus) - 1.0) <= 1e-12
+                assert abs(np.linalg.norm(g.x_minus) - 1.0) <= 1e-12
+                assert abs(float(g.x_plus @ g.x_minus)) <= 1e-12
+                again = random_horizontal_geodesic(system, 30 + i)
+                assert again.x_plus.tobytes() == g.x_plus.tobytes()
+                assert again.x_minus.tobytes() == g.x_minus.tobytes()
 
     def test_endpoints(self, s22):
         g = random_horizontal_geodesic(s22, 20)
@@ -367,7 +393,7 @@ class TestGeodesics:
         g_raw = minus @ sample_unit_vectors(rng_from(23), s22.l, 1)[0]
         g_raw -= w.T @ (w @ g_raw)
         xm = g_raw / np.linalg.norm(g_raw)
-        geo = make_horizontal_geodesic(s22, p, xp, xm)
+        geo = HorizontalGeodesic(p, xp, xm)
         _, q = project_geodesic_params(s22, geo)
         assert np.abs(q).max() <= 1e-12
 
