@@ -14,6 +14,7 @@ import json
 import os
 import sys
 import tempfile
+import warnings
 
 import numpy as np
 
@@ -260,12 +261,23 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    try:
-        return args.func(args)
-    except (OSError, ValueError) as exc:
-        # IncompatibleSuiteError and MalformedSystemError are ValueErrors
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    shown = set()
+
+    def show_warning(message, category, filename, lineno, file=None, line=None):
+        # one plain line per distinct library warning, without file or source
+        text = f"warning: {message}"
+        if text not in shown:
+            shown.add(text)
+            print(text, file=sys.stderr)
+
+    with warnings.catch_warnings():
+        warnings.showwarning = show_warning
+        try:
+            return args.func(args)
+        except (OSError, ValueError) as exc:
+            # IncompatibleSuiteError and MalformedSystemError are ValueErrors
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
 
 
 if __name__ == "__main__":

@@ -10,7 +10,7 @@ the origin class, the focal manifold, is a single leaf with no direction.
 The quotient of the composed foliation is a metric cone over the F0 leaf
 space, scaled by one half; :func:`composed_quotient_distance` is that join
 metric.  :func:`leaf_to_leaf_ambient_distance` estimates ambient leaf
-distances directly (sampling plus projected ascent on the leaf), which is the
+distances directly (sampling plus Newton ascent on the leaf), which is the
 instrument used to cross-check that leaves really are equidistant.
 """
 
@@ -24,6 +24,8 @@ import numpy as np
 from .algebra import haar_rotation, rng_from, sample_unit_vectors
 from .clifford import CliffordSystem
 from .foliation import (
+    _generator_images,
+    _quadratic_values,
     boundary_fiber_sample,
     fiber_sample,
     mplus_sample,
@@ -285,7 +287,7 @@ def _leaf_sample_blocks(system: CliffordSystem, spec: FoliationSpec, v: np.ndarr
 
 def _constraint_state(system: CliffordSystem, spec: FoliationSpec, z: np.ndarray,
                       target_r2: float, target_tail: Optional[np.ndarray]):
-    """Constraint residuals c(z) and tangent-space Jacobian rows at each row of z.
+    """Constraint residuals c(z), their tangent-space Jacobian rows and pi_C data.
 
     z holds one point per row, shape (S, 2l); c has shape (S, k) and the rows
     (S, k, 2l).  Constraints: |pi|^2 fixed, plus the direction invariant
@@ -295,13 +297,19 @@ def _constraint_state(system: CliffordSystem, spec: FoliationSpec, z: np.ndarray
     vanishing gradient exactly on the focal manifold.  Otherwise the
     invariant's Jacobian (the spec's closed form, or central differences of
     its invariant map) is chained through the pi_C gradients.
+
+    Every constraint is a function phi of pi_C, so the rows are
+    dphi @ pi_rows.  Returns (c, rows, v, pi_rows, dphi) with v = pi_C(z)
+    (S, m+1), pi_rows (S, m+1, 2l) and dphi (S, k, m+1); the Newton step
+    reuses the last three.  The points are the estimator's own, so pi_C is
+    evaluated without the unit-norm check of the public ``pi_c``.
     """
-    v = pi_c(system, z)
+    v = _quadratic_values(_generator_images(system, z), z)
     rows_pi = np.moveaxis(pi_jacobian_rows(system, z), 0, -2)  # (S, m+1, 2l)
-    if target_tail is None:
-        return v, rows_pi
-    if spec.leaves_are_fibers:
-        return v - np.sqrt(target_r2) * target_tail, rows_pi
+    if target_tail is None or spec.leaves_are_fibers:
+        eye = np.broadcast_to(np.eye(v.shape[-1]), v.shape + v.shape[-1:])
+        c = v if target_tail is None else v - np.sqrt(target_r2) * target_tail
+        return c, rows_pi, v, rows_pi, eye
     r2 = np.sum(v * v, axis=-1)
     vhat = v / np.sqrt(np.maximum(r2, 1e-30))[:, None]
     tail = np.array([np.asarray(spec.invariant_map(u), dtype=float) for u in vhat])
@@ -312,7 +320,8 @@ def _constraint_state(system: CliffordSystem, spec: FoliationSpec, z: np.ndarray
         jac = np.array([_fd_jacobian(spec.invariant_map, u) for u in v])
     c = np.concatenate([(r2 - target_r2)[:, None], tail - target_tail], axis=1)
     rows = np.concatenate([2.0 * (v[:, None, :] @ rows_pi), jac @ rows_pi], axis=1)
-    return c, rows
+    dphi = np.concatenate([2.0 * v[:, None, :], jac], axis=1)
+    return c, rows, v, rows_pi, dphi
 
 
 def _fd_jacobian(invariant_map, v: np.ndarray) -> np.ndarray:
@@ -326,6 +335,21 @@ def _fd_jacobian(invariant_map, v: np.ndarray) -> np.ndarray:
         dn = np.asarray(invariant_map(_unit(v - e)), dtype=float)
         cols.append((up - dn) / (2.0 * step))
     return np.stack(cols, axis=-1)
+
+
+def _invariant_hessian(invariant_jacobian, v: np.ndarray) -> np.ndarray:
+    """Hessians (S, t, m+1, m+1) of v -> invariant(v / |v|) at every row of v.
+
+    Central differences of the batched Jacobian with step 1e-5 |v|, one
+    call for all 2(m+1) shifted points of every row, then symmetrized.
+    """
+    n, p = v.shape
+    steps = (1e-5 * np.linalg.norm(v, axis=-1))[:, None, None] * np.eye(p)
+    shifted = np.concatenate([v[:, None, :] + steps, v[:, None, :] - steps], axis=1)
+    jac = np.asarray(invariant_jacobian(shifted.reshape(-1, p)), dtype=float)
+    jac = jac.reshape(n, 2, p, -1, p)  # (S, +-, j, t, i)
+    hess = np.moveaxis(jac[:, 0] - jac[:, 1], 1, -1) / (2.0 * steps[:, 0, 0, None, None, None])
+    return 0.5 * (hess + np.swapaxes(hess, -1, -2))
 
 
 def _unit(v: np.ndarray) -> np.ndarray:
@@ -345,74 +369,160 @@ def _min_norm_solve(g: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return (np.swapaxes(vt, -1, -2) @ coef[..., None])[..., 0]
 
 
-def _tangent_projection(g: np.ndarray, grad: np.ndarray) -> np.ndarray:
+def _solve_rows(mat: np.ndarray, rhs: np.ndarray, singular) -> np.ndarray:
+    """np.linalg.solve of every row's system; a singular row gets singular(i).
+
+    If the batched solve finds a singular system, every row is solved on its
+    own, so no row depends on another.
+    """
+    try:
+        return np.linalg.solve(mat, rhs)
+    except np.linalg.LinAlgError:
+        out = np.empty(rhs.shape)
+        for i in range(len(mat)):
+            try:
+                out[i] = np.linalg.solve(mat[i:i + 1], rhs[i:i + 1])[0]
+            except np.linalg.LinAlgError:
+                out[i] = singular(i)
+        return out
+
+
+def _tangent_projection(g: np.ndarray, grad: np.ndarray):
     """grad minus its component in the row space of g, row by row.
 
-    The normal equations are regularized by 1e-14.  If the batched solve
-    finds a singular system, every row is solved on its own and only the
-    singular rows fall back to lstsq, so no row depends on another.
+    Returns the projection and the least-squares multipliers (S, k) of the
+    rows.  The normal equations are regularized by 1e-14; a singular row
+    falls back to lstsq.
     """
     g_t = np.swapaxes(g, -1, -2)
     gg = g @ g_t
     rhs = g @ grad[..., None]
     reg = gg + 1e-14 * np.eye(gg.shape[-1])
-    try:
-        coef = np.linalg.solve(reg, rhs)
-    except np.linalg.LinAlgError:
-        coef = np.empty(rhs.shape)
-        for i in range(len(g)):
-            try:
-                coef[i] = np.linalg.solve(reg[i:i + 1], rhs[i:i + 1])[0]
-            except np.linalg.LinAlgError:
-                coef[i, :, 0] = np.linalg.lstsq(gg[i], rhs[i, :, 0], rcond=None)[0]
-    return grad - (g_t @ coef)[..., 0]
+    coef = _solve_rows(reg, rhs, lambda i: np.linalg.lstsq(gg[i], rhs[i], rcond=None)[0])
+    return grad - (g_t @ coef)[..., 0], coef[..., 0]
+
+
+def _newton_direction(system, spec, z, g, lam, best, v, rows_pi, dphi, curved):
+    """Riemannian Newton direction of <x, .> on the leaf at every row of z.
+
+    g is the projected gradient and lam its multipliers for the rows
+    dphi @ pi_rows.  Pulled back to pi_C coordinates they are a = dphi^T lam;
+    with the sphere term mu = <x, z> - 2 <a, v>, the Lagrangian Hessian is
+    -(B + J^T W J): B = 2 sum a_i P_i + mu I, J the pi_C rows and W the
+    curvature of the constraint maps, 2 lam_0 I for |pi|^2 plus lam_t times
+    the invariant's Hessian (zero for point leaves and the origin class;
+    without an invariant Jacobian the invariant term is left out).  As
+    (2 sum a_i P_i)^2 = 4|a|^2 I, B^-1 = (B - 2 mu I) / (4|a|^2 - mu^2), and
+    the direction is xi = B^-1 (g + C y) for C = [J^T, z]; y and the
+    normal multipliers solve a bordered system of m+2+k unknowns that puts
+    xi in the tangent space.  A row keeps xi only when it is finite, an
+    ascent direction and of positive B + J^T W J curvature (negative model
+    curvature of <x, .>); otherwise it takes g.  Returns the directions and
+    their predicted gains <g, d>.
+    """
+    n_rows, p = v.shape
+    k = lam.shape[1]
+    a = np.sum(dphi * lam[:, :, None], axis=1)
+    mu = best - 2.0 * np.sum(a * v, axis=-1)
+    w = np.zeros((n_rows, p, p))
+    if curved:
+        w += 2.0 * lam[:, 0, None, None] * np.eye(p)
+        if spec.invariant_jacobian is not None:
+            hess = _invariant_hessian(spec.invariant_jacobian, v)
+            w += np.sum(lam[:, 1:, None, None] * hess, axis=1)
+    cols = np.concatenate([rows_pi, z[:, None, :]], axis=1)  # C^T, (S, m+2, 2l)
+    vecs = np.concatenate([g[:, None, :], cols], axis=1)
+    images = 2.0 * np.sum(a[:, None, :, None] * _generator_images(system, vecs), axis=2)
+    binv = (images - mu[:, None, None] * vecs) / (4.0 * np.sum(a * a, axis=-1)
+                                                   - mu * mu)[:, None, None]
+    gram = cols @ np.ascontiguousarray(np.swapaxes(binv, -1, -2))  # <C_i, B^-1 vecs_j>
+    h, gm = gram[..., 0], gram[..., 1:]
+    # unknowns (y_J, y_z, nu): y_J + W s = dphi^T nu, <z, xi> = 0, dphi s = 0,
+    # where s = J xi and (s, <z, xi>) = h + gm y
+    kkt = np.zeros((n_rows, p + 1 + k, p + 1 + k))
+    rhs = np.zeros((n_rows, p + 1 + k))
+    kkt[:, :p, :p + 1] = np.eye(p, p + 1) + _small_matmul(w, gm[:, :p])
+    kkt[:, :p, p + 1:] = -np.swapaxes(dphi, -1, -2)
+    kkt[:, p, :p + 1] = gm[:, p]
+    kkt[:, p + 1:, :p + 1] = _small_matmul(dphi, gm[:, :p])
+    rhs[:, :p] = -_small_matmul(w, h[:, :p, None])[..., 0]
+    rhs[:, p] = -h[:, p]
+    rhs[:, p + 1:] = -_small_matmul(dphi, h[:, :p, None])[..., 0]
+    y = _solve_rows(kkt, rhs[..., None], lambda i: np.nan)[:, :p + 1, 0]
+    xi = binv[:, 0] + np.sum(y[:, :, None] * binv[:, 1:], axis=1)
+    s = np.sum(rows_pi * xi[:, None, :], axis=-1)
+    gain = np.sum(g * xi, axis=-1)
+    curv = (gain + np.sum(s * y[:, :p], axis=-1) + np.sum(z * xi, axis=-1) * y[:, p]
+            + np.sum(s * _small_matmul(w, s[..., None])[..., 0], axis=-1))
+    newton = np.all(np.isfinite(xi), axis=-1) & (gain > 0.0) & (curv > 0.0)
+    d = np.where(newton[:, None], xi, g)
+    return d, np.where(newton, gain, np.sum(g * g, axis=-1))
+
+
+def _small_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b for stacks of small matrices, summed in a fixed order per row."""
+    return np.sum(a[..., :, :, None] * b[..., None, :, :], axis=-2)
 
 
 def _restore(system, spec, z, target_r2, target_tail):
     """Newton corrections of every row of z back onto the leaf.
 
     At most 8 corrections; each row stops once its residual drops below
-    1e-12.  Returns the points, their residuals and their constraint
-    Jacobian rows.
+    1e-12.  Returns the points, their residuals and their constraint state
+    (rows, v, pi_rows, dphi of :func:`_constraint_state`).
     """
     z = np.array(z, dtype=float)
     resid = np.empty(len(z))
-    rows = None
+    state = None
     live = np.arange(len(z))
     for _ in range(8):
-        c, g = _constraint_state(system, spec, z[live], target_r2, target_tail)
-        if rows is None:
-            rows = np.empty((len(z),) + g.shape[1:])
+        c, *found = _constraint_state(system, spec, z[live], target_r2, target_tail)
+        if state is None:
+            state = [np.empty((len(z),) + f.shape[1:]) for f in found]
+        for kept, f in zip(state, found):
+            kept[live] = f
         res = np.max(np.abs(c), axis=1)
-        resid[live], rows[live] = res, g
+        resid[live] = res
         more = res >= 1e-12
         live = live[more]
         if not live.size:
-            return z, resid, rows
-        z[live] = _unit(z[live] + _min_norm_solve(g[more], -c[more]))
-    c, g = _constraint_state(system, spec, z[live], target_r2, target_tail)
-    resid[live], rows[live] = np.max(np.abs(c), axis=1), g
-    return z, resid, rows
+            return z, resid, state
+        z[live] = _unit(z[live] + _min_norm_solve(found[0][more], -c[more]))
+    c, *found = _constraint_state(system, spec, z[live], target_r2, target_tail)
+    resid[live] = np.max(np.abs(c), axis=1)
+    for kept, f in zip(state, found):
+        kept[live] = f
+    return z, resid, state
 
 
 def _descend(system, spec, x, z, target_r2, target_tail):
-    """Projected ascent of <x, .> on the leaf from every row of z, in lockstep.
+    """Newton ascent of <x, .> on the leaf from every row of z, in lockstep.
 
-    Each row is one start with its own Gauss-Newton direction, line-search
-    step and acceptance.  A step is accepted only when the restored point is
+    Each row is one start with its own direction, line-search step and
+    acceptance.  The direction is the Riemannian Newton direction of
+    :func:`_newton_direction`, or the projected gradient where that is not
+    a finite ascent direction of negative model curvature.  The line search
+    tries steps 1, 1/2, ... (20 tries), each restored onto the leaf by
+    :func:`_restore`.  A step is accepted only when the restored point is
     feasible again (otherwise an off-leaf point could undercut the true leaf
-    distance) and raises <x, .>; a row stops when its projected gradient
-    vanishes, no step of its line search is accepted, or after 120
-    iterations.  Returns the best <x, .> of every row.
+    distance) and raises <x, .> by more than 1e-15; a row stops when its
+    direction vanishes, its predicted gain <g, d> is below 1e-16, no step of
+    its line search is accepted, or after 120 iterations.  Returns the best
+    <x, .> of every row.
     """
     z = np.array(z, dtype=float)
     best = np.sum(z * x, axis=-1)
-    _, rows = _constraint_state(system, spec, z, target_r2, target_tail)
+    _, *state = _constraint_state(system, spec, z, target_r2, target_tail)
+    state = [np.array(s) for s in state]
+    curved = target_tail is not None and not spec.leaves_are_fibers
     active = np.arange(len(z))
     for _ in range(120):
         za = z[active]
-        d = _tangent_projection(rows[active], x - best[active, None] * za)
-        moving = np.linalg.norm(d, axis=-1) >= 1e-12
+        rows, v, rows_pi, dphi = (s[active] for s in state)
+        g, lam = _tangent_projection(rows, x - best[active, None] * za)
+        d, gain = _newton_direction(system, spec, za, g, lam, best[active], v, rows_pi, dphi,
+                                    curved)
+        moving = (np.linalg.norm(d, axis=-1) >= 1e-12) & (gain >= 1e-16)
         active, za, d = active[moving], za[moving], d[moving]
         step = np.ones(len(active))
         pending = np.arange(len(active))
@@ -420,13 +530,15 @@ def _descend(system, spec, x, z, target_r2, target_tail):
         for _ in range(20):
             if not pending.size:
                 break
-            cand, resid, cand_rows = _restore(
+            cand, resid, cand_state = _restore(
                 system, spec, _unit(za[pending] + step[pending, None] * d[pending]),
                 target_r2, target_tail)
             val = np.sum(cand * x, axis=-1)
             ok = (resid <= 1e-10) & (val > best[active[pending]] + 1e-15)
             accepted = active[pending[ok]]
-            z[accepted], best[accepted], rows[accepted] = cand[ok], val[ok], cand_rows[ok]
+            z[accepted], best[accepted] = cand[ok], val[ok]
+            for kept, found in zip(state, cand_state):
+                kept[accepted] = found[ok]
             improved[pending[ok]] = True
             pending = pending[~ok]
             step[pending] *= 0.5
@@ -441,17 +553,20 @@ def leaf_to_leaf_ambient_distance(system: CliffordSystem, spec: FoliationSpec,
                                   seed: int = 0, starts: int = 4) -> float:
     """Estimate of the spherical distance from x to the composed leaf through y.
 
-    Minimum over ``budget`` leaf samples, refined by projected ascent of
-    <x, .> on the leaf from the best starts.  Descent starts are taken from
-    the first 2048 samples so that growing the budget only tightens the
-    sampled floor; the estimate is nonincreasing in the budget beyond that
-    prefix.  All starts ascend together as one (starts, 2l) batch, each with
-    its own step and acceptance.  On exact systems a start's result is bit
-    for bit the one it reaches alone; on dense systems the batched matmul
-    in ``pi_c`` may round differently, at the last bit.  Leaf constraints use the spec's ``invariant_jacobian``
-    when it has one, else central differences of its invariant map.
-    Boundary leaves are handled in closed form per sampled direction (the
-    nearest point of a great subsphere is an orthogonal projection).
+    Minimum over ``budget`` leaf samples, refined by Newton ascent of <x, .>
+    on the leaf (:func:`_descend`) from the best starts.  Only points that
+    are feasible to 1e-10 are accepted, so the estimate does not undercut
+    the leaf distance beyond that.  Descent starts are taken from the first
+    2048 samples so that growing the budget only tightens the sampled floor;
+    the estimate is nonincreasing in the budget beyond that prefix.  All
+    starts ascend together as one (starts, 2l) batch, each with its own
+    direction, step and acceptance.  On exact systems a start's result is
+    bit for bit the one it reaches alone; on dense systems the batched
+    matmul of the generator images may round differently, at the last bit.
+    Leaf constraints use the spec's ``invariant_jacobian`` when it has one,
+    else central differences of its invariant map.  Boundary leaves are
+    handled in closed form per sampled direction (the nearest point of a
+    great subsphere is an orthogonal projection).
     """
     _check_spec(system, spec)
     x = np.asarray(x, dtype=float)

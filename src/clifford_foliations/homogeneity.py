@@ -156,8 +156,9 @@ def diagonal_act(g: GroupElement, x: np.ndarray) -> np.ndarray:
 class NormalForm:
     """Fiber representative (u1 e1, v1 e1 + v2 e2) with u1, v2 >= 0, v1 in F.
 
-    Computed from pi_C data alone, so it is constant on fibers and two points
-    have (numerically) equal normal forms exactly when their pi_C values agree.
+    Its entries are functions of pi_C alone, so it is constant on fibers and
+    two points have (numerically) equal normal forms exactly when their pi_C
+    values agree.
     """
 
     u1: float
@@ -171,9 +172,9 @@ class NormalForm:
 def _stable_sqrt(rad: float) -> float:
     """sqrt with radicands inside accumulated-roundoff range of 0 snapped to 0.
 
-    Components of the normal form vanish identically on whole fibers (v2 does
-    for every multiplicity-1 system); without the snap those zeros would come
-    back as sqrt(eps)-sized noise and fibers would stop sharing a form.
+    Components of the normal form vanish identically on whole fibers (u1 does
+    on the fiber with u = 0); without the snap those zeros would come back as
+    sqrt(eps)-sized noise and fibers would stop sharing a form.
     """
     return 0.0 if rad < 1e-13 else float(np.sqrt(rad))
 
@@ -195,11 +196,15 @@ def normal_form(x: np.ndarray, field: str) -> NormalForm:
     u1 = _stable_sqrt(max(0.0, (1.0 + r0) / 2.0))
     if u1 > 1e-8:
         v1 = _f_conj(w) / u1
+        # v2 is the norm of v's component off the line F u, the residual
+        # v - (conj(w) / |u|^2) u; sqrt(|v|^2 - |v1|^2) would cancel to
+        # sqrt(eps / |u|^2)-sized noise where v2 vanishes
+        v2 = float(np.linalg.norm(v - cd_mul(_f_conj(w) / float(np.sum(u * u)), u)))
     else:
         # u = 0: the group is transitive on the v-sphere, so v moves to e1
         v1 = np.zeros(d)
         v1[0] = _stable_sqrt(max(0.0, (1.0 - r0) / 2.0))
-    v2 = _stable_sqrt(max(0.0, (1.0 - r0) / 2.0 - float(v1 @ v1)))
+        v2 = 0.0
     return NormalForm(u1, v1, v2)
 
 

@@ -219,6 +219,18 @@ class TestFiberCsv:
                        "--count", 10, "--seed", 7, "--out", out) == 0
         assert a.read_bytes() == b.read_bytes()
 
+    def test_disconnected_fibers_warn_in_one_line(self, tmp_path, capsys):
+        # l = m+1: the library warns; the CLI shows it as one plain line
+        system = tmp_path / "s.json"
+        run("construct", "--m", 3, "--k", 1, "--out", system)
+        capsys.readouterr()
+        for _ in range(2):
+            assert run("fiber", "--system", system, "--at", "0", "--count", 3,
+                       "--out", tmp_path / "f.csv") == 0
+            captured = capsys.readouterr()
+            assert captured.err == ("warning: l = m+1: the complement fibers are 0-spheres, "
+                                    "so fibers are disconnected\n")
+
     def test_bad_coordinates(self, tmp_path):
         system = tmp_path / "s.json"
         run("construct", "--m", 2, "--k", 2, "--out", system)

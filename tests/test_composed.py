@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from clifford_foliations.algebra import haar_rotation, rng_from, sample_unit_vectors
+from clifford_foliations import composed
 from clifford_foliations.clifford import build_system
 from clifford_foliations.composed import (
     FoliationSpec,
@@ -338,7 +339,7 @@ class TestAmbientLeafDistance:
 
 
 class TestBatchedAscent:
-    @pytest.mark.parametrize("mk", [(2, 2), (1, 4), (9, 1)])
+    @pytest.mark.parametrize("mk", [(2, 2), (1, 4), (9, 1), (4, 3, 1)])
     @pytest.mark.parametrize("spec_name", ["points", "height", "user"])
     def test_batch_equals_each_start_alone(self, mk, spec_name):
         # the lockstep ascent keeps every start's arithmetic to its own row
@@ -364,6 +365,55 @@ class TestBatchedAscent:
         np.testing.assert_array_equal(batch, alone)
         # each start only climbs
         assert np.all(batch >= starts @ x - 1e-15)
+
+
+class TestNewtonAscent:
+    # leaf pairs of the leaf_distance benchmark pool: (m, k), spec, starts,
+    # the pool's (system, spec) indices and the estimator seed's index
+    CASES = {
+        "points_2_2": ((2, 2), "points", 64, (0, 0), 0),
+        "height_4_3": ((4, 3), "height", 6, (4, 1), 9),
+        "height_9_1": ((9, 1), "height", 6, (6, 1), 12),
+    }
+    # _restore rows per estimate; the projected-gradient ascent took 2276,
+    # 612 and 720
+    RESTORE_CEILING = {"points_2_2": 400, "height_4_3": 150, "height_9_1": 150}
+
+    @classmethod
+    def estimate(cls, case):
+        mk, spec_name, starts, (j, s), seed_index = cls.CASES[case]
+        system = build_system(*mk)
+        m = system.m
+        rng = np.random.default_rng([0, j, s, 0])
+        vs = []
+        for _ in range(2):
+            v = rng.standard_normal(m + 1)
+            vs.append(v / np.linalg.norm(v) * rng.uniform(0.15, 0.9))
+        xa = fiber_sample(system, vs[0], 1, int(rng.integers(2**62)))[0]
+        xb = fiber_sample(system, vs[1], 1, int(rng.integers(2**62)))[0]
+        seed = int(np.random.default_rng([0, 0]).integers(2**62, size=13)[seed_index])
+        spec = builtin_spec(spec_name, m)
+        d = leaf_to_leaf_ambient_distance(system, spec, xa, xb, 1200, seed, starts=starts)
+        return d, composed_quotient_distance(system, spec, xa, xb)
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_restore_rows_below_ceiling(self, case, monkeypatch):
+        rows = []
+        restore = composed._restore
+
+        def counted(system, spec, z, *args):
+            rows.append(len(z))
+            return restore(system, spec, z, *args)
+
+        monkeypatch.setattr(composed, "_restore", counted)
+        d, dq = self.estimate(case)
+        assert sum(rows) <= self.RESTORE_CEILING[case]
+        assert dq - d <= 1e-9
+
+    def test_converges_where_gradient_ascent_hit_the_cap(self):
+        # the projected gradient stopped at 120 iterations, 1.7e-9 away
+        d, dq = self.estimate("height_9_1")
+        assert abs(d - dq) <= 1e-10
 
 
 class TestInvariantJacobian:

@@ -136,6 +136,26 @@ class TestNormalForm:
         nfs2 = np.stack([normal_form(z, field).as_array() for z in moved])
         assert np.abs(nfs2 - nfs).max() <= 1e-9
 
+    @pytest.mark.parametrize("m,k", [(2, 1), (2, 2), (4, 1)])
+    def test_orbit_constancy_seed_sweep(self, m, k):
+        # uniform points, then points with |u| in [0.01, 0.1]: there
+        # |v|^2 - |v1|^2 loses eps / |u|^2, whose square root is far above
+        # the suite's 1e-9 wherever v2 vanishes (always when k = 1)
+        field = FIELD_FOR_M[m]
+        l = k * FIELD_DIM[field]
+        worst = 0.0
+        for seed in range(200):
+            rng = rng_from(seed, 18)
+            x = sample_unit_vectors(rng, 2 * l, 1)[0]
+            if seed % 2:
+                u_norm = rng.uniform(0.01, 0.1)
+                x[:l] *= u_norm / np.linalg.norm(x[:l])
+                x[l:] *= np.sqrt(1.0 - u_norm ** 2) / np.linalg.norm(x[l:])
+            moved = diagonal_act(sample_group_element(field, k, seed), x)
+            worst = max(worst, float(np.abs(normal_form(x, field).as_array()
+                                            - normal_form(moved, field).as_array()).max()))
+        assert worst <= 1e-9
+
     def test_form_determines_fiber(self):
         system = build_system(2, 2)
         rng = rng_from(17)
