@@ -369,36 +369,27 @@ def _min_norm_solve(g: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return (np.swapaxes(vt, -1, -2) @ coef[..., None])[..., 0]
 
 
-def _solve_rows(mat: np.ndarray, rhs: np.ndarray, singular) -> np.ndarray:
-    """np.linalg.solve of every row's system; a singular row gets singular(i).
-
-    If the batched solve finds a singular system, every row is solved on its
-    own, so no row depends on another.
-    """
-    try:
-        return np.linalg.solve(mat, rhs)
-    except np.linalg.LinAlgError:
-        out = np.empty(rhs.shape)
-        for i in range(len(mat)):
-            try:
-                out[i] = np.linalg.solve(mat[i:i + 1], rhs[i:i + 1])[0]
-            except np.linalg.LinAlgError:
-                out[i] = singular(i)
-        return out
-
-
 def _tangent_projection(g: np.ndarray, grad: np.ndarray):
     """grad minus its component in the row space of g, row by row.
 
     Returns the projection and the least-squares multipliers (S, k) of the
-    rows.  The normal equations are regularized by 1e-14; a singular row
-    falls back to lstsq.
+    rows.  The normal equations are regularized by 1e-14.  If the batched
+    solve finds a singular system, every row is solved on its own and only
+    the singular rows fall back to lstsq, so no row depends on another.
     """
     g_t = np.swapaxes(g, -1, -2)
     gg = g @ g_t
     rhs = g @ grad[..., None]
     reg = gg + 1e-14 * np.eye(gg.shape[-1])
-    coef = _solve_rows(reg, rhs, lambda i: np.linalg.lstsq(gg[i], rhs[i], rcond=None)[0])
+    try:
+        coef = np.linalg.solve(reg, rhs)
+    except np.linalg.LinAlgError:
+        coef = np.empty(rhs.shape)
+        for i in range(len(g)):
+            try:
+                coef[i] = np.linalg.solve(reg[i:i + 1], rhs[i:i + 1])[0]
+            except np.linalg.LinAlgError:
+                coef[i, :, 0] = np.linalg.lstsq(gg[i], rhs[i, :, 0], rcond=None)[0]
     return grad - (g_t @ coef)[..., 0], coef[..., 0]
 
 
@@ -415,10 +406,12 @@ def _newton_direction(system, spec, z, g, lam, best, v, rows_pi, dphi, curved):
     (2 sum a_i P_i)^2 = 4|a|^2 I, B^-1 = (B - 2 mu I) / (4|a|^2 - mu^2), and
     the direction is xi = B^-1 (g + C y) for C = [J^T, z]; y and the
     normal multipliers solve a bordered system of m+2+k unknowns that puts
-    xi in the tangent space.  A row keeps xi only when it is finite, an
-    ascent direction and of positive B + J^T W J curvature (negative model
-    curvature of <x, .>); otherwise it takes g.  Returns the directions and
-    their predicted gains <g, d>.
+    xi in the tangent space, in the minimum-norm sense, so a constraint
+    with a vanishing gradient (the constant invariant of ``one_leaf``) drops
+    out instead of making the system singular.  A row keeps xi only when it
+    is finite, an ascent direction and of positive B + J^T W J curvature
+    (negative model curvature of <x, .>); otherwise it takes g.  Returns the
+    directions and their predicted gains <g, d>.
     """
     n_rows, p = v.shape
     k = lam.shape[1]
@@ -448,7 +441,7 @@ def _newton_direction(system, spec, z, g, lam, best, v, rows_pi, dphi, curved):
     rhs[:, :p] = -_small_matmul(w, h[:, :p, None])[..., 0]
     rhs[:, p] = -h[:, p]
     rhs[:, p + 1:] = -_small_matmul(dphi, h[:, :p, None])[..., 0]
-    y = _solve_rows(kkt, rhs[..., None], lambda i: np.nan)[:, :p + 1, 0]
+    y = _min_norm_solve(kkt, rhs)[:, :p + 1]
     xi = binv[:, 0] + np.sum(y[:, :, None] * binv[:, 1:], axis=1)
     s = np.sum(rows_pi * xi[:, None, :], axis=-1)
     gain = np.sum(g * xi, axis=-1)
@@ -505,10 +498,10 @@ def _descend(system, spec, x, z, target_r2, target_tail):
     tries steps 1, 1/2, ... (20 tries), each restored onto the leaf by
     :func:`_restore`.  A step is accepted only when the restored point is
     feasible again (otherwise an off-leaf point could undercut the true leaf
-    distance) and raises <x, .> by more than 1e-15; a row stops when its
-    direction vanishes, its predicted gain <g, d> is below 1e-16, no step of
-    its line search is accepted, or after 120 iterations.  Returns the best
-    <x, .> of every row.
+    distance) and raises <x, .> by more than 1e-15; a row stops when the
+    predicted gain <g, d> of its direction is below 1e-16, where no step
+    could pass that margin, when no step of its line search is accepted, or
+    after 120 iterations.  Returns the best <x, .> of every row.
     """
     z = np.array(z, dtype=float)
     best = np.sum(z * x, axis=-1)
@@ -522,7 +515,7 @@ def _descend(system, spec, x, z, target_r2, target_tail):
         g, lam = _tangent_projection(rows, x - best[active, None] * za)
         d, gain = _newton_direction(system, spec, za, g, lam, best[active], v, rows_pi, dphi,
                                     curved)
-        moving = (np.linalg.norm(d, axis=-1) >= 1e-12) & (gain >= 1e-16)
+        moving = gain >= 1e-16
         active, za, d = active[moving], za[moving], d[moving]
         step = np.ones(len(active))
         pending = np.arange(len(active))

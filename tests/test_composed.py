@@ -416,6 +416,21 @@ class TestNewtonAscent:
         assert abs(d - dq) <= 1e-10
 
 
+    def test_one_leaf_converges(self):
+        # one_leaf's invariant row vanishes; the ascent still converges, where
+        # the projected gradient stopped 8.5e-4 short on the third pair
+        system = build_system(1, 4)
+        spec = builtin_spec("one_leaf", 1)
+        rng = rng_from(5, 1)
+        for i in range(4):
+            va = sample_unit_vectors(rng, 2, 1)[0] * rng.uniform(0.2, 0.8)
+            vb = sample_unit_vectors(rng, 2, 1)[0] * rng.uniform(0.2, 0.8)
+            xa = fiber_sample(system, va, 1, 10 + i)[0]
+            xb = fiber_sample(system, vb, 1, 20 + i)[0]
+            d = leaf_to_leaf_ambient_distance(system, spec, xa, xb, 1200, 30 + i, starts=6)
+            assert abs(d - composed_quotient_distance(system, spec, xa, xb)) <= 1e-9
+
+
 class TestInvariantJacobian:
     @staticmethod
     def central_differences(fn, v, h=1e-6):
