@@ -410,7 +410,8 @@ def _newton_direction(system, spec, z, g, lam, best, v, rows_pi, dphi, curved):
     with a vanishing gradient (the constant invariant of ``one_leaf``) drops
     out instead of making the system singular.  A row keeps xi only when it
     is finite, an ascent direction and of positive B + J^T W J curvature
-    (negative model curvature of <x, .>); otherwise it takes g.  Returns the
+    (negative model curvature of <x, .>); otherwise it takes g, also where a
+    singular B (4|a|^2 = mu^2) leaves the row non-finite.  Returns the
     directions and their predicted gains <g, d>.
     """
     n_rows, p = v.shape
@@ -426,28 +427,32 @@ def _newton_direction(system, spec, z, g, lam, best, v, rows_pi, dphi, curved):
     cols = np.concatenate([rows_pi, z[:, None, :]], axis=1)  # C^T, (S, m+2, 2l)
     vecs = np.concatenate([g[:, None, :], cols], axis=1)
     images = 2.0 * np.sum(a[:, None, :, None] * _generator_images(system, vecs), axis=2)
-    binv = (images - mu[:, None, None] * vecs) / (4.0 * np.sum(a * a, axis=-1)
-                                                   - mu * mu)[:, None, None]
-    gram = cols @ np.ascontiguousarray(np.swapaxes(binv, -1, -2))  # <C_i, B^-1 vecs_j>
-    h, gm = gram[..., 0], gram[..., 1:]
-    # unknowns (y_J, y_z, nu): y_J + W s = dphi^T nu, <z, xi> = 0, dphi s = 0,
-    # where s = J xi and (s, <z, xi>) = h + gm y
-    kkt = np.zeros((n_rows, p + 1 + k, p + 1 + k))
-    rhs = np.zeros((n_rows, p + 1 + k))
-    kkt[:, :p, :p + 1] = np.eye(p, p + 1) + _small_matmul(w, gm[:, :p])
-    kkt[:, :p, p + 1:] = -np.swapaxes(dphi, -1, -2)
-    kkt[:, p, :p + 1] = gm[:, p]
-    kkt[:, p + 1:, :p + 1] = _small_matmul(dphi, gm[:, :p])
-    rhs[:, :p] = -_small_matmul(w, h[:, :p, None])[..., 0]
-    rhs[:, p] = -h[:, p]
-    rhs[:, p + 1:] = -_small_matmul(dphi, h[:, :p, None])[..., 0]
-    y = _min_norm_solve(kkt, rhs)[:, :p + 1]
-    xi = binv[:, 0] + np.sum(y[:, :, None] * binv[:, 1:], axis=1)
-    s = np.sum(rows_pi * xi[:, None, :], axis=-1)
-    gain = np.sum(g * xi, axis=-1)
-    curv = (gain + np.sum(s * y[:, :p], axis=-1) + np.sum(z * xi, axis=-1) * y[:, p]
-            + np.sum(s * _small_matmul(w, s[..., None])[..., 0], axis=-1))
-    newton = np.all(np.isfinite(xi), axis=-1) & (gain > 0.0) & (curv > 0.0)
+    # rows with a (nearly) singular B overflow quietly; the final mask drops them
+    with np.errstate(all="ignore"):
+        binv = (images - mu[:, None, None] * vecs) / (4.0 * np.sum(a * a, axis=-1)
+                                                       - mu * mu)[:, None, None]
+        gram = cols @ np.ascontiguousarray(np.swapaxes(binv, -1, -2))  # <C_i, B^-1 vecs_j>
+        h, gm = gram[..., 0], gram[..., 1:]
+        # unknowns (y_J, y_z, nu): y_J + W s = dphi^T nu, <z, xi> = 0, dphi s = 0,
+        # where s = J xi and (s, <z, xi>) = h + gm y
+        kkt = np.zeros((n_rows, p + 1 + k, p + 1 + k))
+        rhs = np.zeros((n_rows, p + 1 + k))
+        kkt[:, :p, :p + 1] = np.eye(p, p + 1) + _small_matmul(w, gm[:, :p])
+        kkt[:, :p, p + 1:] = -np.swapaxes(dphi, -1, -2)
+        kkt[:, p, :p + 1] = gm[:, p]
+        kkt[:, p + 1:, :p + 1] = _small_matmul(dphi, gm[:, :p])
+        rhs[:, :p] = -_small_matmul(w, h[:, :p, None])[..., 0]
+        rhs[:, p] = -h[:, p]
+        rhs[:, p + 1:] = -_small_matmul(dphi, h[:, :p, None])[..., 0]
+        finite = np.all(np.isfinite(kkt), axis=(1, 2)) & np.all(np.isfinite(rhs), axis=1)
+        kkt[~finite], rhs[~finite] = 0.0, 0.0  # the SVD rejects non-finite input
+        y = _min_norm_solve(kkt, rhs)[:, :p + 1]
+        xi = binv[:, 0] + np.sum(y[:, :, None] * binv[:, 1:], axis=1)
+        s = np.sum(rows_pi * xi[:, None, :], axis=-1)
+        gain = np.sum(g * xi, axis=-1)
+        curv = (gain + np.sum(s * y[:, :p], axis=-1) + np.sum(z * xi, axis=-1) * y[:, p]
+                + np.sum(s * _small_matmul(w, s[..., None])[..., 0], axis=-1))
+        newton = finite & np.all(np.isfinite(xi), axis=-1) & (gain > 0.0) & (curv > 0.0)
     d = np.where(newton[:, None], xi, g)
     return d, np.where(newton, gain, np.sum(g * g, axis=-1))
 

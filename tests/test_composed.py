@@ -1,6 +1,7 @@
 """Composed foliations: specs, leaf classes, cone metric, ambient distances."""
 
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -415,6 +416,26 @@ class TestNewtonAscent:
         d, dq = self.estimate("height_9_1")
         assert abs(d - dq) <= 1e-10
 
+
+    def test_singular_hessian_takes_the_gradient(self, s22):
+        # a = 0 and mu = 0 make B = 0: that row must take the gradient, and
+        # quietly; the other row keeps its Newton direction
+        spec = builtin_spec("points", 2)
+        v0 = np.array([0.3, 0.1, -0.2])
+        z = fiber_sample(s22, v0, 2, 45)
+        x = fiber_sample(s22, np.array([-0.2, 0.4, 0.1]), 1, 46)[0]
+        r = float(np.linalg.norm(v0))
+        _, rows, v, rows_pi, dphi = composed._constraint_state(s22, spec, z, r * r, v0 / r)
+        best = z @ x
+        g, lam = composed._tangent_projection(rows, x - best[:, None] * z)
+        lam[0], best[0] = 0.0, 0.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            d, gain = composed._newton_direction(s22, spec, z, g, lam, best, v, rows_pi, dphi,
+                                                 False)
+        np.testing.assert_array_equal(d[0], g[0])
+        assert gain[0] == np.sum(g[0] * g[0])
+        assert np.all(np.isfinite(d)) and gain[1] > 0.0
 
     def test_one_leaf_converges(self):
         # one_leaf's invariant row vanishes; the ascent still converges, where
