@@ -156,16 +156,16 @@ def _cmd_compose(args) -> int:
         print("error: --check-pairs needs at least two samples per pair", file=sys.stderr)
         return 2
     x = sample_unit_vectors(rng_from(args.seed), system.dim, args.count)
-    classes = [composed_class(system, spec, row) for row in x]
+    classes = composed_class(system, spec, x)
     tail_dim = max((0 if c.tail is None else len(c.tail) for c in classes), default=0)
     rows = []
     for c in classes:
         tail = [""] * tail_dim if c.tail is None else [f"{t:.17g}" for t in c.tail]
         rows.append([f"{c.radius:.17g}"] + tail)
     _write_csv(args.out, ["radius"] + [f"tail{i}" for i in range(tail_dim)], rows)
-    for i in range(args.check_pairs):
-        a, b = x[2 * i], x[2 * i + 1]
-        print(f"pair {i}: same_leaf = {same_leaf(system, spec, a, b)}")
+    pairs = x[:max(0, 2 * args.check_pairs)]
+    for i, same in enumerate(same_leaf(system, spec, pairs[0::2], pairs[1::2])):
+        print(f"pair {i}: same_leaf = {same}")
     if args.out:
         print(f"wrote {args.count} leaf classes to {args.out}")
     return 0

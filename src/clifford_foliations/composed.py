@@ -205,49 +205,88 @@ def _check_spec(system: CliffordSystem, spec: FoliationSpec):
                          f"system quotient is R^{system.m + 1}")
 
 
-def composed_class(system: CliffordSystem, spec: FoliationSpec, x: np.ndarray) -> ComposedClass:
+def _disk_points(system: CliffordSystem, x: np.ndarray):
+    """pi_C of every row of x and its radius; a single point is a batch of one.
+
+    Each radius is the square root of one BLAS dot of its row, the sum the
+    1-D ``np.linalg.norm`` takes.  ``np.linalg.norm(v, axis=-1)`` sums
+    pairwise instead and differs from it in the last bit on some rows.
+    """
+    v = pi_c(system, np.atleast_2d(x))
+    return v, np.sqrt((v[:, None, :] @ v[:, :, None])[:, 0, 0])
+
+
+def _invariants(spec: FoliationSpec, units: np.ndarray) -> np.ndarray:
+    """``spec.invariant_map`` of every row of units, stacked (n, t).
+
+    The map takes one unit vector at a time; this is the one place that
+    calls it.
+    """
+    return np.array([np.asarray(spec.invariant_map(u), dtype=float) for u in units])
+
+
+def _check_pair(x: np.ndarray, y: np.ndarray):
+    if np.shape(x) != np.shape(y):
+        raise ValueError(f"paired points must share a shape, got {np.shape(x)} and {np.shape(y)}")
+
+
+def composed_class(system: CliffordSystem, spec: FoliationSpec, x: np.ndarray):
+    """Leaf class of x: one :class:`ComposedClass` for a point (2l,), a list for rows (n, 2l)."""
     _check_spec(system, spec)
-    v = pi_c(system, x)
-    r = float(np.linalg.norm(v))
-    if r <= _ORIGIN_TOL:
-        return ComposedClass(r, None)
-    return ComposedClass(r, np.asarray(spec.invariant_map(v / r), dtype=float))
+    v, r = _disk_points(system, x)
+    tails = [None] * len(r)
+    off = np.flatnonzero(r > _ORIGIN_TOL)
+    for i, tail in zip(off, _invariants(spec, v[off] / r[off, None])):
+        tails[i] = tail
+    classes = [ComposedClass(float(ri), tail) for ri, tail in zip(r, tails)]
+    return classes[0] if np.ndim(x) == 1 else classes
 
 
-def same_leaf(system: CliffordSystem, spec: FoliationSpec, x: np.ndarray, y: np.ndarray) -> bool:
-    """True iff x and y belong to the same composed leaf, up to 1e-9."""
-    cx = composed_class(system, spec, x)
-    cy = composed_class(system, spec, y)
-    if abs(cx.radius - cy.radius) > _SAME_LEAF_TOL:
-        return False
-    if cx.radius <= _SAME_LEAF_TOL and cy.radius <= _SAME_LEAF_TOL:
-        return True
-    if cx.tail is None or cy.tail is None:
-        return False
-    return float(np.max(np.abs(cx.tail - cy.tail))) <= _SAME_LEAF_TOL
+def same_leaf(system: CliffordSystem, spec: FoliationSpec, x: np.ndarray, y: np.ndarray):
+    """True iff x and y belong to the same composed leaf, up to 1e-9.
+
+    x and y are single points (2l,), giving a bool, or paired rows (n, 2l),
+    giving an (n,) bool array.  The direction invariant is evaluated only on
+    rows whose radii agree and are off the origin class.
+    """
+    _check_spec(system, spec)
+    _check_pair(x, y)
+    vx, rx = _disk_points(system, x)
+    vy, ry = _disk_points(system, y)
+    close = np.abs(rx - ry) <= _SAME_LEAF_TOL
+    same = close & (rx <= _SAME_LEAF_TOL) & (ry <= _SAME_LEAF_TOL)
+    need = np.flatnonzero(close & ~same & (rx > _ORIGIN_TOL) & (ry > _ORIGIN_TOL))
+    if need.size:
+        tx = _invariants(spec, vx[need] / rx[need, None])
+        ty = _invariants(spec, vy[need] / ry[need, None])
+        same[need] = np.max(np.abs(tx - ty), axis=1) <= _SAME_LEAF_TOL
+    return bool(same[0]) if np.ndim(x) == 1 else same
 
 
 def composed_quotient_distance(system: CliffordSystem, spec: FoliationSpec,
-                               x: np.ndarray, y: np.ndarray) -> float:
+                               x: np.ndarray, y: np.ndarray):
     """Distance between the composed classes of x and y (half the cone/join metric).
 
     With cone angles s = arcsin |pi_C| and the leaf-space distance delta of
     the directions: (1/2) arccos(cos s cos s' + sin s sin s' cos min(delta, pi)).
+    x and y are single points (2l,), giving a float, or paired rows (n, 2l),
+    giving an (n,) array.  The leaf-space metric is evaluated only on rows
+    with both classes off the origin.
     """
     _check_spec(system, spec)
     if spec.quotient_distance is None:
         raise ValueError(f"spec {spec.name!r} carries no leaf-space metric")
-    vx = pi_c(system, x)
-    vy = pi_c(system, y)
-    rx = min(1.0, float(np.linalg.norm(vx)))
-    ry = min(1.0, float(np.linalg.norm(vy)))
+    _check_pair(x, y)
+    vx, rx = _disk_points(system, x)
+    vy, ry = _disk_points(system, y)
+    rx, ry = np.minimum(1.0, rx), np.minimum(1.0, ry)
     s, sp = np.arcsin(rx), np.arcsin(ry)
-    if rx <= _ORIGIN_TOL or ry <= _ORIGIN_TOL:
-        delta = 0.0
-    else:
-        delta = min(float(spec.quotient_distance(vx / rx, vy / ry)), np.pi)
+    delta = np.zeros(len(rx))
+    for i in np.flatnonzero((rx > _ORIGIN_TOL) & (ry > _ORIGIN_TOL)):
+        delta[i] = min(float(spec.quotient_distance(vx[i] / rx[i], vy[i] / ry[i])), np.pi)
     c = np.clip(np.cos(s) * np.cos(sp) + np.sin(s) * np.sin(sp) * np.cos(delta), -1.0, 1.0)
-    return 0.5 * float(np.arccos(c))
+    d = 0.5 * np.arccos(c)
+    return float(d[0]) if np.ndim(x) == 1 else d
 
 
 # --------------------------------------------------------------------------- #
@@ -312,29 +351,29 @@ def _constraint_state(system: CliffordSystem, spec: FoliationSpec, z: np.ndarray
         return c, rows_pi, v, rows_pi, eye
     r2 = np.sum(v * v, axis=-1)
     vhat = v / np.sqrt(np.maximum(r2, 1e-30))[:, None]
-    tail = np.array([np.asarray(spec.invariant_map(u), dtype=float) for u in vhat])
+    tail = _invariants(spec, vhat)
     if spec.invariant_jacobian is not None:
         # a contiguous operand takes the same matmul path at every batch size
         jac = np.ascontiguousarray(spec.invariant_jacobian(v), dtype=float)
     else:
-        jac = np.array([_fd_jacobian(spec.invariant_map, u) for u in v])
+        jac = _fd_jacobian(spec, v)
     c = np.concatenate([(r2 - target_r2)[:, None], tail - target_tail], axis=1)
     rows = np.concatenate([2.0 * (v[:, None, :] @ rows_pi), jac @ rows_pi], axis=1)
     dphi = np.concatenate([2.0 * v[:, None, :], jac], axis=1)
     return c, rows, v, rows_pi, dphi
 
 
-def _fd_jacobian(invariant_map, v: np.ndarray) -> np.ndarray:
-    """Central differences, step 1e-6, of v -> invariant_map(v / |v|) at one point v."""
+def _fd_jacobian(spec: FoliationSpec, v: np.ndarray) -> np.ndarray:
+    """Central differences, step 1e-6, of v -> invariant_map(v / |v|) at every row of v.
+
+    A batch (S, m+1) maps to (S, t, m+1), as ``invariant_jacobian`` does.
+    """
     step = 1e-6
-    cols = []
-    for j in range(v.shape[0]):
-        e = np.zeros(v.shape[0])
-        e[j] = step
-        up = np.asarray(invariant_map(_unit(v + e)), dtype=float)
-        dn = np.asarray(invariant_map(_unit(v - e)), dtype=float)
-        cols.append((up - dn) / (2.0 * step))
-    return np.stack(cols, axis=-1)
+    n, p = v.shape
+    shifts = step * np.eye(p)
+    shifted = np.concatenate([v[:, None, :] + shifts, v[:, None, :] - shifts], axis=1)
+    vals = _invariants(spec, _unit(shifted).reshape(-1, p)).reshape(n, 2, p, -1)
+    return np.moveaxis(vals[:, 0] - vals[:, 1], 1, -1) / (2.0 * step)
 
 
 def _invariant_hessian(invariant_jacobian, v: np.ndarray) -> np.ndarray:
@@ -590,7 +629,7 @@ def leaf_to_leaf_ambient_distance(system: CliffordSystem, spec: FoliationSpec,
     target_r2 = r * r
     target_tail = None
     if r > _ORIGIN_TOL:
-        target_tail = np.asarray(spec.invariant_map(v / r), dtype=float)
+        target_tail = _invariants(spec, (v / r)[None])[0]
     # Starts: champions of the 32-sample slices of the first 2048 samples,
     # half taken greedily by objective value and half spread through the
     # remaining ranks, so a global basin with a mediocre floor still gets a

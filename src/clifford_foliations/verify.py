@@ -307,6 +307,8 @@ def _suite_quotient_metric(cfg: SuiteConfig):
     system = cfg.system
     n_geo = cfg.knob("geodesics", min(cfg.samples, 50))
     ts = np.linspace(0.0, np.pi / 2.0, 25)
+    knots = range(0, len(ts), 6)
+    si, ti = np.array([(i, j) for i in knots for j in knots if i != j]).T
     lift_res = frame_err = speed_err = 0.0
     for i in range(n_geo):
         g = random_horizontal_geodesic(system, cfg.seed * 2000 + i)
@@ -320,15 +322,11 @@ def _suite_quotient_metric(cfg: SuiteConfig):
                         abs(float(np.linalg.norm(a)) - 0.5),
                         abs(float(np.linalg.norm(b)) - 0.5),
                         abs(float(a @ b)))
-        for si in range(0, len(ts), 6):
-            for ti in range(0, len(ts), 6):
-                if si == ti:
-                    continue
-                d = quotient_distance(curve[si], curve[ti])
-                speed_err = max(speed_err, abs(d - abs(ts[si] - ts[ti])))
+        d = quotient_distance(curve[si], curve[ti])
+        speed_err = max(speed_err, float(np.max(np.abs(d - np.abs(ts[si] - ts[ti])))))
     p = sample_unit_vectors(rng_from(cfg.seed, 5), system.m + 1, 8)
-    anti = float(np.max(np.abs([quotient_distance(q, -q) - np.pi / 2.0 for q in p])))
-    self_d = float(np.max(np.abs([quotient_distance(q * 0.5, q * 0.5) for q in p])))
+    anti = float(np.max(np.abs(quotient_distance(p, -p) - np.pi / 2.0)))
+    self_d = float(np.max(np.abs(quotient_distance(p * 0.5, p * 0.5))))
     return [
         CheckResult.from_violation(
             "lifted_great_circle", "projected geodesics lift to great circles of the "
@@ -480,14 +478,16 @@ def _suite_homogeneous_orbits(cfg: SuiteConfig):
     system = cfg.system
     field_tag = FIELD_FOR_M[system.m]
     k = system.provenance.k
-    invariance = ortho = 0.0
+    ortho = 0.0
+    x = np.empty((cfg.samples, system.dim))
+    gx = np.empty_like(x)
     for i in range(cfg.samples):
         g = sample_group_element(field_tag, k, cfg.seed * 10000 + i)
         mat = g.action_matrix()
         ortho = max(ortho, float(np.abs(mat.T @ mat - np.eye(mat.shape[0])).max()))
-        x = sample_unit_vectors(rng_from(cfg.seed, 300 + i), system.dim, 1)[0]
-        invariance = max(invariance, float(np.abs(
-            pi_c(system, diagonal_act(g, x)) - pi_c(system, x)).max()))
+        x[i] = sample_unit_vectors(rng_from(cfg.seed, 300 + i), system.dim, 1)[0]
+        gx[i] = diagonal_act(g, x[i])
+    invariance = float(np.abs(pi_c(system, gx) - pi_c(system, x)).max())
     g1 = sample_group_element(field_tag, k, cfg.seed + 1)
     g2 = sample_group_element(field_tag, k, cfg.seed + 1)
     det = float(np.abs(g1.entries - g2.entries).max())
@@ -572,38 +572,29 @@ def _suite_composed_identities(cfg: SuiteConfig):
     one = builtin_spec("one_leaf", m)
     n_pairs = max(8, cfg.samples // 4)
     rng = rng_from(cfg.seed, 500)
-    wrong = 0
-    radius_law = 0.0
+    a0, a1, b, c = (np.empty((n_pairs, system.dim)) for _ in range(4))
+    has_c = np.zeros(n_pairs, dtype=bool)
     for i in range(n_pairs):
         v = sample_unit_vectors(rng, m + 1, 2)
         r = float(rng.uniform(0.15, 0.9))
-        a = fiber_sample(system, r * v[0], 2, cfg.seed * 3000 + i)
-        b = fiber_sample(system, r * v[1], 1, cfg.seed * 3000 + 1000 + i)[0]
-        # same fiber -> same leaf for every spec; same radius only for one_leaf
-        if not same_leaf(system, pts, a[0], a[1]):
-            wrong += 1
-        if not same_leaf(system, pts, a[0], -a[0]):
-            wrong += 1
-        if same_leaf(system, pts, a[0], b):
-            wrong += 1
-        if not same_leaf(system, one, a[0], b):
-            wrong += 1
+        a0[i], a1[i] = fiber_sample(system, r * v[0], 2, cfg.seed * 3000 + i)
+        b[i] = fiber_sample(system, r * v[1], 1, cfg.seed * 3000 + 1000 + i)[0]
         r2 = float(rng.uniform(0.15, 0.9))
         if abs(r2 - r) > 1e-6:
-            c = fiber_sample(system, r2 * v[1], 1, cfg.seed * 3000 + 2000 + i)[0]
-            if same_leaf(system, one, a[0], c):
-                wrong += 1
-        fa, fb = fkm_f0(system, a[0])[1], fkm_f0(system, b)[1]
-        radius_law = max(radius_law, abs(fa - fb))
+            c[i] = fiber_sample(system, r2 * v[1], 1, cfg.seed * 3000 + 2000 + i)[0]
+            has_c[i] = True
+    # same fiber -> same leaf for every spec; same radius only for one_leaf
+    wrong = int(np.sum(~same_leaf(system, pts, a0, a1)) + np.sum(~same_leaf(system, pts, a0, -a0))
+                + np.sum(same_leaf(system, pts, a0, b)) + np.sum(~same_leaf(system, one, a0, b))
+                + np.sum(same_leaf(system, one, a0[has_c], c[has_c])))
+    radius_law = float(np.max(np.abs(fkm_f0(system, a0)[1] - fkm_f0(system, b)[1])))
     xm = mplus_sample(system, 4, cfg.seed + 7)
     cls = composed_class(system, pts, xm[0])
     origin_ok = cls.tail is None and cls.radius <= 1e-10
-    dist_identity = 0.0
     x = _unit_batch(system, cfg.seed, 501, 64)
-    for i in range(0, 64, 2):
-        d1 = composed_quotient_distance(system, pts, x[i], x[i + 1])
-        d2 = float(quotient_distance(pi_c(system, x[i]), pi_c(system, x[i + 1])))
-        dist_identity = max(dist_identity, abs(d1 - d2))
+    d1 = composed_quotient_distance(system, pts, x[0::2], x[1::2])
+    d2 = quotient_distance(pi_c(system, x[0::2]), pi_c(system, x[1::2]))
+    dist_identity = float(np.max(np.abs(d1 - d2)))
     p0 = np.eye(m + 1)[0]
     xb = boundary_fiber_sample(system, p0, 1, cfg.seed + 8)[0]
     apex = abs(composed_quotient_distance(system, one, xm[0], xb) - np.pi / 4.0)
@@ -691,9 +682,7 @@ def _suite_diameter(cfg: SuiteConfig):
     pool = np.concatenate(pools)
     n_pairs = cfg.samples
     idx = rng_from(cfg.seed, 701).integers(0, len(pool), size=(n_pairs, 2))
-    sup = 0.0
-    for i, j in idx:
-        sup = max(sup, composed_quotient_distance(system, ten, pool[i], pool[j]))
+    sup = float(np.max(composed_quotient_distance(system, ten, pool[idx[:, 0]], pool[idx[:, 1]])))
     checks = [CheckResult.from_violation(
         "diameter_upper", "the composed quotient has diameter at most pi/4",
         max(0.0, sup - np.pi / 4.0), 1e-6)]

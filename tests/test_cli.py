@@ -3,12 +3,14 @@
 import contextlib
 import copy
 import csv
+import hashlib
 import io
 import json
 import pathlib
 import tempfile
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -258,6 +260,28 @@ class TestComposeAndHomogeneity:
         with open(out) as handle:
             rows = list(csv.reader(handle))
         assert rows[0][0] == "radius" and len(rows) == 13
+
+    # SHA-256 of the stdout (CSV, then the pair verdicts) of
+    # `cfl compose --count 40 --check-pairs 20 --seed 3`, taken when every
+    # row was classified on its own
+    COMPOSE_STDOUT = {
+        (2, 2, "height"): "85d1e85c44e867b36cfb640b0d99a13eb9c86acb1987ef9aee25aad1953b3c07",
+        (3, 1, "points"): "015193cbc1fa942016a08617d666833f761902feafea19dbdbb9b88abf27c509",
+        (4, 1, "one_leaf"): "850c26ee390f040b2655630a79424f971a03609d5ce925f09cd280973aa332a8",
+        (8, 1, "tensor_svd"): "b0bcdf14c385700e08e966fcd1fba3dcb79b2c85b250a4abbbd56aa94137148f",
+    }
+
+    @pytest.mark.parametrize("case", sorted(COMPOSE_STDOUT))
+    def test_compose_output_is_pinned(self, case, tmp_path, capsys):
+        m, k, spec = case
+        system = tmp_path / "s.json"
+        run("construct", "--m", m, "--k", k, "--out", system)
+        capsys.readouterr()
+        assert run("compose", "--system", system, "--spec", spec, "--count", 40,
+                   "--check-pairs", 20, "--seed", 3) == 0
+        out = capsys.readouterr().out
+        assert out.count("same_leaf = ") == 20
+        assert hashlib.sha256(out.encode()).hexdigest() == self.COMPOSE_STDOUT[case]
 
     def test_compose_zero_count(self, tmp_path):
         system = tmp_path / "s.json"

@@ -253,6 +253,101 @@ class TestConeMetric:
             composed_quotient_distance(s22, bare, x[0], x[1])
 
 
+def mixed_pairs(system, seed):
+    """Paired rows (x, y) of every kind the class tests branch on.
+
+    Generic rows, one boundary fiber, and, where M+ exists, origin-class rows
+    and interior fibers drawn two to a fiber.  y pairs each row with its
+    successor (fiber partners, origin with origin), the reversed rows, the row
+    itself and its antipode.
+    """
+    m = system.m
+    rng = rng_from(seed)
+    parts = [sample_unit_vectors(rng, system.dim, 10),
+             boundary_fiber_sample(system, sample_unit_vectors(rng, m + 1, 1)[0], 4, seed + 1)]
+    if system.l >= m + 1:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # l = m+1: disconnected fibers
+            parts.append(mplus_sample(system, 4, seed + 2))
+            for i, r in enumerate((0.2, 0.5, 0.85)):
+                v = r * sample_unit_vectors(rng, m + 1, 1)[0]
+                parts.append(fiber_sample(system, v, 2, seed + 3 + i))
+    rows = np.concatenate(parts)
+    x = np.concatenate([rows] * 4)
+    y = np.concatenate([np.roll(rows, -1, axis=0), rows[::-1], rows, -rows])
+    return x, y
+
+
+ROW_WISE_CASES = [((2, 2), "points"), ((2, 2), "one_leaf"), ((2, 2), "height"),
+                  ((3, 1), "points"), ((3, 1), "height"), ((4, 3, 1), "height"),
+                  ((8, 2), "tensor_svd"), ((8, 1), "tensor_svd")]
+
+
+class TestRowWise:
+    """Paired rows give, bit for bit, what each row gives alone on exact systems."""
+
+    @pytest.mark.parametrize("mk, name", ROW_WISE_CASES)
+    def test_same_leaf(self, mk, name):
+        system = build_system(*mk)
+        spec = builtin_spec(name, system.m)
+        x, y = mixed_pairs(system, 40)
+        rows = same_leaf(system, spec, x, y)
+        alone = [same_leaf(system, spec, a, b) for a, b in zip(x, y)]
+        assert all(type(s) is bool for s in alone)
+        assert rows.dtype == bool and rows.tolist() == alone
+        assert rows.any() and not rows.all()
+
+    @pytest.mark.parametrize("mk, name", ROW_WISE_CASES)
+    def test_composed_quotient_distance(self, mk, name):
+        system = build_system(*mk)
+        spec = builtin_spec(name, system.m)
+        x, y = mixed_pairs(system, 41)
+        rows = composed_quotient_distance(system, spec, x, y)
+        alone = [composed_quotient_distance(system, spec, a, b) for a, b in zip(x, y)]
+        assert all(type(d) is float for d in alone)
+        np.testing.assert_array_equal(rows, alone)
+        assert rows.shape == (len(x),)
+
+    @pytest.mark.parametrize("mk, name", ROW_WISE_CASES)
+    def test_composed_class(self, mk, name):
+        system = build_system(*mk)
+        spec = builtin_spec(name, system.m)
+        x, _ = mixed_pairs(system, 42)
+        rows = composed_class(system, spec, x)
+        assert len(rows) == len(x)
+        for row, point in zip(rows, x):
+            alone = composed_class(system, spec, point)
+            assert row.radius == alone.radius
+            if alone.tail is None:
+                assert row.tail is None
+            else:
+                np.testing.assert_array_equal(row.tail, alone.tail)
+        if system.l >= system.m + 1:
+            assert any(row.tail is None for row in rows)
+
+    def test_radius_is_the_single_point_norm(self, s22):
+        # at this row norm(v, axis=-1) sums pairwise and differs from the 1-D
+        # norm in the last bit; radii and distances keep the 1-D value
+        x = sample_unit_vectors(rng_from(31), s22.dim, 8)
+        v = pi_c(s22, x[3])
+        r = float(np.linalg.norm(v))
+        assert r != np.linalg.norm(v, axis=-1)
+        assert composed_class(s22, builtin_spec("points", 2), x)[3].radius == r
+        r0 = float(np.linalg.norm(pi_c(s22, x[0])))
+        s, s0 = np.arcsin(r), np.arcsin(r0)
+        expected = 0.5 * np.arccos(np.clip(np.cos(s) * np.cos(s0) + np.sin(s) * np.sin(s0),
+                                           -1.0, 1.0))
+        d = composed_quotient_distance(s22, builtin_spec("one_leaf", 2), x, x[[0] * 8])
+        assert d[3] == expected
+
+    def test_mismatched_shapes_rejected(self, s22):
+        x = sample_unit_vectors(rng_from(43), s22.dim, 4)
+        with pytest.raises(ValueError):
+            same_leaf(s22, builtin_spec("points", 2), x, x[0])
+        with pytest.raises(ValueError):
+            composed_quotient_distance(s22, builtin_spec("points", 2), x[:3], x)
+
+
 class TestAmbientLeafDistance:
     def test_same_leaf_goes_to_zero(self, s22):
         pts = builtin_spec("points", 2)

@@ -1,7 +1,9 @@
 """Suite engine: registry, determinism, isolation, report format."""
 
+import hashlib
 import json
 
+import numpy as np
 import pytest
 
 from clifford_foliations.clifford import build_system
@@ -64,6 +66,42 @@ class TestDeterminism:
         assert [c.violation for c in a.checks] == [c.violation for c in b.checks]
         assert json.dumps(a.to_json_dict(), sort_keys=True) \
             == json.dumps(b.to_json_dict(), sort_keys=True)
+
+    # SHA-256 of each suite's report JSON lines over the configs of
+    # default_plan(64, seed=7, samples=300) other than transnormality, taken
+    # with numpy 2.4.6 before the suites evaluated their points as row batches
+    PLAN_DIGESTS_NUMPY = "2.4.6"
+    PLAN_DIGESTS = {
+        "relations": "3134b2bf296504f5009f19bbeee6bd28e733dfa9ae31601f50604054c83b6bf5",
+        "disk_image": "8b39d4bdd10630e97050149ceeeda871e335a143df92fd6a21165e32849b9908",
+        "boundary_fibers": "8b95ac401f28a663b440a2475e752c881b7ef50f9c30297ac8b2541e6766e0b5",
+        "factorization_m_plus_1":
+            "433fd8d0c56b5b8e11f9ddc6b15b99b8e15a22c9c19e4b64d701308ecd057501",
+        "geodesics": "14dcde8efffaea1bebe5ffda28039c52e90d8f2ff6cd1cc34dc6c3e7bd1bdadc",
+        "quotient_metric": "c967c8279cd184ab4be1270f095708852486ba65375e3e5895ede783a8accd94",
+        "symmetry": "aa3d26df02df0ff6dd8e9b6cedd5f8ec1f999571c6e4f107a5c02514896ed93a",
+        "fkm_consistency": "7cedc70d55ec67460247f78b48f916e4398943ff85ed36b4cd5a54f27f231dbb",
+        "invariants_classification":
+            "dc200d5c16a11acfb7da68f547974f4cce955ef3616444f2cd1eb76de00d39fd",
+        "homogeneous_orbits": "98765cc184fc0554413f5ae0202baa557400508e3cb655298d47103d6debcac1",
+        "normal_forms": "863acaaaf796fa5a947cc664538ed50aa7553727d2b6504b4c8b07c189e2b10a",
+        "focal_and_fibers": "09b2bc92f8afd99f957a231871ee59e7379677ec48e9818822d0800c2abf87fb",
+        "submersion_rank": "0a30bb0ae252dd92e45a139c519c52acd5bcc2744cff96ec40f9ef096012f489",
+        "composed_identities":
+            "07a0763dff3448002cd68e8abe34f1aa9d22d597974aac8cb22571fc50a17ef9",
+        "sphere_quotient": "8e922891a9991afdcb943783d1254850ab6c904f8daf4e567462a64c1cd61a79",
+        "diameter": "b8ae55ff4445f2246939ad3ebd6a47fa67d8842a2ab6876dd114016e9c14774a",
+    }
+
+    @pytest.mark.skipif(np.__version__ != PLAN_DIGESTS_NUMPY,
+                        reason=f"plan digests were taken with numpy {PLAN_DIGESTS_NUMPY}")
+    def test_default_plan_reports_are_pinned(self):
+        digests = {}
+        for cfg in default_plan(64, seed=7, samples=300):
+            if cfg.suite != "transnormality":
+                line = json.dumps(run_suite(cfg).to_json_dict(), sort_keys=True) + "\n"
+                digests.setdefault(cfg.suite, hashlib.sha256()).update(line.encode())
+        assert {suite: h.hexdigest() for suite, h in digests.items()} == self.PLAN_DIGESTS
 
     def test_seed_changes_violations_not_outcomes(self, s22):
         for suite in ("disk_image", "boundary_fibers", "symmetry"):
