@@ -103,6 +103,21 @@ class TestDeterminism:
                 digests.setdefault(cfg.suite, hashlib.sha256()).update(line.encode())
         assert {suite: h.hexdigest() for suite, h in digests.items()} == self.PLAN_DIGESTS
 
+    # SHA-256 of the transnormality report JSON lines over all 28 of its
+    # configs in default_plan(64, seed=7, samples=300), taken with numpy 2.4.6
+    # before the fiber samplers became row-wise
+    TRANSNORMALITY_DIGEST = "792b69738e87860d71e969c8570af39f3f543fb204c44c044224e4cc506c92c9"
+
+    @pytest.mark.skipif(np.__version__ != PLAN_DIGESTS_NUMPY,
+                        reason=f"plan digests were taken with numpy {PLAN_DIGESTS_NUMPY}")
+    def test_transnormality_reports_are_pinned(self):
+        digest = hashlib.sha256()
+        for cfg in default_plan(64, seed=7, samples=300):
+            if cfg.suite == "transnormality":
+                line = json.dumps(run_suite(cfg).to_json_dict(), sort_keys=True) + "\n"
+                digest.update(line.encode())
+        assert digest.hexdigest() == self.TRANSNORMALITY_DIGEST
+
     def test_seed_changes_violations_not_outcomes(self, s22):
         for suite in ("disk_image", "boundary_fibers", "symmetry"):
             a = run_suite(SuiteConfig(suite, s22, seed=1, samples=80, budget=dict(FAST_BUDGET)))
