@@ -221,24 +221,29 @@ class CliffordSystem:
         return eig_split(self.dense_generator(0))
 
     def span_matrix(self, coords: np.ndarray) -> np.ndarray:
-        """Dense matrix of sum_i coords[i] * P_i.
+        """Dense matrix of sum_i coords[i] * P_i; rows of coords give a stack.
 
-        Exact systems scatter coords[i] * signs[i, r] to (r, cols[i, r]).  Two
-        anticommuting symmetric signed permutations never share a nonzero
-        entry (a shared entry at (r, c) would make (P_i P_j + P_j P_i)[r, r]
-        equal +-2), so the scatter equals the dense sum bit for bit.
+        coords of shape (m+1,) gives a (2l, 2l) matrix, (k, m+1) a (k, 2l, 2l)
+        stack.  Exact systems scatter coords[j, i] * signs[i, r] to
+        (j, r, cols[i, r]) for every nonzero coordinate.  Two anticommuting
+        symmetric signed permutations never share a nonzero entry (a shared
+        entry at (r, c) would make (P_i P_j + P_j P_i)[r, r] equal +-2), so
+        the scatter equals the dense sum bit for bit.
         """
         coords = np.asarray(coords, dtype=float)
-        if coords.shape != (self.m + 1,):
+        if coords.ndim not in (1, 2) or coords.shape[-1] != self.m + 1:
             raise ValueError("span coordinates must have length m+1")
-        out = np.zeros((self.dim, self.dim))
-        used = np.flatnonzero(coords)
+        out = np.zeros(coords.shape[:-1] + (self.dim, self.dim))
+        rows = coords.reshape(-1, self.m + 1)
+        stack = out.reshape(-1, self.dim, self.dim)
         if self.exact:
             cols, signs = self.generator_stack
-            out[np.arange(self.dim), cols[used]] = coords[used, None] * signs[used]
+            j, i = np.nonzero(rows)
+            stack[j[:, None], np.arange(self.dim), cols[i]] = rows[j, i, None] * signs[i]
             return out
-        for i in used:
-            out += coords[i] * self.generators[i]
+        # zero coordinates add only zeros, which leave every entry's bits alone
+        for i in np.flatnonzero(np.any(rows, axis=0)):
+            stack += rows[:, i, None, None] * self.generators[i]
         return out
 
 

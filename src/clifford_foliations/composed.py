@@ -299,29 +299,32 @@ def _leaf_sample_blocks(system: CliffordSystem, spec: FoliationSpec, v: np.ndarr
 
     One rng stream and a spec-fixed chunk size keep the sample sequence a
     prefix of any larger budget's sequence.  Specs without a leaf sampler
-    have single-fiber leaves, so their chunks can be large.
+    have single-fiber leaves, so their chunks can be large.  Every chunk's
+    direction and seed are drawn first, in chunk order; then the full chunks
+    take one row-wise sampler call and a shorter last chunk another.
     """
     r = float(np.linalg.norm(v))
-    chunk = 32 if spec.leaf_sampler is not None else 256
-    out = []
-    drawn = 0
-    if r <= _ORIGIN_TOL:
-        while drawn < budget:
-            n = min(256, budget - drawn)
-            out.append(mplus_sample(system, n, int(rng.integers(2**62))))
-            drawn += n
-        return np.concatenate(out, axis=0)
-    vhat = v / r
-    while drawn < budget:
-        n = min(chunk, budget - drawn)
-        direction = vhat if spec.leaf_sampler is None else spec.leaf_sampler(vhat, rng)
-        seed = int(rng.integers(2**62))
+    origin = r <= _ORIGIN_TOL
+    chunk = 32 if spec.leaf_sampler is not None and not origin else 256
+    full, rest = divmod(max(budget, 0), chunk)
+    vhat = None if origin else v / r
+    directions, seeds = [], []
+    for _ in range(full + (rest > 0)):
+        if not origin:
+            directions.append(vhat if spec.leaf_sampler is None else spec.leaf_sampler(vhat, rng))
+        seeds.append(int(rng.integers(2**62)))
+
+    def draw(rows, n):
+        if origin:
+            return mplus_sample(system, n, seeds[rows])
         if r >= 1.0 - _BOUNDARY_TOL:
-            out.append(boundary_fiber_sample(system, direction, n, seed))
-        else:
-            out.append(fiber_sample(system, r * direction, n, seed))
-        drawn += n
-    return np.concatenate(out, axis=0)
+            return boundary_fiber_sample(system, directions[rows], n, seeds[rows])
+        return fiber_sample(system, r * np.array(directions[rows]), n, seeds[rows])
+
+    blocks = [draw(slice(0, full), chunk)] if full else []
+    if rest:
+        blocks.append(draw(slice(full, None), rest))
+    return np.concatenate([b.reshape(-1, system.dim) for b in blocks], axis=0)
 
 
 def _constraint_state(system: CliffordSystem, spec: FoliationSpec, z: np.ndarray,

@@ -47,6 +47,8 @@ __all__ = [
 
 _UNIT_TOL = 1e-9
 _INVOLUTION_TOL = 1e-10
+_PI_CHUNK = 1 << 20  # image entries per pi_c chunk: an 8 MB stack
+_IMAGE_ROWS = 256  # rows per generator-image block of the M+ sampler
 
 
 class EmptyFocalError(ValueError):
@@ -90,99 +92,216 @@ def pi_c(system: CliffordSystem, x: np.ndarray) -> np.ndarray:
     """Quotient-map coordinates (<P_i x, x>)_i along the last axis of x.
 
     Accepts a single point of shape (2l,) or a batch (..., 2l); the input must
-    be unit-norm.
+    be unit-norm.  Batches run in row chunks of at most 2^20 image entries,
+    so the (rows, m+1, 2l) image stack of a large batch is never built
+    whole; each row's sums are the same in any chunk.
     """
     x = _check_unit(x)
-    return _quadratic_values(_generator_images(system, x), x)
+    rows = max(1, _PI_CHUNK // ((system.m + 1) * system.dim))
+    if x.size <= rows * system.dim:
+        return _quadratic_values(_generator_images(system, x), x)
+    flat = x.reshape(-1, system.dim)
+    out = np.empty((len(flat), system.m + 1))
+    # equal chunks: no chunk is a lone row, which on dense systems would take
+    # a matrix-vector BLAS call where the others take matrix-matrix ones
+    count = -(-len(flat) // rows)
+    edges = [len(flat) * c // count for c in range(count + 1)]
+    for a, b in zip(edges, edges[1:]):
+        out[a:b] = _quadratic_values(_generator_images(system, flat[a:b]), flat[a:b])
+    return out.reshape(x.shape[:-1] + (system.m + 1,))
 
 
 # --------------------------------------------------------------------------- #
 # Fiber samplers
 # --------------------------------------------------------------------------- #
 
+def _seeded_rows(points, seeds, width: int):
+    """Rows of points as (k, width) floats, the seeds as k ints, and whether the call was single.
+
+    A 1-D point takes one int seed and is a batch of one; k rows take k seeds.
+    """
+    points = np.asarray(points, dtype=float)
+    seeds = np.asarray(seeds)
+    single = points.ndim == 1
+    if points.ndim not in (1, 2) or points.shape[-1] != width:
+        raise ValueError(f"points must have shape ({width},) or (k, {width})")
+    if seeds.shape != (() if single else points.shape[:1]):
+        raise ValueError("pass one seed per point: an int for a single point, "
+                         "a (k,) array for k rows")
+    return np.atleast_2d(points), [int(s) for s in seeds.ravel()], single
+
+
+def _seeds(seeds):
+    """The seeds as a list of ints, and whether a single int was given."""
+    seeds = np.asarray(seeds)
+    if seeds.ndim > 1:
+        raise ValueError("seeds must be an int or a 1-D array")
+    return [int(s) for s in seeds.ravel()], seeds.ndim == 0
+
+
+def _unit_radii(v: np.ndarray) -> np.ndarray:
+    """|v| of every row as the square root of one BLAS dot of the row.
+
+    That is the sum the 1-D ``np.linalg.norm`` takes, so a row's radius does
+    not depend on the batch it came in; ``np.linalg.norm(v, axis=-1)`` sums
+    pairwise and differs from it in the last bit on some rows.
+    """
+    return np.sqrt((v[:, None, :] @ v[:, :, None])[:, 0, 0])
+
+
+def _redraw_short_rows(z: np.ndarray, norms: np.ndarray, rngs, draw) -> None:
+    """Redraw, in place and from each fiber's own stream, rows with norm below 1e-8.
+
+    ``draw(j, rng, bad)`` returns fresh rows for the rows of fiber j that
+    the mask bad picks.
+    """
+    for j in np.flatnonzero(np.any(norms < 1e-8, axis=-1)):
+        while np.any(norms[j] < 1e-8):
+            bad = norms[j] < 1e-8
+            z[j, bad] = draw(j, rngs[j], bad)
+            norms[j] = np.linalg.norm(z[j], axis=-1)
+
+
+def _boundary_rows(system: CliffordSystem, p: np.ndarray, n: int, seeds) -> np.ndarray:
+    """n samples of each boundary fiber over the unit rows of p, shape (k, n, 2l)."""
+    p_t = np.swapaxes(system.span_matrix(p), -1, -2)
+    # P^2 = |p|^2 Id on a Clifford system: the involution check, without P @ P
+    if not np.all(np.abs(_unit_radii(p) ** 2 - 1.0) <= _INVOLUTION_TOL):
+        raise ValueError("span element is not an involution to the requested tolerance")
+    rngs = [rng_from(s) for s in seeds]
+    z = np.empty((len(rngs), n, system.dim))
+    for j, rng in enumerate(rngs):
+        rng.standard_normal(out=z[j])
+    z += z @ p_t
+    norms = np.linalg.norm(z, axis=-1)
+
+    def draw(j, rng, bad):
+        fresh = rng.standard_normal((int(np.sum(bad)), system.dim))
+        return fresh + fresh @ p_t[j]
+
+    _redraw_short_rows(z, norms, rngs, draw)
+    return z / norms[..., None]
+
+
 def boundary_fiber_sample(system: CliffordSystem, p_coords: np.ndarray,
-                          n: int, seed: int) -> np.ndarray:
+                          n: int, seeds) -> np.ndarray:
     """n uniform samples of the boundary fiber over P = sum p_i P_i.
 
     The fiber over a boundary point is the unit sphere of the positive
     eigenspace E_+(P).  A Gaussian y in R^(2l) maps to z = y + P y, twice its
     orthogonal projection onto E_+(P), which is a Gaussian of E_+(P); so z/|z|
     is uniform on the fiber, with no eigenbasis needed.  Rows with |z| below
-    1e-8 are redrawn.  Samples are returned as rows of shape (n, 2l).
+    1e-8 are redrawn.  A point (m+1,) with an int seed gives rows of shape
+    (n, 2l); k points (k, m+1) with k seeds give (k, n, 2l), fiber j equal
+    bit for bit to the single call with seeds[j].
     """
-    p_coords = _check_unit(p_coords, "span element")
-    p_t = system.span_matrix(p_coords).T
-    # P^2 = |p|^2 Id on a Clifford system: the involution check, without P @ P
-    if not abs(float(p_coords @ p_coords) - 1.0) <= _INVOLUTION_TOL:
-        raise ValueError("span element is not an involution to the requested tolerance")
-    rng = rng_from(seed)
-    z = rng.standard_normal((n, system.dim))
-    z += z @ p_t
-    norms = np.linalg.norm(z, axis=1)
-    while np.any(norms < 1e-8):
-        bad = norms < 1e-8
-        fresh = rng.standard_normal((int(np.sum(bad)), system.dim))
-        z[bad] = fresh + fresh @ p_t
-        norms = np.linalg.norm(z, axis=1)
-    return z / norms[:, None]
+    p_coords, seeds, single = _seeded_rows(p_coords, seeds, system.m + 1)
+    _check_unit(p_coords, "span element")
+    z = _boundary_rows(system, p_coords, n, seeds)
+    return z[0] if single else z
 
 
-def mplus_sample(system: CliffordSystem, n: int, seed: int) -> np.ndarray:
+def _check_focal(system: CliffordSystem) -> None:
+    """Raise on an empty M+ and warn, once per call, on disconnected fibers."""
+    if system.l < system.m + 1:
+        raise EmptyFocalError("the quotient is the boundary sphere; M+ is empty")
+    if system.l == system.m + 1:
+        warnings.warn("l = m+1: the complement fibers are 0-spheres, so fibers are disconnected",
+                      stacklevel=3)
+
+
+def _project_out(w: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Rows g[j] less their components along the orthonormal rows of w[j]."""
+    return g - np.einsum("nmd,nm->nd", w, np.einsum("nmd,nd->nm", w, g))
+
+
+def _mplus_rows(system: CliffordSystem, n: int, seeds) -> np.ndarray:
+    """n samples of M+ per seed, shape (k, n, 2l); each seed draws in the single call's order."""
+    m, l = system.m, system.l
+    b_plus, b_minus = system.p0_eigenbases
+    rngs = [rng_from(s) for s in seeds]
+    units = np.empty((len(rngs), n, l))
+    gauss = np.empty((len(rngs), n, l))
+    for j, rng in enumerate(rngs):
+        units[j] = sample_unit_vectors(rng, l, n)
+        rng.standard_normal(out=gauss[j])
+    x_plus = units @ b_plus.T
+    g = gauss @ b_minus.T
+    del units, gauss
+    if m:
+        # P_1 x+, ..., P_m x+ are orthonormal vectors of E_-(P_0) at each
+        # sample.  Their (rows, m, 2l) images are built for whole fibers, at
+        # most _IMAGE_ROWS rows at a time where fibers are short, so a
+        # many-fiber call holds no more images than one long fiber does.
+        step = max(1, _IMAGE_ROWS // max(n, 1))
+        for a in range(0, len(rngs), step):
+            block = x_plus[a:a + step]
+            w = _generator_images(system, block).reshape(-1, m + 1, 2 * l)[:, 1:]
+            g[a:a + step] = _project_out(w, g[a:a + step].reshape(-1, 2 * l)).reshape(block.shape)
+    norms = np.linalg.norm(g, axis=-1)
+
+    def draw(j, rng, bad):
+        fresh = rng.standard_normal((int(np.sum(bad)), l)) @ b_minus.T
+        return _project_out(_generator_images(system, x_plus[j])[:, 1:][bad], fresh) if m else fresh
+
+    _redraw_short_rows(g, norms, rngs, draw)
+    # (x_plus + g / |g|) / sqrt(2), in place
+    g /= norms[..., None]
+    x_plus += g
+    x_plus /= np.sqrt(2.0)
+    return x_plus
+
+
+def mplus_sample(system: CliffordSystem, n: int, seeds) -> np.ndarray:
     """n samples of the focal manifold M+ = preimage of the disk origin.
 
     Each sample is (x_plus + x_minus)/sqrt(2) with x_plus uniform on the unit
     sphere of E_+(P_0) and x_minus uniform on the unit sphere of the
     complement of span(P_1 x_plus, ..., P_m x_plus) inside E_-(P_0); that
-    complement has dimension l - m.
+    complement has dimension l - m.  An int seed gives (n, 2l); a (k,) seed
+    array gives (k, n, 2l), batch j equal bit for bit to the call with
+    seeds[j].
     """
-    m, l = system.m, system.l
-    if l < m + 1:
-        raise EmptyFocalError("the quotient is the boundary sphere; M+ is empty")
-    if l == m + 1:
-        warnings.warn("l = m+1: the complement fibers are 0-spheres, so fibers are disconnected",
-                      stacklevel=2)
-    b_plus, b_minus = system.p0_eigenbases
-    rng = rng_from(seed)
-    x_plus = sample_unit_vectors(rng, l, n) @ b_plus.T
-
-    # P_1 x+, ..., P_m x+ are orthonormal vectors of E_-(P_0) at each sample
-    w = _generator_images(system, x_plus)[:, 1:]
-    g = rng.standard_normal((n, l)) @ b_minus.T
-    if m:
-        g -= np.einsum("nmd,nm->nd", w, np.einsum("nmd,nd->nm", w, g))
-    norms = np.linalg.norm(g, axis=1)
-    while np.any(norms < 1e-8):
-        bad = norms < 1e-8
-        fresh = rng.standard_normal((int(np.sum(bad)), l)) @ b_minus.T
-        if m:
-            wb = w[bad]
-            fresh -= np.einsum("nmd,nm->nd", wb, np.einsum("nmd,nd->nm", wb, fresh))
-        g[bad] = fresh
-        norms = np.linalg.norm(g, axis=1)
-    x_minus = g / norms[:, None]
-    return (x_plus + x_minus) / np.sqrt(2.0)
+    seeds, single = _seeds(seeds)
+    _check_focal(system)
+    x = _mplus_rows(system, n, seeds)
+    return x[0] if single else x
 
 
-def fiber_sample(system: CliffordSystem, v: np.ndarray, n: int, seed: int) -> np.ndarray:
+def fiber_sample(system: CliffordSystem, v: np.ndarray, n: int, seeds) -> np.ndarray:
     """n samples of the fiber over a disk point v.
 
     Interior points use the parametrization cos(t) x + sin(t) Qx over x in M+
     with Q = v/|v| and t = arcsin(|v|)/2, which lands exactly in the fiber
-    over sin(2t) Q = v.  Origin and boundary inputs are redirected to
-    :func:`mplus_sample` / :func:`boundary_fiber_sample`.
+    over sin(2t) Q = v.  Origin and boundary points take the samples of
+    :func:`mplus_sample` / :func:`boundary_fiber_sample`.  A point (m+1,)
+    with an int seed gives (n, 2l); k points (k, m+1) with k seeds give
+    (k, n, 2l), where origin, interior and boundary rows may be mixed and
+    fiber j equals the single call with seeds[j] bit for bit.
     """
-    v = np.asarray(v, dtype=float)
-    r = float(np.linalg.norm(v))
-    if not r <= 1.0 + 1e-12:
+    v, seeds, single = _seeded_rows(v, seeds, system.m + 1)
+    r = _unit_radii(v)
+    if not np.all(r <= 1.0 + 1e-12):
         raise ValueError("disk point has norm > 1 or is not finite")
-    if r <= 1e-12:
-        return mplus_sample(system, n, seed)
-    if r >= 1.0 - 1e-12:
-        return boundary_fiber_sample(system, v / r, n, seed)
-    q_mat = system.span_matrix(v / r)
-    t = np.arcsin(r) / 2.0
-    x = mplus_sample(system, n, seed)
-    return np.cos(t) * x + np.sin(t) * (x @ q_mat.T)
+    edge = r >= 1.0 - 1e-12
+    mid = ~edge & (r > 1e-12)
+    out = np.empty((len(v), n, system.dim))
+    if np.any(edge):
+        out[edge] = _boundary_rows(system, v[edge] / r[edge, None], n,
+                                   [seeds[j] for j in np.flatnonzero(edge)])
+    if not np.all(edge):
+        _check_focal(system)
+        out[~edge] = _mplus_rows(system, n, [seeds[j] for j in np.flatnonzero(~edge)])
+    if np.any(mid):
+        x = out[mid]
+        q_t = np.swapaxes(system.span_matrix(v[mid] / r[mid, None]), -1, -2)
+        t = (np.arcsin(r[mid]) / 2.0)[:, None, None]
+        # cos(t) x + sin(t) Q x, added in that order
+        y = x @ q_t
+        y *= np.sin(t)
+        x *= np.cos(t)
+        out[mid] = x + y
+    return out[0] if single else out
 
 
 # --------------------------------------------------------------------------- #
@@ -229,17 +348,26 @@ class HorizontalGeodesic:
     x_minus: np.ndarray
 
 
-def random_horizontal_geodesic(system: CliffordSystem, seed: int) -> HorizontalGeodesic:
+def random_horizontal_geodesic(system: CliffordSystem, seeds):
     """Geodesic over a uniform unit span element P with uniform x_+- in E_+-(P).
 
     E_-(P) is E_+(-P), so both endpoints are boundary-fiber samples over +-P,
-    drawn with seeds from the geodesic's own generator.
+    drawn with seeds from the geodesic's own generator.  An int seed gives
+    one geodesic; a (k,) seed array gives a list of k, geodesic j equal bit
+    for bit to the one of seeds[j], with all 2k endpoints drawn in one
+    sampler call.
     """
-    rng = rng_from(seed)
-    p_coords = sample_unit_vectors(rng, system.m + 1, 1)[0]
-    x_plus = boundary_fiber_sample(system, p_coords, 1, int(rng.integers(2**62)))[0]
-    x_minus = boundary_fiber_sample(system, -p_coords, 1, int(rng.integers(2**62)))[0]
-    return HorizontalGeodesic(p_coords, x_plus, x_minus)
+    seeds, single = _seeds(seeds)
+    k = len(seeds)
+    p = np.empty((k, system.m + 1))
+    ends = np.empty((2, k), dtype=np.int64)
+    for j, seed in enumerate(seeds):
+        rng = rng_from(seed)
+        p[j] = sample_unit_vectors(rng, system.m + 1, 1)[0]
+        ends[:, j] = rng.integers(2**62), rng.integers(2**62)
+    x = boundary_fiber_sample(system, np.concatenate([p, -p]), 1, ends.ravel())[:, 0]
+    geodesics = [HorizontalGeodesic(p[j], x[j], x[k + j]) for j in range(k)]
+    return geodesics[0] if single else geodesics
 
 
 def geodesic_eval(g: HorizontalGeodesic, t) -> np.ndarray:

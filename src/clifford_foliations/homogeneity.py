@@ -55,9 +55,9 @@ def _f_conj(a: np.ndarray) -> np.ndarray:
 
 
 def _row_sum(terms: np.ndarray) -> np.ndarray:
-    """Sum of the rows of terms, added one by one to zeros in row order."""
-    out = np.zeros(terms.shape[-1])
-    for t in terms:
+    """Sum over axis -2 of terms, its rows added one by one to zeros in order."""
+    out = np.zeros(terms.shape[:-2] + terms.shape[-1:])
+    for t in np.moveaxis(terms, -2, 0):
         out += t
     return out
 
@@ -158,53 +158,72 @@ class NormalForm:
 
     Its entries are functions of pi_C alone, so it is constant on fibers and
     two points have (numerically) equal normal forms exactly when their pi_C
-    values agree.
+    values agree.  The forms of n rows hold u1 and v2 as (n,) arrays and v1
+    as (n, dim F).
     """
 
-    u1: float
+    u1: float | np.ndarray
     v1: np.ndarray
-    v2: float
+    v2: float | np.ndarray
 
     def as_array(self) -> np.ndarray:
-        return np.concatenate([[self.u1], self.v1, [self.v2]])
+        """(u1, v1, v2) along the last axis: (dim F + 2,), or (n, dim F + 2) for rows."""
+        return np.concatenate([np.expand_dims(self.u1, -1), self.v1,
+                               np.expand_dims(self.v2, -1)], axis=-1)
 
 
-def _stable_sqrt(rad: float) -> float:
+def _stable_sqrt(rad: np.ndarray) -> np.ndarray:
     """sqrt with radicands inside accumulated-roundoff range of 0 snapped to 0.
 
     Components of the normal form vanish identically on whole fibers (u1 does
     on the fiber with u = 0); without the snap those zeros would come back as
     sqrt(eps)-sized noise and fibers would stop sharing a form.
     """
-    return 0.0 if rad < 1e-13 else float(np.sqrt(rad))
+    rad = np.maximum(0.0, rad)
+    return np.where(rad < 1e-13, 0.0, np.sqrt(rad))
+
+
+def _row_norms(a: np.ndarray) -> np.ndarray:
+    """|a_j| of every row as the square root of one BLAS dot, the 1-D norm's sum."""
+    return np.sqrt((a[:, None, :] @ a[:, :, None])[:, 0, 0])
 
 
 def normal_form(x: np.ndarray, field: str) -> NormalForm:
-    """Normal form of a unit point of F^k x F^k under the diagonal group."""
+    """Normal form of a unit point of F^k x F^k under the diagonal group.
+
+    x of shape (2l,) gives one form with float u1 and v2; rows (n, 2l) give
+    the forms of all rows in one evaluation, row j equal bit for bit to the
+    form of x[j] alone.
+    """
     x = np.asarray(x, dtype=float)
-    if not abs(float(np.linalg.norm(x)) - 1.0) <= 1e-9:
+    if x.ndim not in (1, 2):
+        raise ValueError("normal_form expects a point (2l,) or rows (n, 2l)")
+    rows = np.atleast_2d(x)
+    if not np.all(np.abs(_row_norms(rows) - 1.0) <= 1e-9):
         raise ValueError("normal_form expects a finite unit vector")
     d = FIELD_DIM[field]
-    l = x.shape[0] // 2
+    l = rows.shape[-1] // 2
     if l % d:
         raise ValueError("point dimension is not a multiple of dim F")
-    k = l // d
-    u = x[:l].reshape(k, d)
-    v = x[l:].reshape(k, d)
-    r0 = float(np.sum(u * u) - np.sum(v * v))
-    w = _row_sum(cd_mul(u, _f_conj(v)))
-    u1 = _stable_sqrt(max(0.0, (1.0 + r0) / 2.0))
-    if u1 > 1e-8:
-        v1 = _f_conj(w) / u1
-        # v2 is the norm of v's component off the line F u, the residual
-        # v - (conj(w) / |u|^2) u; sqrt(|v|^2 - |v1|^2) would cancel to
-        # sqrt(eps / |u|^2)-sized noise where v2 vanishes
-        v2 = float(np.linalg.norm(v - cd_mul(_f_conj(w) / float(np.sum(u * u)), u)))
-    else:
-        # u = 0: the group is transitive on the v-sphere, so v moves to e1
-        v1 = np.zeros(d)
-        v1[0] = _stable_sqrt(max(0.0, (1.0 - r0) / 2.0))
-        v2 = 0.0
+    u = rows[:, :l].reshape(len(rows), l // d, d)
+    v = rows[:, l:].reshape(len(rows), l // d, d)
+    uu = np.sum(rows[:, :l] * rows[:, :l], axis=-1)
+    r0 = uu - np.sum(rows[:, l:] * rows[:, l:], axis=-1)
+    w_conj = _f_conj(_row_sum(cd_mul(u, _f_conj(v))))
+    u1 = _stable_sqrt((1.0 + r0) / 2.0)
+    off = u1 > 1e-8
+    v1 = np.zeros((len(rows), d))
+    v2 = np.zeros(len(rows))
+    v1[off] = w_conj[off] / u1[off, None]
+    # v2 is the norm of v's component off the line F u, the residual
+    # v - (conj(w) / |u|^2) u; sqrt(|v|^2 - |v1|^2) would cancel to
+    # sqrt(eps / |u|^2)-sized noise where v2 vanishes
+    resid = v[off] - cd_mul((w_conj[off] / uu[off, None])[:, None, :], u[off])
+    v2[off] = _row_norms(resid.reshape(len(resid), l))
+    # u = 0: the group is transitive on the v-sphere, so v moves to e1
+    v1[~off, 0] = _stable_sqrt((1.0 - r0[~off]) / 2.0)
+    if x.ndim == 1:
+        return NormalForm(float(u1[0]), v1[0], float(v2[0]))
     return NormalForm(u1, v1, v2)
 
 

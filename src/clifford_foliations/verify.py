@@ -165,10 +165,8 @@ def _suite_sphere_quotient(cfg: SuiteConfig):
     x = _unit_batch(system, cfg.seed, 0, cfg.samples)
     radii = np.linalg.norm(pi_c(system, x), axis=1)
     targets = sample_unit_vectors(rng_from(cfg.seed, 1), system.m + 1, cfg.knob("targets", 100))
-    worst = 0.0
-    for i, p in enumerate(targets):
-        z = boundary_fiber_sample(system, p, 4, cfg.seed + 100 + i)
-        worst = max(worst, float(np.abs(pi_c(system, z) - p).max()))
+    z = boundary_fiber_sample(system, targets, 4, cfg.seed + 100 + np.arange(len(targets)))
+    worst = float(np.abs(pi_c(system, z) - targets[:, None]).max(initial=0.0))
     return [
         CheckResult.from_violation(
             "image_on_boundary", "with l = m the whole sphere maps onto the boundary sphere",
@@ -185,12 +183,9 @@ def _suite_focal_and_fibers(cfg: SuiteConfig):
     focal = float(np.linalg.norm(pi_c(system, xm), axis=1).max())
     grid = _interior_grid(system.m)
     per = max(4, cfg.samples // len(grid))
-    worst = 0.0
-    unit_err = 0.0
-    for i, v in enumerate(grid):
-        z = fiber_sample(system, v, per, cfg.seed + 10 + i)
-        worst = max(worst, float(np.linalg.norm(pi_c(system, z) - v, axis=1).max()))
-        unit_err = max(unit_err, float(np.abs(np.linalg.norm(z, axis=1) - 1.0).max()))
+    z = fiber_sample(system, grid, per, cfg.seed + 10 + np.arange(len(grid)))
+    worst = float(np.linalg.norm(pi_c(system, z) - grid[:, None], axis=-1).max())
+    unit_err = float(np.abs(np.linalg.norm(z, axis=-1) - 1.0).max())
     return [
         CheckResult.from_violation(
             "focal_manifold", "focal samples map to the disk origin", focal, 1e-10),
@@ -207,9 +202,8 @@ def _suite_submersion_rank(cfg: SuiteConfig):
     trials = cfg.knob("trials", min(cfg.samples, 100))
     grid = _interior_grid(m, count=5, rmax=0.88)
     per = max(1, -(-trials // len(grid)))
-    points = np.concatenate(
-        [fiber_sample(system, v, per, cfg.seed + 20 + i) for i, v in enumerate(grid)]
-    )[:trials]
+    seeds = cfg.seed + 20 + np.arange(len(grid))
+    points = fiber_sample(system, grid, per, seeds).reshape(-1, system.dim)[:trials]
     rank_bad = 0
     tangency = 0.0
     for x in points:
@@ -283,8 +277,7 @@ def _suite_geodesics(cfg: SuiteConfig):
     n_geo = cfg.knob("geodesics", min(cfg.samples, 100))
     ts = np.linspace(0.0, np.pi / 2.0, 100)
     res = q_norm = pq = 0.0
-    for i in range(n_geo):
-        g = random_horizontal_geodesic(system, cfg.seed * 1000 + i)
+    for g in random_horizontal_geodesic(system, cfg.seed * 1000 + np.arange(n_geo)):
         p, q = project_geodesic_params(system, g)
         curve = pi_c(system, geodesic_eval(g, ts))
         pred = -np.cos(2 * ts)[:, None] * p + np.sin(2 * ts)[:, None] * q
@@ -310,8 +303,7 @@ def _suite_quotient_metric(cfg: SuiteConfig):
     knots = range(0, len(ts), 6)
     si, ti = np.array([(i, j) for i in knots for j in knots if i != j]).T
     lift_res = frame_err = speed_err = 0.0
-    for i in range(n_geo):
-        g = random_horizontal_geodesic(system, cfg.seed * 2000 + i)
+    for g in random_horizontal_geodesic(system, cfg.seed * 2000 + np.arange(n_geo)):
         curve = pi_c(system, geodesic_eval(g, ts))
         lifted = quotient_lift(curve)
         a = quotient_lift(curve[0])
@@ -508,13 +500,14 @@ def _suite_normal_forms(cfg: SuiteConfig):
     field_tag = FIELD_FOR_M[system.m]
     k = system.provenance.k
     n = cfg.samples
-    orbit = 0.0
+    xs = np.empty((n // 2, system.dim))
+    gxs = np.empty_like(xs)
     for i in range(n // 2):
         g = sample_group_element(field_tag, k, cfg.seed * 20000 + i)
-        x = sample_unit_vectors(rng_from(cfg.seed, 400 + i), system.dim, 1)[0]
-        nf_x = normal_form(x, field_tag).as_array()
-        nf_gx = normal_form(diagonal_act(g, x), field_tag).as_array()
-        orbit = max(orbit, float(np.abs(nf_x - nf_gx).max()))
+        xs[i] = sample_unit_vectors(rng_from(cfg.seed, 400 + i), system.dim, 1)[0]
+        gxs[i] = diagonal_act(g, xs[i])
+    orbit = float(np.abs(normal_form(xs, field_tag).as_array()
+                         - normal_form(gxs, field_tag).as_array()).max(initial=0.0))
 
     per = max(4, n // 100)
     if system.l > system.m + 1:
@@ -533,27 +526,18 @@ def _suite_normal_forms(cfg: SuiteConfig):
         p = sample_unit_vectors(rng_from(cfg.seed, 404), system.m + 1, 2)
         batches = [boundary_fiber_sample(system, p[0], per, cfg.seed + 5),
                    boundary_fiber_sample(system, p[1], per, cfg.seed + 6)]
-    same_fiber = 0.0
-    for batch in batches:
-        bn = np.stack([normal_form(z, field_tag).as_array() for z in batch])
-        same_fiber = max(same_fiber, float(np.abs(bn - bn[0]).max()))
-    fiber = np.concatenate(batches)
-    nfs = np.stack([normal_form(z, field_tag).as_array() for z in fiber])
-    pis = pi_c(system, fiber)
+    forms = [normal_form(batch, field_tag).as_array() for batch in batches]
+    same_fiber = max(float(np.abs(bn - bn[0]).max()) for bn in forms)
+    pis = pi_c(system, np.concatenate(batches))
 
-    mismatches = 0
     x = _unit_batch(system, cfg.seed, 402, n)
-    pix = pi_c(system, x)
-    nfx = np.stack([normal_form(z, field_tag).as_array() for z in x])
-    pool_pi = np.concatenate([pix, pis])
-    pool_nf = np.concatenate([nfx, nfs])
+    pool_pi = np.concatenate([pi_c(system, x), pis])
+    pool_nf = np.concatenate([normal_form(x, field_tag).as_array()] + forms)
     rng = rng_from(cfg.seed, 403)
-    idx = rng.integers(0, len(pool_pi), size=(n, 2))
-    for i, j in idx:
-        pi_close = float(np.abs(pool_pi[i] - pool_pi[j]).max()) <= 1e-8
-        nf_close = float(np.abs(pool_nf[i] - pool_nf[j]).max()) <= 1e-9
-        if pi_close != nf_close:
-            mismatches += 1
+    i, j = rng.integers(0, len(pool_pi), size=(n, 2)).T
+    pi_close = np.abs(pool_pi[i] - pool_pi[j]).max(axis=1) <= 1e-8
+    nf_close = np.abs(pool_nf[i] - pool_nf[j]).max(axis=1) <= 1e-9
+    mismatches = int(np.sum(pi_close != nf_close))
     return [
         CheckResult.from_violation(
             "orbit_constancy", "normal forms are constant along group orbits", orbit, 1e-9),
@@ -572,21 +556,22 @@ def _suite_composed_identities(cfg: SuiteConfig):
     one = builtin_spec("one_leaf", m)
     n_pairs = max(8, cfg.samples // 4)
     rng = rng_from(cfg.seed, 500)
-    a0, a1, b, c = (np.empty((n_pairs, system.dim)) for _ in range(4))
-    has_c = np.zeros(n_pairs, dtype=bool)
+    v = np.empty((n_pairs, 2, m + 1))
+    r, r2 = np.empty(n_pairs), np.empty(n_pairs)
     for i in range(n_pairs):
-        v = sample_unit_vectors(rng, m + 1, 2)
-        r = float(rng.uniform(0.15, 0.9))
-        a0[i], a1[i] = fiber_sample(system, r * v[0], 2, cfg.seed * 3000 + i)
-        b[i] = fiber_sample(system, r * v[1], 1, cfg.seed * 3000 + 1000 + i)[0]
-        r2 = float(rng.uniform(0.15, 0.9))
-        if abs(r2 - r) > 1e-6:
-            c[i] = fiber_sample(system, r2 * v[1], 1, cfg.seed * 3000 + 2000 + i)[0]
-            has_c[i] = True
+        v[i] = sample_unit_vectors(rng, m + 1, 2)
+        r[i] = rng.uniform(0.15, 0.9)
+        r2[i] = rng.uniform(0.15, 0.9)
+    has_c = np.abs(r2 - r) > 1e-6
+    seeds = cfg.seed * 3000 + np.arange(n_pairs)
+    a = fiber_sample(system, r[:, None] * v[:, 0], 2, seeds)
+    a0, a1 = a[:, 0], a[:, 1]
+    b = fiber_sample(system, r[:, None] * v[:, 1], 1, seeds + 1000)[:, 0]
+    c = fiber_sample(system, (r2[:, None] * v[:, 1])[has_c], 1, (seeds + 2000)[has_c])[:, 0]
     # same fiber -> same leaf for every spec; same radius only for one_leaf
     wrong = int(np.sum(~same_leaf(system, pts, a0, a1)) + np.sum(~same_leaf(system, pts, a0, -a0))
                 + np.sum(same_leaf(system, pts, a0, b)) + np.sum(~same_leaf(system, one, a0, b))
-                + np.sum(same_leaf(system, one, a0[has_c], c[has_c])))
+                + np.sum(same_leaf(system, one, a0[has_c], c)))
     radius_law = float(np.max(np.abs(fkm_f0(system, a0)[1] - fkm_f0(system, b)[1])))
     xm = mplus_sample(system, 4, cfg.seed + 7)
     cls = composed_class(system, pts, xm[0])
@@ -624,12 +609,15 @@ def _suite_transnormality(cfg: SuiteConfig):
     pairs = cfg.knob("pairs", 8)
     leaf_budget = cfg.knob("leaf_budget", 1500)
     worst_points = worst_height = undercut = 0.0
+    va, vb = np.empty((pairs, m + 1)), np.empty((pairs, m + 1))
     for i in range(pairs):
         rng = rng_from(cfg.seed, 600 + i)
-        va = sample_unit_vectors(rng, m + 1, 1)[0] * float(rng.uniform(0.15, 0.9))
-        vb = sample_unit_vectors(rng, m + 1, 1)[0] * float(rng.uniform(0.15, 0.9))
-        xa = fiber_sample(system, va, 1, cfg.seed * 4000 + i)[0]
-        xb = fiber_sample(system, vb, 1, cfg.seed * 4000 + 2000 + i)[0]
+        va[i] = sample_unit_vectors(rng, m + 1, 1)[0] * float(rng.uniform(0.15, 0.9))
+        vb[i] = sample_unit_vectors(rng, m + 1, 1)[0] * float(rng.uniform(0.15, 0.9))
+    seeds = cfg.seed * 4000 + np.arange(pairs)
+    xas = fiber_sample(system, va, 1, seeds)[:, 0]
+    xbs = fiber_sample(system, vb, 1, seeds + 2000)[:, 0]
+    for i, (xa, xb) in enumerate(zip(xas, xbs)):
         dq = composed_quotient_distance(system, pts, xa, xb)
         # the 1e-3 route sweeps every descent start: thin global basins on
         # high-dimensional fibers are not reliably caught by a few starts

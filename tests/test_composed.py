@@ -463,6 +463,33 @@ class TestBatchedAscent:
         assert np.all(batch >= starts @ x - 1e-15)
 
 
+@pytest.mark.parametrize("spec_name,radius", [("points", 0.6), ("height", 0.6),
+                                              ("one_leaf", 0.0), ("height", 1.0)])
+def test_leaf_blocks_equal_chunk_by_chunk_draws(spec_name, radius):
+    # the blocks are the chunks one sampler call per chunk would draw, in
+    # order, with every direction and seed taken from the one rng stream
+    system = build_system(3, 2)
+    spec = builtin_spec(spec_name, system.m)
+    v = radius * sample_unit_vectors(rng_from(43), system.m + 1, 1)[0]
+    budget = 600
+    rng = rng_from(44)
+    chunk = 256 if spec.leaf_sampler is None or radius == 0.0 else 32
+    expected = []
+    for lo in range(0, budget, chunk):
+        n = min(chunk, budget - lo)
+        if radius == 0.0:
+            expected.append(mplus_sample(system, n, int(rng.integers(2**62))))
+            continue
+        d = v / radius if spec.leaf_sampler is None else spec.leaf_sampler(v / radius, rng)
+        seed = int(rng.integers(2**62))
+        if radius == 1.0:
+            expected.append(boundary_fiber_sample(system, d, n, seed))
+        else:
+            expected.append(fiber_sample(system, radius * d, n, seed))
+    got = _leaf_sample_blocks(system, spec, v, budget, rng_from(44))
+    assert got.tobytes() == np.concatenate(expected).tobytes()
+
+
 class TestNewtonAscent:
     # leaf pairs of the leaf_distance benchmark pool: (m, k), spec, starts,
     # the pool's (system, spec) indices and the estimator seed's index

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from clifford_foliations import algebra
+from clifford_foliations import algebra, foliation
 from clifford_foliations.algebra import haar_orthogonal, max_abs, rng_from, sample_unit_vectors
 from clifford_foliations.clifford import build_system, conjugate_system, sub_system
 from clifford_foliations.foliation import (
@@ -273,6 +273,103 @@ class TestSamplerFormulas:
         boundary_fiber_sample(system, v / np.linalg.norm(v), 4, 41)
         # a boundary fiber never needs an eigenbasis, even on a fresh system
         boundary_fiber_sample(build_system(3, 2), np.eye(4)[2], 4, 42)
+
+
+def row_wise_systems():
+    yield build_system(2, 2)
+    yield build_system(4, 3, flips=1)
+    yield build_system(9, 1)
+    yield conjugate_system(build_system(3, 2), haar_orthogonal(rng_from(60), 16))
+    yield conjugate_system(build_system(5, 2), haar_orthogonal(rng_from(61), 32))
+
+
+def mixed_disk_rows(system, count=12):
+    """Disk points with origin, interior and boundary rows, and one seed per row."""
+    d = sample_unit_vectors(rng_from(62, system.dim), system.m + 1, count)
+    r = np.linspace(0.05, 0.95, count)
+    r[[0, 5]] = 0.0
+    r[[1, 8]] = 1.0
+    seeds = rng_from(63, system.dim).integers(2**62, size=count)
+    return r[:, None] * d, seeds
+
+
+class TestRowWiseSamplers:
+    @pytest.mark.parametrize("case", range(5))
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_fiber_rows_equal_single_calls(self, case, n):
+        # origin, interior and boundary rows mixed in one call
+        system = list(row_wise_systems())[case]
+        v, seeds = mixed_disk_rows(system)
+        batch = fiber_sample(system, v, n, seeds)
+        assert batch.shape == (len(v), n, system.dim)
+        for j in range(len(v)):
+            assert batch[j].tobytes() == fiber_sample(system, v[j], n, int(seeds[j])).tobytes()
+
+    @pytest.mark.parametrize("case", range(5))
+    def test_boundary_and_mplus_rows_equal_single_calls(self, case):
+        system = list(row_wise_systems())[case]
+        p = sample_unit_vectors(rng_from(64, system.dim), system.m + 1, 7)
+        seeds = np.arange(7) * 1000 + 5
+        boundary = boundary_fiber_sample(system, p, 4, seeds)
+        focal = mplus_sample(system, 4, seeds)
+        assert boundary.shape == focal.shape == (7, 4, system.dim)
+        for j, seed in enumerate(seeds):
+            single = boundary_fiber_sample(system, p[j], 4, int(seed))
+            assert boundary[j].tobytes() == single.tobytes()
+            assert focal[j].tobytes() == mplus_sample(system, 4, int(seed)).tobytes()
+
+    @pytest.mark.parametrize("case", range(5))
+    def test_geodesic_rows_equal_single_calls(self, case):
+        system = list(row_wise_systems())[case]
+        seeds = 7000 + np.arange(9)
+        geodesics = random_horizontal_geodesic(system, seeds)
+        assert len(geodesics) == len(seeds)
+        for g, seed in zip(geodesics, seeds):
+            one = random_horizontal_geodesic(system, int(seed))
+            for name in ("p_coords", "x_plus", "x_minus"):
+                assert getattr(g, name).tobytes() == getattr(one, name).tobytes()
+
+    def test_norm_trap_row(self, s22):
+        # the pairwise norm of this row is one ulp off the dot-product norm a
+        # single call takes; the batch radius must be the single call's
+        v = np.array([0.3808923102553664, 0.22284632304195315, -0.40652252618398793])
+        assert np.linalg.norm(v[None], axis=-1)[0] != np.linalg.norm(v)
+        rows = np.stack([0.5 * v, v, -v])
+        batch = fiber_sample(s22, rows, 3, np.array([70, 71, 72]))
+        assert batch[1].tobytes() == fiber_sample(s22, v, 3, 71).tobytes()
+        assert batch[2].tobytes() == fiber_sample(s22, -v, 3, 72).tobytes()
+
+    def test_disconnected_warning_once_per_call(self, s12):
+        v = np.array([[0.0, 0.0], [0.3, 0.1], [-0.2, 0.5]])
+        with pytest.warns(UserWarning) as record:
+            fiber_sample(s12, v, 2, np.arange(3))
+        assert len(record) == 1
+        with pytest.warns(UserWarning) as record:
+            mplus_sample(s12, 2, np.arange(4))
+        assert len(record) == 1
+
+    def test_seed_count_must_match_rows(self, s22):
+        v = np.array([[0.1, 0.2, 0.3], [0.0, 0.4, 0.0]])
+        with pytest.raises(ValueError, match="seed"):
+            fiber_sample(s22, v, 2, np.arange(3))
+        with pytest.raises(ValueError, match="seed"):
+            fiber_sample(s22, v, 2, 5)
+        with pytest.raises(ValueError, match="seed"):
+            fiber_sample(s22, v[0], 2, np.arange(1))
+        with pytest.raises(ValueError, match="seed"):
+            boundary_fiber_sample(s22, np.eye(3)[:2], 2, np.arange(1))
+
+    def test_pi_c_chunks_equal_one_stack(self):
+        # 2l = 512 with 13 generators: 157 rows to a chunk, so 400 rows take three
+        system = build_system(12, 4)
+        x = sample_unit_vectors(rng_from(65), system.dim, 400)
+        whole = foliation._quadratic_values(foliation._generator_images(system, x), x)
+        assert pi_c(system, x).tobytes() == whole.tobytes()
+        dense = conjugate_system(build_system(5, 2), haar_orthogonal(rng_from(66), 32))
+        y = sample_unit_vectors(rng_from(67), dense.dim, 12000)
+        whole = foliation._quadratic_values(foliation._generator_images(dense, y), y)
+        assert pi_c(dense, y).tobytes() == whole.tobytes()
+        assert pi_c(dense, y.reshape(40, 300, 32)).tobytes() == whole.tobytes()
 
 
 class TestHorizontalFrame:

@@ -172,6 +172,26 @@ class TestNormalForm:
         with pytest.raises(ValueError):
             normal_form(np.ones(4), "R")
 
+    @pytest.mark.parametrize("m,k", [(1, 3), (2, 1), (2, 2), (4, 1), (4, 2)])
+    def test_rows_equal_single_points(self, m, k):
+        # uniform points, a point with u = 0 and a boundary fiber, in one call
+        system = build_system(m, k)
+        field = FIELD_FOR_M[m]
+        x = sample_unit_vectors(rng_from(19, m, k), system.dim, 40)
+        x[3, :system.l] = 0.0
+        x[3] /= np.linalg.norm(x[3])
+        p = sample_unit_vectors(rng_from(20, m, k), m + 1, 1)[0]
+        x = np.concatenate([x, boundary_fiber_sample(system, p, 8, 21)])
+        forms = normal_form(x, field)
+        assert forms.u1.shape == forms.v2.shape == (len(x),)
+        rows = forms.as_array()
+        assert rows.shape == (len(x), FIELD_DIM[field] + 2)
+        assert forms.u1[3] == 0.0
+        for row, z in zip(rows, x):
+            assert row.tobytes() == normal_form(z, field).as_array().tobytes()
+        with pytest.raises(ValueError):
+            normal_form(np.concatenate([x[:2], np.ones((1, system.dim))]), field)
+
 
 def expected_verdict(m, k, kappa):
     """The decision table, written out independently as literal data."""
