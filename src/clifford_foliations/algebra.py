@@ -19,6 +19,7 @@ __all__ = [
     "SignedPermMatrix",
     "signed_perm_kron",
     "max_abs",
+    "row_norms",
     "projector_colspace_basis",
     "eig_split",
     "rng_from",
@@ -149,6 +150,16 @@ def signed_perm_kron(a: SignedPermMatrix, b: SignedPermMatrix) -> SignedPermMatr
 def max_abs(a: np.ndarray) -> float:
     a = np.asarray(a)
     return 0.0 if a.size == 0 else float(np.max(np.abs(a)))
+
+
+def row_norms(a: np.ndarray) -> np.ndarray:
+    """Euclidean norm of every row of a (n, d), each the square root of one BLAS dot.
+
+    That is the sum the 1-D ``np.linalg.norm`` takes, so a row's norm does
+    not depend on the batch it came in.  ``np.linalg.norm(a, axis=-1)`` sums
+    pairwise instead and differs from it in the last bit on some rows.
+    """
+    return np.sqrt((a[:, None, :] @ a[:, :, None])[:, 0, 0])
 
 
 def projector_colspace_basis(p: np.ndarray) -> np.ndarray:

@@ -21,7 +21,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .algebra import haar_rotation, rng_from, sample_unit_vectors
+from .algebra import haar_rotation, rng_from, row_norms, sample_unit_vectors
 from .clifford import CliffordSystem
 from .foliation import (
     _generator_images,
@@ -206,14 +206,9 @@ def _check_spec(system: CliffordSystem, spec: FoliationSpec):
 
 
 def _disk_points(system: CliffordSystem, x: np.ndarray):
-    """pi_C of every row of x and its radius; a single point is a batch of one.
-
-    Each radius is the square root of one BLAS dot of its row, the sum the
-    1-D ``np.linalg.norm`` takes.  ``np.linalg.norm(v, axis=-1)`` sums
-    pairwise instead and differs from it in the last bit on some rows.
-    """
+    """pi_C of every row of x and its radius; a single point is a batch of one."""
     v = pi_c(system, np.atleast_2d(x))
-    return v, np.sqrt((v[:, None, :] @ v[:, :, None])[:, 0, 0])
+    return v, row_norms(v)
 
 
 def _invariants(spec: FoliationSpec, units: np.ndarray) -> np.ndarray:

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import eig_split, rng_from, sample_unit_vectors
+from .algebra import eig_split, rng_from, row_norms, sample_unit_vectors
 from .clifford import CliffordSystem
 
 __all__ = [
@@ -115,22 +115,6 @@ def pi_c(system: CliffordSystem, x: np.ndarray) -> np.ndarray:
 # Fiber samplers
 # --------------------------------------------------------------------------- #
 
-def _seeded_rows(points, seeds, width: int):
-    """Rows of points as (k, width) floats, the seeds as k ints, and whether the call was single.
-
-    A 1-D point takes one int seed and is a batch of one; k rows take k seeds.
-    """
-    points = np.asarray(points, dtype=float)
-    seeds = np.asarray(seeds)
-    single = points.ndim == 1
-    if points.ndim not in (1, 2) or points.shape[-1] != width:
-        raise ValueError(f"points must have shape ({width},) or (k, {width})")
-    if seeds.shape != (() if single else points.shape[:1]):
-        raise ValueError("pass one seed per point: an int for a single point, "
-                         "a (k,) array for k rows")
-    return np.atleast_2d(points), [int(s) for s in seeds.ravel()], single
-
-
 def _seeds(seeds):
     """The seeds as a list of ints, and whether a single int was given."""
     seeds = np.asarray(seeds)
@@ -139,14 +123,19 @@ def _seeds(seeds):
     return [int(s) for s in seeds.ravel()], seeds.ndim == 0
 
 
-def _unit_radii(v: np.ndarray) -> np.ndarray:
-    """|v| of every row as the square root of one BLAS dot of the row.
+def _seeded_rows(points, seeds, width: int):
+    """Rows of points as (k, width) floats, the seeds as k ints, and whether the call was single.
 
-    That is the sum the 1-D ``np.linalg.norm`` takes, so a row's radius does
-    not depend on the batch it came in; ``np.linalg.norm(v, axis=-1)`` sums
-    pairwise and differs from it in the last bit on some rows.
+    A 1-D point takes one int seed and is a batch of one; k rows take k seeds.
     """
-    return np.sqrt((v[:, None, :] @ v[:, :, None])[:, 0, 0])
+    points = np.asarray(points, dtype=float)
+    if points.ndim not in (1, 2) or points.shape[-1] != width:
+        raise ValueError(f"points must have shape ({width},) or (k, {width})")
+    seeds, single = _seeds(seeds)
+    if single != (points.ndim == 1) or len(seeds) != len(np.atleast_2d(points)):
+        raise ValueError("pass one seed per point: an int for a single point, "
+                         "a (k,) array for k rows")
+    return np.atleast_2d(points), seeds, single
 
 
 def _redraw_short_rows(z: np.ndarray, norms: np.ndarray, rngs, draw) -> None:
@@ -166,7 +155,7 @@ def _boundary_rows(system: CliffordSystem, p: np.ndarray, n: int, seeds) -> np.n
     """n samples of each boundary fiber over the unit rows of p, shape (k, n, 2l)."""
     p_t = np.swapaxes(system.span_matrix(p), -1, -2)
     # P^2 = |p|^2 Id on a Clifford system: the involution check, without P @ P
-    if not np.all(np.abs(_unit_radii(p) ** 2 - 1.0) <= _INVOLUTION_TOL):
+    if not np.all(np.abs(row_norms(p) ** 2 - 1.0) <= _INVOLUTION_TOL):
         raise ValueError("span element is not an involution to the requested tolerance")
     rngs = [rng_from(s) for s in seeds]
     z = np.empty((len(rngs), n, system.dim))
@@ -280,7 +269,7 @@ def fiber_sample(system: CliffordSystem, v: np.ndarray, n: int, seeds) -> np.nda
     fiber j equals the single call with seeds[j] bit for bit.
     """
     v, seeds, single = _seeded_rows(v, seeds, system.m + 1)
-    r = _unit_radii(v)
+    r = row_norms(v)
     if not np.all(r <= 1.0 + 1e-12):
         raise ValueError("disk point has norm > 1 or is not finite")
     edge = r >= 1.0 - 1e-12

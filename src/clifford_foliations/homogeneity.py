@@ -24,7 +24,7 @@ from typing import Optional
 
 import numpy as np
 
-from .algebra import cd_mul, cd_units, haar_rotation, rng_from, sign_fixed_q
+from .algebra import cd_mul, cd_units, haar_rotation, rng_from, row_norms, sign_fixed_q
 from .clifford import EquivalenceProfile, delta
 
 __all__ = [
@@ -183,11 +183,6 @@ def _stable_sqrt(rad: np.ndarray) -> np.ndarray:
     return np.where(rad < 1e-13, 0.0, np.sqrt(rad))
 
 
-def _row_norms(a: np.ndarray) -> np.ndarray:
-    """|a_j| of every row as the square root of one BLAS dot, the 1-D norm's sum."""
-    return np.sqrt((a[:, None, :] @ a[:, :, None])[:, 0, 0])
-
-
 def normal_form(x: np.ndarray, field: str) -> NormalForm:
     """Normal form of a unit point of F^k x F^k under the diagonal group.
 
@@ -199,7 +194,7 @@ def normal_form(x: np.ndarray, field: str) -> NormalForm:
     if x.ndim not in (1, 2):
         raise ValueError("normal_form expects a point (2l,) or rows (n, 2l)")
     rows = np.atleast_2d(x)
-    if not np.all(np.abs(_row_norms(rows) - 1.0) <= 1e-9):
+    if not np.all(np.abs(row_norms(rows) - 1.0) <= 1e-9):
         raise ValueError("normal_form expects a finite unit vector")
     d = FIELD_DIM[field]
     l = rows.shape[-1] // 2
@@ -219,7 +214,7 @@ def normal_form(x: np.ndarray, field: str) -> NormalForm:
     # v - (conj(w) / |u|^2) u; sqrt(|v|^2 - |v1|^2) would cancel to
     # sqrt(eps / |u|^2)-sized noise where v2 vanishes
     resid = v[off] - cd_mul((w_conj[off] / uu[off, None])[:, None, :], u[off])
-    v2[off] = _row_norms(resid.reshape(len(resid), l))
+    v2[off] = row_norms(resid.reshape(len(resid), l))
     # u = 0: the group is transitive on the v-sphere, so v moves to e1
     v1[~off, 0] = _stable_sqrt((1.0 - r0[~off]) / 2.0)
     if x.ndim == 1:

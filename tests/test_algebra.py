@@ -14,6 +14,7 @@ from clifford_foliations.algebra import (
     max_abs,
     projector_colspace_basis,
     rng_from,
+    row_norms,
     sample_unit_vectors,
     sign_fixed_q,
     signed_perm_kron,
@@ -258,6 +259,13 @@ class TestSignedPerm:
 
 
 class TestDenseHelpers:
+    def test_row_norms_equal_single_row_norms(self):
+        # the pairwise axis norm of the first row is one ulp off its 1-D norm
+        a = np.concatenate([[[0.3808923102553664, 0.22284632304195315, -0.40652252618398793]],
+                            sample_unit_vectors(rng_from(6), 3, 200) * 0.6])
+        assert np.linalg.norm(a[0]) != np.linalg.norm(a, axis=-1)[0]
+        assert row_norms(a).tobytes() == np.array([np.linalg.norm(r) for r in a]).tobytes()
+
     def test_sign_fixed_q_contract(self):
         # condition number 1e6: orthogonality still at 1e-12
         rng = rng_from(5)

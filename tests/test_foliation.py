@@ -84,6 +84,18 @@ class TestPiC:
         with pytest.raises(ValueError):
             pi_c(s22, np.ones(s22.dim))
 
+    def test_pi_c_chunks_equal_one_stack(self):
+        # 2l = 512 with 13 generators: 157 rows to a chunk, so 400 rows take three
+        system = build_system(12, 4)
+        x = sample_unit_vectors(rng_from(65), system.dim, 400)
+        whole = foliation._quadratic_values(foliation._generator_images(system, x), x)
+        assert pi_c(system, x).tobytes() == whole.tobytes()
+        dense = conjugate_system(build_system(5, 2), haar_orthogonal(rng_from(66), 32))
+        y = sample_unit_vectors(rng_from(67), dense.dim, 12000)
+        whole = foliation._quadratic_values(foliation._generator_images(dense, y), y)
+        assert pi_c(dense, y).tobytes() == whole.tobytes()
+        assert pi_c(dense, y.reshape(40, 300, 32)).tobytes() == whole.tobytes()
+
 
 NON_FINITE = [np.nan, np.inf, -np.inf]
 
@@ -358,19 +370,6 @@ class TestRowWiseSamplers:
             fiber_sample(s22, v[0], 2, np.arange(1))
         with pytest.raises(ValueError, match="seed"):
             boundary_fiber_sample(s22, np.eye(3)[:2], 2, np.arange(1))
-
-    def test_pi_c_chunks_equal_one_stack(self):
-        # 2l = 512 with 13 generators: 157 rows to a chunk, so 400 rows take three
-        system = build_system(12, 4)
-        x = sample_unit_vectors(rng_from(65), system.dim, 400)
-        whole = foliation._quadratic_values(foliation._generator_images(system, x), x)
-        assert pi_c(system, x).tobytes() == whole.tobytes()
-        dense = conjugate_system(build_system(5, 2), haar_orthogonal(rng_from(66), 32))
-        y = sample_unit_vectors(rng_from(67), dense.dim, 12000)
-        whole = foliation._quadratic_values(foliation._generator_images(dense, y), y)
-        assert pi_c(dense, y).tobytes() == whole.tobytes()
-        assert pi_c(dense, y.reshape(40, 300, 32)).tobytes() == whole.tobytes()
-
 
 class TestHorizontalFrame:
     def test_interior_frame(self, s22):
