@@ -235,13 +235,15 @@ class CliffordSystem:
             raise ValueError("span coordinates must have length m+1")
         out = np.zeros(coords.shape[:-1] + (self.dim, self.dim))
         rows = coords.reshape(-1, self.m + 1)
-        stack = out.reshape(-1, self.dim, self.dim)
         if self.exact:
             cols, signs = self.generator_stack
             j, i = np.nonzero(rows)
-            stack[j[:, None], np.arange(self.dim), cols[i]] = rows[j, i, None] * signs[i]
+            # flat indices of the entries (j, r, cols[i, r]) in the stack
+            at = (j * self.dim)[:, None] + np.arange(self.dim)
+            out.reshape(-1)[at * self.dim + cols[i]] = rows[j, i, None] * signs[i]
             return out
         # zero coordinates add only zeros, which leave every entry's bits alone
+        stack = out.reshape(-1, self.dim, self.dim)
         for i in np.flatnonzero(np.any(rows, axis=0)):
             stack += rows[:, i, None, None] * self.generators[i]
         return out

@@ -273,23 +273,30 @@ def fiber_sample(system: CliffordSystem, v: np.ndarray, n: int, seeds) -> np.nda
     if not np.all(r <= 1.0 + 1e-12):
         raise ValueError("disk point has norm > 1 or is not finite")
     edge = r >= 1.0 - 1e-12
-    mid = ~edge & (r > 1e-12)
-    out = np.empty((len(v), n, system.dim))
-    if np.any(edge):
-        out[edge] = _boundary_rows(system, v[edge] / r[edge, None], n,
-                                   [seeds[j] for j in np.flatnonzero(edge)])
-    if not np.all(edge):
-        _check_focal(system)
-        out[~edge] = _mplus_rows(system, n, [seeds[j] for j in np.flatnonzero(~edge)])
+    if np.any(edge) and not np.all(edge):
+        # boundary rows and the others, each kind in one call of its own
+        out = np.empty((len(v), n, system.dim))
+        for rows in (np.flatnonzero(edge), np.flatnonzero(~edge)):
+            out[rows] = fiber_sample(system, v[rows], n, [seeds[j] for j in rows])
+        return out
+    if np.all(edge):
+        out = _boundary_rows(system, v / r[:, None], n, seeds)
+        return out[0] if single else out
+    _check_focal(system)
+    out = _mplus_rows(system, n, seeds)
+    mid = r > 1e-12
     if np.any(mid):
-        x = out[mid]
+        # interior rows turn in place; in the usual call that is every row
+        x = out if np.all(mid) else out[mid]
         q_t = np.swapaxes(system.span_matrix(v[mid] / r[mid, None]), -1, -2)
         t = (np.arcsin(r[mid]) / 2.0)[:, None, None]
-        # cos(t) x + sin(t) Q x, added in that order
+        # cos(t) x + sin(t) Q x, in place and added in that order
         y = x @ q_t
         y *= np.sin(t)
         x *= np.cos(t)
-        out[mid] = x + y
+        x += y
+        if x is not out:
+            out[mid] = x
     return out[0] if single else out
 
 
