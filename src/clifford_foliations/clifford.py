@@ -238,9 +238,9 @@ class CliffordSystem:
         if self.exact:
             cols, signs = self.generator_stack
             j, i = np.nonzero(rows)
-            # flat indices of the entries (j, r, cols[i, r]) in the stack
-            at = (j * self.dim)[:, None] + np.arange(self.dim)
-            out.reshape(-1)[at * self.dim + cols[i]] = rows[j, i, None] * signs[i]
+            # flat index of entry (j, r, cols[i, r]) of the stack
+            at = (cols + np.arange(0, self.dim ** 2, self.dim))[i] + (j * self.dim ** 2)[:, None]
+            out.reshape(-1)[at] = rows[j, i, None] * signs[i]
             return out
         # zero coordinates add only zeros, which leave every entry's bits alone
         stack = out.reshape(-1, self.dim, self.dim)

@@ -48,7 +48,10 @@ __all__ = [
 _UNIT_TOL = 1e-9
 _INVOLUTION_TOL = 1e-10
 _PI_CHUNK = 1 << 20  # image entries per pi_c chunk: an 8 MB stack
-_IMAGE_ROWS = 256  # rows per generator-image block of the M+ sampler
+# Entries per block of the stacks a many-fiber sampler call builds (span
+# matrices, generator images): a 512 KB block, so such a call holds about
+# what one fiber's call holds.  A block is whole fibers, at least one.
+_BLOCK = 1 << 16
 
 
 class EmptyFocalError(ValueError):
@@ -151,9 +154,20 @@ def _redraw_short_rows(z: np.ndarray, norms: np.ndarray, rngs, draw) -> None:
             norms[j] = np.linalg.norm(z[j], axis=-1)
 
 
+def _span_apply(system: CliffordSystem, coords: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """x[j] @ S_j^T for S_j the span matrix of coords[j]; x of shape (k, n, 2l).
+
+    Each product is the (n, 2l) @ (2l, 2l) one a single fiber's call makes.
+    """
+    step = max(1, _BLOCK // system.dim ** 2)
+    if len(x) <= step:
+        return x @ np.swapaxes(system.span_matrix(coords), -1, -2)
+    return np.concatenate([_span_apply(system, coords[a:a + step], x[a:a + step])
+                           for a in range(0, len(x), step)])
+
+
 def _boundary_rows(system: CliffordSystem, p: np.ndarray, n: int, seeds) -> np.ndarray:
     """n samples of each boundary fiber over the unit rows of p, shape (k, n, 2l)."""
-    p_t = np.swapaxes(system.span_matrix(p), -1, -2)
     # P^2 = |p|^2 Id on a Clifford system: the involution check, without P @ P
     if not np.all(np.abs(row_norms(p) ** 2 - 1.0) <= _INVOLUTION_TOL):
         raise ValueError("span element is not an involution to the requested tolerance")
@@ -161,12 +175,12 @@ def _boundary_rows(system: CliffordSystem, p: np.ndarray, n: int, seeds) -> np.n
     z = np.empty((len(rngs), n, system.dim))
     for j, rng in enumerate(rngs):
         rng.standard_normal(out=z[j])
-    z += z @ p_t
+    z += _span_apply(system, p, z)
     norms = np.linalg.norm(z, axis=-1)
 
     def draw(j, rng, bad):
         fresh = rng.standard_normal((int(np.sum(bad)), system.dim))
-        return fresh + fresh @ p_t[j]
+        return fresh + fresh @ system.span_matrix(p[j]).T
 
     _redraw_short_rows(z, norms, rngs, draw)
     return z / norms[..., None]
@@ -219,10 +233,8 @@ def _mplus_rows(system: CliffordSystem, n: int, seeds) -> np.ndarray:
     del units, gauss
     if m:
         # P_1 x+, ..., P_m x+ are orthonormal vectors of E_-(P_0) at each
-        # sample.  Their (rows, m, 2l) images are built for whole fibers, at
-        # most _IMAGE_ROWS rows at a time where fibers are short, so a
-        # many-fiber call holds no more images than one long fiber does.
-        step = max(1, _IMAGE_ROWS // max(n, 1))
+        # sample; their (rows, m+1, 2l) images are built block by block
+        step = max(1, _BLOCK // max(n * (m + 1) * 2 * l, 1))
         for a in range(0, len(rngs), step):
             block = x_plus[a:a + step]
             w = _generator_images(system, block).reshape(-1, m + 1, 2 * l)[:, 1:]
@@ -288,10 +300,9 @@ def fiber_sample(system: CliffordSystem, v: np.ndarray, n: int, seeds) -> np.nda
     if np.any(mid):
         # interior rows turn in place; in the usual call that is every row
         x = out if np.all(mid) else out[mid]
-        q_t = np.swapaxes(system.span_matrix(v[mid] / r[mid, None]), -1, -2)
         t = (np.arcsin(r[mid]) / 2.0)[:, None, None]
         # cos(t) x + sin(t) Q x, in place and added in that order
-        y = x @ q_t
+        y = _span_apply(system, v[mid] / r[mid, None], x)
         y *= np.sin(t)
         x *= np.cos(t)
         x += y
