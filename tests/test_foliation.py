@@ -341,6 +341,18 @@ class TestRowWiseSamplers:
             for name in ("p_coords", "x_plus", "x_minus"):
                 assert getattr(g, name).tobytes() == getattr(one, name).tobytes()
 
+    @pytest.mark.parametrize("case", range(5))
+    def test_span_stack_equals_single_matrices(self, case):
+        system = list(row_wise_systems())[case]
+        coords = sample_unit_vectors(rng_from(68, system.dim), system.m + 1, 6)
+        coords[2, 1] = 0.0
+        coords[4, :] = 0.0
+        stack = system.span_matrix(coords)
+        assert stack.shape == (6, system.dim, system.dim)
+        for c, mat in zip(coords, stack):
+            assert mat.tobytes() == system.span_matrix(c).tobytes()
+            assert mat.tobytes() == dense_span(system, c).tobytes()
+
     def test_norm_trap_row(self, s22):
         # the pairwise norm of this row is one ulp off the dot-product norm a
         # single call takes; the batch radius must be the single call's
