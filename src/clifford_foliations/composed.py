@@ -26,9 +26,8 @@ from .clifford import CliffordSystem
 from .foliation import (
     _generator_images,
     _quadratic_values,
-    boundary_fiber_sample,
+    _span_apply,
     fiber_sample,
-    mplus_sample,
     pi_c,
     pi_jacobian_rows,
     quotient_distance,
@@ -107,14 +106,14 @@ def tensor_orbit_distance(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.arccos(np.clip(ta @ tb, -1.0, 1.0)))
 
 
-def builtin_spec(name: str, m: int, pole: Optional[np.ndarray] = None) -> FoliationSpec:
+def builtin_spec(name: str, m: int) -> FoliationSpec:
     """Built-in boundary foliations on the m-sphere in R^(m+1).
 
     points    -- leaves are points (identity invariant); composition returns
                  the plain Clifford foliation.
     one_leaf  -- one big leaf (constant invariant); composition gives the
                  codimension-1 isoparametric family.
-    height    -- distance spheres around a pole p0 (invariant <P, p0>).
+    height    -- distance spheres around the pole p0 = e_0 (invariant <P, p0>).
     tensor_svd-- m = 8 only: orbits of the rotate-both-sides action on unit
                  3x3 matrices, separated by the signed singular triple.
     """
@@ -136,10 +135,7 @@ def builtin_spec(name: str, m: int, pole: Optional[np.ndarray] = None) -> Foliat
             invariant_jacobian=lambda v: np.zeros(np.shape(v)[:-1] + (1, dim)),
         )
     if name == "height":
-        p0 = np.zeros(dim) if pole is None else np.asarray(pole, dtype=float)
-        if pole is None:
-            p0[0] = 1.0
-        p0 = p0 / np.linalg.norm(p0)
+        p0 = np.eye(dim)[0]
 
         def sample_leaf(v, rng):
             c = float(np.clip(np.dot(v, p0), -1.0, 1.0))
@@ -295,30 +291,23 @@ def _leaf_sample_blocks(system: CliffordSystem, spec: FoliationSpec, v: np.ndarr
     One rng stream and a spec-fixed chunk size keep the sample sequence a
     prefix of any larger budget's sequence.  Specs without a leaf sampler
     have single-fiber leaves, so their chunks can be large.  Every chunk's
-    direction and seed are drawn first, in chunk order; then the full chunks
-    take one row-wise sampler call and a shorter last chunk another.
+    disk point (r times its direction; zero for the origin class) and seed
+    are drawn first, in chunk order; then the full chunks take one
+    :func:`fiber_sample` call and a shorter last chunk another.
     """
     r = float(np.linalg.norm(v))
     origin = r <= _ORIGIN_TOL
     chunk = 32 if spec.leaf_sampler is not None and not origin else 256
-    full, rest = divmod(max(budget, 0), chunk)
-    vhat = None if origin else v / r
-    directions, seeds = [], []
-    for _ in range(full + (rest > 0)):
+    full, rest = divmod(budget, chunk)
+    points = np.zeros((full + (rest > 0), len(v)))
+    seeds = np.empty(len(points), dtype=np.int64)
+    for j in range(len(points)):
         if not origin:
-            directions.append(vhat if spec.leaf_sampler is None else spec.leaf_sampler(vhat, rng))
-        seeds.append(int(rng.integers(2**62)))
-
-    def draw(rows, n):
-        if origin:
-            return mplus_sample(system, n, seeds[rows])
-        if r >= 1.0 - _BOUNDARY_TOL:
-            return boundary_fiber_sample(system, directions[rows], n, seeds[rows])
-        return fiber_sample(system, r * np.array(directions[rows]), n, seeds[rows])
-
-    blocks = [draw(slice(0, full), chunk)] if full else []
+            points[j] = r * (v / r if spec.leaf_sampler is None else spec.leaf_sampler(v / r, rng))
+        seeds[j] = rng.integers(2**62)
+    blocks = [fiber_sample(system, points[:full], chunk, seeds[:full])] if full else []
     if rest:
-        blocks.append(draw(slice(full, None), rest))
+        blocks.append(fiber_sample(system, points[full:], rest, seeds[full:]))
     return np.concatenate([b.reshape(-1, system.dim) for b in blocks], axis=0)
 
 
@@ -342,7 +331,7 @@ def _constraint_state(system: CliffordSystem, spec: FoliationSpec, z: np.ndarray
     evaluated without the unit-norm check of the public ``pi_c``.
     """
     v = _quadratic_values(_generator_images(system, z), z)
-    rows_pi = np.moveaxis(pi_jacobian_rows(system, z), 0, -2)  # (S, m+1, 2l)
+    rows_pi = pi_jacobian_rows(system, z)
     if target_tail is None or spec.leaves_are_fibers:
         eye = np.broadcast_to(np.eye(v.shape[-1]), v.shape + v.shape[-1:])
         c = v if target_tail is None else v - np.sqrt(target_r2) * target_tail
@@ -354,39 +343,27 @@ def _constraint_state(system: CliffordSystem, spec: FoliationSpec, z: np.ndarray
         # a contiguous operand takes the same matmul path at every batch size
         jac = np.ascontiguousarray(spec.invariant_jacobian(v), dtype=float)
     else:
-        jac = _fd_jacobian(spec, v)
+        jac = _central_differences(lambda u: _invariants(spec, _unit(u)), v, np.full(len(v), 1e-6))
     c = np.concatenate([(r2 - target_r2)[:, None], tail - target_tail], axis=1)
     rows = np.concatenate([2.0 * (v[:, None, :] @ rows_pi), jac @ rows_pi], axis=1)
     dphi = np.concatenate([2.0 * v[:, None, :], jac], axis=1)
     return c, rows, v, rows_pi, dphi
 
 
-def _fd_jacobian(spec: FoliationSpec, v: np.ndarray) -> np.ndarray:
-    """Central differences, step 1e-6, of v -> invariant_map(v / |v|) at every row of v.
+def _central_differences(f, v: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """Central differences of f at every row of v (S, p), with step h[s] on row s.
 
-    A batch (S, m+1) maps to (S, t, m+1), as ``invariant_jacobian`` does.
-    """
-    step = 1e-6
-    n, p = v.shape
-    shifts = step * np.eye(p)
-    shifted = np.concatenate([v[:, None, :] + shifts, v[:, None, :] - shifts], axis=1)
-    vals = _invariants(spec, _unit(shifted).reshape(-1, p)).reshape(n, 2, p, -1)
-    return np.moveaxis(vals[:, 0] - vals[:, 1], 1, -1) / (2.0 * step)
-
-
-def _invariant_hessian(invariant_jacobian, v: np.ndarray) -> np.ndarray:
-    """Hessians (S, t, m+1, m+1) of v -> invariant(v / |v|) at every row of v.
-
-    Central differences of the batched Jacobian with step 1e-5 |v|, one
-    call for all 2(m+1) shifted points of every row, then symmetrized.
+    f maps a batch (N, p) to (N, ...) and takes all 2p shifted points of
+    every row in one call; the result is (S, ...) + (p,), the last axis the
+    coordinate moved.
     """
     n, p = v.shape
-    steps = (1e-5 * np.linalg.norm(v, axis=-1))[:, None, None] * np.eye(p)
+    steps = h[:, None, None] * np.eye(p)
     shifted = np.concatenate([v[:, None, :] + steps, v[:, None, :] - steps], axis=1)
-    jac = np.asarray(invariant_jacobian(shifted.reshape(-1, p)), dtype=float)
-    jac = jac.reshape(n, 2, p, -1, p)  # (S, +-, j, t, i)
-    hess = np.moveaxis(jac[:, 0] - jac[:, 1], 1, -1) / (2.0 * steps[:, 0, 0, None, None, None])
-    return 0.5 * (hess + np.swapaxes(hess, -1, -2))
+    vals = np.asarray(f(shifted.reshape(-1, p)), dtype=float)
+    vals = vals.reshape((n, 2, p) + vals.shape[1:])
+    diff = np.moveaxis(vals[:, 0] - vals[:, 1], 1, -1)
+    return diff / (2.0 * h).reshape((n,) + (1,) * (diff.ndim - 1))
 
 
 def _unit(v: np.ndarray) -> np.ndarray:
@@ -459,7 +436,10 @@ def _newton_direction(system, spec, z, g, lam, best, v, rows_pi, dphi, curved):
     if curved:
         w += 2.0 * lam[:, 0, None, None] * np.eye(p)
         if spec.invariant_jacobian is not None:
-            hess = _invariant_hessian(spec.invariant_jacobian, v)
+            # the invariant's Hessians (S, t, m+1, m+1), symmetrized
+            hess = _central_differences(spec.invariant_jacobian, v,
+                                        1e-5 * np.linalg.norm(v, axis=-1))
+            hess = 0.5 * (hess + np.swapaxes(hess, -1, -2))
             w += np.sum(lam[:, 1:, None, None] * hess, axis=1)
     cols = np.concatenate([rows_pi, z[:, None, :]], axis=1)  # C^T, (S, m+2, 2l)
     vecs = np.concatenate([g[:, None, :], cols], axis=1)
@@ -604,6 +584,8 @@ def leaf_to_leaf_ambient_distance(system: CliffordSystem, spec: FoliationSpec,
     great subsphere is an orthogonal projection).
     """
     _check_spec(system, spec)
+    if budget < 1:
+        raise ValueError(f"budget must be at least 1 leaf sample, got {budget}")
     x = np.asarray(x, dtype=float)
     v = pi_c(system, y)
     r = float(np.linalg.norm(v))
@@ -613,12 +595,10 @@ def leaf_to_leaf_ambient_distance(system: CliffordSystem, spec: FoliationSpec,
         # distance to E_+^1(P_w) is arccos |(x + P_w x)/2| per direction w
         vhat = v / r
         n_dirs = 1 if spec.leaf_sampler is None else max(1, min(256, budget // 16))
-        best = np.inf
-        for _ in range(n_dirs):
-            w = vhat if spec.leaf_sampler is None else spec.leaf_sampler(vhat, rng)
-            proj = 0.5 * (x + x @ system.span_matrix(w).T)
-            best = min(best, float(np.arccos(np.clip(np.linalg.norm(proj), 0.0, 1.0))))
-        return best
+        w = np.array([vhat if spec.leaf_sampler is None else spec.leaf_sampler(vhat, rng)
+                      for _ in range(n_dirs)])
+        proj = 0.5 * (x + _span_apply(system, w, np.broadcast_to(x, (n_dirs, 1, len(x))))[:, 0])
+        return float(np.min(np.arccos(np.clip(row_norms(proj), 0.0, 1.0))))
 
     samples = _leaf_sample_blocks(system, spec, v, budget, rng)
     dots = samples @ x

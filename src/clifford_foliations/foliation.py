@@ -47,10 +47,9 @@ __all__ = [
 
 _UNIT_TOL = 1e-9
 _INVOLUTION_TOL = 1e-10
-_PI_CHUNK = 1 << 20  # image entries per pi_c chunk: an 8 MB stack
-# Entries per block of the stacks a many-fiber sampler call builds (span
-# matrices, generator images): a 512 KB block, so such a call holds about
-# what one fiber's call holds.  A block is whole fibers, at least one.
+# Entries per block of the stacks a batch builds (generator images, span
+# matrices): a 512 KB block, so a large batch holds about what one small
+# call holds.  See _blocks.
 _BLOCK = 1 << 16
 
 
@@ -64,6 +63,18 @@ def _check_unit(x: np.ndarray, what: str = "point") -> np.ndarray:
     if not np.all(np.abs(norms - 1.0) <= _UNIT_TOL):
         raise ValueError(f"{what} must be a finite unit vector")
     return x
+
+
+def _blocks(count: int, size: int) -> list:
+    """Equal slices of count rows of size entries each, at most _BLOCK entries a slice.
+
+    A slice is whole rows, at least one.  Equal slices keep a large batch
+    from ending in a lone row, which on dense systems would take a
+    matrix-vector BLAS call where the other slices take matrix-matrix ones.
+    """
+    rows = max(1, _BLOCK // max(size, 1))
+    parts = max(1, -(-count // rows))
+    return [slice(count * c // parts, count * (c + 1) // parts) for c in range(parts)]
 
 
 def _generator_images(system: CliffordSystem, x: np.ndarray) -> np.ndarray:
@@ -95,22 +106,15 @@ def pi_c(system: CliffordSystem, x: np.ndarray) -> np.ndarray:
     """Quotient-map coordinates (<P_i x, x>)_i along the last axis of x.
 
     Accepts a single point of shape (2l,) or a batch (..., 2l); the input must
-    be unit-norm.  Batches run in row chunks of at most 2^20 image entries,
-    so the (rows, m+1, 2l) image stack of a large batch is never built
-    whole; each row's sums are the same in any chunk.
+    be unit-norm.  Batches run in blocks (:func:`_blocks`), so the
+    (rows, m+1, 2l) image stack of a large batch is never built whole; each
+    row's sums are the same in any block.
     """
     x = _check_unit(x)
-    rows = max(1, _PI_CHUNK // ((system.m + 1) * system.dim))
-    if x.size <= rows * system.dim:
-        return _quadratic_values(_generator_images(system, x), x)
     flat = x.reshape(-1, system.dim)
     out = np.empty((len(flat), system.m + 1))
-    # equal chunks: no chunk is a lone row, which on dense systems would take
-    # a matrix-vector BLAS call where the others take matrix-matrix ones
-    count = -(-len(flat) // rows)
-    edges = [len(flat) * c // count for c in range(count + 1)]
-    for a, b in zip(edges, edges[1:]):
-        out[a:b] = _quadratic_values(_generator_images(system, flat[a:b]), flat[a:b])
+    for rows in _blocks(len(flat), (system.m + 1) * system.dim):
+        out[rows] = _quadratic_values(_generator_images(system, flat[rows]), flat[rows])
     return out.reshape(x.shape[:-1] + (system.m + 1,))
 
 
@@ -159,11 +163,10 @@ def _span_apply(system: CliffordSystem, coords: np.ndarray, x: np.ndarray) -> np
 
     Each product is the (n, 2l) @ (2l, 2l) one a single fiber's call makes.
     """
-    step = max(1, _BLOCK // system.dim ** 2)
-    if len(x) <= step:
-        return x @ np.swapaxes(system.span_matrix(coords), -1, -2)
-    return np.concatenate([_span_apply(system, coords[a:a + step], x[a:a + step])
-                           for a in range(0, len(x), step)])
+    out = np.empty(x.shape)
+    for rows in _blocks(len(x), system.dim ** 2):
+        np.matmul(x[rows], np.swapaxes(system.span_matrix(coords[rows]), -1, -2), out=out[rows])
+    return out
 
 
 def _boundary_rows(system: CliffordSystem, p: np.ndarray, n: int, seeds) -> np.ndarray:
@@ -179,8 +182,8 @@ def _boundary_rows(system: CliffordSystem, p: np.ndarray, n: int, seeds) -> np.n
     norms = np.linalg.norm(z, axis=-1)
 
     def draw(j, rng, bad):
-        fresh = rng.standard_normal((int(np.sum(bad)), system.dim))
-        return fresh + fresh @ system.span_matrix(p[j]).T
+        fresh = rng.standard_normal((1, int(np.sum(bad)), system.dim))
+        return (fresh + _span_apply(system, p[j:j + 1], fresh))[0]
 
     _redraw_short_rows(z, norms, rngs, draw)
     return z / norms[..., None]
@@ -234,11 +237,9 @@ def _mplus_rows(system: CliffordSystem, n: int, seeds) -> np.ndarray:
     if m:
         # P_1 x+, ..., P_m x+ are orthonormal vectors of E_-(P_0) at each
         # sample; their (rows, m+1, 2l) images are built block by block
-        step = max(1, _BLOCK // max(n * (m + 1) * 2 * l, 1))
-        for a in range(0, len(rngs), step):
-            block = x_plus[a:a + step]
-            w = _generator_images(system, block).reshape(-1, m + 1, 2 * l)[:, 1:]
-            g[a:a + step] = _project_out(w, g[a:a + step].reshape(-1, 2 * l)).reshape(block.shape)
+        for rows in _blocks(len(rngs), n * (m + 1) * 2 * l):
+            w = _generator_images(system, x_plus[rows]).reshape(-1, m + 1, 2 * l)[:, 1:]
+            g[rows] = _project_out(w, g[rows].reshape(-1, 2 * l)).reshape(g[rows].shape)
     norms = np.linalg.norm(g, axis=-1)
 
     def draw(j, rng, bad):
@@ -318,14 +319,11 @@ def fiber_sample(system: CliffordSystem, v: np.ndarray, n: int, seeds) -> np.nda
 def pi_jacobian_rows(system: CliffordSystem, x: np.ndarray) -> np.ndarray:
     """Rows X_{P_i}(x) = 2 P_i x - 2 <P_i x, x> x of the differential of pi_C.
 
-    Shape (m+1,) + x.shape; for a batch this is a view whose rows axis moved
-    to the front, and ``np.moveaxis(rows, 0, -2)`` recovers the contiguous
-    (..., m+1, 2l) array.
+    Shape x.shape[:-1] + (m+1, 2l): (m+1, 2l) for a single point.
     """
     x = np.asarray(x, dtype=float)
     px = _generator_images(system, x)
-    rows = 2.0 * px - 2.0 * _quadratic_values(px, x)[..., None] * x[..., None, :]
-    return np.moveaxis(rows, -2, 0)
+    return 2.0 * px - 2.0 * _quadratic_values(px, x)[..., None] * x[..., None, :]
 
 
 def fkm_f0(system: CliffordSystem, x: np.ndarray):

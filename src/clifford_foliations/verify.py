@@ -77,7 +77,8 @@ class SuiteConfig:
     """One suite invocation: which suite, on which system, how hard to push.
 
     ``budget`` holds per-suite effort knobs (pair counts, leaf budgets,
-    geodesic counts, ...).  Tolerances are pinned in the suites.
+    geodesic counts, ...), each at least 1.  Tolerances are pinned in the
+    suites.
     """
 
     suite: str
@@ -89,6 +90,9 @@ class SuiteConfig:
     def __post_init__(self):
         if self.samples < 1:
             raise ValueError("samples must be positive")
+        for name, value in self.budget.items():
+            if value < 1:
+                raise ValueError(f"budget knob {name} must be at least 1, got {value}")
 
     def knob(self, name: str, default: int) -> int:
         return int(self.budget.get(name, default))

@@ -90,6 +90,19 @@ class TestVerify:
         assert "relations" in names and "sphere_quotient" not in names
         assert payload["summary"]["errors"] == []
 
+    def test_budget_below_one_exit_two(self, tmp_path, capsys):
+        system = tmp_path / "s.json"
+        run("construct", "--m", 2, "--k", 2, "--out", system)
+        capsys.readouterr()
+        for knob, flag in (("pairs", "--pairs"), ("leaf_budget", "--leaf-budget")):
+            for value in (0, -5):
+                for suite in ("diameter", "all"):
+                    code = run("verify", "--system", system, "--suite", suite, flag, value)
+                    captured = capsys.readouterr()
+                    lines = captured.err.splitlines()
+                    assert code == 2 and len(lines) == 1 and captured.out == ""
+                    assert lines[0].startswith("error:") and knob in lines[0]
+
     def test_missing_file_exit_two(self, tmp_path):
         assert run("verify", "--system", tmp_path / "absent.json") == 2
 

@@ -362,6 +362,26 @@ class TestAmbientLeafDistance:
         d = leaf_to_leaf_ambient_distance(s22, pts, x, y, 200, 22)
         assert abs(d - np.pi / 2) <= 1e-3
 
+    def test_boundary_leaf_closed_form_is_pinned(self, s22):
+        # a height leaf through a boundary point: budget 320 takes 20 sampled
+        # directions, each one nearest point of a great subsphere
+        hgt = builtin_spec("height", 2)
+        rng = rng_from(45)
+        v = 0.5 * sample_unit_vectors(rng, 3, 1)[0]
+        p = sample_unit_vectors(rng, 3, 1)[0]
+        x = fiber_sample(s22, v, 1, 46)[0]
+        y = boundary_fiber_sample(s22, p, 1, 47)[0]
+        d = leaf_to_leaf_ambient_distance(s22, hgt, x, y, 320, 48)
+        assert d.hex() == "0x1.b5a7833dc1117p-1"
+        assert d >= composed_quotient_distance(s22, hgt, x, y) - 1e-9
+
+    @pytest.mark.parametrize("budget", [0, -5])
+    def test_rejects_empty_budget(self, s22, budget):
+        pts = builtin_spec("points", 2)
+        x = fiber_sample(s22, np.array([0.3, 0.2, -0.1]), 2, 18)
+        with pytest.raises(ValueError, match="budget"):
+            leaf_to_leaf_ambient_distance(s22, pts, x[0], x[1], budget, 19)
+
     def test_distance_to_focal_manifold(self, s22):
         # the origin class is one leaf; its distance from any point equals
         # the cone distance to the apex, half the arcsine of the radius
@@ -466,8 +486,8 @@ class TestBatchedAscent:
 @pytest.mark.parametrize("spec_name,radius", [("points", 0.6), ("height", 0.6),
                                               ("one_leaf", 0.0), ("height", 1.0)])
 def test_leaf_blocks_equal_chunk_by_chunk_draws(spec_name, radius):
-    # the blocks are the chunks one sampler call per chunk would draw, in
-    # order, with every direction and seed taken from the one rng stream
+    # the blocks are the chunks one fiber_sample call per chunk would draw,
+    # in order, with every direction and seed taken from the one rng stream
     system = build_system(3, 2)
     spec = builtin_spec(spec_name, system.m)
     v = radius * sample_unit_vectors(rng_from(43), system.m + 1, 1)[0]
@@ -481,11 +501,7 @@ def test_leaf_blocks_equal_chunk_by_chunk_draws(spec_name, radius):
             expected.append(mplus_sample(system, n, int(rng.integers(2**62))))
             continue
         d = v / radius if spec.leaf_sampler is None else spec.leaf_sampler(v / radius, rng)
-        seed = int(rng.integers(2**62))
-        if radius == 1.0:
-            expected.append(boundary_fiber_sample(system, d, n, seed))
-        else:
-            expected.append(fiber_sample(system, radius * d, n, seed))
+        expected.append(fiber_sample(system, radius * d, n, int(rng.integers(2**62))))
     got = _leaf_sample_blocks(system, spec, v, budget, rng_from(44))
     assert got.tobytes() == np.concatenate(expected).tobytes()
 
@@ -586,10 +602,9 @@ class TestInvariantJacobian:
             cols.append((up - dn) / (2.0 * h))
         return np.stack(cols, axis=-1)
 
-    @pytest.mark.parametrize("pole", [None, np.array([0.3, -0.5, 0.2, 0.1, 0.7])])
-    def test_height_closed_form_matches_differences(self, pole):
-        spec = builtin_spec("height", 4, pole=pole)
-        p0 = np.eye(5)[0] if pole is None else pole / np.linalg.norm(pole)
+    def test_height_closed_form_matches_differences(self):
+        spec = builtin_spec("height", 4)
+        p0 = np.eye(5)[0]
         rng = rng_from(43)
         dirs = sample_unit_vectors(rng, 5, 20)
         near = p0 + 1e-4 * sample_unit_vectors(rng, 5, 5)

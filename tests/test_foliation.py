@@ -85,7 +85,7 @@ class TestPiC:
             pi_c(s22, np.ones(s22.dim))
 
     def test_pi_c_chunks_equal_one_stack(self):
-        # 2l = 512 with 13 generators: 157 rows to a chunk, so 400 rows take three
+        # 2l = 512 with 13 generators: 9 rows to a block, so 400 rows take 45
         system = build_system(12, 4)
         x = sample_unit_vectors(rng_from(65), system.dim, 400)
         whole = foliation._quadratic_values(foliation._generator_images(system, x), x)
@@ -382,6 +382,42 @@ class TestRowWiseSamplers:
             fiber_sample(s22, v[0], 2, np.arange(1))
         with pytest.raises(ValueError, match="seed"):
             boundary_fiber_sample(s22, np.eye(3)[:2], 2, np.arange(1))
+
+
+class TestBlocks:
+    def test_blocks_are_equal_slices_of_whole_rows(self):
+        for count, size in [(0, 5), (1, 10**6), (3, 10**6), (7, 1), (1000, 100), (401, 6656)]:
+            blocks = foliation._blocks(count, size)
+            assert blocks[0].start == 0 and blocks[-1].stop == count
+            assert all(a.stop == b.start for a, b in zip(blocks, blocks[1:]))
+            rows = [b.stop - b.start for b in blocks]
+            assert max(rows) - min(rows) <= 1
+            assert all(r * size <= foliation._BLOCK or r == 1 for r in rows)
+
+    @pytest.mark.parametrize("case", ["exact", "conjugated"])
+    def test_small_blocks_equal_one_block(self, monkeypatch, case):
+        system = build_system(3, 2)
+        if case == "conjugated":
+            system = conjugate_system(system, haar_orthogonal(rng_from(69), system.dim))
+        x = sample_unit_vectors(rng_from(70), system.dim, 50)
+        v, seeds = mixed_disk_rows(system)
+        n = 5
+        # entries per pi_c row, per span matrix and per M+ fiber
+        row, span, fiber = 4 * 16, 16 * 16, n * 4 * 16
+
+        def draws():
+            return [pi_c(system, x), fiber_sample(system, v, n, seeds),
+                    mplus_sample(system, n, seeds)]
+
+        counts = ((50, row), (12, span), (12, fiber))
+        assert [len(foliation._blocks(c, size)) for c, size in counts] == [1, 1, 1]
+        whole = draws()
+        # ten pi_c rows, two span matrices and two M+ fibers to a block
+        monkeypatch.setattr(foliation, "_BLOCK", 640)
+        assert [len(foliation._blocks(c, size)) for c, size in counts] == [5, 6, 6]
+        for got, expected in zip(draws(), whole):
+            assert got.tobytes() == expected.tobytes()
+
 
 class TestHorizontalFrame:
     def test_interior_frame(self, s22):

@@ -154,6 +154,9 @@ class TestConfigValidation:
     def test_rejects_bad_config(self, s22):
         with pytest.raises(ValueError):
             SuiteConfig("disk_image", s22, samples=0)
+        for value in (0, -5):
+            with pytest.raises(ValueError, match="leaf_budget"):
+                SuiteConfig("diameter", s22, budget={"pairs": 4, "leaf_budget": value})
 
 
 class TestRunMatrix:
