@@ -19,6 +19,7 @@ __all__ = [
     "SignedPermMatrix",
     "signed_perm_kron",
     "max_abs",
+    "row_dots",
     "row_norms",
     "projector_colspace_basis",
     "eig_split",
@@ -152,14 +153,18 @@ def max_abs(a: np.ndarray) -> float:
     return 0.0 if a.size == 0 else float(np.max(np.abs(a)))
 
 
-def row_norms(a: np.ndarray) -> np.ndarray:
-    """Euclidean norm of every row of a (n, d), each the square root of one BLAS dot.
+def row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """<a_j, b_j> along the last axis, each the one BLAS dot a 1-D ``np.dot`` takes.
 
-    That is the sum the 1-D ``np.linalg.norm`` takes, so a row's norm does
-    not depend on the batch it came in.  ``np.linalg.norm(a, axis=-1)`` sums
-    pairwise instead and differs from it in the last bit on some rows.
+    So a row's product does not depend on its batch; ``np.sum(a * b, axis=-1)``
+    sums pairwise instead and differs from it in the last bit on some rows.
     """
-    return np.sqrt((a[:, None, :] @ a[:, :, None])[:, 0, 0])
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
+
+
+def row_norms(a: np.ndarray) -> np.ndarray:
+    """Euclidean norm of every row of a, as the 1-D ``np.linalg.norm`` takes it."""
+    return np.sqrt(row_dots(a, a))
 
 
 def projector_colspace_basis(p: np.ndarray) -> np.ndarray:

@@ -136,6 +136,8 @@ def _write_csv(path, header, rows):
 
 
 def _cmd_fiber(args) -> int:
+    if args.count < 0:
+        raise ValueError(f"--count must be at least 0, got {args.count}")
     system = _load_system(args.system)
     v = _parse_disk_point(args.at, system.m + 1)
     points = fiber_sample(system, v, args.count, args.seed)
@@ -150,11 +152,13 @@ def _cmd_fiber(args) -> int:
 
 
 def _cmd_compose(args) -> int:
+    for flag, value in (("--count", args.count), ("--check-pairs", args.check_pairs)):
+        if value < 0:
+            raise ValueError(f"{flag} must be at least 0, got {value}")
     system = _load_system(args.system)
     spec = builtin_spec(args.spec, system.m)
     if 2 * args.check_pairs > args.count:
-        print("error: --check-pairs needs at least two samples per pair", file=sys.stderr)
-        return 2
+        raise ValueError("--check-pairs needs at least two samples per pair")
     x = sample_unit_vectors(rng_from(args.seed), system.dim, args.count)
     classes = composed_class(system, spec, x)
     tail_dim = max((0 if c.tail is None else len(c.tail) for c in classes), default=0)
@@ -163,7 +167,7 @@ def _cmd_compose(args) -> int:
         tail = [""] * tail_dim if c.tail is None else [f"{t:.17g}" for t in c.tail]
         rows.append([f"{c.radius:.17g}"] + tail)
     _write_csv(args.out, ["radius"] + [f"tail{i}" for i in range(tail_dim)], rows)
-    pairs = x[:max(0, 2 * args.check_pairs)]
+    pairs = x[:2 * args.check_pairs]
     for i, same in enumerate(same_leaf(system, spec, pairs[0::2], pairs[1::2])):
         print(f"pair {i}: same_leaf = {same}")
     if args.out:

@@ -21,7 +21,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .algebra import haar_rotation, rng_from, row_norms, sample_unit_vectors
+from .algebra import haar_rotation, rng_from, row_dots, row_norms, sample_unit_vectors
 from .clifford import CliffordSystem
 from .foliation import (
     _generator_images,
@@ -57,25 +57,23 @@ BUILTIN_SPEC_NAMES = ("points", "one_leaf", "height", "tensor_svd")
 class FoliationSpec:
     """A boundary-sphere foliation given by a leaf-separating invariant map.
 
-    ``invariant_map`` eats a unit vector of R^(m+1) and returns a finite
-    vector constant exactly on leaves.  ``quotient_distance``, when present,
-    is the metric of the leaf space on pairs of unit vectors (needed by the
-    cone metric).  ``leaf_sampler``, when present, draws a uniform-ish point
-    of the leaf through a given unit vector; the ambient distance estimator
-    falls back to single-direction fibers without it.  ``leaves_are_fibers``
-    marks the trivial by-points foliation, whose composed leaves are plain
-    fibers and can be constrained directly.  ``invariant_jacobian``, when
-    present, is the Jacobian of v -> invariant_map(v / |v|) at nonzero v,
-    along the last axis: a batch (S, m+1) maps to (S, t, m+1) for a
-    t-component invariant.  The ambient distance estimator chains it into
-    its leaf constraints; without it, central differences of
-    ``invariant_map`` (2(m+1) extra calls per point) stand in.
+    Every callable takes rows.  ``invariant_map`` maps unit rows (n, m+1) to
+    (n, t), constant exactly on leaves.  ``quotient_distance`` (optional,
+    needed by the cone metric) is the leaf-space metric of paired rows,
+    giving (n,).  ``leaf_sampler(units, rng)`` (optional) draws a leaf point
+    through each row, in row order; without it the ambient distance
+    estimator uses single-direction fibers.  ``leaves_are_fibers`` marks the
+    by-points foliation, whose composed leaves are plain fibers.
+    ``invariant_jacobian`` (optional) maps nonzero rows (S, m+1) to the
+    Jacobians (S, t, m+1) of v -> invariant_map(v / |v|); without it the
+    estimator takes central differences, one ``invariant_map`` call on
+    2(m+1) shifted rows per point.
     """
 
     name: str
     ambient_dim: int
     invariant_map: Callable[[np.ndarray], np.ndarray]
-    quotient_distance: Optional[Callable[[np.ndarray, np.ndarray], float]] = None
+    quotient_distance: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
     leaf_sampler: Optional[Callable[[np.ndarray, np.random.Generator], np.ndarray]] = None
     leaves_are_fibers: bool = False
     invariant_jacobian: Optional[Callable[[np.ndarray], np.ndarray]] = None
@@ -85,25 +83,26 @@ def signed_svd_triple(mat: np.ndarray) -> np.ndarray:
     """Ordered singular values of a 3x3 matrix with det sign on the smallest.
 
     (s1 >= s2 >= |s3|, sign(s3) = sign(det)); constant on orbits of the
-    rotate-both-sides action M -> U M V^T, U, V in SO(3).
+    rotate-both-sides action M -> U M V^T, U, V in SO(3).  A matrix (3, 3)
+    or (9,) gives (3,); rows (n, 9) or a stack (n, 3, 3) give (n, 3).
     """
-    mat = np.asarray(mat, dtype=float).reshape(3, 3)
-    s = np.linalg.svd(mat, compute_uv=False)
-    tau = s.copy()
-    if np.linalg.det(mat) < 0:
-        tau[2] = -tau[2]
+    mat = np.asarray(mat, dtype=float)
+    lead = mat.shape[:-1] if mat.shape[-1] == 9 else mat.shape[:-2]
+    mat = mat.reshape(lead + (3, 3))
+    tau = np.linalg.svd(mat, compute_uv=False)
+    tau[..., 2] = np.where(np.linalg.det(mat) < 0, -tau[..., 2], tau[..., 2])
     return tau
 
 
-def tensor_orbit_distance(a: np.ndarray, b: np.ndarray) -> float:
+def tensor_orbit_distance(a: np.ndarray, b: np.ndarray):
     """Spherical distance between the rotate-both-sides orbits of two unit 3x3 matrices.
 
     arccos of the inner product of the signed singular triples, which is the
-    minimum of arccos <a, U b V^T> over U, V in SO(3).
+    minimum of arccos <a, U b V^T> over U, V in SO(3).  Two matrices give a
+    float; paired rows (n, 9) give (n,).
     """
-    ta = signed_svd_triple(a)
-    tb = signed_svd_triple(b)
-    return float(np.arccos(np.clip(ta @ tb, -1.0, 1.0)))
+    d = np.arccos(np.clip(row_dots(signed_svd_triple(a), signed_svd_triple(b)), -1.0, 1.0))
+    return float(d) if d.ndim == 0 else d
 
 
 def builtin_spec(name: str, m: int) -> FoliationSpec:
@@ -123,28 +122,30 @@ def builtin_spec(name: str, m: int) -> FoliationSpec:
         return FoliationSpec(
             "points", dim,
             invariant_map=lambda v: np.asarray(v, dtype=float),
-            quotient_distance=lambda u, v: float(np.arccos(np.clip(np.dot(u, v), -1.0, 1.0))),
+            quotient_distance=lambda u, v: np.arccos(np.clip(row_dots(u, v), -1.0, 1.0)),
             leaves_are_fibers=True,
         )
     if name == "one_leaf":
         return FoliationSpec(
             "one_leaf", dim,
-            invariant_map=lambda v: np.zeros(1),
-            quotient_distance=lambda u, v: 0.0,
-            leaf_sampler=lambda v, rng: sample_unit_vectors(rng, dim, 1)[0],
+            invariant_map=lambda v: np.zeros((len(v), 1)),
+            quotient_distance=lambda u, v: np.zeros(len(u)),
+            leaf_sampler=lambda v, rng: sample_unit_vectors(rng, dim, len(v)),
             invariant_jacobian=lambda v: np.zeros(np.shape(v)[:-1] + (1, dim)),
         )
     if name == "height":
         p0 = np.eye(dim)[0]
 
         def sample_leaf(v, rng):
-            c = float(np.clip(np.dot(v, p0), -1.0, 1.0))
-            q = sample_unit_vectors(rng, dim, 1)[0]
-            q -= np.dot(q, p0) * p0
-            nq = np.linalg.norm(q)
-            if nq < 1e-12:
-                return c * p0
-            return c * p0 + np.sqrt(max(0.0, 1.0 - c * c)) * (q / nq)
+            c = np.clip(row_dots(v, p0), -1.0, 1.0)
+            q = sample_unit_vectors(rng, dim, len(v))
+            q -= row_dots(q, p0)[:, None] * p0
+            nq = row_norms(q)
+            out = c[:, None] * p0
+            off = nq >= 1e-12  # a draw on the pole axis leaves the point at the pole
+            out[off] += (np.sqrt(np.maximum(0.0, 1.0 - c[off] * c[off]))[:, None]
+                         * (q[off] / nq[off, None]))
+            return out
 
         def height_jacobian(v):
             # d<v/|v|, p0>/dv = (p0 - <v^, p0> v^) / |v|
@@ -154,10 +155,10 @@ def builtin_spec(name: str, m: int) -> FoliationSpec:
 
         return FoliationSpec(
             "height", dim,
-            invariant_map=lambda v: np.array([np.dot(v, p0)]),
-            quotient_distance=lambda u, v: float(abs(
-                np.arccos(np.clip(np.dot(u, p0), -1.0, 1.0))
-                - np.arccos(np.clip(np.dot(v, p0), -1.0, 1.0)))),
+            invariant_map=lambda v: row_dots(v, p0)[:, None],
+            quotient_distance=lambda u, v: np.abs(
+                np.arccos(np.clip(row_dots(u, p0), -1.0, 1.0))
+                - np.arccos(np.clip(row_dots(v, p0), -1.0, 1.0))),
             leaf_sampler=sample_leaf,
             invariant_jacobian=height_jacobian,
         )
@@ -166,14 +167,13 @@ def builtin_spec(name: str, m: int) -> FoliationSpec:
             raise ValueError("tensor_svd lives on the 8-sphere of unit 3x3 matrices")
 
         def sample_leaf(v, rng):
-            mat = np.asarray(v, dtype=float).reshape(3, 3)
-            u = haar_rotation(rng, 3)
-            w = haar_rotation(rng, 3)
-            return (u @ mat @ w.T).ravel()
+            # U M W^T per row, U drawn before W (left operand first)
+            return np.array([(haar_rotation(rng, 3) @ mat @ haar_rotation(rng, 3).T).ravel()
+                             for mat in np.reshape(v, (-1, 3, 3))])
 
         return FoliationSpec(
             "tensor_svd", dim,
-            invariant_map=lambda v: signed_svd_triple(v),
+            invariant_map=signed_svd_triple,
             quotient_distance=tensor_orbit_distance,
             leaf_sampler=sample_leaf,
         )
@@ -207,15 +207,6 @@ def _disk_points(system: CliffordSystem, x: np.ndarray):
     return v, row_norms(v)
 
 
-def _invariants(spec: FoliationSpec, units: np.ndarray) -> np.ndarray:
-    """``spec.invariant_map`` of every row of units, stacked (n, t).
-
-    The map takes one unit vector at a time; this is the one place that
-    calls it.
-    """
-    return np.array([np.asarray(spec.invariant_map(u), dtype=float) for u in units])
-
-
 def _check_pair(x: np.ndarray, y: np.ndarray):
     if np.shape(x) != np.shape(y):
         raise ValueError(f"paired points must share a shape, got {np.shape(x)} and {np.shape(y)}")
@@ -227,7 +218,7 @@ def composed_class(system: CliffordSystem, spec: FoliationSpec, x: np.ndarray):
     v, r = _disk_points(system, x)
     tails = [None] * len(r)
     off = np.flatnonzero(r > _ORIGIN_TOL)
-    for i, tail in zip(off, _invariants(spec, v[off] / r[off, None])):
+    for i, tail in zip(off, spec.invariant_map(v[off] / r[off, None])):
         tails[i] = tail
     classes = [ComposedClass(float(ri), tail) for ri, tail in zip(r, tails)]
     return classes[0] if np.ndim(x) == 1 else classes
@@ -247,10 +238,9 @@ def same_leaf(system: CliffordSystem, spec: FoliationSpec, x: np.ndarray, y: np.
     close = np.abs(rx - ry) <= _SAME_LEAF_TOL
     same = close & (rx <= _SAME_LEAF_TOL) & (ry <= _SAME_LEAF_TOL)
     need = np.flatnonzero(close & ~same & (rx > _ORIGIN_TOL) & (ry > _ORIGIN_TOL))
-    if need.size:
-        tx = _invariants(spec, vx[need] / rx[need, None])
-        ty = _invariants(spec, vy[need] / ry[need, None])
-        same[need] = np.max(np.abs(tx - ty), axis=1) <= _SAME_LEAF_TOL
+    tx = spec.invariant_map(vx[need] / rx[need, None])
+    ty = spec.invariant_map(vy[need] / ry[need, None])
+    same[need] = np.max(np.abs(tx - ty), axis=1) <= _SAME_LEAF_TOL
     return bool(same[0]) if np.ndim(x) == 1 else same
 
 
@@ -273,8 +263,9 @@ def composed_quotient_distance(system: CliffordSystem, spec: FoliationSpec,
     rx, ry = np.minimum(1.0, rx), np.minimum(1.0, ry)
     s, sp = np.arcsin(rx), np.arcsin(ry)
     delta = np.zeros(len(rx))
-    for i in np.flatnonzero((rx > _ORIGIN_TOL) & (ry > _ORIGIN_TOL)):
-        delta[i] = min(float(spec.quotient_distance(vx[i] / rx[i], vy[i] / ry[i])), np.pi)
+    off = np.flatnonzero((rx > _ORIGIN_TOL) & (ry > _ORIGIN_TOL))
+    delta[off] = np.minimum(
+        spec.quotient_distance(vx[off] / rx[off, None], vy[off] / ry[off, None]), np.pi)
     c = np.clip(np.cos(s) * np.cos(sp) + np.sin(s) * np.sin(sp) * np.cos(delta), -1.0, 1.0)
     d = 0.5 * np.arccos(c)
     return float(d[0]) if np.ndim(x) == 1 else d
@@ -303,7 +294,8 @@ def _leaf_sample_blocks(system: CliffordSystem, spec: FoliationSpec, v: np.ndarr
     seeds = np.empty(len(points), dtype=np.int64)
     for j in range(len(points)):
         if not origin:
-            points[j] = r * (v / r if spec.leaf_sampler is None else spec.leaf_sampler(v / r, rng))
+            points[j] = r * (v / r if spec.leaf_sampler is None
+                             else spec.leaf_sampler((v / r)[None], rng)[0])
         seeds[j] = rng.integers(2**62)
     blocks = [fiber_sample(system, points[:full], chunk, seeds[:full])] if full else []
     if rest:
@@ -338,12 +330,12 @@ def _constraint_state(system: CliffordSystem, spec: FoliationSpec, z: np.ndarray
         return c, rows_pi, v, rows_pi, eye
     r2 = np.sum(v * v, axis=-1)
     vhat = v / np.sqrt(np.maximum(r2, 1e-30))[:, None]
-    tail = _invariants(spec, vhat)
+    tail = spec.invariant_map(vhat)
     if spec.invariant_jacobian is not None:
         # a contiguous operand takes the same matmul path at every batch size
         jac = np.ascontiguousarray(spec.invariant_jacobian(v), dtype=float)
     else:
-        jac = _central_differences(lambda u: _invariants(spec, _unit(u)), v, np.full(len(v), 1e-6))
+        jac = _central_differences(lambda u: spec.invariant_map(_unit(u)), v, np.full(len(v), 1e-6))
     c = np.concatenate([(r2 - target_r2)[:, None], tail - target_tail], axis=1)
     rows = np.concatenate([2.0 * (v[:, None, :] @ rows_pi), jac @ rows_pi], axis=1)
     dphi = np.concatenate([2.0 * v[:, None, :], jac], axis=1)
@@ -490,7 +482,7 @@ def _restore(system, spec, z, target_r2, target_tail):
     resid = np.empty(len(z))
     state = None
     live = np.arange(len(z))
-    for _ in range(8):
+    for corrections in range(9):
         c, *found = _constraint_state(system, spec, z[live], target_r2, target_tail)
         if state is None:
             state = [np.empty((len(z),) + f.shape[1:]) for f in found]
@@ -500,13 +492,9 @@ def _restore(system, spec, z, target_r2, target_tail):
         resid[live] = res
         more = res >= 1e-12
         live = live[more]
-        if not live.size:
-            return z, resid, state
+        if not live.size or corrections == 8:
+            break
         z[live] = _unit(z[live] + _min_norm_solve(found[0][more], -c[more]))
-    c, *found = _constraint_state(system, spec, z[live], target_r2, target_tail)
-    resid[live] = np.max(np.abs(c), axis=1)
-    for kept, f in zip(state, found):
-        kept[live] = f
     return z, resid, state
 
 
@@ -595,8 +583,8 @@ def leaf_to_leaf_ambient_distance(system: CliffordSystem, spec: FoliationSpec,
         # distance to E_+^1(P_w) is arccos |(x + P_w x)/2| per direction w
         vhat = v / r
         n_dirs = 1 if spec.leaf_sampler is None else max(1, min(256, budget // 16))
-        w = np.array([vhat if spec.leaf_sampler is None else spec.leaf_sampler(vhat, rng)
-                      for _ in range(n_dirs)])
+        units = np.repeat(vhat[None], n_dirs, axis=0)
+        w = units if spec.leaf_sampler is None else spec.leaf_sampler(units, rng)
         proj = 0.5 * (x + _span_apply(system, w, np.broadcast_to(x, (n_dirs, 1, len(x))))[:, 0])
         return float(np.min(np.arccos(np.clip(row_norms(proj), 0.0, 1.0))))
 
@@ -607,7 +595,7 @@ def leaf_to_leaf_ambient_distance(system: CliffordSystem, spec: FoliationSpec,
     target_r2 = r * r
     target_tail = None
     if r > _ORIGIN_TOL:
-        target_tail = _invariants(spec, (v / r)[None])[0]
+        target_tail = spec.invariant_map((v / r)[None])[0]
     # Starts: champions of the 32-sample slices of the first 2048 samples,
     # half taken greedily by objective value and half spread through the
     # remaining ranks, so a global basin with a mediocre floor still gets a

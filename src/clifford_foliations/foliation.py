@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import eig_split, rng_from, row_norms, sample_unit_vectors
+from .algebra import eig_split, rng_from, row_dots, row_norms, sample_unit_vectors
 from .clifford import CliffordSystem
 
 __all__ = [
@@ -346,21 +346,21 @@ def fkm_f0(system: CliffordSystem, x: np.ndarray):
 
 @dataclass
 class HorizontalGeodesic:
-    """Great circle cos(t) x_minus + sin(t) x_plus with x_+- in E_+-(P)."""
+    """Great circle cos(t) x_minus + sin(t) x_plus with x_+- in E_+-(P); k of them as rows."""
 
     p_coords: np.ndarray
     x_plus: np.ndarray
     x_minus: np.ndarray
 
 
-def random_horizontal_geodesic(system: CliffordSystem, seeds):
+def random_horizontal_geodesic(system: CliffordSystem, seeds) -> HorizontalGeodesic:
     """Geodesic over a uniform unit span element P with uniform x_+- in E_+-(P).
 
     E_-(P) is E_+(-P), so both endpoints are boundary-fiber samples over +-P,
     drawn with seeds from the geodesic's own generator.  An int seed gives
-    one geodesic; a (k,) seed array gives a list of k, geodesic j equal bit
-    for bit to the one of seeds[j], with all 2k endpoints drawn in one
-    sampler call.
+    one geodesic; a (k,) seed array gives one geodesic of k rows, row j
+    equal bit for bit to the geodesic of seeds[j], with all 2k endpoints
+    drawn in one sampler call.
     """
     seeds, single = _seeds(seeds)
     k = len(seeds)
@@ -371,19 +371,21 @@ def random_horizontal_geodesic(system: CliffordSystem, seeds):
         p[j] = sample_unit_vectors(rng, system.m + 1, 1)[0]
         ends[:, j] = rng.integers(2**62), rng.integers(2**62)
     x = boundary_fiber_sample(system, np.concatenate([p, -p]), 1, ends.ravel())[:, 0]
-    geodesics = [HorizontalGeodesic(p[j], x[j], x[k + j]) for j in range(k)]
-    return geodesics[0] if single else geodesics
+    rows = (p, x[:k], x[k:])
+    return HorizontalGeodesic(*(a[0] if single else a for a in rows))
 
 
 def geodesic_eval(g: HorizontalGeodesic, t) -> np.ndarray:
-    """gamma(t) = cos(t) x_minus + sin(t) x_plus; t may be an array."""
+    """gamma(t) = cos(t) x_minus + sin(t) x_plus, of shape t.shape + x_minus.shape."""
     t = np.asarray(t, dtype=float)
-    return np.cos(t)[..., None] * g.x_minus + np.sin(t)[..., None] * g.x_plus
+    return np.multiply.outer(np.cos(t), g.x_minus) + np.multiply.outer(np.sin(t), g.x_plus)
 
 
 def project_geodesic_params(system: CliffordSystem, g: HorizontalGeodesic):
     """(P, Q) with Q_i = <P_i x_plus, x_minus>, so pi_C(gamma(t)) = -cos(2t) P + sin(2t) Q."""
-    q = np.array([float(px @ g.x_minus) for px in _generator_images(system, g.x_plus)])
+    # one BLAS dot per Q_i, on the (1, 2l) products a single geodesic takes: rows equal singles
+    images = _generator_images(system, g.x_plus[..., None, :])[..., 0, :, :]
+    q = row_dots(images, g.x_minus[..., None, :])
     return np.array(g.p_coords, dtype=float), q
 
 

@@ -17,7 +17,14 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .algebra import haar_orthogonal, haar_rotation, rng_from, sample_unit_vectors
+from .algebra import (
+    haar_orthogonal,
+    haar_rotation,
+    rng_from,
+    row_dots,
+    row_norms,
+    sample_unit_vectors,
+)
 from .clifford import (
     CliffordSystem,
     MalformedSystemError,
@@ -38,6 +45,7 @@ from .composed import (
     signed_svd_triple,
 )
 from .foliation import (
+    _span_apply,
     boundary_fiber_sample,
     fiber_sample,
     fkm_f0,
@@ -208,30 +216,24 @@ def _suite_submersion_rank(cfg: SuiteConfig):
     per = max(1, -(-trials // len(grid)))
     seeds = cfg.seed + 20 + np.arange(len(grid))
     points = fiber_sample(system, grid, per, seeds).reshape(-1, system.dim)[:trials]
-    rank_bad = 0
-    tangency = 0.0
-    for x in points:
-        rows = pi_jacobian_rows(system, x)
-        tangency = max(tangency, float(np.abs(rows @ x).max()))
-        sv = np.linalg.svd(rows, compute_uv=False)
-        rel = sv / sv[0]
-        keep = int(np.sum(rel > 1e-6))
-        in_band = int(np.sum((rel > 1e-8) & (rel <= 1e-6)))
-        if keep != m + 1 or in_band:
-            rank_bad += 1
+    rows = pi_jacobian_rows(system, points)
+    tangency = float(np.abs(rows @ points[:, :, None]).max())
+    sv = np.linalg.svd(rows, compute_uv=False)
+    rel = sv / sv[:, :1]
+    keep = np.sum(rel > 1e-6, axis=1)
+    in_band = np.sum((rel > 1e-8) & (rel <= 1e-6), axis=1)
+    rank_bad = int(np.sum((keep != m + 1) | (in_band > 0)))
     # finite differences along great circles vs. the analytic gradient rows
     h = 1e-5
-    fd_worst = 0.0
-    rng = rng_from(cfg.seed, 3)
-    for x in points[:20]:
-        w = rng.standard_normal(system.dim)
-        w -= (w @ x) * x
-        w /= np.linalg.norm(w)
-        fwd = pi_c(system, np.cos(h) * x + np.sin(h) * w)
-        bwd = pi_c(system, np.cos(h) * x - np.sin(h) * w)
-        fd = (fwd - bwd) / (2.0 * h)
-        pred = pi_jacobian_rows(system, x) @ w
-        fd_worst = max(fd_worst, float(np.abs(fd - pred).max()))
+    x = points[:20]
+    w = rng_from(cfg.seed, 3).standard_normal(x.shape)
+    w -= row_dots(w, x)[:, None] * x
+    w /= row_norms(w)[:, None]
+    fwd = pi_c(system, np.cos(h) * x + np.sin(h) * w)
+    bwd = pi_c(system, np.cos(h) * x - np.sin(h) * w)
+    fd = (fwd - bwd) / (2.0 * h)
+    pred = (rows[:20] @ w[:, :, None])[..., 0]
+    fd_worst = float(np.abs(fd - pred).max())
     return [
         CheckResult.from_violation(
             "jacobian_rank", "the quotient map has full rank m+1 at interior points "
@@ -280,14 +282,13 @@ def _suite_geodesics(cfg: SuiteConfig):
     system = cfg.system
     n_geo = cfg.knob("geodesics", min(cfg.samples, 100))
     ts = np.linspace(0.0, np.pi / 2.0, 100)
-    res = q_norm = pq = 0.0
-    for g in random_horizontal_geodesic(system, cfg.seed * 1000 + np.arange(n_geo)):
-        p, q = project_geodesic_params(system, g)
-        curve = pi_c(system, geodesic_eval(g, ts))
-        pred = -np.cos(2 * ts)[:, None] * p + np.sin(2 * ts)[:, None] * q
-        res = max(res, float(np.abs(curve - pred).max()))
-        q_norm = max(q_norm, float(np.linalg.norm(q)) - 1.0)
-        pq = max(pq, abs(float(p @ q)))
+    g = random_horizontal_geodesic(system, cfg.seed * 1000 + np.arange(n_geo))
+    p, q = project_geodesic_params(system, g)
+    curve = pi_c(system, geodesic_eval(g, ts))
+    pred = -np.cos(2 * ts)[:, None, None] * p + np.sin(2 * ts)[:, None, None] * q
+    res = float(np.abs(curve - pred).max())
+    q_norm = float(np.max(row_norms(q))) - 1.0
+    pq = float(np.max(np.abs(row_dots(p, q))))
     return [
         CheckResult.from_violation(
             "projected_geodesic", "horizontal great circles project onto disk geodesics "
@@ -306,20 +307,16 @@ def _suite_quotient_metric(cfg: SuiteConfig):
     ts = np.linspace(0.0, np.pi / 2.0, 25)
     knots = range(0, len(ts), 6)
     si, ti = np.array([(i, j) for i in knots for j in knots if i != j]).T
-    lift_res = frame_err = speed_err = 0.0
-    for g in random_horizontal_geodesic(system, cfg.seed * 2000 + np.arange(n_geo)):
-        curve = pi_c(system, geodesic_eval(g, ts))
-        lifted = quotient_lift(curve)
-        a = quotient_lift(curve[0])
-        b = quotient_lift(pi_c(system, geodesic_eval(g, np.pi / 4.0)))
-        pred = np.cos(2 * ts)[:, None] * a + np.sin(2 * ts)[:, None] * b
-        lift_res = max(lift_res, float(np.abs(lifted - pred).max()))
-        frame_err = max(frame_err,
-                        abs(float(np.linalg.norm(a)) - 0.5),
-                        abs(float(np.linalg.norm(b)) - 0.5),
-                        abs(float(a @ b)))
-        d = quotient_distance(curve[si], curve[ti])
-        speed_err = max(speed_err, float(np.max(np.abs(d - np.abs(ts[si] - ts[ti])))))
+    g = random_horizontal_geodesic(system, cfg.seed * 2000 + np.arange(n_geo))
+    curve = pi_c(system, geodesic_eval(g, ts))
+    a = quotient_lift(curve[0])
+    b = quotient_lift(pi_c(system, geodesic_eval(g, np.pi / 4.0)))
+    pred = np.cos(2 * ts)[:, None, None] * a + np.sin(2 * ts)[:, None, None] * b
+    lift_res = float(np.abs(quotient_lift(curve) - pred).max())
+    frame_err = float(max(np.max(np.abs(row_norms(a) - 0.5)), np.max(np.abs(row_norms(b) - 0.5)),
+                          np.max(np.abs(row_dots(a, b)))))
+    d = quotient_distance(curve[si], curve[ti])
+    speed_err = float(np.max(np.abs(d - np.abs(ts[si] - ts[ti])[:, None])))
     p = sample_unit_vectors(rng_from(cfg.seed, 5), system.m + 1, 8)
     anti = float(np.max(np.abs(quotient_distance(p, -p) - np.pi / 2.0)))
     self_d = float(np.max(np.abs(quotient_distance(p * 0.5, p * 0.5))))
@@ -449,13 +446,14 @@ def _suite_invariants_classification(cfg: SuiteConfig):
         "conjugation_exactness", "conjugated systems keep relations and profile",
         mismatch, 0.0))
     rng = rng_from(cfg.seed, 7)
-    iso = 0.0
-    for _ in range(50):
-        pq = rng.standard_normal((2, system.m + 1))
-        x = sample_unit_vectors(rng, system.dim, 1)[0]
-        px = x @ system.span_matrix(pq[0]).T
-        qx = x @ system.span_matrix(pq[1]).T
-        iso = max(iso, abs(float(px @ qx) - float(pq[0] @ pq[1])))
+    pq = np.empty((50, 2, system.m + 1))
+    x = np.empty((50, 1, system.dim))
+    for i in range(50):
+        pq[i] = rng.standard_normal((2, system.m + 1))
+        x[i] = sample_unit_vectors(rng, system.dim, 1)
+    px = _span_apply(system, pq[:, 0], x)[:, 0]
+    qx = _span_apply(system, pq[:, 1], x)[:, 0]
+    iso = float(np.max(np.abs(row_dots(px, qx) - row_dots(pq[:, 0], pq[:, 1]))))
     checks.append(CheckResult.from_violation(
         "span_isometry", "span elements multiply like their coordinates on every unit vector",
         iso, 1e-12))
@@ -684,7 +682,7 @@ def _suite_diameter(cfg: SuiteConfig):
             max(0.0, (np.pi / 4.0 - 0.05) - sup), 0.0, headroom=False))
 
     # the tensor spec's invariant, which depends on no system: checked once per m = 8 system
-    rot = 0.0
+    rotated, taus = [], []
     rngr = rng_from(cfg.seed, 502)
     for i in range(cfg.knob("rotations", 1000)):
         if i % 100 == 0:
@@ -692,7 +690,9 @@ def _suite_diameter(cfg: SuiteConfig):
             pmat /= np.linalg.norm(pmat)
             tau = signed_svd_triple(pmat)
         u, w = haar_rotation(rngr, 3), haar_rotation(rngr, 3)
-        rot = max(rot, float(np.abs(signed_svd_triple(u @ pmat @ w.T) - tau).max()))
+        rotated.append(u @ pmat @ w.T)
+        taus.append(tau)
+    rot = float(np.abs(signed_svd_triple(np.array(rotated)) - np.array(taus)).max())
     checks.append(CheckResult.from_violation(
         "tensor_invariance", "the signed singular triple is constant on rotate-both-sides "
         "orbits", rot, 1e-10))

@@ -14,6 +14,7 @@ from clifford_foliations.algebra import (
     max_abs,
     projector_colspace_basis,
     rng_from,
+    row_dots,
     row_norms,
     sample_unit_vectors,
     sign_fixed_q,
@@ -265,6 +266,8 @@ class TestDenseHelpers:
                             sample_unit_vectors(rng_from(6), 3, 200) * 0.6])
         assert np.linalg.norm(a[0]) != np.linalg.norm(a, axis=-1)[0]
         assert row_norms(a).tobytes() == np.array([np.linalg.norm(r) for r in a]).tobytes()
+        b = np.roll(a, 1, axis=0)
+        assert row_dots(a, b).tobytes() == np.array([np.dot(r, s) for r, s in zip(a, b)]).tobytes()
 
     def test_sign_fixed_q_contract(self):
         # condition number 1e6: orthogonality still at 1e-12

@@ -251,6 +251,18 @@ class TestFiberCsv:
         run("construct", "--m", 2, "--k", 2, "--out", system)
         assert run("fiber", "--system", system, "--at", "0.2,0.1") == 2
 
+    @pytest.mark.parametrize("command, flag", [("fiber", "--count"), ("compose", "--count"),
+                                               ("compose", "--check-pairs")])
+    def test_negative_counts(self, command, flag, tmp_path, capsys):
+        system = tmp_path / "s.json"
+        run("construct", "--m", 2, "--k", 2, "--out", system)
+        capsys.readouterr()
+        where = ("--at", "0") if command == "fiber" else ("--spec", "height")
+        assert run(command, "--system", system, *where, flag, -1) == 2
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [f"error: {flag} must be at least 0, got -1"]
+        assert captured.out == ""
+
     def test_non_finite_coordinates(self, tmp_path, capsys):
         system = tmp_path / "s.json"
         run("construct", "--m", 2, "--k", 2, "--out", system)

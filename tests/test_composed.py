@@ -10,6 +10,7 @@ from clifford_foliations.algebra import haar_rotation, rng_from, sample_unit_vec
 from clifford_foliations import composed
 from clifford_foliations.clifford import build_system
 from clifford_foliations.composed import (
+    BUILTIN_SPEC_NAMES,
     FoliationSpec,
     _descend,
     _leaf_sample_blocks,
@@ -89,19 +90,38 @@ class TestBuiltinSpecs:
     def test_one_leaf_constant(self):
         spec = builtin_spec("one_leaf", 3)
         u, v = sample_unit_vectors(rng_from(1), 4, 2)
-        np.testing.assert_array_equal(spec.invariant_map(u), spec.invariant_map(v))
+        np.testing.assert_array_equal(spec.invariant_map(u[None])[0],
+                                      spec.invariant_map(v[None])[0])
         assert not spec.leaves_are_fibers
-        assert spec.quotient_distance(u, v) == 0.0
+        assert spec.quotient_distance(u[None], v[None])[0] == 0.0
 
     def test_height_leaves_and_sampler(self):
         spec = builtin_spec("height", 2)
         rng = rng_from(2)
         v = sample_unit_vectors(rng, 3, 1)[0]
         for _ in range(10):
-            w = spec.leaf_sampler(v, rng)
+            w = spec.leaf_sampler(v[None], rng)[0]
             assert abs(np.linalg.norm(w) - 1.0) <= 1e-12
-            np.testing.assert_allclose(spec.invariant_map(w), spec.invariant_map(v),
-                                       atol=1e-12)
+            np.testing.assert_allclose(spec.invariant_map(w[None])[0],
+                                       spec.invariant_map(v[None])[0], atol=1e-12)
+
+    @pytest.mark.parametrize("name", BUILTIN_SPEC_NAMES)
+    def test_rows_equal_single_rows(self, name):
+        # on the 8-sphere every row is long enough for a pairwise sum to
+        # differ from one BLAS dot
+        spec = builtin_spec(name, 8)
+        u = sample_unit_vectors(rng_from(45), 9, 7)
+        v = sample_unit_vectors(rng_from(46), 9, 7)
+        invariants = spec.invariant_map(u)
+        distances = spec.quotient_distance(u, v)
+        for j in range(len(u)):
+            assert invariants[j].tobytes() == spec.invariant_map(u[j:j + 1])[0].tobytes()
+            one = spec.quotient_distance(u[j:j + 1], v[j:j + 1])[0]
+            assert distances[j].tobytes() == one.tobytes()
+        if spec.leaf_sampler is not None:
+            rng = rng_from(47)
+            one_by_one = [spec.leaf_sampler(u[j:j + 1], rng)[0] for j in range(len(u))]
+            assert spec.leaf_sampler(u, rng_from(47)).tobytes() == np.array(one_by_one).tobytes()
 
     def test_tensor_restricted_to_nine_dims(self):
         with pytest.raises(ValueError):
@@ -441,7 +461,8 @@ class TestAmbientLeafDistance:
         else:
             user = FoliationSpec(
                 "user_points", 3, invariant_map=lambda v: np.asarray(v, dtype=float),
-                quotient_distance=lambda u, v: float(np.arccos(np.clip(np.dot(u, v), -1.0, 1.0))))
+                quotient_distance=lambda u, v: np.arccos(
+                    np.clip(np.sum(u * v, axis=-1), -1.0, 1.0)))
         rng = rng_from(37)
         for i in range(3):
             va = sample_unit_vectors(rng, 3, 1)[0] * float(rng.uniform(0.2, 0.85))
@@ -472,7 +493,7 @@ class TestBatchedAscent:
         y = fiber_sample(system, vb, 1, 41)[0]
         v = pi_c(system, y)
         r = float(np.linalg.norm(v))
-        tail = np.asarray(spec.invariant_map(v / r), dtype=float)
+        tail = np.asarray(spec.invariant_map((v / r)[None])[0], dtype=float)
         starts = _leaf_sample_blocks(system, spec, v, 256, rng_from(42))[::32]
         batch = _descend(system, spec, x, starts, r * r, tail)
         alone = np.array([_descend(system, spec, x, starts[i:i + 1], r * r, tail)[0]
@@ -500,7 +521,8 @@ def test_leaf_blocks_equal_chunk_by_chunk_draws(spec_name, radius):
         if radius == 0.0:
             expected.append(mplus_sample(system, n, int(rng.integers(2**62))))
             continue
-        d = v / radius if spec.leaf_sampler is None else spec.leaf_sampler(v / radius, rng)
+        d = (v / radius if spec.leaf_sampler is None
+             else spec.leaf_sampler((v / radius)[None], rng)[0])
         expected.append(fiber_sample(system, radius * d, n, int(rng.integers(2**62))))
     got = _leaf_sample_blocks(system, spec, v, budget, rng_from(44))
     assert got.tobytes() == np.concatenate(expected).tobytes()
@@ -614,7 +636,8 @@ class TestInvariantJacobian:
         jac = spec.invariant_jacobian(v)
         assert jac.shape == (len(v), 1, 5)
         for row, j in zip(v, jac):
-            np.testing.assert_allclose(j, self.central_differences(spec.invariant_map, row),
+            np.testing.assert_allclose(j, self.central_differences(
+                lambda u: spec.invariant_map(u[None])[0], row),
                                        rtol=0, atol=1e-7)
 
     def test_one_leaf_jacobian_is_zero(self):

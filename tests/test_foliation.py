@@ -335,11 +335,18 @@ class TestRowWiseSamplers:
         system = list(row_wise_systems())[case]
         seeds = 7000 + np.arange(9)
         geodesics = random_horizontal_geodesic(system, seeds)
-        assert len(geodesics) == len(seeds)
-        for g, seed in zip(geodesics, seeds):
+        assert len(geodesics.x_plus) == len(seeds)
+        ts = np.linspace(0.0, np.pi / 2.0, 7)
+        curves = geodesic_eval(geodesics, ts)
+        p, q = project_geodesic_params(system, geodesics)
+        for j, seed in enumerate(seeds):
             one = random_horizontal_geodesic(system, int(seed))
             for name in ("p_coords", "x_plus", "x_minus"):
-                assert getattr(g, name).tobytes() == getattr(one, name).tobytes()
+                assert getattr(geodesics, name)[j].tobytes() == getattr(one, name).tobytes()
+            assert curves[:, j].tobytes() == geodesic_eval(one, ts).tobytes()
+            p_one, q_one = project_geodesic_params(system, one)
+            assert p[j].tobytes() == p_one.tobytes()
+            assert q[j].tobytes() == q_one.tobytes()
 
     @pytest.mark.parametrize("case", range(5))
     def test_span_stack_equals_single_matrices(self, case):
