@@ -21,6 +21,7 @@ __all__ = [
     "max_abs",
     "row_dots",
     "row_norms",
+    "check_unit",
     "projector_colspace_basis",
     "eig_split",
     "rng_from",
@@ -165,6 +166,14 @@ def row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def row_norms(a: np.ndarray) -> np.ndarray:
     """Euclidean norm of every row of a, as the 1-D ``np.linalg.norm`` takes it."""
     return np.sqrt(row_dots(a, a))
+
+
+def check_unit(x, what: str = "point") -> np.ndarray:
+    """x as floats, after checking every row along the last axis is a unit vector to 1e-9."""
+    x = np.asarray(x, dtype=float)
+    if not np.all(np.abs(row_norms(x) - 1.0) <= 1e-9):
+        raise ValueError(f"{what} must be a finite unit vector")
+    return x
 
 
 def projector_colspace_basis(p: np.ndarray) -> np.ndarray:

@@ -585,7 +585,8 @@ def leaf_to_leaf_ambient_distance(system: CliffordSystem, spec: FoliationSpec,
         n_dirs = 1 if spec.leaf_sampler is None else max(1, min(256, budget // 16))
         units = np.repeat(vhat[None], n_dirs, axis=0)
         w = units if spec.leaf_sampler is None else spec.leaf_sampler(units, rng)
-        proj = 0.5 * (x + _span_apply(system, w, np.broadcast_to(x, (n_dirs, 1, len(x))))[:, 0])
+        xs = np.broadcast_to(x, (n_dirs, 1, len(x)))
+        proj = 0.5 * (x + _span_apply(system, xs, system.span_matrix, w)[:, 0])
         return float(np.min(np.arccos(np.clip(row_norms(proj), 0.0, 1.0))))
 
     samples = _leaf_sample_blocks(system, spec, v, budget, rng)

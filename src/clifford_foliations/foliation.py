@@ -17,10 +17,11 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
-from .algebra import eig_split, rng_from, row_dots, row_norms, sample_unit_vectors
+from .algebra import check_unit, eig_split, rng_from, row_dots, row_norms, sample_unit_vectors
 from .clifford import CliffordSystem
 
 __all__ = [
@@ -45,8 +46,6 @@ __all__ = [
     "EmptyFocalError",
 ]
 
-_UNIT_TOL = 1e-9
-_INVOLUTION_TOL = 1e-10
 # Entries per block of the stacks a batch builds (generator images, span
 # matrices): a 512 KB block, so a large batch holds about what one small
 # call holds.  See _blocks.
@@ -55,14 +54,6 @@ _BLOCK = 1 << 16
 
 class EmptyFocalError(ValueError):
     """Requested samples of M+ on a system whose quotient has no interior."""
-
-
-def _check_unit(x: np.ndarray, what: str = "point") -> np.ndarray:
-    x = np.asarray(x, dtype=float)
-    norms = np.linalg.norm(x, axis=-1)
-    if not np.all(np.abs(norms - 1.0) <= _UNIT_TOL):
-        raise ValueError(f"{what} must be a finite unit vector")
-    return x
 
 
 def _blocks(count: int, size: int) -> list:
@@ -110,7 +101,7 @@ def pi_c(system: CliffordSystem, x: np.ndarray) -> np.ndarray:
     (rows, m+1, 2l) image stack of a large batch is never built whole; each
     row's sums are the same in any block.
     """
-    x = _check_unit(x)
+    x = check_unit(x)
     flat = x.reshape(-1, system.dim)
     out = np.empty((len(flat), system.m + 1))
     for rows in _blocks(len(flat), (system.m + 1) * system.dim):
@@ -158,32 +149,34 @@ def _redraw_short_rows(z: np.ndarray, norms: np.ndarray, rngs, draw) -> None:
             norms[j] = np.linalg.norm(z[j], axis=-1)
 
 
-def _span_apply(system: CliffordSystem, coords: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """x[j] @ S_j^T for S_j the span matrix of coords[j]; x of shape (k, n, 2l).
+def _span_apply(system: CliffordSystem, x: np.ndarray, build, *frames) -> np.ndarray:
+    """x[j] @ M_j^T for x (k, n, 2l) and M = build(*frames), each frame one row per x[j].
 
-    Each product is the (n, 2l) @ (2l, 2l) one a single fiber's call makes.
+    M is built a block at a time; each product is the (n, 2l) @ (2l, 2l) one a single call makes.
     """
+    if any(len(f) != len(x) for f in frames):
+        raise ValueError("pass one frame per row of x")
     out = np.empty(x.shape)
     for rows in _blocks(len(x), system.dim ** 2):
-        np.matmul(x[rows], np.swapaxes(system.span_matrix(coords[rows]), -1, -2), out=out[rows])
+        np.matmul(x[rows], np.swapaxes(build(*(f[rows] for f in frames)), -1, -2), out=out[rows])
     return out
 
 
 def _boundary_rows(system: CliffordSystem, p: np.ndarray, n: int, seeds) -> np.ndarray:
     """n samples of each boundary fiber over the unit rows of p, shape (k, n, 2l)."""
     # P^2 = |p|^2 Id on a Clifford system: the involution check, without P @ P
-    if not np.all(np.abs(row_norms(p) ** 2 - 1.0) <= _INVOLUTION_TOL):
+    if not np.all(np.abs(row_norms(p) ** 2 - 1.0) <= 1e-10):
         raise ValueError("span element is not an involution to the requested tolerance")
     rngs = [rng_from(s) for s in seeds]
     z = np.empty((len(rngs), n, system.dim))
     for j, rng in enumerate(rngs):
         rng.standard_normal(out=z[j])
-    z += _span_apply(system, p, z)
+    z += _span_apply(system, z, system.span_matrix, p)
     norms = np.linalg.norm(z, axis=-1)
 
     def draw(j, rng, bad):
         fresh = rng.standard_normal((1, int(np.sum(bad)), system.dim))
-        return (fresh + _span_apply(system, p[j:j + 1], fresh))[0]
+        return (fresh + _span_apply(system, fresh, system.span_matrix, p[j:j + 1]))[0]
 
     _redraw_short_rows(z, norms, rngs, draw)
     return z / norms[..., None]
@@ -202,7 +195,7 @@ def boundary_fiber_sample(system: CliffordSystem, p_coords: np.ndarray,
     bit for bit to the single call with seeds[j].
     """
     p_coords, seeds, single = _seeded_rows(p_coords, seeds, system.m + 1)
-    _check_unit(p_coords, "span element")
+    check_unit(p_coords, "span element")
     z = _boundary_rows(system, p_coords, n, seeds)
     return z[0] if single else z
 
@@ -303,7 +296,7 @@ def fiber_sample(system: CliffordSystem, v: np.ndarray, n: int, seeds) -> np.nda
         x = out if np.all(mid) else out[mid]
         t = (np.arcsin(r[mid]) / 2.0)[:, None, None]
         # cos(t) x + sin(t) Q x, in place and added in that order
-        y = _span_apply(system, v[mid] / r[mid, None], x)
+        y = _span_apply(system, x, system.span_matrix, v[mid] / r[mid, None])
         y *= np.sin(t)
         x *= np.cos(t)
         x += y
@@ -332,9 +325,8 @@ def fkm_f0(system: CliffordSystem, x: np.ndarray):
     Returns (direct, factored) where direct = <x,x>^2 - 2 sum <P_i x, x>^2 and
     factored = 1 - 2 |pi_C(x)|^2; on the unit sphere the two agree to roundoff.
     """
-    x = _check_unit(x)
     v = pi_c(system, x)
-    sq = np.sum(x * x, axis=-1)
+    sq = np.sum(np.square(x), axis=-1)
     direct = sq * sq - 2.0 * np.sum(v * v, axis=-1)
     factored = 1.0 - 2.0 * np.sum(v * v, axis=-1)
     return direct, factored
@@ -435,10 +427,12 @@ def reflect_symmetry(system: CliffordSystem, p_coords: np.ndarray,
     """Apply the boundary element P = sum p_i P_i to x (an isometry of the sphere).
 
     Downstairs this is the reflection of the disk along the axis through P:
-    pi_C(Px) = -pi_C(x) + 2 <pi_C(x), P> P.
+    pi_C(Px) = -pi_C(x) + 2 <pi_C(x), P> P.  A unit p (m+1,) acts on x (..., 2l);
+    unit rows p (k, m+1) act with row j on x[j] of x (k, n, 2l), as k single calls.
     """
-    p_coords = _check_unit(p_coords, "span element")
-    return x @ system.span_matrix(p_coords).T
+    p = check_unit(p_coords, "span element")
+    return (x @ system.span_matrix(p).T if p.ndim == 1
+            else _span_apply(system, x, system.span_matrix, p))
 
 
 def reflected_disk_point(v: np.ndarray, p_coords: np.ndarray) -> np.ndarray:
@@ -449,30 +443,34 @@ def reflected_disk_point(v: np.ndarray, p_coords: np.ndarray) -> np.ndarray:
 
 
 def spin_matrix(system: CliffordSystem, p_coords: np.ndarray, q_coords: np.ndarray,
-                theta: float) -> np.ndarray:
+                theta) -> np.ndarray:
     """One-parameter symmetry g = cos(theta) Id + sin(theta) P Q.
 
     Needs orthonormal span elements P, Q; then (PQ)^2 = -Id makes g orthogonal.
+    Rows p, q (k, m+1) with angles (k,) or one angle give k single calls' stack.
     """
-    p_coords = _check_unit(p_coords, "span element")
-    q_coords = _check_unit(q_coords, "span element")
-    if abs(float(np.dot(p_coords, q_coords))) > 1e-12:
+    p, q = (check_unit(c, "span element") for c in (p_coords, q_coords))
+    if p.shape != q.shape or np.any(np.abs(row_dots(p, q)) > 1e-12):
         raise ValueError("span elements must be orthonormal")
-    p = system.span_matrix(p_coords)
-    q = system.span_matrix(q_coords)
-    n = system.dim
-    return np.cos(theta) * np.eye(n) + np.sin(theta) * (p @ q)
+    theta = np.broadcast_to(theta, p.shape[:-1])[..., None, None]
+    pq = system.span_matrix(p) @ system.span_matrix(q)
+    return np.cos(theta) * np.eye(system.dim) + np.sin(theta) * pq
 
 
 def spin_rotate(system: CliffordSystem, p_coords: np.ndarray, q_coords: np.ndarray,
-                theta: float, x: np.ndarray) -> np.ndarray:
+                theta, x: np.ndarray) -> np.ndarray:
     """g . x for g = cos(theta) Id + sin(theta) P Q.
 
     Downstairs g rotates the disk by the angle -2 theta in the oriented
     (P, Q) plane and fixes the orthogonal complement; see
-    :func:`rotated_disk_point` for the predicted image.
+    :func:`rotated_disk_point` for the predicted image.  Rows p, q (k, m+1)
+    with angles (k,) or one angle act with row j on x[j] of x (k, n, 2l).
     """
-    return x @ spin_matrix(system, p_coords, q_coords, theta).T
+    p, q = np.asarray(p_coords, dtype=float), np.asarray(q_coords, dtype=float)
+    if p.ndim == 1:
+        return x @ spin_matrix(system, p, q, theta).T
+    theta = np.broadcast_to(theta, len(p))
+    return _span_apply(system, x, partial(spin_matrix, system), p, q, theta)
 
 
 def rotated_disk_point(v: np.ndarray, p_coords: np.ndarray, q_coords: np.ndarray,

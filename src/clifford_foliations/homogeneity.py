@@ -24,7 +24,7 @@ from typing import Optional
 
 import numpy as np
 
-from .algebra import cd_mul, cd_units, haar_rotation, rng_from, row_norms, sign_fixed_q
+from .algebra import cd_mul, cd_units, check_unit, haar_rotation, rng_from, row_norms, sign_fixed_q
 from .clifford import EquivalenceProfile, delta
 
 __all__ = [
@@ -193,9 +193,7 @@ def normal_form(x: np.ndarray, field: str) -> NormalForm:
     x = np.asarray(x, dtype=float)
     if x.ndim not in (1, 2):
         raise ValueError("normal_form expects a point (2l,) or rows (n, 2l)")
-    rows = np.atleast_2d(x)
-    if not np.all(np.abs(row_norms(rows) - 1.0) <= 1e-9):
-        raise ValueError("normal_form expects a finite unit vector")
+    rows = check_unit(np.atleast_2d(x))
     d = FIELD_DIM[field]
     l = rows.shape[-1] // 2
     if l % d:

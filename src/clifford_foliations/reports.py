@@ -68,10 +68,6 @@ class VerificationReport:
         return cls(suite, seed, samples, list(checks),
                    all(c.passed for c in checks), wall_time, system)
 
-    @property
-    def max_violation(self) -> float:
-        return max((c.violation for c in self.checks), default=0.0)
-
     def to_json_dict(self) -> dict:
         return {
             "suite": self.suite,

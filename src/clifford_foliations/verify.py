@@ -20,6 +20,7 @@ import numpy as np
 from .algebra import (
     haar_orthogonal,
     haar_rotation,
+    max_abs,
     rng_from,
     row_dots,
     row_norms,
@@ -72,6 +73,7 @@ __all__ = [
     "IncompatibleSuiteError",
     "run_suite",
     "run_matrix",
+    "compatible_suites",
     "default_plan",
 ]
 
@@ -258,10 +260,8 @@ def _suite_factorization(cfg: SuiteConfig):
     rng = rng_from(cfg.seed, 1)
     v = sample_unit_vectors(rng, m + 1, 1)[0] * 0.6
     c = float(np.sqrt(1.0 - v @ v))
-    up = np.concatenate([v, [c]])
-    dn = np.concatenate([v, [-c]])
-    xs = boundary_fiber_sample(full, up, 4, cfg.seed + 2)
-    ys = boundary_fiber_sample(full, dn, 4, cfg.seed + 3)
+    ends = np.array([np.append(v, c), np.append(v, -c)])
+    xs, ys = boundary_fiber_sample(full, ends, 4, cfg.seed + np.array([2, 3]))
     same_sub = float(np.abs(pi_c(sub, xs) - pi_c(sub, ys)).max())
     opposite = float(np.abs(pi_c(full, xs)[:, m + 1] + pi_c(full, ys)[:, m + 1]).max())
     nontrivial = float(np.abs(pi_c(full, xs)[:, m + 1]).min())
@@ -341,23 +341,22 @@ def _suite_symmetry(cfg: SuiteConfig):
     trials = cfg.samples
     frames = max(1, min(25, trials // 20))
     per = max(1, trials // frames)
-    refl = spin = half_turn = 0.0
+    pq = np.empty((2, frames, system.m + 1))
+    theta, x = np.empty(frames), np.empty((frames, per, system.dim))
     for i in range(frames):
         rng = rng_from(cfg.seed, 100 + i)
-        pq = sample_unit_vectors(rng, system.m + 1, 2)
-        p = pq[0]
-        q = pq[1] - (pq[1] @ p) * p
-        q /= np.linalg.norm(q)
-        theta = float(rng.uniform(0.05, np.pi - 0.05))
-        x = sample_unit_vectors(rng, system.dim, per)
-        v = pi_c(system, x)
-        refl = max(refl, float(np.abs(
-            pi_c(system, reflect_symmetry(system, p, x)) - reflected_disk_point(v, p)).max()))
-        spin = max(spin, float(np.abs(
-            pi_c(system, spin_rotate(system, p, q, theta, x))
-            - rotated_disk_point(v, p, q, theta)).max()))
-        gpi = spin_matrix(system, p, q, np.pi)
-        half_turn = max(half_turn, float(np.abs(pi_c(system, x @ gpi.T) - v).max()))
+        pq[:, i] = sample_unit_vectors(rng, system.m + 1, 2)
+        theta[i] = rng.uniform(0.05, np.pi - 0.05)
+        x[i] = sample_unit_vectors(rng, system.dim, per)
+    p, q = pq
+    q -= row_dots(q, p)[:, None] * p
+    q /= row_norms(q)[:, None]
+    v = pi_c(system, x)
+    refl = max_abs(pi_c(system, reflect_symmetry(system, p, x))
+                   - reflected_disk_point(v, p[:, None]))
+    spin = max_abs(pi_c(system, spin_rotate(system, p, q, theta, x))
+                   - rotated_disk_point(v, p[:, None], q[:, None], theta[:, None, None]))
+    half_turn = max_abs(pi_c(system, spin_rotate(system, p, q, np.pi, x)) - v)
     g0 = spin_matrix(system, np.eye(system.m + 1)[0], np.eye(system.m + 1)[1], 0.0)
     ident = float(np.abs(g0 - np.eye(system.dim)).max())
     return [
@@ -451,8 +450,8 @@ def _suite_invariants_classification(cfg: SuiteConfig):
     for i in range(50):
         pq[i] = rng.standard_normal((2, system.m + 1))
         x[i] = sample_unit_vectors(rng, system.dim, 1)
-    px = _span_apply(system, pq[:, 0], x)[:, 0]
-    qx = _span_apply(system, pq[:, 1], x)[:, 0]
+    px = _span_apply(system, x, system.span_matrix, pq[:, 0])[:, 0]
+    qx = _span_apply(system, x, system.span_matrix, pq[:, 1])[:, 0]
     iso = float(np.max(np.abs(row_dots(px, qx) - row_dots(pq[:, 0], pq[:, 1]))))
     checks.append(CheckResult.from_violation(
         "span_isometry", "span elements multiply like their coordinates on every unit vector",
@@ -526,8 +525,7 @@ def _suite_normal_forms(cfg: SuiteConfig):
     else:
         # sphere quotient: only boundary fibers exist
         p = sample_unit_vectors(rng_from(cfg.seed, 404), system.m + 1, 2)
-        batches = [boundary_fiber_sample(system, p[0], per, cfg.seed + 5),
-                   boundary_fiber_sample(system, p[1], per, cfg.seed + 6)]
+        batches = list(boundary_fiber_sample(system, p, per, cfg.seed + np.array([5, 6])))
     forms = [normal_form(batch, field_tag).as_array() for batch in batches]
     same_fiber = max(float(np.abs(bn - bn[0]).max()) for bn in forms)
     pis = pi_c(system, np.concatenate(batches))
@@ -638,8 +636,7 @@ def _suite_transnormality(cfg: SuiteConfig):
     zero = leaf_to_leaf_ambient_distance(system, pts, zz[0], zz[1],
                                          max(leaf_budget, 1000), cfg.seed + 10, starts=6)
     p = np.eye(m + 1)[0]
-    bx = boundary_fiber_sample(system, p, 1, cfg.seed + 11)[0]
-    by = boundary_fiber_sample(system, -p, 1, cfg.seed + 12)[0]
+    bx, by = boundary_fiber_sample(system, [p, -p], 1, cfg.seed + np.array([11, 12]))[:, 0]
     perp = abs(leaf_to_leaf_ambient_distance(system, pts, bx, by, 64, cfg.seed + 13)
                - np.pi / 2.0)
     return [
@@ -744,6 +741,11 @@ _SUITES = {
 SUITE_IDS = tuple(_SUITES)
 
 
+def compatible_suites(system: CliffordSystem) -> list:
+    """The suites whose requirements the system meets, in SUITE_IDS order."""
+    return [suite for suite, sdef in _SUITES.items() if sdef.requires(system) is None]
+
+
 def run_suite(config: SuiteConfig) -> VerificationReport:
     """Run one suite; raises IncompatibleSuiteError when it does not apply."""
     if config.suite not in _SUITES:
@@ -803,11 +805,10 @@ def default_plan(max_dim: int = 64, seed: int = 7, samples: int = 300):
             if (m, k) == (1, 1) or 2 * k * delta(m) > max_dim:
                 continue
             system = build_system(m, k)
-            for suite, sdef in _SUITES.items():
-                if sdef.requires(system) is None:
-                    n = samples
-                    if suite in ("homogeneous_orbits", "normal_forms"):
-                        n = min(samples, 120)
-                    plan.append(SuiteConfig(suite, system, seed=seed, samples=n,
-                                            budget=dict(budget)))
+            for suite in compatible_suites(system):
+                n = samples
+                if suite in ("homogeneous_orbits", "normal_forms"):
+                    n = min(samples, 120)
+                plan.append(SuiteConfig(suite, system, seed=seed, samples=n,
+                                        budget=dict(budget)))
     return plan

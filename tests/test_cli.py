@@ -88,7 +88,9 @@ class TestVerify:
         payload = json.loads(report.read_text())
         names = {r["suite"] for r in payload["reports"]}
         assert "relations" in names and "sphere_quotient" not in names
-        assert payload["summary"]["errors"] == []
+        summary = payload["summary"]
+        assert summary["errors"] == [] and summary["failed"] == []
+        assert summary["passed"] == summary["total"] == len(payload["reports"])
 
     def test_budget_below_one_exit_two(self, tmp_path, capsys):
         system = tmp_path / "s.json"

@@ -126,6 +126,14 @@ class TestNonFiniteInputs:
         with pytest.raises(ValueError):
             boundary_fiber_sample(s22, np.array([bad, 0.0, 0.0]), 4, 0)
 
+    @pytest.mark.parametrize("bad", NON_FINITE + [2.0])
+    def test_fkm_f0(self, s22, bad):
+        # fkm_f0 relies on pi_c's unit check; 2.0 makes a finite non-unit row
+        x = np.eye(s22.dim)[:2].copy()
+        x[1, 0] = bad
+        with pytest.raises(ValueError, match="unit vector"):
+            fkm_f0(s22, x)
+
     @pytest.mark.parametrize("bad", NON_FINITE)
     def test_quotient_lift(self, bad):
         with pytest.raises(ValueError):
@@ -632,6 +640,45 @@ class TestSymmetries:
     def test_spin_requires_orthonormal_frame(self, s22):
         with pytest.raises(ValueError):
             spin_matrix(s22, np.array([1.0, 0, 0]), np.array([1.0, 0, 0]), 0.5)
+        # rows: only the middle frame is not orthonormal
+        p = np.eye(3)
+        q = np.eye(3)[[1, 1, 0]]
+        spin_matrix(s22, p[[0, 2]], q[[0, 2]], 0.5)
+        with pytest.raises(ValueError, match="orthonormal"):
+            spin_matrix(s22, p, q, 0.5)
+        with pytest.raises(ValueError, match="orthonormal"):
+            spin_rotate(s22, p, q, 0.5, np.zeros((3, 2, s22.dim)))
+
+    @pytest.mark.parametrize("block", [None, 1100])
+    @pytest.mark.parametrize("case", ["exact", "conjugated"])
+    def test_rows_equal_single_calls(self, monkeypatch, case, block):
+        system = build_system(3, 2)
+        if case == "conjugated":
+            system = conjugate_system(system, haar_orthogonal(rng_from(71), system.dim))
+        k = 5
+        pq = sample_unit_vectors(rng_from(72), system.m + 1, 2 * k)
+        p, q = pq[:k], pq[k:]
+        q = q - np.sum(q * p, axis=-1, keepdims=True) * p
+        q /= np.linalg.norm(q, axis=-1, keepdims=True)
+        theta = np.linspace(0.1, 3.0, k)
+        x = sample_unit_vectors(rng_from(73), system.dim, 4 * k).reshape(k, 4, system.dim)
+        if block is not None:
+            # at most four 16 x 16 matrices to a block: the five frames split in two
+            monkeypatch.setattr(foliation, "_BLOCK", block)
+            assert len(foliation._blocks(k, system.dim ** 2)) == 2
+        reflected = reflect_symmetry(system, p, x)
+        matrices = spin_matrix(system, p, q, theta)
+        rotated = spin_rotate(system, p, q, theta, x)
+        half_turns = spin_rotate(system, p, q, np.pi, x)
+        assert reflected.shape == rotated.shape == half_turns.shape == x.shape
+        assert matrices.shape == (k, system.dim, system.dim)
+        for j in range(k):
+            assert reflected[j].tobytes() == reflect_symmetry(system, p[j], x[j]).tobytes()
+            assert matrices[j].tobytes() == spin_matrix(system, p[j], q[j], theta[j]).tobytes()
+            single = spin_rotate(system, p[j], q[j], theta[j], x[j])
+            assert rotated[j].tobytes() == single.tobytes()
+            single = spin_rotate(system, p[j], q[j], np.pi, x[j])
+            assert half_turns[j].tobytes() == single.tobytes()
 
 
 class TestFactorization:
