@@ -22,6 +22,7 @@ __all__ = [
     "row_dots",
     "row_norms",
     "check_unit",
+    "snapped_sqrt",
     "projector_colspace_basis",
     "eig_split",
     "rng_from",
@@ -174,6 +175,17 @@ def check_unit(x, what: str = "point") -> np.ndarray:
     if not np.all(np.abs(row_norms(x) - 1.0) <= 1e-9):
         raise ValueError(f"{what} must be a finite unit vector")
     return x
+
+
+def snapped_sqrt(rad) -> np.ndarray:
+    """sqrt with radicands below 1e-13, accumulated roundoff of 0, snapped to 0.
+
+    Quantities that vanish identically (the lift height of a boundary point,
+    a normal-form component on a whole fiber) would otherwise come back as
+    sqrt(eps)-sized noise.
+    """
+    rad = np.asarray(rad, dtype=float)
+    return np.sqrt(np.where(rad < 1e-13, 0.0, rad))
 
 
 def projector_colspace_basis(p: np.ndarray) -> np.ndarray:

@@ -350,12 +350,7 @@ def verify_relations(system: CliffordSystem) -> VerificationReport:
         CheckResult.from_violation("involution", "each generator squares to the identity", invol, tol),
         CheckResult.from_violation("anticommutation", "distinct generators anticommute", anti, tol),
     ]
-    profile = None
-    try:
-        profile = equivalence_profile(system).to_json_dict()
-    except MalformedSystemError:
-        pass
-    return VerificationReport.from_checks("relations", 0, 0, checks, system=profile)
+    return VerificationReport.from_checks("relations", 0, 0, checks)
 
 
 def trace_invariant(system: CliffordSystem) -> float:

@@ -21,7 +21,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .algebra import haar_rotation, rng_from, row_dots, row_norms, sample_unit_vectors
+from .algebra import check_unit, haar_rotation, rng_from, row_dots, row_norms, sample_unit_vectors
 from .clifford import CliffordSystem
 from .foliation import (
     _generator_images,
@@ -574,7 +574,10 @@ def leaf_to_leaf_ambient_distance(system: CliffordSystem, spec: FoliationSpec,
     _check_spec(system, spec)
     if budget < 1:
         raise ValueError(f"budget must be at least 1 leaf sample, got {budget}")
-    x = np.asarray(x, dtype=float)
+    _check_pair(x, y)
+    if np.shape(x) != (system.dim,):
+        raise ValueError(f"x and y must be single points of shape ({system.dim},)")
+    x, y = check_unit(x), check_unit(y)
     v = pi_c(system, y)
     r = float(np.linalg.norm(v))
     rng = rng_from(seed)
@@ -586,7 +589,7 @@ def leaf_to_leaf_ambient_distance(system: CliffordSystem, spec: FoliationSpec,
         units = np.repeat(vhat[None], n_dirs, axis=0)
         w = units if spec.leaf_sampler is None else spec.leaf_sampler(units, rng)
         xs = np.broadcast_to(x, (n_dirs, 1, len(x)))
-        proj = 0.5 * (x + _span_apply(system, xs, system.span_matrix, w)[:, 0])
+        proj = 0.5 * (x + _span_apply(system, w, xs)[:, 0])
         return float(np.min(np.arccos(np.clip(row_norms(proj), 0.0, 1.0))))
 
     samples = _leaf_sample_blocks(system, spec, v, budget, rng)

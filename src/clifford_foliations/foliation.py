@@ -17,11 +17,11 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
-from .algebra import check_unit, eig_split, rng_from, row_dots, row_norms, sample_unit_vectors
+from .algebra import (check_unit, eig_split, rng_from, row_dots, row_norms, sample_unit_vectors,
+                      snapped_sqrt)
 from .clifford import CliffordSystem
 
 __all__ = [
@@ -40,7 +40,6 @@ __all__ = [
     "quotient_distance",
     "reflect_symmetry",
     "reflected_disk_point",
-    "spin_matrix",
     "spin_rotate",
     "rotated_disk_point",
     "EmptyFocalError",
@@ -149,16 +148,21 @@ def _redraw_short_rows(z: np.ndarray, norms: np.ndarray, rngs, draw) -> None:
             norms[j] = np.linalg.norm(z[j], axis=-1)
 
 
-def _span_apply(system: CliffordSystem, x: np.ndarray, build, *frames) -> np.ndarray:
-    """x[j] @ M_j^T for x (k, n, 2l) and M = build(*frames), each frame one row per x[j].
+def _span_apply(system: CliffordSystem, p: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """x[j] @ P_j^T for span coordinate rows p (k, m+1) and x (k, n, 2l).
 
-    M is built a block at a time; each product is the (n, 2l) @ (2l, 2l) one a single call makes.
+    A single p (m+1,) acts on x (..., 2l) as a batch of one.  P_j is built a
+    block of rows at a time; each product is the (n, 2l) @ (2l, 2l) one a
+    single call makes.
     """
-    if any(len(f) != len(x) for f in frames):
-        raise ValueError("pass one frame per row of x")
+    p, x = np.asarray(p, dtype=float), np.asarray(x, dtype=float)
+    if p.ndim == 1:
+        return _span_apply(system, p[None], x.reshape(1, -1, system.dim)).reshape(x.shape)
+    if x.ndim != 3 or len(p) != len(x):
+        raise ValueError("pass one frame per row of x, with x of shape (k, n, 2l)")
     out = np.empty(x.shape)
     for rows in _blocks(len(x), system.dim ** 2):
-        np.matmul(x[rows], np.swapaxes(build(*(f[rows] for f in frames)), -1, -2), out=out[rows])
+        np.matmul(x[rows], np.swapaxes(system.span_matrix(p[rows]), -1, -2), out=out[rows])
     return out
 
 
@@ -171,12 +175,12 @@ def _boundary_rows(system: CliffordSystem, p: np.ndarray, n: int, seeds) -> np.n
     z = np.empty((len(rngs), n, system.dim))
     for j, rng in enumerate(rngs):
         rng.standard_normal(out=z[j])
-    z += _span_apply(system, z, system.span_matrix, p)
+    z += _span_apply(system, p, z)
     norms = np.linalg.norm(z, axis=-1)
 
     def draw(j, rng, bad):
-        fresh = rng.standard_normal((1, int(np.sum(bad)), system.dim))
-        return (fresh + _span_apply(system, fresh, system.span_matrix, p[j:j + 1]))[0]
+        fresh = rng.standard_normal((int(np.sum(bad)), system.dim))
+        return fresh + _span_apply(system, p[j], fresh)
 
     _redraw_short_rows(z, norms, rngs, draw)
     return z / norms[..., None]
@@ -296,7 +300,7 @@ def fiber_sample(system: CliffordSystem, v: np.ndarray, n: int, seeds) -> np.nda
         x = out if np.all(mid) else out[mid]
         t = (np.arcsin(r[mid]) / 2.0)[:, None, None]
         # cos(t) x + sin(t) Q x, in place and added in that order
-        y = _span_apply(system, x, system.span_matrix, v[mid] / r[mid, None])
+        y = _span_apply(system, v[mid] / r[mid, None], x)
         y *= np.sin(t)
         x *= np.cos(t)
         x += y
@@ -397,8 +401,7 @@ def quotient_lift(v: np.ndarray) -> np.ndarray:
     r2 = np.sum(v * v, axis=-1)
     if not np.all(r2 <= 1.0 + 2e-12):
         raise ValueError("disk point has norm > 1 or is not finite")
-    rad = np.maximum(0.0, 1.0 - r2)
-    height = np.sqrt(np.where(rad < 1e-13, 0.0, rad))
+    height = snapped_sqrt(1.0 - r2)
     return 0.5 * np.concatenate([v, np.expand_dims(height, -1)], axis=-1)
 
 
@@ -430,9 +433,7 @@ def reflect_symmetry(system: CliffordSystem, p_coords: np.ndarray,
     pi_C(Px) = -pi_C(x) + 2 <pi_C(x), P> P.  A unit p (m+1,) acts on x (..., 2l);
     unit rows p (k, m+1) act with row j on x[j] of x (k, n, 2l), as k single calls.
     """
-    p = check_unit(p_coords, "span element")
-    return (x @ system.span_matrix(p).T if p.ndim == 1
-            else _span_apply(system, x, system.span_matrix, p))
+    return _span_apply(system, check_unit(p_coords, "span element"), x)
 
 
 def reflected_disk_point(v: np.ndarray, p_coords: np.ndarray) -> np.ndarray:
@@ -442,35 +443,27 @@ def reflected_disk_point(v: np.ndarray, p_coords: np.ndarray) -> np.ndarray:
     return -v + 2.0 * np.sum(v * p, axis=-1, keepdims=True) * p
 
 
-def spin_matrix(system: CliffordSystem, p_coords: np.ndarray, q_coords: np.ndarray,
-                theta) -> np.ndarray:
-    """One-parameter symmetry g = cos(theta) Id + sin(theta) P Q.
+def spin_rotate(system: CliffordSystem, p_coords: np.ndarray, q_coords: np.ndarray,
+                theta, x: np.ndarray) -> np.ndarray:
+    """g . x = cos(theta) x + sin(theta) P(Qx) for g = cos(theta) Id + sin(theta) P Q.
 
     Needs orthonormal span elements P, Q; then (PQ)^2 = -Id makes g orthogonal.
-    Rows p, q (k, m+1) with angles (k,) or one angle give k single calls' stack.
+    Downstairs g rotates the disk by the angle -2 theta in the oriented
+    (P, Q) plane and fixes the orthogonal complement; see
+    :func:`rotated_disk_point` for the predicted image.  Unit p, q (m+1,)
+    and one angle act on x (..., 2l); rows p, q (k, m+1) with angles (k,)
+    or one angle act with row j on x[j] of x (k, n, 2l), as k single calls.
     """
     p, q = (check_unit(c, "span element") for c in (p_coords, q_coords))
     if p.shape != q.shape or np.any(np.abs(row_dots(p, q)) > 1e-12):
         raise ValueError("span elements must be orthonormal")
-    theta = np.broadcast_to(theta, p.shape[:-1])[..., None, None]
-    pq = system.span_matrix(p) @ system.span_matrix(q)
-    return np.cos(theta) * np.eye(system.dim) + np.sin(theta) * pq
-
-
-def spin_rotate(system: CliffordSystem, p_coords: np.ndarray, q_coords: np.ndarray,
-                theta, x: np.ndarray) -> np.ndarray:
-    """g . x for g = cos(theta) Id + sin(theta) P Q.
-
-    Downstairs g rotates the disk by the angle -2 theta in the oriented
-    (P, Q) plane and fixes the orthogonal complement; see
-    :func:`rotated_disk_point` for the predicted image.  Rows p, q (k, m+1)
-    with angles (k,) or one angle act with row j on x[j] of x (k, n, 2l).
-    """
-    p, q = np.asarray(p_coords, dtype=float), np.asarray(q_coords, dtype=float)
-    if p.ndim == 1:
-        return x @ spin_matrix(system, p, q, theta).T
-    theta = np.broadcast_to(theta, len(p))
-    return _span_apply(system, x, partial(spin_matrix, system), p, q, theta)
+    x = np.asarray(x, dtype=float)
+    out = _span_apply(system, p, _span_apply(system, q, x))
+    theta = np.broadcast_to(theta, p.shape[:-1])
+    theta = theta.reshape(theta.shape + (1,) * (x.ndim - theta.ndim))
+    out *= np.sin(theta)
+    out += np.cos(theta) * x
+    return out
 
 
 def rotated_disk_point(v: np.ndarray, p_coords: np.ndarray, q_coords: np.ndarray,

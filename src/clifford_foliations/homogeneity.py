@@ -24,7 +24,8 @@ from typing import Optional
 
 import numpy as np
 
-from .algebra import cd_mul, cd_units, check_unit, haar_rotation, rng_from, row_norms, sign_fixed_q
+from .algebra import (cd_mul, cd_units, check_unit, haar_rotation, rng_from, row_norms,
+                      sign_fixed_q, snapped_sqrt)
 from .clifford import EquivalenceProfile, delta
 
 __all__ = [
@@ -172,17 +173,6 @@ class NormalForm:
                                np.expand_dims(self.v2, -1)], axis=-1)
 
 
-def _stable_sqrt(rad: np.ndarray) -> np.ndarray:
-    """sqrt with radicands inside accumulated-roundoff range of 0 snapped to 0.
-
-    Components of the normal form vanish identically on whole fibers (u1 does
-    on the fiber with u = 0); without the snap those zeros would come back as
-    sqrt(eps)-sized noise and fibers would stop sharing a form.
-    """
-    rad = np.maximum(0.0, rad)
-    return np.where(rad < 1e-13, 0.0, np.sqrt(rad))
-
-
 def normal_form(x: np.ndarray, field: str) -> NormalForm:
     """Normal form of a unit point of F^k x F^k under the diagonal group.
 
@@ -203,7 +193,7 @@ def normal_form(x: np.ndarray, field: str) -> NormalForm:
     uu = np.sum(rows[:, :l] * rows[:, :l], axis=-1)
     r0 = uu - np.sum(rows[:, l:] * rows[:, l:], axis=-1)
     w_conj = _f_conj(_row_sum(cd_mul(u, _f_conj(v))))
-    u1 = _stable_sqrt((1.0 + r0) / 2.0)
+    u1 = snapped_sqrt((1.0 + r0) / 2.0)
     off = u1 > 1e-8
     v1 = np.zeros((len(rows), d))
     v2 = np.zeros(len(rows))
@@ -214,7 +204,7 @@ def normal_form(x: np.ndarray, field: str) -> NormalForm:
     resid = v[off] - cd_mul((w_conj[off] / uu[off, None])[:, None, :], u[off])
     v2[off] = row_norms(resid.reshape(len(resid), l))
     # u = 0: the group is transitive on the v-sphere, so v moves to e1
-    v1[~off, 0] = _stable_sqrt((1.0 - r0[~off]) / 2.0)
+    v1[~off, 0] = snapped_sqrt((1.0 - r0[~off]) / 2.0)
     if x.ndim == 1:
         return NormalForm(float(u1[0]), v1[0], float(v2[0]))
     return NormalForm(u1, v1, v2)

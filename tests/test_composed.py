@@ -402,6 +402,17 @@ class TestAmbientLeafDistance:
         with pytest.raises(ValueError, match="budget"):
             leaf_to_leaf_ambient_distance(s22, pts, x[0], x[1], budget, 19)
 
+    def test_rejects_anything_but_two_unit_points(self, s22):
+        pts = builtin_spec("points", 2)
+        x = fiber_sample(s22, np.array([0.3, 0.2, -0.1]), 2, 18)
+        nan = np.full(s22.dim, np.nan)
+        for xa, xb in ((3 * x[0], x[1]), (nan, x[1]), (x[0], 3 * x[1])):
+            with pytest.raises(ValueError, match="finite unit vector"):
+                leaf_to_leaf_ambient_distance(s22, pts, xa, xb, 200, 19)
+        for xa, xb in ((x, x), (x[0], x), (x[0][:-1], x[1][:-1])):
+            with pytest.raises(ValueError, match="shape"):
+                leaf_to_leaf_ambient_distance(s22, pts, xa, xb, 200, 19)
+
     def test_distance_to_focal_manifold(self, s22):
         # the origin class is one leaf; its distance from any point equals
         # the cone distance to the apex, half the arcsine of the radius

@@ -24,7 +24,6 @@ from clifford_foliations.foliation import (
     reflect_symmetry,
     reflected_disk_point,
     rotated_disk_point,
-    spin_matrix,
     spin_rotate,
 )
 
@@ -631,23 +630,32 @@ class TestSymmetries:
         q /= np.linalg.norm(q)
         x = sample_unit_vectors(rng, s42.dim, 200)
         for theta in (0.0, 0.7, np.pi):
-            g = spin_matrix(s42, p, q, theta)
+            # the images g e_i of the basis, as rows: g transposed
+            g = spin_rotate(s42, p, q, theta, np.eye(s42.dim))
             assert max_abs(g.T @ g - np.eye(s42.dim)) <= 1e-12
-            got = pi_c(s42, x @ g.T)
+            got = pi_c(s42, spin_rotate(s42, p, q, theta, x))
             pred = rotated_disk_point(pi_c(s42, x), p, q, theta)
             assert np.abs(got - pred).max() <= 1e-9
 
     def test_spin_requires_orthonormal_frame(self, s22):
+        x = np.zeros((3, 2, s22.dim))
         with pytest.raises(ValueError):
-            spin_matrix(s22, np.array([1.0, 0, 0]), np.array([1.0, 0, 0]), 0.5)
+            spin_rotate(s22, np.array([1.0, 0, 0]), np.array([1.0, 0, 0]), 0.5, x[0])
         # rows: only the middle frame is not orthonormal
         p = np.eye(3)
         q = np.eye(3)[[1, 1, 0]]
-        spin_matrix(s22, p[[0, 2]], q[[0, 2]], 0.5)
+        spin_rotate(s22, p[[0, 2]], q[[0, 2]], 0.5, x[:2])
         with pytest.raises(ValueError, match="orthonormal"):
-            spin_matrix(s22, p, q, 0.5)
-        with pytest.raises(ValueError, match="orthonormal"):
-            spin_rotate(s22, p, q, 0.5, np.zeros((3, 2, s22.dim)))
+            spin_rotate(s22, p, q, 0.5, x)
+
+    def test_one_frame_per_row(self, s22):
+        k = 3
+        p, q = np.eye(3)[:k], np.eye(3)[[1, 2, 0]]
+        x = sample_unit_vectors(rng_from(74), s22.dim, 2 * (k + 1)).reshape(k + 1, 2, s22.dim)
+        with pytest.raises(ValueError, match="one frame per row of x"):
+            reflect_symmetry(s22, p, x)
+        with pytest.raises(ValueError, match="one frame per row of x"):
+            spin_rotate(s22, p, q, 0.5, x)
 
     @pytest.mark.parametrize("block", [None, 1100])
     @pytest.mark.parametrize("case", ["exact", "conjugated"])
@@ -667,18 +675,22 @@ class TestSymmetries:
             monkeypatch.setattr(foliation, "_BLOCK", block)
             assert len(foliation._blocks(k, system.dim ** 2)) == 2
         reflected = reflect_symmetry(system, p, x)
-        matrices = spin_matrix(system, p, q, theta)
         rotated = spin_rotate(system, p, q, theta, x)
         half_turns = spin_rotate(system, p, q, np.pi, x)
         assert reflected.shape == rotated.shape == half_turns.shape == x.shape
-        assert matrices.shape == (k, system.dim, system.dim)
         for j in range(k):
             assert reflected[j].tobytes() == reflect_symmetry(system, p[j], x[j]).tobytes()
-            assert matrices[j].tobytes() == spin_matrix(system, p[j], q[j], theta[j]).tobytes()
             single = spin_rotate(system, p[j], q[j], theta[j], x[j])
             assert rotated[j].tobytes() == single.tobytes()
             single = spin_rotate(system, p[j], q[j], np.pi, x[j])
             assert half_turns[j].tobytes() == single.tobytes()
+        # the spin symmetry is cos(theta) x + sin(theta) P(Qx), bit for bit
+        t = theta[:, None, None]
+        pqx = reflect_symmetry(system, p, reflect_symmetry(system, q, x))
+        assert rotated.tobytes() == (np.cos(t) * x + np.sin(t) * pqx).tobytes()
+        single = np.cos(theta[0]) * x[0] + np.sin(theta[0]) * reflect_symmetry(
+            system, p[0], reflect_symmetry(system, q[0], x[0]))
+        assert rotated[0].tobytes() == single.tobytes()
 
 
 class TestFactorization:

@@ -6,6 +6,7 @@ import json
 import numpy as np
 import pytest
 
+from clifford_foliations.cli import main
 from clifford_foliations.clifford import build_system
 from clifford_foliations.verify import (
     IncompatibleSuiteError,
@@ -31,6 +32,23 @@ FAST_BUDGET = {"pairs": 2, "leaf_budget": 600, "geodesics": 6, "targets": 8,
 @pytest.fixture(scope="module")
 def s22():
     return build_system(2, 2)
+
+
+@pytest.fixture(scope="module")
+def seed7_report(tmp_path_factory):
+    """The bytes `cfl report --max-dim 64 --seed 7 --out FILE` writes, run once."""
+    out = tmp_path_factory.mktemp("report") / "seed7.json"
+    assert main(["report", "--max-dim", "64", "--seed", "7", "--out", str(out)]) == 0
+    return out.read_bytes()
+
+
+def suite_digests(report: bytes) -> dict:
+    """SHA-256 per suite of its reports in a report file, one sort_keys JSON line each."""
+    digests = {}
+    for entry in json.loads(report)["reports"]:
+        line = json.dumps(entry, sort_keys=True) + "\n"
+        digests.setdefault(entry["suite"], hashlib.sha256()).update(line.encode())
+    return {suite: h.hexdigest() for suite, h in digests.items()}
 
 
 class TestRegistry:
@@ -69,7 +87,8 @@ class TestDeterminism:
 
     # SHA-256 of each suite's report JSON lines over the configs of
     # default_plan(64, seed=7, samples=300) other than transnormality, taken
-    # with numpy 2.4.6 before the suites evaluated their points as row batches
+    # with numpy 2.4.6 before the suites evaluated their points as row batches;
+    # symmetry re-pinned when the spin symmetry became cos(theta) x + sin(theta) P(Qx)
     PLAN_DIGESTS_NUMPY = "2.4.6"
     PLAN_DIGESTS = {
         "relations": "3134b2bf296504f5009f19bbeee6bd28e733dfa9ae31601f50604054c83b6bf5",
@@ -79,7 +98,7 @@ class TestDeterminism:
             "433fd8d0c56b5b8e11f9ddc6b15b99b8e15a22c9c19e4b64d701308ecd057501",
         "geodesics": "14dcde8efffaea1bebe5ffda28039c52e90d8f2ff6cd1cc34dc6c3e7bd1bdadc",
         "quotient_metric": "c967c8279cd184ab4be1270f095708852486ba65375e3e5895ede783a8accd94",
-        "symmetry": "aa3d26df02df0ff6dd8e9b6cedd5f8ec1f999571c6e4f107a5c02514896ed93a",
+        "symmetry": "14bf8d0ed4f78ef25d796bc8b66de0e723850342808b66c4cbe2075d1df73cd2",
         "fkm_consistency": "7cedc70d55ec67460247f78b48f916e4398943ff85ed36b4cd5a54f27f231dbb",
         "invariants_classification":
             "dc200d5c16a11acfb7da68f547974f4cce955ef3616444f2cd1eb76de00d39fd",
@@ -93,15 +112,20 @@ class TestDeterminism:
         "diameter": "b8ae55ff4445f2246939ad3ebd6a47fa67d8842a2ab6876dd114016e9c14774a",
     }
 
+    # SHA-256 of the file `cfl report --max-dim 64 --seed 7 --out FILE` writes
+    REPORT_DIGEST = "0884c6621e4780c37c18fec30e8ae3471e732ff81cd1d2a89621d1ae4656227b"
+
     @pytest.mark.skipif(np.__version__ != PLAN_DIGESTS_NUMPY,
                         reason=f"plan digests were taken with numpy {PLAN_DIGESTS_NUMPY}")
-    def test_default_plan_reports_are_pinned(self):
-        digests = {}
-        for cfg in default_plan(64, seed=7, samples=300):
-            if cfg.suite != "transnormality":
-                line = json.dumps(run_suite(cfg).to_json_dict(), sort_keys=True) + "\n"
-                digests.setdefault(cfg.suite, hashlib.sha256()).update(line.encode())
-        assert {suite: h.hexdigest() for suite, h in digests.items()} == self.PLAN_DIGESTS
+    def test_seed7_report_is_pinned(self, seed7_report):
+        assert hashlib.sha256(seed7_report).hexdigest() == self.REPORT_DIGEST
+
+    @pytest.mark.skipif(np.__version__ != PLAN_DIGESTS_NUMPY,
+                        reason=f"plan digests were taken with numpy {PLAN_DIGESTS_NUMPY}")
+    def test_default_plan_reports_are_pinned(self, seed7_report):
+        digests = suite_digests(seed7_report)
+        del digests["transnormality"]
+        assert digests == self.PLAN_DIGESTS
 
     # SHA-256 of the transnormality report JSON lines over all 28 of its
     # configs in default_plan(64, seed=7, samples=300), taken with numpy 2.4.6
@@ -110,13 +134,8 @@ class TestDeterminism:
 
     @pytest.mark.skipif(np.__version__ != PLAN_DIGESTS_NUMPY,
                         reason=f"plan digests were taken with numpy {PLAN_DIGESTS_NUMPY}")
-    def test_transnormality_reports_are_pinned(self):
-        digest = hashlib.sha256()
-        for cfg in default_plan(64, seed=7, samples=300):
-            if cfg.suite == "transnormality":
-                line = json.dumps(run_suite(cfg).to_json_dict(), sort_keys=True) + "\n"
-                digest.update(line.encode())
-        assert digest.hexdigest() == self.TRANSNORMALITY_DIGEST
+    def test_transnormality_reports_are_pinned(self, seed7_report):
+        assert suite_digests(seed7_report)["transnormality"] == self.TRANSNORMALITY_DIGEST
 
     def test_seed_changes_violations_not_outcomes(self, s22):
         for suite in ("disk_image", "boundary_fibers", "symmetry"):
