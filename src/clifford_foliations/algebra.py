@@ -28,6 +28,7 @@ __all__ = [
     "rng_from",
     "sample_unit_vectors",
     "sign_fixed_q",
+    "sign_fixed_rotation",
     "haar_orthogonal",
     "haar_rotation",
 ]
@@ -244,12 +245,24 @@ def sign_fixed_q(a: np.ndarray) -> np.ndarray:
     """Q of a = QR with column j scaled by d_j/|d_j| for d_j = R_jj (0 -> 1).
 
     The scaling makes Q unique (real or complex); for a Gaussian a it is
-    Haar distributed.
+    Haar distributed.  A stack (..., n, n) is factored in one QR call, each
+    matrix bit for bit as alone.
     """
     q, r = np.linalg.qr(a)
-    d = np.diagonal(r).copy()
+    d = np.diagonal(r, axis1=-2, axis2=-1).copy()
     d[d == 0] = 1.0
-    return q * (d / np.abs(d))
+    return q * (d / np.abs(d))[..., None, :]
+
+
+def sign_fixed_rotation(a: np.ndarray) -> np.ndarray:
+    """:func:`sign_fixed_q` of a with the last column negated where det Q < 0.
+
+    For a Gaussian a it is Haar distributed on SO(n).  A stack (..., n, n)
+    is fixed per matrix, each bit for bit as alone.
+    """
+    q = sign_fixed_q(a)
+    q[..., -1] *= np.where(np.linalg.det(q) < 0, -1.0, 1.0)[..., None]
+    return q
 
 
 def haar_orthogonal(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -259,7 +272,4 @@ def haar_orthogonal(rng: np.random.Generator, n: int) -> np.ndarray:
 
 def haar_rotation(rng: np.random.Generator, n: int) -> np.ndarray:
     """Haar-distributed rotation from SO(n)."""
-    q = haar_orthogonal(rng, n)
-    if np.linalg.det(q) < 0:
-        q[:, -1] = -q[:, -1]
-    return q
+    return sign_fixed_rotation(rng.standard_normal((n, n)))

@@ -21,7 +21,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .algebra import check_unit, haar_rotation, rng_from, row_dots, row_norms, sample_unit_vectors
+from .algebra import (check_unit, rng_from, row_dots, row_norms, sample_unit_vectors,
+                      sign_fixed_rotation)
 from .clifford import CliffordSystem
 from .foliation import (
     _generator_images,
@@ -49,6 +50,7 @@ __all__ = [
 _ORIGIN_TOL = 1e-10
 _BOUNDARY_TOL = 1e-9
 _SAME_LEAF_TOL = 1e-9
+_STEPS = np.ldexp(1.0, -np.arange(20))  # line-search steps 1, 1/2, ..., 2^-19
 
 BUILTIN_SPEC_NAMES = ("points", "one_leaf", "height", "tensor_svd")
 
@@ -167,9 +169,10 @@ def builtin_spec(name: str, m: int) -> FoliationSpec:
             raise ValueError("tensor_svd lives on the 8-sphere of unit 3x3 matrices")
 
         def sample_leaf(v, rng):
-            # U M W^T per row, U drawn before W (left operand first)
-            return np.array([(haar_rotation(rng, 3) @ mat @ haar_rotation(rng, 3).T).ravel()
-                             for mat in np.reshape(v, (-1, 3, 3))])
+            # U M W^T per row, U drawn before W (left operand first), all rows in one draw
+            mats = np.reshape(v, (-1, 3, 3))
+            uw = sign_fixed_rotation(rng.standard_normal((len(mats), 2, 3, 3)))
+            return (uw[:, 0] @ mats @ np.swapaxes(uw[:, 1], -1, -2)).reshape(len(mats), 9)
 
         return FoliationSpec(
             "tensor_svd", dim,
@@ -505,13 +508,15 @@ def _descend(system, spec, x, z, target_r2, target_tail):
     acceptance.  The direction is the Riemannian Newton direction of
     :func:`_newton_direction`, or the projected gradient where that is not
     a finite ascent direction of negative model curvature.  The line search
-    tries steps 1, 1/2, ... (20 tries), each restored onto the leaf by
-    :func:`_restore`.  A step is accepted only when the restored point is
-    feasible again (otherwise an off-leaf point could undercut the true leaf
-    distance) and raises <x, .> by more than 1e-15; a row stops when the
-    predicted gain <g, d> of its direction is below 1e-16, where no step
-    could pass that margin, when no step of its line search is accepted, or
-    after 120 iterations.  Returns the best <x, .> of every row.
+    takes the first of the steps 1, 1/2, ..., 2^-19 that is accepted, each
+    restored onto the leaf by :func:`_restore`: step 1 for every row, then
+    the 19 halvings of the rows it fails in one call.  A step is accepted
+    only when the restored point is feasible again (otherwise an off-leaf
+    point could undercut the true leaf distance) and raises <x, .> by more
+    than 1e-15; a row stops when the predicted gain <g, d> of its direction
+    is below 1e-16, where no step could pass that margin, when no step of
+    its line search is accepted, or after 120 iterations.  Returns the best
+    <x, .> of every row.
     """
     z = np.array(z, dtype=float)
     best = np.sum(z * x, axis=-1)
@@ -527,24 +532,25 @@ def _descend(system, spec, x, z, target_r2, target_tail):
                                     curved)
         moving = gain >= 1e-16
         active, za, d = active[moving], za[moving], d[moving]
-        step = np.ones(len(active))
         pending = np.arange(len(active))
         improved = np.zeros(len(active), dtype=bool)
-        for _ in range(20):
+        for steps in (_STEPS[:1], _STEPS[1:]):
             if not pending.size:
                 break
-            cand, resid, cand_state = _restore(
-                system, spec, _unit(za[pending] + step[pending, None] * d[pending]),
-                target_r2, target_tail)
+            trial = za[pending, None] + steps[:, None] * d[pending, None]
+            cand, resid, cand_state = _restore(system, spec, _unit(trial.reshape(-1, len(x))),
+                                               target_r2, target_tail)
             val = np.sum(cand * x, axis=-1)
-            ok = (resid <= 1e-10) & (val > best[active[pending]] + 1e-15)
-            accepted = active[pending[ok]]
-            z[accepted], best[accepted] = cand[ok], val[ok]
+            ok = ((resid <= 1e-10) & (val > np.repeat(best[active[pending]], len(steps)) + 1e-15)
+                  ).reshape(len(pending), len(steps))
+            hit = np.any(ok, axis=1)
+            first = np.flatnonzero(hit) * len(steps) + np.argmax(ok[hit], axis=1)
+            accepted = active[pending[hit]]
+            z[accepted], best[accepted] = cand[first], val[first]
             for kept, found in zip(state, cand_state):
-                kept[accepted] = found[ok]
-            improved[pending[ok]] = True
-            pending = pending[~ok]
-            step[pending] *= 0.5
+                kept[accepted] = found[first]
+            improved[pending[hit]] = True
+            pending = pending[~hit]
         active = active[improved]
         if not active.size:
             break

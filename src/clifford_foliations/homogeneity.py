@@ -24,8 +24,8 @@ from typing import Optional
 
 import numpy as np
 
-from .algebra import (cd_mul, cd_units, check_unit, haar_rotation, rng_from, row_norms,
-                      sign_fixed_q, snapped_sqrt)
+from .algebra import (cd_mul, cd_units, check_unit, rng_from, row_norms, sign_fixed_q,
+                      sign_fixed_rotation, snapped_sqrt)
 from .clifford import EquivalenceProfile, delta
 
 __all__ = [
@@ -84,9 +84,10 @@ def _right_mult_matrices(q: np.ndarray) -> np.ndarray:
 class GroupElement:
     """Unitary k x k matrix over F = R, C, or H, stored componentwise.
 
-    ``entries`` has shape (k, k, dim F).  ``action_matrix`` is the real
-    representation of u -> u g on F^k (components of u stored consecutively),
-    an orthogonal (k dim F) x (k dim F) matrix.
+    ``entries`` has shape (k, k, dim F), or (n, k, k, dim F) for a stack of
+    n elements.  ``action_matrix`` is the real representation of u -> u g on
+    F^k (components of u stored consecutively), an orthogonal L x L matrix
+    for L = k dim F, and (n, L, L) for a stack.
     """
 
     field: str
@@ -96,57 +97,82 @@ class GroupElement:
     def action_matrix(self) -> np.ndarray:
         n = self.k * FIELD_DIM[self.field]
         # block (i, j) is the matrix of x -> x * entries[j, i]
-        blocks = _right_mult_matrices(np.swapaxes(self.entries, 0, 1))
-        return blocks.swapaxes(1, 2).reshape(n, n)
+        blocks = _right_mult_matrices(np.swapaxes(self.entries, -3, -2))
+        return blocks.swapaxes(-3, -2).reshape(self.entries.shape[:-3] + (n, n))
 
 
-def _quaternionic_unitary(rng: np.random.Generator, k: int) -> np.ndarray:
-    """Gram-Schmidt over H: columns orthonormal for <a, b> = sum conj(a_i) b_i."""
-    g = rng.standard_normal((k, k, 4))
+def _quaternionic_unitary(g: np.ndarray) -> np.ndarray:
+    """Gram-Schmidt over H on a stack g (n, k, k, 4) of Gaussian draws.
+
+    Columns come out orthonormal for <a, b> = sum conj(a_i) b_i, each
+    matrix bit for bit as alone.
+    """
+    n, k = g.shape[:2]
     for j in range(k):
         for _ in range(2):  # re-orthogonalize once for full precision
             for a in range(j):
                 # <col_a, col_j> in H, then col_j -= col_a * overlap
-                ov = _row_sum(cd_mul(_f_conj(g[:, a]), g[:, j]))
-                g[:, j] -= cd_mul(g[:, a], ov)
-        g[:, j] /= np.linalg.norm(g[:, j])
+                ov = _row_sum(cd_mul(_f_conj(g[:, :, a]), g[:, :, j]))
+                g[:, :, j] -= cd_mul(g[:, :, a], ov[:, None])
+        g[:, :, j] /= row_norms(g[:, :, j].reshape(n, 4 * k))[:, None, None]
     return g
 
 
-def sample_group_element(field: str, k: int, seed: int) -> GroupElement:
+def sample_group_element(field: str, k: int, seeds) -> GroupElement:
     """Haar-style sample from SO(k), SU(k), or Sp(k) (field R, C, H).
 
     QR of a Gaussian with the usual sign / phase normalization; for C the
     determinant is brought to 1 by a global phase, for R by flipping the last
-    column when needed.  Fixed seed gives a bit-identical element.
+    column when needed.  An int seed gives one element, ``entries`` (k, k,
+    dim F); a seed array (n,) gives a stack, ``entries`` (n, k, k, dim F),
+    element j drawn from its own ``rng_from(seeds[j])`` stream and equal bit
+    for bit to the element of that seed alone.  Fixed seed gives a
+    bit-identical element.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    rng = rng_from(seed)
+    if field not in FIELD_DIM:
+        raise ValueError(f"unknown field {field!r}")
+    seed_arr = np.asarray(seeds)
+    if seed_arr.ndim > 1:
+        raise ValueError("seeds must be an int or a 1-D array")
+    # each element's Gaussians, drawn as its single call draws them
+    shape = {"R": (k, k), "C": (2, k, k), "H": (k, k, 4)}[field]
+    draws = np.array([rng_from(s).standard_normal(shape)
+                      for s in seed_arr.reshape(-1)]).reshape((-1,) + shape)
     if field == "R":
-        return GroupElement("R", k, haar_rotation(rng, k)[..., None])
-    if field == "C":
-        q = sign_fixed_q(rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k)))
-        q = q * np.exp(-1j * np.angle(np.linalg.det(q)) / k)
-        return GroupElement("C", k, np.stack([q.real, q.imag], axis=-1))
-    if field == "H":
-        return GroupElement("H", k, _quaternionic_unitary(rng, k))
-    raise ValueError(f"unknown field {field!r}")
+        entries = sign_fixed_rotation(draws)[..., None]
+    elif field == "C":
+        q = sign_fixed_q(draws[:, 0] + 1j * draws[:, 1])
+        # one scalar exp per element: the array form differs in the last bit
+        phase = [np.exp(-1j * angle / k) for angle in np.angle(np.linalg.det(q))]
+        q = q * np.array(phase)[:, None, None]
+        entries = np.stack([q.real, q.imag], axis=-1)
+    else:
+        entries = _quaternionic_unitary(draws)
+    return GroupElement(field, k, entries.reshape(seed_arr.shape + entries.shape[1:]))
 
 
 def diagonal_act(g: GroupElement, x: np.ndarray) -> np.ndarray:
     """Diagonal action on F^k x F^k: both halves of x transform by g.
 
-    x has shape (..., 2l) with l = k dim F in the standard (u, v) layout.
+    x has shape (..., 2l) with l = k dim F in the standard (u, v) layout.  A
+    stack of n elements acts with element j on row j of x (n, 2l), as n
+    single calls.
     """
     x = np.asarray(x, dtype=float)
     l = x.shape[-1] // 2
     mat = g.action_matrix()
-    if mat.shape[0] != l:
+    if mat.shape[-1] != l:
         raise ValueError("group element does not match the point dimension")
-    u = x[..., :l] @ mat.T
-    v = x[..., l:] @ mat.T
-    return np.concatenate([u, v], axis=-1)
+    stacked = mat.ndim == 3
+    if stacked:
+        if x.shape != (len(mat), 2 * l):
+            raise ValueError("a stack of n group elements acts on rows x of shape (n, 2l)")
+        x = x[:, None]  # each row a batch of one for its own element
+    mat_t = np.swapaxes(mat, -1, -2)
+    out = np.concatenate([x[..., :l] @ mat_t, x[..., l:] @ mat_t], axis=-1)
+    return out[:, 0] if stacked else out
 
 
 # --------------------------------------------------------------------------- #

@@ -18,6 +18,7 @@ from clifford_foliations.algebra import (
     row_norms,
     sample_unit_vectors,
     sign_fixed_q,
+    sign_fixed_rotation,
     signed_perm_kron,
 )
 from clifford_foliations.clifford import build_complex_structures, build_system, delta
@@ -318,3 +319,16 @@ class TestSampling:
         r = haar_rotation(rng_from(9), 6)
         assert np.linalg.det(r) > 0
         assert max_abs(r.T @ r - np.eye(6)) <= 1e-12
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5])
+    def test_stacks_equal_single_matrices(self, n):
+        a = rng_from(15, n).standard_normal((60, 2, n, n))
+        for stack in (a[:, 0], a[:, 0] + 1j * a[:, 1]):
+            q = sign_fixed_q(stack)
+            assert q.tobytes() == np.array([sign_fixed_q(m) for m in stack]).tobytes()
+        assert np.any(np.linalg.det(sign_fixed_q(a)) < 0)  # the det flip runs
+        # a (60, 2) stack of rotations is 120 haar_rotation draws from one stream
+        rot = sign_fixed_rotation(a)
+        rng = rng_from(15, n)
+        assert rot.tobytes() == np.array([haar_rotation(rng, n) for _ in range(120)]).tobytes()
+        assert np.all(np.linalg.det(rot) > 0)

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from clifford_foliations import verify
 from clifford_foliations.cli import main
 from clifford_foliations.clifford import (
     CliffordSystem,
@@ -104,6 +105,19 @@ class TestVerify:
                     lines = captured.err.splitlines()
                     assert code == 2 and len(lines) == 1 and captured.out == ""
                     assert lines[0].startswith("error:") and knob in lines[0]
+
+    def test_normal_forms_acts_at_one_sample(self, tmp_path, monkeypatch):
+        # --samples 1 still draws a pair, so an action that leaves the fibers
+        # (swapping the u and v halves) fails orbit_constancy
+        system = tmp_path / "s.json"
+        report = tmp_path / "r.json"
+        run("construct", "--m", 2, "--k", 2, "--out", system)
+        monkeypatch.setattr(verify, "diagonal_act",
+                            lambda g, x: np.roll(x, x.shape[-1] // 2, axis=-1))
+        assert run("verify", "--system", system, "--suite", "normal_forms",
+                   "--samples", 1, "--report", report) == 1
+        checks = {c["name"]: c["pass"] for c in json.loads(report.read_text())["checks"]}
+        assert checks["orbit_constancy"] is False
 
     def test_missing_file_exit_two(self, tmp_path):
         assert run("verify", "--system", tmp_path / "absent.json") == 2

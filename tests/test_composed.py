@@ -1,6 +1,7 @@
 """Composed foliations: specs, leaf classes, cone metric, ambient distances."""
 
 import dataclasses
+import hashlib
 import warnings
 
 import numpy as np
@@ -122,6 +123,20 @@ class TestBuiltinSpecs:
             rng = rng_from(47)
             one_by_one = [spec.leaf_sampler(u[j:j + 1], rng)[0] for j in range(len(u))]
             assert spec.leaf_sampler(u, rng_from(47)).tobytes() == np.array(one_by_one).tobytes()
+
+    # digest of the 50 rows below, taken with the per-row sampler it replaced
+    TENSOR_ROWS_DIGEST = "ada7a57e7261a1f6591c16afc3ffa186c7691f5dc7a9b9d465efb593f7c333c9"
+
+    def test_tensor_sampler_equals_per_row_rotations(self):
+        # one draw for all rows, in the per-row order U_1, W_1, U_2, W_2, ...
+        v = sample_unit_vectors(rng_from(48), 9, 50)
+        rng = rng_from(49)
+        per_row = np.array([(haar_rotation(rng, 3) @ mat @ haar_rotation(rng, 3).T).ravel()
+                            for mat in v.reshape(-1, 3, 3)])
+        rows = builtin_spec("tensor_svd", 8).leaf_sampler(v, rng_from(49))
+        assert rows.tobytes() == per_row.tobytes()
+        if np.__version__ == "2.4.6":
+            assert hashlib.sha256(rows.tobytes()).hexdigest() == self.TENSOR_ROWS_DIGEST
 
     def test_tensor_restricted_to_nine_dims(self):
         with pytest.raises(ValueError):

@@ -45,6 +45,24 @@ class TestGroupSampling:
         g = sample_group_element("H", 1, 3)
         assert abs(np.linalg.norm(g.entries[0, 0]) - 1.0) <= 1e-12
 
+    @pytest.mark.parametrize("field", ["R", "C", "H"])
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_seed_array_equals_single_seeds(self, field, k):
+        # at (C, 3) an array-wide phase exp differs from the scalar one in the last bit
+        seeds = 500 * k + np.arange(64)
+        g = sample_group_element(field, k, seeds)
+        d = FIELD_DIM[field]
+        assert g.entries.shape == (64, k, k, d)
+        mats = g.action_matrix()
+        assert mats.shape == (64, k * d, k * d)
+        x = sample_unit_vectors(rng_from(k), 2 * k * d, 64)
+        gx = diagonal_act(g, x)
+        for j, seed in enumerate(seeds):
+            one = sample_group_element(field, k, int(seed))
+            assert one.entries.tobytes() == g.entries[j].tobytes()
+            assert one.action_matrix().tobytes() == mats[j].tobytes()
+            assert diagonal_act(one, x[j]).tobytes() == gx[j].tobytes()
+
 
 class TestDiagonalAction:
     @pytest.mark.parametrize("m,k", [(1, 2), (1, 3), (2, 2), (2, 3), (4, 2), (4, 3)])
@@ -78,6 +96,9 @@ class TestDiagonalAction:
         g = sample_group_element("R", 3, 0)
         with pytest.raises(ValueError):
             diagonal_act(g, np.zeros(4))
+        stack = sample_group_element("C", 2, np.arange(3))
+        with pytest.raises(ValueError):
+            diagonal_act(stack, np.zeros((2, 8)))
 
 
 class TestNormalForm:
