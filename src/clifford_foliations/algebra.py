@@ -8,6 +8,7 @@ draws always go through an explicitly seeded generator.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -25,7 +26,11 @@ __all__ = [
     "snapped_sqrt",
     "projector_colspace_basis",
     "eig_split",
+    "seed_ints",
     "rng_from",
+    "rng_streams",
+    "redraw_short_rows",
+    "gaussian_rows",
     "sample_unit_vectors",
     "sign_fixed_q",
     "sign_fixed_rotation",
@@ -218,6 +223,27 @@ def eig_split(p: np.ndarray):
 # Seeded sampling
 # --------------------------------------------------------------------------- #
 
+def seed_ints(seeds):
+    """The seeds as a list of non-negative ints, and whether a single int was given.
+
+    Takes an int or a 1-D array or sequence of ints.  A non-integer seed
+    raises ``TypeError``, as ``rng_from`` does, rather than being truncated;
+    a negative one raises ``ValueError``.
+    """
+    arr = seeds if isinstance(seeds, np.ndarray) else np.asarray(seeds, dtype=object)
+    if arr.ndim > 1:
+        raise ValueError("seeds must be an int or a 1-D array")
+    ints = arr.ravel().tolist()
+    if arr.dtype.kind not in "iu":
+        try:
+            ints = [operator.index(s) for s in ints]
+        except TypeError:
+            raise TypeError(f"seeds must be integers, got {seeds!r}") from None
+    if ints and min(ints) < 0:
+        raise ValueError(f"seeds must be non-negative, got {seeds!r}")
+    return ints, arr.ndim == 0
+
+
 def rng_from(seed: int, *path: int) -> np.random.Generator:
     """Generator for a seed plus a derivation path.
 
@@ -227,18 +253,152 @@ def rng_from(seed: int, *path: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=path)))
 
 
-def sample_unit_vectors(rng: np.random.Generator, dim: int, count: int) -> np.ndarray:
+# numpy's SeedSequence hash (NEP 19 keeps it stable): pool mixing, state output, word mixing
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R, _XSHIFT = np.uint32(0xCA01F9DD), np.uint32(0x4973F715), np.uint32(16)
+# Cross-mixing hashes pool word src into the other three in order, from hash step 4 + 3 src;
+# row src gives each destination word its step (its own slot an unused one)
+_CROSS_STEPS = np.array([[4 + 3 * src + (d - (d > src)) % 3 for d in range(4)] for src in range(4)])
+# Below this many streams, rng_from per stream builds them faster (at 5 the two tie)
+_STREAMS_CROSSOVER = 5
+
+
+@lru_cache(maxsize=None)
+def _hash_constants(init: int, mult: int, count: int):
+    """The (xor, multiplier) uint32 pairs of count successive hash steps from init."""
+    c = [init]
+    for _ in range(count):
+        c.append(c[-1] * mult & 0xFFFFFFFF)
+    c = np.array(c, dtype=np.uint32)
+    c.flags.writeable = False
+    return c[:-1], c[1:]
+
+
+def _hashmix(v: np.ndarray, xor: np.ndarray, mult: np.ndarray) -> np.ndarray:
+    v = v ^ xor
+    v *= mult
+    v ^= v >> _XSHIFT
+    return v
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    out = x * _MIX_L
+    out -= y * _MIX_R
+    out ^= out >> _XSHIFT
+    return out
+
+
+class _StateWords(np.random.bit_generator.ISeedSequence):
+    """A seed sequence that hands PCG64 the four uint64 words it was built with."""
+
+    __slots__ = ("words",)
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.words
+
+
+def _pcg64_words(seeds: np.ndarray, path: np.ndarray) -> np.ndarray:
+    """The (k, 4) uint64 words SeedSequence(seeds[j], spawn_key=path[j]) gives PCG64.
+
+    seeds (k,) are below 2^64 and path (k, p) below 2^32, so each seed is
+    two words, zero-padded to the pool size of 4, and each path entry one.
+    A spawn key pads the seed so, and without one the hash of a missing word
+    equals that of a zero word, so the words match for every path length.
+    """
+    k, p = path.shape
+    xor, mult = _hash_constants(_INIT_A, _MULT_A, 16 + 4 * p)
+    words = np.zeros((k, 4), dtype=np.uint32)
+    words[:, 0] = seeds & 0xFFFFFFFF
+    words[:, 1] = seeds >> 32
+    pool = _hashmix(words, xor[:4], mult[:4])
+    for src in range(4):
+        # the hash of word src into each other word, one step each; slot src is kept
+        steps = _CROSS_STEPS[src]
+        keep = pool[:, src].copy()
+        pool = _mix(pool, _hashmix(pool[:, src, None], xor[steps], mult[steps]))
+        pool[:, src] = keep
+    if p:
+        tail = _hashmix(path[:, :, None], xor[16:].reshape(p, 4), mult[16:].reshape(p, 4))
+        for i in range(p):
+            pool = _mix(pool, tail[:, i])
+    xor, mult = _hash_constants(_INIT_B, _MULT_B, 8)
+    state = _hashmix(np.concatenate((pool, pool), axis=1), xor, mult)
+    # eight little-endian uint32 words per row are its four uint64 words
+    return state.view("<u8").astype(np.uint64, copy=False)
+
+
+def rng_streams(seeds, *path) -> list:
+    """Generators for k seeds plus a derivation path, from one vectorised hash.
+
+    seeds is an int or a (k,) array, and each path entry an int or a (k,)
+    array broadcast against them.  Generator j has exactly the state of
+    ``rng_from(seeds[j], *path_j)``: the SeedSequence pool hash runs once on
+    all k word rows.  Below five streams, where that is no faster, and for
+    seeds of 2^64 or more or path entries of 2^32 or more, the streams come
+    from ``rng_from``.
+    """
+    columns = [seed_ints(seeds)[0]] + [seed_ints(entry)[0] for entry in path]
+    sizes = {len(c) for c in columns} - {1}
+    if len(sizes) > 1:
+        raise ValueError("path entries must broadcast against the seeds")
+    k = sizes.pop() if sizes else 1
+    columns = [c * k if len(c) == 1 else c for c in columns]
+    if (k < _STREAMS_CROSSOVER or max(columns[0]) >= 2**64
+            or any(max(c) >= 2**32 for c in columns[1:])):
+        return [rng_from(seed, *entries) for seed, *entries in zip(*columns)]
+    words = _pcg64_words(np.array(columns[0], dtype=np.uint64),
+                         np.array(columns[1:], dtype=np.uint32).reshape(len(path), k).T)
+    return [np.random.Generator(np.random.PCG64(_StateWords(w))) for w in words]
+
+
+def _pairwise_norms(x: np.ndarray) -> np.ndarray:
+    """Norms along the last axis, the pairwise sums ``np.linalg.norm(x, axis=-1)`` takes."""
+    return np.sqrt(np.add.reduce(x * x, axis=-1))
+
+
+def redraw_short_rows(z: np.ndarray, draw) -> np.ndarray:
+    """Row norms of z (k, n, d), after redrawing in place the rows with norm below 1e-8.
+
+    ``draw(j, bad)`` returns fresh rows for the rows of batch j that the
+    mask bad picks, from batch j's own stream; each batch redraws until no
+    row is short, in the order a single call of its own would.
+    """
+    norms = _pairwise_norms(z)
+    if norms.min(initial=np.inf) >= 1e-8:  # the usual case, one reduction
+        return norms
+    for j in np.flatnonzero(np.any(norms < 1e-8, axis=-1)):
+        while np.any(norms[j] < 1e-8):
+            bad = norms[j] < 1e-8
+            z[j, bad] = draw(j, bad)
+            norms[j] = _pairwise_norms(z[j])
+    return norms
+
+
+def gaussian_rows(rngs: list, shape) -> np.ndarray:
+    """Standard normals of shape (k,) + shape, row j drawn from rngs[j] as one call of its own."""
+    out = np.empty((len(rngs),) + tuple(shape))
+    for rng, row in zip(rngs, out):
+        rng.standard_normal(out=row)
+    return out
+
+
+def sample_unit_vectors(rng, dim: int, count: int) -> np.ndarray:
     """Uniform samples on the unit sphere of R^dim, shape (count, dim).
 
-    Gaussian draws normalized; rows with norm below 1e-8 are redrawn.
+    Gaussian draws normalized; rows with norm below 1e-8 are redrawn.  A
+    list of k generators gives (k, count, dim), stream j drawing its rows
+    in the order a single call with it does, so batch j equals that call
+    bit for bit.
     """
-    x = rng.standard_normal((count, dim))
-    norms = np.linalg.norm(x, axis=1)
-    while np.any(norms < 1e-8):
-        bad = norms < 1e-8
-        x[bad] = rng.standard_normal((int(np.sum(bad)), dim))
-        norms = np.linalg.norm(x, axis=1)
-    return x / norms[:, None]
+    rngs = rng if isinstance(rng, list) else [rng]
+    x = gaussian_rows(rngs, (count, dim))
+    norms = redraw_short_rows(x, lambda j, bad: rngs[j].standard_normal((int(np.sum(bad)), dim)))
+    x /= norms[..., None]
+    return x if isinstance(rng, list) else x[0]
 
 
 def sign_fixed_q(a: np.ndarray) -> np.ndarray:

@@ -20,8 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import (check_unit, eig_split, rng_from, row_dots, row_norms, sample_unit_vectors,
-                      snapped_sqrt)
+from .algebra import (check_unit, eig_split, gaussian_rows, redraw_short_rows, rng_streams,
+                      row_dots, row_norms, sample_unit_vectors, seed_ints, snapped_sqrt)
 from .clifford import CliffordSystem
 
 __all__ = [
@@ -112,14 +112,6 @@ def pi_c(system: CliffordSystem, x: np.ndarray) -> np.ndarray:
 # Fiber samplers
 # --------------------------------------------------------------------------- #
 
-def _seeds(seeds):
-    """The seeds as a list of ints, and whether a single int was given."""
-    seeds = np.asarray(seeds)
-    if seeds.ndim > 1:
-        raise ValueError("seeds must be an int or a 1-D array")
-    return [int(s) for s in seeds.ravel()], seeds.ndim == 0
-
-
 def _seeded_rows(points, seeds, width: int):
     """Rows of points as (k, width) floats, the seeds as k ints, and whether the call was single.
 
@@ -128,24 +120,11 @@ def _seeded_rows(points, seeds, width: int):
     points = np.asarray(points, dtype=float)
     if points.ndim not in (1, 2) or points.shape[-1] != width:
         raise ValueError(f"points must have shape ({width},) or (k, {width})")
-    seeds, single = _seeds(seeds)
+    seeds, single = seed_ints(seeds)
     if single != (points.ndim == 1) or len(seeds) != len(np.atleast_2d(points)):
         raise ValueError("pass one seed per point: an int for a single point, "
                          "a (k,) array for k rows")
     return np.atleast_2d(points), seeds, single
-
-
-def _redraw_short_rows(z: np.ndarray, norms: np.ndarray, rngs, draw) -> None:
-    """Redraw, in place and from each fiber's own stream, rows with norm below 1e-8.
-
-    ``draw(j, rng, bad)`` returns fresh rows for the rows of fiber j that
-    the mask bad picks.
-    """
-    for j in np.flatnonzero(np.any(norms < 1e-8, axis=-1)):
-        while np.any(norms[j] < 1e-8):
-            bad = norms[j] < 1e-8
-            z[j, bad] = draw(j, rngs[j], bad)
-            norms[j] = np.linalg.norm(z[j], axis=-1)
 
 
 def _span_apply(system: CliffordSystem, p: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -171,19 +150,15 @@ def _boundary_rows(system: CliffordSystem, p: np.ndarray, n: int, seeds) -> np.n
     # P^2 = |p|^2 Id on a Clifford system: the involution check, without P @ P
     if not np.all(np.abs(row_norms(p) ** 2 - 1.0) <= 1e-10):
         raise ValueError("span element is not an involution to the requested tolerance")
-    rngs = [rng_from(s) for s in seeds]
-    z = np.empty((len(rngs), n, system.dim))
-    for j, rng in enumerate(rngs):
-        rng.standard_normal(out=z[j])
+    rngs = rng_streams(seeds)
+    z = gaussian_rows(rngs, (n, system.dim))
     z += _span_apply(system, p, z)
-    norms = np.linalg.norm(z, axis=-1)
 
-    def draw(j, rng, bad):
-        fresh = rng.standard_normal((int(np.sum(bad)), system.dim))
+    def draw(j, bad):
+        fresh = rngs[j].standard_normal((int(np.sum(bad)), system.dim))
         return fresh + _span_apply(system, p[j], fresh)
 
-    _redraw_short_rows(z, norms, rngs, draw)
-    return z / norms[..., None]
+    return z / redraw_short_rows(z, draw)[..., None]
 
 
 def boundary_fiber_sample(system: CliffordSystem, p_coords: np.ndarray,
@@ -222,12 +197,9 @@ def _mplus_rows(system: CliffordSystem, n: int, seeds) -> np.ndarray:
     """n samples of M+ per seed, shape (k, n, 2l); each seed draws in the single call's order."""
     m, l = system.m, system.l
     b_plus, b_minus = system.p0_eigenbases
-    rngs = [rng_from(s) for s in seeds]
-    units = np.empty((len(rngs), n, l))
-    gauss = np.empty((len(rngs), n, l))
-    for j, rng in enumerate(rngs):
-        units[j] = sample_unit_vectors(rng, l, n)
-        rng.standard_normal(out=gauss[j])
+    rngs = rng_streams(seeds)
+    units = sample_unit_vectors(rngs, l, n)
+    gauss = gaussian_rows(rngs, (n, l))
     x_plus = units @ b_plus.T
     g = gauss @ b_minus.T
     del units, gauss
@@ -237,15 +209,13 @@ def _mplus_rows(system: CliffordSystem, n: int, seeds) -> np.ndarray:
         for rows in _blocks(len(rngs), n * (m + 1) * 2 * l):
             w = _generator_images(system, x_plus[rows]).reshape(-1, m + 1, 2 * l)[:, 1:]
             g[rows] = _project_out(w, g[rows].reshape(-1, 2 * l)).reshape(g[rows].shape)
-    norms = np.linalg.norm(g, axis=-1)
 
-    def draw(j, rng, bad):
-        fresh = rng.standard_normal((int(np.sum(bad)), l)) @ b_minus.T
+    def draw(j, bad):
+        fresh = rngs[j].standard_normal((int(np.sum(bad)), l)) @ b_minus.T
         return _project_out(_generator_images(system, x_plus[j])[:, 1:][bad], fresh) if m else fresh
 
-    _redraw_short_rows(g, norms, rngs, draw)
     # (x_plus + g / |g|) / sqrt(2), in place
-    g /= norms[..., None]
+    g /= redraw_short_rows(g, draw)[..., None]
     x_plus += g
     x_plus /= np.sqrt(2.0)
     return x_plus
@@ -261,7 +231,7 @@ def mplus_sample(system: CliffordSystem, n: int, seeds) -> np.ndarray:
     array gives (k, n, 2l), batch j equal bit for bit to the call with
     seeds[j].
     """
-    seeds, single = _seeds(seeds)
+    seeds, single = seed_ints(seeds)
     _check_focal(system)
     x = _mplus_rows(system, n, seeds)
     return x[0] if single else x
@@ -358,13 +328,12 @@ def random_horizontal_geodesic(system: CliffordSystem, seeds) -> HorizontalGeode
     equal bit for bit to the geodesic of seeds[j], with all 2k endpoints
     drawn in one sampler call.
     """
-    seeds, single = _seeds(seeds)
+    seeds, single = seed_ints(seeds)
     k = len(seeds)
-    p = np.empty((k, system.m + 1))
+    rngs = rng_streams(seeds)
+    p = sample_unit_vectors(rngs, system.m + 1, 1)[:, 0]
     ends = np.empty((2, k), dtype=np.int64)
-    for j, seed in enumerate(seeds):
-        rng = rng_from(seed)
-        p[j] = sample_unit_vectors(rng, system.m + 1, 1)[0]
+    for j, rng in enumerate(rngs):
         ends[:, j] = rng.integers(2**62), rng.integers(2**62)
     x = boundary_fiber_sample(system, np.concatenate([p, -p]), 1, ends.ravel())[:, 0]
     rows = (p, x[:k], x[k:])

@@ -24,8 +24,8 @@ from typing import Optional
 
 import numpy as np
 
-from .algebra import (cd_mul, cd_units, check_unit, rng_from, row_norms, sign_fixed_q,
-                      sign_fixed_rotation, snapped_sqrt)
+from .algebra import (cd_mul, cd_units, check_unit, gaussian_rows, rng_streams, row_norms,
+                      seed_ints, sign_fixed_q, sign_fixed_rotation, snapped_sqrt)
 from .clifford import EquivalenceProfile, delta
 
 __all__ = [
@@ -133,13 +133,10 @@ def sample_group_element(field: str, k: int, seeds) -> GroupElement:
         raise ValueError("k must be >= 1")
     if field not in FIELD_DIM:
         raise ValueError(f"unknown field {field!r}")
-    seed_arr = np.asarray(seeds)
-    if seed_arr.ndim > 1:
-        raise ValueError("seeds must be an int or a 1-D array")
+    seeds, single = seed_ints(seeds)
     # each element's Gaussians, drawn as its single call draws them
     shape = {"R": (k, k), "C": (2, k, k), "H": (k, k, 4)}[field]
-    draws = np.array([rng_from(s).standard_normal(shape)
-                      for s in seed_arr.reshape(-1)]).reshape((-1,) + shape)
+    draws = gaussian_rows(rng_streams(seeds), shape)
     if field == "R":
         entries = sign_fixed_rotation(draws)[..., None]
     elif field == "C":
@@ -150,7 +147,7 @@ def sample_group_element(field: str, k: int, seeds) -> GroupElement:
         entries = np.stack([q.real, q.imag], axis=-1)
     else:
         entries = _quaternionic_unitary(draws)
-    return GroupElement(field, k, entries.reshape(seed_arr.shape + entries.shape[1:]))
+    return GroupElement(field, k, entries[0] if single else entries)
 
 
 def diagonal_act(g: GroupElement, x: np.ndarray) -> np.ndarray:

@@ -10,6 +10,7 @@ seeds so no ordering effect can creep in.
 
 from __future__ import annotations
 
+import operator
 import time
 import warnings
 from dataclasses import dataclass, field
@@ -18,12 +19,14 @@ from typing import Callable, Optional
 import numpy as np
 
 from .algebra import (
-    haar_orthogonal,
+    gaussian_rows,
     max_abs,
     rng_from,
+    rng_streams,
     row_dots,
     row_norms,
     sample_unit_vectors,
+    sign_fixed_q,
 )
 from .clifford import (
     CliffordSystem,
@@ -85,8 +88,9 @@ class SuiteConfig:
     """One suite invocation: which suite, on which system, how hard to push.
 
     ``budget`` holds per-suite effort knobs (pair counts, leaf budgets,
-    geodesic counts, ...), each at least 1.  Tolerances are pinned in the
-    suites.
+    geodesic counts, ...), each at least 1.  The seed is an integer with
+    0 <= seed < 2^48, so every seed a suite derives from it (at most
+    seed * 20000 + i) fits in int64.  Tolerances are pinned in the suites.
     """
 
     suite: str
@@ -96,6 +100,12 @@ class SuiteConfig:
     budget: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        try:
+            self.seed = operator.index(self.seed)
+        except TypeError:
+            raise TypeError(f"seed must be an integer, got {self.seed!r}") from None
+        if not 0 <= self.seed < 2**48:
+            raise ValueError(f"seed must satisfy 0 <= seed < 2**48, got {self.seed}")
         if self.samples < 1:
             raise ValueError("samples must be positive")
         for name, value in self.budget.items():
@@ -339,14 +349,10 @@ def _suite_symmetry(cfg: SuiteConfig):
     trials = cfg.samples
     frames = max(1, min(25, trials // 20))
     per = max(1, trials // frames)
-    pq = np.empty((2, frames, system.m + 1))
-    theta, x = np.empty(frames), np.empty((frames, per, system.dim))
-    for i in range(frames):
-        rng = rng_from(cfg.seed, 100 + i)
-        pq[:, i] = sample_unit_vectors(rng, system.m + 1, 2)
-        theta[i] = rng.uniform(0.05, np.pi - 0.05)
-        x[i] = sample_unit_vectors(rng, system.dim, per)
-    p, q = pq
+    rngs = rng_streams(cfg.seed, 100 + np.arange(frames))
+    p, q = np.swapaxes(sample_unit_vectors(rngs, system.m + 1, 2), 0, 1).copy()
+    theta = np.array([rng.uniform(0.05, np.pi - 0.05) for rng in rngs])
+    x = sample_unit_vectors(rngs, system.dim, per)
     q -= row_dots(q, p)[:, None] * p
     q /= row_norms(q)[:, None]
     v = pi_c(system, x)
@@ -429,8 +435,8 @@ def _suite_invariants_classification(cfg: SuiteConfig):
                 zeros, 1e-12))
     base_t = trace_invariant(system)
     drift = mismatch = 0.0
-    for i in range(cfg.knob("conjugations", 10)):
-        a = haar_orthogonal(rng_from(cfg.seed, 200 + i), system.dim)
+    rngs = rng_streams(cfg.seed, 200 + np.arange(cfg.knob("conjugations", 10)))
+    for a in sign_fixed_q(gaussian_rows(rngs, (system.dim, system.dim))):
         conj = conjugate_system(system, a)
         drift = max(drift, abs(trace_invariant(conj) - base_t))
         cp = equivalence_profile(conj)
@@ -472,9 +478,8 @@ def _suite_homogeneous_orbits(cfg: SuiteConfig):
     g = sample_group_element(field_tag, k, cfg.seed * 10000 + np.arange(cfg.samples))
     mat = g.action_matrix()
     ortho = max_abs(np.swapaxes(mat, -1, -2) @ mat - np.eye(mat.shape[-1]))
-    x = np.empty((cfg.samples, system.dim))
-    for i in range(cfg.samples):
-        x[i] = sample_unit_vectors(rng_from(cfg.seed, 300 + i), system.dim, 1)[0]
+    rngs = rng_streams(cfg.seed, 300 + np.arange(cfg.samples))
+    x = sample_unit_vectors(rngs, system.dim, 1)[:, 0]
     gx = diagonal_act(g, x)
     invariance = float(np.abs(pi_c(system, gx) - pi_c(system, x)).max())
     g1 = sample_group_element(field_tag, k, cfg.seed + 1)
@@ -498,9 +503,7 @@ def _suite_normal_forms(cfg: SuiteConfig):
     k = system.provenance.k
     n = cfg.samples
     pairs = max(1, n // 2)
-    xs = np.empty((pairs, system.dim))
-    for i in range(pairs):
-        xs[i] = sample_unit_vectors(rng_from(cfg.seed, 400 + i), system.dim, 1)[0]
+    xs = sample_unit_vectors(rng_streams(cfg.seed, 400 + np.arange(pairs)), system.dim, 1)[:, 0]
     gxs = diagonal_act(sample_group_element(field_tag, k, cfg.seed * 20000 + np.arange(pairs)), xs)
     orbit = float(np.abs(normal_form(xs, field_tag).as_array()
                          - normal_form(gxs, field_tag).as_array()).max())
@@ -604,11 +607,11 @@ def _suite_transnormality(cfg: SuiteConfig):
     pairs = cfg.knob("pairs", 8)
     leaf_budget = cfg.knob("leaf_budget", 1500)
     worst_points = worst_height = undercut = 0.0
-    va, vb = np.empty((pairs, m + 1)), np.empty((pairs, m + 1))
-    for i in range(pairs):
-        rng = rng_from(cfg.seed, 600 + i)
-        va[i] = sample_unit_vectors(rng, m + 1, 1)[0] * float(rng.uniform(0.15, 0.9))
-        vb[i] = sample_unit_vectors(rng, m + 1, 1)[0] * float(rng.uniform(0.15, 0.9))
+    rngs = rng_streams(cfg.seed, 600 + np.arange(pairs))
+    va, vb = np.empty((2, pairs, m + 1))
+    for v in (va, vb):  # each pair's stream draws a direction, then a radius, for each end
+        v[:] = sample_unit_vectors(rngs, m + 1, 1)[:, 0]
+        v *= np.array([rng.uniform(0.15, 0.9) for rng in rngs])[:, None]
     seeds = cfg.seed * 4000 + np.arange(pairs)
     xas = fiber_sample(system, va, 1, seeds)[:, 0]
     xbs = fiber_sample(system, vb, 1, seeds + 2000)[:, 0]

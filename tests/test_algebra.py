@@ -13,14 +13,18 @@ from clifford_foliations.algebra import (
     haar_rotation,
     max_abs,
     projector_colspace_basis,
+    redraw_short_rows,
     rng_from,
+    rng_streams,
     row_dots,
     row_norms,
     sample_unit_vectors,
+    seed_ints,
     sign_fixed_q,
     sign_fixed_rotation,
     signed_perm_kron,
 )
+from clifford_foliations.algebra import _pcg64_words
 from clifford_foliations.clifford import build_complex_structures, build_system, delta
 
 # ---------------------------------------------------------------------------
@@ -332,3 +336,119 @@ class TestSampling:
         rng = rng_from(15, n)
         assert rot.tobytes() == np.array([haar_rotation(rng, n) for _ in range(120)]).tobytes()
         assert np.all(np.linalg.det(rot) > 0)
+
+
+class ZeroRowAt:
+    """A generator whose standard_normal draw number ``at`` comes back with row 1 zeroed."""
+
+    def __init__(self, rng, at):
+        self.rng, self.at, self.draws = rng, at, 0
+
+    def standard_normal(self, size=None, out=None):
+        x = self.rng.standard_normal(size, out=out)
+        if self.draws == self.at:
+            x[1] = 0.0
+        self.draws += 1
+        return x
+
+
+# seeds of one, two and (padded) full words, and random draws as the suites derive them
+STREAM_SEEDS = ([0, 1, 2**32 - 1, 2**32, 2**48 - 1, 2**63]
+                + rng_from(80).integers(2**62, size=14).tolist())
+
+
+def assert_same_streams(got, seeds, *path):
+    """got[j] has the state of rng_from(seeds[j], *path_j), and draws as it does."""
+    path = [np.broadcast_to(np.asarray(entry, dtype=object), len(seeds)) for entry in path]
+    assert len(got) == len(seeds)
+    for j, (rng, seed) in enumerate(zip(got, seeds)):
+        ref = rng_from(seed, *(int(entry[j]) for entry in path))
+        assert rng.bit_generator.state == ref.bit_generator.state
+        assert rng.standard_normal(3).tobytes() == ref.standard_normal(3).tobytes()
+
+
+class TestStreams:
+    @pytest.mark.parametrize("path", [(), (0,), (7, 3), (300 + np.arange(20),)])
+    def test_states_equal_rng_from(self, path):
+        assert_same_streams(rng_streams(STREAM_SEEDS, *path), STREAM_SEEDS, *path)
+        assert_same_streams(rng_streams(np.array(STREAM_SEEDS, dtype=np.uint64), *path),
+                            STREAM_SEEDS, *path)
+
+    @pytest.mark.parametrize("seed", STREAM_SEEDS[:6])
+    def test_index_paths_of_one_seed(self, seed):
+        # the suites' per-index streams: one seed, path entries 300..419
+        assert_same_streams(rng_streams(seed, 300 + np.arange(120)), [seed] * 120,
+                            300 + np.arange(120))
+
+    @pytest.mark.parametrize("path", [(), (0,), (7, 3), (419, 2**32 - 1)])
+    def test_hash_equals_seed_sequence(self, path):
+        # the vectorised hash itself, whatever the fallback threshold
+        seeds = np.array(STREAM_SEEDS + [2**64 - 1], dtype=np.uint64)
+        paths = np.array([path] * len(seeds), dtype=np.uint32).reshape(len(seeds), -1)
+        words = _pcg64_words(seeds, paths)
+        for seed, row in zip(seeds.tolist(), words):
+            ref = np.random.SeedSequence(seed, spawn_key=path).generate_state(4, np.uint64)
+            assert row.tobytes() == ref.tobytes()
+
+    def test_fallback_inputs(self):
+        big = [2**64, 2**64 + 5, 2**70, 3 * 2**100] + STREAM_SEEDS[:4]
+        assert_same_streams(rng_streams(big), big)
+        assert_same_streams(rng_streams(big, 9), big, 9)
+        wide = [2**32, 2**40, 0, 5, 2**32 - 1, 7, 2**33, 1]
+        assert_same_streams(rng_streams(STREAM_SEEDS[:8], wide), STREAM_SEEDS[:8], wide)
+        assert_same_streams(rng_streams(3, wide, 1), [3] * 8, wide, 1)
+
+    def test_small_counts_and_broadcasting(self):
+        for k in range(8):
+            assert_same_streams(rng_streams(STREAM_SEEDS[:k]), STREAM_SEEDS[:k])
+            assert_same_streams(rng_streams(11, np.arange(k), 2), [11] * k, np.arange(k), 2)
+        assert_same_streams(rng_streams(5), [5])
+        with pytest.raises(ValueError, match="broadcast"):
+            rng_streams(np.arange(3), np.arange(4))
+
+    def test_seed_coercion(self):
+        assert seed_ints(5) == ([5], True)
+        assert seed_ints(np.int64(5)) == ([5], True)
+        assert seed_ints([2**70, np.uint64(2**63)]) == ([2**70, 2**63], False)
+        assert seed_ints(np.array([], dtype=float)) == ([], False)
+        for bad in (1.5, np.array([1.9, 2.2]), [1, 2.0], "7"):
+            with pytest.raises(TypeError):
+                seed_ints(bad)
+            with pytest.raises(TypeError):
+                rng_streams(bad)
+        for negative in (-1, [3, -2], np.array([-5])):
+            with pytest.raises(ValueError):
+                rng_streams(negative)
+        with pytest.raises(ValueError):
+            seed_ints(np.zeros((2, 2), dtype=int))
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 5, 16, 64])
+    @pytest.mark.parametrize("count", [0, 1, 3, 50])
+    def test_rowwise_unit_vectors_equal_single_calls(self, dim, count):
+        rows = sample_unit_vectors(rng_streams(4, np.arange(9)), dim, count)
+        single = np.array([sample_unit_vectors(rng_from(4, i), dim, count) for i in range(9)])
+        assert rows.shape == (9, count, dim)
+        assert rows.tobytes() == single.reshape(rows.shape).tobytes()
+
+    def test_redraw_in_single_call_order(self):
+        # a zero row is redrawn from its own stream after the first draw, as
+        # x[bad] = rng.standard_normal((1, dim))
+        rng = rng_from(81)
+        ref = rng.standard_normal((3, 4))
+        ref[1] = rng.standard_normal((1, 4))
+        ref /= np.linalg.norm(ref, axis=1)[:, None]
+        single = sample_unit_vectors(ZeroRowAt(rng_from(81), 0), 4, 3)
+        assert single.tobytes() == ref.tobytes()
+        rows = sample_unit_vectors([ZeroRowAt(rng_from(81), 0), rng_from(82),
+                                    ZeroRowAt(rng_from(83), 0)], 4, 3)
+        assert rows[0].tobytes() == ref.tobytes()
+        assert rows[1].tobytes() == sample_unit_vectors(rng_from(82), 4, 3).tobytes()
+        assert rows[2].tobytes() == sample_unit_vectors(ZeroRowAt(rng_from(83), 0), 4, 3).tobytes()
+
+    def test_redraw_repeats_until_no_row_is_short(self):
+        z = np.zeros((2, 3, 2))
+        z[1] = 1.0
+        fresh = iter([np.zeros((3, 2)), np.array([[0.0, 0.0], [3.0, 4.0], [0.0, 2.0]]),
+                      np.array([[1.0, 0.0]])])
+        norms = redraw_short_rows(z, lambda j, bad: next(fresh)[: int(np.sum(bad))])
+        assert norms.tolist() == [[1.0, 5.0, 2.0], [np.sqrt(2.0)] * 3]

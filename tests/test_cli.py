@@ -106,6 +106,20 @@ class TestVerify:
                     assert code == 2 and len(lines) == 1 and captured.out == ""
                     assert lines[0].startswith("error:") and knob in lines[0]
 
+    @pytest.mark.parametrize("seed", [-1, 2**48, 2**62])
+    def test_seed_out_of_range_exit_two(self, seed, tmp_path, capsys):
+        system = tmp_path / "s.json"
+        run("construct", "--m", 2, "--k", 2, "--out", system)
+        capsys.readouterr()
+        for argv in (["verify", "--system", system, "--suite", "all"],
+                     ["verify", "--system", system, "--suite", "homogeneous_orbits"],
+                     ["report", "--max-dim", 8]):
+            code = run(*argv, "--seed", seed)
+            captured = capsys.readouterr()
+            lines = captured.err.splitlines()
+            assert code == 2 and len(lines) == 1 and captured.out == "", (argv, captured)
+            assert lines[0].startswith("error:") and "seed" in lines[0]
+
     def test_normal_forms_acts_at_one_sample(self, tmp_path, monkeypatch):
         # --samples 1 still draws a pair, so an action that leaves the fibers
         # (swapping the u and v halves) fails orbit_constancy

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from clifford_foliations import algebra, foliation
-from clifford_foliations.algebra import haar_orthogonal, max_abs, rng_from, sample_unit_vectors
+from clifford_foliations.algebra import (haar_orthogonal, max_abs, rng_from, sample_unit_vectors,
+                                         seed_ints)
 from clifford_foliations.clifford import build_system, conjugate_system, sub_system
 from clifford_foliations.foliation import (
     EmptyFocalError,
@@ -294,6 +295,29 @@ class TestSamplerFormulas:
         boundary_fiber_sample(build_system(3, 2), np.eye(4)[2], 4, 42)
 
 
+class ZeroRowAt:
+    """A generator whose standard_normal draw number ``at`` comes back with row 1 zeroed."""
+
+    def __init__(self, rng, at):
+        self.rng, self.at, self.draws = rng, at, 0
+
+    def standard_normal(self, size=None, out=None):
+        x = self.rng.standard_normal(size, out=out)
+        if self.draws == self.at:
+            x[1] = 0.0
+        self.draws += 1
+        return x
+
+
+def sample(system, sampler, seeds):
+    """Three samples of the fiber over e_0 or of M+, for one seed or a seed array."""
+    if sampler == "boundary":
+        p = np.eye(system.m + 1)[0]
+        rows = p if np.ndim(seeds) == 0 else np.array([p] * len(seeds))
+        return boundary_fiber_sample(system, rows, 3, seeds)
+    return mplus_sample(system, 3, seeds)
+
+
 def row_wise_systems():
     yield build_system(2, 2)
     yield build_system(4, 3, flips=1)
@@ -385,6 +409,40 @@ class TestRowWiseSamplers:
         with pytest.warns(UserWarning) as record:
             mplus_sample(s12, 2, np.arange(4))
         assert len(record) == 1
+
+    def test_seeds_must_be_integers(self, s22):
+        # a float seed is rejected, not truncated to the stream of its integer part
+        v = np.array([0.1, 0.2, 0.3])
+        for call in (lambda: fiber_sample(s22, v, 2, 1.5),
+                     lambda: fiber_sample(s22, np.stack([v, v]), 2, np.array([1.0, 2.0])),
+                     lambda: mplus_sample(s22, 2, np.array([1.9, 2.2])),
+                     lambda: boundary_fiber_sample(s22, np.eye(3)[0], 2, 3.0),
+                     lambda: random_horizontal_geodesic(s22, 1.5)):
+            with pytest.raises(TypeError, match="integers"):
+                call()
+        with pytest.raises(ValueError, match="non-negative"):
+            mplus_sample(s22, 2, np.array([3, -1]))
+
+    @pytest.mark.parametrize("sampler, at", [("boundary", 0), ("mplus", 0), ("mplus", 1)])
+    def test_short_rows_redraw_from_their_own_stream(self, s22, monkeypatch, sampler, at):
+        # draw number `at` of every stream has a zero row: the boundary
+        # Gaussians, the M+ unit vectors or the M+ complement Gaussians
+        plain = sample(s22, sampler, np.arange(7) + 40)
+        monkeypatch.setattr(foliation, "rng_streams",
+                            lambda seeds: [ZeroRowAt(rng_from(s), at) for s in seed_ints(seeds)[0]])
+        rows = sample(s22, sampler, np.arange(7) + 40)
+        for j in range(7):
+            assert rows[j].tobytes() == sample(s22, sampler, 40 + j).tobytes()
+        target = np.eye(3)[0] if sampler == "boundary" else np.zeros(3)
+        assert max_abs(pi_c(s22, rows) - target) <= 1e-12
+        assert max_abs(rows[:, 1] - plain[:, 1]) > 0.1  # the short row came back redrawn
+        if sampler == "boundary":
+            # the redrawn row is the stream's next draw y, as (y + P y) / |y + P y|
+            rng = rng_from(40)
+            rng.standard_normal((3, s22.dim))
+            y = rng.standard_normal(s22.dim)
+            z = y + s22.span_matrix(target) @ y
+            assert max_abs(rows[0, 1] - z / np.linalg.norm(z)) <= 1e-15
 
     def test_seed_count_must_match_rows(self, s22):
         v = np.array([[0.1, 0.2, 0.3], [0.0, 0.4, 0.0]])

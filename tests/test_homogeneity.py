@@ -64,6 +64,14 @@ class TestGroupSampling:
             assert diagonal_act(one, x[j]).tobytes() == gx[j].tobytes()
 
 
+    def test_seeds_must_be_integers(self):
+        for seeds in (1.5, np.array([1.0, 2.0])):
+            with pytest.raises(TypeError, match="integers"):
+                sample_group_element("R", 2, seeds)
+        with pytest.raises(ValueError, match="non-negative"):
+            sample_group_element("C", 2, -3)
+
+
 class TestDiagonalAction:
     @pytest.mark.parametrize("m,k", [(1, 2), (1, 3), (2, 2), (2, 3), (4, 2), (4, 3)])
     def test_preserves_quotient_map(self, m, k):

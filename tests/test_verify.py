@@ -178,6 +178,23 @@ class TestConfigValidation:
                 SuiteConfig("diameter", s22, budget={"pairs": 4, "leaf_budget": value})
 
 
+    def test_seed_range(self, s22):
+        for seed in (-1, 2**48, 2**62):
+            with pytest.raises(ValueError, match="seed"):
+                SuiteConfig("disk_image", s22, seed=seed)
+        for seed in (1.5, np.float64(2.0), "7"):
+            with pytest.raises(TypeError, match="seed"):
+                SuiteConfig("disk_image", s22, seed=seed)
+        assert type(SuiteConfig("disk_image", s22, seed=np.int64(3)).seed) is int
+
+    @pytest.mark.parametrize("suite", ["geodesics", "quotient_metric", "homogeneous_orbits",
+                                       "normal_forms", "composed_identities", "transnormality"])
+    def test_largest_seed_runs(self, s22, suite):
+        # every seed derived from the largest one, up to seed * 20000 + i, fits in int64
+        config = SuiteConfig(suite, s22, seed=2**48 - 1, samples=20, budget=dict(FAST_BUDGET))
+        assert run_suite(config).passed
+
+
 class TestRunMatrix:
     def test_empty_plan(self):
         reports, summary = run_matrix([])
