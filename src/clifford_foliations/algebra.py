@@ -1,15 +1,14 @@
 """Arithmetic and linear-algebra primitives shared by the whole package.
 
-One Cayley-Dickson product for R, C, H and O, exact signed-permutation
-matrices, projector and QR helpers, and the seeded sampling utilities every
-higher module builds on.  Everything here is pure and deterministic; random
-draws always go through an explicitly seeded generator.
+One Cayley-Dickson product for R, C, H and O, projector and QR helpers,
+and the seeded sampling utilities every higher module builds on.  Everything
+here is pure and deterministic; random draws always go through an explicitly
+seeded generator.
 """
 
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -17,8 +16,6 @@ import numpy as np
 __all__ = [
     "cd_units",
     "cd_mul",
-    "SignedPermMatrix",
-    "signed_perm_kron",
     "max_abs",
     "row_dots",
     "row_norms",
@@ -34,8 +31,6 @@ __all__ = [
     "sample_unit_vectors",
     "sign_fixed_q",
     "sign_fixed_rotation",
-    "haar_orthogonal",
-    "haar_rotation",
 ]
 
 
@@ -92,64 +87,6 @@ def cd_mul(a, b) -> np.ndarray:
     terms = signs * a[..., :, None] * b[..., cols]  # terms[..., i, k] = s(i, k) a_i b_j(i, k)
     # cumsum adds strictly in order of i, unlike sum's pairwise reduction
     return np.cumsum(terms, axis=-2)[..., -1, :]
-
-
-# --------------------------------------------------------------------------- #
-# Exact signed-permutation matrices
-# --------------------------------------------------------------------------- #
-
-@dataclass
-class SignedPermMatrix:
-    """Matrix with exactly one entry +-1 per row and column.
-
-    Column j holds sign ``signs[j]`` at row ``rows[j]``.  All operations stay
-    in integer arithmetic, so identities between constructed matrices can be
-    checked exactly rather than to a tolerance.
-    """
-
-    rows: np.ndarray
-    signs: np.ndarray
-
-    def __post_init__(self):
-        self.rows = np.asarray(self.rows, dtype=np.int64)
-        self.signs = np.asarray(self.signs, dtype=np.int64)
-        n = self.rows.shape[0]
-        if self.signs.shape != (n,):
-            raise ValueError("rows and signs must have equal length")
-        if not np.all(np.sort(self.rows) == np.arange(n)):
-            raise ValueError("row targets must form a permutation")
-        if not np.all(np.abs(self.signs) == 1):
-            raise ValueError("signs must be +-1")
-
-    @property
-    def n(self) -> int:
-        return self.rows.shape[0]
-
-    @classmethod
-    def identity(cls, n: int) -> "SignedPermMatrix":
-        return cls(np.arange(n), np.ones(n, dtype=np.int64))
-
-    def __matmul__(self, other: "SignedPermMatrix") -> "SignedPermMatrix":
-        if self.n != other.n:
-            raise ValueError("dimension mismatch")
-        return SignedPermMatrix(self.rows[other.rows], self.signs[other.rows] * other.signs)
-
-    def trace(self) -> int:
-        fixed = self.rows == np.arange(self.n)
-        return int(np.sum(self.signs[fixed]))
-
-    def to_dense(self) -> np.ndarray:
-        m = np.zeros((self.n, self.n))
-        m[self.rows, np.arange(self.n)] = self.signs
-        return m
-
-
-def signed_perm_kron(a: SignedPermMatrix, b: SignedPermMatrix) -> SignedPermMatrix:
-    """Kronecker product, matching np.kron's index layout."""
-    q = b.n
-    rows = (a.rows[:, None] * q + b.rows[None, :]).ravel()
-    signs = (a.signs[:, None] * b.signs[None, :]).ravel()
-    return SignedPermMatrix(rows, signs)
 
 
 # --------------------------------------------------------------------------- #
@@ -424,12 +361,3 @@ def sign_fixed_rotation(a: np.ndarray) -> np.ndarray:
     q[..., -1] *= np.where(np.linalg.det(q) < 0, -1.0, 1.0)[..., None]
     return q
 
-
-def haar_orthogonal(rng: np.random.Generator, n: int) -> np.ndarray:
-    """Haar-distributed matrix from O(n)."""
-    return sign_fixed_q(rng.standard_normal((n, n)))
-
-
-def haar_rotation(rng: np.random.Generator, n: int) -> np.ndarray:
-    """Haar-distributed rotation from SO(n)."""
-    return sign_fixed_rotation(rng.standard_normal((n, n)))

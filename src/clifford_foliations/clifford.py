@@ -21,12 +21,12 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .algebra import SignedPermMatrix, cd_units, eig_split, max_abs, signed_perm_kron
+from .algebra import _cd_gather, eig_split, max_abs
 from .reports import CheckResult, VerificationReport
 
 __all__ = [
@@ -78,45 +78,61 @@ def dimension_cap() -> int:
 # Anticommuting complex structures
 # --------------------------------------------------------------------------- #
 
-def _minimal_structures(n: int) -> list:
-    """n pairwise anticommuting complex structures on R^(delta(n+1)).
+def _mul(a, b):
+    """Product AB of signed permutations given as gather pairs (cols, signs)."""
+    (ca, sa), (cb, sb) = a, b
+    return cb[ca], sa * sb[ca]
+
+
+def _kron(a, b):
+    """Kronecker product of gather pairs, in np.kron's index layout.
+
+    Leading axes broadcast, so either factor may be a stack of pairs.
+    """
+    (ca, sa), (cb, sb) = a, b
+    q = cb.shape[-1]
+    cols = ca[..., :, None] * q + cb[..., None, :]
+    shape = cols.shape[:-2] + (ca.shape[-1] * q,)
+    return cols.reshape(shape), (sa[..., :, None] * sb[..., None, :]).reshape(shape)
+
+
+def _identity(n: int):
+    return np.arange(n), np.ones(n, dtype=np.int64)
+
+
+def _minimal_structures(n: int):
+    """n pairwise anticommuting complex structures on R^(delta(n+1)), stacked.
 
     Up to n = 7 these are left multiplications by the imaginary units
     e_1..e_n of C, H or O (dimension delta(n+1)).
     """
     if n <= 7:
-        rows, signs = cd_units(delta(n + 1))
-        return [SignedPermMatrix(rows[r + 1], signs[r + 1]) for r in range(n)]
+        cols, signs = _cd_gather(delta(n + 1))
+        return cols[1:n + 1], signs[1:n + 1].astype(np.int64)
     if n == 8:
-        seven = _minimal_structures(7)
-        doubled = []
-        for j in seven:
-            rows = np.concatenate([j.rows, j.rows + 8])
-            signs = np.concatenate([j.signs, -j.signs])
-            doubled.append(SignedPermMatrix(rows, signs))
-        swap = SignedPermMatrix(
-            np.concatenate([np.arange(8, 16), np.arange(8)]),
-            np.concatenate([np.ones(8, dtype=np.int64), -np.ones(8, dtype=np.int64)]),
-        )
-        return doubled + [swap]
+        cols, signs = _minimal_structures(7)
+        # blockwise diag(J, -J), then the swap (u, v) -> (-v, u)
+        swap = np.concatenate([np.arange(8, 16), np.arange(8)])
+        flip = np.repeat([-1, 1], 8)
+        return (np.vstack([np.hstack([cols, cols + 8]), swap]),
+                np.vstack([np.hstack([signs, -signs]), flip]))
     # Periodicity: tensor the (n-8)-structure set against the volume element
     # of the 16-dimensional set, and keep the 16-dimensional set blockwise.
-    lower = _minimal_structures(n - 8)
     sixteen = _minimal_structures(8)
-    omega = sixteen[0]
-    for k in sixteen[1:]:
-        omega = omega @ k
-    eye = SignedPermMatrix.identity(delta(n - 7))
-    return [signed_perm_kron(j, omega) for j in lower] + \
-        [signed_perm_kron(eye, k) for k in sixteen]
+    omega = reduce(_mul, zip(*sixteen))
+    lower = _kron(_minimal_structures(n - 8), omega)
+    upper = _kron(_identity(delta(n - 7)), sixteen)
+    return np.vstack([lower[0], upper[0]]), np.vstack([lower[1], upper[1]])
 
 
-def build_complex_structures(n: int, target_dim: int) -> list:
-    """n anticommuting complex structures J_r on R^target_dim.
+def build_complex_structures(n: int, target_dim: int):
+    """n anticommuting complex structures J_r on R^target_dim, as one gather pair.
 
-    ``target_dim`` must be delta(n+1) or an integer multiple of it; multiples
-    act blockwise (one minimal block per copy), which is the layout of k
-    components of a division-algebra column vector.
+    Returns ``(cols, signs)``, int arrays of shape (n, target_dim): entry i
+    of J_r x is ``signs[r, i] * x[cols[r, i]]``.  ``target_dim`` must be
+    delta(n+1) or an integer multiple of it; multiples act blockwise (one
+    minimal block per copy), which is the layout of k components of a
+    division-algebra column vector.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
@@ -125,12 +141,7 @@ def build_complex_structures(n: int, target_dim: int) -> list:
         raise ValueError(
             f"target_dim {target_dim} is not a multiple of the minimal dimension {minimal}"
         )
-    copies = target_dim // minimal
-    base = _minimal_structures(n)
-    if copies == 1:
-        return base
-    eye = SignedPermMatrix.identity(copies)
-    return [signed_perm_kron(eye, j) for j in base]
+    return _kron(_identity(target_dim // minimal), _minimal_structures(n))
 
 
 # --------------------------------------------------------------------------- #
@@ -173,10 +184,12 @@ class EquivalenceProfile:
 class CliffordSystem:
     """A rank-(m+1) Clifford system on R^(2l).
 
-    Generators are either exact :class:`SignedPermMatrix` objects (systems
-    from :func:`build_system`) or dense symmetric matrices (conjugated or
-    loaded systems).  Treat instances as immutable: derived data such as
-    :attr:`generator_stack` and :attr:`p0_eigenbases` is cached on first use.
+    Exact systems (from :func:`build_system` or a signed_perm payload) hold
+    their generators as signed permutations in one gather pair
+    ``(cols, signs)``, int arrays of shape (m+1, 2l): entry r of P_i x is
+    ``signs[i, r] * x[cols[i, r]]``.  Other systems (conjugated or loaded
+    dense) hold one (m+1, 2l, 2l) float stack.  Treat instances as
+    immutable: :attr:`p0_eigenbases` is cached on first use.
     """
 
     m: int
@@ -190,26 +203,16 @@ class CliffordSystem:
 
     @property
     def exact(self) -> bool:
-        return all(isinstance(p, SignedPermMatrix) for p in self.generators)
+        return isinstance(self.generators, tuple)
 
     def dense_generator(self, i: int) -> np.ndarray:
-        """P_i as a dense matrix: the stored array, or a fresh one for exact P_i."""
-        g = self.generators[i]
-        return g.to_dense() if isinstance(g, SignedPermMatrix) else g
-
-    @cached_property
-    def generator_stack(self):
-        """All generators stacked for batched application, built once.
-
-        Exact systems give ``(cols, signs)``, each of shape (m+1, 2l): entry r
-        of P_i x is ``signs[i, r] * x[cols[i, r]]``.  Other systems give the
-        (m+1, 2l, 2l) stack of dense generators.
-        """
-        if self.exact:
-            cols = np.stack([np.argsort(g.rows) for g in self.generators])
-            signs = np.stack([g.signs[c] for g, c in zip(self.generators, cols)])
-            return cols, signs
-        return np.stack(self.generators)
+        """P_i as a dense matrix: the stored one, or a fresh one for exact P_i."""
+        if not self.exact:
+            return self.generators[i]
+        cols, signs = self.generators
+        out = np.zeros((self.dim, self.dim))
+        out[np.arange(self.dim), cols[i]] = signs[i]
+        return out
 
     @cached_property
     def p0_eigenbases(self):
@@ -236,7 +239,7 @@ class CliffordSystem:
         out = np.zeros(coords.shape[:-1] + (self.dim, self.dim))
         rows = coords.reshape(-1, self.m + 1)
         if self.exact:
-            cols, signs = self.generator_stack
+            cols, signs = self.generators
             j, i = np.nonzero(rows)
             # flat index of entry (j, r, cols[i, r]) of the stack
             at = (cols + np.arange(0, self.dim ** 2, self.dim))[i] + (j * self.dim ** 2)[:, None]
@@ -272,22 +275,17 @@ def build_system(m: int, k: int, flips: int = 0) -> CliffordSystem:
         raise ValueError(f"system dimension 2l = {2 * l} exceeds the cap {cap}"
                          " (override with CFL_MAX_DIM)")
 
-    structures = build_complex_structures(m - 1, l)
+    j_cols, j_signs = build_complex_structures(m - 1, l)
     idx = np.arange(2 * l)
 
     # block sign pattern for P_0: flipped blocks first
     eps = np.ones(l, dtype=np.int64)
-    for b in range(flips):
-        eps[b * d:(b + 1) * d] = -1
-    p0 = SignedPermMatrix(idx, np.concatenate([eps, -eps]))
-    p1 = SignedPermMatrix(np.concatenate([idx[l:], idx[:l]]),
-                          np.ones(2 * l, dtype=np.int64))
-    gens = [p0, p1]
-    for j in structures:
-        rows = np.concatenate([j.rows + l, j.rows])
-        signs = np.concatenate([-j.signs, j.signs])
-        gens.append(SignedPermMatrix(rows, signs))
-    return CliffordSystem(m, l, tuple(gens), Provenance(k, flips))
+    eps[:flips * d] = -1
+    # P_0 (u, v) = (u, -v), P_1 (u, v) = (v, u), P_(r+1) (u, v) = (J_r v, -J_r u)
+    cols = np.vstack([idx, np.roll(idx, l), np.hstack([j_cols + l, j_cols])])
+    signs = np.vstack([np.concatenate([eps, -eps]), np.ones(2 * l, dtype=np.int64),
+                       np.hstack([j_signs, -j_signs])])
+    return CliffordSystem(m, l, (cols, signs), Provenance(k, flips))
 
 
 # --------------------------------------------------------------------------- #
@@ -312,7 +310,7 @@ def _relation_violations(system: CliffordSystem):
     cols_i[r].  Dense systems multiply out.
     """
     if system.exact:
-        cols, signs = system.generator_stack
+        cols, signs = system.generators
         gens = np.arange(system.m + 1)
         pair_cols = cols[gens[None, :, None], cols[:, None, :]]  # [i, j] = P_i P_j
         pair_signs = signs[:, None, :] * signs[gens[None, :, None], cols[:, None, :]]
@@ -327,7 +325,7 @@ def _relation_violations(system: CliffordSystem):
         return sym, invol, anti
     eye = np.eye(system.dim)
     sym = invol = anti = 0.0
-    dense = [system.dense_generator(i) for i in range(system.m + 1)]
+    dense = system.generators
     # np.maximum keeps a NaN violation, where max() would drop it
     for i, p in enumerate(dense):
         sym = np.maximum(sym, max_abs(p.T - p))
@@ -361,15 +359,10 @@ def trace_invariant(system: CliffordSystem) -> float:
     and the value is 0.
     """
     if system.exact:
-        prod = system.generators[0]
-        for g in system.generators[1:]:
-            prod = prod @ g
-        tr = float(prod.trace())
+        cols, signs = reduce(_mul, zip(*system.generators))
+        tr = float(np.sum(signs[cols == np.arange(system.dim)]))
     else:
-        prod = system.dense_generator(0)
-        for i in range(1, system.m + 1):
-            prod = prod @ system.dense_generator(i)
-        tr = float(np.trace(prod))
+        tr = float(np.trace(reduce(np.matmul, system.generators)))
     return abs(tr) / (2.0 * delta(system.m))
 
 
@@ -395,7 +388,7 @@ def conjugate_system(system: CliffordSystem, a: np.ndarray) -> CliffordSystem:
         raise ValueError("conjugating matrix has the wrong shape")
     if max_abs(a.T @ a - np.eye(system.dim)) > 1e-12:
         raise ValueError("conjugating matrix is not orthogonal to 1e-12")
-    gens = tuple(a.T @ system.dense_generator(i) @ a for i in range(system.m + 1))
+    gens = np.stack([a.T @ system.dense_generator(i) @ a for i in range(system.m + 1)])
     return CliffordSystem(system.m, system.l, gens, system.provenance)
 
 
@@ -406,7 +399,8 @@ def sub_system(system: CliffordSystem, indices: Sequence[int]) -> CliffordSystem
         raise ValueError("sub_system needs at least one generator index")
     if any(i < 0 or i > system.m for i in indices):
         raise ValueError("generator index out of range")
-    gens = tuple(system.generators[i] for i in indices)
+    gens = system.generators
+    gens = (gens[0][indices], gens[1][indices]) if system.exact else gens[indices]
     return CliffordSystem(len(indices) - 1, system.l, gens, None)
 
 
@@ -421,8 +415,10 @@ def system_to_dict(system: CliffordSystem, encoding: Optional[str] = None) -> di
     if encoding == "signed_perm" and not system.exact:
         raise ValueError("system has dense generators; use dense encoding")
     if encoding == "signed_perm":
-        payload = [[[int(r), int(s)] for r, s in zip(g.rows, g.signs)]
-                   for g in system.generators]
+        # column j of P_i holds signs[i, rows[i, j]] at row rows[i, j]
+        cols, signs = system.generators
+        rows = np.argsort(cols, axis=1)
+        payload = np.stack([rows, np.take_along_axis(signs, rows, axis=1)], axis=-1).tolist()
     elif encoding == "dense":
         payload = [system.dense_generator(i).ravel().tolist()
                    for i in range(system.m + 1)]
@@ -467,23 +463,23 @@ def _system_from_fields(data: dict) -> CliffordSystem:
     if len(payload) != m + 1:
         raise MalformedSystemError("generator count does not match rank")
     if encoding == "signed_perm":
-        for cols in payload:
-            if any(len(c) != 2 for c in cols):
-                raise MalformedSystemError("signed_perm columns must be [row, sign] pairs")
-        gens = tuple(
-            SignedPermMatrix(np.array([c[0] for c in cols], dtype=np.int64),
-                             np.array([c[1] for c in cols], dtype=np.int64))
-            for cols in payload
-        )
+        if any(len(pairs) != 2 * l for pairs in payload):
+            raise MalformedSystemError("each signed_perm generator must list 2l columns")
+        scatter = np.array(payload, dtype=np.int64)
+        if scatter.shape != (m + 1, 2 * l, 2):
+            raise MalformedSystemError("signed_perm columns must be [row, sign] pairs")
+        rows, signs = scatter[..., 0], scatter[..., 1]
+        if np.any(np.sort(rows, axis=1) != np.arange(2 * l)):
+            raise MalformedSystemError("signed_perm row targets must form a permutation")
+        if np.any(np.abs(signs) != 1):
+            raise MalformedSystemError("signed_perm signs must be +-1")
+        cols = np.argsort(rows, axis=1)
+        gens = (cols, np.take_along_axis(signs, cols, axis=1))
     elif encoding == "dense":
-        gens = tuple(np.array(cols, dtype=float).reshape(2 * l, 2 * l)
-                     for cols in payload)
+        gens = np.stack([np.array(cols, dtype=float).reshape(2 * l, 2 * l)
+                         for cols in payload])
     else:
         raise MalformedSystemError(f"unknown encoding {encoding!r}")
-    for g in gens:
-        size = g.n if isinstance(g, SignedPermMatrix) else g.shape[0]
-        if size != 2 * l:
-            raise MalformedSystemError("generator dimension does not match l")
     prov = data.get("provenance")
     provenance = Provenance(int(prov["k"]), int(prov["flips"])) if prov else None
     system = CliffordSystem(m, l, gens, provenance)

@@ -580,6 +580,8 @@ def leaf_to_leaf_ambient_distance(system: CliffordSystem, spec: FoliationSpec,
     _check_spec(system, spec)
     if budget < 1:
         raise ValueError(f"budget must be at least 1 leaf sample, got {budget}")
+    if starts < 1:
+        raise ValueError(f"starts must be at least 1 descent start, got {starts}")
     _check_pair(x, y)
     if np.shape(x) != (system.dim,):
         raise ValueError(f"x and y must be single points of shape ({system.dim},)")
@@ -615,11 +617,10 @@ def leaf_to_leaf_ambient_distance(system: CliffordSystem, spec: FoliationSpec,
     champions = [int(c * 32 + np.argmax(prefix[c * 32:(c + 1) * 32]))
                  for c in range((len(prefix) + 31) // 32)]
     champions.sort(key=lambda i: -dots[i])
-    n_starts = max(starts, 1)
-    greedy = champions[:(n_starts + 1) // 2]
+    greedy = champions[:(starts + 1) // 2]
     rest = champions[len(greedy):]
-    spread = [rest[j * len(rest) // max(1, n_starts - len(greedy))]
-              for j in range(n_starts - len(greedy))] if rest else []
+    spread = [rest[j * len(rest) // max(1, starts - len(greedy))]
+              for j in range(starts - len(greedy))] if rest else []
     starts_idx = list(dict.fromkeys(greedy + spread))
     refined = _descend(system, spec, x, samples[starts_idx], target_r2, target_tail)
     best_dot = max(best_dot, float(np.max(refined)))

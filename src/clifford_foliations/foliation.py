@@ -75,13 +75,12 @@ def _generator_images(system: CliffordSystem, x: np.ndarray) -> np.ndarray:
     place); dense systems take one stacked matmul against the transposed
     generators.
     """
-    stack = system.generator_stack
-    if isinstance(stack, tuple):
-        cols, signs = stack
+    if system.exact:
+        cols, signs = system.generators
         images = np.take(x, cols, axis=-1)
         images *= signs
         return images
-    gens_t = np.swapaxes(stack, -1, -2)
+    gens_t = np.swapaxes(system.generators, -1, -2)
     if x.ndim == 1:
         return x @ gens_t
     return np.moveaxis(x[..., None, :, :] @ gens_t, -3, -2)

@@ -615,15 +615,15 @@ def _suite_transnormality(cfg: SuiteConfig):
     seeds = cfg.seed * 4000 + np.arange(pairs)
     xas = fiber_sample(system, va, 1, seeds)[:, 0]
     xbs = fiber_sample(system, vb, 1, seeds + 2000)[:, 0]
-    for i, (xa, xb) in enumerate(zip(xas, xbs)):
-        dq = composed_quotient_distance(system, pts, xa, xb)
+    dqs = composed_quotient_distance(system, pts, xas, xbs)
+    dqhs = composed_quotient_distance(system, hgt, xas, xbs)
+    for i, (xa, xb, dq, dqh) in enumerate(zip(xas, xbs, dqs, dqhs)):
         # the 1e-3 route sweeps every descent start: thin global basins on
         # high-dimensional fibers are not reliably caught by a few starts
         da = leaf_to_leaf_ambient_distance(system, pts, xa, xb, leaf_budget,
                                            cfg.seed * 5000 + i, starts=64)
         worst_points = max(worst_points, abs(da - dq))
         undercut = max(undercut, dq - da)
-        dqh = composed_quotient_distance(system, hgt, xa, xb)
         dah = leaf_to_leaf_ambient_distance(system, hgt, xa, xb, leaf_budget,
                                             cfg.seed * 5000 + 3000 + i, starts=6)
         worst_height = max(worst_height, abs(dah - dqh))

@@ -6,11 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from clifford_foliations.algebra import (
-    SignedPermMatrix,
     cd_mul,
     cd_units,
-    haar_orthogonal,
-    haar_rotation,
     max_abs,
     projector_colspace_basis,
     redraw_short_rows,
@@ -22,10 +19,9 @@ from clifford_foliations.algebra import (
     seed_ints,
     sign_fixed_q,
     sign_fixed_rotation,
-    signed_perm_kron,
 )
 from clifford_foliations.algebra import _pcg64_words
-from clifford_foliations.clifford import build_complex_structures, build_system, delta
+from clifford_foliations.clifford import _kron, _mul, build_complex_structures, build_system, delta
 
 # ---------------------------------------------------------------------------
 # Oracle: bilinear expansion of the Hamilton product over a hand-typed
@@ -189,7 +185,9 @@ class TestLeftMultMatrix:
     @staticmethod
     def left_mult(d: int, r: int) -> np.ndarray:
         rows, signs = cd_units(d)
-        return SignedPermMatrix(rows[r], signs[r]).to_dense()
+        m = np.zeros((d, d))
+        m[rows[r], np.arange(d)] = signs[r]  # column j holds signs[r, j] at row rows[r, j]
+        return m
 
     def test_skew_square_and_signed_columns(self):
         for d in (2, 4, 8):
@@ -219,8 +217,9 @@ class TestLeftMultMatrix:
         for n in range(1, 8):
             d = delta(n + 1)
             x = rng_from(13, n).standard_normal((20, d))
-            for r, j in enumerate(build_complex_structures(n, d)):
-                np.testing.assert_array_equal(x @ j.to_dense().T, cd_mul(unit(d, r + 1), x))
+            cols, signs = build_complex_structures(n, d)
+            for r in range(n):
+                np.testing.assert_array_equal(signs[r] * x[:, cols[r]], cd_mul(unit(d, r + 1), x))
 
     def test_hamilton_table_is_the_doubled_table(self):
         rows, signs = cd_units(4)
@@ -228,40 +227,51 @@ class TestLeftMultMatrix:
             assert (rows[i, j], signs[i, j]) == (k, s)
 
 
+def gather_dense(cols, signs):
+    """Dense matrix of a gather pair: row r holds signs[r] in column cols[r]."""
+    out = np.zeros((len(cols), len(cols)))
+    out[np.arange(len(cols)), cols] = signs
+    return out
+
+
 class TestSignedPerm:
+    """Signed permutations as gather pairs (cols, signs): row r of P x is signs[r] x[cols[r]]."""
+
     def test_roundtrip_and_ops(self):
         rng = rng_from(3)
         for _ in range(20):
             n = int(rng.integers(2, 12))
-            perm = rng.permutation(n)
-            signs = rng.choice([-1, 1], size=n)
-            a = SignedPermMatrix(perm, signs)
-            da = a.to_dense()
-            np.testing.assert_array_equal(da[perm, np.arange(n)], signs)
+            a = rng.permutation(n), rng.choice([-1, 1], size=n)
+            da = gather_dense(*a)
+            np.testing.assert_array_equal(da[np.arange(n), a[0]], a[1])
             assert np.count_nonzero(da) == n
-            b = SignedPermMatrix(rng.permutation(n), rng.choice([-1, 1], size=n))
-            np.testing.assert_array_equal((a @ b).to_dense(), da @ b.to_dense())
-            assert a.trace() == int(round(np.trace(da)))
+            x = rng.standard_normal(n)
+            np.testing.assert_array_equal(a[1] * x[a[0]], da @ x)
+            b = rng.permutation(n), rng.choice([-1, 1], size=n)
+            np.testing.assert_array_equal(gather_dense(*_mul(a, b)), da @ gather_dense(*b))
 
     def test_batch_apply_along_last_axis(self):
-        # generator_stack applies signed permutations as a gather on the last axis
+        # an exact system's generators apply as a gather on the last axis
         system = build_system(3, 2, 1)
-        cols, signs = system.generator_stack
+        cols, signs = system.generators
+        assert cols.shape == signs.shape == (system.m + 1, system.dim)
         x = rng_from(4).standard_normal((5, system.dim))
-        for i, g in enumerate(system.generators):
-            np.testing.assert_array_equal(signs[i] * x[:, cols[i]], x @ g.to_dense().T)
+        for i in range(system.m + 1):
+            np.testing.assert_array_equal(signs[i] * x[:, cols[i]],
+                                          x @ system.dense_generator(i).T)
 
     def test_kron_matches_numpy(self):
-        a = SignedPermMatrix(np.array([1, 0]), np.array([1, -1]))
-        b = SignedPermMatrix(np.array([0, 2, 1]), np.array([-1, 1, 1]))
-        np.testing.assert_array_equal(signed_perm_kron(a, b).to_dense(),
-                                      np.kron(a.to_dense(), b.to_dense()))
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            SignedPermMatrix(np.array([0, 0]), np.array([1, 1]))
-        with pytest.raises(ValueError):
-            SignedPermMatrix(np.array([0, 1]), np.array([1, 2]))
+        a = np.array([1, 0]), np.array([1, -1])
+        b = np.array([0, 2, 1]), np.array([-1, 1, 1])
+        np.testing.assert_array_equal(gather_dense(*_kron(a, b)),
+                                      np.kron(gather_dense(*a), gather_dense(*b)))
+        # a stack of pairs on either side gives the stack of products
+        stack = np.stack([b[0], b[0][::-1]]), np.stack([b[1], -b[1]])
+        cols, signs = _kron(a, stack)
+        for i in range(2):
+            np.testing.assert_array_equal(
+                gather_dense(cols[i], signs[i]),
+                np.kron(gather_dense(*a), gather_dense(stack[0][i], stack[1][i])))
 
 
 class TestDenseHelpers:
@@ -277,8 +287,8 @@ class TestDenseHelpers:
     def test_sign_fixed_q_contract(self):
         # condition number 1e6: orthogonality still at 1e-12
         rng = rng_from(5)
-        u = haar_orthogonal(rng, 40)
-        v = haar_orthogonal(rng, 12)
+        u = sign_fixed_q(rng.standard_normal((40, 40)))
+        v = sign_fixed_q(rng.standard_normal((12, 12)))
         a = u[:, :12] @ np.diag(np.logspace(0, -6, 12)) @ v
         q = sign_fixed_q(a)
         assert max_abs(q.T @ q - np.eye(12)) <= 1e-12
@@ -297,7 +307,7 @@ class TestDenseHelpers:
 
     def test_projector_basis(self):
         rng = rng_from(6)
-        u = haar_orthogonal(rng, 10)
+        u = sign_fixed_q(rng.standard_normal((10, 10)))
         p = u[:, :4] @ u[:, :4].T
         b = projector_colspace_basis(p)
         assert b.shape == (10, 4)
@@ -318,9 +328,9 @@ class TestSampling:
 
     def test_haar_orthogonal_and_rotation(self):
         rng = rng_from(8)
-        q = haar_orthogonal(rng, 15)
+        q = sign_fixed_q(rng.standard_normal((15, 15)))
         assert max_abs(q.T @ q - np.eye(15)) <= 1e-12
-        r = haar_rotation(rng_from(9), 6)
+        r = sign_fixed_rotation(rng_from(9).standard_normal((6, 6)))
         assert np.linalg.det(r) > 0
         assert max_abs(r.T @ r - np.eye(6)) <= 1e-12
 
@@ -331,10 +341,11 @@ class TestSampling:
             q = sign_fixed_q(stack)
             assert q.tobytes() == np.array([sign_fixed_q(m) for m in stack]).tobytes()
         assert np.any(np.linalg.det(sign_fixed_q(a)) < 0)  # the det flip runs
-        # a (60, 2) stack of rotations is 120 haar_rotation draws from one stream
+        # a (60, 2) stack of rotations is 120 single draws from one stream
         rot = sign_fixed_rotation(a)
         rng = rng_from(15, n)
-        assert rot.tobytes() == np.array([haar_rotation(rng, n) for _ in range(120)]).tobytes()
+        single = [sign_fixed_rotation(rng.standard_normal((n, n))) for _ in range(120)]
+        assert rot.tobytes() == np.array(single).tobytes()
         assert np.all(np.linalg.det(rot) > 0)
 
 

@@ -171,6 +171,18 @@ class TestMalformedSystemFiles:
         payload["generators"][1] = [[0] for _ in payload["generators"][1]]
         self.assert_rejected(tmp_path, capsys, payload)
 
+    @pytest.mark.parametrize("defect", ["repeated_row", "sign_two", "short_generator"])
+    def test_signed_perm_pairs_checked(self, tmp_path, capsys, defect):
+        payload = json.loads(GOLDEN.read_text())
+        pairs = payload["generators"][1]
+        if defect == "repeated_row":
+            pairs[1][0] = pairs[0][0]
+        elif defect == "sign_two":
+            pairs[2][1] = 2
+        else:
+            del pairs[-1]
+        self.assert_rejected(tmp_path, capsys, payload)
+
     @staticmethod
     def constructed(tmp_path, *argv):
         path = tmp_path / "built.json"

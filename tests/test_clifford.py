@@ -2,11 +2,12 @@
 
 import json
 import warnings
+from functools import reduce
 
 import numpy as np
 import pytest
 
-from clifford_foliations.algebra import SignedPermMatrix, haar_orthogonal, max_abs, rng_from
+from clifford_foliations.algebra import max_abs, rng_from, sign_fixed_q
 from clifford_foliations.clifford import (
     CliffordSystem,
     MalformedSystemError,
@@ -21,6 +22,19 @@ from clifford_foliations.clifford import (
     trace_invariant,
     verify_relations,
 )
+
+
+def haar(seed, n):
+    """Haar-distributed matrix from O(n), drawn from seed's stream."""
+    return sign_fixed_q(rng_from(seed).standard_normal((n, n)))
+
+
+def gather_dense(cols, signs):
+    """Dense integer stack of a stack of gather pairs: row r of matrix i holds
+    signs[i, r] in column cols[i, r]."""
+    out = np.zeros(cols.shape + cols.shape[-1:], dtype=np.int64)
+    np.put_along_axis(out, cols[..., None], signs[..., None], axis=-1)
+    return out
 
 
 class TestDelta:
@@ -40,7 +54,7 @@ class TestDelta:
 
 
 def assert_anticommuting_structures(structures, dim):
-    dense = [j.to_dense().astype(np.int64) for j in structures]
+    dense = gather_dense(*structures)
     for i, j in enumerate(dense):
         assert j.shape == (dim, dim)
         assert np.array_equal(j.T, -j), f"structure {i} not skew"
@@ -55,17 +69,17 @@ class TestComplexStructures:
     def test_minimal_sets_exact(self, n):
         dim = delta(n + 1)
         structures = build_complex_structures(n, dim)
-        assert len(structures) == n
+        assert structures[0].shape == structures[1].shape == (n, dim)
         assert_anticommuting_structures(structures, dim)
 
     def test_two_by_two_forced(self):
-        (j,) = build_complex_structures(1, 2)
-        assert abs(j.to_dense()[1, 0]) == 1.0
+        (j,) = gather_dense(*build_complex_structures(1, 2))
+        assert abs(j[1, 0]) == 1
 
     def test_multiples_are_blockwise(self):
         js = build_complex_structures(2, 12)  # three copies of the minimal R^4 block
         assert_anticommuting_structures(js, 12)
-        dense = js[0].to_dense()
+        dense = gather_dense(*js)[0]
         assert max_abs(dense[:4, 4:]) == 0.0
         np.testing.assert_array_equal(dense[:4, :4], dense[4:8, 4:8])
 
@@ -104,9 +118,9 @@ class TestBuildSystem:
 
     def test_rank_and_dimension(self):
         s = build_system(1, 2)
-        assert len(s.generators) == 2 and s.dim == 4
+        assert s.generators[0].shape == s.generators[1].shape == (2, 4) and s.dim == 4
         s = build_system(9, 1)
-        assert s.dim == 32 and len(s.generators) == 10
+        assert s.dim == 32 and s.generators[0].shape == (10, 32)
 
     @pytest.mark.parametrize("m,k", ALL_PAIRS)
     def test_relations_exact_everywhere(self, m, k):
@@ -117,18 +131,15 @@ class TestBuildSystem:
 
     def test_m4_generator_product_is_minus_identity(self):
         s = build_system(4, 1)
-        prod = s.generators[0]
-        for g in s.generators[1:]:
-            prod = prod @ g
-        np.testing.assert_array_equal(prod.to_dense(), -np.eye(8))
+        prod = reduce(np.matmul, gather_dense(*s.generators))
+        np.testing.assert_array_equal(prod, -np.eye(8))
 
     def test_negating_one_generator_preserves_relations(self):
         s = build_system(3, 2)
-        g1 = s.generators[1]
-        flipped = CliffordSystem(s.m, s.l,
-                                 (s.generators[0], SignedPermMatrix(g1.rows, -g1.signs))
-                                 + s.generators[2:],
-                                 None)
+        cols, signs = s.generators
+        signs = signs.copy()
+        signs[1] *= -1
+        flipped = CliffordSystem(s.m, s.l, (cols, signs), None)
         report = verify_relations(flipped)
         assert report.passed and max(c.violation for c in report.checks) == 0.0
 
@@ -140,21 +151,19 @@ class TestRelationViolations:
         for m, k in [(2, 1), (3, 2), (4, 1), (8, 1)]:
             s = build_system(m, k)
             for trial in range(12):
-                gens = list(s.generators)
-                i = int(rng.integers(len(gens)))
-                rows, signs = gens[i].rows.copy(), gens[i].signs.copy()
+                cols, signs = (g.copy() for g in s.generators)
+                i = int(rng.integers(m + 1))
                 if trial % 4 == 0:
-                    signs[rng.integers(len(signs))] *= -1
+                    signs[i, rng.integers(s.dim)] *= -1
                 elif trial % 4 == 1:
-                    a, b = rng.choice(len(rows), 2, replace=False)
-                    rows[[a, b]] = rows[[b, a]]
+                    a, b = rng.choice(s.dim, 2, replace=False)
+                    cols[i, [a, b]] = cols[i, [b, a]]
                 elif trial % 4 == 2:
-                    rows, signs = rng.permutation(len(rows)), rng.choice([-1, 1], len(rows))
+                    cols[i], signs[i] = rng.permutation(s.dim), rng.choice([-1, 1], s.dim)
                 else:
-                    rows, signs = gens[(i + 1) % len(gens)].rows, gens[(i + 1) % len(gens)].signs
-                gens[i] = SignedPermMatrix(rows, signs)
-                exact = CliffordSystem(m, s.l, tuple(gens))
-                dense = CliffordSystem(m, s.l, tuple(g.to_dense() for g in gens))
+                    cols[i], signs[i] = cols[(i + 1) % (m + 1)], signs[(i + 1) % (m + 1)]
+                exact = CliffordSystem(m, s.l, (cols, signs))
+                dense = CliffordSystem(m, s.l, gather_dense(cols, signs).astype(float))
                 got = [c.violation for c in verify_relations(exact).checks]
                 want = [c.violation for c in verify_relations(dense).checks]
                 assert got == want
@@ -163,7 +172,7 @@ class TestRelationViolations:
     def test_tolerance_follows_representation(self):
         s = build_system(3, 2)
         assert [c.tol for c in verify_relations(s).checks] == [0.0] * 3
-        dense = conjugate_system(s, haar_orthogonal(rng_from(22), s.dim))
+        dense = conjugate_system(s, haar(22, s.dim))
         assert [c.tol for c in verify_relations(dense).checks] == [1e-12] * 3
 
 
@@ -224,7 +233,7 @@ class TestConjugation:
         s = build_system(4, 2, 1)
         base = trace_invariant(s)
         for i in range(5):
-            a = haar_orthogonal(rng_from(50 + i), s.dim)
+            a = haar(50 + i, s.dim)
             c = conjugate_system(s, a)
             rep = verify_relations(c)
             assert rep.passed and max(check.violation for check in rep.checks) <= 1e-12
@@ -243,7 +252,7 @@ class TestSubSystem:
         t = sub_system(s, range(4))
         assert t.m == 3
         for a, b in zip(t.generators, s.generators):
-            assert np.array_equal(a.to_dense(), b.to_dense())
+            assert np.array_equal(a, b)
 
     def test_restriction_gives_disconnected_case(self):
         s = sub_system(build_system(2, 1), [0, 1])
@@ -267,13 +276,15 @@ class TestSerialization:
         t = system_from_dict(json.loads(blob))
         assert t.m == s.m and t.l == s.l
         assert t.provenance == s.provenance
+        assert t.exact
         for a, b in zip(s.generators, t.generators):
-            assert np.array_equal(a.rows, b.rows) and np.array_equal(a.signs, b.signs)
+            assert np.array_equal(a, b)
         assert json.dumps(system_to_dict(t)) == blob
 
     def test_dense_roundtrip(self):
-        s = conjugate_system(build_system(2, 1), haar_orthogonal(rng_from(9), 4))
+        s = conjugate_system(build_system(2, 1), haar(9, 4))
         t = system_from_dict(json.loads(json.dumps(system_to_dict(s))))
+        assert not t.exact and t.generators.shape == (3, 4, 4)
         for i in range(3):
             np.testing.assert_array_equal(t.dense_generator(i), s.dense_generator(i))
 
@@ -281,6 +292,23 @@ class TestSerialization:
         d = system_to_dict(build_system(2, 1))
         d["generators"] = d["generators"][:-1]
         with pytest.raises(MalformedSystemError):
+            system_from_dict(d)
+
+    @pytest.mark.parametrize("defect,message", [("repeated_row", "permutation"),
+                                                ("sign_two", "signs"),
+                                                ("short_generator", "2l")],
+                             ids=["repeated_row", "sign_two", "short_generator"])
+    def test_signed_perm_payload_checked(self, defect, message):
+        # row targets must be a permutation, signs +-1, and each generator 2l pairs long
+        d = system_to_dict(build_system(3, 2))
+        pairs = d["generators"][2]
+        if defect == "repeated_row":
+            pairs[1][0] = pairs[0][0]
+        elif defect == "sign_two":
+            pairs[3][1] = 2
+        else:
+            del pairs[-1]
+        with pytest.raises(MalformedSystemError, match=message):
             system_from_dict(d)
 
     @pytest.mark.parametrize("bad", [float("inf"), -float("inf"), float("nan")])

@@ -7,7 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
-from clifford_foliations.algebra import haar_rotation, rng_from, sample_unit_vectors
+from clifford_foliations.algebra import rng_from, sample_unit_vectors, sign_fixed_rotation
 from clifford_foliations import composed
 from clifford_foliations.clifford import build_system
 from clifford_foliations.composed import (
@@ -36,6 +36,11 @@ from clifford_foliations.foliation import (
 # Oracles, independent of the implementation paths they validate
 # ---------------------------------------------------------------------------
 
+def rotation(rng):
+    """Haar-distributed rotation from SO(3), drawn from rng."""
+    return sign_fixed_rotation(rng.standard_normal((3, 3)))
+
+
 def signed_triple_oracle(mat):
     """Signed ordered singular values via the eigendecomposition of M^T M."""
     mat = np.asarray(mat, dtype=float).reshape(3, 3)
@@ -62,8 +67,8 @@ def orbit_distance_search_oracle(a, b, restarts=12, iters=40, seed=0):
 
     best = -1.0
     for _ in range(restarts):
-        u = haar_rotation(rng, 3)
-        v = haar_rotation(rng, 3)
+        u = rotation(rng)
+        v = rotation(rng)
         for _ in range(iters):
             u = best_rotation(b @ v.T @ a.T).T
             v = best_rotation(a.T @ u @ b)
@@ -131,7 +136,7 @@ class TestBuiltinSpecs:
         # one draw for all rows, in the per-row order U_1, W_1, U_2, W_2, ...
         v = sample_unit_vectors(rng_from(48), 9, 50)
         rng = rng_from(49)
-        per_row = np.array([(haar_rotation(rng, 3) @ mat @ haar_rotation(rng, 3).T).ravel()
+        per_row = np.array([(rotation(rng) @ mat @ rotation(rng).T).ravel()
                             for mat in v.reshape(-1, 3, 3)])
         rows = builtin_spec("tensor_svd", 8).leaf_sampler(v, rng_from(49))
         assert rows.tobytes() == per_row.tobytes()
@@ -165,7 +170,7 @@ class TestSignedTriple:
         mat /= np.linalg.norm(mat)
         tau = signed_svd_triple(mat)
         for _ in range(200):
-            u, v = haar_rotation(rng, 3), haar_rotation(rng, 3)
+            u, v = rotation(rng), rotation(rng)
             np.testing.assert_allclose(signed_svd_triple(u @ mat @ v.T), tau, atol=1e-10)
 
 
@@ -416,6 +421,13 @@ class TestAmbientLeafDistance:
         x = fiber_sample(s22, np.array([0.3, 0.2, -0.1]), 2, 18)
         with pytest.raises(ValueError, match="budget"):
             leaf_to_leaf_ambient_distance(s22, pts, x[0], x[1], budget, 19)
+
+    @pytest.mark.parametrize("starts", [0, -2])
+    def test_rejects_no_starts(self, s22, starts):
+        pts = builtin_spec("points", 2)
+        x = fiber_sample(s22, np.array([0.3, 0.2, -0.1]), 2, 18)
+        with pytest.raises(ValueError, match="starts"):
+            leaf_to_leaf_ambient_distance(s22, pts, x[0], x[1], 100, 19, starts=starts)
 
     def test_rejects_anything_but_two_unit_points(self, s22):
         pts = builtin_spec("points", 2)

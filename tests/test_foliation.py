@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from clifford_foliations import algebra, foliation
-from clifford_foliations.algebra import (haar_orthogonal, max_abs, rng_from, sample_unit_vectors,
-                                         seed_ints)
+from clifford_foliations.algebra import (max_abs, rng_from, sample_unit_vectors, seed_ints,
+                                         sign_fixed_q)
 from clifford_foliations.clifford import build_system, conjugate_system, sub_system
 from clifford_foliations.foliation import (
     EmptyFocalError,
@@ -27,6 +27,11 @@ from clifford_foliations.foliation import (
     rotated_disk_point,
     spin_rotate,
 )
+
+
+def haar(seed, n):
+    """Haar-distributed matrix from O(n), drawn from seed's stream."""
+    return sign_fixed_q(rng_from(seed).standard_normal((n, n)))
 
 
 def pi_oracle_rank2_mult2(x):
@@ -90,7 +95,7 @@ class TestPiC:
         x = sample_unit_vectors(rng_from(65), system.dim, 400)
         whole = foliation._quadratic_values(foliation._generator_images(system, x), x)
         assert pi_c(system, x).tobytes() == whole.tobytes()
-        dense = conjugate_system(build_system(5, 2), haar_orthogonal(rng_from(66), 32))
+        dense = conjugate_system(build_system(5, 2), haar(66, 32))
         y = sample_unit_vectors(rng_from(67), dense.dim, 12000)
         whole = foliation._quadratic_values(foliation._generator_images(dense, y), y)
         assert pi_c(dense, y).tobytes() == whole.tobytes()
@@ -231,7 +236,7 @@ def mplus_reference(system, n, seed):
 
 
 def boundary_cases():
-    conj = conjugate_system(build_system(3, 2), haar_orthogonal(rng_from(30), 16))
+    conj = conjugate_system(build_system(3, 2), haar(30, 16))
     for system in (build_system(2, 2), build_system(4, 3, flips=1), conj):
         e0 = np.eye(system.m + 1)[0]
         yield system, e0
@@ -322,8 +327,8 @@ def row_wise_systems():
     yield build_system(2, 2)
     yield build_system(4, 3, flips=1)
     yield build_system(9, 1)
-    yield conjugate_system(build_system(3, 2), haar_orthogonal(rng_from(60), 16))
-    yield conjugate_system(build_system(5, 2), haar_orthogonal(rng_from(61), 32))
+    yield conjugate_system(build_system(3, 2), haar(60, 16))
+    yield conjugate_system(build_system(5, 2), haar(61, 32))
 
 
 def mixed_disk_rows(system, count=12):
@@ -470,7 +475,7 @@ class TestBlocks:
     def test_small_blocks_equal_one_block(self, monkeypatch, case):
         system = build_system(3, 2)
         if case == "conjugated":
-            system = conjugate_system(system, haar_orthogonal(rng_from(69), system.dim))
+            system = conjugate_system(system, haar(69, system.dim))
         x = sample_unit_vectors(rng_from(70), system.dim, 50)
         v, seeds = mixed_disk_rows(system)
         n = 5
@@ -569,7 +574,7 @@ class TestGeodesics:
 
         monkeypatch.setattr(algebra, "projector_colspace_basis", refuse)
         for system in (build_system(2, 2), build_system(4, 3, 1),
-                       conjugate_system(build_system(3, 2), haar_orthogonal(rng_from(25), 16))):
+                       conjugate_system(build_system(3, 2), haar(25, 16))):
             for i in range(5):
                 g = random_horizontal_geodesic(system, 30 + i)
                 p = system.span_matrix(g.p_coords)
@@ -720,7 +725,7 @@ class TestSymmetries:
     def test_rows_equal_single_calls(self, monkeypatch, case, block):
         system = build_system(3, 2)
         if case == "conjugated":
-            system = conjugate_system(system, haar_orthogonal(rng_from(71), system.dim))
+            system = conjugate_system(system, haar(71, system.dim))
         k = 5
         pq = sample_unit_vectors(rng_from(72), system.m + 1, 2 * k)
         p, q = pq[:k], pq[k:]
