@@ -465,9 +465,13 @@ def _system_from_fields(data: dict) -> CliffordSystem:
     if encoding == "signed_perm":
         if any(len(pairs) != 2 * l for pairs in payload):
             raise MalformedSystemError("each signed_perm generator must list 2l columns")
-        scatter = np.array(payload, dtype=np.int64)
+        scatter = np.array(payload, dtype=object)
         if scatter.shape != (m + 1, 2 * l, 2):
             raise MalformedSystemError("signed_perm columns must be [row, sign] pairs")
+        # a bool is an int to Python but not to JSON; floats and strings would cast silently
+        if any(type(entry) is not int for entry in scatter.flat):
+            raise MalformedSystemError("signed_perm rows and signs must be integers")
+        scatter = scatter.astype(np.int64)
         rows, signs = scatter[..., 0], scatter[..., 1]
         if np.any(np.sort(rows, axis=1) != np.arange(2 * l)):
             raise MalformedSystemError("signed_perm row targets must form a permutation")

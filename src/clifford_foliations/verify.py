@@ -83,12 +83,17 @@ class IncompatibleSuiteError(ValueError):
     """The requested suite does not apply to the given system."""
 
 
+# the effort knobs the suites read through SuiteConfig.knob
+_BUDGET_KNOBS = ("pairs", "leaf_budget", "geodesics", "targets", "conjugations", "rotations",
+                 "trials")
+
+
 @dataclass
 class SuiteConfig:
     """One suite invocation: which suite, on which system, how hard to push.
 
-    ``budget`` holds per-suite effort knobs (pair counts, leaf budgets,
-    geodesic counts, ...), each at least 1.  The seed is an integer with
+    ``budget`` holds per-suite effort knobs named in ``_BUDGET_KNOBS``, each
+    at least 1; any other name raises ValueError.  The seed is an integer with
     0 <= seed < 2^48, so every seed a suite derives from it (at most
     seed * 20000 + i) fits in int64.  Tolerances are pinned in the suites.
     """
@@ -109,6 +114,8 @@ class SuiteConfig:
         if self.samples < 1:
             raise ValueError("samples must be positive")
         for name, value in self.budget.items():
+            if name not in _BUDGET_KNOBS:
+                raise ValueError(f"unknown budget knob {name!r}; choose from {_BUDGET_KNOBS}")
             if value < 1:
                 raise ValueError(f"budget knob {name} must be at least 1, got {value}")
 
@@ -449,11 +456,8 @@ def _suite_invariants_classification(cfg: SuiteConfig):
         "conjugation_exactness", "conjugated systems keep relations and profile",
         mismatch, 0.0))
     rng = rng_from(cfg.seed, 7)
-    pq = np.empty((50, 2, system.m + 1))
-    x = np.empty((50, 1, system.dim))
-    for i in range(50):
-        pq[i] = rng.standard_normal((2, system.m + 1))
-        x[i] = sample_unit_vectors(rng, system.dim, 1)
+    pq = rng.standard_normal((50, 2, system.m + 1))
+    x = sample_unit_vectors(rng, system.dim, 50)[:, None]
     px = _span_apply(system, pq[:, 0], x)[:, 0]
     qx = _span_apply(system, pq[:, 1], x)[:, 0]
     iso = float(np.max(np.abs(row_dots(px, qx) - row_dots(pq[:, 0], pq[:, 1]))))
@@ -554,12 +558,8 @@ def _suite_composed_identities(cfg: SuiteConfig):
     one = builtin_spec("one_leaf", m)
     n_pairs = max(8, cfg.samples // 4)
     rng = rng_from(cfg.seed, 500)
-    v = np.empty((n_pairs, 2, m + 1))
-    r, r2 = np.empty(n_pairs), np.empty(n_pairs)
-    for i in range(n_pairs):
-        v[i] = sample_unit_vectors(rng, m + 1, 2)
-        r[i] = rng.uniform(0.15, 0.9)
-        r2[i] = rng.uniform(0.15, 0.9)
+    v = sample_unit_vectors(rng, m + 1, 2 * n_pairs).reshape(n_pairs, 2, m + 1)
+    r, r2 = rng.uniform(0.15, 0.9, (2, n_pairs))
     has_c = np.abs(r2 - r) > 1e-6
     seeds = cfg.seed * 3000 + np.arange(n_pairs)
     a = fiber_sample(system, r[:, None] * v[:, 0], 2, seeds)
@@ -678,16 +678,11 @@ def _suite_diameter(cfg: SuiteConfig):
 
     # the tensor spec's invariant, which depends on no system: checked once per m = 8 system,
     # on blocks of 100 leaf points through one random matrix each
-    rotated, taus = [], []
     rngr = rng_from(cfg.seed, 502)
     rotations = cfg.knob("rotations", 1000)
-    for start in range(0, rotations, 100):
-        pmat = rngr.standard_normal((3, 3))
-        pmat /= np.linalg.norm(pmat)
-        count = min(100, rotations - start)
-        rotated.append(ten.leaf_sampler(np.repeat(pmat.reshape(1, 9), count, axis=0), rngr))
-        taus.append(np.repeat(signed_svd_triple(pmat)[None], count, axis=0))
-    rot = max_abs(signed_svd_triple(np.concatenate(rotated)) - np.concatenate(taus))
+    pmat = rngr.standard_normal((-(-rotations // 100), 9))
+    pmat = np.repeat(pmat / row_norms(pmat)[:, None], 100, axis=0)[:rotations]
+    rot = max_abs(signed_svd_triple(ten.leaf_sampler(pmat, rngr)) - signed_svd_triple(pmat))
     checks.append(CheckResult.from_violation(
         "tensor_invariance", "the signed singular triple is constant on rotate-both-sides "
         "orbits", rot, 1e-10))

@@ -171,7 +171,8 @@ class TestMalformedSystemFiles:
         payload["generators"][1] = [[0] for _ in payload["generators"][1]]
         self.assert_rejected(tmp_path, capsys, payload)
 
-    @pytest.mark.parametrize("defect", ["repeated_row", "sign_two", "short_generator"])
+    @pytest.mark.parametrize("defect", ["repeated_row", "sign_two", "short_generator",
+                                        "fractional", "string_sign"])
     def test_signed_perm_pairs_checked(self, tmp_path, capsys, defect):
         payload = json.loads(GOLDEN.read_text())
         pairs = payload["generators"][1]
@@ -179,6 +180,11 @@ class TestMalformedSystemFiles:
             pairs[1][0] = pairs[0][0]
         elif defect == "sign_two":
             pairs[2][1] = 2
+        elif defect == "fractional":
+            payload["generators"] = [[[r + 0.7, 1.4 * s] for r, s in gen]
+                                     for gen in payload["generators"]]
+        elif defect == "string_sign":
+            pairs[[s for _, s in pairs].index(1)][1] = "1"
         else:
             del pairs[-1]
         self.assert_rejected(tmp_path, capsys, payload)

@@ -296,16 +296,25 @@ class TestSerialization:
 
     @pytest.mark.parametrize("defect,message", [("repeated_row", "permutation"),
                                                 ("sign_two", "signs"),
-                                                ("short_generator", "2l")],
-                             ids=["repeated_row", "sign_two", "short_generator"])
+                                                ("short_generator", "2l"),
+                                                ("fractional", "integers"),
+                                                ("string_sign", "integers")],
+                             ids=["repeated_row", "sign_two", "short_generator",
+                                  "fractional", "string_sign"])
     def test_signed_perm_payload_checked(self, defect, message):
-        # row targets must be a permutation, signs +-1, and each generator 2l pairs long
+        # row targets must be a permutation, signs +-1, each entry an integer,
+        # and each generator 2l pairs long
         d = system_to_dict(build_system(3, 2))
         pairs = d["generators"][2]
         if defect == "repeated_row":
             pairs[1][0] = pairs[0][0]
         elif defect == "sign_two":
             pairs[3][1] = 2
+        elif defect == "fractional":
+            # truncated toward zero, these entries would cast back to the exact system
+            d["generators"] = [[[r + 0.7, 1.4 * s] for r, s in gen] for gen in d["generators"]]
+        elif defect == "string_sign":
+            pairs[[s for _, s in pairs].index(1)][1] = "1"
         else:
             del pairs[-1]
         with pytest.raises(MalformedSystemError, match=message):

@@ -88,7 +88,9 @@ class TestDeterminism:
     # SHA-256 of each suite's report JSON lines over the configs of
     # default_plan(64, seed=7, samples=300) other than transnormality, taken
     # with numpy 2.4.6 before the suites evaluated their points as row batches;
-    # symmetry re-pinned when the spin symmetry became cos(theta) x + sin(theta) P(Qx)
+    # symmetry re-pinned when the spin symmetry became cos(theta) x + sin(theta) P(Qx);
+    # composed_identities, invariants_classification and diameter re-pinned when each
+    # drew its pairs, points or blocks in one call per quantity on its stream
     PLAN_DIGESTS_NUMPY = "2.4.6"
     PLAN_DIGESTS = {
         "relations": "3134b2bf296504f5009f19bbeee6bd28e733dfa9ae31601f50604054c83b6bf5",
@@ -101,19 +103,19 @@ class TestDeterminism:
         "symmetry": "14bf8d0ed4f78ef25d796bc8b66de0e723850342808b66c4cbe2075d1df73cd2",
         "fkm_consistency": "7cedc70d55ec67460247f78b48f916e4398943ff85ed36b4cd5a54f27f231dbb",
         "invariants_classification":
-            "dc200d5c16a11acfb7da68f547974f4cce955ef3616444f2cd1eb76de00d39fd",
+            "f7480517c168ba4a0d6da8005e18a3c7c7b7dd58724587446d2b067434f8e2c9",
         "homogeneous_orbits": "98765cc184fc0554413f5ae0202baa557400508e3cb655298d47103d6debcac1",
         "normal_forms": "863acaaaf796fa5a947cc664538ed50aa7553727d2b6504b4c8b07c189e2b10a",
         "focal_and_fibers": "09b2bc92f8afd99f957a231871ee59e7379677ec48e9818822d0800c2abf87fb",
         "submersion_rank": "0a30bb0ae252dd92e45a139c519c52acd5bcc2744cff96ec40f9ef096012f489",
         "composed_identities":
-            "07a0763dff3448002cd68e8abe34f1aa9d22d597974aac8cb22571fc50a17ef9",
+            "a9587beefcd3b08a7bacdf2724c0d85bdb8e03db21b984d22258754f01676359",
         "sphere_quotient": "8e922891a9991afdcb943783d1254850ab6c904f8daf4e567462a64c1cd61a79",
-        "diameter": "b8ae55ff4445f2246939ad3ebd6a47fa67d8842a2ab6876dd114016e9c14774a",
+        "diameter": "34192336ff655fb1a987dfaed51657f96c05ba3c6fbdc3eee9e27c5594ab08fa",
     }
 
     # SHA-256 of the file `cfl report --max-dim 64 --seed 7 --out FILE` writes
-    REPORT_DIGEST = "0884c6621e4780c37c18fec30e8ae3471e732ff81cd1d2a89621d1ae4656227b"
+    REPORT_DIGEST = "b738f3cc321b065949f1c0046b885a16bf531e575ed9a79e49a851723c5c8c15"
 
     @pytest.mark.skipif(np.__version__ != PLAN_DIGESTS_NUMPY,
                         reason=f"plan digests were taken with numpy {PLAN_DIGESTS_NUMPY}")
@@ -145,10 +147,13 @@ class TestDeterminism:
 
     def test_headroom_on_reseeded_runs(self, s22):
         # tight algebraic checks keep a 10x margin below tolerance at any seed
+        runs = [(suite, s22) for suite in ("disk_image", "geodesics", "symmetry",
+                                           "fkm_consistency", "quotient_metric", "boundary_fibers",
+                                           "composed_identities", "invariants_classification")]
+        runs.append(("diameter", build_system(8, 1)))
         for seed in (3, 4):
-            for suite in ("disk_image", "geodesics", "symmetry", "fkm_consistency",
-                          "quotient_metric", "boundary_fibers"):
-                report = run_suite(SuiteConfig(suite, s22, seed=seed, samples=80,
+            for suite, system in runs:
+                report = run_suite(SuiteConfig(suite, system, seed=seed, samples=80,
                                                budget=dict(FAST_BUDGET)))
                 for check in report.checks:
                     if check.headroom and check.tol > 0:
@@ -176,6 +181,10 @@ class TestConfigValidation:
         for value in (0, -5):
             with pytest.raises(ValueError, match="leaf_budget"):
                 SuiteConfig("diameter", s22, budget={"pairs": 4, "leaf_budget": value})
+        # a misspelt knob would otherwise run the suite's default silently
+        with pytest.raises(ValueError, match="'pair'.*pairs.*leaf_budget.*geodesics.*targets"
+                                             ".*conjugations.*rotations.*trials"):
+            SuiteConfig("transnormality", s22, budget={"pair": 1})
 
 
     def test_seed_range(self, s22):
