@@ -1,9 +1,9 @@
 """Arithmetic and linear-algebra primitives shared by the whole package.
 
-One Cayley-Dickson product for R, C, H and O, projector and QR helpers,
-and the seeded sampling utilities every higher module builds on.  Everything
-here is pure and deterministic; random draws always go through an explicitly
-seeded generator.
+One Cayley-Dickson product for R, C, H and O, the gather-pair helpers for
+signed permutations, projector and QR helpers, and the seeded sampling
+utilities every higher module builds on.  Everything here is pure and
+deterministic; random draws always go through an explicitly seeded generator.
 """
 
 from __future__ import annotations
@@ -35,8 +35,37 @@ __all__ = [
 
 
 # --------------------------------------------------------------------------- #
-# Division algebras
+# Signed permutations and division algebras
 # --------------------------------------------------------------------------- #
+
+def _mul(a, b):
+    """Product AB of gather pairs (cols, signs), where (A x)[r] = signs[r] * x[cols[r]]."""
+    (ca, sa), (cb, sb) = a, b
+    return cb[ca], sa * sb[ca]
+
+
+def _kron(a, b):
+    """Kronecker product of gather pairs, in np.kron's index layout.
+
+    Leading axes broadcast, so either factor may be a stack of pairs.
+    """
+    (ca, sa), (cb, sb) = a, b
+    q = cb.shape[-1]
+    cols = ca[..., :, None] * q + cb[..., None, :]
+    shape = cols.shape[:-2] + (ca.shape[-1] * q,)
+    return cols.reshape(shape), (sa[..., :, None] * sb[..., None, :]).reshape(shape)
+
+
+def _identity(n: int):
+    return np.arange(n), np.ones(n, dtype=np.int64)
+
+
+def _transpose(a):
+    """Transpose (the inverse) of gather pairs; it turns a scatter pair into a gather pair."""
+    cols, signs = a
+    t_cols = np.argsort(cols, axis=-1)
+    return t_cols, np.take_along_axis(signs, t_cols, axis=-1)
+
 
 @lru_cache(maxsize=None)
 def cd_units(d: int):
@@ -67,9 +96,8 @@ def cd_units(d: int):
 @lru_cache(maxsize=None)
 def _cd_gather(d: int):
     """The unit table as gathers: component k of e_i b is signs[i, k] b[cols[i, k]]."""
-    rows, signs = cd_units(d)
-    cols = np.argsort(rows, axis=1)
-    signs = np.take_along_axis(signs, cols, axis=1).astype(float)
+    cols, signs = _transpose(cd_units(d))
+    signs = signs.astype(float)
     cols.flags.writeable = signs.flags.writeable = False
     return cols, signs
 

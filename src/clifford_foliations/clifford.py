@@ -22,11 +22,12 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from functools import cached_property, reduce
+from itertools import chain
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .algebra import _cd_gather, eig_split, max_abs
+from .algebra import _cd_gather, _identity, _kron, _mul, _transpose, eig_split, max_abs
 from .reports import CheckResult, VerificationReport
 
 __all__ = [
@@ -77,28 +78,6 @@ def dimension_cap() -> int:
 # --------------------------------------------------------------------------- #
 # Anticommuting complex structures
 # --------------------------------------------------------------------------- #
-
-def _mul(a, b):
-    """Product AB of signed permutations given as gather pairs (cols, signs)."""
-    (ca, sa), (cb, sb) = a, b
-    return cb[ca], sa * sb[ca]
-
-
-def _kron(a, b):
-    """Kronecker product of gather pairs, in np.kron's index layout.
-
-    Leading axes broadcast, so either factor may be a stack of pairs.
-    """
-    (ca, sa), (cb, sb) = a, b
-    q = cb.shape[-1]
-    cols = ca[..., :, None] * q + cb[..., None, :]
-    shape = cols.shape[:-2] + (ca.shape[-1] * q,)
-    return cols.reshape(shape), (sa[..., :, None] * sb[..., None, :]).reshape(shape)
-
-
-def _identity(n: int):
-    return np.arange(n), np.ones(n, dtype=np.int64)
-
 
 def _minimal_structures(n: int):
     """n pairwise anticommuting complex structures on R^(delta(n+1)), stacked.
@@ -214,6 +193,24 @@ class CliffordSystem:
         out[np.arange(self.dim), cols[i]] = signs[i]
         return out
 
+    def generator_images(self, x: np.ndarray) -> np.ndarray:
+        """P_i x for every generator, stacked: shape x.shape[:-1] + (m+1, 2l).
+
+        Exact systems gather and sign the coordinates of x (``np.take`` returns
+        a new C-contiguous stack, whatever the batch size, which is signed in
+        place); dense systems take one stacked matmul against the transposed
+        generators.
+        """
+        if self.exact:
+            cols, signs = self.generators
+            images = np.take(x, cols, axis=-1)
+            images *= signs
+            return images
+        gens_t = np.swapaxes(self.generators, -1, -2)
+        if x.ndim == 1:
+            return x @ gens_t
+        return np.moveaxis(x[..., None, :, :] @ gens_t, -3, -2)
+
     @cached_property
     def p0_eigenbases(self):
         """Orthonormal bases (B_plus, B_minus) of E_+(P_0) and E_-(P_0).
@@ -306,17 +303,14 @@ def _relation_violations(system: CliffordSystem):
     """Largest entries of P_i^T - P_i, P_i^2 - Id and P_i P_j + P_j P_i (i < j).
 
     Exact systems compare gather forms: P_i P_j gathers cols_j[cols_i] with
-    signs s_i s_j[cols_i], and P_i^T is the scatter of (r, s_i[r]) to
-    cols_i[r].  Dense systems multiply out.
+    signs s_i s_j[cols_i].  Dense systems multiply out.
     """
     if system.exact:
         cols, signs = system.generators
         gens = np.arange(system.m + 1)
         pair_cols = cols[gens[None, :, None], cols[:, None, :]]  # [i, j] = P_i P_j
         pair_signs = signs[:, None, :] * signs[gens[None, :, None], cols[:, None, :]]
-        t_cols, t_signs = np.empty_like(cols), np.empty_like(signs)
-        np.put_along_axis(t_cols, cols, np.arange(system.dim)[None, :], axis=1)
-        np.put_along_axis(t_signs, cols, signs, axis=1)
+        t_cols, t_signs = _transpose(system.generators)
         diag_cols, diag_signs = pair_cols[gens, gens], pair_signs[gens, gens]
         i, j = np.triu_indices(system.m + 1, 1)
         sym = _gather_gap(t_cols, t_signs, cols, signs, -1)
@@ -415,10 +409,9 @@ def system_to_dict(system: CliffordSystem, encoding: Optional[str] = None) -> di
     if encoding == "signed_perm" and not system.exact:
         raise ValueError("system has dense generators; use dense encoding")
     if encoding == "signed_perm":
-        # column j of P_i holds signs[i, rows[i, j]] at row rows[i, j]
-        cols, signs = system.generators
-        rows = np.argsort(cols, axis=1)
-        payload = np.stack([rows, np.take_along_axis(signs, rows, axis=1)], axis=-1).tolist()
+        # column j of P_i holds signs[i, j] at row rows[i, j]: P_i^T's gather pair
+        rows, signs = _transpose(system.generators)
+        payload = np.stack([rows, signs], axis=-1).tolist()
     elif encoding == "dense":
         payload = [system.dense_generator(i).ravel().tolist()
                    for i in range(system.m + 1)]
@@ -455,9 +448,23 @@ def system_from_dict(data: dict) -> CliffordSystem:
         raise MalformedSystemError(f"malformed system payload: {exc}") from exc
 
 
+def _require_types(values, kinds: set, message: str) -> None:
+    """Raise MalformedSystemError(message) unless each value's type is in kinds.
+
+    Types are compared exactly: a bool is an int to Python but not to JSON,
+    and a float or string would otherwise cast silently.
+    """
+    if not set(map(type, values)) <= kinds:
+        raise MalformedSystemError(message)
+
+
 def _system_from_fields(data: dict) -> CliffordSystem:
-    m = int(data["m"])
-    l = int(data["l"])
+    m, l = data["m"], data["l"]
+    prov = data.get("provenance")
+    _require_types([m, l] + ([prov["k"], prov["flips"]] if prov else []), {int},
+                   "m, l and the provenance's k and flips must be integers")
+    if m < 1 or l < 1:
+        raise MalformedSystemError("m and l must be at least 1")
     encoding = data["encoding"]
     payload = data["generators"]
     if len(payload) != m + 1:
@@ -468,24 +475,21 @@ def _system_from_fields(data: dict) -> CliffordSystem:
         scatter = np.array(payload, dtype=object)
         if scatter.shape != (m + 1, 2 * l, 2):
             raise MalformedSystemError("signed_perm columns must be [row, sign] pairs")
-        # a bool is an int to Python but not to JSON; floats and strings would cast silently
-        if any(type(entry) is not int for entry in scatter.flat):
-            raise MalformedSystemError("signed_perm rows and signs must be integers")
+        _require_types(scatter.flat, {int}, "signed_perm rows and signs must be integers")
         scatter = scatter.astype(np.int64)
         rows, signs = scatter[..., 0], scatter[..., 1]
         if np.any(np.sort(rows, axis=1) != np.arange(2 * l)):
             raise MalformedSystemError("signed_perm row targets must form a permutation")
         if np.any(np.abs(signs) != 1):
             raise MalformedSystemError("signed_perm signs must be +-1")
-        cols = np.argsort(rows, axis=1)
-        gens = (cols, np.take_along_axis(signs, cols, axis=1))
+        gens = _transpose((rows, signs))
     elif encoding == "dense":
+        _require_types(chain.from_iterable(payload), {int, float}, "dense entries must be numbers")
         gens = np.stack([np.array(cols, dtype=float).reshape(2 * l, 2 * l)
                          for cols in payload])
     else:
         raise MalformedSystemError(f"unknown encoding {encoding!r}")
-    prov = data.get("provenance")
-    provenance = Provenance(int(prov["k"]), int(prov["flips"])) if prov else None
+    provenance = Provenance(prov["k"], prov["flips"]) if prov else None
     system = CliffordSystem(m, l, gens, provenance)
     # inf/NaN entries fail the checks; numpy need not warn about them first
     with np.errstate(invalid="ignore", over="ignore"):

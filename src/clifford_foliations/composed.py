@@ -24,15 +24,7 @@ import numpy as np
 from .algebra import (check_unit, rng_from, row_dots, row_norms, sample_unit_vectors,
                       sign_fixed_rotation)
 from .clifford import CliffordSystem
-from .foliation import (
-    _generator_images,
-    _quadratic_values,
-    _span_apply,
-    fiber_sample,
-    pi_c,
-    pi_jacobian_rows,
-    quotient_distance,
-)
+from .foliation import _pi_state, _span_apply, fiber_sample, pi_c, quotient_distance
 
 __all__ = [
     "FoliationSpec",
@@ -325,8 +317,7 @@ def _constraint_state(system: CliffordSystem, spec: FoliationSpec, z: np.ndarray
     reuses the last three.  The points are the estimator's own, so pi_C is
     evaluated without the unit-norm check of the public ``pi_c``.
     """
-    v = _quadratic_values(_generator_images(system, z), z)
-    rows_pi = pi_jacobian_rows(system, z)
+    v, rows_pi = _pi_state(system, z)
     if target_tail is None or spec.leaves_are_fibers:
         eye = np.broadcast_to(np.eye(v.shape[-1]), v.shape + v.shape[-1:])
         c = v if target_tail is None else v - np.sqrt(target_r2) * target_tail
@@ -438,7 +429,7 @@ def _newton_direction(system, spec, z, g, lam, best, v, rows_pi, dphi, curved):
             w += np.sum(lam[:, 1:, None, None] * hess, axis=1)
     cols = np.concatenate([rows_pi, z[:, None, :]], axis=1)  # C^T, (S, m+2, 2l)
     vecs = np.concatenate([g[:, None, :], cols], axis=1)
-    images = 2.0 * np.sum(a[:, None, :, None] * _generator_images(system, vecs), axis=2)
+    images = 2.0 * np.sum(a[:, None, :, None] * system.generator_images(vecs), axis=2)
     # rows with a (nearly) singular B overflow quietly; the final mask drops them
     with np.errstate(all="ignore"):
         binv = (images - mu[:, None, None] * vecs) / (4.0 * np.sum(a * a, axis=-1)

@@ -67,25 +67,6 @@ def _blocks(count: int, size: int) -> list:
     return [slice(count * c // parts, count * (c + 1) // parts) for c in range(parts)]
 
 
-def _generator_images(system: CliffordSystem, x: np.ndarray) -> np.ndarray:
-    """P_i x for every generator, stacked: shape x.shape[:-1] + (m+1, 2l).
-
-    Exact systems gather and sign the coordinates of x (``np.take`` returns
-    a new C-contiguous stack, whatever the batch size, which is signed in
-    place); dense systems take one stacked matmul against the transposed
-    generators.
-    """
-    if system.exact:
-        cols, signs = system.generators
-        images = np.take(x, cols, axis=-1)
-        images *= signs
-        return images
-    gens_t = np.swapaxes(system.generators, -1, -2)
-    if x.ndim == 1:
-        return x @ gens_t
-    return np.moveaxis(x[..., None, :, :] @ gens_t, -3, -2)
-
-
 def _quadratic_values(px: np.ndarray, x: np.ndarray) -> np.ndarray:
     """<P_i x, x> from the stacked images px of x."""
     return np.sum(px * x[..., None, :], axis=-1)
@@ -103,7 +84,7 @@ def pi_c(system: CliffordSystem, x: np.ndarray) -> np.ndarray:
     flat = x.reshape(-1, system.dim)
     out = np.empty((len(flat), system.m + 1))
     for rows in _blocks(len(flat), (system.m + 1) * system.dim):
-        out[rows] = _quadratic_values(_generator_images(system, flat[rows]), flat[rows])
+        out[rows] = _quadratic_values(system.generator_images(flat[rows]), flat[rows])
     return out.reshape(x.shape[:-1] + (system.m + 1,))
 
 
@@ -148,7 +129,7 @@ def _boundary_rows(system: CliffordSystem, p: np.ndarray, n: int, seeds) -> np.n
     """n samples of each boundary fiber over the unit rows of p, shape (k, n, 2l)."""
     # P^2 = |p|^2 Id on a Clifford system: the involution check, without P @ P
     if not np.all(np.abs(row_norms(p) ** 2 - 1.0) <= 1e-10):
-        raise ValueError("span element is not an involution to the requested tolerance")
+        raise ValueError("span element is not an involution to 1e-10")
     rngs = rng_streams(seeds)
     z = gaussian_rows(rngs, (n, system.dim))
     z += _span_apply(system, p, z)
@@ -206,12 +187,12 @@ def _mplus_rows(system: CliffordSystem, n: int, seeds) -> np.ndarray:
         # P_1 x+, ..., P_m x+ are orthonormal vectors of E_-(P_0) at each
         # sample; their (rows, m+1, 2l) images are built block by block
         for rows in _blocks(len(rngs), n * (m + 1) * 2 * l):
-            w = _generator_images(system, x_plus[rows]).reshape(-1, m + 1, 2 * l)[:, 1:]
+            w = system.generator_images(x_plus[rows]).reshape(-1, m + 1, 2 * l)[:, 1:]
             g[rows] = _project_out(w, g[rows].reshape(-1, 2 * l)).reshape(g[rows].shape)
 
     def draw(j, bad):
         fresh = rngs[j].standard_normal((int(np.sum(bad)), l)) @ b_minus.T
-        return _project_out(_generator_images(system, x_plus[j])[:, 1:][bad], fresh) if m else fresh
+        return _project_out(system.generator_images(x_plus[j])[:, 1:][bad], fresh) if m else fresh
 
     # (x_plus + g / |g|) / sqrt(2), in place
     g /= redraw_short_rows(g, draw)[..., None]
@@ -282,14 +263,19 @@ def fiber_sample(system: CliffordSystem, v: np.ndarray, n: int, seeds) -> np.nda
 # Differential of pi_C and the quartic form
 # --------------------------------------------------------------------------- #
 
+def _pi_state(system: CliffordSystem, x: np.ndarray):
+    """pi_C at float x, unchecked, and the :func:`pi_jacobian_rows`, from one image stack."""
+    px = system.generator_images(x)
+    v = _quadratic_values(px, x)
+    return v, 2.0 * px - 2.0 * v[..., None] * x[..., None, :]
+
+
 def pi_jacobian_rows(system: CliffordSystem, x: np.ndarray) -> np.ndarray:
     """Rows X_{P_i}(x) = 2 P_i x - 2 <P_i x, x> x of the differential of pi_C.
 
     Shape x.shape[:-1] + (m+1, 2l): (m+1, 2l) for a single point.
     """
-    x = np.asarray(x, dtype=float)
-    px = _generator_images(system, x)
-    return 2.0 * px - 2.0 * _quadratic_values(px, x)[..., None] * x[..., None, :]
+    return _pi_state(system, np.asarray(x, dtype=float))[1]
 
 
 def fkm_f0(system: CliffordSystem, x: np.ndarray):
@@ -348,7 +334,7 @@ def geodesic_eval(g: HorizontalGeodesic, t) -> np.ndarray:
 def project_geodesic_params(system: CliffordSystem, g: HorizontalGeodesic):
     """(P, Q) with Q_i = <P_i x_plus, x_minus>, so pi_C(gamma(t)) = -cos(2t) P + sin(2t) Q."""
     # one BLAS dot per Q_i, on the (1, 2l) products a single geodesic takes: rows equal singles
-    images = _generator_images(system, g.x_plus[..., None, :])[..., 0, :, :]
+    images = system.generator_images(g.x_plus[..., None, :])[..., 0, :, :]
     q = row_dots(images, g.x_minus[..., None, :])
     return np.array(g.p_coords, dtype=float), q
 

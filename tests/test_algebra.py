@@ -20,8 +20,8 @@ from clifford_foliations.algebra import (
     sign_fixed_q,
     sign_fixed_rotation,
 )
-from clifford_foliations.algebra import _pcg64_words
-from clifford_foliations.clifford import _kron, _mul, build_complex_structures, build_system, delta
+from clifford_foliations.algebra import _kron, _mul, _pcg64_words, _transpose
+from clifford_foliations.clifford import build_complex_structures, build_system, delta
 
 # ---------------------------------------------------------------------------
 # Oracle: bilinear expansion of the Hamilton product over a hand-typed
@@ -249,6 +249,13 @@ class TestSignedPerm:
             np.testing.assert_array_equal(a[1] * x[a[0]], da @ x)
             b = rng.permutation(n), rng.choice([-1, 1], size=n)
             np.testing.assert_array_equal(gather_dense(*_mul(a, b)), da @ gather_dense(*b))
+            np.testing.assert_array_equal(gather_dense(*_transpose(a)), da.T)
+        # a stack transposes matrix by matrix
+        system = build_system(4, 2, 1)
+        cols, signs = _transpose(system.generators)
+        for i in range(system.m + 1):
+            np.testing.assert_array_equal(gather_dense(cols[i], signs[i]),
+                                          system.dense_generator(i).T)
 
     def test_batch_apply_along_last_axis(self):
         # an exact system's generators apply as a gather on the last axis
@@ -256,9 +263,11 @@ class TestSignedPerm:
         cols, signs = system.generators
         assert cols.shape == signs.shape == (system.m + 1, system.dim)
         x = rng_from(4).standard_normal((5, system.dim))
+        images = system.generator_images(x)
         for i in range(system.m + 1):
             np.testing.assert_array_equal(signs[i] * x[:, cols[i]],
                                           x @ system.dense_generator(i).T)
+            np.testing.assert_array_equal(images[:, i], x @ system.dense_generator(i).T)
 
     def test_kron_matches_numpy(self):
         a = np.array([1, 0]), np.array([1, -1])

@@ -3,6 +3,7 @@
 import importlib.util
 import pathlib
 import pkgutil
+import re
 
 import pytest
 
@@ -10,6 +11,7 @@ import clifford_foliations
 
 MODULES = [info.name for info in pkgutil.iter_modules(clifford_foliations.__path__)]
 TRACING = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+PACKAGE_DIR = pathlib.Path(clifford_foliations.__file__).resolve().parent
 
 
 def resolve(obj, dotted: str):
@@ -39,3 +41,10 @@ def test_traced_benchmark_targets_resolve():
         assert callable(resolve(mod, attr)), f"{module}.{attr}"
     for layer in tracing.LAYERS:
         importlib.import_module(f"{tracing.PACKAGE}.{layer}")
+
+
+def test_only_clifford_reads_generators():
+    # the generator representation (gather pair or dense stack) stays behind CliffordSystem
+    readers = sorted(path.name for path in PACKAGE_DIR.glob("*.py")
+                     if re.search(r"\.generators\b", path.read_text()))
+    assert readers == ["clifford.py"]

@@ -148,10 +148,10 @@ class TestVerify:
 
 class TestMalformedSystemFiles:
     @staticmethod
-    def assert_rejected(tmp_path, capsys, payload):
+    def assert_rejected(tmp_path, capsys, payload, *command):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(payload))
-        assert run("invariant", "--system", path) == 2
+        assert run(*(command or ("invariant",)), "--system", path) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and "Traceback" not in err
 
@@ -187,6 +187,39 @@ class TestMalformedSystemFiles:
             pairs[[s for _, s in pairs].index(1)][1] = "1"
         else:
             del pairs[-1]
+        self.assert_rejected(tmp_path, capsys, payload)
+
+    @pytest.mark.parametrize("defect", ["fractional_m", "string_l", "fractional_k", "false_flips",
+                                        "true_k", "zero_m"])
+    def test_header_fields_checked(self, tmp_path, capsys, defect):
+        # each payload would load as the golden system, or as an m = 0 one that
+        # cfl invariant rejects but cfl fiber samples
+        payload = json.loads(GOLDEN.read_text())
+        if defect == "fractional_m":
+            payload["m"] = 2.9
+        elif defect == "string_l":
+            payload["l"] = "2"
+        elif defect == "fractional_k":
+            payload["provenance"]["k"] = 1.7
+        elif defect == "false_flips":
+            payload["provenance"]["flips"] = False
+        elif defect == "true_k":
+            payload["provenance"]["k"] = True
+        else:
+            payload.update(m=0, provenance=None, generators=payload["generators"][:1])
+            self.assert_rejected(tmp_path, capsys, payload, "fiber", "--at", "0")
+        self.assert_rejected(tmp_path, capsys, payload)
+
+    @pytest.mark.parametrize("defect", ["string_entry", "bool_entry", "zero_l"])
+    def test_dense_payload_checked(self, tmp_path, capsys, defect):
+        payload = self.constructed(tmp_path, "--m", 2, "--k", 1, "--encoding", "dense")
+        one = payload["generators"][1].index(1.0)
+        if defect == "string_entry":
+            payload["generators"][1][one] = "1"
+        elif defect == "bool_entry":
+            payload["generators"][1][one] = True
+        else:
+            payload.update(l=0, provenance=None, generators=[[], [], []])
         self.assert_rejected(tmp_path, capsys, payload)
 
     @staticmethod

@@ -298,15 +298,29 @@ class TestSerialization:
                                                 ("sign_two", "signs"),
                                                 ("short_generator", "2l"),
                                                 ("fractional", "integers"),
-                                                ("string_sign", "integers")],
+                                                ("string_sign", "integers"),
+                                                ("fractional_m", "integers"),
+                                                ("string_l", "integers"),
+                                                ("fractional_k", "integers"),
+                                                ("false_flips", "integers")],
                              ids=["repeated_row", "sign_two", "short_generator",
-                                  "fractional", "string_sign"])
+                                  "fractional", "string_sign", "fractional_m", "string_l",
+                                  "fractional_k", "false_flips"])
     def test_signed_perm_payload_checked(self, defect, message):
         # row targets must be a permutation, signs +-1, each entry an integer,
-        # and each generator 2l pairs long
+        # and each generator 2l pairs long; m, l, k and flips are integers too
         d = system_to_dict(build_system(3, 2))
         pairs = d["generators"][2]
-        if defect == "repeated_row":
+        # each header value below would truncate or parse back to the exact system
+        if defect == "fractional_m":
+            d["m"] = 3.9
+        elif defect == "string_l":
+            d["l"] = "8"
+        elif defect == "fractional_k":
+            d["provenance"]["k"] = 2.7
+        elif defect == "false_flips":
+            d["provenance"]["flips"] = False
+        elif defect == "repeated_row":
             pairs[1][0] = pairs[0][0]
         elif defect == "sign_two":
             pairs[3][1] = 2
@@ -317,6 +331,31 @@ class TestSerialization:
             pairs[[s for _, s in pairs].index(1)][1] = "1"
         else:
             del pairs[-1]
+        with pytest.raises(MalformedSystemError, match=message):
+            system_from_dict(d)
+
+    @pytest.mark.parametrize("defect,message", [("string_entry", "numbers"),
+                                                ("bool_entry", "numbers"),
+                                                ("true_k", "integers"),
+                                                ("zero_l", "at least 1"),
+                                                ("zero_m", "at least 1")],
+                             ids=["string_entry", "bool_entry", "true_k", "zero_l", "zero_m"])
+    def test_dense_payload_checked(self, defect, message):
+        # entries are JSON numbers, k an integer, and m, l at least 1; each
+        # payload here would load as a system
+        d = system_to_dict(build_system(2, 1), "dense")
+        one = d["generators"][1].index(1.0)
+        if defect == "string_entry":
+            d["generators"][1][one] = "1"
+        elif defect == "bool_entry":
+            d["generators"][1][one] = True
+        elif defect == "true_k":
+            d["provenance"]["k"] = True
+        elif defect == "zero_l":
+            d.update(l=0, provenance=None, generators=[[], [], []])
+        else:
+            d = system_to_dict(sub_system(build_system(2, 1), [0]), "dense")
+            assert d["m"] == 0
         with pytest.raises(MalformedSystemError, match=message):
             system_from_dict(d)
 

@@ -9,7 +9,7 @@ import pytest
 
 from clifford_foliations.algebra import rng_from, sample_unit_vectors, sign_fixed_rotation
 from clifford_foliations import composed
-from clifford_foliations.clifford import build_system
+from clifford_foliations.clifford import build_system, conjugate_system
 from clifford_foliations.composed import (
     BUILTIN_SPEC_NAMES,
     FoliationSpec,
@@ -29,6 +29,7 @@ from clifford_foliations.foliation import (
     fkm_f0,
     mplus_sample,
     pi_c,
+    pi_jacobian_rows,
     quotient_distance,
 )
 
@@ -634,6 +635,21 @@ class TestNewtonAscent:
         np.testing.assert_array_equal(d[0], g[0])
         assert gain[0] == np.sum(g[0] * g[0])
         assert np.all(np.isfinite(d)) and gain[1] > 0.0
+
+    @pytest.mark.parametrize("dense", [False, True], ids=["exact", "dense"])
+    def test_constraint_state_matches_public_maps(self, s22, dense):
+        # v and the pi_C rows come from one image stack, bit for bit as pi_c
+        # and pi_jacobian_rows give them
+        a = sign_fixed_rotation(rng_from(47).standard_normal((s22.dim, s22.dim)))
+        system = conjugate_system(s22, a) if dense else s22
+        spec = builtin_spec("height", 2)
+        v0 = np.array([0.3, 0.1, -0.2])
+        z = fiber_sample(system, v0, 5, 48)
+        r = float(np.linalg.norm(v0))
+        tail = spec.invariant_map((v0 / r)[None])[0]
+        _, _, v, rows_pi, _ = composed._constraint_state(system, spec, z, r * r, tail)
+        assert v.tobytes() == pi_c(system, z).tobytes()
+        assert rows_pi.tobytes() == pi_jacobian_rows(system, z).tobytes()
 
     def test_one_leaf_converges(self):
         # one_leaf's invariant row vanishes; the ascent still converges, where

@@ -93,11 +93,11 @@ class TestPiC:
         # 2l = 512 with 13 generators: 9 rows to a block, so 400 rows take 45
         system = build_system(12, 4)
         x = sample_unit_vectors(rng_from(65), system.dim, 400)
-        whole = foliation._quadratic_values(foliation._generator_images(system, x), x)
+        whole = foliation._quadratic_values(system.generator_images(x), x)
         assert pi_c(system, x).tobytes() == whole.tobytes()
         dense = conjugate_system(build_system(5, 2), haar(66, 32))
         y = sample_unit_vectors(rng_from(67), dense.dim, 12000)
-        whole = foliation._quadratic_values(foliation._generator_images(dense, y), y)
+        whole = foliation._quadratic_values(dense.generator_images(y), y)
         assert pi_c(dense, y).tobytes() == whole.tobytes()
         assert pi_c(dense, y.reshape(40, 300, 32)).tobytes() == whole.tobytes()
 
