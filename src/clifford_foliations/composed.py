@@ -166,11 +166,31 @@ def builtin_spec(name: str, m: int) -> FoliationSpec:
             uw = sign_fixed_rotation(rng.standard_normal((len(mats), 2, 3, 3)))
             return (uw[:, 0] @ mats @ np.swapaxes(uw[:, 1], -1, -2)).reshape(len(mats), 9)
 
+        def tensor_jacobian(v):
+            # d tau_i = u_i^T dM v_i with u_3 times sign(det), chained through
+            # (I - v^ v^T) / |v|; where singular values repeat, tau has no
+            # derivative, so those rows take central differences
+            r = np.linalg.norm(v, axis=-1)
+            vhat = v / r[:, None]
+            mats = vhat.reshape(-1, 3, 3)
+            u, sv, vt = np.linalg.svd(mats)
+            sign = np.where(np.linalg.det(mats) < 0, -1.0, 1.0)
+            u[:, :, 2] *= sign[:, None]
+            dtau = np.swapaxes(u[:, :, :, None] * vt[:, None], 1, 2).reshape(-1, 3, 9)
+            tau = np.concatenate([sv[:, :2], (sign * sv[:, 2])[:, None]], axis=1)
+            jac = (dtau - tau[:, :, None] * vhat[:, None, :]) / r[:, None, None]
+            rep = np.flatnonzero(np.min(sv[:, :2] - sv[:, 1:], axis=1) <= 1e-6 * sv[:, 0])
+            if rep.size:
+                jac[rep] = _central_differences(lambda w: signed_svd_triple(_unit(w)), v[rep],
+                                                1e-6 * r[rep])
+            return jac
+
         return FoliationSpec(
             "tensor_svd", dim,
             invariant_map=signed_svd_triple,
             quotient_distance=tensor_orbit_distance,
             leaf_sampler=sample_leaf,
+            invariant_jacobian=tensor_jacobian,
         )
     raise ValueError(f"unknown foliation spec {name!r}; choose from {BUILTIN_SPEC_NAMES}")
 
@@ -356,41 +376,44 @@ def _unit(v: np.ndarray) -> np.ndarray:
     return v / np.linalg.norm(v, axis=-1, keepdims=True)
 
 
-def _min_norm_solve(g: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Minimum-norm least-squares solutions of g[s] x = rhs[s], row by row.
+def _solve_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Solutions of the square systems a[s] x = b[s], row by row, by LU.
 
-    Singular values at or below lstsq's default cutoff (machine epsilon times
-    the larger dimension, relative to the largest) count as zero.
+    a is (S, n, n) and b (S, n).  One batched LU solve; if it meets a zero
+    pivot, slogdet's zero sign finds those rows and the others are solved
+    again.  Rows with a zero pivot or a non-finite solution take the
+    minimum-norm least-squares solution instead, with lstsq's default cutoff
+    (singular values at or below machine epsilon times n, relative to the
+    largest, count as zero).  No row's arithmetic depends on another row.
     """
-    u, sv, vt = np.linalg.svd(g, full_matrices=False)
-    keep = sv > np.finfo(float).eps * max(g.shape[-2:]) * sv[:, :1]
-    inv = np.divide(1.0, sv, out=np.zeros_like(sv), where=keep)
-    coef = (np.swapaxes(u, -1, -2) @ rhs[..., None])[..., 0] * inv
-    return (np.swapaxes(vt, -1, -2) @ coef[..., None])[..., 0]
+    try:
+        x = np.linalg.solve(a, b[..., None])[..., 0]
+        lu = np.ones(len(a), dtype=bool)
+    except np.linalg.LinAlgError:
+        lu = np.linalg.slogdet(a)[0] != 0.0
+        x = np.empty(b.shape)
+        x[lu] = np.linalg.solve(a[lu], b[lu, :, None])[..., 0]
+    bad = ~lu | ~np.all(np.isfinite(x), axis=-1)
+    if np.any(bad):
+        u, sv, vt = np.linalg.svd(a[bad])
+        keep = sv > np.finfo(float).eps * a.shape[-1] * sv[:, :1]
+        inv = np.divide(1.0, sv, out=np.zeros_like(sv), where=keep)
+        coef = np.sum(u * b[bad, :, None], axis=1) * inv
+        x[bad] = np.sum(vt * coef[:, :, None], axis=1)
+    return x
 
 
 def _tangent_projection(g: np.ndarray, grad: np.ndarray):
     """grad minus its component in the row space of g, row by row.
 
     Returns the projection and the least-squares multipliers (S, k) of the
-    rows.  The normal equations are regularized by 1e-14.  If the batched
-    solve finds a singular system, every row is solved on its own and only
-    the singular rows fall back to lstsq, so no row depends on another.
+    rows, from the normal equations regularized by 1e-14 and solved by
+    :func:`_solve_rows`.
     """
     g_t = np.swapaxes(g, -1, -2)
     gg = g @ g_t
-    rhs = g @ grad[..., None]
-    reg = gg + 1e-14 * np.eye(gg.shape[-1])
-    try:
-        coef = np.linalg.solve(reg, rhs)
-    except np.linalg.LinAlgError:
-        coef = np.empty(rhs.shape)
-        for i in range(len(g)):
-            try:
-                coef[i] = np.linalg.solve(reg[i:i + 1], rhs[i:i + 1])[0]
-            except np.linalg.LinAlgError:
-                coef[i, :, 0] = np.linalg.lstsq(gg[i], rhs[i, :, 0], rcond=None)[0]
-    return grad - (g_t @ coef)[..., 0], coef[..., 0]
+    coef = _solve_rows(gg + 1e-14 * np.eye(gg.shape[-1]), (g @ grad[..., None])[..., 0])
+    return grad - (g_t @ coef[..., None])[..., 0], coef
 
 
 def _newton_direction(system, spec, z, g, lam, best, v, rows_pi, dphi, curved):
@@ -405,14 +428,15 @@ def _newton_direction(system, spec, z, g, lam, best, v, rows_pi, dphi, curved):
     without an invariant Jacobian the invariant term is left out).  As
     (2 sum a_i P_i)^2 = 4|a|^2 I, B^-1 = (B - 2 mu I) / (4|a|^2 - mu^2), and
     the direction is xi = B^-1 (g + C y) for C = [J^T, z]; y and the
-    normal multipliers solve a bordered system of m+2+k unknowns that puts
-    xi in the tangent space, in the minimum-norm sense, so a constraint
-    with a vanishing gradient (the constant invariant of ``one_leaf``) drops
-    out instead of making the system singular.  A row keeps xi only when it
-    is finite, an ascent direction and of positive B + J^T W J curvature
-    (negative model curvature of <x, .>); otherwise it takes g, also where a
-    singular B (4|a|^2 = mu^2) leaves the row non-finite.  Returns the
-    directions and their predicted gains <g, d>.
+    normal multipliers solve a square bordered system of m+2+k unknowns that
+    puts xi in the tangent space.  :func:`_solve_rows` solves it by LU; a
+    constraint with a vanishing gradient (the constant invariant of
+    ``one_leaf``) makes the system singular, and that row takes the
+    minimum-norm solution, in which the constraint drops out.  A row keeps
+    xi only when it is finite, an ascent direction and of positive
+    B + J^T W J curvature (negative model curvature of <x, .>); otherwise it
+    takes g, also where a singular B (4|a|^2 = mu^2) leaves the row
+    non-finite.  Returns the directions and their predicted gains <g, d>.
     """
     n_rows, p = v.shape
     k = lam.shape[1]
@@ -448,8 +472,8 @@ def _newton_direction(system, spec, z, g, lam, best, v, rows_pi, dphi, curved):
         rhs[:, p] = -h[:, p]
         rhs[:, p + 1:] = -_small_matmul(dphi, h[:, :p, None])[..., 0]
         finite = np.all(np.isfinite(kkt), axis=(1, 2)) & np.all(np.isfinite(rhs), axis=1)
-        kkt[~finite], rhs[~finite] = 0.0, 0.0  # the SVD rejects non-finite input
-        y = _min_norm_solve(kkt, rhs)[:, :p + 1]
+        kkt[~finite], rhs[~finite] = 0.0, 0.0  # the fallback SVD rejects non-finite input
+        y = _solve_rows(kkt, rhs)[:, :p + 1]
         xi = binv[:, 0] + np.sum(y[:, :, None] * binv[:, 1:], axis=1)
         s = np.sum(rows_pi * xi[:, None, :], axis=-1)
         gain = np.sum(g * xi, axis=-1)
@@ -468,9 +492,14 @@ def _small_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def _restore(system, spec, z, target_r2, target_tail):
     """Newton corrections of every row of z back onto the leaf.
 
-    At most 8 corrections; each row stops once its residual drops below
-    1e-12.  Returns the points, their residuals and their constraint state
-    (rows, v, pi_rows, dphi of :func:`_constraint_state`).
+    Each correction is the minimum-norm step g^+ (-c) for the constraint
+    rows g: :func:`_solve_rows` solves the k x k system g g^T y = -c and the
+    step is g^T y, which equals g^+ (-c) since g^T (g g^T)^+ = g^+.  Rows
+    with a vanishing constraint gradient make g g^T singular and take the
+    minimum-norm y.  At most 8 corrections; each row stops once its
+    residual drops below 1e-12.  Returns the points, their residuals and
+    their constraint state (rows, v, pi_rows, dphi of
+    :func:`_constraint_state`).
     """
     z = np.array(z, dtype=float)
     resid = np.empty(len(z))
@@ -488,7 +517,9 @@ def _restore(system, spec, z, target_r2, target_tail):
         live = live[more]
         if not live.size or corrections == 8:
             break
-        z[live] = _unit(z[live] + _min_norm_solve(found[0][more], -c[more]))
+        g = found[0][more]
+        y = _solve_rows(g @ np.swapaxes(g, -1, -2), -c[more])
+        z[live] = _unit(z[live] + np.sum(g * y[:, :, None], axis=1))
     return z, resid, state
 
 
@@ -563,12 +594,17 @@ def leaf_to_leaf_ambient_distance(system: CliffordSystem, spec: FoliationSpec,
     direction, step and acceptance.  On exact systems a start's result is
     bit for bit the one it reaches alone; on dense systems the batched
     matmul of the generator images may round differently, at the last bit.
+    ``budget`` and ``starts`` are integers of at least 1 (bools are not).
     Leaf constraints use the spec's ``invariant_jacobian`` when it has one,
     else central differences of its invariant map.  Boundary leaves are
     handled in closed form per sampled direction (the nearest point of a
     great subsphere is an orthogonal projection).
     """
     _check_spec(system, spec)
+    for name, count in (("budget", budget), ("starts", starts)):
+        if isinstance(count, bool) or not isinstance(count, (int, np.integer)):
+            raise ValueError(f"{name} must be an integer, got {count!r}")
+    budget, starts = int(budget), int(starts)
     if budget < 1:
         raise ValueError(f"budget must be at least 1 leaf sample, got {budget}")
     if starts < 1:

@@ -416,19 +416,27 @@ class TestAmbientLeafDistance:
         assert d.hex() == "0x1.b5a7833dc1117p-1"
         assert d >= composed_quotient_distance(s22, hgt, x, y) - 1e-9
 
-    @pytest.mark.parametrize("budget", [0, -5])
+    @pytest.mark.parametrize("budget", [0, -5, 100.0, True])
     def test_rejects_empty_budget(self, s22, budget):
         pts = builtin_spec("points", 2)
         x = fiber_sample(s22, np.array([0.3, 0.2, -0.1]), 2, 18)
         with pytest.raises(ValueError, match="budget"):
             leaf_to_leaf_ambient_distance(s22, pts, x[0], x[1], budget, 19)
 
-    @pytest.mark.parametrize("starts", [0, -2])
+    @pytest.mark.parametrize("starts", [0, -2, 2.5, True, np.float64(2.0)])
     def test_rejects_no_starts(self, s22, starts):
         pts = builtin_spec("points", 2)
         x = fiber_sample(s22, np.array([0.3, 0.2, -0.1]), 2, 18)
         with pytest.raises(ValueError, match="starts"):
             leaf_to_leaf_ambient_distance(s22, pts, x[0], x[1], 100, 19, starts=starts)
+
+    def test_numpy_integer_counts(self, s22):
+        # bools and floats are rejected above; numpy integers count as integers
+        pts = builtin_spec("points", 2)
+        x = fiber_sample(s22, np.array([0.3, 0.2, -0.1]), 2, 18)
+        d = leaf_to_leaf_ambient_distance(s22, pts, x[0], x[1], 100, 19, starts=2)
+        assert leaf_to_leaf_ambient_distance(s22, pts, x[0], x[1], np.int64(100), 19,
+                                             starts=np.int32(2)) == d
 
     def test_rejects_anything_but_two_unit_points(self, s22):
         pts = builtin_spec("points", 2)
@@ -513,10 +521,22 @@ class TestAmbientLeafDistance:
             assert dq - d <= 1e-9
             assert abs(d - dq) <= tol
 
+    def test_tensor_spec_matches_cone_metric(self):
+        # without a closed-form invariant Jacobian the ascent stalled here at 1.026
+        system = build_system(8, 2)
+        spec = builtin_spec("tensor_svd", 8)
+        dirs = sample_unit_vectors(rng_from(5), 9, 2)
+        xa = fiber_sample(system, 0.5 * dirs[0], 1, 1)[0]
+        xb = fiber_sample(system, 0.6 * dirs[1], 1, 2)[0]
+        d = leaf_to_leaf_ambient_distance(system, spec, xa, xb, 600, 3, starts=4)
+        dq = composed_quotient_distance(system, spec, xa, xb)
+        assert abs(dq - 0.134) <= 1e-3
+        assert abs(d - dq) <= 1e-6
+
 
 class TestBatchedAscent:
     @pytest.mark.parametrize("mk", [(2, 2), (1, 4), (9, 1), (4, 3, 1)])
-    @pytest.mark.parametrize("spec_name", ["points", "height", "user"])
+    @pytest.mark.parametrize("spec_name", ["points", "height", "user", "one_leaf"])
     def test_batch_equals_each_start_alone(self, mk, spec_name):
         # the lockstep ascent keeps every start's arithmetic to its own row
         system = build_system(*mk)
@@ -565,6 +585,26 @@ def test_leaf_blocks_equal_chunk_by_chunk_draws(spec_name, radius):
         expected.append(fiber_sample(system, radius * d, n, int(rng.integers(2**62))))
     got = _leaf_sample_blocks(system, spec, v, budget, rng_from(44))
     assert got.tobytes() == np.concatenate(expected).tobytes()
+
+
+def test_solve_rows_falls_back_row_by_row():
+    # zero pivots (a zero row, as one_leaf's constraint gives) take the
+    # minimum-norm solution; no row's bits depend on the rest of its batch
+    rng = rng_from(50)
+    a = rng.standard_normal((7, 4, 4))
+    b = rng.standard_normal((7, 4))
+    a[1, 3] = 0.0
+    a[4] = 0.0
+    a[5, :, 2] = 0.0
+    a[5, 0] = 0.0
+    x = composed._solve_rows(a, b)
+    for i in range(len(a)):
+        assert x[i].tobytes() == composed._solve_rows(a[i:i + 1], b[i:i + 1])[0].tobytes()
+    for i in (1, 4, 5):
+        np.testing.assert_allclose(x[i], np.linalg.lstsq(a[i], b[i], rcond=None)[0],
+                                   rtol=0, atol=1e-12)
+    for i in (0, 2, 3, 6):
+        np.testing.assert_allclose(a[i] @ x[i], b[i], rtol=0, atol=1e-12)
 
 
 class TestNewtonAscent:
@@ -693,6 +733,26 @@ class TestInvariantJacobian:
             np.testing.assert_allclose(j, self.central_differences(
                 lambda u: spec.invariant_map(u[None])[0], row),
                                        rtol=0, atol=1e-7)
+
+    def test_tensor_closed_form_matches_differences(self):
+        spec = builtin_spec("tensor_svd", 8)
+        rng = rng_from(45)
+        mats = sample_unit_vectors(rng, 9, 12).reshape(-1, 3, 3)
+        mats[0] = np.diag([0.8, -0.42, 0.42])  # repeated singular values, det < 0
+        mats[1] = np.eye(3) / np.sqrt(3.0)
+        v = mats.reshape(-1, 9) * rng.uniform(0.2, 1.0, size=(len(mats), 1))
+        jac = spec.invariant_jacobian(v)
+        assert jac.shape == (len(v), 3, 9)
+        for row, j in zip(v[2:], jac[2:]):
+            np.testing.assert_allclose(j, self.central_differences(
+                lambda u: spec.invariant_map(u[None])[0], row),
+                                       rtol=0, atol=1e-7)
+        # tau has no derivative where singular values repeat: those rows are
+        # the estimator's own central differences, with steps 1e-6 |v|
+        steps = 1e-6 * np.linalg.norm(v[:2], axis=1)
+        differences = composed._central_differences(
+            lambda w: spec.invariant_map(composed._unit(w)), v[:2], steps)
+        assert jac[:2].tobytes() == differences.tobytes()
 
     def test_one_leaf_jacobian_is_zero(self):
         spec = builtin_spec("one_leaf", 3)
