@@ -143,7 +143,10 @@ def row_norms(a: np.ndarray) -> np.ndarray:
 def check_unit(x, what: str = "point") -> np.ndarray:
     """x as floats, after checking every row along the last axis is a unit vector to 1e-9."""
     x = np.asarray(x, dtype=float)
-    if not np.all(np.abs(row_norms(x) - 1.0) <= 1e-9):
+    # a finite coordinate past ~1e154 squares to inf, which fails the check quietly
+    with np.errstate(over="ignore"):
+        norms = row_norms(x)
+    if not np.all(np.abs(norms - 1.0) <= 1e-9):
         raise ValueError(f"{what} must be a finite unit vector")
     return x
 

@@ -168,7 +168,8 @@ class CliffordSystem:
     ``(cols, signs)``, int arrays of shape (m+1, 2l): entry r of P_i x is
     ``signs[i, r] * x[cols[i, r]]``.  Other systems (conjugated or loaded
     dense) hold one (m+1, 2l, 2l) float stack.  Treat instances as
-    immutable: :attr:`p0_eigenbases` is cached on first use.
+    immutable: :attr:`p0_eigenbases` and the indices derived from the
+    generators are cached on first use.
     """
 
     m: int
@@ -193,19 +194,23 @@ class CliffordSystem:
         out[np.arange(self.dim), cols[i]] = signs[i]
         return out
 
+    @cached_property
+    def _signed_cols(self) -> np.ndarray:
+        """cols + 2l [signs < 0]: where entry r of P_i x sits in the stack [x, -x]."""
+        cols, signs = self.generators
+        return cols + self.dim * (signs < 0)
+
     def generator_images(self, x: np.ndarray) -> np.ndarray:
         """P_i x for every generator, stacked: shape x.shape[:-1] + (m+1, 2l).
 
-        Exact systems gather and sign the coordinates of x (``np.take`` returns
-        a new C-contiguous stack, whatever the batch size, which is signed in
-        place); dense systems take one stacked matmul against the transposed
-        generators.
+        Exact systems take one ``np.take`` from [x, -x] with the signed index
+        :attr:`_signed_cols`, which returns a new C-contiguous stack whatever
+        the batch size; a negation rounds nothing, so this equals gathering x
+        and multiplying by the signs.  Dense systems take one stacked matmul
+        against the transposed generators.
         """
         if self.exact:
-            cols, signs = self.generators
-            images = np.take(x, cols, axis=-1)
-            images *= signs
-            return images
+            return np.take(np.concatenate((x, -x), axis=-1), self._signed_cols, axis=-1)
         gens_t = np.swapaxes(self.generators, -1, -2)
         if x.ndim == 1:
             return x @ gens_t
@@ -219,6 +224,31 @@ class CliffordSystem:
         involution check runs on that first use.
         """
         return eig_split(self.dense_generator(0))
+
+    @cached_property
+    def _p0_selections(self) -> tuple:
+        """For B_plus and B_minus, the coordinate each column picks, or None.
+
+        A basis whose columns are distinct standard unit vectors (on every
+        built system, in the SVD's column order, which need not ascend)
+        gives its coordinates; any other basis gives None.
+        """
+        return tuple(_selected_coords(b) for b in self.p0_eigenbases)
+
+    def p0_lift(self, coeffs: np.ndarray, plus: bool) -> np.ndarray:
+        """coeffs @ B.T for the basis B of E_+(P_0) (plus) or of E_-(P_0).
+
+        Where B is a 0/1 coordinate selection the coefficients are scattered
+        to their coordinates: the product's other terms are exact zeros, so
+        the bits are the product's.  Other bases take the product.
+        """
+        which = 0 if plus else 1
+        coords = self._p0_selections[which]
+        if coords is None:
+            return coeffs @ self.p0_eigenbases[which].T
+        out = np.zeros(coeffs.shape[:-1] + (self.dim,))
+        out[..., coords] = coeffs
+        return out
 
     def span_matrix(self, coords: np.ndarray) -> np.ndarray:
         """Dense matrix of sum_i coords[i] * P_i; rows of coords give a stack.
@@ -247,6 +277,15 @@ class CliffordSystem:
         for i in np.flatnonzero(np.any(rows, axis=0)):
             stack += rows[:, i, None, None] * self.generators[i]
         return out
+
+
+def _selected_coords(basis: np.ndarray):
+    """Row of the 1 in each column of an orthonormal basis of 0/1 entries, else None."""
+    coords = np.argmax(basis, axis=0)
+    if (np.count_nonzero(basis) == len(coords)
+            and np.all(basis[coords, np.arange(len(coords))] == 1.0)):
+        return coords
+    return None
 
 
 def build_system(m: int, k: int, flips: int = 0) -> CliffordSystem:

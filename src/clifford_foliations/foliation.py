@@ -78,13 +78,16 @@ def pi_c(system: CliffordSystem, x: np.ndarray) -> np.ndarray:
     Accepts a single point of shape (2l,) or a batch (..., 2l); the input must
     be unit-norm.  Batches run in blocks (:func:`_blocks`), so the
     (rows, m+1, 2l) image stack of a large batch is never built whole; each
-    row's sums are the same in any block.
+    block's stack is multiplied by x in place and summed into its slice of
+    the output, and each row's sums are the same in any block.
     """
     x = check_unit(x)
     flat = x.reshape(-1, system.dim)
     out = np.empty((len(flat), system.m + 1))
     for rows in _blocks(len(flat), (system.m + 1) * system.dim):
-        out[rows] = _quadratic_values(system.generator_images(flat[rows]), flat[rows])
+        px = system.generator_images(flat[rows])
+        px *= flat[rows, None, :]
+        np.add.reduce(px, axis=-1, out=out[rows])
     return out.reshape(x.shape[:-1] + (system.m + 1,))
 
 
@@ -176,12 +179,11 @@ def _project_out(w: np.ndarray, g: np.ndarray) -> np.ndarray:
 def _mplus_rows(system: CliffordSystem, n: int, seeds) -> np.ndarray:
     """n samples of M+ per seed, shape (k, n, 2l); each seed draws in the single call's order."""
     m, l = system.m, system.l
-    b_plus, b_minus = system.p0_eigenbases
     rngs = rng_streams(seeds)
     units = sample_unit_vectors(rngs, l, n)
     gauss = gaussian_rows(rngs, (n, l))
-    x_plus = units @ b_plus.T
-    g = gauss @ b_minus.T
+    x_plus = system.p0_lift(units, plus=True)
+    g = system.p0_lift(gauss, plus=False)
     del units, gauss
     if m:
         # P_1 x+, ..., P_m x+ are orthonormal vectors of E_-(P_0) at each
@@ -191,8 +193,8 @@ def _mplus_rows(system: CliffordSystem, n: int, seeds) -> np.ndarray:
             g[rows] = _project_out(w, g[rows].reshape(-1, 2 * l)).reshape(g[rows].shape)
 
     def draw(j, bad):
-        fresh = rngs[j].standard_normal((int(np.sum(bad)), l)) @ b_minus.T
-        return _project_out(system.generator_images(x_plus[j])[:, 1:][bad], fresh) if m else fresh
+        fresh = system.p0_lift(rngs[j].standard_normal((int(np.sum(bad)), l)), plus=False)
+        return _project_out(system.generator_images(x_plus[j][bad])[:, 1:], fresh) if m else fresh
 
     # (x_plus + g / |g|) / sqrt(2), in place
     g /= redraw_short_rows(g, draw)[..., None]
@@ -229,7 +231,8 @@ def fiber_sample(system: CliffordSystem, v: np.ndarray, n: int, seeds) -> np.nda
     fiber j equals the single call with seeds[j] bit for bit.
     """
     v, seeds, single = _seeded_rows(v, seeds, system.m + 1)
-    r = row_norms(v)
+    with np.errstate(over="ignore"):  # a huge row's norm is inf and fails the check below
+        r = row_norms(v)
     if not np.all(r <= 1.0 + 1e-12):
         raise ValueError("disk point has norm > 1 or is not finite")
     edge = r >= 1.0 - 1e-12
@@ -264,10 +267,15 @@ def fiber_sample(system: CliffordSystem, v: np.ndarray, n: int, seeds) -> np.nda
 # --------------------------------------------------------------------------- #
 
 def _pi_state(system: CliffordSystem, x: np.ndarray):
-    """pi_C at float x, unchecked, and the :func:`pi_jacobian_rows`, from one image stack."""
+    """pi_C at float x, unchecked, and the :func:`pi_jacobian_rows`, from one image stack.
+
+    The rows 2 P_i x - 2 v_i x are formed in the image stack, in place.
+    """
     px = system.generator_images(x)
     v = _quadratic_values(px, x)
-    return v, 2.0 * px - 2.0 * v[..., None] * x[..., None, :]
+    px *= 2.0
+    px -= (2.0 * v)[..., None] * x[..., None, :]
+    return v, px
 
 
 def pi_jacobian_rows(system: CliffordSystem, x: np.ndarray) -> np.ndarray:
@@ -352,7 +360,8 @@ def quotient_lift(v: np.ndarray) -> np.ndarray:
     accumulated roundoff lift with height exactly zero.
     """
     v = np.asarray(v, dtype=float)
-    r2 = np.sum(v * v, axis=-1)
+    with np.errstate(over="ignore"):  # a huge row's r2 is inf and fails the check below
+        r2 = np.sum(v * v, axis=-1)
     if not np.all(r2 <= 1.0 + 2e-12):
         raise ValueError("disk point has norm > 1 or is not finite")
     height = snapped_sqrt(1.0 - r2)

@@ -11,7 +11,7 @@ import tempfile
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from clifford_foliations import verify
@@ -532,6 +532,8 @@ class TestFuzz:
                             "--encoding", encoding, "--out", out)
 
     @given(geometry_payloads, disk_points, small_ints, seeds)
+    # a finite coordinate whose square overflows in the disk check
+    @example(system_to_dict(build_system(1, 2)), "0.0,1.3407807929942597e+154", 0, 0)
     @settings(max_examples=40, deadline=None)
     def test_fiber_exit_codes(self, payload, at, count, seed):
         with tempfile.TemporaryDirectory() as tmp:

@@ -176,6 +176,41 @@ class TestRelationViolations:
         assert [c.tol for c in verify_relations(dense).checks] == [1e-12] * 3
 
 
+def assert_product_bits(system, seed):
+    """generator_images and p0_lift equal the signed gather x[cols] * signs (exact systems) and
+    the products u @ B.T bit for bit, on one point and on a batch."""
+    x = rng_from(seed).standard_normal((3, 5, system.dim))
+    u = rng_from(seed, 1).standard_normal((3, 5, system.l))
+    if system.exact:
+        cols, signs = system.generators
+        for pts in (x, x[0, 0]):
+            assert system.generator_images(pts).tobytes() == (np.take(pts, cols, axis=-1)
+                                                              * signs).tobytes()
+    for plus, basis in zip((True, False), system.p0_eigenbases):
+        for coeffs in (u, u[0], u[0, 0]):
+            assert system.p0_lift(coeffs, plus).tobytes() == (coeffs @ basis.T).tobytes()
+
+
+class TestGeneratorPaths:
+    @pytest.mark.parametrize("m,k", ALL_PAIRS)
+    def test_signed_gather_and_scattered_lift_match_products(self, m, k):
+        for flips in {0, min(1, k)}:
+            system = build_system(m, k, flips)
+            # every built system's eigenbases of P_0 are coordinate selections
+            assert all(c is not None for c in system._p0_selections)
+            assert_product_bits(system, m * 10 + k)
+
+    def test_other_bases_take_the_product(self):
+        conj = conjugate_system(build_system(3, 2), haar(23, 16))
+        # a signed-perm system whose P_0 (the built P_1) is not diagonal
+        cols, signs = build_system(3, 2).generators
+        swapped = CliffordSystem(3, 8, (cols[[1, 0, 2, 3]], signs[[1, 0, 2, 3]]))
+        assert verify_relations(swapped).passed
+        for system in (conj, swapped):
+            assert system._p0_selections == (None, None)
+            assert_product_bits(system, 24)
+
+
 class TestTraceInvariant:
     @pytest.mark.parametrize("m,k,flips,expected", [
         (4, 3, 0, 3), (4, 3, 1, 1), (4, 2, 0, 2), (4, 2, 1, 0), (4, 2, 2, 2),

@@ -103,12 +103,15 @@ class TestPiC:
 
 
 NON_FINITE = [np.nan, np.inf, -np.inf]
+# finite, but its square overflows to inf
+HUGE = 1.3407807929942597e+154
 
 
 class TestNonFiniteInputs:
-    """NaN and inf fail the norm tests instead of slipping past them."""
+    """NaN, inf and coordinates whose squares overflow fail the norm tests,
+    instead of slipping past them or warning first."""
 
-    @pytest.mark.parametrize("bad", NON_FINITE)
+    @pytest.mark.parametrize("bad", NON_FINITE + [HUGE])
     def test_pi_c(self, s22, bad):
         x = np.zeros(s22.dim)
         x[0] = bad
@@ -119,17 +122,19 @@ class TestNonFiniteInputs:
         with pytest.raises(ValueError):
             pi_c(s22, batch)
 
-    @pytest.mark.parametrize("bad", NON_FINITE)
+    @pytest.mark.parametrize("bad", NON_FINITE + [HUGE])
     def test_fiber_sample(self, s22, bad):
         with pytest.raises(ValueError):
             fiber_sample(s22, np.array([bad, 0.0, 0.0]), 4, 0)
         with pytest.raises(ValueError):
             fiber_sample(s22, np.array([0.1, bad, 0.2]), 4, 0)
 
-    @pytest.mark.parametrize("bad", NON_FINITE)
+    @pytest.mark.parametrize("bad", NON_FINITE + [HUGE])
     def test_boundary_fiber_sample(self, s22, bad):
         with pytest.raises(ValueError):
             boundary_fiber_sample(s22, np.array([bad, 0.0, 0.0]), 4, 0)
+        with pytest.raises(ValueError):
+            reflect_symmetry(s22, np.array([0.0, bad, 0.0]), np.eye(s22.dim))
 
     @pytest.mark.parametrize("bad", NON_FINITE + [2.0])
     def test_fkm_f0(self, s22, bad):
@@ -139,7 +144,7 @@ class TestNonFiniteInputs:
         with pytest.raises(ValueError, match="unit vector"):
             fkm_f0(s22, x)
 
-    @pytest.mark.parametrize("bad", NON_FINITE)
+    @pytest.mark.parametrize("bad", NON_FINITE + [HUGE])
     def test_quotient_lift(self, bad):
         with pytest.raises(ValueError):
             quotient_lift(np.array([bad, 0.0]))
@@ -269,7 +274,8 @@ class TestSamplerFormulas:
         sigma = outer.std(axis=0) / np.sqrt(n)
         assert np.all(np.abs(outer.mean(axis=0) - expected) <= 5.0 * sigma + 1e-12)
 
-    @pytest.mark.parametrize("mk", [(2, 2), (3, 2), (4, 3), (6, 2), (9, 1)])
+    # (4, 3, 1): a flipped block, whose E+-(P_0) coordinates do not ascend
+    @pytest.mark.parametrize("mk", [(2, 2), (3, 2), (4, 3), (6, 2), (9, 1), (4, 3, 1)])
     def test_exact_samplers_match_dense_formulas_bitwise(self, mk):
         system = build_system(*mk)
         coords = sample_unit_vectors(rng_from(35, *mk), system.m + 1, 1)[0]
