@@ -121,6 +121,23 @@ def cd_mul(a, b) -> np.ndarray:
 # Dense helpers
 # --------------------------------------------------------------------------- #
 
+# Entries per block of the stacks a batch builds (generator images, span matrices):
+# a 512 KB block, so a large batch holds about what one small call holds.
+_BLOCK = 1 << 16
+
+
+def _blocks(count: int, size: int) -> list:
+    """Equal slices of count rows of size entries each, at most _BLOCK entries a slice.
+
+    A slice is whole rows, at least one.  Equal slices keep a large batch
+    from ending in a lone row, which on dense systems would take a
+    matrix-vector BLAS call where the other slices take matrix-matrix ones.
+    """
+    rows = max(1, _BLOCK // max(size, 1))
+    parts = max(1, -(-count // rows))
+    return [slice(count * c // parts, count * (c + 1) // parts) for c in range(parts)]
+
+
 def max_abs(a: np.ndarray) -> float:
     a = np.asarray(a)
     return 0.0 if a.size == 0 else float(np.max(np.abs(a)))

@@ -27,7 +27,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .algebra import _cd_gather, _identity, _kron, _mul, _transpose, eig_split, max_abs
+from .algebra import _blocks, _cd_gather, _identity, _kron, _mul, _transpose, eig_split, max_abs
 from .reports import CheckResult, VerificationReport
 
 __all__ = [
@@ -70,8 +70,10 @@ def delta(m: int) -> int:
 
 
 def dimension_cap() -> int:
-    """Matrix size cap on 2l; overridable through CFL_MAX_DIM."""
+    """Matrix size cap on 2l; overridable through CFL_MAX_DIM, a positive integer."""
     raw = os.environ.get("CFL_MAX_DIM")
+    if raw and not (raw.strip().isdecimal() and int(raw) > 0):
+        raise ValueError(f"CFL_MAX_DIM must be a positive integer, got {raw!r}")
     return int(raw) if raw else DEFAULT_DIM_CAP
 
 
@@ -276,6 +278,23 @@ class CliffordSystem:
         stack = out.reshape(-1, self.dim, self.dim)
         for i in np.flatnonzero(np.any(rows, axis=0)):
             stack += rows[:, i, None, None] * self.generators[i]
+        return out
+
+    def span_apply(self, p: np.ndarray, x: np.ndarray) -> np.ndarray:
+        """x[j] @ P_j^T for span coordinate rows p (k, m+1) and x (k, n, 2l).
+
+        A single p (m+1,) acts on x (..., 2l) as a batch of one.  P_j comes
+        from :meth:`span_matrix` one ``_blocks`` slice of rows at a time;
+        each product is the (n, 2l) @ (2l, 2l) one a single call makes.
+        """
+        p, x = np.asarray(p, dtype=float), np.asarray(x, dtype=float)
+        if p.ndim == 1:
+            return self.span_apply(p[None], x.reshape(1, -1, self.dim)).reshape(x.shape)
+        if x.ndim != 3 or len(p) != len(x):
+            raise ValueError("pass one frame per row of x, with x of shape (k, n, 2l)")
+        out = np.empty(x.shape)
+        for rows in _blocks(len(x), self.dim ** 2):
+            np.matmul(x[rows], np.swapaxes(self.span_matrix(p[rows]), -1, -2), out=out[rows])
         return out
 
 

@@ -24,7 +24,7 @@ import numpy as np
 from .algebra import (check_unit, rng_from, row_dots, row_norms, sample_unit_vectors,
                       sign_fixed_rotation)
 from .clifford import CliffordSystem
-from .foliation import _pi_state, _span_apply, fiber_sample, pi_c, quotient_distance
+from .foliation import _pi_state, fiber_sample, pi_c, quotient_distance
 
 __all__ = [
     "FoliationSpec",
@@ -56,8 +56,8 @@ class FoliationSpec:
     needed by the cone metric) is the leaf-space metric of paired rows,
     giving (n,).  ``leaf_sampler(units, rng)`` (optional) draws a leaf point
     through each row, in row order; without it the ambient distance
-    estimator uses single-direction fibers.  ``leaves_are_fibers`` marks the
-    by-points foliation, whose composed leaves are plain fibers.
+    estimator uses single-direction fibers.  ``leaves_are_fibers`` makes each
+    composed leaf the plain fiber over its disk point, as for ``points``.
     ``invariant_jacobian`` (optional) maps nonzero rows (S, m+1) to the
     Jacobians (S, t, m+1) of v -> invariant_map(v / |v|); without it the
     estimator takes central differences, one ``invariant_map`` call on
@@ -324,12 +324,12 @@ def _constraint_state(system: CliffordSystem, spec: FoliationSpec, z: np.ndarray
 
     z holds one point per row, shape (S, 2l); c has shape (S, k) and the rows
     (S, k, 2l).  Constraints: |pi|^2 fixed, plus the direction invariant
-    fixed when the class is off the origin.  For point leaves, and for the
-    origin class (whose leaf is the fiber over 0 for every spec), the
-    quotient value itself is the constraint; the |pi|^2 form would have a
-    vanishing gradient exactly on the focal manifold.  Otherwise the
-    invariant's Jacobian (the spec's closed form, or central differences of
-    its invariant map) is chained through the pi_C gradients.
+    fixed when the class is off the origin.  Fiber leaves take target_tail
+    = pi_C(y) and the constraint pi_C(z) - pi_C(y); the origin class (whose
+    leaf is the fiber over 0 for every spec) takes pi_C(z).  The |pi|^2 form
+    would have a vanishing gradient exactly on the focal manifold.  Otherwise
+    the invariant's Jacobian (the spec's closed form, or central differences
+    of its invariant map) is chained through the pi_C gradients.
 
     Every constraint is a function phi of pi_C, so the rows are
     dphi @ pi_rows.  Returns (c, rows, v, pi_rows, dphi) with v = pi_C(z)
@@ -340,7 +340,7 @@ def _constraint_state(system: CliffordSystem, spec: FoliationSpec, z: np.ndarray
     v, rows_pi = _pi_state(system, z)
     if target_tail is None or spec.leaves_are_fibers:
         eye = np.broadcast_to(np.eye(v.shape[-1]), v.shape + v.shape[-1:])
-        c = v if target_tail is None else v - np.sqrt(target_r2) * target_tail
+        c = v if target_tail is None else v - target_tail
         return c, rows_pi, v, rows_pi, eye
     r2 = np.sum(v * v, axis=-1)
     vhat = v / np.sqrt(np.maximum(r2, 1e-30))[:, None]
@@ -453,11 +453,10 @@ def _newton_direction(system, spec, z, g, lam, best, v, rows_pi, dphi, curved):
             w += np.sum(lam[:, 1:, None, None] * hess, axis=1)
     cols = np.concatenate([rows_pi, z[:, None, :]], axis=1)  # C^T, (S, m+2, 2l)
     vecs = np.concatenate([g[:, None, :], cols], axis=1)
-    images = 2.0 * np.sum(a[:, None, :, None] * system.generator_images(vecs), axis=2)
     # rows with a (nearly) singular B overflow quietly; the final mask drops them
     with np.errstate(all="ignore"):
-        binv = (images - mu[:, None, None] * vecs) / (4.0 * np.sum(a * a, axis=-1)
-                                                       - mu * mu)[:, None, None]
+        binv = ((2.0 * system.span_apply(a, vecs) - mu[:, None, None] * vecs)
+                / (4.0 * np.sum(a * a, axis=-1) - mu * mu)[:, None, None])
         gram = cols @ np.ascontiguousarray(np.swapaxes(binv, -1, -2))  # <C_i, B^-1 vecs_j>
         h, gm = gram[..., 0], gram[..., 1:]
         # unknowns (y_J, y_z, nu): y_J + W s = dphi^T nu, <z, xi> = 0, dphi s = 0,
@@ -624,7 +623,7 @@ def leaf_to_leaf_ambient_distance(system: CliffordSystem, spec: FoliationSpec,
         units = np.repeat(vhat[None], n_dirs, axis=0)
         w = units if spec.leaf_sampler is None else spec.leaf_sampler(units, rng)
         xs = np.broadcast_to(x, (n_dirs, 1, len(x)))
-        proj = 0.5 * (x + _span_apply(system, w, xs)[:, 0])
+        proj = 0.5 * (x + system.span_apply(w, xs)[:, 0])
         return float(np.min(np.arccos(np.clip(row_norms(proj), 0.0, 1.0))))
 
     samples = _leaf_sample_blocks(system, spec, v, budget, rng)
@@ -634,7 +633,7 @@ def leaf_to_leaf_ambient_distance(system: CliffordSystem, spec: FoliationSpec,
     target_r2 = r * r
     target_tail = None
     if r > _ORIGIN_TOL:
-        target_tail = spec.invariant_map((v / r)[None])[0]
+        target_tail = v if spec.leaves_are_fibers else spec.invariant_map((v / r)[None])[0]
     # Starts: champions of the 32-sample slices of the first 2048 samples,
     # half taken greedily by objective value and half spread through the
     # remaining ranks, so a global basin with a mediocre floor still gets a

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import (check_unit, eig_split, gaussian_rows, redraw_short_rows, rng_streams,
+from .algebra import (_blocks, check_unit, eig_split, gaussian_rows, redraw_short_rows, rng_streams,
                       row_dots, row_norms, sample_unit_vectors, seed_ints, snapped_sqrt)
 from .clifford import CliffordSystem
 
@@ -45,26 +45,9 @@ __all__ = [
     "EmptyFocalError",
 ]
 
-# Entries per block of the stacks a batch builds (generator images, span
-# matrices): a 512 KB block, so a large batch holds about what one small
-# call holds.  See _blocks.
-_BLOCK = 1 << 16
-
 
 class EmptyFocalError(ValueError):
     """Requested samples of M+ on a system whose quotient has no interior."""
-
-
-def _blocks(count: int, size: int) -> list:
-    """Equal slices of count rows of size entries each, at most _BLOCK entries a slice.
-
-    A slice is whole rows, at least one.  Equal slices keep a large batch
-    from ending in a lone row, which on dense systems would take a
-    matrix-vector BLAS call where the other slices take matrix-matrix ones.
-    """
-    rows = max(1, _BLOCK // max(size, 1))
-    parts = max(1, -(-count // rows))
-    return [slice(count * c // parts, count * (c + 1) // parts) for c in range(parts)]
 
 
 def _quadratic_values(px: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -110,24 +93,6 @@ def _seeded_rows(points, seeds, width: int):
     return np.atleast_2d(points), seeds, single
 
 
-def _span_apply(system: CliffordSystem, p: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """x[j] @ P_j^T for span coordinate rows p (k, m+1) and x (k, n, 2l).
-
-    A single p (m+1,) acts on x (..., 2l) as a batch of one.  P_j is built a
-    block of rows at a time; each product is the (n, 2l) @ (2l, 2l) one a
-    single call makes.
-    """
-    p, x = np.asarray(p, dtype=float), np.asarray(x, dtype=float)
-    if p.ndim == 1:
-        return _span_apply(system, p[None], x.reshape(1, -1, system.dim)).reshape(x.shape)
-    if x.ndim != 3 or len(p) != len(x):
-        raise ValueError("pass one frame per row of x, with x of shape (k, n, 2l)")
-    out = np.empty(x.shape)
-    for rows in _blocks(len(x), system.dim ** 2):
-        np.matmul(x[rows], np.swapaxes(system.span_matrix(p[rows]), -1, -2), out=out[rows])
-    return out
-
-
 def _boundary_rows(system: CliffordSystem, p: np.ndarray, n: int, seeds) -> np.ndarray:
     """n samples of each boundary fiber over the unit rows of p, shape (k, n, 2l)."""
     # P^2 = |p|^2 Id on a Clifford system: the involution check, without P @ P
@@ -135,11 +100,11 @@ def _boundary_rows(system: CliffordSystem, p: np.ndarray, n: int, seeds) -> np.n
         raise ValueError("span element is not an involution to 1e-10")
     rngs = rng_streams(seeds)
     z = gaussian_rows(rngs, (n, system.dim))
-    z += _span_apply(system, p, z)
+    z += system.span_apply(p, z)
 
     def draw(j, bad):
         fresh = rngs[j].standard_normal((int(np.sum(bad)), system.dim))
-        return fresh + _span_apply(system, p[j], fresh)
+        return fresh + system.span_apply(p[j], fresh)
 
     return z / redraw_short_rows(z, draw)[..., None]
 
@@ -253,7 +218,7 @@ def fiber_sample(system: CliffordSystem, v: np.ndarray, n: int, seeds) -> np.nda
         x = out if np.all(mid) else out[mid]
         t = (np.arcsin(r[mid]) / 2.0)[:, None, None]
         # cos(t) x + sin(t) Q x, in place and added in that order
-        y = _span_apply(system, v[mid] / r[mid, None], x)
+        y = system.span_apply(v[mid] / r[mid, None], x)
         y *= np.sin(t)
         x *= np.cos(t)
         x += y
@@ -396,7 +361,7 @@ def reflect_symmetry(system: CliffordSystem, p_coords: np.ndarray,
     pi_C(Px) = -pi_C(x) + 2 <pi_C(x), P> P.  A unit p (m+1,) acts on x (..., 2l);
     unit rows p (k, m+1) act with row j on x[j] of x (k, n, 2l), as k single calls.
     """
-    return _span_apply(system, check_unit(p_coords, "span element"), x)
+    return system.span_apply(check_unit(p_coords, "span element"), x)
 
 
 def reflected_disk_point(v: np.ndarray, p_coords: np.ndarray) -> np.ndarray:
@@ -421,7 +386,7 @@ def spin_rotate(system: CliffordSystem, p_coords: np.ndarray, q_coords: np.ndarr
     if p.shape != q.shape or np.any(np.abs(row_dots(p, q)) > 1e-12):
         raise ValueError("span elements must be orthonormal")
     x = np.asarray(x, dtype=float)
-    out = _span_apply(system, p, _span_apply(system, q, x))
+    out = system.span_apply(p, system.span_apply(q, x))
     theta = np.broadcast_to(theta, p.shape[:-1])
     theta = theta.reshape(theta.shape + (1,) * (x.ndim - theta.ndim))
     out *= np.sin(theta)

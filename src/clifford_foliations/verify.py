@@ -10,7 +10,6 @@ seeds so no ordering effect can creep in.
 
 from __future__ import annotations
 
-import operator
 import time
 import warnings
 from dataclasses import dataclass, field
@@ -48,7 +47,6 @@ from .composed import (
     signed_svd_triple,
 )
 from .foliation import (
-    _span_apply,
     boundary_fiber_sample,
     fiber_sample,
     fkm_f0,
@@ -93,9 +91,11 @@ class SuiteConfig:
     """One suite invocation: which suite, on which system, how hard to push.
 
     ``budget`` holds per-suite effort knobs named in ``_BUDGET_KNOBS``, each
-    at least 1; any other name raises ValueError.  The seed is an integer with
-    0 <= seed < 2^48, so every seed a suite derives from it (at most
-    seed * 20000 + i) fits in int64.  Tolerances are pinned in the suites.
+    at least 1; any other name raises ValueError.  The seed, ``samples`` and
+    every knob are integers (anything else, a bool too, raises TypeError).
+    The seed satisfies 0 <= seed < 2^48, so every seed a suite derives from
+    it (at most seed * 20000 + i) fits in int64.  Tolerances are pinned in
+    the suites.
     """
 
     suite: str
@@ -105,10 +105,10 @@ class SuiteConfig:
     budget: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        try:
-            self.seed = operator.index(self.seed)
-        except TypeError:
-            raise TypeError(f"seed must be an integer, got {self.seed!r}") from None
+        for name, value in [("seed", self.seed), ("samples", self.samples), *self.budget.items()]:
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise TypeError(f"{name} must be an integer, got {value!r}")
+        self.seed, self.samples = int(self.seed), int(self.samples)
         if not 0 <= self.seed < 2**48:
             raise ValueError(f"seed must satisfy 0 <= seed < 2**48, got {self.seed}")
         if self.samples < 1:
@@ -178,7 +178,7 @@ def _suite_boundary_fibers(cfg: SuiteConfig):
     res_anti = np.abs(pi_c(system, -x) - p).max()
     # P is an involution (P^2 = |p|^2 Id, checked by the sampler), so its
     # eigenvalues are +-1 and dim E_+(P) = tr((Id + P) / 2)
-    dim_plus = round((system.dim + float(np.trace(system.span_matrix(p)))) / 2.0)
+    dim_plus = round((system.dim + np.trace(system.span_apply(p, np.eye(system.dim)))) / 2.0)
     return [
         CheckResult.from_violation(
             "fiber_projects_to_point", "every boundary-fiber sample maps to its boundary point",
@@ -458,8 +458,8 @@ def _suite_invariants_classification(cfg: SuiteConfig):
     rng = rng_from(cfg.seed, 7)
     pq = rng.standard_normal((50, 2, system.m + 1))
     x = sample_unit_vectors(rng, system.dim, 50)[:, None]
-    px = _span_apply(system, pq[:, 0], x)[:, 0]
-    qx = _span_apply(system, pq[:, 1], x)[:, 0]
+    px = system.span_apply(pq[:, 0], x)[:, 0]
+    qx = system.span_apply(pq[:, 1], x)[:, 0]
     iso = float(np.max(np.abs(row_dots(px, qx) - row_dots(pq[:, 0], pq[:, 1]))))
     checks.append(CheckResult.from_violation(
         "span_isometry", "span elements multiply like their coordinates on every unit vector",

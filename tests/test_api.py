@@ -48,3 +48,10 @@ def test_only_clifford_reads_generators():
     readers = sorted(path.name for path in PACKAGE_DIR.glob("*.py")
                      if re.search(r"\.generators\b", path.read_text()))
     assert readers == ["clifford.py"]
+
+
+def test_only_clifford_builds_span_matrices():
+    # every sum a_i P_i acts through CliffordSystem.span_apply, the one caller of span_matrix
+    callers = sorted(path.name for path in PACKAGE_DIR.glob("*.py")
+                     if re.search(r"\bspan_matrix\(", path.read_text()))
+    assert callers == ["clifford.py"]

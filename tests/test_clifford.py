@@ -116,6 +116,12 @@ class TestBuildSystem:
         with pytest.raises(ValueError):
             build_system(17, 4)  # 2l = 2048 > 1024
 
+    @pytest.mark.parametrize("raw", ["abc", "0", "-4", "12.5"])
+    def test_dimension_cap_must_be_a_positive_integer(self, monkeypatch, raw):
+        monkeypatch.setenv("CFL_MAX_DIM", raw)
+        with pytest.raises(ValueError, match="CFL_MAX_DIM must be a positive integer"):
+            build_system(2, 2)
+
     def test_rank_and_dimension(self):
         s = build_system(1, 2)
         assert s.generators[0].shape == s.generators[1].shape == (2, 4) and s.dim == 4

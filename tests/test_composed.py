@@ -533,6 +533,19 @@ class TestAmbientLeafDistance:
         assert abs(dq - 0.134) <= 1e-3
         assert abs(d - dq) <= 1e-6
 
+    def test_fiber_leaves_target_the_disk_point(self):
+        # with leaves_are_fibers the leaf is the fiber pi_C(z) = pi_C(y) whatever
+        # the invariant, so the estimate is the fiber distance, above the cone metric
+        system = build_system(3, 2)
+        spec = dataclasses.replace(builtin_spec("height", 3), leaves_are_fibers=True)
+        dirs = sample_unit_vectors(rng_from(3), 4, 2)
+        xa = fiber_sample(system, 0.4 * dirs[0], 1, 13)[0]
+        xb = fiber_sample(system, 0.7 * dirs[1], 1, 23)[0]
+        d = leaf_to_leaf_ambient_distance(system, spec, xa, xb, 600, 3, starts=6)
+        assert d >= composed_quotient_distance(system, spec, xa, xb) - 1e-9
+        fiber = composed_quotient_distance(system, builtin_spec("points", 3), xa, xb)
+        assert abs(d - fiber) <= 1e-9
+
 
 class TestBatchedAscent:
     @pytest.mark.parametrize("mk", [(2, 2), (1, 4), (9, 1), (4, 3, 1)])
@@ -552,7 +565,8 @@ class TestBatchedAscent:
         y = fiber_sample(system, vb, 1, 41)[0]
         v = pi_c(system, y)
         r = float(np.linalg.norm(v))
-        tail = np.asarray(spec.invariant_map((v / r)[None])[0], dtype=float)
+        # a fiber leaf's target is pi_C(y) itself, any other leaf's its invariant
+        tail = v if spec.leaves_are_fibers else spec.invariant_map((v / r)[None])[0]
         starts = _leaf_sample_blocks(system, spec, v, 256, rng_from(42))[::32]
         batch = _descend(system, spec, x, starts, r * r, tail)
         alone = np.array([_descend(system, spec, x, starts[i:i + 1], r * r, tail)[0]
@@ -664,7 +678,7 @@ class TestNewtonAscent:
         z = fiber_sample(s22, v0, 2, 45)
         x = fiber_sample(s22, np.array([-0.2, 0.4, 0.1]), 1, 46)[0]
         r = float(np.linalg.norm(v0))
-        _, rows, v, rows_pi, dphi = composed._constraint_state(s22, spec, z, r * r, v0 / r)
+        _, rows, v, rows_pi, dphi = composed._constraint_state(s22, spec, z, r * r, v0)
         best = z @ x
         g, lam = composed._tangent_projection(rows, x - best[:, None] * z)
         lam[0], best[0] = 0.0, 0.0

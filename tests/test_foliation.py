@@ -470,12 +470,12 @@ class TestRowWiseSamplers:
 class TestBlocks:
     def test_blocks_are_equal_slices_of_whole_rows(self):
         for count, size in [(0, 5), (1, 10**6), (3, 10**6), (7, 1), (1000, 100), (401, 6656)]:
-            blocks = foliation._blocks(count, size)
+            blocks = algebra._blocks(count, size)
             assert blocks[0].start == 0 and blocks[-1].stop == count
             assert all(a.stop == b.start for a, b in zip(blocks, blocks[1:]))
             rows = [b.stop - b.start for b in blocks]
             assert max(rows) - min(rows) <= 1
-            assert all(r * size <= foliation._BLOCK or r == 1 for r in rows)
+            assert all(r * size <= algebra._BLOCK or r == 1 for r in rows)
 
     @pytest.mark.parametrize("case", ["exact", "conjugated"])
     def test_small_blocks_equal_one_block(self, monkeypatch, case):
@@ -493,11 +493,11 @@ class TestBlocks:
                     mplus_sample(system, n, seeds)]
 
         counts = ((50, row), (12, span), (12, fiber))
-        assert [len(foliation._blocks(c, size)) for c, size in counts] == [1, 1, 1]
+        assert [len(algebra._blocks(c, size)) for c, size in counts] == [1, 1, 1]
         whole = draws()
         # ten pi_c rows, two span matrices and two M+ fibers to a block
-        monkeypatch.setattr(foliation, "_BLOCK", 640)
-        assert [len(foliation._blocks(c, size)) for c, size in counts] == [5, 6, 6]
+        monkeypatch.setattr(algebra, "_BLOCK", 640)
+        assert [len(algebra._blocks(c, size)) for c, size in counts] == [5, 6, 6]
         for got, expected in zip(draws(), whole):
             assert got.tobytes() == expected.tobytes()
 
@@ -741,8 +741,8 @@ class TestSymmetries:
         x = sample_unit_vectors(rng_from(73), system.dim, 4 * k).reshape(k, 4, system.dim)
         if block is not None:
             # at most four 16 x 16 matrices to a block: the five frames split in two
-            monkeypatch.setattr(foliation, "_BLOCK", block)
-            assert len(foliation._blocks(k, system.dim ** 2)) == 2
+            monkeypatch.setattr(algebra, "_BLOCK", block)
+            assert len(algebra._blocks(k, system.dim ** 2)) == 2
         reflected = reflect_symmetry(system, p, x)
         rotated = spin_rotate(system, p, q, theta, x)
         half_turns = spin_rotate(system, p, q, np.pi, x)

@@ -115,8 +115,10 @@ class TestDeterminism:
     }
 
     # SHA-256 of the file `cfl report --max-dim 64 --seed 7 --out FILE` writes;
-    # re-pinned with transnormality when the estimator's solves became LU
-    REPORT_DIGEST = "69745e903f152536dc0d30766b7bd0844bb78c59c3e0b1445685dc3ee7f1727c"
+    # re-pinned with transnormality when the estimator's solves became LU, and
+    # again when the Newton step applied its span element through span_apply
+    # and fiber leaves were held to pi_C(y) itself
+    REPORT_DIGEST = "73c2bca2c50353b3573812742e1e60f85fdd529a5630aa5eef36ab180338550a"
 
     @pytest.mark.skipif(np.__version__ != PLAN_DIGESTS_NUMPY,
                         reason=f"plan digests were taken with numpy {PLAN_DIGESTS_NUMPY}")
@@ -133,8 +135,10 @@ class TestDeterminism:
     # SHA-256 of the transnormality report JSON lines over all 28 of its
     # configs in default_plan(64, seed=7, samples=300), taken with numpy 2.4.6;
     # re-pinned when the estimator's Newton corrections and bordered systems
-    # became LU solves (40 of the report's 2982 floats moved, by <= 7.2e-15)
-    TRANSNORMALITY_DIGEST = "b65a0cbf517c992989baaadd99f90c3cd62fc7281157906ee438df9cb1303c15"
+    # became LU solves (40 of the report's 2982 floats moved, by <= 7.2e-15), and
+    # again when the Newton step applied 2 sum a_i P_i through span_apply and
+    # fiber leaves were held to pi_C(y) itself (38 floats moved, by <= 1.34e-14)
+    TRANSNORMALITY_DIGEST = "2da1edb5df29a55b582d928bb64c3a8b33844584e79c9fd199d1009164eaab16"
 
     @pytest.mark.skipif(np.__version__ != PLAN_DIGESTS_NUMPY,
                         reason=f"plan digests were taken with numpy {PLAN_DIGESTS_NUMPY}")
@@ -197,6 +201,17 @@ class TestConfigValidation:
             with pytest.raises(TypeError, match="seed"):
                 SuiteConfig("disk_image", s22, seed=seed)
         assert type(SuiteConfig("disk_image", s22, seed=np.int64(3)).seed) is int
+
+    def test_counts_are_integers(self, s22):
+        # a fraction or a bool would run (truncated) and land in the report
+        for samples in (2.5, True):
+            with pytest.raises(TypeError, match="samples"):
+                SuiteConfig("disk_image", s22, samples=samples)
+        for budget in ({"pairs": 2.5}, {"geodesics": True}):
+            with pytest.raises(TypeError, match=f"{next(iter(budget))} must be an integer"):
+                SuiteConfig("geodesics", s22, budget=budget)
+        config = SuiteConfig("disk_image", s22, samples=np.int64(8), budget={"pairs": np.int64(2)})
+        assert type(config.samples) is int and config.knob("pairs", 1) == 2
 
     @pytest.mark.parametrize("suite", ["geodesics", "quotient_metric", "homogeneous_orbits",
                                        "normal_forms", "composed_identities", "transnormality"])
