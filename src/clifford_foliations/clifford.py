@@ -170,8 +170,8 @@ class CliffordSystem:
     ``(cols, signs)``, int arrays of shape (m+1, 2l): entry r of P_i x is
     ``signs[i, r] * x[cols[i, r]]``.  Other systems (conjugated or loaded
     dense) hold one (m+1, 2l, 2l) float stack.  Treat instances as
-    immutable: :attr:`p0_eigenbases` and the indices derived from the
-    generators are cached on first use.
+    immutable: :attr:`p0_eigenbases`, the blocks of P_1..P_m between them
+    and the indices derived from the generators are cached on first use.
     """
 
     m: int
@@ -228,57 +228,115 @@ class CliffordSystem:
         return eig_split(self.dense_generator(0))
 
     @cached_property
-    def _p0_selections(self) -> tuple:
-        """For B_plus and B_minus, the coordinate each column picks, or None.
+    def _p0_coords(self):
+        """The coordinates B_plus and B_minus select, one basis after the other, or None.
 
-        A basis whose columns are distinct standard unit vectors (on every
-        built system, in the SVD's column order, which need not ascend)
-        gives its coordinates; any other basis gives None.
+        Bases whose columns are distinct standard unit vectors (on every built
+        system, in the SVD's column order, which need not ascend) select
+        coordinates; any other pair of bases gives None.
         """
-        return tuple(_selected_coords(b) for b in self.p0_eigenbases)
+        coords = [_selected_coords(b) for b in self.p0_eigenbases]
+        return None if any(c is None for c in coords) else np.concatenate(coords)
 
-    def p0_lift(self, coeffs: np.ndarray, plus: bool) -> np.ndarray:
-        """coeffs @ B.T for the basis B of E_+(P_0) (plus) or of E_-(P_0).
+    @cached_property
+    def _p0_order(self):
+        """The slot of each coordinate of R^(2l) in [u, w], where the bases select coordinates."""
+        return None if self._p0_coords is None else np.argsort(self._p0_coords)
 
-        Where B is a 0/1 coordinate selection the coefficients are scattered
-        to their coordinates: the product's other terms are exact zeros, so
-        the bits are the product's.  Other bases take the product.
+    @cached_property
+    def _p0_blocks(self):
+        """The blocks R_i = B_minus^T P_i B_plus of P_1..P_m, from E_+(P_0) to E_-(P_0).
+
+        Each P_i with i >= 1 anticommutes with P_0, so it maps E_+(P_0) onto
+        E_-(P_0) as the l x l block R_i (and back as R_i^T).  An exact system
+        whose bases select coordinates keeps them as one gather pair
+        ``(cols, signs)`` of shape (m, l): entry r of u R_i^T is
+        ``signs[i, r] * u[cols[i, r]]``, read off the rows of P_i at the
+        coordinates of E_-(P_0), whose columns lie in E_+(P_0).  Other systems
+        keep one (m, l, l) stack.
         """
-        which = 0 if plus else 1
-        coords = self._p0_selections[which]
-        if coords is None:
-            return coeffs @ self.p0_eigenbases[which].T
-        out = np.zeros(coeffs.shape[:-1] + (self.dim,))
-        out[..., coords] = coeffs
-        return out
+        if self.exact and self._p0_coords is not None:
+            cols, signs = self.generators
+            c_minus = self._p0_coords[self.l:]
+            return self._p0_order[cols[1:, c_minus]], signs[1:, c_minus]
+        b_plus, b_minus = self.p0_eigenbases
+        gens = np.array([self.dense_generator(i) for i in range(1, self.m + 1)])
+        return b_minus.T @ gens.reshape(self.m, self.dim, self.dim) @ b_plus
+
+    @cached_property
+    def _p0_signed_cols(self) -> np.ndarray:
+        """cols + l [signs < 0] of the gather pair :attr:`_p0_blocks`: indices into [u, -u]."""
+        cols, signs = self._p0_blocks
+        return cols + self.l * (signs < 0)
+
+    def p0_images(self, u: np.ndarray) -> np.ndarray:
+        """P_1 x, ..., P_m x in E_-(P_0) coefficients, for x = u B_plus^T in E_+(P_0).
+
+        u holds rows (..., n, l); the result has shape (..., n, m, l), entry i
+        u R_{i+1}^T.  A gather pair takes one ``np.take`` from [u, -u]; a stack
+        takes one (n, l) @ (l, l) product per generator and batch of n rows,
+        the product a single batch takes.
+        """
+        blocks = self._p0_blocks
+        if isinstance(blocks, tuple):
+            return np.take(np.concatenate((u, -u), axis=-1), self._p0_signed_cols, axis=-1)
+        return np.moveaxis(u[..., None, :, :] @ np.swapaxes(blocks, -1, -2), -3, -2)
+
+    def p0_span_apply(self, q: np.ndarray, u: np.ndarray, w: np.ndarray):
+        """E_+-(P_0) coefficients of sum_i q_i P_i x for x = u B_plus^T + w B_minus^T.
+
+        Rows q (k, m+1) act with row j on u[j] and w[j], both (k, n, l), and
+        give (q_0 u + w B_q, u B_q^T - q_0 w) with B_q = sum_{i>=1} q_i R_i.
+        B_q is built l x l one ``_blocks`` slice of rows at a time, and each
+        product is the (n, l) @ (l, l) one a single row takes.
+        """
+        out_u, out_w = np.empty(u.shape), np.empty(w.shape)
+        for rows in _blocks(len(q), self.l ** 2):
+            b_q = _span_sum(q[rows, 1:], self._p0_blocks, self.l)
+            np.matmul(w[rows], b_q, out=out_u[rows])
+            np.matmul(u[rows], np.swapaxes(b_q, -1, -2), out=out_w[rows])
+        q0 = q[:, 0, None, None]
+        out_u += q0 * u
+        out_w -= q0 * w
+        return out_u, out_w
+
+    def p0_assemble(self, u: np.ndarray, w: np.ndarray) -> np.ndarray:
+        """u B_plus^T + w B_minus^T: the point of R^(2l) with E_+-(P_0) coefficients u, w.
+
+        Where both bases select coordinates, [u, w] is permuted into place by
+        one ``np.take``: the products' other terms are exact zeros, so the bits
+        are the products'.  Other bases take the products.
+        """
+        if self._p0_order is None:
+            b_plus, b_minus = self.p0_eigenbases
+            out = u @ b_plus.T
+            out += w @ b_minus.T
+            return out
+        return np.take(np.concatenate((u, w), axis=-1), self._p0_order, axis=-1)
 
     def span_matrix(self, coords: np.ndarray) -> np.ndarray:
         """Dense matrix of sum_i coords[i] * P_i; rows of coords give a stack.
 
         coords of shape (m+1,) gives a (2l, 2l) matrix, (k, m+1) a (k, 2l, 2l)
-        stack.  Exact systems scatter coords[j, i] * signs[i, r] to
-        (j, r, cols[i, r]) for every nonzero coordinate.  Two anticommuting
-        symmetric signed permutations never share a nonzero entry (a shared
-        entry at (r, c) would make (P_i P_j + P_j P_i)[r, r] equal +-2), so
-        the scatter equals the dense sum bit for bit.
+        stack, summed by :func:`_span_sum`.
         """
         coords = np.asarray(coords, dtype=float)
         if coords.ndim not in (1, 2) or coords.shape[-1] != self.m + 1:
             raise ValueError("span coordinates must have length m+1")
-        out = np.zeros(coords.shape[:-1] + (self.dim, self.dim))
-        rows = coords.reshape(-1, self.m + 1)
+        out = _span_sum(coords.reshape(-1, self.m + 1), self.generators, self.dim)
+        return out.reshape(coords.shape[:-1] + (self.dim, self.dim))
+
+    def span_trace(self, p: np.ndarray) -> float:
+        """tr(sum_i p_i P_i) = sum_i p_i tr(P_i), without forming the matrix.
+
+        An exact system reads each integer trace from its gather pair; a dense
+        one takes ``np.trace`` of each generator.
+        """
         if self.exact:
-            cols, signs = self.generators
-            j, i = np.nonzero(rows)
-            # flat index of entry (j, r, cols[i, r]) of the stack
-            at = (cols + np.arange(0, self.dim ** 2, self.dim))[i] + (j * self.dim ** 2)[:, None]
-            out.reshape(-1)[at] = rows[j, i, None] * signs[i]
-            return out
-        # zero coordinates add only zeros, which leave every entry's bits alone
-        stack = out.reshape(-1, self.dim, self.dim)
-        for i in np.flatnonzero(np.any(rows, axis=0)):
-            stack += rows[:, i, None, None] * self.generators[i]
-        return out
+            traces = _gather_traces(*self.generators)
+        else:
+            traces = np.trace(self.generators, axis1=-2, axis2=-1)
+        return float(np.asarray(p, dtype=float) @ traces)
 
     def span_apply(self, p: np.ndarray, x: np.ndarray) -> np.ndarray:
         """x[j] @ P_j^T for span coordinate rows p (k, m+1) and x (k, n, 2l).
@@ -305,6 +363,35 @@ def _selected_coords(basis: np.ndarray):
             and np.all(basis[coords, np.arange(len(coords))] == 1.0)):
         return coords
     return None
+
+
+def _span_sum(rows: np.ndarray, blocks, width: int) -> np.ndarray:
+    """sum_i rows[j, i] * A_i for each row j, shape (k, width, width).
+
+    ``blocks`` holds the A_i as one gather pair or as one stack.  A gather
+    pair is scattered into a zero stack for every nonzero coefficient: two
+    anticommuting signed permutations (or blocks R_i, R_j with
+    R_i R_j^T + R_j R_i^T = 0) never share a nonzero entry, since a shared
+    entry at (r, c) would put +-2 on the diagonal of that sum, so the scatter
+    equals the dense sum bit for bit.
+    """
+    out = np.zeros((len(rows), width, width))
+    if isinstance(blocks, tuple):
+        cols, signs = blocks
+        j, i = np.nonzero(rows)
+        # flat index of entry (j, r, cols[i, r]) of the stack
+        at = (cols + np.arange(0, width ** 2, width))[i] + (j * width ** 2)[:, None]
+        out.reshape(-1)[at] = rows[j, i, None] * signs[i]
+        return out
+    # zero coefficients add only zeros, which leave every entry's bits alone
+    for i in np.flatnonzero(np.any(rows, axis=0)):
+        out += rows[:, i, None, None] * blocks[i]
+    return out
+
+
+def _gather_traces(cols: np.ndarray, signs: np.ndarray) -> np.ndarray:
+    """Traces of signed permutations given as gathers: the signs of the fixed rows."""
+    return np.sum(np.where(cols == np.arange(cols.shape[-1]), signs, 0), axis=-1)
 
 
 def build_system(m: int, k: int, flips: int = 0) -> CliffordSystem:
@@ -411,8 +498,7 @@ def trace_invariant(system: CliffordSystem) -> float:
     and the value is 0.
     """
     if system.exact:
-        cols, signs = reduce(_mul, zip(*system.generators))
-        tr = float(np.sum(signs[cols == np.arange(system.dim)]))
+        tr = float(_gather_traces(*reduce(_mul, zip(*system.generators))))
     else:
         tr = float(np.trace(reduce(np.matmul, system.generators)))
     return abs(tr) / (2.0 * delta(system.m))

@@ -141,31 +141,31 @@ def _project_out(w: np.ndarray, g: np.ndarray) -> np.ndarray:
     return g - np.einsum("nmd,nm->nd", w, np.einsum("nmd,nd->nm", w, g))
 
 
-def _mplus_rows(system: CliffordSystem, n: int, seeds) -> np.ndarray:
-    """n samples of M+ per seed, shape (k, n, 2l); each seed draws in the single call's order."""
+def _mplus_rows(system: CliffordSystem, n: int, seeds):
+    """n samples of M+ per seed as E_+-(P_0) coefficients (u, w), each (k, n, l).
+
+    The sample is u B_plus^T + w B_minus^T; each seed draws in the single call's order.
+    """
     m, l = system.m, system.l
     rngs = rng_streams(seeds)
-    units = sample_unit_vectors(rngs, l, n)
-    gauss = gaussian_rows(rngs, (n, l))
-    x_plus = system.p0_lift(units, plus=True)
-    g = system.p0_lift(gauss, plus=False)
-    del units, gauss
+    u = sample_unit_vectors(rngs, l, n)
+    g = gaussian_rows(rngs, (n, l))
     if m:
         # P_1 x+, ..., P_m x+ are orthonormal vectors of E_-(P_0) at each
-        # sample; their (rows, m+1, 2l) images are built block by block
-        for rows in _blocks(len(rngs), n * (m + 1) * 2 * l):
-            w = system.generator_images(x_plus[rows]).reshape(-1, m + 1, 2 * l)[:, 1:]
-            g[rows] = _project_out(w, g[rows].reshape(-1, 2 * l)).reshape(g[rows].shape)
+        # sample; their (rows, m, l) coefficients are built block by block
+        for rows in _blocks(len(rngs), n * m * l):
+            w = system.p0_images(u[rows]).reshape(-1, m, l)
+            g[rows] = _project_out(w, g[rows].reshape(-1, l)).reshape(g[rows].shape)
 
     def draw(j, bad):
-        fresh = system.p0_lift(rngs[j].standard_normal((int(np.sum(bad)), l)), plus=False)
-        return _project_out(system.generator_images(x_plus[j][bad])[:, 1:], fresh) if m else fresh
+        fresh = rngs[j].standard_normal((int(np.sum(bad)), l))
+        return _project_out(system.p0_images(u[j][bad]), fresh) if m else fresh
 
-    # (x_plus + g / |g|) / sqrt(2), in place
+    # the halves of (x_plus + g / |g|) / sqrt(2), in place
     g /= redraw_short_rows(g, draw)[..., None]
-    x_plus += g
-    x_plus /= np.sqrt(2.0)
-    return x_plus
+    u /= np.sqrt(2.0)
+    g /= np.sqrt(2.0)
+    return u, g
 
 
 def mplus_sample(system: CliffordSystem, n: int, seeds) -> np.ndarray:
@@ -180,7 +180,7 @@ def mplus_sample(system: CliffordSystem, n: int, seeds) -> np.ndarray:
     """
     seeds, single = seed_ints(seeds)
     _check_focal(system)
-    x = _mplus_rows(system, n, seeds)
+    x = system.p0_assemble(*_mplus_rows(system, n, seeds))
     return x[0] if single else x
 
 
@@ -211,19 +211,21 @@ def fiber_sample(system: CliffordSystem, v: np.ndarray, n: int, seeds) -> np.nda
         out = _boundary_rows(system, v / r[:, None], n, seeds)
         return out[0] if single else out
     _check_focal(system)
-    out = _mplus_rows(system, n, seeds)
+    u, w = _mplus_rows(system, n, seeds)
     mid = r > 1e-12
     if np.any(mid):
         # interior rows turn in place; in the usual call that is every row
-        x = out if np.all(mid) else out[mid]
+        a, b = (u, w) if np.all(mid) else (u[mid], w[mid])
         t = (np.arcsin(r[mid]) / 2.0)[:, None, None]
-        # cos(t) x + sin(t) Q x, in place and added in that order
-        y = system.span_apply(v[mid] / r[mid, None], x)
-        y *= np.sin(t)
-        x *= np.cos(t)
-        x += y
-        if x is not out:
-            out[mid] = x
+        # cos(t) x + sin(t) Q x in E_+-(P_0) coefficients, added in that order
+        qa, qb = system.p0_span_apply(v[mid] / r[mid, None], a, b)
+        for x, qx in ((a, qa), (b, qb)):
+            qx *= np.sin(t)
+            x *= np.cos(t)
+            x += qx
+        if a is not u:
+            u[mid], w[mid] = a, b
+    out = system.p0_assemble(u, w)
     return out[0] if single else out
 
 

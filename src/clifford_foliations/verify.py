@@ -178,7 +178,7 @@ def _suite_boundary_fibers(cfg: SuiteConfig):
     res_anti = np.abs(pi_c(system, -x) - p).max()
     # P is an involution (P^2 = |p|^2 Id, checked by the sampler), so its
     # eigenvalues are +-1 and dim E_+(P) = tr((Id + P) / 2)
-    dim_plus = round((system.dim + np.trace(system.span_apply(p, np.eye(system.dim)))) / 2.0)
+    dim_plus = round((system.dim + system.span_trace(p)) / 2.0)
     return [
         CheckResult.from_violation(
             "fiber_projects_to_point", "every boundary-fiber sample maps to its boundary point",

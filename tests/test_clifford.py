@@ -183,18 +183,37 @@ class TestRelationViolations:
 
 
 def assert_product_bits(system, seed):
-    """generator_images and p0_lift equal the signed gather x[cols] * signs (exact systems) and
-    the products u @ B.T bit for bit, on one point and on a batch."""
+    """generator_images equals the signed gather x[cols] * signs (exact systems), and p0_assemble
+    the products u @ B_plus.T + w @ B_minus.T bit for bit, on a batch, one row and one point."""
     x = rng_from(seed).standard_normal((3, 5, system.dim))
     u = rng_from(seed, 1).standard_normal((3, 5, system.l))
+    w = rng_from(seed, 2).standard_normal((3, 5, system.l))
     if system.exact:
         cols, signs = system.generators
         for pts in (x, x[0, 0]):
             assert system.generator_images(pts).tobytes() == (np.take(pts, cols, axis=-1)
                                                               * signs).tobytes()
-    for plus, basis in zip((True, False), system.p0_eigenbases):
-        for coeffs in (u, u[0], u[0, 0]):
-            assert system.p0_lift(coeffs, plus).tobytes() == (coeffs @ basis.T).tobytes()
+    b_plus, b_minus = system.p0_eigenbases
+    for at in (np.s_[:], np.s_[0], np.s_[0, 0]):
+        expected = u[at] @ b_plus.T
+        expected += w[at] @ b_minus.T
+        assert system.p0_assemble(u[at], w[at]).tobytes() == expected.tobytes()
+
+
+def assert_block_actions(system, seed, tol):
+    """p0_images and p0_span_apply agree with the generators' action on R^(2l) to tol."""
+    u = rng_from(seed, 1).standard_normal((3, 5, system.l))
+    w = rng_from(seed, 2).standard_normal((3, 5, system.l))
+    q = rng_from(seed, 3).standard_normal((3, system.m + 1))
+    q[1, 0] = q[2, 1:] = 0.0
+    b_plus, b_minus = system.p0_eigenbases
+    images = system.generator_images(u @ b_plus.T)[..., 1:, :] @ b_minus
+    assert system.p0_images(u).shape == (3, 5, system.m, system.l)
+    assert max_abs(system.p0_images(u) - images) <= tol
+    assert max_abs(system.p0_images(u[0]) - images[0]) <= tol
+    qu, qw = system.p0_span_apply(q, u, w)
+    assert max_abs(system.p0_assemble(qu, qw)
+                   - system.span_apply(q, system.p0_assemble(u, w))) <= tol
 
 
 class TestGeneratorPaths:
@@ -202,9 +221,21 @@ class TestGeneratorPaths:
     def test_signed_gather_and_scattered_lift_match_products(self, m, k):
         for flips in {0, min(1, k)}:
             system = build_system(m, k, flips)
-            # every built system's eigenbases of P_0 are coordinate selections
-            assert all(c is not None for c in system._p0_selections)
+            # every built system's eigenbases of P_0 are coordinate selections,
+            # and its E+-(P_0) blocks one gather pair
+            assert system._p0_coords is not None
+            assert isinstance(system._p0_blocks, tuple)
             assert_product_bits(system, m * 10 + k)
+            assert_block_actions(system, m * 10 + k, 1e-14)
+
+    @pytest.mark.parametrize("m,k,flips", [(2, 2, 0), (4, 3, 1), (8, 2, 1), (9, 1, 0)])
+    def test_block_gather_equals_dense_blocks(self, m, k, flips):
+        # R_i = B_minus^T P_i B_plus, read off the gather pair and multiplied out
+        system = build_system(m, k, flips)
+        b_plus, b_minus = system.p0_eigenbases
+        dense = np.stack([b_minus.T @ system.dense_generator(i) @ b_plus
+                          for i in range(1, m + 1)])
+        assert np.array_equal(gather_dense(*system._p0_blocks), dense)
 
     def test_other_bases_take_the_product(self):
         conj = conjugate_system(build_system(3, 2), haar(23, 16))
@@ -213,8 +244,32 @@ class TestGeneratorPaths:
         swapped = CliffordSystem(3, 8, (cols[[1, 0, 2, 3]], signs[[1, 0, 2, 3]]))
         assert verify_relations(swapped).passed
         for system in (conj, swapped):
-            assert system._p0_selections == (None, None)
+            assert system._p0_coords is None
+            assert isinstance(system._p0_blocks, np.ndarray)
             assert_product_bits(system, 24)
+            assert_block_actions(system, 24, 1e-14)
+
+
+class TestSpanTrace:
+    @pytest.mark.parametrize("m,k,flips", [(1, 2, 0), (3, 2, 1), (4, 3, 1), (8, 1, 0), (9, 1, 0)])
+    def test_exact_and_dense_traces_match_the_matrix(self, m, k, flips):
+        system = build_system(m, k, flips)
+        p = rng_from(25, m, k).standard_normal(m + 1)
+        expected = float(np.trace(system.span_matrix(p)))
+        assert system.span_trace(p) == pytest.approx(expected, abs=1e-12)
+        conj = conjugate_system(system, haar(26, system.dim))
+        assert conj.span_trace(p) == pytest.approx(expected, abs=1e-10)
+        # each generator's trace is an integer, read off the gather pair
+        for i in range(m + 1):
+            assert system.span_trace(np.eye(m + 1)[i]) == np.trace(system.dense_generator(i))
+
+    def test_fixed_rows_carry_the_trace(self):
+        # a Clifford generator is traceless; a lone signed permutation need not be
+        assert build_system(4, 3, 1).span_trace(np.arange(5.0)) == 0.0
+        cols = np.array([[0, 1, 3, 2, 4, 5]])
+        signs = np.array([[1, 1, 1, 1, -1, 1]])
+        lone = CliffordSystem(0, 3, (cols, signs))
+        assert lone.span_trace(np.array([0.5])) == 0.5 * np.trace(lone.dense_generator(0)) == 1.0
 
 
 class TestTraceInvariant:

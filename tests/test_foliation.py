@@ -6,7 +6,8 @@ import pytest
 from clifford_foliations import algebra, foliation
 from clifford_foliations.algebra import (max_abs, rng_from, sample_unit_vectors, seed_ints,
                                          sign_fixed_q)
-from clifford_foliations.clifford import build_system, conjugate_system, sub_system
+from clifford_foliations.clifford import (CliffordSystem, build_system, conjugate_system, delta,
+                                          sub_system)
 from clifford_foliations.foliation import (
     EmptyFocalError,
     HorizontalGeodesic,
@@ -240,6 +241,22 @@ def mplus_reference(system, n, seed):
     return (x_plus + g / norms[:, None]) / np.sqrt(2.0)
 
 
+def dense_twin(system):
+    """The generators of a system as one dense stack, so its E_+-(P_0) blocks are a stack too."""
+    gens = np.stack([system.dense_generator(i) for i in range(system.m + 1)])
+    return CliffordSystem(system.m, system.l, gens, system.provenance)
+
+
+def reference_systems():
+    """Every built system with 2l <= 64 and a nonempty M+, (4, 3, 1) and a conjugated one."""
+    for m in range(1, 13):
+        for k in range(1, 5):
+            if (m, k) != (1, 1) and 2 * k * delta(m) <= 64 and k * delta(m) >= m + 1:
+                yield (m, k)
+    yield (4, 3, 1)
+    yield "conjugated"
+
+
 def boundary_cases():
     conj = conjugate_system(build_system(3, 2), haar(30, 16))
     for system in (build_system(2, 2), build_system(4, 3, flips=1), conj):
@@ -277,18 +294,37 @@ class TestSamplerFormulas:
     # (4, 3, 1): a flipped block, whose E+-(P_0) coordinates do not ascend
     @pytest.mark.parametrize("mk", [(2, 2), (3, 2), (4, 3), (6, 2), (9, 1), (4, 3, 1)])
     def test_exact_samplers_match_dense_formulas_bitwise(self, mk):
+        # the gather pair of an exact system and the (m, l, l) blocks of its
+        # dense twin give the same bits, on one point and on rows
         system = build_system(*mk)
+        twin = dense_twin(system)
+        assert isinstance(system._p0_blocks, tuple)
+        assert isinstance(twin._p0_blocks, np.ndarray)
         coords = sample_unit_vectors(rng_from(35, *mk), system.m + 1, 1)[0]
         coords[1] = 0.0
         assert system.span_matrix(coords).tobytes() == dense_span(system, coords).tobytes()
-        assert mplus_sample(system, 40, 36).tobytes() == mplus_reference(system, 40, 36).tobytes()
+        assert mplus_sample(system, 40, 36).tobytes() == mplus_sample(twin, 40, 36).tobytes()
         v = 0.6 * coords / np.linalg.norm(coords)
-        r = np.linalg.norm(v)
-        t = np.arcsin(r) / 2.0
+        assert fiber_sample(system, v, 40, 37).tobytes() == fiber_sample(twin, v, 40, 37).tobytes()
+        rows, seeds = mixed_disk_rows(system)
+        assert (fiber_sample(system, rows, 3, seeds).tobytes()
+                == fiber_sample(twin, rows, 3, seeds).tobytes())
+
+    @pytest.mark.filterwarnings("ignore:l = m\\+1")
+    @pytest.mark.parametrize("mk", list(reference_systems()), ids=str)
+    def test_samplers_match_the_2l_formulas(self, mk):
+        # sampled in E+-(P_0) coefficients, equal to the formulas on R^(2l) up to rounding
+        if mk == "conjugated":
+            system = conjugate_system(build_system(3, 2), haar(36, 16))
+        else:
+            system = build_system(*mk)
+        assert max_abs(mplus_sample(system, 40, 36) - mplus_reference(system, 40, 36)) <= 1e-15
+        coords = sample_unit_vectors(rng_from(37, system.dim, system.m), system.m + 1, 1)[0]
+        v = 0.6 * coords
+        t = np.arcsin(np.linalg.norm(v)) / 2.0
         x = mplus_reference(system, 40, 37)
-        q_mat = dense_span(system, v / r)
-        expected = np.cos(t) * x + np.sin(t) * (x @ q_mat.T)
-        assert fiber_sample(system, v, 40, 37).tobytes() == expected.tobytes()
+        expected = np.cos(t) * x + np.sin(t) * (x @ dense_span(system, coords).T)
+        assert max_abs(fiber_sample(system, v, 40, 37) - expected) <= 1e-15
 
     def test_no_eigenbasis_after_first_call(self, monkeypatch):
         system = build_system(4, 3)

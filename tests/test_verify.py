@@ -90,7 +90,10 @@ class TestDeterminism:
     # with numpy 2.4.6 before the suites evaluated their points as row batches;
     # symmetry re-pinned when the spin symmetry became cos(theta) x + sin(theta) P(Qx);
     # composed_identities, invariants_classification and diameter re-pinned when each
-    # drew its pairs, points or blocks in one call per quantity on its stream
+    # drew its pairs, points or blocks in one call per quantity on its stream;
+    # focal_and_fibers, submersion_rank, fkm_consistency, normal_forms and
+    # composed_identities re-pinned when M+ and interior fibers were sampled in
+    # E_+-(P_0) coefficients (62 floats moved, by <= 2.8e-12)
     PLAN_DIGESTS_NUMPY = "2.4.6"
     PLAN_DIGESTS = {
         "relations": "3134b2bf296504f5009f19bbeee6bd28e733dfa9ae31601f50604054c83b6bf5",
@@ -101,15 +104,15 @@ class TestDeterminism:
         "geodesics": "14dcde8efffaea1bebe5ffda28039c52e90d8f2ff6cd1cc34dc6c3e7bd1bdadc",
         "quotient_metric": "c967c8279cd184ab4be1270f095708852486ba65375e3e5895ede783a8accd94",
         "symmetry": "14bf8d0ed4f78ef25d796bc8b66de0e723850342808b66c4cbe2075d1df73cd2",
-        "fkm_consistency": "7cedc70d55ec67460247f78b48f916e4398943ff85ed36b4cd5a54f27f231dbb",
+        "fkm_consistency": "59d0a047531790afba9caa01b5341ec5600954b4c7f143f9e66c23caa5469a58",
         "invariants_classification":
             "f7480517c168ba4a0d6da8005e18a3c7c7b7dd58724587446d2b067434f8e2c9",
         "homogeneous_orbits": "98765cc184fc0554413f5ae0202baa557400508e3cb655298d47103d6debcac1",
-        "normal_forms": "863acaaaf796fa5a947cc664538ed50aa7553727d2b6504b4c8b07c189e2b10a",
-        "focal_and_fibers": "09b2bc92f8afd99f957a231871ee59e7379677ec48e9818822d0800c2abf87fb",
-        "submersion_rank": "0a30bb0ae252dd92e45a139c519c52acd5bcc2744cff96ec40f9ef096012f489",
+        "normal_forms": "6a32695f7aad6515e7522dcda5e24ff1960e7e93c27e053edcd47ea401c67061",
+        "focal_and_fibers": "c0f982f339659fbaf2754d5e11953afe5bd641dc09ee8eb08d4b7f5cec72d72a",
+        "submersion_rank": "1f62a47689749cdfab6b07109ef710b62d5514f9ead018fe9cc63af34dad41e9",
         "composed_identities":
-            "a9587beefcd3b08a7bacdf2724c0d85bdb8e03db21b984d22258754f01676359",
+            "fa35cceb787ebc38c7d7c6dc5dcae8c99a7387da6adbed9ebdbaf221a5039c3b",
         "sphere_quotient": "8e922891a9991afdcb943783d1254850ab6c904f8daf4e567462a64c1cd61a79",
         "diameter": "34192336ff655fb1a987dfaed51657f96c05ba3c6fbdc3eee9e27c5594ab08fa",
     }
@@ -117,8 +120,9 @@ class TestDeterminism:
     # SHA-256 of the file `cfl report --max-dim 64 --seed 7 --out FILE` writes;
     # re-pinned with transnormality when the estimator's solves became LU, and
     # again when the Newton step applied its span element through span_apply
-    # and fiber leaves were held to pi_C(y) itself
-    REPORT_DIGEST = "73c2bca2c50353b3573812742e1e60f85fdd529a5630aa5eef36ab180338550a"
+    # and fiber leaves were held to pi_C(y) itself, and again when M+ and interior
+    # fibers were sampled in E_+-(P_0) coefficients
+    REPORT_DIGEST = "31da9dfb541d7ef96c0878dc7cad8849c4ebb1746fe4b2ca1698573918f5704f"
 
     @pytest.mark.skipif(np.__version__ != PLAN_DIGESTS_NUMPY,
                         reason=f"plan digests were taken with numpy {PLAN_DIGESTS_NUMPY}")
@@ -137,8 +141,11 @@ class TestDeterminism:
     # re-pinned when the estimator's Newton corrections and bordered systems
     # became LU solves (40 of the report's 2982 floats moved, by <= 7.2e-15), and
     # again when the Newton step applied 2 sum a_i P_i through span_apply and
-    # fiber leaves were held to pi_C(y) itself (38 floats moved, by <= 1.34e-14)
-    TRANSNORMALITY_DIGEST = "2da1edb5df29a55b582d928bb64c3a8b33844584e79c9fd199d1009164eaab16"
+    # fiber leaves were held to pi_C(y) itself (38 floats moved, by <= 1.34e-14), and
+    # again when M+ and interior fibers were sampled in E_+-(P_0) coefficients (53
+    # floats moved, by <= 1.9e-14, but for same_leaf_zero on (6, 1): 0 -> 1.49e-8,
+    # arccos(1 - 2^-53), against its tolerance of 1e-6)
+    TRANSNORMALITY_DIGEST = "07f7a731df209413a7497a30c8fffbf678bbe8b6b4cfc8fd72f9388af9d3b350"
 
     @pytest.mark.skipif(np.__version__ != PLAN_DIGESTS_NUMPY,
                         reason=f"plan digests were taken with numpy {PLAN_DIGESTS_NUMPY}")
