@@ -170,8 +170,9 @@ class CliffordSystem:
     ``(cols, signs)``, int arrays of shape (m+1, 2l): entry r of P_i x is
     ``signs[i, r] * x[cols[i, r]]``.  Other systems (conjugated or loaded
     dense) hold one (m+1, 2l, 2l) float stack.  Treat instances as
-    immutable: :attr:`p0_eigenbases`, the blocks of P_1..P_m between them
-    and the indices derived from the generators are cached on first use.
+    immutable: :attr:`p0_eigenbases` (read off P_0 where it is a +-1
+    diagonal, as on every built system), the blocks of P_1..P_m between
+    them and the indices derived from the generators are cached on first use.
     """
 
     m: int
@@ -222,25 +223,32 @@ class CliffordSystem:
     def p0_eigenbases(self):
         """Orthonormal bases (B_plus, B_minus) of E_+(P_0) and E_-(P_0).
 
-        Computed once by :func:`~clifford_foliations.algebra.eig_split`, whose
-        involution check runs on that first use.
+        Where P_0 is a +-1 diagonal, the unit columns at :attr:`_p0_coords`;
+        any other P_0 takes :func:`~clifford_foliations.algebra.eig_split`,
+        whose involution check runs on that first use.
         """
-        return eig_split(self.dense_generator(0))
+        if self._p0_coords is None:
+            return eig_split(self.dense_generator(0))
+        units = np.eye(self.dim)[:, self._p0_coords]
+        return units[:, :self.l], units[:, self.l:]
 
     @cached_property
     def _p0_coords(self):
-        """The coordinates B_plus and B_minus select, one basis after the other, or None.
+        """The coordinates of E_+(P_0), then those of E_-(P_0), each ascending, or None.
 
-        Bases whose columns are distinct standard unit vectors (on every built
-        system, in the SVD's column order, which need not ascend) select
-        coordinates; any other pair of bases gives None.
+        Read off a P_0 with exactly 2l nonzeros, all +-1 on the diagonal and l
+        of each sign (every built system, its sub-systems and its dense copy),
+        which squares to Id exactly.  Any other P_0 gives None.
         """
-        coords = [_selected_coords(b) for b in self.p0_eigenbases]
-        return None if any(c is None for c in coords) else np.concatenate(coords)
+        p0 = self.dense_generator(0)
+        diag = np.diag(p0)
+        if np.count_nonzero(p0) != self.dim or np.any(np.abs(diag) != 1) or diag.sum():
+            return None
+        return np.argsort(-diag, kind="stable")
 
     @cached_property
     def _p0_order(self):
-        """The slot of each coordinate of R^(2l) in [u, w], where the bases select coordinates."""
+        """The slot of each coordinate of R^(2l) in [u, w], where P_0 is a +-1 diagonal."""
         return None if self._p0_coords is None else np.argsort(self._p0_coords)
 
     @cached_property
@@ -249,7 +257,7 @@ class CliffordSystem:
 
         Each P_i with i >= 1 anticommutes with P_0, so it maps E_+(P_0) onto
         E_-(P_0) as the l x l block R_i (and back as R_i^T).  An exact system
-        whose bases select coordinates keeps them as one gather pair
+        whose P_0 is a +-1 diagonal keeps them as one gather pair
         ``(cols, signs)`` of shape (m, l): entry r of u R_i^T is
         ``signs[i, r] * u[cols[i, r]]``, read off the rows of P_i at the
         coordinates of E_-(P_0), whose columns lie in E_+(P_0).  Other systems
@@ -303,7 +311,7 @@ class CliffordSystem:
     def p0_assemble(self, u: np.ndarray, w: np.ndarray) -> np.ndarray:
         """u B_plus^T + w B_minus^T: the point of R^(2l) with E_+-(P_0) coefficients u, w.
 
-        Where both bases select coordinates, [u, w] is permuted into place by
+        Where P_0 is a +-1 diagonal, [u, w] is permuted into place by
         one ``np.take``: the products' other terms are exact zeros, so the bits
         are the products'.  Other bases take the products.
         """
@@ -354,15 +362,6 @@ class CliffordSystem:
         for rows in _blocks(len(x), self.dim ** 2):
             np.matmul(x[rows], np.swapaxes(self.span_matrix(p[rows]), -1, -2), out=out[rows])
         return out
-
-
-def _selected_coords(basis: np.ndarray):
-    """Row of the 1 in each column of an orthonormal basis of 0/1 entries, else None."""
-    coords = np.argmax(basis, axis=0)
-    if (np.count_nonzero(basis) == len(coords)
-            and np.all(basis[coords, np.arange(len(coords))] == 1.0)):
-        return coords
-    return None
 
 
 def _span_sum(rows: np.ndarray, blocks, width: int) -> np.ndarray:

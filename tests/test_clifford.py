@@ -7,7 +7,7 @@ from functools import reduce
 import numpy as np
 import pytest
 
-from clifford_foliations.algebra import max_abs, rng_from, sign_fixed_q
+from clifford_foliations.algebra import eig_split, max_abs, rng_from, sign_fixed_q
 from clifford_foliations.clifford import (
     CliffordSystem,
     MalformedSystemError,
@@ -221,8 +221,11 @@ class TestGeneratorPaths:
     def test_signed_gather_and_scattered_lift_match_products(self, m, k):
         for flips in {0, min(1, k)}:
             system = build_system(m, k, flips)
-            # every built system's eigenbases of P_0 are coordinate selections,
-            # and its E+-(P_0) blocks one gather pair
+            # every built system's eigenbases of P_0 are the unit columns at its +1,
+            # then its -1 diagonal entries, ascending, and its E+-(P_0) blocks one gather pair
+            diag = np.diag(system.dense_generator(0))
+            order = np.concatenate([np.flatnonzero(diag == 1), np.flatnonzero(diag == -1)])
+            assert np.array_equal(np.hstack(system.p0_eigenbases), np.eye(system.dim)[:, order])
             assert system._p0_coords is not None
             assert isinstance(system._p0_blocks, tuple)
             assert_product_bits(system, m * 10 + k)
@@ -244,7 +247,10 @@ class TestGeneratorPaths:
         swapped = CliffordSystem(3, 8, (cols[[1, 0, 2, 3]], signs[[1, 0, 2, 3]]))
         assert verify_relations(swapped).passed
         for system in (conj, swapped):
+            # P_0 is not diagonal: the bases are eig_split's, and the products act on them
             assert system._p0_coords is None
+            assert all(np.array_equal(b, e) for b, e in
+                       zip(system.p0_eigenbases, eig_split(system.dense_generator(0))))
             assert isinstance(system._p0_blocks, np.ndarray)
             assert_product_bits(system, 24)
             assert_block_actions(system, 24, 1e-14)

@@ -228,9 +228,19 @@ def dense_span(system, coords):
     return out
 
 
+def ascending_units(basis):
+    """basis with its standard unit columns sorted by the coordinate each selects, in their own
+    slots; every other column stays where it is."""
+    units = np.flatnonzero((np.count_nonzero(basis, axis=0) == 1) & np.any(basis == 1.0, axis=0))
+    out = basis.copy()
+    out[:, units] = basis[:, units[np.argsort(np.argmax(basis[:, units], axis=0))]]
+    return out
+
+
 def mplus_reference(system, n, seed):
-    """The M+ sampler written out with a fresh eig_split and dense generators."""
-    b_plus, b_minus = eig_split(system.dense_generator(0))
+    """The M+ sampler written out with a fresh eig_split, its coordinate columns in ascending
+    order as CliffordSystem reads them off a diagonal P_0, and dense generators."""
+    b_plus, b_minus = map(ascending_units, eig_split(system.dense_generator(0)))
     rng = rng_from(seed)
     x_plus = sample_unit_vectors(rng, system.l, n) @ b_plus.T
     w = np.stack([x_plus @ system.dense_generator(i).T for i in range(1, system.m + 1)], axis=1)
@@ -326,20 +336,22 @@ class TestSamplerFormulas:
         expected = np.cos(t) * x + np.sin(t) * (x @ dense_span(system, coords).T)
         assert max_abs(fiber_sample(system, v, 40, 37) - expected) <= 1e-15
 
-    def test_no_eigenbasis_after_first_call(self, monkeypatch):
-        system = build_system(4, 3)
-        mplus_sample(system, 4, 38)
-
+    def test_built_systems_take_no_eigenbasis(self, monkeypatch):
+        # E+-(P_0) are read off a diagonal P_0, so no SVD runs, not even on a fresh system
         def refuse(*args, **kwargs):
             raise AssertionError("projector_colspace_basis called")
 
         monkeypatch.setattr(algebra, "projector_colspace_basis", refuse)
         v = np.array([0.3, -0.2, 0.1, 0.0, 0.4])
-        mplus_sample(system, 4, 39)
-        fiber_sample(system, v, 4, 40)
-        boundary_fiber_sample(system, v / np.linalg.norm(v), 4, 41)
-        # a boundary fiber never needs an eigenbasis, even on a fresh system
-        boundary_fiber_sample(build_system(3, 2), np.eye(4)[2], 4, 42)
+        for system in (build_system(4, 3), build_system(4, 3, 1), dense_twin(build_system(4, 3, 1))):
+            mplus_sample(system, 4, 39)
+            fiber_sample(system, v, 4, 40)
+            boundary_fiber_sample(system, v / np.linalg.norm(v), 4, 41)
+            assert system.p0_eigenbases[0].shape == (24, 12)
+        # a conjugated P_0 is not diagonal: its eigenbases still come from the SVD
+        conj = conjugate_system(build_system(4, 3), haar(38, 24))
+        with pytest.raises(AssertionError, match="projector_colspace_basis called"):
+            conj.p0_eigenbases
 
 
 class ZeroRowAt:
