@@ -170,9 +170,9 @@ class CliffordSystem:
     ``(cols, signs)``, int arrays of shape (m+1, 2l): entry r of P_i x is
     ``signs[i, r] * x[cols[i, r]]``.  Other systems (conjugated or loaded
     dense) hold one (m+1, 2l, 2l) float stack.  Treat instances as
-    immutable: :attr:`p0_eigenbases` (read off P_0 where it is a +-1
-    diagonal, as on every built system), the blocks of P_1..P_m between
-    them and the indices derived from the generators are cached on first use.
+    immutable: the diagonals of the generators, :attr:`p0_eigenbases` (read
+    off P_0 where it is a +-1 diagonal, as on every built system), the blocks
+    of P_1..P_m between them and the signed indices are cached on first use.
     """
 
     m: int
@@ -189,35 +189,25 @@ class CliffordSystem:
         return isinstance(self.generators, tuple)
 
     def dense_generator(self, i: int) -> np.ndarray:
-        """P_i as a dense matrix: the stored one, or a fresh one for exact P_i."""
+        """P_i as a dense matrix: the stored one, or :meth:`span_matrix` of e_i for exact P_i."""
         if not self.exact:
             return self.generators[i]
-        cols, signs = self.generators
-        out = np.zeros((self.dim, self.dim))
-        out[np.arange(self.dim), cols[i]] = signs[i]
-        return out
+        return self.span_matrix(np.eye(self.m + 1)[i])
 
     @cached_property
-    def _signed_cols(self) -> np.ndarray:
-        """cols + 2l [signs < 0]: where entry r of P_i x sits in the stack [x, -x]."""
-        cols, signs = self.generators
-        return cols + self.dim * (signs < 0)
+    def _signed_cols(self):
+        return _signed_index(self.generators)
 
     def generator_images(self, x: np.ndarray) -> np.ndarray:
-        """P_i x for every generator, stacked: shape x.shape[:-1] + (m+1, 2l).
+        """P_i x for every generator by :func:`_images`: shape x.shape[:-1] + (m+1, 2l)."""
+        return _images(self.generators, self._signed_cols, x)
 
-        Exact systems take one ``np.take`` from [x, -x] with the signed index
-        :attr:`_signed_cols`, which returns a new C-contiguous stack whatever
-        the batch size; a negation rounds nothing, so this equals gathering x
-        and multiplying by the signs.  Dense systems take one stacked matmul
-        against the transposed generators.
-        """
+    @cached_property
+    def _diagonals(self) -> np.ndarray:
+        """The diagonals of P_0..P_m, shape (m+1, 2l): read off the gather pair, or the stack's."""
         if self.exact:
-            return np.take(np.concatenate((x, -x), axis=-1), self._signed_cols, axis=-1)
-        gens_t = np.swapaxes(self.generators, -1, -2)
-        if x.ndim == 1:
-            return x @ gens_t
-        return np.moveaxis(x[..., None, :, :] @ gens_t, -3, -2)
+            return _gather_diagonal(*self.generators)
+        return np.diagonal(self.generators, axis1=-2, axis2=-1)
 
     @cached_property
     def p0_eigenbases(self):
@@ -236,13 +226,14 @@ class CliffordSystem:
     def _p0_coords(self):
         """The coordinates of E_+(P_0), then those of E_-(P_0), each ascending, or None.
 
-        Read off a P_0 with exactly 2l nonzeros, all +-1 on the diagonal and l
-        of each sign (every built system, its sub-systems and its dense copy),
-        which squares to Id exactly.  Any other P_0 gives None.
+        Read off row 0 of :attr:`_diagonals` where P_0 has 2l nonzeros (a
+        signed permutation always does), all +-1 on the diagonal and l of each
+        sign (every built system, its sub-systems and its dense copy), which
+        squares to Id exactly.  Any other P_0 gives None.
         """
-        p0 = self.dense_generator(0)
-        diag = np.diag(p0)
-        if np.count_nonzero(p0) != self.dim or np.any(np.abs(diag) != 1) or diag.sum():
+        diag = self._diagonals[0]
+        nonzeros = self.dim if self.exact else np.count_nonzero(self.generators[0])
+        if nonzeros != self.dim or np.any(np.abs(diag) != 1) or diag.sum():
             return None
         return np.argsort(-diag, kind="stable")
 
@@ -257,38 +248,28 @@ class CliffordSystem:
 
         Each P_i with i >= 1 anticommutes with P_0, so it maps E_+(P_0) onto
         E_-(P_0) as the l x l block R_i (and back as R_i^T).  An exact system
-        whose P_0 is a +-1 diagonal keeps them as one gather pair
-        ``(cols, signs)`` of shape (m, l): entry r of u R_i^T is
-        ``signs[i, r] * u[cols[i, r]]``, read off the rows of P_i at the
-        coordinates of E_-(P_0), whose columns lie in E_+(P_0).  Other systems
-        keep one (m, l, l) stack.
+        whose P_0 is a +-1 diagonal keeps them as one (m, l) gather pair, the
+        rows of P_i at the coordinates of E_-(P_0), whose columns lie in
+        E_+(P_0).  Other systems keep one (m, l, l) stack.
         """
         if self.exact and self._p0_coords is not None:
             cols, signs = self.generators
             c_minus = self._p0_coords[self.l:]
             return self._p0_order[cols[1:, c_minus]], signs[1:, c_minus]
         b_plus, b_minus = self.p0_eigenbases
-        gens = np.array([self.dense_generator(i) for i in range(1, self.m + 1)])
-        return b_minus.T @ gens.reshape(self.m, self.dim, self.dim) @ b_plus
+        return b_minus.T @ self.span_matrix(np.eye(self.m + 1)[1:]) @ b_plus
 
     @cached_property
-    def _p0_signed_cols(self) -> np.ndarray:
-        """cols + l [signs < 0] of the gather pair :attr:`_p0_blocks`: indices into [u, -u]."""
-        cols, signs = self._p0_blocks
-        return cols + self.l * (signs < 0)
+    def _p0_signed_cols(self):
+        return _signed_index(self._p0_blocks)
 
     def p0_images(self, u: np.ndarray) -> np.ndarray:
         """P_1 x, ..., P_m x in E_-(P_0) coefficients, for x = u B_plus^T in E_+(P_0).
 
         u holds rows (..., n, l); the result has shape (..., n, m, l), entry i
-        u R_{i+1}^T.  A gather pair takes one ``np.take`` from [u, -u]; a stack
-        takes one (n, l) @ (l, l) product per generator and batch of n rows,
-        the product a single batch takes.
+        u R_{i+1}^T, by :func:`_images` on :attr:`_p0_blocks`.
         """
-        blocks = self._p0_blocks
-        if isinstance(blocks, tuple):
-            return np.take(np.concatenate((u, -u), axis=-1), self._p0_signed_cols, axis=-1)
-        return np.moveaxis(u[..., None, :, :] @ np.swapaxes(blocks, -1, -2), -3, -2)
+        return _images(self._p0_blocks, self._p0_signed_cols, u)
 
     def p0_span_apply(self, q: np.ndarray, u: np.ndarray, w: np.ndarray):
         """E_+-(P_0) coefficients of sum_i q_i P_i x for x = u B_plus^T + w B_minus^T.
@@ -335,16 +316,8 @@ class CliffordSystem:
         return out.reshape(coords.shape[:-1] + (self.dim, self.dim))
 
     def span_trace(self, p: np.ndarray) -> float:
-        """tr(sum_i p_i P_i) = sum_i p_i tr(P_i), without forming the matrix.
-
-        An exact system reads each integer trace from its gather pair; a dense
-        one takes ``np.trace`` of each generator.
-        """
-        if self.exact:
-            traces = _gather_traces(*self.generators)
-        else:
-            traces = np.trace(self.generators, axis1=-2, axis2=-1)
-        return float(np.asarray(p, dtype=float) @ traces)
+        """tr(sum_i p_i P_i) = sum_i p_i tr(P_i), summed off :attr:`_diagonals`."""
+        return float(np.asarray(p, dtype=float) @ self._diagonals.sum(axis=-1))
 
     def span_apply(self, p: np.ndarray, x: np.ndarray) -> np.ndarray:
         """x[j] @ P_j^T for span coordinate rows p (k, m+1) and x (k, n, 2l).
@@ -388,9 +361,34 @@ def _span_sum(rows: np.ndarray, blocks, width: int) -> np.ndarray:
     return out
 
 
-def _gather_traces(cols: np.ndarray, signs: np.ndarray) -> np.ndarray:
-    """Traces of signed permutations given as gathers: the signs of the fixed rows."""
-    return np.sum(np.where(cols == np.arange(cols.shape[-1]), signs, 0), axis=-1)
+def _signed_index(blocks):
+    """cols + width [signs < 0]: where entry r of A_i x sits in [x, -x]; None for a stack."""
+    if not isinstance(blocks, tuple):
+        return None
+    cols, signs = blocks
+    return cols + cols.shape[-1] * (signs < 0)
+
+
+def _images(blocks, signed, x: np.ndarray) -> np.ndarray:
+    """x A_i^T for every A_i in blocks, stacked: shape x.shape[:-1] + (len(A), width).
+
+    A gather pair takes one ``np.take`` from [x, -x] with its
+    :func:`_signed_index`, which returns a new C-contiguous stack whatever
+    the batch size; a negation rounds nothing, so this equals gathering x
+    and multiplying by the signs.  A stack takes one stacked matmul against
+    the transposed blocks.
+    """
+    if isinstance(blocks, tuple):
+        return np.take(np.concatenate((x, -x), axis=-1), signed, axis=-1)
+    blocks_t = np.swapaxes(blocks, -1, -2)
+    if x.ndim == 1:
+        return x @ blocks_t
+    return np.moveaxis(x[..., None, :, :] @ blocks_t, -3, -2)
+
+
+def _gather_diagonal(cols: np.ndarray, signs: np.ndarray) -> np.ndarray:
+    """Diagonals of signed permutations given as gathers: the sign of each fixed row, else 0."""
+    return np.where(cols == np.arange(cols.shape[-1]), signs, 0)
 
 
 def build_system(m: int, k: int, flips: int = 0) -> CliffordSystem:
@@ -497,7 +495,7 @@ def trace_invariant(system: CliffordSystem) -> float:
     and the value is 0.
     """
     if system.exact:
-        tr = float(_gather_traces(*reduce(_mul, zip(*system.generators))))
+        tr = float(np.sum(_gather_diagonal(*reduce(_mul, zip(*system.generators)))))
     else:
         tr = float(np.trace(reduce(np.matmul, system.generators)))
     return abs(tr) / (2.0 * delta(system.m))
@@ -525,7 +523,7 @@ def conjugate_system(system: CliffordSystem, a: np.ndarray) -> CliffordSystem:
         raise ValueError("conjugating matrix has the wrong shape")
     if max_abs(a.T @ a - np.eye(system.dim)) > 1e-12:
         raise ValueError("conjugating matrix is not orthogonal to 1e-12")
-    gens = np.stack([a.T @ system.dense_generator(i) @ a for i in range(system.m + 1)])
+    gens = a.T @ system.span_matrix(np.eye(system.m + 1)) @ a
     return CliffordSystem(system.m, system.l, gens, system.provenance)
 
 
