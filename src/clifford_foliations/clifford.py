@@ -196,6 +196,7 @@ class CliffordSystem:
 
     @cached_property
     def _signed_cols(self):
+        """The :func:`_signed_index` of the generators."""
         return _signed_index(self.generators)
 
     def generator_images(self, x: np.ndarray) -> np.ndarray:
@@ -261,6 +262,7 @@ class CliffordSystem:
 
     @cached_property
     def _p0_signed_cols(self):
+        """The :func:`_signed_index` of the E_+-(P_0) blocks."""
         return _signed_index(self._p0_blocks)
 
     def p0_images(self, u: np.ndarray) -> np.ndarray:

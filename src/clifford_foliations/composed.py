@@ -301,7 +301,7 @@ def _leaf_sample_blocks(system: CliffordSystem, spec: FoliationSpec, v: np.ndarr
     are drawn first, in chunk order; then the full chunks take one
     :func:`fiber_sample` call and a shorter last chunk another.
     """
-    r = float(np.linalg.norm(v))
+    r = float(row_norms(v))
     origin = r <= _ORIGIN_TOL
     chunk = 32 if spec.leaf_sampler is not None and not origin else 256
     full, rest = divmod(budget, chunk)
@@ -537,7 +537,7 @@ def _descend(system, spec, x, z, target_r2, target_tail):
     than 1e-15; a row stops when the predicted gain <g, d> of its direction
     is below 1e-16, where no step could pass that margin, when no step of
     its line search is accepted, or after 120 iterations.  Returns the best
-    <x, .> of every row.
+    point of every row and its <x, .>.
     """
     z = np.array(z, dtype=float)
     best = np.sum(z * x, axis=-1)
@@ -575,7 +575,12 @@ def _descend(system, spec, x, z, target_r2, target_tail):
         active = active[improved]
         if not active.size:
             break
-    return best
+    return z, best
+
+
+def _chord_angle(x: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """2 arcsin(|x - z_j|/2), the angle from x to each unit row z_j, exact down to small angles."""
+    return 2.0 * np.arcsin(np.clip(0.5 * row_norms(z - x), 0.0, 1.0))
 
 
 def leaf_to_leaf_ambient_distance(system: CliffordSystem, spec: FoliationSpec,
@@ -584,7 +589,9 @@ def leaf_to_leaf_ambient_distance(system: CliffordSystem, spec: FoliationSpec,
     """Estimate of the spherical distance from x to the composed leaf through y.
 
     Minimum over ``budget`` leaf samples, refined by Newton ascent of <x, .>
-    on the leaf (:func:`_descend`) from the best starts.  Only points that
+    on the leaf (:func:`_descend`) from the best starts.  Distances are the
+    chord angles 2 arcsin(|x - z|/2) to the points z found, which resolve
+    what arccos <x, z> cannot below arccos(1 - 2^-53).  Only points that
     are feasible to 1e-10 are accepted, so the estimate does not undercut
     the leaf distance beyond that.  Descent starts are taken from the first
     2048 samples so that growing the budget only tightens the sampled floor;
@@ -613,7 +620,7 @@ def leaf_to_leaf_ambient_distance(system: CliffordSystem, spec: FoliationSpec,
         raise ValueError(f"x and y must be single points of shape ({system.dim},)")
     x, y = check_unit(x), check_unit(y)
     v = pi_c(system, y)
-    r = float(np.linalg.norm(v))
+    r = float(row_norms(v))
     rng = rng_from(seed)
 
     if r >= 1.0 - _BOUNDARY_TOL:
@@ -624,11 +631,13 @@ def leaf_to_leaf_ambient_distance(system: CliffordSystem, spec: FoliationSpec,
         w = units if spec.leaf_sampler is None else spec.leaf_sampler(units, rng)
         xs = np.broadcast_to(x, (n_dirs, 1, len(x)))
         proj = 0.5 * (x + system.span_apply(w, xs)[:, 0])
-        return float(np.min(np.arccos(np.clip(row_norms(proj), 0.0, 1.0))))
+        norms = row_norms(proj)
+        # the nearest point is proj / |proj|; proj = 0 puts the whole subsphere at pi/2
+        nearest = proj / np.where(norms > 0.0, norms, 1.0)[:, None]
+        return float(np.min(np.where(norms > 0.0, _chord_angle(x, nearest), 0.5 * np.pi)))
 
     samples = _leaf_sample_blocks(system, spec, v, budget, rng)
     dots = samples @ x
-    best_dot = float(np.max(dots))
 
     target_r2 = r * r
     target_tail = None
@@ -648,6 +657,5 @@ def leaf_to_leaf_ambient_distance(system: CliffordSystem, spec: FoliationSpec,
     spread = [rest[j * len(rest) // max(1, starts - len(greedy))]
               for j in range(starts - len(greedy))] if rest else []
     starts_idx = list(dict.fromkeys(greedy + spread))
-    refined = _descend(system, spec, x, samples[starts_idx], target_r2, target_tail)
-    best_dot = max(best_dot, float(np.max(refined)))
-    return float(np.arccos(np.clip(best_dot, -1.0, 1.0)))
+    refined, _ = _descend(system, spec, x, samples[starts_idx], target_r2, target_tail)
+    return float(min(np.min(_chord_angle(x, samples)), np.min(_chord_angle(x, refined))))

@@ -259,15 +259,17 @@ class TestGeneratorPaths:
 class TestSpanTrace:
     @pytest.mark.parametrize("m,k,flips", [(1, 2, 0), (3, 2, 1), (4, 3, 1), (8, 1, 0), (9, 1, 0)])
     def test_exact_and_dense_traces_match_the_matrix(self, m, k, flips):
-        system = build_system(m, k, flips)
+        built = build_system(m, k, flips)
+        twin = CliffordSystem(m, built.l, gather_dense(*built.generators).astype(float),
+                              built.provenance)
+        conj = conjugate_system(built, haar(26, built.dim))
         p = rng_from(25, m, k).standard_normal(m + 1)
-        expected = float(np.trace(system.span_matrix(p)))
-        assert system.span_trace(p) == pytest.approx(expected, abs=1e-12)
-        conj = conjugate_system(system, haar(26, system.dim))
-        assert conj.span_trace(p) == pytest.approx(expected, abs=1e-10)
-        # each generator's trace is an integer, read off the gather pair
-        for i in range(m + 1):
-            assert system.span_trace(np.eye(m + 1)[i]) == np.trace(system.dense_generator(i))
+        expected = float(np.trace(built.span_matrix(p)))
+        for system, tol in ((built, 1e-12), (twin, 1e-12), (conj, 1e-10)):
+            assert system.span_trace(p) == pytest.approx(expected, abs=tol)
+            # each generator's trace is the sum of its diagonal, an integer on a gather pair
+            for i in range(m + 1):
+                assert system.span_trace(np.eye(m + 1)[i]) == np.trace(system.dense_generator(i))
 
     def test_fixed_rows_carry_the_trace(self):
         # a Clifford generator is traceless; a lone signed permutation need not be

@@ -7,7 +7,8 @@ import warnings
 import numpy as np
 import pytest
 
-from clifford_foliations.algebra import rng_from, sample_unit_vectors, sign_fixed_rotation
+from clifford_foliations.algebra import (rng_from, row_norms, sample_unit_vectors,
+                                         sign_fixed_rotation)
 from clifford_foliations import composed
 from clifford_foliations.clifford import build_system, conjugate_system
 from clifford_foliations.composed import (
@@ -394,6 +395,14 @@ class TestAmbientLeafDistance:
         pts = builtin_spec("points", 2)
         x = fiber_sample(s22, np.array([0.3, 0.2, -0.1]), 2, 18)
         assert leaf_to_leaf_ambient_distance(s22, pts, x[0], x[1], 1500, 19) <= 1e-6
+        # arccos of the best dot resolved nothing below arccos(1 - 2^-53) = 1.49e-8,
+        # which it returned here; the chord angle to the nearest point resolves it
+        s61 = build_system(6, 1)
+        v = sample_unit_vectors(rng_from(7, 601), 7, 1)[0] * 0.5
+        zz = fiber_sample(s61, v, 2, 16)
+        d = leaf_to_leaf_ambient_distance(s61, builtin_spec("points", 6), zz[0], zz[1], 1200, 17,
+                                          starts=6)
+        assert 0.0 <= d < 1e-12
 
     def test_opposite_boundary_fibers(self, s22):
         pts = builtin_spec("points", 2)
@@ -402,6 +411,10 @@ class TestAmbientLeafDistance:
         y = boundary_fiber_sample(s22, -p, 1, 21)[0]
         d = leaf_to_leaf_ambient_distance(s22, pts, x, y, 200, 22)
         assert abs(d - np.pi / 2) <= 1e-3
+        # x lies in E_-(P_p) exactly: the projection onto the nearest subsphere is 0,
+        # and the whole subsphere sits at pi/2
+        assert np.all(0.5 * (x + s22.span_apply(-p, x)) == 0.0)
+        assert d == np.pi / 2
 
     def test_boundary_leaf_closed_form_is_pinned(self, s22):
         # a height leaf through a boundary point: budget 320 takes 20 sampled
@@ -568,11 +581,15 @@ class TestBatchedAscent:
         # a fiber leaf's target is pi_C(y) itself, any other leaf's its invariant
         tail = v if spec.leaves_are_fibers else spec.invariant_map((v / r)[None])[0]
         starts = _leaf_sample_blocks(system, spec, v, 256, rng_from(42))[::32]
-        batch = _descend(system, spec, x, starts, r * r, tail)
-        alone = np.array([_descend(system, spec, x, starts[i:i + 1], r * r, tail)[0]
-                          for i in range(len(starts))])
+        points, batch = _descend(system, spec, x, starts, r * r, tail)
+        alone = [_descend(system, spec, x, starts[i:i + 1], r * r, tail)
+                 for i in range(len(starts))]
         assert batch.shape == (len(starts),)
-        np.testing.assert_array_equal(batch, alone)
+        assert points.shape == starts.shape
+        np.testing.assert_array_equal(batch, [value[0] for _, value in alone])
+        np.testing.assert_array_equal(points, [point[0] for point, _ in alone])
+        # each best point carries its value
+        np.testing.assert_array_equal(batch, np.sum(points * x, axis=-1))
         # each start only climbs
         assert np.all(batch >= starts @ x - 1e-15)
 
@@ -585,6 +602,8 @@ def test_leaf_blocks_equal_chunk_by_chunk_draws(spec_name, radius):
     system = build_system(3, 2)
     spec = builtin_spec(spec_name, system.m)
     v = radius * sample_unit_vectors(rng_from(43), system.m + 1, 1)[0]
+    # the sampler's own radius: |v| taken row-wise, which need not be radius at the last bit
+    r = float(row_norms(v))
     budget = 600
     rng = rng_from(44)
     chunk = 256 if spec.leaf_sampler is None or radius == 0.0 else 32
@@ -594,9 +613,8 @@ def test_leaf_blocks_equal_chunk_by_chunk_draws(spec_name, radius):
         if radius == 0.0:
             expected.append(mplus_sample(system, n, int(rng.integers(2**62))))
             continue
-        d = (v / radius if spec.leaf_sampler is None
-             else spec.leaf_sampler((v / radius)[None], rng)[0])
-        expected.append(fiber_sample(system, radius * d, n, int(rng.integers(2**62))))
+        d = v / r if spec.leaf_sampler is None else spec.leaf_sampler((v / r)[None], rng)[0]
+        expected.append(fiber_sample(system, r * d, n, int(rng.integers(2**62))))
     got = _leaf_sample_blocks(system, spec, v, budget, rng_from(44))
     assert got.tobytes() == np.concatenate(expected).tobytes()
 

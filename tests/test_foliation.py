@@ -353,6 +353,19 @@ class TestSamplerFormulas:
         with pytest.raises(AssertionError, match="projector_colspace_basis called"):
             conj.p0_eigenbases
 
+    def test_built_systems_form_no_dense_generator(self, monkeypatch):
+        # a fresh exact system samples from its gather pairs: E+-(P_0) come off the
+        # diagonal of P_0's gather pair, and no 2l x 2l generator is formed
+        def refuse(self, i):
+            raise AssertionError("dense_generator called")
+
+        monkeypatch.setattr(CliffordSystem, "dense_generator", refuse)
+        system = build_system(12, 4)
+        v = 0.5 * sample_unit_vectors(rng_from(42), system.m + 1, 1)[0]
+        assert mplus_sample(system, 4, 39).shape == (4, 512)
+        assert fiber_sample(system, v, 4, 40).shape == (4, 512)
+        assert boundary_fiber_sample(system, 2.0 * v, 4, 41).shape == (4, 512)
+
 
 class ZeroRowAt:
     """A generator whose standard_normal draw number ``at`` comes back with row 1 zeroed."""

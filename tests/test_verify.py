@@ -121,8 +121,9 @@ class TestDeterminism:
     # re-pinned with transnormality when the estimator's solves became LU, and
     # again when the Newton step applied its span element through span_apply
     # and fiber leaves were held to pi_C(y) itself, and again when M+ and interior
-    # fibers were sampled in E_+-(P_0) coefficients
-    REPORT_DIGEST = "31da9dfb541d7ef96c0878dc7cad8849c4ebb1746fe4b2ca1698573918f5704f"
+    # fibers were sampled in E_+-(P_0) coefficients, and again when the estimator
+    # returned chord angles
+    REPORT_DIGEST = "f880ab505de367185bb7f69f22ca7c65759c57ecd9dee1149a6265793dc0280e"
 
     @pytest.mark.skipif(np.__version__ != PLAN_DIGESTS_NUMPY,
                         reason=f"plan digests were taken with numpy {PLAN_DIGESTS_NUMPY}")
@@ -144,8 +145,11 @@ class TestDeterminism:
     # fiber leaves were held to pi_C(y) itself (38 floats moved, by <= 1.34e-14), and
     # again when M+ and interior fibers were sampled in E_+-(P_0) coefficients (53
     # floats moved, by <= 1.9e-14, but for same_leaf_zero on (6, 1): 0 -> 1.49e-8,
-    # arccos(1 - 2^-53), against its tolerance of 1e-6)
-    TRANSNORMALITY_DIGEST = "07f7a731df209413a7497a30c8fffbf678bbe8b6b4cfc8fd72f9388af9d3b350"
+    # arccos(1 - 2^-53), against its tolerance of 1e-6), and again when the estimator
+    # returned the chord angle 2 arcsin(|x - z|/2) to the nearest point z it found
+    # (103 floats moved: 75 equidistance and no_undercut values by <= 1.2e-14, and
+    # same_leaf_zero from 0 to <= 3.9e-15 on 27 configs and on (6, 1) from 1.49e-8 to 3.1e-16)
+    TRANSNORMALITY_DIGEST = "858129f6430219cccb4a627c443e8c8a7b9860578a69a3ea94270c4decd26164"
 
     @pytest.mark.skipif(np.__version__ != PLAN_DIGESTS_NUMPY,
                         reason=f"plan digests were taken with numpy {PLAN_DIGESTS_NUMPY}")
