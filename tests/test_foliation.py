@@ -361,10 +361,10 @@ class TestSamplerFormulas:
 
         monkeypatch.setattr(CliffordSystem, "dense_generator", refuse)
         system = build_system(12, 4)
-        v = 0.5 * sample_unit_vectors(rng_from(42), system.m + 1, 1)[0]
+        p = sample_unit_vectors(rng_from(42), system.m + 1, 1)[0]
         assert mplus_sample(system, 4, 39).shape == (4, 512)
-        assert fiber_sample(system, v, 4, 40).shape == (4, 512)
-        assert boundary_fiber_sample(system, 2.0 * v, 4, 41).shape == (4, 512)
+        assert fiber_sample(system, 0.5 * p, 4, 40).shape == (4, 512)
+        assert boundary_fiber_sample(system, p, 4, 41).shape == (4, 512)
 
 
 class ZeroRowAt:
