@@ -303,7 +303,20 @@ class CliffordSystem:
             out = u @ b_plus.T
             out += w @ b_minus.T
             return out
-        return np.take(np.concatenate((u, w), axis=-1), self._p0_order, axis=-1)
+        return np.concatenate((u, w), axis=-1).take(self._p0_order, axis=-1)
+
+    def p0_coefficients(self, x: np.ndarray):
+        """(u, w) = (x B_plus, x B_minus): the E_+-(P_0) coefficients, undoing :meth:`p0_assemble`.
+
+        x holds points (..., 2l); u and w have shape (..., l).  Where P_0 is a
+        +-1 diagonal they are read off x by one ``np.take`` at
+        :attr:`_p0_coords`, the products' bits; other bases take the products.
+        """
+        if self._p0_coords is None:
+            b_plus, b_minus = self.p0_eigenbases
+            return x @ b_plus, x @ b_minus
+        uw = x.take(self._p0_coords, axis=-1)
+        return uw[..., :self.l], uw[..., self.l:]
 
     def span_matrix(self, coords: np.ndarray) -> np.ndarray:
         """Dense matrix of sum_i coords[i] * P_i; rows of coords give a stack.
@@ -357,9 +370,15 @@ def _span_sum(rows: np.ndarray, blocks, width: int) -> np.ndarray:
         at = (cols + np.arange(0, width ** 2, width))[i] + (j * width ** 2)[:, None]
         out.reshape(-1)[at] = rows[j, i, None] * signs[i]
         return out
-    # zero coefficients add only zeros, which leave every entry's bits alone
-    for i in np.flatnonzero(np.any(rows, axis=0)):
-        out += rows[:, i, None, None] * blocks[i]
+    # zero coefficients add only zeros, which leave every entry's bits alone, so
+    # each A_i goes only into the rows whose coefficient is nonzero: identity
+    # rows take one pass each, and full rows the whole-stack pass
+    for i in range(rows.shape[1]):
+        at = np.flatnonzero(rows[:, i])
+        if len(at) == len(rows):
+            out += rows[:, i, None, None] * blocks[i]
+        elif len(at):
+            out[at] += rows[at, i, None, None] * blocks[i]
     return out
 
 
@@ -381,7 +400,7 @@ def _images(blocks, signed, x: np.ndarray) -> np.ndarray:
     the transposed blocks.
     """
     if isinstance(blocks, tuple):
-        return np.take(np.concatenate((x, -x), axis=-1), signed, axis=-1)
+        return np.concatenate((x, -x), axis=-1).take(signed, axis=-1)
     blocks_t = np.swapaxes(blocks, -1, -2)
     if x.ndim == 1:
         return x @ blocks_t

@@ -50,27 +50,56 @@ class EmptyFocalError(ValueError):
     """Requested samples of M+ on a system whose quotient has no interior."""
 
 
-def _quadratic_values(px: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """<P_i x, x> from the stacked images px of x."""
-    return np.sum(px * x[..., None, :], axis=-1)
+def _quadratic_values(system: CliffordSystem, x: np.ndarray) -> np.ndarray:
+    """pi_C(x) = (|u|^2 - |w|^2, 2 <u R_1^T, w>, ..., 2 <u R_m^T, w>) for points x (..., 2l).
+
+    (u, w) are the E_+-(P_0) coefficients of x and R_i the blocks of
+    :meth:`~CliffordSystem.p0_images`: P_0 x = (u, -w) and P_i x = (w R_i,
+    u R_i^T) for i >= 1.  v_0 sums u_a^2 - w_a^2; the (..., m, l) images of u
+    are multiplied by 2w in place and summed along their last axis.  The sums
+    run row by row, so where every step is a gather (an exact system whose
+    P_0 is a +-1 diagonal) a row's values are the same in any batch.  An
+    m = 0 system gives v_0 alone.  :mod:`~clifford_foliations.homogeneity`'s
+    pi_C(u, v) = (|u|^2 - |v|^2, 2 sum_i u_i conj(v_i)) on F^k, for m in
+    {1, 2, 4}, is this formula's case.
+    """
+    u, w = system.p0_coefficients(x)
+    out = np.empty(x.shape[:-1] + (system.m + 1,))
+    squares = u * u
+    squares -= w * w
+    np.add.reduce(squares, axis=-1, out=out[..., 0])
+    if system.m:
+        images = system.p0_images(u)
+        images *= (w + w)[..., None, :]
+        np.add.reduce(images, axis=-1, out=out[..., 1:])
+    return out
+
+
+def _check_width(system: CliffordSystem, x: np.ndarray) -> None:
+    """Raise unless x holds points of R^(2l) along its last axis."""
+    if x.shape[-1:] != (system.dim,):
+        raise ValueError(f"points must have shape (..., {system.dim}) = (..., 2l), got {x.shape}")
 
 
 def pi_c(system: CliffordSystem, x: np.ndarray) -> np.ndarray:
     """Quotient-map coordinates (<P_i x, x>)_i along the last axis of x.
 
     Accepts a single point of shape (2l,) or a batch (..., 2l); the input must
-    be unit-norm.  Batches run in blocks (:func:`_blocks`), so the
-    (rows, m+1, 2l) image stack of a large batch is never built whole; each
-    block's stack is multiplied by x in place and summed into its slice of
-    the output, and each row's sums are the same in any block.
+    be unit-norm, and another width raises ValueError.  In the E_+-(P_0)
+    coefficients (u, w) of x the map is (|u|^2 - |w|^2, 2 <u R_1^T, w>, ...,
+    2 <u R_m^T, w>) with the blocks R_i of P_1..P_m, evaluated by
+    :func:`_quadratic_values`; :mod:`~clifford_foliations.homogeneity`'s
+    pi_C(u, v) for m in {1, 2, 4} is its case.  Batches run in blocks
+    (:func:`_blocks`), so the (rows, m, l) image stack of a large batch is
+    never built whole, and each row's values are the same in any block.
     """
+    x = np.asarray(x, dtype=float)
+    _check_width(system, x)
     x = check_unit(x)
     flat = x.reshape(-1, system.dim)
     out = np.empty((len(flat), system.m + 1))
-    for rows in _blocks(len(flat), (system.m + 1) * system.dim):
-        px = system.generator_images(flat[rows])
-        px *= flat[rows, None, :]
-        np.add.reduce(px, axis=-1, out=out[rows])
+    for rows in _blocks(len(flat), system.m * system.l):
+        out[rows] = _quadratic_values(system, flat[rows])
     return out.reshape(x.shape[:-1] + (system.m + 1,))
 
 
@@ -234,14 +263,16 @@ def fiber_sample(system: CliffordSystem, v: np.ndarray, n: int, seeds) -> np.nda
 # --------------------------------------------------------------------------- #
 
 def _pi_state(system: CliffordSystem, x: np.ndarray):
-    """pi_C at float x, unchecked, and the :func:`pi_jacobian_rows`, from one image stack.
+    """pi_C at float x, unchecked, and the :func:`pi_jacobian_rows`.
 
-    The rows 2 P_i x - 2 v_i x are formed in the image stack, in place.
+    v is :func:`_quadratic_values`, as :func:`pi_c` gives it; the rows
+    2 (P_i x - v_i x) are formed in the (..., m+1, 2l) image stack, in place,
+    where doubling is exact.
     """
+    v = _quadratic_values(system, x)
     px = system.generator_images(x)
-    v = _quadratic_values(px, x)
+    px -= v[..., None] * x[..., None, :]
     px *= 2.0
-    px -= (2.0 * v)[..., None] * x[..., None, :]
     return v, px
 
 
@@ -250,7 +281,9 @@ def pi_jacobian_rows(system: CliffordSystem, x: np.ndarray) -> np.ndarray:
 
     Shape x.shape[:-1] + (m+1, 2l): (m+1, 2l) for a single point.
     """
-    return _pi_state(system, np.asarray(x, dtype=float))[1]
+    x = np.asarray(x, dtype=float)
+    _check_width(system, x)
+    return _pi_state(system, x)[1]
 
 
 def fkm_f0(system: CliffordSystem, x: np.ndarray):

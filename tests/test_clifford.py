@@ -256,6 +256,28 @@ class TestGeneratorPaths:
             assert_block_actions(system, 24, 1e-14)
 
 
+class TestSpanMatrix:
+    def test_rows_equal_the_per_generator_sum(self):
+        # identity, sparse and full coefficient rows, alone and mixed in one stack, give
+        # sum_i c_i P_i added generator by generator from zero, bit for bit
+        built = build_system(4, 3, 1)
+        twin = CliffordSystem(4, built.l, gather_dense(*built.generators).astype(float))
+        conj = conjugate_system(built, haar(27, built.dim))
+        full = rng_from(28).standard_normal((6, 5))
+        sparse = np.where(rng_from(29).random((6, 5)) < 0.4, full, 0.0)
+        for system in (built, twin, conj):
+            gens = [system.dense_generator(i) for i in range(5)]
+            for rows in (np.eye(5), np.eye(5)[1:], sparse, full,
+                         np.vstack([np.eye(5)[2], sparse[:3], full[:2], np.zeros(5)])):
+                expected = []
+                for row in rows:
+                    acc = np.zeros((system.dim, system.dim))
+                    for c, gen in zip(row, gens):
+                        acc = acc + c * gen
+                    expected.append(acc)
+                assert system.span_matrix(rows).tobytes() == np.stack(expected).tobytes()
+
+
 class TestSpanTrace:
     @pytest.mark.parametrize("m,k,flips", [(1, 2, 0), (3, 2, 1), (4, 3, 1), (8, 1, 0), (9, 1, 0)])
     def test_exact_and_dense_traces_match_the_matrix(self, m, k, flips):

@@ -369,18 +369,20 @@ class TestRowWise:
 
     def test_radius_is_the_single_point_norm(self, s22):
         # at this row norm(v, axis=-1) sums pairwise and differs from the 1-D
-        # norm in the last bit; radii and distances keep the 1-D value
+        # norm in the last bit; radii and distances keep the 1-D value.  With pi_C
+        # taken in E_+-(P_0) coefficients row 0 is the one row of this draw that
+        # shows the trap, and row 3 is the reference
         x = sample_unit_vectors(rng_from(31), s22.dim, 8)
-        v = pi_c(s22, x[3])
+        v = pi_c(s22, x[0])
         r = float(np.linalg.norm(v))
         assert r != np.linalg.norm(v, axis=-1)
-        assert composed_class(s22, builtin_spec("points", 2), x)[3].radius == r
-        r0 = float(np.linalg.norm(pi_c(s22, x[0])))
+        assert composed_class(s22, builtin_spec("points", 2), x)[0].radius == r
+        r0 = float(np.linalg.norm(pi_c(s22, x[3])))
         s, s0 = np.arcsin(r), np.arcsin(r0)
         expected = 0.5 * np.arccos(np.clip(np.cos(s) * np.cos(s0) + np.sin(s) * np.sin(s0),
                                            -1.0, 1.0))
-        d = composed_quotient_distance(s22, builtin_spec("one_leaf", 2), x, x[[0] * 8])
-        assert d[3] == expected
+        d = composed_quotient_distance(s22, builtin_spec("one_leaf", 2), x, x[[3] * 8])
+        assert d[0] == expected
 
     def test_mismatched_shapes_rejected(self, s22):
         x = sample_unit_vectors(rng_from(43), s22.dim, 4)

@@ -35,6 +35,12 @@ def haar(seed, n):
     return sign_fixed_q(rng_from(seed).standard_normal((n, n)))
 
 
+def built_pairs(max_dim):
+    """Every (m, k) that build_system accepts with 2l <= max_dim."""
+    return [(m, k) for m in range(1, 13) for k in range(1, 5)
+            if (m, k) != (1, 1) and 2 * k * delta(m) <= max_dim]
+
+
 def pi_oracle_rank2_mult2(x):
     """Independent evaluation of the quotient map for the m=1, k=2 system.
 
@@ -91,16 +97,72 @@ class TestPiC:
             pi_c(s22, np.ones(s22.dim))
 
     def test_pi_c_chunks_equal_one_stack(self):
-        # 2l = 512 with 13 generators: 9 rows to a block, so 400 rows take 45
+        # 2l = 512 with 12 blocks R_i of width 256: 21 rows to a block, so 400
+        # rows take 20; the reference is one kernel call on the whole batch
         system = build_system(12, 4)
         x = sample_unit_vectors(rng_from(65), system.dim, 400)
-        whole = foliation._quadratic_values(system.generator_images(x), x)
+        assert len(algebra._blocks(len(x), system.m * system.l)) == 20
+        whole = foliation._quadratic_values(system, x)
         assert pi_c(system, x).tobytes() == whole.tobytes()
         dense = conjugate_system(build_system(5, 2), haar(66, 32))
         y = sample_unit_vectors(rng_from(67), dense.dim, 12000)
-        whole = foliation._quadratic_values(dense.generator_images(y), y)
+        whole = foliation._quadratic_values(dense, y)
         assert pi_c(dense, y).tobytes() == whole.tobytes()
         assert pi_c(dense, y.reshape(40, 300, 32)).tobytes() == whole.tobytes()
+
+    def test_matches_the_dense_quadratic_forms(self):
+        # (|u|^2 - |w|^2, 2 <u R_i^T, w>) in E+-(P_0) coefficients is <P_i x, x>, whether
+        # P_0 is a +-1 diagonal (built systems, their dense twins, prefix sub-systems)
+        # or not (conjugates, a sub-system led by P_1), and for m = 0
+        built = [build_system(m, k, flips) for m, k in built_pairs(64) for flips in {0, min(1, k)}]
+        s431 = build_system(4, 3, 1)
+        others = [dense_twin(s431), conjugate_system(s431, haar(75, s431.dim)),
+                  sub_system(s431, range(3)), sub_system(s431, [0, 2, 4]),
+                  sub_system(s431, [1, 0, 3]), sub_system(s431, [0]), sub_system(s431, [2])]
+        for system in built + others:
+            x = sample_unit_vectors(rng_from(76, system.dim, system.m), system.dim, 20)
+            gens = np.stack([system.dense_generator(i) for i in range(system.m + 1)])
+            expected = np.einsum("nd,ide,ne->ni", x, gens, x)
+            got = pi_c(system, x)
+            assert got.shape == (20, system.m + 1)
+            assert max_abs(got - expected) <= 1e-14
+            if system.exact and system._p0_coords is not None:
+                # with E+-(P_0) read off a diagonal P_0 a row is its single call, bit
+                # for bit; other bases take BLAS products shaped by the batch
+                assert all(pi_c(system, row).tobytes() == got[j].tobytes()
+                           for j, row in enumerate(x))
+
+    def test_prefix_sub_systems_truncate_bitwise(self):
+        # a prefix keeps P_0, so its E+-(P_0) coefficients and the first blocks R_i
+        for m, k in built_pairs(64):
+            full = build_system(m, k, min(1, k - 1))
+            x = sample_unit_vectors(rng_from(77, m, k), full.dim, 12)
+            whole = pi_c(full, x)
+            for top in range(m):
+                assert np.array_equal(pi_c(sub_system(full, range(top + 1)), x),
+                                      whole[:, :top + 1])
+
+    def test_built_systems_evaluate_from_gather_pairs(self, monkeypatch):
+        # pi_C and its differential on a fresh built system form no 2l x 2l generator
+        # and no SVD eigenbasis: E+-(P_0) come off P_0's diagonal
+        def refuse(*args, **kwargs):
+            raise AssertionError("dense generator or eigenbasis built")
+
+        monkeypatch.setattr(CliffordSystem, "dense_generator", refuse)
+        monkeypatch.setattr(algebra, "projector_colspace_basis", refuse)
+        for system in (build_system(12, 4), build_system(4, 3, 1)):
+            x = sample_unit_vectors(rng_from(78), system.dim, 5)
+            assert pi_c(system, x).shape == (5, system.m + 1)
+            assert pi_jacobian_rows(system, x).shape == (5, system.m + 1, system.dim)
+
+    def test_wrong_width_names_the_shape(self, s22):
+        # a unit row of another width fails before any gather, and says what was expected
+        for width in (s22.dim - 2, s22.dim + 1, 2 * s22.dim):
+            for x in (np.eye(width)[0], np.eye(width)[:3]):
+                with pytest.raises(ValueError, match=rf"shape \(\.\.\., {s22.dim}\)"):
+                    pi_c(s22, x)
+                with pytest.raises(ValueError, match=rf"shape \(\.\.\., {s22.dim}\)"):
+                    pi_jacobian_rows(s22, x)
 
 
 NON_FINITE = [np.nan, np.inf, -np.inf]

@@ -93,27 +93,30 @@ class TestDeterminism:
     # drew its pairs, points or blocks in one call per quantity on its stream;
     # focal_and_fibers, submersion_rank, fkm_consistency, normal_forms and
     # composed_identities re-pinned when M+ and interior fibers were sampled in
-    # E_+-(P_0) coefficients (62 floats moved, by <= 2.8e-12)
+    # E_+-(P_0) coefficients (62 floats moved, by <= 2.8e-12); every suite but
+    # relations, disk_image, invariants_classification, normal_forms and diameter
+    # re-pinned when pi_C was evaluated in E_+-(P_0) coefficients (266 floats moved,
+    # by <= 5.6e-12, the largest in submersion_rank's finite differences)
     PLAN_DIGESTS_NUMPY = "2.4.6"
     PLAN_DIGESTS = {
         "relations": "3134b2bf296504f5009f19bbeee6bd28e733dfa9ae31601f50604054c83b6bf5",
         "disk_image": "8b39d4bdd10630e97050149ceeeda871e335a143df92fd6a21165e32849b9908",
-        "boundary_fibers": "8b95ac401f28a663b440a2475e752c881b7ef50f9c30297ac8b2541e6766e0b5",
+        "boundary_fibers": "325dd20212481147038126d01ac98fbcd48197699dfbce3cdc8037f8121d5cbb",
         "factorization_m_plus_1":
-            "433fd8d0c56b5b8e11f9ddc6b15b99b8e15a22c9c19e4b64d701308ecd057501",
-        "geodesics": "14dcde8efffaea1bebe5ffda28039c52e90d8f2ff6cd1cc34dc6c3e7bd1bdadc",
-        "quotient_metric": "c967c8279cd184ab4be1270f095708852486ba65375e3e5895ede783a8accd94",
-        "symmetry": "14bf8d0ed4f78ef25d796bc8b66de0e723850342808b66c4cbe2075d1df73cd2",
-        "fkm_consistency": "59d0a047531790afba9caa01b5341ec5600954b4c7f143f9e66c23caa5469a58",
+            "2de5fe0eb3012302d2be21b0387515f50babeaada983f2951fcfaeca51bdba5b",
+        "geodesics": "f65556e6b0fc2b426479c5a3beea954dd769381ddecee375bd90da900a2778ab",
+        "quotient_metric": "7ddb09449dd2d7848055a92073e53af8c1e3a49e38716d820c74ce83223e2504",
+        "symmetry": "f7c0b44f46bf063f743d63fca01de3c7d42d5f14f18a5b3f5428a4668d910c28",
+        "fkm_consistency": "ed499a14c5a63a336ebbeda1ae71c2f9354766e1ceec44a009a25165b20e05d3",
         "invariants_classification":
             "f7480517c168ba4a0d6da8005e18a3c7c7b7dd58724587446d2b067434f8e2c9",
-        "homogeneous_orbits": "98765cc184fc0554413f5ae0202baa557400508e3cb655298d47103d6debcac1",
+        "homogeneous_orbits": "64d30520c7dc36e83d2e978a3d68a6bc083cdba4401239cedf9039e0fb05567e",
         "normal_forms": "6a32695f7aad6515e7522dcda5e24ff1960e7e93c27e053edcd47ea401c67061",
-        "focal_and_fibers": "c0f982f339659fbaf2754d5e11953afe5bd641dc09ee8eb08d4b7f5cec72d72a",
-        "submersion_rank": "1f62a47689749cdfab6b07109ef710b62d5514f9ead018fe9cc63af34dad41e9",
+        "focal_and_fibers": "926935c53d663a5cbf394a8bbc5a793f07595482f41b82a8fc8529250b51298c",
+        "submersion_rank": "7095e0652c137177066fed3a889bde618ac4fab07673f029c2d8e9f377e5ccda",
         "composed_identities":
-            "fa35cceb787ebc38c7d7c6dc5dcae8c99a7387da6adbed9ebdbaf221a5039c3b",
-        "sphere_quotient": "8e922891a9991afdcb943783d1254850ab6c904f8daf4e567462a64c1cd61a79",
+            "36b7cd5ed65bb3dc978824210876d4ee8abdaa069969f369f2a9eee7d2569661",
+        "sphere_quotient": "f452777506353c2274da073481d07c5dd82d6322a249f93ef5bee57624c60724",
         "diameter": "34192336ff655fb1a987dfaed51657f96c05ba3c6fbdc3eee9e27c5594ab08fa",
     }
 
@@ -122,8 +125,9 @@ class TestDeterminism:
     # again when the Newton step applied its span element through span_apply
     # and fiber leaves were held to pi_C(y) itself, and again when M+ and interior
     # fibers were sampled in E_+-(P_0) coefficients, and again when the estimator
-    # returned chord angles
-    REPORT_DIGEST = "f880ab505de367185bb7f69f22ca7c65759c57ecd9dee1149a6265793dc0280e"
+    # returned chord angles, and again when pi_C was evaluated in E_+-(P_0)
+    # coefficients (357 of 2982 floats moved, by <= 5.6e-12; no verdict changed)
+    REPORT_DIGEST = "ed557ff90883890cca8d3fb6851e04781ba007f8f4515fd83f319f9ede0a15a8"
 
     @pytest.mark.skipif(np.__version__ != PLAN_DIGESTS_NUMPY,
                         reason=f"plan digests were taken with numpy {PLAN_DIGESTS_NUMPY}")
@@ -148,8 +152,9 @@ class TestDeterminism:
     # arccos(1 - 2^-53), against its tolerance of 1e-6), and again when the estimator
     # returned the chord angle 2 arcsin(|x - z|/2) to the nearest point z it found
     # (103 floats moved: 75 equidistance and no_undercut values by <= 1.2e-14, and
-    # same_leaf_zero from 0 to <= 3.9e-15 on 27 configs and on (6, 1) from 1.49e-8 to 3.1e-16)
-    TRANSNORMALITY_DIGEST = "858129f6430219cccb4a627c443e8c8a7b9860578a69a3ea94270c4decd26164"
+    # same_leaf_zero from 0 to <= 3.9e-15 on 27 configs and on (6, 1) from 1.49e-8 to 3.1e-16),
+    # and again when pi_C was evaluated in E_+-(P_0) coefficients (91 floats moved, by <= 6.4e-15)
+    TRANSNORMALITY_DIGEST = "f3a97d0e22b4e1bd48b191c2fbc570f664134e3970a9ef5cd87676eb1ebf1590"
 
     @pytest.mark.skipif(np.__version__ != PLAN_DIGESTS_NUMPY,
                         reason=f"plan digests were taken with numpy {PLAN_DIGESTS_NUMPY}")
