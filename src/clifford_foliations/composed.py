@@ -55,9 +55,8 @@ class FoliationSpec:
     (n, t), constant exactly on leaves.  ``quotient_distance`` (optional,
     needed by the cone metric) is the leaf-space metric of paired rows,
     giving (n,).  ``leaf_sampler(units, rng)`` (optional) draws a leaf point
-    through each row, in row order; without it the ambient distance
-    estimator uses single-direction fibers.  ``leaves_are_fibers`` makes each
-    composed leaf the plain fiber over its disk point, as for ``points``.
+    through each row, in row order; without it the leaves are points, as for
+    ``points``, and each composed leaf is the fiber over its disk point.
     ``invariant_jacobian`` (optional) maps nonzero rows (S, m+1) to the
     Jacobians (S, t, m+1) of v -> invariant_map(v / |v|); without it the
     estimator takes central differences, one ``invariant_map`` call on
@@ -69,7 +68,6 @@ class FoliationSpec:
     invariant_map: Callable[[np.ndarray], np.ndarray]
     quotient_distance: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
     leaf_sampler: Optional[Callable[[np.ndarray, np.random.Generator], np.ndarray]] = None
-    leaves_are_fibers: bool = False
     invariant_jacobian: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
 
@@ -112,12 +110,11 @@ def builtin_spec(name: str, m: int) -> FoliationSpec:
     """
     dim = m + 1
     if name == "points":
-        # leaves are single fibers: no direction sampling needed
+        # no leaf sampler: the composed leaves are single fibers
         return FoliationSpec(
             "points", dim,
             invariant_map=lambda v: np.asarray(v, dtype=float),
             quotient_distance=lambda u, v: np.arccos(np.clip(row_dots(u, v), -1.0, 1.0)),
-            leaves_are_fibers=True,
         )
     if name == "one_leaf":
         return FoliationSpec(
@@ -290,46 +287,51 @@ def composed_quotient_distance(system: CliffordSystem, spec: FoliationSpec,
 # Ambient leaf distance
 # --------------------------------------------------------------------------- #
 
+def _fiber_leaf(spec: FoliationSpec, r: float) -> bool:
+    """Whether the leaf over radius r is a fiber: at the origin, or if spec has no leaf sampler."""
+    return spec.leaf_sampler is None or r <= _ORIGIN_TOL
+
+
 def _leaf_sample_blocks(system: CliffordSystem, spec: FoliationSpec, v: np.ndarray,
                         budget: int, rng: np.random.Generator):
     """Samples of the composed leaf through the disk class of v, in fixed chunks.
 
-    One rng stream and a spec-fixed chunk size keep the sample sequence a
-    prefix of any larger budget's sequence.  Specs without a leaf sampler
-    have single-fiber leaves, so their chunks can be large.  Every chunk's
-    disk point (r times its direction; zero for the origin class) and seed
-    are drawn first, in chunk order; then the full chunks take one
-    :func:`fiber_sample` call and a shorter last chunk another.
+    A fiber leaf (:func:`_fiber_leaf`) takes chunks of 256 over r (v / r),
+    or over 0 at the origin; any other leaf chunks of 32 over r times a
+    leaf-sampler direction.  Each chunk's direction and seed are drawn from
+    the one rng stream, in chunk order; then the full chunks take one
+    :func:`fiber_sample` call and a last chunk of n = rest another.  So a
+    budget that is a multiple of the chunk draws a prefix of any larger
+    budget's samples.
     """
     r = float(row_norms(v))
-    origin = r <= _ORIGIN_TOL
-    chunk = 32 if spec.leaf_sampler is not None and not origin else 256
+    fiber = _fiber_leaf(spec, r)
+    chunk = 256 if fiber else 32
     full, rest = divmod(budget, chunk)
     points = np.zeros((full + (rest > 0), len(v)))
     seeds = np.empty(len(points), dtype=np.int64)
     for j in range(len(points)):
-        if not origin:
-            points[j] = r * (v / r if spec.leaf_sampler is None
-                             else spec.leaf_sampler((v / r)[None], rng)[0])
+        if not fiber:
+            points[j] = r * spec.leaf_sampler((v / r)[None], rng)[0]
         seeds[j] = rng.integers(2**62)
-    blocks = [fiber_sample(system, points[:full], chunk, seeds[:full])] if full else []
-    if rest:
-        blocks.append(fiber_sample(system, points[full:], rest, seeds[full:]))
+    if fiber and r > _ORIGIN_TOL:
+        points[:] = r * (v / r)
+    blocks = [fiber_sample(system, points[lo:hi], n, seeds[lo:hi])
+              for lo, hi, n in ((0, full, chunk), (full, len(points), rest)) if hi > lo]
     return np.concatenate([b.reshape(-1, system.dim) for b in blocks], axis=0)
 
 
 def _constraint_state(system: CliffordSystem, spec: FoliationSpec, z: np.ndarray,
-                      target_r2: float, target_tail: Optional[np.ndarray]):
+                      target_r2: Optional[float], target: np.ndarray):
     """Constraint residuals c(z), their tangent-space Jacobian rows and pi_C data.
 
     z holds one point per row, shape (S, 2l); c has shape (S, k) and the rows
-    (S, k, 2l).  Constraints: |pi|^2 fixed, plus the direction invariant
-    fixed when the class is off the origin.  Fiber leaves take target_tail
-    = pi_C(y) and the constraint pi_C(z) - pi_C(y); the origin class (whose
-    leaf is the fiber over 0 for every spec) takes pi_C(z).  The |pi|^2 form
-    would have a vanishing gradient exactly on the focal manifold.  Otherwise
-    the invariant's Jacobian (the spec's closed form, or central differences
-    of its invariant map) is chained through the pi_C gradients.
+    (S, k, 2l).  A fiber leaf (:func:`_fiber_leaf`) passes target_r2 = None
+    and its disk point as target, 0 for the origin class, and holds
+    pi_C(z) - target; a |pi|^2 constraint would have a vanishing gradient
+    exactly on the focal manifold.  Any other leaf holds |pi|^2 - target_r2
+    and its direction invariant less target, with the invariant's Jacobian
+    chained through the pi_C gradients.
 
     Every constraint is a function phi of pi_C, so the rows are
     dphi @ pi_rows.  Returns (c, rows, v, pi_rows, dphi) with v = pi_C(z)
@@ -338,10 +340,9 @@ def _constraint_state(system: CliffordSystem, spec: FoliationSpec, z: np.ndarray
     evaluated without the unit-norm check of the public ``pi_c``.
     """
     v, rows_pi = _pi_state(system, z)
-    if target_tail is None or spec.leaves_are_fibers:
+    if target_r2 is None:
         eye = np.broadcast_to(np.eye(v.shape[-1]), v.shape + v.shape[-1:])
-        c = v if target_tail is None else v - target_tail
-        return c, rows_pi, v, rows_pi, eye
+        return v - target, rows_pi, v, rows_pi, eye
     r2 = np.sum(v * v, axis=-1)
     vhat = v / np.sqrt(np.maximum(r2, 1e-30))[:, None]
     tail = spec.invariant_map(vhat)
@@ -350,7 +351,7 @@ def _constraint_state(system: CliffordSystem, spec: FoliationSpec, z: np.ndarray
         jac = np.ascontiguousarray(spec.invariant_jacobian(v), dtype=float)
     else:
         jac = _central_differences(lambda u: spec.invariant_map(_unit(u)), v, np.full(len(v), 1e-6))
-    c = np.concatenate([(r2 - target_r2)[:, None], tail - target_tail], axis=1)
+    c = np.concatenate([(r2 - target_r2)[:, None], tail - target], axis=1)
     rows = np.concatenate([2.0 * (v[:, None, :] @ rows_pi), jac @ rows_pi], axis=1)
     dphi = np.concatenate([2.0 * v[:, None, :], jac], axis=1)
     return c, rows, v, rows_pi, dphi
@@ -424,8 +425,8 @@ def _newton_direction(system, spec, z, g, lam, best, v, rows_pi, dphi, curved):
     with the sphere term mu = <x, z> - 2 <a, v>, the Lagrangian Hessian is
     -(B + J^T W J): B = 2 sum a_i P_i + mu I, J the pi_C rows and W the
     curvature of the constraint maps, 2 lam_0 I for |pi|^2 plus lam_t times
-    the invariant's Hessian (zero for point leaves and the origin class;
-    without an invariant Jacobian the invariant term is left out).  As
+    the invariant's Hessian (W = 0 on a fiber leaf, where ``curved`` is
+    false; without an invariant Jacobian the invariant term is left out).  As
     (2 sum a_i P_i)^2 = 4|a|^2 I, B^-1 = (B - 2 mu I) / (4|a|^2 - mu^2), and
     the direction is xi = B^-1 (g + C y) for C = [J^T, z]; y and the
     normal multipliers solve a square bordered system of m+2+k unknowns that
@@ -488,7 +489,7 @@ def _small_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.sum(a[..., :, :, None] * b[..., None, :, :], axis=-2)
 
 
-def _restore(system, spec, z, target_r2, target_tail):
+def _restore(system, spec, z, target_r2, target):
     """Newton corrections of every row of z back onto the leaf.
 
     Each correction is the minimum-norm step g^+ (-c) for the constraint
@@ -505,7 +506,7 @@ def _restore(system, spec, z, target_r2, target_tail):
     state = None
     live = np.arange(len(z))
     for corrections in range(9):
-        c, *found = _constraint_state(system, spec, z[live], target_r2, target_tail)
+        c, *found = _constraint_state(system, spec, z[live], target_r2, target)
         if state is None:
             state = [np.empty((len(z),) + f.shape[1:]) for f in found]
         for kept, f in zip(state, found):
@@ -522,7 +523,7 @@ def _restore(system, spec, z, target_r2, target_tail):
     return z, resid, state
 
 
-def _descend(system, spec, x, z, target_r2, target_tail):
+def _descend(system, spec, x, z, target_r2, target):
     """Newton ascent of <x, .> on the leaf from every row of z, in lockstep.
 
     Each row is one start with its own direction, line-search step and
@@ -541,9 +542,9 @@ def _descend(system, spec, x, z, target_r2, target_tail):
     """
     z = np.array(z, dtype=float)
     best = np.sum(z * x, axis=-1)
-    _, *state = _constraint_state(system, spec, z, target_r2, target_tail)
+    _, *state = _constraint_state(system, spec, z, target_r2, target)
     state = [np.array(s) for s in state]
-    curved = target_tail is not None and not spec.leaves_are_fibers
+    curved = target_r2 is not None
     active = np.arange(len(z))
     for _ in range(120):
         za = z[active]
@@ -560,7 +561,7 @@ def _descend(system, spec, x, z, target_r2, target_tail):
                 break
             trial = za[pending, None] + steps[:, None] * d[pending, None]
             cand, resid, cand_state = _restore(system, spec, _unit(trial.reshape(-1, len(x))),
-                                               target_r2, target_tail)
+                                               target_r2, target)
             val = np.sum(cand * x, axis=-1)
             ok = ((resid <= 1e-10) & (val > np.repeat(best[active[pending]], len(steps)) + 1e-15)
                   ).reshape(len(pending), len(steps))
@@ -594,17 +595,20 @@ def leaf_to_leaf_ambient_distance(system: CliffordSystem, spec: FoliationSpec,
     what arccos <x, z> cannot below arccos(1 - 2^-53).  Only points that
     are feasible to 1e-10 are accepted, so the estimate does not undercut
     the leaf distance beyond that.  Descent starts are taken from the first
-    2048 samples so that growing the budget only tightens the sampled floor;
-    the estimate is nonincreasing in the budget beyond that prefix.  All
+    2048 samples; from 2048 on, a budget that is a multiple of its chunk
+    (:func:`_leaf_sample_blocks`) draws a prefix of any larger budget's
+    samples, so no larger budget gives a larger estimate.  All
     starts ascend together as one (starts, 2l) batch, each with its own
     direction, step and acceptance.  On exact systems a start's result is
     bit for bit the one it reaches alone; on dense systems the batched
     matmul of the generator images may round differently, at the last bit.
     ``budget`` and ``starts`` are integers of at least 1 (bools are not).
-    Leaf constraints use the spec's ``invariant_jacobian`` when it has one,
-    else central differences of its invariant map.  Boundary leaves are
-    handled in closed form per sampled direction (the nearest point of a
-    great subsphere is an orthogonal projection).
+    A fiber leaf (:func:`_fiber_leaf`) holds pi_C at its disk point, 0 at
+    the origin; any other leaf holds |pi_C|^2 and the invariant, through the
+    spec's ``invariant_jacobian`` or else central differences of its
+    invariant map.  Boundary leaves are handled in closed form per sampled
+    direction (the nearest point of a great subsphere is an orthogonal
+    projection).
     """
     _check_spec(system, spec)
     for name, count in (("budget", budget), ("starts", starts)):
@@ -621,14 +625,17 @@ def leaf_to_leaf_ambient_distance(system: CliffordSystem, spec: FoliationSpec,
     x, y = check_unit(x), check_unit(y)
     v = pi_c(system, y)
     r = float(row_norms(v))
+    if r <= _ORIGIN_TOL:
+        v, r = np.zeros_like(v), 0.0  # the origin class is the fiber over 0, for every spec
+    fiber = _fiber_leaf(spec, r)
     rng = rng_from(seed)
 
     if r >= 1.0 - _BOUNDARY_TOL:
         # distance to E_+^1(P_w) is arccos |(x + P_w x)/2| per direction w
         vhat = v / r
-        n_dirs = 1 if spec.leaf_sampler is None else max(1, min(256, budget // 16))
+        n_dirs = 1 if fiber else max(1, min(256, budget // 16))
         units = np.repeat(vhat[None], n_dirs, axis=0)
-        w = units if spec.leaf_sampler is None else spec.leaf_sampler(units, rng)
+        w = units if fiber else spec.leaf_sampler(units, rng)
         xs = np.broadcast_to(x, (n_dirs, 1, len(x)))
         proj = 0.5 * (x + system.span_apply(w, xs)[:, 0])
         norms = row_norms(proj)
@@ -639,15 +646,11 @@ def leaf_to_leaf_ambient_distance(system: CliffordSystem, spec: FoliationSpec,
     samples = _leaf_sample_blocks(system, spec, v, budget, rng)
     dots = samples @ x
 
-    target_r2 = r * r
-    target_tail = None
-    if r > _ORIGIN_TOL:
-        target_tail = v if spec.leaves_are_fibers else spec.invariant_map((v / r)[None])[0]
+    target_r2, target = (None, v) if fiber else (r * r, spec.invariant_map((v / r)[None])[0])
     # Starts: champions of the 32-sample slices of the first 2048 samples,
     # half taken greedily by objective value and half spread through the
     # remaining ranks, so a global basin with a mediocre floor still gets a
-    # descent.  The pool is a fixed prefix, keeping estimates monotone in
-    # the budget beyond it.
+    # descent.  Every budget beyond 2048 shares this pool.
     prefix = dots[:2048]
     champions = [int(c * 32 + np.argmax(prefix[c * 32:(c + 1) * 32]))
                  for c in range((len(prefix) + 31) // 32)]
@@ -657,5 +660,5 @@ def leaf_to_leaf_ambient_distance(system: CliffordSystem, spec: FoliationSpec,
     spread = [rest[j * len(rest) // max(1, starts - len(greedy))]
               for j in range(starts - len(greedy))] if rest else []
     starts_idx = list(dict.fromkeys(greedy + spread))
-    refined, _ = _descend(system, spec, x, samples[starts_idx], target_r2, target_tail)
+    refined, _ = _descend(system, spec, x, samples[starts_idx], target_r2, target)
     return float(min(np.min(_chord_angle(x, samples)), np.min(_chord_angle(x, refined))))

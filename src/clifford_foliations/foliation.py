@@ -243,17 +243,13 @@ def fiber_sample(system: CliffordSystem, v: np.ndarray, n: int, seeds) -> np.nda
     u, w = _mplus_rows(system, n, seeds)
     mid = r > 1e-12
     if np.any(mid):
-        # interior rows turn in place; in the usual call that is every row
-        a, b = (u, w) if np.all(mid) else (u[mid], w[mid])
-        t = (np.arcsin(r[mid]) / 2.0)[:, None, None]
-        # cos(t) x + sin(t) Q x in E_+-(P_0) coefficients, added in that order
-        qa, qb = system.p0_span_apply(v[mid] / r[mid, None], a, b)
-        for x, qx in ((a, qa), (b, qb)):
+        # cos(t) x + sin(t) Q x in E_+-(P_0) coefficients, in place; origin rows take t = Q = 0
+        t = (np.arcsin(np.where(mid, r, 0.0)) / 2.0)[:, None, None]
+        qu, qw = system.p0_span_apply(v / np.where(mid, r, np.inf)[:, None], u, w)
+        for x, qx in ((u, qu), (w, qw)):
             qx *= np.sin(t)
             x *= np.cos(t)
             x += qx
-        if a is not u:
-            u[mid], w[mid] = a, b
     out = system.p0_assemble(u, w)
     return out[0] if single else out
 

@@ -93,14 +93,14 @@ class TestBuiltinSpecs:
         spec = builtin_spec("points", 4)
         v = sample_unit_vectors(rng_from(0), 5, 1)[0]
         np.testing.assert_array_equal(spec.invariant_map(v), v)
-        assert spec.leaves_are_fibers
+        assert spec.leaf_sampler is None
 
     def test_one_leaf_constant(self):
         spec = builtin_spec("one_leaf", 3)
         u, v = sample_unit_vectors(rng_from(1), 4, 2)
         np.testing.assert_array_equal(spec.invariant_map(u[None])[0],
                                       spec.invariant_map(v[None])[0])
-        assert not spec.leaves_are_fibers
+        assert spec.leaf_sampler is not None
         assert spec.quotient_distance(u[None], v[None])[0] == 0.0
 
     def test_height_leaves_and_sampler(self):
@@ -521,10 +521,12 @@ class TestAmbientLeafDistance:
         if kind == "height":
             user = dataclasses.replace(builtin_spec("height", 2), invariant_jacobian=None)
         else:
+            # the identity leaf sampler keeps its leaves off the fiber-leaf path
             user = FoliationSpec(
                 "user_points", 3, invariant_map=lambda v: np.asarray(v, dtype=float),
                 quotient_distance=lambda u, v: np.arccos(
-                    np.clip(np.sum(u * v, axis=-1), -1.0, 1.0)))
+                    np.clip(np.sum(u * v, axis=-1), -1.0, 1.0)),
+                leaf_sampler=lambda v, rng: np.array(v, dtype=float))
         rng = rng_from(37)
         for i in range(3):
             va = sample_unit_vectors(rng, 3, 1)[0] * float(rng.uniform(0.2, 0.85))
@@ -549,10 +551,10 @@ class TestAmbientLeafDistance:
         assert abs(d - dq) <= 1e-6
 
     def test_fiber_leaves_target_the_disk_point(self):
-        # with leaves_are_fibers the leaf is the fiber pi_C(z) = pi_C(y) whatever
+        # without a leaf sampler the leaf is the fiber pi_C(z) = pi_C(y) whatever
         # the invariant, so the estimate is the fiber distance, above the cone metric
         system = build_system(3, 2)
-        spec = dataclasses.replace(builtin_spec("height", 3), leaves_are_fibers=True)
+        spec = dataclasses.replace(builtin_spec("height", 3), leaf_sampler=None)
         dirs = sample_unit_vectors(rng_from(3), 4, 2)
         xa = fiber_sample(system, 0.4 * dirs[0], 1, 13)[0]
         xb = fiber_sample(system, 0.7 * dirs[1], 1, 23)[0]
@@ -580,11 +582,14 @@ class TestBatchedAscent:
         y = fiber_sample(system, vb, 1, 41)[0]
         v = pi_c(system, y)
         r = float(np.linalg.norm(v))
-        # a fiber leaf's target is pi_C(y) itself, any other leaf's its invariant
-        tail = v if spec.leaves_are_fibers else spec.invariant_map((v / r)[None])[0]
+        # a fiber leaf's target is pi_C(y) itself, any other leaf's |pi_C(y)|^2 and invariant
+        if spec.leaf_sampler is None:
+            target = (None, v)
+        else:
+            target = (r * r, spec.invariant_map((v / r)[None])[0])
         starts = _leaf_sample_blocks(system, spec, v, 256, rng_from(42))[::32]
-        points, batch = _descend(system, spec, x, starts, r * r, tail)
-        alone = [_descend(system, spec, x, starts[i:i + 1], r * r, tail)
+        points, batch = _descend(system, spec, x, starts, *target)
+        alone = [_descend(system, spec, x, starts[i:i + 1], *target)
                  for i in range(len(starts))]
         assert batch.shape == (len(starts),)
         assert points.shape == starts.shape
@@ -619,6 +624,33 @@ def test_leaf_blocks_equal_chunk_by_chunk_draws(spec_name, radius):
         expected.append(fiber_sample(system, r * d, n, int(rng.integers(2**62))))
     got = _leaf_sample_blocks(system, spec, v, budget, rng_from(44))
     assert got.tobytes() == np.concatenate(expected).tobytes()
+
+
+@pytest.mark.parametrize("spec_name,radius,chunk", [("points", 0.6, 256), ("height", 0.6, 32),
+                                                    ("height", 0.0, 256)])
+def test_budget_multiples_of_the_chunk_draw_prefixes(spec_name, radius, chunk):
+    # a budget that is a multiple of its chunk draws a prefix of any larger
+    # budget's samples, a multiple of the chunk or not
+    system = build_system(2, 2)
+    spec = builtin_spec(spec_name, system.m)
+    v = radius * sample_unit_vectors(rng_from(51), system.m + 1, 1)[0]
+    larger = _leaf_sample_blocks(system, spec, v, 2200, rng_from(52))
+    assert larger.shape == (2200, system.dim)
+    for budget in (chunk, 2048, 2200 // chunk * chunk):
+        got = _leaf_sample_blocks(system, spec, v, budget, rng_from(52))
+        assert got.tobytes() == larger[:budget].tobytes()
+
+
+def test_origin_class_estimate_is_the_same_for_every_spec():
+    # the origin class is the fiber over 0 for every spec, so its estimate is
+    # the same bits whatever the spec, the distance pi/12 from |pi_C(x)| = 1/2
+    system = build_system(3, 2)
+    x = fiber_sample(system, 0.5 * sample_unit_vectors(rng_from(53), 4, 1)[0], 1, 54)[0]
+    y = mplus_sample(system, 1, 55)[0]
+    d = [leaf_to_leaf_ambient_distance(system, builtin_spec(name, 3), x, y, 600, 56, starts=6)
+         for name in ("points", "height", "one_leaf")]
+    assert d[0].hex() == d[1].hex() == d[2].hex()
+    assert abs(d[0] - np.pi / 12) <= 1e-9
 
 
 def test_solve_rows_falls_back_row_by_row():

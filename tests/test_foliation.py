@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from clifford_foliations import algebra, foliation
+from clifford_foliations import algebra, clifford, foliation
 from clifford_foliations.algebra import (max_abs, rng_from, sample_unit_vectors, seed_ints,
                                          sign_fixed_q)
 from clifford_foliations.clifford import (CliffordSystem, build_system, conjugate_system, delta,
@@ -606,23 +606,37 @@ class TestBlocks:
         if case == "conjugated":
             system = conjugate_system(system, haar(69, system.dim))
         x = sample_unit_vectors(rng_from(70), system.dim, 50)
-        v, seeds = mixed_disk_rows(system)
-        n = 5
-        # entries per pi_c row, per span matrix and per M+ fiber
-        row, span, fiber = 4 * 16, 16 * 16, n * 4 * 16
+        v, seeds = mixed_disk_rows(system)  # 2 origin, 8 interior and 2 boundary rows
+        n, m, l = 5, system.m, system.l
+        sliced = []
+
+        def blocks(count, size):
+            out = algebra._blocks(count, size)
+            sliced.append((count, size, len(out)))
+            return out
+
+        monkeypatch.setattr(foliation, "_blocks", blocks)
+        monkeypatch.setattr(clifford, "_blocks", blocks)
 
         def draws():
+            sliced.clear()
             return [pi_c(system, x), fiber_sample(system, v, n, seeds),
                     mplus_sample(system, n, seeds)]
 
-        counts = ((50, row), (12, span), (12, fiber))
-        assert [len(algebra._blocks(c, size)) for c, size in counts] == [1, 1, 1]
+        # (rows, entries a row) of each slicing: pi_c's 50 rows of m l images; the 2
+        # boundary rows' span matrices (2l)^2 in span_apply; the 10 other rows' M+
+        # draws of n m l images in _mplus_rows, then their l x l turns in
+        # p0_span_apply; mplus_sample's 12 rows of n m l images
+        sizes = [(50, m * l), (2, (2 * l) ** 2), (10, n * m * l), (10, l * l), (12, n * m * l)]
         whole = draws()
-        # ten pi_c rows, two span matrices and two M+ fibers to a block
-        monkeypatch.setattr(algebra, "_BLOCK", 640)
-        assert [len(algebra._blocks(c, size)) for c, size in counts] == [5, 6, 6]
-        for got, expected in zip(draws(), whole):
-            assert got.tobytes() == expected.tobytes()
+        assert sliced == [size + (1,) for size in sizes]
+        # a slice of 640 entries holds at most 26 pi_c rows, 2 span matrices, 5 M+ rows
+        # and 10 turns; one of 256 at most 10, 1, 2 and 4, so that every path splits
+        for block, parts in ((640, [2, 1, 2, 1, 3]), (256, [5, 2, 5, 3, 6])):
+            monkeypatch.setattr(algebra, "_BLOCK", block)
+            for got, expected in zip(draws(), whole):
+                assert got.tobytes() == expected.tobytes()
+            assert sliced == [size + (count,) for size, count in zip(sizes, parts)]
 
 
 class TestHorizontalFrame:
