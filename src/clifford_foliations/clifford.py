@@ -273,24 +273,6 @@ class CliffordSystem:
         """
         return _images(self._p0_blocks, self._p0_signed_cols, u)
 
-    def p0_span_apply(self, q: np.ndarray, u: np.ndarray, w: np.ndarray):
-        """E_+-(P_0) coefficients of sum_i q_i P_i x for x = u B_plus^T + w B_minus^T.
-
-        Rows q (k, m+1) act with row j on u[j] and w[j], both (k, n, l), and
-        give (q_0 u + w B_q, u B_q^T - q_0 w) with B_q = sum_{i>=1} q_i R_i.
-        B_q is built l x l one ``_blocks`` slice of rows at a time, and each
-        product is the (n, l) @ (l, l) one a single row takes.
-        """
-        out_u, out_w = np.empty(u.shape), np.empty(w.shape)
-        for rows in _blocks(len(q), self.l ** 2):
-            b_q = _span_sum(q[rows, 1:], self._p0_blocks, self.l)
-            np.matmul(w[rows], b_q, out=out_u[rows])
-            np.matmul(u[rows], np.swapaxes(b_q, -1, -2), out=out_w[rows])
-        q0 = q[:, 0, None, None]
-        out_u += q0 * u
-        out_w -= q0 * w
-        return out_u, out_w
-
     def p0_assemble(self, u: np.ndarray, w: np.ndarray) -> np.ndarray:
         """u B_plus^T + w B_minus^T: the point of R^(2l) with E_+-(P_0) coefficients u, w.
 
@@ -322,7 +304,8 @@ class CliffordSystem:
         """Dense matrix of sum_i coords[i] * P_i; rows of coords give a stack.
 
         coords of shape (m+1,) gives a (2l, 2l) matrix, (k, m+1) a (k, 2l, 2l)
-        stack, summed by :func:`_span_sum`.
+        stack, summed by :func:`_span_sum`.  Only dense generators need it:
+        :meth:`span_apply` acts through the l x l blocks instead.
         """
         coords = np.asarray(coords, dtype=float)
         if coords.ndim not in (1, 2) or coords.shape[-1] != self.m + 1:
@@ -335,27 +318,39 @@ class CliffordSystem:
         return float(np.asarray(p, dtype=float) @ self._diagonals.sum(axis=-1))
 
     def span_apply(self, p: np.ndarray, x: np.ndarray) -> np.ndarray:
-        """x[j] @ P_j^T for span coordinate rows p (k, m+1) and x (k, n, 2l).
+        """x[j] @ P_j^T with P_j = sum_i p[j, i] P_i, for rows p (k, m+1) and x (k, n, 2l).
 
-        A single p (m+1,) acts on x (..., 2l) as a batch of one.  P_j comes
-        from :meth:`span_matrix` one ``_blocks`` slice of rows at a time;
-        each product is the (n, 2l) @ (2l, 2l) one a single call makes.
+        P_j is p_0 P_0 plus the l x l block B_p = sum_{i>=1} p_i R_i, so x
+        with E_+-(P_0) coefficients (u, w) goes to the point with coefficients
+        (p_0 u + w B_p, u B_p^T - p_0 w).  B_p is summed one ``_blocks`` slice
+        of rows at a time, and each product is the (n, l) @ (l, l) one a single
+        row takes.  A single p (m+1,) acts on x (..., 2l) as a batch of one.
         """
         p, x = np.asarray(p, dtype=float), np.asarray(x, dtype=float)
+        if p.shape[-1:] != (self.m + 1,) or x.shape[-1:] != (self.dim,):
+            raise ValueError(f"span coordinates need width m+1 = {self.m + 1}"
+                             f" and points width 2l = {self.dim}")
         if p.ndim == 1:
             return self.span_apply(p[None], x.reshape(1, -1, self.dim)).reshape(x.shape)
-        if x.ndim != 3 or len(p) != len(x):
+        if p.ndim != 2 or x.ndim != 3 or len(p) != len(x):
             raise ValueError("pass one frame per row of x, with x of shape (k, n, 2l)")
-        out = np.empty(x.shape)
-        for rows in _blocks(len(x), self.dim ** 2):
-            np.matmul(x[rows], np.swapaxes(self.span_matrix(p[rows]), -1, -2), out=out[rows])
-        return out
+        u, w = self.p0_coefficients(x)
+        out_u, out_w = np.empty(u.shape), np.empty(w.shape)
+        for rows in _blocks(len(p), self.l ** 2):
+            b_p = _span_sum(p[rows, 1:], self._p0_blocks, self.l)
+            np.matmul(w[rows], b_p, out=out_u[rows])
+            np.matmul(u[rows], np.swapaxes(b_p, -1, -2), out=out_w[rows])
+        p0 = p[:, 0, None, None]
+        out_u += p0 * u
+        out_w -= p0 * w
+        return self.p0_assemble(out_u, out_w)
 
 
 def _span_sum(rows: np.ndarray, blocks, width: int) -> np.ndarray:
     """sum_i rows[j, i] * A_i for each row j, shape (k, width, width).
 
-    ``blocks`` holds the A_i as one gather pair or as one stack.  A gather
+    ``blocks`` holds the A_i (the generators, or the blocks R_i of
+    :meth:`CliffordSystem.span_apply`) as one gather pair or as one stack.  A gather
     pair is scattered into a zero stack for every nonzero coefficient: two
     anticommuting signed permutations (or blocks R_i, R_j with
     R_i R_j^T + R_j R_i^T = 0) never share a nonzero entry, since a shared

@@ -218,7 +218,8 @@ def fiber_sample(system: CliffordSystem, v: np.ndarray, n: int, seeds) -> np.nda
 
     Interior points use the parametrization cos(t) x + sin(t) Qx over x in M+
     with Q = v/|v| and t = arcsin(|v|)/2, which lands exactly in the fiber
-    over sin(2t) Q = v.  Origin and boundary points take the samples of
+    over sin(2t) Q = v, turning assembled M+ rows by one span action.
+    Origin and boundary points take the samples of
     :func:`mplus_sample` / :func:`boundary_fiber_sample`.  A point (m+1,)
     with an int seed gives (n, 2l); k points (k, m+1) with k seeds give
     (k, n, 2l), where origin, interior and boundary rows may be mixed and
@@ -240,18 +241,16 @@ def fiber_sample(system: CliffordSystem, v: np.ndarray, n: int, seeds) -> np.nda
         out = _boundary_rows(system, v / r[:, None], n, seeds)
         return out[0] if single else out
     _check_focal(system)
-    u, w = _mplus_rows(system, n, seeds)
+    x = system.p0_assemble(*_mplus_rows(system, n, seeds))
     mid = r > 1e-12
     if np.any(mid):
-        # cos(t) x + sin(t) Q x in E_+-(P_0) coefficients, in place; origin rows take t = Q = 0
+        # cos(t) x + sin(t) Q x, in place; origin rows take t = Q = 0
         t = (np.arcsin(np.where(mid, r, 0.0)) / 2.0)[:, None, None]
-        qu, qw = system.p0_span_apply(v / np.where(mid, r, np.inf)[:, None], u, w)
-        for x, qx in ((u, qu), (w, qw)):
-            qx *= np.sin(t)
-            x *= np.cos(t)
-            x += qx
-    out = system.p0_assemble(u, w)
-    return out[0] if single else out
+        qx = system.span_apply(v / np.where(mid, r, np.inf)[:, None], x)
+        qx *= np.sin(t)
+        x *= np.cos(t)
+        x += qx
+    return x[0] if single else x
 
 
 # --------------------------------------------------------------------------- #

@@ -288,7 +288,9 @@ class TestDenseHelpers:
         # the pairwise axis norm of the first row is one ulp off its 1-D norm
         a = np.concatenate([[[0.3808923102553664, 0.22284632304195315, -0.40652252618398793]],
                             sample_unit_vectors(rng_from(6), 3, 200) * 0.6])
-        assert np.linalg.norm(a[0]) != np.linalg.norm(a, axis=-1)[0]
+        if np.linalg.norm(a[0]) == np.linalg.norm(a, axis=-1)[0]:
+            pytest.skip("no norm trap on these kernels: the 1-D and pairwise axis norms of"
+                        " the first row agree in the last bit")
         assert row_norms(a).tobytes() == np.array([np.linalg.norm(r) for r in a]).tobytes()
         b = np.roll(a, 1, axis=0)
         assert row_dots(a, b).tobytes() == np.array([np.dot(r, s) for r, s in zip(a, b)]).tobytes()

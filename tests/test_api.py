@@ -1,13 +1,21 @@
-"""Every exported name resolves, and so does every function the traced benchmark wraps."""
+"""Every exported name resolves, and so does every function the traced benchmark wraps;
+only clifford.py reads the generators, and built systems act without dense span matrices."""
 
 import importlib.util
 import pathlib
 import pkgutil
 import re
 
+import numpy as np
 import pytest
 
 import clifford_foliations
+from clifford_foliations.algebra import rng_from, row_dots, row_norms, sample_unit_vectors
+from clifford_foliations.clifford import CliffordSystem, build_system
+from clifford_foliations.composed import builtin_spec, leaf_to_leaf_ambient_distance
+from clifford_foliations.foliation import (boundary_fiber_sample, fiber_sample, mplus_sample,
+                                           random_horizontal_geodesic, reflect_symmetry,
+                                           spin_rotate)
 
 MODULES = [info.name for info in pkgutil.iter_modules(clifford_foliations.__path__)]
 TRACING = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
@@ -51,7 +59,33 @@ def test_only_clifford_reads_generators():
 
 
 def test_only_clifford_builds_span_matrices():
-    # every sum a_i P_i acts through CliffordSystem.span_apply, the one caller of span_matrix
+    # every sum a_i P_i acts through CliffordSystem.span_apply, which works in E+-(P_0)
+    # coefficients; span_matrix is left to dense generators, conjugation and dense blocks
     callers = sorted(path.name for path in PACKAGE_DIR.glob("*.py")
                      if re.search(r"\bspan_matrix\(", path.read_text()))
     assert callers == ["clifford.py"]
+
+
+@pytest.mark.parametrize("m,k,flips", [(4, 3, 1), (12, 4, 0)])
+def test_built_systems_act_without_span_matrices(monkeypatch, m, k, flips):
+    # no (2l)^2 span matrix in the samplers, geodesics, symmetries or leaf distances
+    def refuse(*args, **kwargs):
+        raise AssertionError("a built system's geometry must not build a span matrix")
+
+    monkeypatch.setattr(CliffordSystem, "span_matrix", refuse)
+    system = build_system(m, k, flips)
+    rng = rng_from(80, m, k)
+    p = sample_unit_vectors(rng, m + 1, 3)
+    q = p[[1, 2, 0]] - row_dots(p[[1, 2, 0]], p)[:, None] * p
+    q /= row_norms(q)[:, None]
+    v = p * np.array([0.0, 0.5, 1.0])[:, None]  # origin, interior and boundary rows
+    x = fiber_sample(system, v, 2, np.arange(3))
+    assert x.shape == (3, 2, system.dim)
+    assert mplus_sample(system, 2, np.arange(3)).shape == x.shape
+    assert boundary_fiber_sample(system, p, 2, np.arange(3)).shape == x.shape
+    assert random_horizontal_geodesic(system, np.arange(3)).x_plus.shape == (3, system.dim)
+    assert reflect_symmetry(system, p, x).shape == x.shape
+    assert spin_rotate(system, p, q, np.array([0.1, 0.2, 0.3]), x).shape == x.shape
+    for name, y in (("points", x[1, 0]), ("height", x[1, 0]), ("height", x[2, 0])):
+        d = leaf_to_leaf_ambient_distance(system, builtin_spec(name, m), x[0, 0], y, 64, 81)
+        assert 0.0 <= d <= np.pi

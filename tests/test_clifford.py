@@ -201,9 +201,10 @@ def assert_product_bits(system, seed):
 
 
 def assert_block_actions(system, seed, tol):
-    """p0_images and p0_span_apply agree with the generators' action on R^(2l) to tol."""
+    """p0_images agrees with the generators' action on R^(2l) to tol, and span_apply with
+    the dense span matrices, on rows of mixed, P_0-free and P_0-only coordinates."""
     u = rng_from(seed, 1).standard_normal((3, 5, system.l))
-    w = rng_from(seed, 2).standard_normal((3, 5, system.l))
+    x = rng_from(seed, 2).standard_normal((3, 5, system.dim))
     q = rng_from(seed, 3).standard_normal((3, system.m + 1))
     q[1, 0] = q[2, 1:] = 0.0
     b_plus, b_minus = system.p0_eigenbases
@@ -211,9 +212,11 @@ def assert_block_actions(system, seed, tol):
     assert system.p0_images(u).shape == (3, 5, system.m, system.l)
     assert max_abs(system.p0_images(u) - images) <= tol
     assert max_abs(system.p0_images(u[0]) - images[0]) <= tol
-    qu, qw = system.p0_span_apply(q, u, w)
-    assert max_abs(system.p0_assemble(qu, qw)
-                   - system.span_apply(q, system.p0_assemble(u, w))) <= tol
+    expected = x @ np.swapaxes(system.span_matrix(q), -1, -2)
+    assert system.span_apply(q, x).shape == x.shape
+    assert max_abs(system.span_apply(q, x) - expected) <= tol
+    assert max_abs(system.span_apply(q[0], x[0]) - expected[0]) <= tol
+    assert max_abs(system.span_apply(q[0], x[0, 0]) - expected[0, 0]) <= tol
 
 
 class TestGeneratorPaths:
@@ -254,6 +257,25 @@ class TestGeneratorPaths:
             assert isinstance(system._p0_blocks, np.ndarray)
             assert_product_bits(system, 24)
             assert_block_actions(system, 24, 1e-14)
+
+    def test_rank_one_sub_system(self):
+        # m = 0: every span element is p_0 P_0, and the E+-(P_0) blocks are empty
+        for system in (sub_system(build_system(3, 2), [0]),
+                       sub_system(conjugate_system(build_system(3, 2), haar(24, 16)), [0])):
+            assert system.m == 0
+            assert_block_actions(system, 25, 1e-14)
+
+    def test_span_apply_rejects_other_widths(self):
+        system = build_system(3, 2)
+        x = rng_from(26).standard_normal((2, 3, system.dim))
+        p = rng_from(27).standard_normal((2, system.m + 1))
+        for bad_p, bad_x in ((p[:, :-1], x), (np.hstack([p, p]), x), (p, x[..., :-1]),
+                             (p, np.concatenate([x, x], axis=-1)), (p[0, :-1], x[0]),
+                             (p[0], x[0, :, :-1]), (p[0], np.concatenate([x[0], x[0]], axis=-1))):
+            with pytest.raises(ValueError, match="width"):
+                system.span_apply(bad_p, bad_x)
+        with pytest.raises(ValueError, match="one frame per row of x"):
+            system.span_apply(p, x[:1])
 
 
 class TestSpanMatrix:
