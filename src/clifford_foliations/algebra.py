@@ -19,6 +19,7 @@ __all__ = [
     "max_abs",
     "row_dots",
     "row_norms",
+    "unit_angle",
     "check_unit",
     "snapped_sqrt",
     "projector_colspace_basis",
@@ -129,9 +130,7 @@ _BLOCK = 1 << 16
 def _blocks(count: int, size: int) -> list:
     """Equal slices of count rows of size entries each, at most _BLOCK entries a slice.
 
-    A slice is whole rows, at least one.  Equal slices keep a large batch
-    from ending in a lone row, which on dense systems would take a
-    matrix-vector BLAS call where the other slices take matrix-matrix ones.
+    A slice is whole rows, at least one, and no two slices differ by more than one row.
     """
     rows = max(1, _BLOCK // max(size, 1))
     parts = max(1, -(-count // rows))
@@ -155,6 +154,17 @@ def row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def row_norms(a: np.ndarray) -> np.ndarray:
     """Euclidean norm of every row of a, as the 1-D ``np.linalg.norm`` takes it."""
     return np.sqrt(row_dots(a, a))
+
+
+def unit_angle(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Angle between unit rows a_j and b_j, exact at 0 and pi, each row as its single call.
+
+    2 arcsin(|a - b|/2) where <a, b> >= 0, else pi - 2 arcsin(|a + b|/2), by :func:`row_norms`
+    and :func:`row_dots`; an arccos of <a, b> would lose half the precision at both ends.
+    """
+    near = 2.0 * np.arcsin(np.clip(0.5 * row_norms(a - b), 0.0, 1.0))
+    far = np.pi - 2.0 * np.arcsin(np.clip(0.5 * row_norms(a + b), 0.0, 1.0))
+    return np.where(row_dots(a, b) >= 0.0, near, far)
 
 
 def check_unit(x, what: str = "point") -> np.ndarray:

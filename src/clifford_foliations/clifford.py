@@ -278,12 +278,13 @@ class CliffordSystem:
 
         Where P_0 is a +-1 diagonal, [u, w] is permuted into place by
         one ``np.take``: the products' other terms are exact zeros, so the bits
-        are the products'.  Other bases take the products.
+        are the products'.  Other bases take the products, one (1, l) row at a
+        time, so a row's bits do not depend on its batch.
         """
         if self._p0_order is None:
             b_plus, b_minus = self.p0_eigenbases
-            out = u @ b_plus.T
-            out += w @ b_minus.T
+            out = (u[..., None, :] @ b_plus.T)[..., 0, :]
+            out += (w[..., None, :] @ b_minus.T)[..., 0, :]
             return out
         return np.concatenate((u, w), axis=-1).take(self._p0_order, axis=-1)
 
@@ -292,11 +293,12 @@ class CliffordSystem:
 
         x holds points (..., 2l); u and w have shape (..., l).  Where P_0 is a
         +-1 diagonal they are read off x by one ``np.take`` at
-        :attr:`_p0_coords`, the products' bits; other bases take the products.
+        :attr:`_p0_coords`, the products' bits; other bases take the products,
+        one (1, 2l) row at a time as :meth:`p0_assemble` does.
         """
         if self._p0_coords is None:
             b_plus, b_minus = self.p0_eigenbases
-            return x @ b_plus, x @ b_minus
+            return (x[..., None, :] @ b_plus)[..., 0, :], (x[..., None, :] @ b_minus)[..., 0, :]
         uw = x.take(self._p0_coords, axis=-1)
         return uw[..., :self.l], uw[..., self.l:]
 
@@ -391,15 +393,12 @@ def _images(blocks, signed, x: np.ndarray) -> np.ndarray:
     A gather pair takes one ``np.take`` from [x, -x] with its
     :func:`_signed_index`, which returns a new C-contiguous stack whatever
     the batch size; a negation rounds nothing, so this equals gathering x
-    and multiplying by the signs.  A stack takes one stacked matmul against
-    the transposed blocks.
+    and multiplying by the signs.  A stack takes one (1, width) product per
+    row and block, so a row's bits do not depend on its batch.
     """
     if isinstance(blocks, tuple):
         return np.concatenate((x, -x), axis=-1).take(signed, axis=-1)
-    blocks_t = np.swapaxes(blocks, -1, -2)
-    if x.ndim == 1:
-        return x @ blocks_t
-    return np.moveaxis(x[..., None, :, :] @ blocks_t, -3, -2)
+    return (x[..., None, None, :] @ np.swapaxes(blocks, -1, -2))[..., 0, :]
 
 
 def _gather_diagonal(cols: np.ndarray, signs: np.ndarray) -> np.ndarray:

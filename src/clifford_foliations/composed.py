@@ -22,9 +22,9 @@ from typing import Callable, Optional
 import numpy as np
 
 from .algebra import (check_unit, rng_from, row_dots, row_norms, sample_unit_vectors,
-                      sign_fixed_rotation)
+                      sign_fixed_rotation, snapped_sqrt, unit_angle)
 from .clifford import CliffordSystem
-from .foliation import _pi_state, fiber_sample, pi_c, quotient_distance
+from .foliation import _pi_state, fiber_sample, pi_c
 
 __all__ = [
     "FoliationSpec",
@@ -89,11 +89,11 @@ def signed_svd_triple(mat: np.ndarray) -> np.ndarray:
 def tensor_orbit_distance(a: np.ndarray, b: np.ndarray):
     """Spherical distance between the rotate-both-sides orbits of two unit 3x3 matrices.
 
-    arccos of the inner product of the signed singular triples, which is the
-    minimum of arccos <a, U b V^T> over U, V in SO(3).  Two matrices give a
-    float; paired rows (n, 9) give (n,).
+    The :func:`~clifford_foliations.algebra.unit_angle` between the signed
+    singular triples, which is the minimum angle between a and U b V^T over
+    U, V in SO(3).  Two matrices give a float; paired rows (n, 9) give (n,).
     """
-    d = np.arccos(np.clip(row_dots(signed_svd_triple(a), signed_svd_triple(b)), -1.0, 1.0))
+    d = unit_angle(signed_svd_triple(a), signed_svd_triple(b))
     return float(d) if d.ndim == 0 else d
 
 
@@ -114,7 +114,7 @@ def builtin_spec(name: str, m: int) -> FoliationSpec:
         return FoliationSpec(
             "points", dim,
             invariant_map=lambda v: np.asarray(v, dtype=float),
-            quotient_distance=lambda u, v: np.arccos(np.clip(row_dots(u, v), -1.0, 1.0)),
+            quotient_distance=unit_angle,
         )
     if name == "one_leaf":
         return FoliationSpec(
@@ -147,9 +147,7 @@ def builtin_spec(name: str, m: int) -> FoliationSpec:
         return FoliationSpec(
             "height", dim,
             invariant_map=lambda v: row_dots(v, p0)[:, None],
-            quotient_distance=lambda u, v: np.abs(
-                np.arccos(np.clip(row_dots(u, p0), -1.0, 1.0))
-                - np.arccos(np.clip(row_dots(v, p0), -1.0, 1.0))),
+            quotient_distance=lambda u, v: np.abs(unit_angle(u, p0) - unit_angle(v, p0)),
             leaf_sampler=sample_leaf,
             invariant_jacobian=height_jacobian,
         )
@@ -260,11 +258,11 @@ def composed_quotient_distance(system: CliffordSystem, spec: FoliationSpec,
                                x: np.ndarray, y: np.ndarray):
     """Distance between the composed classes of x and y (half the cone/join metric).
 
-    With cone angles s = arcsin |pi_C| and the leaf-space distance delta of
-    the directions: (1/2) arccos(cos s cos s' + sin s sin s' cos min(delta, pi)).
-    x and y are single points (2l,), giving a float, or paired rows (n, 2l),
-    giving an (n,) array.  The leaf-space metric is evaluated only on rows
-    with both classes off the origin.
+    Half the :func:`~clifford_foliations.algebra.unit_angle` between (h, r, 0) and
+    (h', r' cos delta, r' sin delta): radii r = |pi_C|, heights h = sqrt(1 - r^2) snapped as
+    :func:`~clifford_foliations.foliation.quotient_lift` snaps them, delta the leaf-space
+    distance of the directions, capped at pi.  Single points x, y (2l,) give a float, paired
+    rows (n, 2l) an (n,) array; the leaf-space metric runs on rows with both classes off the origin.
     """
     _check_spec(system, spec)
     if spec.quotient_distance is None:
@@ -273,13 +271,13 @@ def composed_quotient_distance(system: CliffordSystem, spec: FoliationSpec,
     vx, rx = _disk_points(system, x)
     vy, ry = _disk_points(system, y)
     rx, ry = np.minimum(1.0, rx), np.minimum(1.0, ry)
-    s, sp = np.arcsin(rx), np.arcsin(ry)
     delta = np.zeros(len(rx))
     off = np.flatnonzero((rx > _ORIGIN_TOL) & (ry > _ORIGIN_TOL))
     delta[off] = np.minimum(
         spec.quotient_distance(vx[off] / rx[off, None], vy[off] / ry[off, None]), np.pi)
-    c = np.clip(np.cos(s) * np.cos(sp) + np.sin(s) * np.sin(sp) * np.cos(delta), -1.0, 1.0)
-    d = 0.5 * np.arccos(c)
+    a = np.stack([snapped_sqrt(1.0 - rx * rx), rx, np.zeros(len(rx))], axis=-1)
+    b = np.stack([snapped_sqrt(1.0 - ry * ry), ry * np.cos(delta), ry * np.sin(delta)], axis=-1)
+    d = 0.5 * unit_angle(a, b)
     return float(d[0]) if np.ndim(x) == 1 else d
 
 
@@ -579,29 +577,23 @@ def _descend(system, spec, x, z, target_r2, target):
     return z, best
 
 
-def _chord_angle(x: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """2 arcsin(|x - z_j|/2), the angle from x to each unit row z_j, exact down to small angles."""
-    return 2.0 * np.arcsin(np.clip(0.5 * row_norms(z - x), 0.0, 1.0))
-
-
 def leaf_to_leaf_ambient_distance(system: CliffordSystem, spec: FoliationSpec,
                                   x: np.ndarray, y: np.ndarray, budget: int = 1000,
                                   seed: int = 0, starts: int = 4) -> float:
     """Estimate of the spherical distance from x to the composed leaf through y.
 
     Minimum over ``budget`` leaf samples, refined by Newton ascent of <x, .>
-    on the leaf (:func:`_descend`) from the best starts.  Distances are the
-    chord angles 2 arcsin(|x - z|/2) to the points z found, which resolve
-    what arccos <x, z> cannot below arccos(1 - 2^-53).  Only points that
+    on the leaf (:func:`_descend`) from the best starts.  Distances to the
+    points z found are their ``unit_angle`` to x, which resolves what
+    arccos <x, z> cannot below arccos(1 - 2^-53).  Only points that
     are feasible to 1e-10 are accepted, so the estimate does not undercut
     the leaf distance beyond that.  Descent starts are taken from the first
     2048 samples; from 2048 on, a budget that is a multiple of its chunk
     (:func:`_leaf_sample_blocks`) draws a prefix of any larger budget's
     samples, so no larger budget gives a larger estimate.  All
     starts ascend together as one (starts, 2l) batch, each with its own
-    direction, step and acceptance.  On exact systems a start's result is
-    bit for bit the one it reaches alone; on dense systems the batched
-    matmul of the generator images may round differently, at the last bit.
+    direction, step and acceptance.  A start's result is bit for bit the
+    one it reaches alone, on dense systems too, whose products go row by row.
     ``budget`` and ``starts`` are integers of at least 1 (bools are not).
     A fiber leaf (:func:`_fiber_leaf`) holds pi_C at its disk point, 0 at
     the origin; any other leaf holds |pi_C|^2 and the invariant, through the
@@ -641,7 +633,7 @@ def leaf_to_leaf_ambient_distance(system: CliffordSystem, spec: FoliationSpec,
         norms = row_norms(proj)
         # the nearest point is proj / |proj|; proj = 0 puts the whole subsphere at pi/2
         nearest = proj / np.where(norms > 0.0, norms, 1.0)[:, None]
-        return float(np.min(np.where(norms > 0.0, _chord_angle(x, nearest), 0.5 * np.pi)))
+        return float(np.min(np.where(norms > 0.0, unit_angle(nearest, x), 0.5 * np.pi)))
 
     samples = _leaf_sample_blocks(system, spec, v, budget, rng)
     dots = samples @ x
@@ -661,4 +653,4 @@ def leaf_to_leaf_ambient_distance(system: CliffordSystem, spec: FoliationSpec,
               for j in range(starts - len(greedy))] if rest else []
     starts_idx = list(dict.fromkeys(greedy + spread))
     refined, _ = _descend(system, spec, x, samples[starts_idx], target_r2, target)
-    return float(min(np.min(_chord_angle(x, samples)), np.min(_chord_angle(x, refined))))
+    return float(min(np.min(unit_angle(samples, x)), np.min(unit_angle(refined, x))))

@@ -20,8 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import (_blocks, check_unit, eig_split, gaussian_rows, redraw_short_rows, rng_streams,
-                      row_dots, row_norms, sample_unit_vectors, seed_ints, snapped_sqrt)
+from .algebra import (_blocks, check_unit, eig_split, gaussian_rows, redraw_short_rows,
+                      rng_streams, row_dots, row_norms, sample_unit_vectors, seed_ints,
+                      snapped_sqrt, unit_angle)
 from .clifford import CliffordSystem
 
 __all__ = [
@@ -81,6 +82,18 @@ def _check_width(system: CliffordSystem, x: np.ndarray) -> None:
         raise ValueError(f"points must have shape (..., {system.dim}) = (..., 2l), got {x.shape}")
 
 
+def _in_blocks(system: CliffordSystem, x: np.ndarray, values, size: int) -> np.ndarray:
+    """values(rows) of the points x (..., 2l), shape x.shape[:-1] + (m+1,), by :func:`_blocks`.
+
+    size is the entries of a row's working stack, so a large batch never builds it whole.
+    """
+    flat = x.reshape(-1, system.dim)
+    out = np.empty((len(flat), system.m + 1))
+    for rows in _blocks(len(flat), size):
+        out[rows] = values(flat[rows])
+    return out.reshape(x.shape[:-1] + (system.m + 1,))
+
+
 def pi_c(system: CliffordSystem, x: np.ndarray) -> np.ndarray:
     """Quotient-map coordinates (<P_i x, x>)_i along the last axis of x.
 
@@ -96,11 +109,7 @@ def pi_c(system: CliffordSystem, x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     _check_width(system, x)
     x = check_unit(x)
-    flat = x.reshape(-1, system.dim)
-    out = np.empty((len(flat), system.m + 1))
-    for rows in _blocks(len(flat), system.m * system.l):
-        out[rows] = _quadratic_values(system, flat[rows])
-    return out.reshape(x.shape[:-1] + (system.m + 1,))
+    return _in_blocks(system, x, lambda rows: _quadratic_values(system, rows), system.m * system.l)
 
 
 # --------------------------------------------------------------------------- #
@@ -286,10 +295,16 @@ def fkm_f0(system: CliffordSystem, x: np.ndarray):
 
     Returns (direct, factored) where direct = <x,x>^2 - 2 sum <P_i x, x>^2 and
     factored = 1 - 2 |pi_C(x)|^2; on the unit sphere the two agree to roundoff.
+    direct takes each <P_i x, x> as the row dot of x with its full-width
+    :meth:`~CliffordSystem.generator_images`, in :func:`_blocks` slices, and
+    factored takes :func:`pi_c`'s E_+-(P_0) kernel, so they share no arithmetic.
     """
     v = pi_c(system, x)
+    x = np.asarray(x, dtype=float)
+    q = _in_blocks(system, x, lambda y: row_dots(system.generator_images(y), y[:, None, :]),
+                   (system.m + 1) * system.dim)
     sq = np.sum(np.square(x), axis=-1)
-    direct = sq * sq - 2.0 * np.sum(v * v, axis=-1)
+    direct = sq * sq - 2.0 * np.sum(q * q, axis=-1)
     factored = 1.0 - 2.0 * np.sum(v * v, axis=-1)
     return direct, factored
 
@@ -336,9 +351,8 @@ def geodesic_eval(g: HorizontalGeodesic, t) -> np.ndarray:
 
 def project_geodesic_params(system: CliffordSystem, g: HorizontalGeodesic):
     """(P, Q) with Q_i = <P_i x_plus, x_minus>, so pi_C(gamma(t)) = -cos(2t) P + sin(2t) Q."""
-    # one BLAS dot per Q_i, on the (1, 2l) products a single geodesic takes: rows equal singles
-    images = system.generator_images(g.x_plus[..., None, :])[..., 0, :, :]
-    q = row_dots(images, g.x_minus[..., None, :])
+    # generator images and one BLAS dot per Q_i, both row by row: rows equal singles
+    q = row_dots(system.generator_images(g.x_plus), g.x_minus[..., None, :])
     return np.array(g.p_coords, dtype=float), q
 
 
@@ -364,18 +378,12 @@ def quotient_lift(v: np.ndarray) -> np.ndarray:
 
 
 def quotient_distance(v: np.ndarray, w: np.ndarray):
-    """Distance in the curvature-4 disk: half the lifted great-circle angle.
+    """Distance in the curvature-4 disk: half the angle between the lifted points.
 
-    The angle uses the chord formulas 2 arcsin(|a-b|/2) / pi - 2 arcsin(|a+b|/2)
-    (by the sign of the inner product), which stay fully accurate where an
-    arccos of the inner product would lose half the working precision.
+    Half the :func:`~clifford_foliations.algebra.unit_angle` of the unit lifts
+    2 :func:`quotient_lift`; a pair of points gives a float, paired rows an array.
     """
-    a = 2.0 * quotient_lift(v)
-    b = 2.0 * quotient_lift(w)
-    dot = np.sum(a * b, axis=-1)
-    near = 2.0 * np.arcsin(np.clip(0.5 * np.linalg.norm(a - b, axis=-1), 0.0, 1.0))
-    far = np.pi - 2.0 * np.arcsin(np.clip(0.5 * np.linalg.norm(a + b, axis=-1), 0.0, 1.0))
-    theta = np.where(dot >= 0.0, near, far)
+    theta = unit_angle(2.0 * quotient_lift(v), 2.0 * quotient_lift(w))
     return 0.5 * theta if theta.ndim else float(0.5 * theta)
 
 

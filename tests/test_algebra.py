@@ -19,6 +19,7 @@ from clifford_foliations.algebra import (
     seed_ints,
     sign_fixed_q,
     sign_fixed_rotation,
+    unit_angle,
 )
 from clifford_foliations.algebra import _kron, _mul, _pcg64_words, _transpose
 from clifford_foliations.clifford import build_complex_structures, build_system, delta
@@ -294,6 +295,23 @@ class TestDenseHelpers:
         assert row_norms(a).tobytes() == np.array([np.linalg.norm(r) for r in a]).tobytes()
         b = np.roll(a, 1, axis=0)
         assert row_dots(a, b).tobytes() == np.array([np.dot(r, s) for r, s in zip(a, b)]).tobytes()
+
+    def test_unit_angle_rows_equal_single_calls(self):
+        a = sample_unit_vectors(rng_from(7), 5, 200)
+        b = sample_unit_vectors(rng_from(8), 5, 200)
+        dots = row_dots(a, b)
+        assert np.any(dots >= 0.0) and np.any(dots < 0.0)  # both branches run
+        rows = unit_angle(a, b)
+        assert rows.tobytes() == np.array([unit_angle(r, s) for r, s in zip(a, b)]).tobytes()
+        assert unit_angle(a[0], b[0]).shape == ()
+
+    @pytest.mark.parametrize("eps", [1e-9, 1e-12])
+    def test_unit_angle_is_exact_at_zero_and_pi(self, eps):
+        # arccos <x, y> resolves nothing below arccos(1 - 2^-53) = 1.49e-8
+        x, t = np.linalg.qr(rng_from(9).standard_normal((6, 2)))[0].T
+        y = np.cos(eps) * x + np.sin(eps) * t
+        assert abs(unit_angle(x, y) - eps) <= 1e-15
+        assert abs(unit_angle(x, -y) - (np.pi - eps)) <= 1e-15
 
     def test_sign_fixed_q_contract(self):
         # condition number 1e6: orthogonality still at 1e-12

@@ -1,5 +1,6 @@
 """Every exported name resolves, and so does every function the traced benchmark wraps;
-only clifford.py reads the generators, and built systems act without dense span matrices."""
+only clifford.py reads the generators, built systems act without dense span matrices,
+and every angle is one algebra.unit_angle."""
 
 import importlib.util
 import pathlib
@@ -49,6 +50,14 @@ def test_traced_benchmark_targets_resolve():
         assert callable(resolve(mod, attr)), f"{module}.{attr}"
     for layer in tracing.LAYERS:
         importlib.import_module(f"{tracing.PACKAGE}.{layer}")
+
+
+def test_angles_go_through_unit_angle():
+    # every distance is one chord-form angle: no arccos anywhere, and arcsin only
+    # twice in unit_angle and once for fiber_sample's turning angle
+    calls = {path.name: len(re.findall(r"np\.arc(?:sin|cos)\b", path.read_text()))
+             for path in PACKAGE_DIR.glob("*.py")}
+    assert {name: n for name, n in calls.items() if n} == {"algebra.py": 2, "foliation.py": 1}
 
 
 def test_only_clifford_reads_generators():

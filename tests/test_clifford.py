@@ -184,7 +184,8 @@ class TestRelationViolations:
 
 def assert_product_bits(system, seed):
     """generator_images equals the signed gather x[cols] * signs (exact systems), and p0_assemble
-    the products u @ B_plus.T + w @ B_minus.T bit for bit, on a batch, one row and one point."""
+    the row-by-row products u B_plus^T + w B_minus^T bit for bit, on a batch, one row and one
+    point."""
     x = rng_from(seed).standard_normal((3, 5, system.dim))
     u = rng_from(seed, 1).standard_normal((3, 5, system.l))
     w = rng_from(seed, 2).standard_normal((3, 5, system.l))
@@ -195,8 +196,8 @@ def assert_product_bits(system, seed):
                                                               * signs).tobytes()
     b_plus, b_minus = system.p0_eigenbases
     for at in (np.s_[:], np.s_[0], np.s_[0, 0]):
-        expected = u[at] @ b_plus.T
-        expected += w[at] @ b_minus.T
+        expected = (u[at][..., None, :] @ b_plus.T)[..., 0, :]
+        expected += (w[at][..., None, :] @ b_minus.T)[..., 0, :]
         assert system.p0_assemble(u[at], w[at]).tobytes() == expected.tobytes()
 
 
@@ -257,6 +258,15 @@ class TestGeneratorPaths:
             assert isinstance(system._p0_blocks, np.ndarray)
             assert_product_bits(system, 24)
             assert_block_actions(system, 24, 1e-14)
+
+    def test_dense_rows_equal_single_calls(self):
+        # one (1, width) product per row: a row's bits do not depend on its batch
+        system = conjugate_system(build_system(3, 2), haar(25, 16))
+        x = rng_from(26).standard_normal((40, system.dim))
+        u = rng_from(27).standard_normal((40, system.l))
+        for f, rows in ((system.generator_images, x), (system.p0_images, u),
+                        (lambda y: np.concatenate(system.p0_coefficients(y), axis=-1), x)):
+            assert f(rows).tobytes() == np.stack([f(r) for r in rows]).tobytes()
 
     def test_rank_one_sub_system(self):
         # m = 0: every span element is p_0 P_0, and the E+-(P_0) blocks are empty

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from clifford_foliations.algebra import (rng_from, row_norms, sample_unit_vectors,
-                                         sign_fixed_rotation)
+                                         sign_fixed_rotation, unit_angle)
 from clifford_foliations import composed
 from clifford_foliations.clifford import build_system, conjugate_system
 from clifford_foliations.composed import (
@@ -276,6 +276,25 @@ class TestConeMetric:
         y = boundary_fiber_sample(s22, np.array([1.0, 0, 0]), 1, 15)[0]
         assert abs(composed_quotient_distance(s22, one, x, y) - np.pi / 4) <= 1e-7
 
+    @pytest.mark.parametrize("gap", [5e-10, 5e-13])
+    def test_close_classes_match_disk_metric(self, s22, gap):
+        # arcsin of the radii and arccos of the cosine law gave 0 at both gaps
+        pts = builtin_spec("points", 2)
+        v = np.array([0.3, 0.2, -0.1])
+        x = fiber_sample(s22, v, 1, 3)[0]
+        y = fiber_sample(s22, v + np.array([0.0, gap, 0.0]), 1, 4)[0]
+        expected = quotient_distance(pi_c(s22, x), pi_c(s22, y))
+        assert expected > 0.0
+        assert abs(composed_quotient_distance(s22, pts, x, y) - expected) <= 1e-15
+
+    def test_apex_to_boundary_is_exact(self, s22):
+        # boundary radii round to 1 - 1e-16, whose arcsine was off by 1e-8
+        one = builtin_spec("one_leaf", 2)
+        x = mplus_sample(s22, 8, 14)
+        y = boundary_fiber_sample(s22, np.array([0.6, 0.0, 0.8]), 8, 15)
+        d = composed_quotient_distance(s22, one, x, y)
+        assert np.abs(d - np.pi / 4).max() <= 1e-15
+
     def test_one_leaf_is_radius_difference(self, s22):
         one = builtin_spec("one_leaf", 2)
         rng = rng_from(16)
@@ -380,9 +399,8 @@ class TestRowWise:
                         " this row agree in the last bit")
         assert composed_class(s22, builtin_spec("points", 2), x)[0].radius == r
         r0 = float(np.linalg.norm(pi_c(s22, x[3])))
-        s, s0 = np.arcsin(r), np.arcsin(r0)
-        expected = 0.5 * np.arccos(np.clip(np.cos(s) * np.cos(s0) + np.sin(s) * np.sin(s0),
-                                           -1.0, 1.0))
+        cone = [np.array([np.sqrt(1.0 - t * t), t, 0.0]) for t in (r, r0)]
+        expected = 0.5 * unit_angle(*cone)
         d = composed_quotient_distance(s22, builtin_spec("one_leaf", 2), x, x[[3] * 8])
         assert d[0] == expected
 
@@ -568,6 +586,29 @@ class TestAmbientLeafDistance:
 
 
 class TestBatchedAscent:
+    @pytest.mark.parametrize("spec_name", ["points", "height"])
+    def test_dense_batch_equals_each_start_alone(self, s22, spec_name):
+        # a dense system's products go one row at a time, so its starts and
+        # paired rows keep to their own rows as well
+        a = sign_fixed_rotation(rng_from(57).standard_normal((s22.dim, s22.dim)))
+        system = conjugate_system(s22, a)
+        spec = builtin_spec(spec_name, 2)
+        va, vb = np.array([0.5, -0.2, 0.1]), np.array([-0.1, 0.3, 0.2])
+        x = fiber_sample(system, va, 1, 58)[0]
+        v = pi_c(system, fiber_sample(system, vb, 1, 59)[0])
+        r = float(row_norms(v))
+        target = (None, v) if spec.leaf_sampler is None else (
+            r * r, spec.invariant_map((v / r)[None])[0])
+        starts = _leaf_sample_blocks(system, spec, v, 256, rng_from(60))[::32]
+        _, batch = _descend(system, spec, x, starts, *target)
+        alone = [_descend(system, spec, x, starts[i:i + 1], *target)[1][0]
+                 for i in range(len(starts))]
+        np.testing.assert_array_equal(batch, alone)
+        xs, ys = fiber_sample(system, np.array([va, vb]), 4, [61, 62])
+        rows = composed_quotient_distance(system, spec, xs, ys)
+        np.testing.assert_array_equal(
+            rows, [composed_quotient_distance(system, spec, p, q) for p, q in zip(xs, ys)])
+
     @pytest.mark.parametrize("mk", [(2, 2), (1, 4), (9, 1), (4, 3, 1)])
     @pytest.mark.parametrize("spec_name", ["points", "height", "user", "one_leaf"])
     def test_batch_equals_each_start_alone(self, mk, spec_name):

@@ -6,6 +6,7 @@ import json
 import numpy as np
 import pytest
 
+from clifford_foliations import foliation
 from clifford_foliations.cli import main
 from clifford_foliations.clifford import build_system
 from clifford_foliations.verify import (
@@ -100,7 +101,11 @@ class TestDeterminism:
     # (52 checks moved), geodesics (40), symmetry (38), fkm_consistency (18),
     # boundary_fibers (10), invariants_classification (10), normal_forms (2) and
     # factorization_m_plus_1 (1) re-pinned when every span element acted in E_+-(P_0)
-    # coefficients through one l x l block (by <= 5.8e-15)
+    # coefficients through one l x l block (by <= 5.8e-15); composed_identities (40 checks
+    # moved: apex_to_boundary from <= 1.05e-8 to <= 5.6e-16 on 26 configs), quotient_metric
+    # (6) and diameter (1) re-pinned when every distance became one unit_angle, and
+    # fkm_consistency (27) when its direct form took <P_i x, x> from the generator images
+    # (by <= 4.4e-16 but for apex_to_boundary)
     PLAN_DIGESTS_NUMPY = "2.4.6"
     PLAN_DIGESTS = {
         "relations": "3134b2bf296504f5009f19bbeee6bd28e733dfa9ae31601f50604054c83b6bf5",
@@ -109,9 +114,9 @@ class TestDeterminism:
         "factorization_m_plus_1":
             "600956b92295d45d071ba29ff1283e86edb01837687282439e0c55fdc232f3bb",
         "geodesics": "5c0f576be21c2c4655353cbb50b5a4ac2ebf3f7aade13a91114c254667014c78",
-        "quotient_metric": "a3a69124188ef4dd5026cada9ec9f0bb21a6138c9efda9280ca612d08caa5933",
+        "quotient_metric": "556a8d52bc2e7f92cdd6f4237a00038f0f6b51545102a746e3988f0bbac6ea46",
         "symmetry": "0f96cf1d934c797cc0ade9635ef291be2afb474de89478074e111a51fd31f1cb",
-        "fkm_consistency": "3476e19e67762292fa7b6358b15fd743a63063e7cda843cbd112b3f83e99f728",
+        "fkm_consistency": "06f99f77186627aafc5ab0ef1da6bd7a6f884b2453ccca11825252ff5f9733bd",
         "invariants_classification":
             "c1defa433385e82a47ad055d619638815582d8b29f41d630806eae91f95b603e",
         "homogeneous_orbits": "64d30520c7dc36e83d2e978a3d68a6bc083cdba4401239cedf9039e0fb05567e",
@@ -119,9 +124,9 @@ class TestDeterminism:
         "focal_and_fibers": "926935c53d663a5cbf394a8bbc5a793f07595482f41b82a8fc8529250b51298c",
         "submersion_rank": "7095e0652c137177066fed3a889bde618ac4fab07673f029c2d8e9f377e5ccda",
         "composed_identities":
-            "36b7cd5ed65bb3dc978824210876d4ee8abdaa069969f369f2a9eee7d2569661",
+            "e26c6837204acc8cb36a238b47d4a25ebcba63c743c3b2b5bc034de43fed4c04",
         "sphere_quotient": "f452777506353c2274da073481d07c5dd82d6322a249f93ef5bee57624c60724",
-        "diameter": "34192336ff655fb1a987dfaed51657f96c05ba3c6fbdc3eee9e27c5594ab08fa",
+        "diameter": "558bd441d5f819392118af5f927b88d7334c6e1979d14fef538717bcafedae36",
     }
 
     # SHA-256 of the file `cfl report --max-dim 64 --seed 7 --out FILE` writes;
@@ -132,8 +137,11 @@ class TestDeterminism:
     # returned chord angles, and again when pi_C was evaluated in E_+-(P_0)
     # coefficients (357 of 2982 floats moved, by <= 5.6e-12; no verdict changed), and
     # again when every span element acted in E_+-(P_0) coefficients through one l x l
-    # block (254 of 1491 check violations moved, by <= 5.8e-15; no verdict changed)
-    REPORT_DIGEST = "1a6e7d1c838417b2533ded277e02991ed9e32112cf5217cda09165fc6723312b"
+    # block (254 of 1491 check violations moved, by <= 5.8e-15; no verdict changed), and
+    # again when every distance became one unit_angle and fkm_consistency's direct form
+    # took the generator images (129 of 1491 moved, by <= 7.1e-16 but for apex_to_boundary's
+    # 26, which fell from <= 1.05e-8 to <= 5.6e-16; no verdict changed)
+    REPORT_DIGEST = "5619735a8e0605cd4ffc5fa1e4f52fe23a1b8898aa3041bc18daeb54263c66e4"
 
     @pytest.mark.skipif(np.__version__ != PLAN_DIGESTS_NUMPY,
                         reason=f"plan digests were taken with numpy {PLAN_DIGESTS_NUMPY}")
@@ -161,8 +169,9 @@ class TestDeterminism:
     # same_leaf_zero from 0 to <= 3.9e-15 on 27 configs and on (6, 1) from 1.49e-8 to 3.1e-16),
     # and again when pi_C was evaluated in E_+-(P_0) coefficients (91 floats moved, by <= 6.4e-15),
     # and again when every span element acted in E_+-(P_0) coefficients through one l x l
-    # block (83 floats moved, by <= 3.3e-16)
-    TRANSNORMALITY_DIGEST = "847132fc32302969319e3c162ff2deff3d2ce6329e005353387023ca85ceeab2"
+    # block (83 floats moved, by <= 3.3e-16), and again when every distance became one
+    # unit_angle (55 floats moved, by <= 7.1e-16)
+    TRANSNORMALITY_DIGEST = "20463ee8002748b89e7650f6badccee54fa7ee411f5ea6de1082714508291af9"
 
     @pytest.mark.skipif(np.__version__ != PLAN_DIGESTS_NUMPY,
                         reason=f"plan digests were taken with numpy {PLAN_DIGESTS_NUMPY}")
@@ -189,6 +198,23 @@ class TestDeterminism:
                     if check.headroom and check.tol > 0:
                         assert check.violation * 10.0 <= check.tol, \
                             f"{suite}/{check.name} at seed {seed}"
+
+
+class TestCheckSensitivity:
+    def test_fkm_two_evaluations_sees_an_error_in_pi_c(self, s22, monkeypatch):
+        # the direct form takes <P_i x, x> from the generator images, so an error in
+        # one coordinate of pi_C's E+-(P_0) kernel shows in direct - factored
+        exact = foliation._quadratic_values
+
+        def off(system, x):
+            v = exact(system, x)
+            v[..., 1] += 1e-6
+            return v
+
+        monkeypatch.setattr(foliation, "_quadratic_values", off)
+        report = run_suite(SuiteConfig("fkm_consistency", s22, seed=1, samples=80))
+        check = next(c for c in report.checks if c.name == "two_evaluations")
+        assert check.violation >= 1e-7 and not check.passed
 
 
 class TestReportFormat:
