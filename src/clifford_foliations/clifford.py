@@ -20,7 +20,7 @@ combinations that the trace invariant |tr(P_0 ... P_m)| tells apart.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import cached_property, reduce
 from itertools import chain
 from typing import Optional, Sequence
@@ -131,7 +131,7 @@ def build_complex_structures(n: int, target_dim: int):
 
 @dataclass(frozen=True)
 class Provenance:
-    """Construction record: multiplicity k and count of sign-flipped blocks."""
+    """Construction record: the generators are ``build_system(m, k, flips)``'s, entry for entry."""
 
     k: int
     flips: int
@@ -165,14 +165,15 @@ class EquivalenceProfile:
 class CliffordSystem:
     """A rank-(m+1) Clifford system on R^(2l).
 
-    Exact systems (from :func:`build_system` or a signed_perm payload) hold
-    their generators as signed permutations in one gather pair
-    ``(cols, signs)``, int arrays of shape (m+1, 2l): entry r of P_i x is
-    ``signs[i, r] * x[cols[i, r]]``.  Other systems (conjugated or loaded
-    dense) hold one (m+1, 2l, 2l) float stack.  Treat instances as
-    immutable: the diagonals of the generators, :attr:`p0_eigenbases` (read
-    off P_0 where it is a +-1 diagonal, as on every built system), the blocks
-    of P_1..P_m between them and the signed indices are cached on first use.
+    Exact systems (from :func:`build_system` or a signed_perm payload) hold their
+    generators as signed permutations in one gather pair ``(cols, signs)``, int arrays
+    of shape (m+1, 2l): entry r of P_i x is ``signs[i, r] * x[cols[i, r]]``.  Other
+    systems (conjugated or loaded dense) hold one (m+1, 2l, 2l) float stack.  A
+    :class:`Provenance` states that the generators, in either form, are one
+    :func:`build_system` call's; a conjugated system has none, and the profile never
+    reads one.  Treat instances as immutable: the diagonals of the generators,
+    :attr:`p0_eigenbases` (read off P_0 where it is a +-1 diagonal, as on every built
+    system), the blocks of P_1..P_m between them and the signed indices are cached lazily.
     """
 
     m: int
@@ -422,13 +423,18 @@ def build_system(m: int, k: int, flips: int = 0) -> CliffordSystem:
         raise ValueError("flips must lie in [0, k]")
     if (m, k) == (1, 1):
         raise ValueError("(m, k) = (1, 1) is degenerate (fibers are point pairs) and not supported")
-    d = delta(m)
-    l = k * d
+    l = k * delta(m)
     cap = dimension_cap()
     if 2 * l > cap:
         raise ValueError(f"system dimension 2l = {2 * l} exceeds the cap {cap}"
                          " (override with CFL_MAX_DIM)")
+    return CliffordSystem(m, l, _construction(m, k, flips), Provenance(k, flips))
 
+
+def _construction(m: int, k: int, flips: int):
+    """The gather pair of ``build_system(m, k, flips)``, without its cap or (1, 1) rejection."""
+    d = delta(m)
+    l = k * d
     j_cols, j_signs = build_complex_structures(m - 1, l)
     idx = np.arange(2 * l)
 
@@ -439,7 +445,7 @@ def build_system(m: int, k: int, flips: int = 0) -> CliffordSystem:
     cols = np.vstack([idx, np.roll(idx, l), np.hstack([j_cols + l, j_cols])])
     signs = np.vstack([np.concatenate([eps, -eps]), np.ones(2 * l, dtype=np.int64),
                        np.hstack([j_signs, -j_signs])])
-    return CliffordSystem(m, l, (cols, signs), Provenance(k, flips))
+    return cols, signs
 
 
 # --------------------------------------------------------------------------- #
@@ -517,29 +523,23 @@ def trace_invariant(system: CliffordSystem) -> float:
 
 
 def equivalence_profile(system: CliffordSystem) -> EquivalenceProfile:
-    """Profile (m, k, kappa) deciding the geometric equivalence class."""
+    """Profile (m, k, kappa) deciding the geometric equivalence class, read off the generators."""
     d = delta(system.m)
-    if system.provenance is not None:
-        k = system.provenance.k
-        if system.l != k * d:
-            raise MalformedSystemError(f"l = {system.l} does not equal k*delta(m) = {k * d}")
-    else:
-        if system.l % d:
-            raise MalformedSystemError(f"l = {system.l} is not divisible by delta({system.m}) = {d}")
-        k = system.l // d
+    if system.l % d:
+        raise MalformedSystemError(f"l = {system.l} is not divisible by delta({system.m}) = {d}")
     kappa = int(round(trace_invariant(system))) if system.m % 4 == 0 else None
-    return EquivalenceProfile(system.m, k, kappa)
+    return EquivalenceProfile(system.m, system.l // d, kappa)
 
 
 def conjugate_system(system: CliffordSystem, a: np.ndarray) -> CliffordSystem:
-    """System with generators A^T P_i A for orthogonal A (dense result)."""
+    """System with generators A^T P_i A for orthogonal A (dense result, no provenance)."""
     a = np.asarray(a, dtype=float)
     if a.shape != (system.dim, system.dim):
         raise ValueError("conjugating matrix has the wrong shape")
     if max_abs(a.T @ a - np.eye(system.dim)) > 1e-12:
         raise ValueError("conjugating matrix is not orthogonal to 1e-12")
     gens = a.T @ system.span_matrix(np.eye(system.m + 1)) @ a
-    return CliffordSystem(system.m, system.l, gens, system.provenance)
+    return CliffordSystem(system.m, system.l, gens)
 
 
 def sub_system(system: CliffordSystem, indices: Sequence[int]) -> CliffordSystem:
@@ -573,13 +573,10 @@ def system_to_dict(system: CliffordSystem, encoding: Optional[str] = None) -> di
                    for i in range(system.m + 1)]
     else:
         raise ValueError(f"unknown encoding {encoding!r}")
-    prov = None
-    if system.provenance is not None:
-        prov = {"k": system.provenance.k, "flips": system.provenance.flips}
     return {
         "m": system.m,
         "l": system.l,
-        "provenance": prov,
+        "provenance": system.provenance and asdict(system.provenance),
         "encoding": encoding,
         "generators": payload,
     }
@@ -645,8 +642,7 @@ def _system_from_fields(data: dict) -> CliffordSystem:
                          for cols in payload])
     else:
         raise MalformedSystemError(f"unknown encoding {encoding!r}")
-    provenance = Provenance(prov["k"], prov["flips"]) if prov else None
-    system = CliffordSystem(m, l, gens, provenance)
+    system = CliffordSystem(m, l, gens, Provenance(prov["k"], prov["flips"]) if prov else None)
     # inf/NaN entries fail the checks; numpy need not warn about them first
     with np.errstate(invalid="ignore", over="ignore"):
         _check_loaded(system)
@@ -657,22 +653,26 @@ def _check_loaded(system: CliffordSystem) -> None:
     """Reject a loaded system that breaks the relations or its provenance.
 
     Relations are checked exactly for signed permutations and to 1e-12 for
-    dense generators; a provenance must match l = k delta(m), have
-    0 <= flips <= k and, when m is a multiple of 4, give kappa = |k - 2 flips|.
+    dense generators.  A provenance (k, flips), once l = k delta(m) and 0 <= flips <= k
+    hold, must name the generators: build_system(m, k, flips)'s, entry for entry, built
+    without the dimension cap or the degenerate-pair rejection.
     """
+    prov = system.provenance
+    if prov and (system.l != prov.k * delta(system.m) or not 0 <= prov.flips <= prov.k):
+        raise MalformedSystemError(f"provenance k = {prov.k}, flips = {prov.flips} needs"
+                                   f" l = {system.l} = k*delta(m) and flips in [0, k]")
     report = verify_relations(system)
     for check in report.checks:
         if not check.passed:
             raise MalformedSystemError(
                 f"generators fail the {check.name} relation: violation {check.violation:.3g}"
                 f" exceeds {check.tol:.3g}")
-    prov = system.provenance
     if prov is None:
         return
-    if not 0 <= prov.flips <= prov.k:
-        raise MalformedSystemError(f"provenance flips = {prov.flips} is outside [0, k = {prov.k}]")
-    kappa = equivalence_profile(system).kappa
-    if kappa is not None and kappa != abs(prov.k - 2 * prov.flips):
+    built = _construction(system.m, prov.k, prov.flips)
+    if not system.exact:
+        built = _span_sum(np.eye(system.m + 1), built, system.dim)
+    if not all(map(np.array_equal, system.generators, built)):
         raise MalformedSystemError(
-            f"provenance gives |k - 2 flips| = {abs(prov.k - 2 * prov.flips)}"
-            f" but the trace invariant is {kappa}")
+            f"the provenance names build_system({system.m}, {prov.k}, {prov.flips}), but these are"
+            " not its generators (a conjugated system's file must carry no provenance)")

@@ -585,9 +585,9 @@ def leaf_to_leaf_ambient_distance(system: CliffordSystem, spec: FoliationSpec,
     Minimum over ``budget`` leaf samples, refined by Newton ascent of <x, .>
     on the leaf (:func:`_descend`) from the best starts.  Distances to the
     points z found are their ``unit_angle`` to x, which resolves what
-    arccos <x, z> cannot below arccos(1 - 2^-53).  Only points that
-    are feasible to 1e-10 are accepted, so the estimate does not undercut
-    the leaf distance beyond that.  Descent starts are taken from the first
+    arccos <x, z> cannot below arccos(1 - 2^-53).  Only points feasible
+    to 1e-10 in pi_C are accepted, so on a leaf of radius r an undercut is
+    at most about 1e-10 / (2 sqrt(1 - r^2)).  Descent starts are taken from the first
     2048 samples; from 2048 on, a budget that is a multiple of its chunk
     (:func:`_leaf_sample_blocks`) draws a prefix of any larger budget's
     samples, so no larger budget gives a larger estimate.  All

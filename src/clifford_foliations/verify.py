@@ -470,7 +470,7 @@ def _suite_invariants_classification(cfg: SuiteConfig):
 def _orbit_requirements(system: CliffordSystem) -> Optional[str]:
     if system.m not in FIELD_FOR_M:
         return "explicit group actions exist only for rank 2, 3, or 5 systems"
-    if not system.exact or system.provenance is None or system.provenance.flips:
+    if system.provenance is None or system.provenance.flips:
         return "requires an unflipped system in the standard constructed layout"
     return None
 

@@ -67,6 +67,14 @@ def test_only_clifford_reads_generators():
     assert readers == ["clifford.py"]
 
 
+def test_only_clifford_reads_the_storage_form():
+    # which form a system's generators take is clifford.py's business alone; a
+    # provenance, not the form, tells the orbit suites a system is the construction
+    readers = sorted(path.name for path in PACKAGE_DIR.glob("*.py")
+                     if re.search(r"\.exact\b", path.read_text()))
+    assert readers == ["clifford.py"]
+
+
 def test_only_clifford_builds_span_matrices():
     # every sum a_i P_i acts through CliffordSystem.span_apply, which works in E+-(P_0)
     # coefficients; span_matrix is left to dense generators, conjugation and dense blocks

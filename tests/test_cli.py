@@ -19,11 +19,13 @@ from clifford_foliations.cli import main
 from clifford_foliations.clifford import (
     CliffordSystem,
     MalformedSystemError,
+    Provenance,
     build_system,
     system_from_dict,
     system_to_dict,
 )
 from clifford_foliations.composed import BUILTIN_SPEC_NAMES
+from kernel_family import AVX2, AVX512, pinned
 
 GOLDEN = pathlib.Path(__file__).parent / "golden" / "system_m2_k1.json"
 
@@ -68,6 +70,16 @@ class TestVerify:
         run("construct", "--m", 2, "--k", 2, "--out", system)
         assert run("verify", "--system", system, "--suite", "sphere_quotient") == 2
         assert "sphere quotient" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("suite", ["homogeneous_orbits", "normal_forms"])
+    def test_orbit_suites_run_on_dense_files(self, tmp_path, suite):
+        # a dense file of a built system keeps its provenance, and the orbit suites
+        # need only that, not the gather-pair form
+        system = tmp_path / "s.json"
+        run("construct", "--m", 4, "--k", 2, "--encoding", "dense", "--out", system)
+        assert system_from_dict(json.loads(system.read_text())).provenance == Provenance(2, 0)
+        assert run("verify", "--system", system, "--suite", suite, "--seed", 3,
+                   "--samples", 60) == 0
 
     def test_fixed_seed_reports_byte_identical(self, tmp_path):
         system = tmp_path / "s.json"
@@ -257,6 +269,16 @@ class TestMalformedSystemFiles:
         payload["provenance"]["flips"] = 0
         self.assert_rejected(tmp_path, capsys, payload)
 
+    @pytest.mark.parametrize("encoding", ["signed_perm", "dense"])
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_wrong_flips_without_trace_invariant(self, tmp_path, capsys, m, encoding):
+        # off the multiples of four the trace invariant cannot tell flips apart; the
+        # provenance still names a construction these generators are not
+        payload = self.constructed(tmp_path, "--m", m, "--k", 3, "--flips", 1,
+                                   "--encoding", encoding)
+        payload["provenance"]["flips"] = 0
+        self.assert_rejected(tmp_path, capsys, payload)
+
     def test_non_finite_numbers(self, tmp_path, capsys):
         payload = self.constructed(tmp_path, "--m", 2, "--k", 2)
         payload["m"] = float("inf")
@@ -371,15 +393,24 @@ class TestComposeAndHomogeneity:
     # `cfl compose --count 40 --check-pairs 20 --seed 3`, taken when every
     # row was classified on its own; re-pinned when pi_C was evaluated in
     # E_+-(P_0) coefficients (187 of 600 printed numbers moved, by <= 3.4e-16,
-    # and no same_leaf verdict changed)
+    # and no same_leaf verdict changed); keyed by numeric-kernel family since
+    COMPOSE_CASES = [(2, 2, "height"), (3, 1, "points"), (4, 1, "one_leaf"), (8, 1, "tensor_svd")]
     COMPOSE_STDOUT = {
-        (2, 2, "height"): "f55dac1d1848445876a00b6c3918e884c91c1a291e4f5ac2d627e9f89ea7cace",
-        (3, 1, "points"): "e74fa181c9de20eada420157e7baee3ef5e757d40a2eb9e821440ffa3c1f99cb",
-        (4, 1, "one_leaf"): "e92841d921916b7dc105158f4cac62ca49f8b85596a1cc55e0b93cb345debca5",
-        (8, 1, "tensor_svd"): "d3be0b3d47510c2a35b25cbe4cb2b8a86f54127202245d47e6e4bf052dc123b9",
+        AVX512: dict(zip(COMPOSE_CASES, [
+            "f55dac1d1848445876a00b6c3918e884c91c1a291e4f5ac2d627e9f89ea7cace",
+            "e74fa181c9de20eada420157e7baee3ef5e757d40a2eb9e821440ffa3c1f99cb",
+            "e92841d921916b7dc105158f4cac62ca49f8b85596a1cc55e0b93cb345debca5",
+            "d3be0b3d47510c2a35b25cbe4cb2b8a86f54127202245d47e6e4bf052dc123b9",
+        ])),
+        AVX2: dict(zip(COMPOSE_CASES, [
+            "327616e673210f9a9fdcc2663bc047f584e0ba1086971731d74fe2ff675d1f60",
+            "db8a07d906476cdcefb2fef849466708256f8c3270085daee089f46939754251",
+            "436bc70fb0421e5410143090c75e6e160459e1b0c0a86c477cadacfb5df95f62",
+            "56efb4f68ade6507f51976674c6da828c871f9caea49f79a1c81fb60da9bb6a3",
+        ])),
     }
 
-    @pytest.mark.parametrize("case", sorted(COMPOSE_STDOUT))
+    @pytest.mark.parametrize("case", COMPOSE_CASES)
     def test_compose_output_is_pinned(self, case, tmp_path, capsys):
         m, k, spec = case
         system = tmp_path / "s.json"
@@ -389,7 +420,7 @@ class TestComposeAndHomogeneity:
                    "--check-pairs", 20, "--seed", 3) == 0
         out = capsys.readouterr().out
         assert out.count("same_leaf = ") == 20
-        assert hashlib.sha256(out.encode()).hexdigest() == self.COMPOSE_STDOUT[case]
+        assert hashlib.sha256(out.encode()).hexdigest() == pinned(self.COMPOSE_STDOUT)[case]
 
     def test_compose_zero_count(self, tmp_path):
         system = tmp_path / "s.json"

@@ -398,6 +398,12 @@ class TestConjugation:
             assert abs(trace_invariant(c) - base) <= 1e-9
             assert equivalence_profile(c).as_tuple() == equivalence_profile(s).as_tuple()
 
+    def test_conjugates_carry_no_provenance(self):
+        # conjugate_system never records a construction, not even for A = Id
+        s = build_system(4, 2, 1)
+        assert conjugate_system(s, haar(55, s.dim)).provenance is None
+        assert conjugate_system(s, np.eye(s.dim)).provenance is None
+
     def test_rejects_non_orthogonal(self):
         s = build_system(2, 1)
         with pytest.raises(ValueError):
@@ -445,6 +451,17 @@ class TestSerialization:
         assert not t.exact and t.generators.shape == (3, 4, 4)
         for i in range(3):
             np.testing.assert_array_equal(t.dense_generator(i), s.dense_generator(i))
+
+    def test_dense_provenance_names_the_construction(self):
+        # a dense file of a built system keeps its provenance; one whose generators
+        # were conjugated, as older files of conjugated systems are, is refused
+        s = build_system(4, 2, 1)
+        t = system_from_dict(json.loads(json.dumps(system_to_dict(s, "dense"))))
+        assert t.provenance == s.provenance and not t.exact
+        d = system_to_dict(conjugate_system(s, haar(56, s.dim)))
+        d["provenance"] = {"k": 2, "flips": 1}
+        with pytest.raises(MalformedSystemError, match="conjugated"):
+            system_from_dict(d)
 
     def test_bad_payload(self):
         d = system_to_dict(build_system(2, 1))

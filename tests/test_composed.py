@@ -33,6 +33,7 @@ from clifford_foliations.foliation import (
     pi_jacobian_rows,
     quotient_distance,
 )
+from kernel_family import AVX2, AVX512, pinned
 
 # ---------------------------------------------------------------------------
 # Oracles, independent of the implementation paths they validate
@@ -131,8 +132,12 @@ class TestBuiltinSpecs:
             one_by_one = [spec.leaf_sampler(u[j:j + 1], rng)[0] for j in range(len(u))]
             assert spec.leaf_sampler(u, rng_from(47)).tobytes() == np.array(one_by_one).tobytes()
 
-    # digest of the 50 rows below, taken with the per-row sampler it replaced
-    TENSOR_ROWS_DIGEST = "ada7a57e7261a1f6591c16afc3ffa186c7691f5dc7a9b9d465efb593f7c333c9"
+    # digest of the 50 rows below, taken with the per-row sampler it replaced, and
+    # keyed by numeric-kernel family since
+    TENSOR_ROWS_DIGEST = {
+        AVX512: "ada7a57e7261a1f6591c16afc3ffa186c7691f5dc7a9b9d465efb593f7c333c9",
+        AVX2: "457d9f2be0ce088dd0cd02bea26cf2d85febd38dd55c25daa211ad143961e8dc",
+    }
 
     def test_tensor_sampler_equals_per_row_rotations(self):
         # one draw for all rows, in the per-row order U_1, W_1, U_2, W_2, ...
@@ -142,8 +147,7 @@ class TestBuiltinSpecs:
                             for mat in v.reshape(-1, 3, 3)])
         rows = builtin_spec("tensor_svd", 8).leaf_sampler(v, rng_from(49))
         assert rows.tobytes() == per_row.tobytes()
-        if np.__version__ == "2.4.6":
-            assert hashlib.sha256(rows.tobytes()).hexdigest() == self.TENSOR_ROWS_DIGEST
+        assert hashlib.sha256(rows.tobytes()).hexdigest() == pinned(self.TENSOR_ROWS_DIGEST)
 
     def test_tensor_restricted_to_nine_dims(self):
         with pytest.raises(ValueError):
@@ -438,10 +442,13 @@ class TestAmbientLeafDistance:
         assert np.all(0.5 * (x + s22.span_apply(-p, x)) == 0.0)
         assert d == np.pi / 2
 
+    # re-pinned when the span action moved to E_+-(P_0) coefficients (one ulp, from
+    # ...1117p-1), and keyed by numeric-kernel family since
+    BOUNDARY_LEAF_HEX = {AVX512: "0x1.b5a7833dc1118p-1", AVX2: "0x1.b5a7833dc1117p-1"}
+
     def test_boundary_leaf_closed_form_is_pinned(self, s22):
         # a height leaf through a boundary point: budget 320 takes 20 sampled
-        # directions, each one nearest point of a great subsphere; re-pinned when the
-        # span action moved to E_+-(P_0) coefficients (one ulp, from ...1117p-1)
+        # directions, each one nearest point of a great subsphere
         hgt = builtin_spec("height", 2)
         rng = rng_from(45)
         v = 0.5 * sample_unit_vectors(rng, 3, 1)[0]
@@ -449,8 +456,8 @@ class TestAmbientLeafDistance:
         x = fiber_sample(s22, v, 1, 46)[0]
         y = boundary_fiber_sample(s22, p, 1, 47)[0]
         d = leaf_to_leaf_ambient_distance(s22, hgt, x, y, 320, 48)
-        assert d.hex() == "0x1.b5a7833dc1118p-1"
         assert d >= composed_quotient_distance(s22, hgt, x, y) - 1e-9
+        assert d.hex() == pinned(self.BOUNDARY_LEAF_HEX)
 
     @pytest.mark.parametrize("budget", [0, -5, 100.0, True])
     def test_rejects_empty_budget(self, s22, budget):
@@ -788,8 +795,8 @@ class TestNewtonAscent:
 
     @pytest.mark.parametrize("dense", [False, True], ids=["exact", "dense"])
     def test_constraint_state_matches_public_maps(self, s22, dense):
-        # v and the pi_C rows come from one image stack, bit for bit as pi_c
-        # and pi_jacobian_rows give them
+        # v comes from pi_C's E_+-(P_0) kernel and the pi_C rows from the generator
+        # image stack, each bit for bit as pi_c and pi_jacobian_rows give them
         a = sign_fixed_rotation(rng_from(47).standard_normal((s22.dim, s22.dim)))
         system = conjugate_system(s22, a) if dense else s22
         spec = builtin_spec("height", 2)

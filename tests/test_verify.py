@@ -17,6 +17,7 @@ from clifford_foliations.verify import (
     run_matrix,
     run_suite,
 )
+from kernel_family import AVX2, AVX512, pinned
 
 EXPECTED_SUITES = {
     "relations", "disk_image", "boundary_fibers", "sphere_quotient",
@@ -86,6 +87,10 @@ class TestDeterminism:
         assert json.dumps(a.to_json_dict(), sort_keys=True) \
             == json.dumps(b.to_json_dict(), sort_keys=True)
 
+    # Each pin below is keyed by numeric-kernel family (kernel_family.py). Its history
+    # is the AVX512 family's; the AVX2 family's values were first taken when the pins
+    # were keyed by family.
+
     # SHA-256 of each suite's report JSON lines over the configs of
     # default_plan(64, seed=7, samples=300) other than transnormality, taken
     # with numpy 2.4.6 before the suites evaluated their points as row batches;
@@ -106,27 +111,51 @@ class TestDeterminism:
     # (6) and diameter (1) re-pinned when every distance became one unit_angle, and
     # fkm_consistency (27) when its direct form took <P_i x, x> from the generator images
     # (by <= 4.4e-16 but for apex_to_boundary)
-    PLAN_DIGESTS_NUMPY = "2.4.6"
     PLAN_DIGESTS = {
-        "relations": "3134b2bf296504f5009f19bbeee6bd28e733dfa9ae31601f50604054c83b6bf5",
-        "disk_image": "8b39d4bdd10630e97050149ceeeda871e335a143df92fd6a21165e32849b9908",
-        "boundary_fibers": "cdd850d7b7ccbcf4c2314b2d6db4ddd0e4eb8794cdc7f75816a825fd4e968be9",
-        "factorization_m_plus_1":
-            "600956b92295d45d071ba29ff1283e86edb01837687282439e0c55fdc232f3bb",
-        "geodesics": "5c0f576be21c2c4655353cbb50b5a4ac2ebf3f7aade13a91114c254667014c78",
-        "quotient_metric": "556a8d52bc2e7f92cdd6f4237a00038f0f6b51545102a746e3988f0bbac6ea46",
-        "symmetry": "0f96cf1d934c797cc0ade9635ef291be2afb474de89478074e111a51fd31f1cb",
-        "fkm_consistency": "06f99f77186627aafc5ab0ef1da6bd7a6f884b2453ccca11825252ff5f9733bd",
-        "invariants_classification":
-            "c1defa433385e82a47ad055d619638815582d8b29f41d630806eae91f95b603e",
-        "homogeneous_orbits": "64d30520c7dc36e83d2e978a3d68a6bc083cdba4401239cedf9039e0fb05567e",
-        "normal_forms": "3241839909741ff3b9a6c7a26882058370b7217d0dd0e447a74d604064b72c73",
-        "focal_and_fibers": "926935c53d663a5cbf394a8bbc5a793f07595482f41b82a8fc8529250b51298c",
-        "submersion_rank": "7095e0652c137177066fed3a889bde618ac4fab07673f029c2d8e9f377e5ccda",
-        "composed_identities":
-            "e26c6837204acc8cb36a238b47d4a25ebcba63c743c3b2b5bc034de43fed4c04",
-        "sphere_quotient": "f452777506353c2274da073481d07c5dd82d6322a249f93ef5bee57624c60724",
-        "diameter": "558bd441d5f819392118af5f927b88d7334c6e1979d14fef538717bcafedae36",
+        AVX512: {
+            "relations": "3134b2bf296504f5009f19bbeee6bd28e733dfa9ae31601f50604054c83b6bf5",
+            "disk_image": "8b39d4bdd10630e97050149ceeeda871e335a143df92fd6a21165e32849b9908",
+            "boundary_fibers": "cdd850d7b7ccbcf4c2314b2d6db4ddd0e4eb8794cdc7f75816a825fd4e968be9",
+            "factorization_m_plus_1":
+                "600956b92295d45d071ba29ff1283e86edb01837687282439e0c55fdc232f3bb",
+            "geodesics": "5c0f576be21c2c4655353cbb50b5a4ac2ebf3f7aade13a91114c254667014c78",
+            "quotient_metric": "556a8d52bc2e7f92cdd6f4237a00038f0f6b51545102a746e3988f0bbac6ea46",
+            "symmetry": "0f96cf1d934c797cc0ade9635ef291be2afb474de89478074e111a51fd31f1cb",
+            "fkm_consistency": "06f99f77186627aafc5ab0ef1da6bd7a6f884b2453ccca11825252ff5f9733bd",
+            "invariants_classification":
+                "c1defa433385e82a47ad055d619638815582d8b29f41d630806eae91f95b603e",
+            "homogeneous_orbits":
+                "64d30520c7dc36e83d2e978a3d68a6bc083cdba4401239cedf9039e0fb05567e",
+            "normal_forms": "3241839909741ff3b9a6c7a26882058370b7217d0dd0e447a74d604064b72c73",
+            "focal_and_fibers": "926935c53d663a5cbf394a8bbc5a793f07595482f41b82a8fc8529250b51298c",
+            "submersion_rank": "7095e0652c137177066fed3a889bde618ac4fab07673f029c2d8e9f377e5ccda",
+            "composed_identities":
+                "e26c6837204acc8cb36a238b47d4a25ebcba63c743c3b2b5bc034de43fed4c04",
+            "sphere_quotient": "f452777506353c2274da073481d07c5dd82d6322a249f93ef5bee57624c60724",
+            "diameter": "558bd441d5f819392118af5f927b88d7334c6e1979d14fef538717bcafedae36",
+        },
+        AVX2: {
+            "relations": "3134b2bf296504f5009f19bbeee6bd28e733dfa9ae31601f50604054c83b6bf5",
+            "disk_image": "8b39d4bdd10630e97050149ceeeda871e335a143df92fd6a21165e32849b9908",
+            "boundary_fibers": "cdd850d7b7ccbcf4c2314b2d6db4ddd0e4eb8794cdc7f75816a825fd4e968be9",
+            "factorization_m_plus_1":
+                "600956b92295d45d071ba29ff1283e86edb01837687282439e0c55fdc232f3bb",
+            "geodesics": "e606496b359b23c0d91f8de16774175ce6cac085e9b1d4855075d72b94489038",
+            "quotient_metric": "fdb409e2b63193ed9c6638e898fe9e6aee88ea1a1a7f0399253b2e5ee8747146",
+            "symmetry": "03c911240637d60dbd970dd594b922080068f45c644ca413fa14dc4b234de204",
+            "fkm_consistency": "d96d6da640a0914541e923579fd494531690f4f8b3171c85d58e19f603492cc1",
+            "invariants_classification":
+                "4238dfd8a43a8b43058049f892d81e8cb9d6e92497c9481f657d9318e9c8770f",
+            "homogeneous_orbits":
+                "5b5991d212b759f5b44403c788a085b9bee7216a1f5edd35d8f33d12bcb19a1c",
+            "normal_forms": "765a3b28830997d0d6c8def23d9990bfe6b8f47b27a1291f9661f5c674f88a80",
+            "focal_and_fibers": "2b359e216f426d1a8ee33e697df1ab02d52f748e37b1b26cc65360275dbca2b7",
+            "submersion_rank": "8400eefa92065a761cafa0b6426297ad86a6df19278202e17cac492dcafe2023",
+            "composed_identities":
+                "2b5b403dccdb884d6027e11b770613db2ad85aad51c2099610c6c920e8b91556",
+            "sphere_quotient": "f452777506353c2274da073481d07c5dd82d6322a249f93ef5bee57624c60724",
+            "diameter": "40363dc5eee7b4fbece245b603885a7c117d3ee563fffa0be8492d57c5773a69",
+        },
     }
 
     # SHA-256 of the file `cfl report --max-dim 64 --seed 7 --out FILE` writes;
@@ -141,19 +170,18 @@ class TestDeterminism:
     # again when every distance became one unit_angle and fkm_consistency's direct form
     # took the generator images (129 of 1491 moved, by <= 7.1e-16 but for apex_to_boundary's
     # 26, which fell from <= 1.05e-8 to <= 5.6e-16; no verdict changed)
-    REPORT_DIGEST = "5619735a8e0605cd4ffc5fa1e4f52fe23a1b8898aa3041bc18daeb54263c66e4"
+    REPORT_DIGEST = {
+        AVX512: "5619735a8e0605cd4ffc5fa1e4f52fe23a1b8898aa3041bc18daeb54263c66e4",
+        AVX2: "eb30b4532d08e8731e721c3efae5c156b1719f290756804936b2c9903daed459",
+    }
 
-    @pytest.mark.skipif(np.__version__ != PLAN_DIGESTS_NUMPY,
-                        reason=f"plan digests were taken with numpy {PLAN_DIGESTS_NUMPY}")
     def test_seed7_report_is_pinned(self, seed7_report):
-        assert hashlib.sha256(seed7_report).hexdigest() == self.REPORT_DIGEST
+        assert hashlib.sha256(seed7_report).hexdigest() == pinned(self.REPORT_DIGEST)
 
-    @pytest.mark.skipif(np.__version__ != PLAN_DIGESTS_NUMPY,
-                        reason=f"plan digests were taken with numpy {PLAN_DIGESTS_NUMPY}")
     def test_default_plan_reports_are_pinned(self, seed7_report):
         digests = suite_digests(seed7_report)
         del digests["transnormality"]
-        assert digests == self.PLAN_DIGESTS
+        assert digests == pinned(self.PLAN_DIGESTS)
 
     # SHA-256 of the transnormality report JSON lines over all 28 of its
     # configs in default_plan(64, seed=7, samples=300), taken with numpy 2.4.6;
@@ -171,12 +199,13 @@ class TestDeterminism:
     # and again when every span element acted in E_+-(P_0) coefficients through one l x l
     # block (83 floats moved, by <= 3.3e-16), and again when every distance became one
     # unit_angle (55 floats moved, by <= 7.1e-16)
-    TRANSNORMALITY_DIGEST = "20463ee8002748b89e7650f6badccee54fa7ee411f5ea6de1082714508291af9"
+    TRANSNORMALITY_DIGEST = {
+        AVX512: "20463ee8002748b89e7650f6badccee54fa7ee411f5ea6de1082714508291af9",
+        AVX2: "e7073198fc2e4775f0e72696fbcd4745cac61fd59905197285c6b7a16143b38d",
+    }
 
-    @pytest.mark.skipif(np.__version__ != PLAN_DIGESTS_NUMPY,
-                        reason=f"plan digests were taken with numpy {PLAN_DIGESTS_NUMPY}")
     def test_transnormality_reports_are_pinned(self, seed7_report):
-        assert suite_digests(seed7_report)["transnormality"] == self.TRANSNORMALITY_DIGEST
+        assert suite_digests(seed7_report)["transnormality"] == pinned(self.TRANSNORMALITY_DIGEST)
 
     def test_seed_changes_violations_not_outcomes(self, s22):
         for suite in ("disk_image", "boundary_fibers", "symmetry"):
