@@ -24,7 +24,7 @@ import numpy as np
 from .algebra import (check_unit, rng_from, row_dots, row_norms, sample_unit_vectors,
                       sign_fixed_rotation, snapped_sqrt, unit_angle)
 from .clifford import CliffordSystem
-from .foliation import _pi_state, fiber_sample, pi_c
+from .foliation import _pi_state, _turn, fiber_sample, pi_c
 
 __all__ = [
     "FoliationSpec",
@@ -344,15 +344,19 @@ def _constraint_state(system: CliffordSystem, spec: FoliationSpec, z: np.ndarray
     r2 = np.sum(v * v, axis=-1)
     vhat = v / np.sqrt(np.maximum(r2, 1e-30))[:, None]
     tail = spec.invariant_map(vhat)
-    if spec.invariant_jacobian is not None:
-        # a contiguous operand takes the same matmul path at every batch size
-        jac = np.ascontiguousarray(spec.invariant_jacobian(v), dtype=float)
-    else:
-        jac = _central_differences(lambda u: spec.invariant_map(_unit(u)), v, np.full(len(v), 1e-6))
+    jac = _invariant_jacobian(spec, v)
     c = np.concatenate([(r2 - target_r2)[:, None], tail - target], axis=1)
     rows = np.concatenate([2.0 * (v[:, None, :] @ rows_pi), jac @ rows_pi], axis=1)
     dphi = np.concatenate([2.0 * v[:, None, :], jac], axis=1)
     return c, rows, v, rows_pi, dphi
+
+
+def _invariant_jacobian(spec: FoliationSpec, v: np.ndarray) -> np.ndarray:
+    """Jacobians (S, t, m+1) of v -> invariant_map(v / |v|): the spec's, else central differences."""
+    if spec.invariant_jacobian is not None:
+        # a contiguous operand takes the same matmul path at every batch size
+        return np.ascontiguousarray(spec.invariant_jacobian(v), dtype=float)
+    return _central_differences(lambda u: spec.invariant_map(_unit(u)), v, np.full(len(v), 1e-6))
 
 
 def _central_differences(f, v: np.ndarray, h: np.ndarray) -> np.ndarray:
@@ -488,37 +492,50 @@ def _small_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _restore(system, spec, z, target_r2, target):
-    """Newton corrections of every row of z back onto the leaf.
+    """Every row of z carried onto the leaf by one fiber transport.
 
-    Each correction is the minimum-norm step g^+ (-c) for the constraint
-    rows g: :func:`_solve_rows` solves the k x k system g g^T y = -c and the
-    step is g^T y, which equals g^+ (-c) since g^T (g g^T)^+ = g^+.  Rows
-    with a vanishing constraint gradient make g g^T singular and take the
-    minimum-norm y.  At most 8 corrections; each row stops once its
-    residual drops below 1e-12.  Returns the points, their residuals and
-    their constraint state (rows, v, pi_rows, dphi of
-    :func:`_constraint_state`).
+    z lies on the fiber over v' = pi_C(z), read off its generator images, so
+    z = cos(t) x + sin(t) Qx for Q = v' / |v'| and some x in M+: z +- Qz, with
+    Qz contracted from the images, are multiples of x +- Qx, whose normalised
+    sum is x (no angle t is read off |v'|, which loses it as |v'| nears 1).
+    :func:`~clifford_foliations.foliation._turn` lands x on the fiber over the
+    leaf's disk point: the target of a fiber leaf, else sqrt(target_r2) times
+    :func:`_leaf_direction` of Q.  Returns the points, their residuals max |c|
+    and their state (rows, v, pi_rows, dphi), all of :func:`_constraint_state`.
     """
     z = np.array(z, dtype=float)
-    resid = np.empty(len(z))
-    state = None
-    live = np.arange(len(z))
-    for corrections in range(9):
-        c, *found = _constraint_state(system, spec, z[live], target_r2, target)
-        if state is None:
-            state = [np.empty((len(z),) + f.shape[1:]) for f in found]
-        for kept, f in zip(state, found):
-            kept[live] = f
-        res = np.max(np.abs(c), axis=1)
-        resid[live] = res
-        more = res >= 1e-12
-        live = live[more]
-        if not live.size or corrections == 8:
+    images = system.generator_images(z)
+    v = row_dots(images, z[:, None, :])
+    q = _unit(np.where(row_norms(v)[:, None] > 0.0, v, 1.0))  # any Q serves on M+
+    qz = np.sum(q[:, :, None] * images, axis=1)
+    plus, minus = z + qz, z - qz
+    back = (_unit(plus) + minus / np.maximum(row_norms(minus), 1e-300)[:, None]) / np.sqrt(2.0)
+    disk = (np.broadcast_to(target, v.shape) if target_r2 is None
+            else np.sqrt(target_r2) * _leaf_direction(spec, q, target))
+    z = _turn(system, disk, back[:, None])[:, 0]
+    c, *state = _constraint_state(system, spec, z, target_r2, target)
+    return z, np.max(np.abs(c), axis=1), state
+
+
+def _leaf_direction(spec, u, tail):
+    """The unit rows u moved onto the boundary leaf invariant_map = tail of S^m by Newton steps.
+
+    Each step is the minimum-norm J^T y, J J^T y = -c by :func:`_solve_rows`, for the Jacobian
+    J of :func:`_invariant_jacobian` (y = 0 where J vanishes, as for ``one_leaf``), then
+    renormalised.  A row stops once its residual drops below 1e-14, and after 8 steps.
+    """
+    u = np.array(u)
+    live = np.arange(len(u))
+    for _ in range(8):
+        c = spec.invariant_map(u[live]) - tail
+        more = np.max(np.abs(c), axis=1) >= 1e-14
+        live, c = live[more], c[more]
+        if not live.size:
             break
-        g = found[0][more]
-        y = _solve_rows(g @ np.swapaxes(g, -1, -2), -c[more])
-        z[live] = _unit(z[live] + np.sum(g * y[:, :, None], axis=1))
-    return z, resid, state
+        jac = _invariant_jacobian(spec, u[live])
+        y = _solve_rows(jac @ np.swapaxes(jac, -1, -2), -c)
+        u[live] = _unit(u[live] + np.sum(jac * y[:, :, None], axis=1))
+    return u
 
 
 def _descend(system, spec, x, z, target_r2, target):
@@ -529,8 +546,8 @@ def _descend(system, spec, x, z, target_r2, target):
     :func:`_newton_direction`, or the projected gradient where that is not
     a finite ascent direction of negative model curvature.  The line search
     takes the first of the steps 1, 1/2, ..., 2^-19 that is accepted, each
-    restored onto the leaf by :func:`_restore`: step 1 for every row, then
-    the 19 halvings of the rows it fails in one call.  A step is accepted
+    carried onto the leaf by one fiber transport (:func:`_restore`): step 1
+    for every row, then the 19 halvings of the rows it fails in one call.  A step is accepted
     only when the restored point is feasible again (otherwise an off-leaf
     point could undercut the true leaf distance) and raises <x, .> by more
     than 1e-15; a row stops when the predicted gain <g, d> of its direction
@@ -585,9 +602,10 @@ def leaf_to_leaf_ambient_distance(system: CliffordSystem, spec: FoliationSpec,
     Minimum over ``budget`` leaf samples, refined by Newton ascent of <x, .>
     on the leaf (:func:`_descend`) from the best starts.  Distances to the
     points z found are their ``unit_angle`` to x, which resolves what
-    arccos <x, z> cannot below arccos(1 - 2^-53).  Only points feasible
-    to 1e-10 in pi_C are accepted, so on a leaf of radius r an undercut is
-    at most about 1e-10 / (2 sqrt(1 - r^2)).  Descent starts are taken from the first
+    arccos <x, z> cannot below arccos(1 - 2^-53).  Descended points are
+    fiber transports (:func:`_restore`), on their fiber to roundoff, and only
+    points feasible to 1e-10 in pi_C are accepted, so on a leaf of radius r an
+    undercut is at most about 1e-10 / (2 sqrt(1 - r^2)).  Descent starts are taken from the first
     2048 samples; from 2048 on, a budget that is a multiple of its chunk
     (:func:`_leaf_sample_blocks`) draws a prefix of any larger budget's
     samples, so no larger budget gives a larger estimate.  All
@@ -600,7 +618,7 @@ def leaf_to_leaf_ambient_distance(system: CliffordSystem, spec: FoliationSpec,
     spec's ``invariant_jacobian`` or else central differences of its
     invariant map.  Boundary leaves are handled in closed form per sampled
     direction (the nearest point of a great subsphere is an orthogonal
-    projection).
+    projection p of x, at the angle of (|p|, |x - p|) to (1, 0)).
     """
     _check_spec(system, spec)
     for name, count in (("budget", budget), ("starts", starts)):
@@ -631,9 +649,11 @@ def leaf_to_leaf_ambient_distance(system: CliffordSystem, spec: FoliationSpec,
         xs = np.broadcast_to(x, (n_dirs, 1, len(x)))
         proj = 0.5 * (x + system.span_apply(w, xs)[:, 0])
         norms = row_norms(proj)
-        # the nearest point is proj / |proj|; proj = 0 puts the whole subsphere at pi/2
-        nearest = proj / np.where(norms > 0.0, norms, 1.0)[:, None]
-        return float(np.min(np.where(norms > 0.0, unit_angle(nearest, x), 0.5 * np.pi)))
+        # x = proj + (x - proj) orthogonally, so x sits at (|proj|, |x - proj|) from the nearest
+        # point (1, 0) in their plane: no division by a |proj| that may be roundoff; proj = 0
+        # puts the whole subsphere at pi/2
+        plane = np.stack([norms, row_norms(x - proj)], axis=1)
+        return float(np.min(np.where(norms > 0.0, unit_angle(plane, np.eye(2)[:1]), 0.5 * np.pi)))
 
     samples = _leaf_sample_blocks(system, spec, v, budget, rng)
     dots = samples @ x

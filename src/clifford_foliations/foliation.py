@@ -250,16 +250,25 @@ def fiber_sample(system: CliffordSystem, v: np.ndarray, n: int, seeds) -> np.nda
         out = _boundary_rows(system, v / r[:, None], n, seeds)
         return out[0] if single else out
     _check_focal(system)
-    x = system.p0_assemble(*_mplus_rows(system, n, seeds))
+    x = _turn(system, v, system.p0_assemble(*_mplus_rows(system, n, seeds)))
+    return x[0] if single else x
+
+
+def _turn(system: CliffordSystem, v: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """x turned in place to cos(t) x + sin(t) Qx, Q = v / |v| and t = arcsin(|v|) / 2 per row.
+
+    Row j of v (k, m+1) turns x[j] (k, n, 2l) by one span action.  The turn
+    takes M+ onto the fiber over sin(2t) Q = v.  Rows with |v| <= 1e-12 stay.
+    """
+    r = row_norms(v)
     mid = r > 1e-12
     if np.any(mid):
-        # cos(t) x + sin(t) Q x, in place; origin rows take t = Q = 0
         t = (np.arcsin(np.where(mid, r, 0.0)) / 2.0)[:, None, None]
         qx = system.span_apply(v / np.where(mid, r, np.inf)[:, None], x)
         qx *= np.sin(t)
         x *= np.cos(t)
         x += qx
-    return x[0] if single else x
+    return x
 
 
 # --------------------------------------------------------------------------- #

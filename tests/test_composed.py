@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 
 from clifford_foliations.algebra import (rng_from, row_norms, sample_unit_vectors,
-                                         sign_fixed_rotation, unit_angle)
-from clifford_foliations import composed
+                                         sign_fixed_q, sign_fixed_rotation, unit_angle)
+from clifford_foliations import composed, foliation
 from clifford_foliations.clifford import build_system, conjugate_system
 from clifford_foliations.composed import (
     BUILTIN_SPEC_NAMES,
@@ -442,9 +442,36 @@ class TestAmbientLeafDistance:
         assert np.all(0.5 * (x + s22.span_apply(-p, x)) == 0.0)
         assert d == np.pi / 2
 
+    def test_opposite_boundary_fibers_on_a_conjugated_system(self, s22):
+        # on a dense system the projection p of x onto the other fiber's subsphere is
+        # roundoff (|p| ~ 3e-16), not 0; the angle is taken in the plane of x and p, where
+        # the angle to the noise direction p / |p| read 0.54, 1.44 and 1.49
+        system = conjugate_system(s22, sign_fixed_q(rng_from(3).standard_normal((1, 8, 8)))[0])
+        pts = builtin_spec("points", 2)
+        p = np.eye(3)[0]
+        for s in range(3):
+            x, y = boundary_fiber_sample(system, [p, -p], 1, s + np.array([11, 12]))[:, 0]
+            d = leaf_to_leaf_ambient_distance(system, pts, x, y, 64, s + 13)
+            assert abs(d - np.pi / 2) <= 1e-12
+
+    @pytest.mark.parametrize("gap", [1e-8, 3e-9, 1.5e-9])
+    def test_fiber_leaves_next_to_the_boundary(self, s22, gap):
+        # a fiber leaf 1e-8 to 1.5e-9 inside the boundary: points feasible to 1e-10 in
+        # pi_C undercut the leaf distance by up to 8.4e-7 here, while a point restored
+        # by fiber transport lies on the fiber to roundoff
+        pts = builtin_spec("points", 2)
+        rng = rng_from(5)
+        w = sample_unit_vectors(rng, 3, 1)[0]
+        v = 0.5 * sample_unit_vectors(rng, 3, 1)[0]
+        x = fiber_sample(s22, v, 1, 11)[0]
+        y = fiber_sample(s22, (1.0 - gap) * w, 1, 12)[0]
+        d = leaf_to_leaf_ambient_distance(s22, pts, x, y, 1200, 7, starts=16)
+        assert abs(d - composed_quotient_distance(s22, pts, x, y)) <= 1e-10
+
     # re-pinned when the span action moved to E_+-(P_0) coefficients (one ulp, from
-    # ...1117p-1), and keyed by numeric-kernel family since
-    BOUNDARY_LEAF_HEX = {AVX512: "0x1.b5a7833dc1118p-1", AVX2: "0x1.b5a7833dc1117p-1"}
+    # ...1117p-1), keyed by numeric-kernel family since, and re-pinned when the closed
+    # form took its angle in the plane of x and its projection (one ulp, back to ...1117p-1)
+    BOUNDARY_LEAF_HEX = {AVX512: "0x1.b5a7833dc1117p-1", AVX2: "0x1.b5a7833dc1117p-1"}
 
     def test_boundary_leaf_closed_form_is_pinned(self, s22):
         # a height leaf through a boundary point: budget 320 takes 20 sampled
@@ -735,6 +762,9 @@ class TestNewtonAscent:
     # _restore rows per estimate; the projected-gradient ascent took 2276,
     # 612 and 720
     RESTORE_CEILING = {"points_2_2": 400, "height_4_3": 150, "height_9_1": 150}
+    # _constraint_state calls per estimate, one per _restore and one per _descend call;
+    # with up to 8 Newton corrections per restore they were 20, 43 and 31
+    CONSTRAINT_CEILING = {"points_2_2": 10, "height_4_3": 16, "height_9_1": 12}
 
     @classmethod
     def estimate(cls, case):
@@ -765,6 +795,20 @@ class TestNewtonAscent:
         monkeypatch.setattr(composed, "_restore", counted)
         d, dq = self.estimate(case)
         assert sum(rows) <= self.RESTORE_CEILING[case]
+        assert dq - d <= 1e-9
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_constraint_evaluations_below_ceiling(self, case, monkeypatch):
+        calls = []
+        state = composed._constraint_state
+
+        def counted(*args):
+            calls.append(len(args[2]))
+            return state(*args)
+
+        monkeypatch.setattr(composed, "_constraint_state", counted)
+        d, dq = self.estimate(case)
+        assert len(calls) <= self.CONSTRAINT_CEILING[case]
         assert dq - d <= 1e-9
 
     def test_converges_where_gradient_ascent_hit_the_cap(self):
@@ -821,6 +865,50 @@ class TestNewtonAscent:
             xb = fiber_sample(system, vb, 1, 20 + i)[0]
             d = leaf_to_leaf_ambient_distance(system, spec, xa, xb, 1200, 30 + i, starts=6)
             assert abs(d - composed_quotient_distance(system, spec, xa, xb)) <= 1e-9
+
+
+def transport_system(mk):
+    if mk == "conjugated":
+        a = sign_fixed_rotation(rng_from(63).standard_normal((8, 8)))
+        return conjugate_system(build_system(2, 2), a)
+    return build_system(*mk)
+
+
+class TestFiberTransport:
+    SYSTEMS = [(2, 2), (1, 4), (3, 2), (5, 1), (9, 1), "conjugated"]
+
+    @pytest.mark.parametrize("mk", SYSTEMS, ids=["2_2", "1_4", "3_2", "5_1", "9_1", "conjugated"])
+    def test_restore_lands_on_the_target_fiber(self, mk):
+        # points of the fiber over v' carried to the fiber over v, both from the
+        # origin to |v| = 0.99: the pull-back to M+ alone kept |pi_C| <= 5.9e-15
+        system = transport_system(mk)
+        m = system.m
+        dirs = sample_unit_vectors(rng_from(64, m), m + 1, 2)
+        radii = (0.0, 0.3, 0.9, 0.99)
+        hgt = builtin_spec("height", m)
+        tail = hgt.invariant_map(dirs[1:])[0]
+        for i, r_from in enumerate(radii):
+            z = fiber_sample(system, r_from * dirs[0], 8, 65 + i)
+            for r_to in radii:
+                v = r_to * dirs[1]
+                got, resid, _ = composed._restore(system, builtin_spec("points", m), z, None, v)
+                assert np.max(np.abs(pi_c(system, got) - v)) <= 1e-13
+                assert np.max(np.abs(row_norms(got) - 1.0)) <= 1e-14
+                assert np.max(resid) <= 1e-13
+                if r_to:
+                    # any other leaf: the direction moved onto the height leaf first
+                    got, resid, _ = composed._restore(system, hgt, z, r_to * r_to, tail)
+                    assert np.max(resid) <= 1e-13
+                    assert np.max(np.abs(row_norms(got) - 1.0)) <= 1e-14
+
+    @pytest.mark.parametrize("mk", [(3, 2), "conjugated"], ids=["3_2", "conjugated"])
+    def test_turn_from_m_plus_is_fiber_sample(self, mk):
+        # the restore's push to the leaf is the turn fiber_sample takes, origin row included
+        system = transport_system(mk)
+        v = np.array([[0.0], [0.5], [0.99]]) * sample_unit_vectors(rng_from(66), system.m + 1, 3)
+        seeds = np.array([67, 68, 69])
+        turned = foliation._turn(system, v, mplus_sample(system, 5, seeds))
+        assert turned.tobytes() == fiber_sample(system, v, 5, seeds).tobytes()
 
 
 class TestInvariantJacobian:
