@@ -21,6 +21,7 @@ import numpy as np
 from . import __version__
 from .algebra import rng_from, sample_unit_vectors
 from .clifford import (
+    MalformedSystemError,
     build_system,
     equivalence_profile,
     system_from_dict,
@@ -60,7 +61,11 @@ def _dump_json(obj) -> str:
 
 def _load_system(path: str):
     with open(path) as handle:
-        return system_from_dict(json.load(handle))
+        try:
+            payload = json.load(handle)
+        except RecursionError:
+            raise MalformedSystemError(f"{path} nests too deeply to be a system file") from None
+    return system_from_dict(payload)
 
 
 def _cmd_construct(args) -> int:
@@ -180,6 +185,8 @@ def _cmd_homogeneity(args) -> int:
 
 def _cmd_report(args) -> int:
     plan = default_plan(max_dim=args.max_dim, seed=args.seed, samples=args.samples)
+    if not plan:
+        raise ValueError(f"--max-dim {args.max_dim} admits no system of the plan")
     reports, summary = run_matrix(plan)
     payload = {"reports": [r.to_json_dict() for r in reports], "summary": summary}
     if args.out:

@@ -543,12 +543,14 @@ def conjugate_system(system: CliffordSystem, a: np.ndarray) -> CliffordSystem:
 
 
 def sub_system(system: CliffordSystem, indices: Sequence[int]) -> CliffordSystem:
-    """Restriction to a nonempty subsequence of the generators."""
+    """Restriction to a nonempty subsequence of distinct generators."""
     indices = list(indices)
     if not indices:
         raise ValueError("sub_system needs at least one generator index")
     if any(i < 0 or i > system.m for i in indices):
         raise ValueError("generator index out of range")
+    if len(set(indices)) < len(indices):
+        raise ValueError("sub_system takes each generator index at most once")
     gens = system.generators
     gens = (gens[0][indices], gens[1][indices]) if system.exact else gens[indices]
     return CliffordSystem(len(indices) - 1, system.l, gens, None)

@@ -22,9 +22,9 @@ from typing import Callable, Optional
 import numpy as np
 
 from .algebra import (check_unit, rng_from, row_dots, row_norms, sample_unit_vectors,
-                      sign_fixed_rotation, snapped_sqrt, unit_angle)
+                      sign_fixed_rotation, unit_angle)
 from .clifford import CliffordSystem
-from .foliation import _pi_state, _turn, fiber_sample, pi_c
+from .foliation import _lift_height, _pi_state, _turn, fiber_sample, pi_c
 
 __all__ = [
     "FoliationSpec",
@@ -40,7 +40,6 @@ __all__ = [
 ]
 
 _ORIGIN_TOL = 1e-10
-_BOUNDARY_TOL = 1e-9
 _SAME_LEAF_TOL = 1e-9
 _STEPS = np.ldexp(1.0, -np.arange(20))  # line-search steps 1, 1/2, ..., 2^-19
 
@@ -259,8 +258,8 @@ def composed_quotient_distance(system: CliffordSystem, spec: FoliationSpec,
     """Distance between the composed classes of x and y (half the cone/join metric).
 
     Half the :func:`~clifford_foliations.algebra.unit_angle` between (h, r, 0) and
-    (h', r' cos delta, r' sin delta): radii r = |pi_C|, heights h = sqrt(1 - r^2) snapped as
-    :func:`~clifford_foliations.foliation.quotient_lift` snaps them, delta the leaf-space
+    (h', r' cos delta, r' sin delta): radii r = |pi_C|, heights h = sqrt(1 - r^2), 0 exactly
+    on the boundary of :func:`~clifford_foliations.foliation.fiber_sample`, delta the leaf-space
     distance of the directions, capped at pi.  Single points x, y (2l,) give a float, paired
     rows (n, 2l) an (n,) array; the leaf-space metric runs on rows with both classes off the origin.
     """
@@ -275,8 +274,8 @@ def composed_quotient_distance(system: CliffordSystem, spec: FoliationSpec,
     off = np.flatnonzero((rx > _ORIGIN_TOL) & (ry > _ORIGIN_TOL))
     delta[off] = np.minimum(
         spec.quotient_distance(vx[off] / rx[off, None], vy[off] / ry[off, None]), np.pi)
-    a = np.stack([snapped_sqrt(1.0 - rx * rx), rx, np.zeros(len(rx))], axis=-1)
-    b = np.stack([snapped_sqrt(1.0 - ry * ry), ry * np.cos(delta), ry * np.sin(delta)], axis=-1)
+    a = np.stack([_lift_height(rx), rx, np.zeros(len(rx))], axis=-1)
+    b = np.stack([_lift_height(ry), ry * np.cos(delta), ry * np.sin(delta)], axis=-1)
     d = 0.5 * unit_angle(a, b)
     return float(d[0]) if np.ndim(x) == 1 else d
 
@@ -616,9 +615,10 @@ def leaf_to_leaf_ambient_distance(system: CliffordSystem, spec: FoliationSpec,
     A fiber leaf (:func:`_fiber_leaf`) holds pi_C at its disk point, 0 at
     the origin; any other leaf holds |pi_C|^2 and the invariant, through the
     spec's ``invariant_jacobian`` or else central differences of its
-    invariant map.  Boundary leaves are handled in closed form per sampled
-    direction (the nearest point of a great subsphere is an orthogonal
-    projection p of x, at the angle of (|p|, |x - p|) to (1, 0)).
+    invariant map.  Boundary leaves, at lift height 0 as :func:`fiber_sample`
+    and :func:`composed_quotient_distance` decide it, are handled in closed
+    form per sampled direction (the nearest point of a great subsphere is an
+    orthogonal projection p of x, at the angle of (|p|, |x - p|) to (1, 0)).
     """
     _check_spec(system, spec)
     for name, count in (("budget", budget), ("starts", starts)):
@@ -640,7 +640,7 @@ def leaf_to_leaf_ambient_distance(system: CliffordSystem, spec: FoliationSpec,
     fiber = _fiber_leaf(spec, r)
     rng = rng_from(seed)
 
-    if r >= 1.0 - _BOUNDARY_TOL:
+    if _lift_height(r) == 0.0:
         # distance to E_+^1(P_w) is arccos |(x + P_w x)/2| per direction w
         vhat = v / r
         n_dirs = 1 if fiber else max(1, min(256, budget // 16))

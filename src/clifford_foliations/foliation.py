@@ -227,19 +227,19 @@ def fiber_sample(system: CliffordSystem, v: np.ndarray, n: int, seeds) -> np.nda
 
     Interior points use the parametrization cos(t) x + sin(t) Qx over x in M+
     with Q = v/|v| and t = arcsin(|v|)/2, which lands exactly in the fiber
-    over sin(2t) Q = v, turning assembled M+ rows by one span action.
-    Origin and boundary points take the samples of
-    :func:`mplus_sample` / :func:`boundary_fiber_sample`.  A point (m+1,)
-    with an int seed gives (n, 2l); k points (k, m+1) with k seeds give
-    (k, n, 2l), where origin, interior and boundary rows may be mixed and
-    fiber j equals the single call with seeds[j] bit for bit.
+    over sin(2t) Q = v, turning assembled M+ rows by one span action.  The
+    origin takes :func:`mplus_sample`'s rows; a boundary point, one whose lift
+    height (:func:`_lift_height`) is 0, :func:`boundary_fiber_sample`'s.  A
+    point (m+1,) with an int seed gives (n, 2l); k points (k, m+1) with k
+    seeds give (k, n, 2l), where origin, interior and boundary rows may be
+    mixed and fiber j equals the single call with seeds[j] bit for bit.
     """
     v, seeds, single = _seeded_rows(v, seeds, system.m + 1)
     with np.errstate(over="ignore"):  # a huge row's norm is inf and fails the check below
         r = row_norms(v)
     if not np.all(r <= 1.0 + 1e-12):
         raise ValueError("disk point has norm > 1 or is not finite")
-    edge = r >= 1.0 - 1e-12
+    edge = _lift_height(r) == 0.0
     if np.any(edge) and not np.all(edge):
         # boundary rows and the others, each kind in one call of its own
         out = np.empty((len(v), n, system.dim))
@@ -369,13 +369,18 @@ def project_geodesic_params(system: CliffordSystem, g: HorizontalGeodesic):
 # Quotient metric via the hemisphere lift
 # --------------------------------------------------------------------------- #
 
+def _lift_height(r) -> np.ndarray:
+    """Lift height sqrt(1 - r^2) over radii r, snapped: r is on the boundary iff it is 0."""
+    return snapped_sqrt(1.0 - r * r)
+
+
 def quotient_lift(v: np.ndarray) -> np.ndarray:
     """Lift of a disk point to the radius-1/2 upper hemisphere in R^(m+2).
 
     lambda(v) = (v, sqrt(1 - |v|^2)) / 2; the curvature-4 quotient metric on
-    the disk is the round metric of this hemisphere.  Radicands within 1e-13
-    of zero snap to the boundary, so points that are boundary points up to
-    accumulated roundoff lift with height exactly zero.
+    the disk is the round metric of this hemisphere.  The height snaps as
+    :func:`_lift_height` snaps it, from |v|^2 summed here, so boundary points
+    up to accumulated roundoff lift with height exactly zero.
     """
     v = np.asarray(v, dtype=float)
     with np.errstate(over="ignore"):  # a huge row's r2 is inf and fails the check below

@@ -178,6 +178,14 @@ class TestMalformedSystemFiles:
     def test_not_an_object(self, tmp_path, capsys):
         self.assert_rejected(tmp_path, capsys, [1, 2])
 
+    def test_deeply_nested_file(self, tmp_path, capsys):
+        # json.load raises RecursionError here, neither an OSError nor a ValueError
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100000 + "]" * 100000)
+        assert run("invariant", "--system", path) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+
     def test_signed_perm_column_without_sign(self, tmp_path, capsys):
         payload = json.loads(GOLDEN.read_text())
         payload["generators"][1] = [[0] for _ in payload["generators"][1]]
@@ -448,6 +456,14 @@ class TestReportCommand:
         payload = json.loads(out.read_text())
         assert payload["summary"]["passed"] == payload["summary"]["total"] > 0
         assert "suites passed" in capsys.readouterr().out
+
+    def test_empty_plan_exit_two(self, tmp_path, capsys):
+        # the smallest system has 2l = 4, so --max-dim 3 would report 0/0 suites passed
+        out = tmp_path / "summary.json"
+        assert run("report", "--max-dim", 3, "--out", out) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error:")
+        assert "--max-dim 3" in captured.err and not out.exists()
 
 
 # ---------------------------------------------------------------------------

@@ -432,6 +432,12 @@ class TestSubSystem:
         with pytest.raises(ValueError):
             sub_system(build_system(2, 1), [])
 
+    @pytest.mark.parametrize("indices", [[1, 1], [0, 2, 0], [2, 1, 2]])
+    def test_repeated_index_rejected(self, indices):
+        # P_1 twice anticommutes with itself to a violation of 2.0
+        with pytest.raises(ValueError, match="at most once"):
+            sub_system(build_system(2, 2), indices)
+
 
 class TestSerialization:
     def test_signed_perm_roundtrip_lossless(self):

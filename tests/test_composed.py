@@ -7,7 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
-from clifford_foliations.algebra import (rng_from, row_norms, sample_unit_vectors,
+from clifford_foliations.algebra import (max_abs, rng_from, row_norms, sample_unit_vectors,
                                          sign_fixed_q, sign_fixed_rotation, unit_angle)
 from clifford_foliations import composed, foliation
 from clifford_foliations.clifford import build_system, conjugate_system
@@ -299,6 +299,22 @@ class TestConeMetric:
         d = composed_quotient_distance(s22, one, x, y)
         assert np.abs(d - np.pi / 4).max() <= 1e-15
 
+    @pytest.mark.parametrize("gap", [1e-13, 1e-14])
+    def test_sampler_and_cone_metric_share_the_boundary(self, s22, gap):
+        # one boundary rule: at 1 - 1e-13 the sampler turns M+ onto the fiber over v (a
+        # boundary fiber sample is 1e-13 off v) and the cone metric lifts the rows off
+        # height 0; at 1 - 1e-14 both put them on the boundary, at pi/4 from the apex
+        one = builtin_spec("one_leaf", 2)
+        p = sample_unit_vectors(rng_from(20), 3, 1)[0]
+        v = (1.0 - gap) * p
+        y = fiber_sample(s22, v, 8, 21)
+        sampled_boundary = max_abs(s22.span_apply(p, y) - y) <= 1e-12
+        assert sampled_boundary == (gap == 1e-14)
+        if not sampled_boundary:
+            assert max_abs(pi_c(s22, y) - v) <= 1e-14
+        d = composed_quotient_distance(s22, one, mplus_sample(s22, 8, 22), y)
+        assert np.all((np.abs(d - np.pi / 4) <= 1e-15) == sampled_boundary)
+
     def test_one_leaf_is_radius_difference(self, s22):
         one = builtin_spec("one_leaf", 2)
         rng = rng_from(16)
@@ -454,19 +470,20 @@ class TestAmbientLeafDistance:
             d = leaf_to_leaf_ambient_distance(system, pts, x, y, 64, s + 13)
             assert abs(d - np.pi / 2) <= 1e-12
 
-    @pytest.mark.parametrize("gap", [1e-8, 3e-9, 1.5e-9])
+    @pytest.mark.parametrize("gap", [1e-8, 3e-9, 1.5e-9, 5e-10, 1e-11, 1e-12])
     def test_fiber_leaves_next_to_the_boundary(self, s22, gap):
-        # a fiber leaf 1e-8 to 1.5e-9 inside the boundary: points feasible to 1e-10 in
-        # pi_C undercut the leaf distance by up to 8.4e-7 here, while a point restored
-        # by fiber transport lies on the fiber to roundoff
-        pts = builtin_spec("points", 2)
+        # a fiber leaf and a height leaf 1e-8 to 1e-12 inside the boundary: points feasible
+        # to 1e-10 in pi_C undercut the leaf distance by up to 8.4e-7 here, while a point
+        # restored by fiber transport lies on the fiber to roundoff; a boundary closed form
+        # switched on from 1 - 1e-9 would overshoot by up to 1.6e-5 (points), 2.0e-4 (height)
         rng = rng_from(5)
         w = sample_unit_vectors(rng, 3, 1)[0]
         v = 0.5 * sample_unit_vectors(rng, 3, 1)[0]
         x = fiber_sample(s22, v, 1, 11)[0]
         y = fiber_sample(s22, (1.0 - gap) * w, 1, 12)[0]
-        d = leaf_to_leaf_ambient_distance(s22, pts, x, y, 1200, 7, starts=16)
-        assert abs(d - composed_quotient_distance(s22, pts, x, y)) <= 1e-10
+        for spec in (builtin_spec("points", 2), builtin_spec("height", 2)):
+            d = leaf_to_leaf_ambient_distance(s22, spec, x, y, 1200, 7, starts=16)
+            assert abs(d - composed_quotient_distance(s22, spec, x, y)) <= 1e-10
 
     # re-pinned when the span action moved to E_+-(P_0) coefficients (one ulp, from
     # ...1117p-1), keyed by numeric-kernel family since, and re-pinned when the closed
