@@ -615,8 +615,10 @@ def _require_types(values, kinds: set, message: str) -> None:
 
 def _system_from_fields(data: dict) -> CliffordSystem:
     m, l = data["m"], data["l"]
-    prov = data.get("provenance")
-    _require_types([m, l] + ([prov["k"], prov["flips"]] if prov else []), {int},
+    prov = data.get("provenance")  # only JSON null means "no provenance"
+    if prov is not None and not (type(prov) is dict and {"k", "flips"} <= prov.keys()):
+        raise MalformedSystemError("provenance must be null or an object with integer k and flips")
+    _require_types([m, l] + ([] if prov is None else [prov["k"], prov["flips"]]), {int},
                    "m, l and the provenance's k and flips must be integers")
     if m < 1 or l < 1:
         raise MalformedSystemError("m and l must be at least 1")
@@ -644,7 +646,7 @@ def _system_from_fields(data: dict) -> CliffordSystem:
                          for cols in payload])
     else:
         raise MalformedSystemError(f"unknown encoding {encoding!r}")
-    system = CliffordSystem(m, l, gens, Provenance(prov["k"], prov["flips"]) if prov else None)
+    system = CliffordSystem(m, l, gens, prov and Provenance(prov["k"], prov["flips"]))
     # inf/NaN entries fail the checks; numpy need not warn about them first
     with np.errstate(invalid="ignore", over="ignore"):
         _check_loaded(system)

@@ -52,10 +52,11 @@ class FoliationSpec:
 
     Every callable takes rows.  ``invariant_map`` maps unit rows (n, m+1) to
     (n, t), constant exactly on leaves.  ``quotient_distance`` (optional,
-    needed by the cone metric) is the leaf-space metric of paired rows,
-    giving (n,).  ``leaf_sampler(units, rng)`` (optional) draws a leaf point
-    through each row, in row order; without it the leaves are points, as for
-    ``points``, and each composed leaf is the fiber over its disk point.
+    needed by the cone metric and so by :func:`same_leaf`) is the leaf-space
+    metric of paired rows, giving (n,).  ``leaf_sampler(units, rng)``
+    (optional) draws a leaf point through each row, in row order; without it
+    the leaves are points, as for ``points``, and each composed leaf is the
+    fiber over its disk point.
     ``invariant_jacobian`` (optional) maps nonzero rows (S, m+1) to the
     Jacobians (S, t, m+1) of v -> invariant_map(v / |v|); without it the
     estimator takes central differences, one ``invariant_map`` call on
@@ -234,23 +235,15 @@ def composed_class(system: CliffordSystem, spec: FoliationSpec, x: np.ndarray):
 
 
 def same_leaf(system: CliffordSystem, spec: FoliationSpec, x: np.ndarray, y: np.ndarray):
-    """True iff x and y belong to the same composed leaf, up to 1e-9.
+    """True iff the classes of x and y are at most 1e-9 apart in the cone metric.
 
+    Two points lie on one composed leaf exactly when their
+    :func:`composed_quotient_distance` is 0, so membership reads that distance
+    alone: the spec's ``quotient_distance``, never its ``invariant_map``.
     x and y are single points (2l,), giving a bool, or paired rows (n, 2l),
-    giving an (n,) bool array.  The direction invariant is evaluated only on
-    rows whose radii agree and are off the origin class.
+    giving an (n,) bool array, each row the bool of its single call.
     """
-    _check_spec(system, spec)
-    _check_pair(x, y)
-    vx, rx = _disk_points(system, x)
-    vy, ry = _disk_points(system, y)
-    close = np.abs(rx - ry) <= _SAME_LEAF_TOL
-    same = close & (rx <= _SAME_LEAF_TOL) & (ry <= _SAME_LEAF_TOL)
-    need = np.flatnonzero(close & ~same & (rx > _ORIGIN_TOL) & (ry > _ORIGIN_TOL))
-    tx = spec.invariant_map(vx[need] / rx[need, None])
-    ty = spec.invariant_map(vy[need] / ry[need, None])
-    same[need] = np.max(np.abs(tx - ty), axis=1) <= _SAME_LEAF_TOL
-    return bool(same[0]) if np.ndim(x) == 1 else same
+    return composed_quotient_distance(system, spec, x, y) <= _SAME_LEAF_TOL
 
 
 def composed_quotient_distance(system: CliffordSystem, spec: FoliationSpec,
@@ -603,8 +596,11 @@ def leaf_to_leaf_ambient_distance(system: CliffordSystem, spec: FoliationSpec,
     points z found are their ``unit_angle`` to x, which resolves what
     arccos <x, z> cannot below arccos(1 - 2^-53).  Descended points are
     fiber transports (:func:`_restore`), on their fiber to roundoff, and only
-    points feasible to 1e-10 in pi_C are accepted, so on a leaf of radius r an
-    undercut is at most about 1e-10 / (2 sqrt(1 - r^2)).  Descent starts are taken from the first
+    points whose constraint residuals are all at most 1e-10 are accepted.  On a
+    fiber leaf that is feasibility to 1e-10 in pi_C, so on a leaf of radius r an
+    undercut is at most about 1e-10 / (2 sqrt(1 - r^2)).  On any other leaf the
+    residuals are |pi_C|^2 - r^2 and the invariant's, so |pi_C| - r is bounded
+    by about 1e-10 / (2r) (3.3e-10 at r = 0.15).  Descent starts are taken from the first
     2048 samples; from 2048 on, a budget that is a multiple of its chunk
     (:func:`_leaf_sample_blocks`) draws a prefix of any larger budget's
     samples, so no larger budget gives a larger estimate.  All

@@ -230,6 +230,13 @@ class TestMalformedSystemFiles:
             self.assert_rejected(tmp_path, capsys, payload, "fiber", "--at", "0")
         self.assert_rejected(tmp_path, capsys, payload)
 
+    @pytest.mark.parametrize("prov", [False, 0, "", [], {}], ids=repr)
+    def test_provenance_of_the_wrong_type(self, tmp_path, capsys, prov):
+        # only JSON null means "no provenance"; these falsy values loaded as none
+        payload = json.loads(GOLDEN.read_text())
+        payload["provenance"] = prov
+        self.assert_rejected(tmp_path, capsys, payload)
+
     @pytest.mark.parametrize("defect", ["string_entry", "bool_entry", "zero_l"])
     def test_dense_payload_checked(self, tmp_path, capsys, defect):
         payload = self.constructed(tmp_path, "--m", 2, "--k", 1, "--encoding", "dense")

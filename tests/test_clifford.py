@@ -540,6 +540,17 @@ class TestSerialization:
         with pytest.raises(MalformedSystemError, match=message):
             system_from_dict(d)
 
+    @pytest.mark.parametrize("prov", [False, 0, 0.0, "", [], {}], ids=repr)
+    def test_provenance_of_the_wrong_type_rejected(self, prov):
+        # only JSON null means "no provenance"; these falsy values loaded as none
+        for encoding in ("signed_perm", "dense"):
+            d = system_to_dict(build_system(2, 2), encoding)
+            d["provenance"] = prov
+            with pytest.raises(MalformedSystemError, match="provenance"):
+                system_from_dict(d)
+            d["provenance"] = None
+            assert system_from_dict(d).provenance is None
+
     @pytest.mark.parametrize("bad", [float("inf"), -float("inf"), float("nan")])
     def test_non_finite_dense_rejected_without_warnings(self, bad):
         d = system_to_dict(build_system(2, 2), "dense")

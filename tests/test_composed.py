@@ -258,6 +258,44 @@ class TestSameLeaf:
             assert same_leaf(s22, one, x, y)
             assert abs(fkm_f0(s22, x)[1] - fkm_f0(s22, y)[1]) <= 2e-9
 
+    @pytest.mark.parametrize("mk", [(2, 2), (5, 1), (12, 4)])
+    def test_one_fiber_near_the_origin(self, mk):
+        # radii within 1e-9 and invariant tails within 1e-9 rejected 38-100 of these 100
+        # pairs per radius: a tail v / r carries roundoff of about 1e-16 / r
+        system = build_system(*mk)
+        spec = builtin_spec("points", system.m)
+        u = np.zeros(system.m + 1)
+        u[:2] = np.sqrt(0.5)
+        for r in (1e-9, 1e-8, 1e-7):
+            x = fiber_sample(system, r * u, 200, 3)
+            assert np.all(composed_quotient_distance(system, spec, x[0::2], x[1::2]) <= 1e-14)
+            assert np.all(same_leaf(system, spec, x[0::2], x[1::2]))
+
+    @pytest.mark.parametrize("r", [1.0 - 1e-12, 1.0 - 1e-10, 1.0 - 1e-9])
+    def test_near_boundary_leaves_apart(self, s22, r):
+        # radii 5e-10 apart passed the old radius test, but next to the boundary the
+        # classes are 5e-6 to 1.5e-5 apart in the cone metric and in the ambient sphere
+        pts = builtin_spec("points", 2)
+        u = np.array([0.6, 0.0, 0.8])
+        x = fiber_sample(s22, r * u, 1, 1)[0]
+        y = fiber_sample(s22, (r - 5e-10) * u, 1, 2)[0]
+        d = composed_quotient_distance(s22, pts, x, y)
+        assert d > 5e-6 and not same_leaf(s22, pts, x, y)
+        if r == 1.0 - 1e-12:
+            ambient = leaf_to_leaf_ambient_distance(s22, pts, x, y, 1200, 5, 16)
+            assert abs(ambient - d) <= 1e-10
+
+    def test_reads_no_invariant_map(self, s22):
+        # membership is the cone metric at zero: the leaf-space metric decides it
+        def refuse(v):
+            raise AssertionError("same_leaf must not evaluate the invariant map")
+
+        for name in ("points", "height"):
+            spec = dataclasses.replace(builtin_spec(name, 2), invariant_map=refuse)
+            x = fiber_sample(s22, np.array([0.3, 0.2, -0.1]), 8, 23)
+            assert np.all(same_leaf(s22, spec, x[0::2], x[1::2]))
+            assert same_leaf(s22, spec, x[0], x[1]) is True
+
 
 class TestConeMetric:
     def test_points_spec_reduces_to_disk_metric(self, s22):
@@ -330,8 +368,9 @@ class TestConeMetric:
         from clifford_foliations.composed import FoliationSpec
         bare = FoliationSpec("bare", 3, lambda v: np.zeros(1))
         x = sample_unit_vectors(rng_from(17), s22.dim, 2)
-        with pytest.raises(ValueError):
-            composed_quotient_distance(s22, bare, x[0], x[1])
+        for measure in (composed_quotient_distance, same_leaf):
+            with pytest.raises(ValueError, match="leaf-space metric"):
+                measure(s22, bare, x[0], x[1])
 
 
 def mixed_pairs(system, seed):
@@ -359,6 +398,25 @@ def mixed_pairs(system, seed):
     return x, y
 
 
+def edge_pairs(system):
+    """Paired rows at both ends of the disk, where M+ exists (else none).
+
+    Two pairs to a fiber at radii 1e-9 and 1e-8, and the fibers at radii
+    1 - 1e-12 and 1 - 1e-12 - 5e-10 paired with each other.
+    """
+    m = system.m
+    if system.l < m + 1:
+        return np.empty((2, 0, system.dim))
+    u = sample_unit_vectors(rng_from(50, m), m + 1, 1)[0]
+    radii = [1e-9, 1e-8, 1.0 - 1e-12, 1.0 - 1e-12 - 5e-10]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # l = m+1: disconnected fibers
+        f = fiber_sample(system, np.outer(radii, u), 4, np.arange(51, 55))
+    x = np.concatenate([f[0, 0::2], f[1, 0::2], f[2]])
+    y = np.concatenate([f[0, 1::2], f[1, 1::2], f[3]])
+    return x, y
+
+
 ROW_WISE_CASES = [((2, 2), "points"), ((2, 2), "one_leaf"), ((2, 2), "height"),
                   ((3, 1), "points"), ((3, 1), "height"), ((4, 3, 1), "height"),
                   ((8, 2), "tensor_svd"), ((8, 1), "tensor_svd")]
@@ -377,6 +435,14 @@ class TestRowWise:
         assert all(type(s) is bool for s in alone)
         assert rows.dtype == bool and rows.tolist() == alone
         assert rows.any() and not rows.all()
+
+    @pytest.mark.parametrize("mk, name", ROW_WISE_CASES)
+    def test_same_leaf_is_the_cone_metric_at_zero(self, mk, name):
+        system = build_system(*mk)
+        spec = builtin_spec(name, system.m)
+        x, y = (np.concatenate(rows) for rows in zip(mixed_pairs(system, 40), edge_pairs(system)))
+        d = composed_quotient_distance(system, spec, x, y)
+        np.testing.assert_array_equal(same_leaf(system, spec, x, y), d <= 1e-9)
 
     @pytest.mark.parametrize("mk, name", ROW_WISE_CASES)
     def test_composed_quotient_distance(self, mk, name):
