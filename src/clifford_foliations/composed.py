@@ -284,31 +284,26 @@ def _fiber_leaf(spec: FoliationSpec, r: float) -> bool:
 
 def _leaf_sample_blocks(system: CliffordSystem, spec: FoliationSpec, v: np.ndarray,
                         budget: int, rng: np.random.Generator):
-    """Samples of the composed leaf through the disk class of v, in fixed chunks.
+    """The first ``budget`` samples of the composed leaf through the disk class of v.
 
-    A fiber leaf (:func:`_fiber_leaf`) takes chunks of 256 over r (v / r),
-    or over 0 at the origin; any other leaf chunks of 32 over r times a
-    leaf-sampler direction.  Each chunk's direction and seed are drawn from
-    the one rng stream, in chunk order; then the full chunks take one
-    :func:`fiber_sample` call and a last chunk of n = rest another.  So a
-    budget that is a multiple of the chunk draws a prefix of any larger
-    budget's samples.
+    One :func:`fiber_sample` draw of ceil(budget / chunk) whole chunks, cut
+    to the budget: a fiber leaf (:func:`_fiber_leaf`) takes chunks of 256 over
+    v (0 at the origin), any other leaf chunks of 32 over r times leaf-sampler
+    directions.  The directions come from rng's first child stream (for
+    rng_from(seed), rng_from(seed, 0)) in one sampler call, the chunk seeds
+    from its second in one ``integers`` call, so every budget's samples are a
+    prefix of any larger budget's.
     """
     r = float(row_norms(v))
     fiber = _fiber_leaf(spec, r)
     chunk = 256 if fiber else 32
-    full, rest = divmod(budget, chunk)
-    points = np.zeros((full + (rest > 0), len(v)))
-    seeds = np.empty(len(points), dtype=np.int64)
-    for j in range(len(points)):
-        if not fiber:
-            points[j] = r * spec.leaf_sampler((v / r)[None], rng)[0]
-        seeds[j] = rng.integers(2**62)
-    if fiber and r > _ORIGIN_TOL:
-        points[:] = r * (v / r)
-    blocks = [fiber_sample(system, points[lo:hi], n, seeds[lo:hi])
-              for lo, hi, n in ((0, full, chunk), (full, len(points), rest)) if hi > lo]
-    return np.concatenate([b.reshape(-1, system.dim) for b in blocks], axis=0)
+    count = (budget + chunk - 1) // chunk
+    directions, draws = rng.spawn(2)
+    points = np.repeat(v[None], count, axis=0)
+    if not fiber:
+        points = r * spec.leaf_sampler(points / r, directions)
+    seeds = draws.integers(2**62, size=count)
+    return fiber_sample(system, points, chunk, seeds).reshape(-1, system.dim)[:budget]
 
 
 def _constraint_state(system: CliffordSystem, spec: FoliationSpec, z: np.ndarray,
@@ -601,9 +596,9 @@ def leaf_to_leaf_ambient_distance(system: CliffordSystem, spec: FoliationSpec,
     undercut is at most about 1e-10 / (2 sqrt(1 - r^2)).  On any other leaf the
     residuals are |pi_C|^2 - r^2 and the invariant's, so |pi_C| - r is bounded
     by about 1e-10 / (2r) (3.3e-10 at r = 0.15).  Descent starts are taken from the first
-    2048 samples; from 2048 on, a budget that is a multiple of its chunk
-    (:func:`_leaf_sample_blocks`) draws a prefix of any larger budget's
-    samples, so no larger budget gives a larger estimate.  All
+    2048 samples, and every budget's samples (:func:`_leaf_sample_blocks`)
+    are a prefix of any larger budget's, so from 2048 on no larger budget
+    gives a larger estimate.  All
     starts ascend together as one (starts, 2l) batch, each with its own
     direction, step and acceptance.  A start's result is bit for bit the
     one it reaches alone, on dense systems too, whose products go row by row.

@@ -631,13 +631,14 @@ class TestAmbientLeafDistance:
             assert abs(dh - composed_quotient_distance(s22, hgt, xa, xb)) <= 1e-2
 
     def test_monotone_in_budget(self, s22):
-        # descent starts are fixed beyond the 2048-sample prefix, so larger
-        # budgets can only tighten the sampled floor
+        # descent starts are fixed beyond the 2048-sample prefix and every
+        # budget's samples are a prefix of a larger one's, so larger budgets,
+        # multiples of the chunk or not, can only tighten the sampled floor
         hgt = builtin_spec("height", 2)
         xa = fiber_sample(s22, np.array([0.5, 0.0, 0.2]), 1, 24)[0]
         xb = fiber_sample(s22, np.array([-0.1, 0.45, 0.0]), 1, 25)[0]
         estimates = [leaf_to_leaf_ambient_distance(s22, hgt, xa, xb, b, 26)
-                     for b in (2048, 4096, 6144, 8192)]
+                     for b in (2048, 2100, 2200, 3000, 4096, 4100, 6144, 8192)]
         for small, large in zip(estimates, estimates[1:]):
             assert large <= small + 1e-15
 
@@ -765,41 +766,68 @@ class TestBatchedAscent:
 @pytest.mark.parametrize("spec_name,radius", [("points", 0.6), ("height", 0.6),
                                               ("one_leaf", 0.0), ("height", 1.0)])
 def test_leaf_blocks_equal_chunk_by_chunk_draws(spec_name, radius):
-    # the blocks are the chunks one fiber_sample call per chunk would draw,
-    # in order, with every direction and seed taken from the one rng stream
+    # the blocks are the whole chunks one fiber_sample call per chunk would
+    # draw, in order and cut to the budget: each chunk's direction from the
+    # child stream rng_from(seed, 0), its seed from rng_from(seed, 1)
     system = build_system(3, 2)
     spec = builtin_spec(spec_name, system.m)
     v = radius * sample_unit_vectors(rng_from(43), system.m + 1, 1)[0]
     # the sampler's own radius: |v| taken row-wise, which need not be radius at the last bit
     r = float(row_norms(v))
     budget = 600
-    rng = rng_from(44)
+    directions, draws = rng_from(44, 0), rng_from(44, 1)
     chunk = 256 if spec.leaf_sampler is None or radius == 0.0 else 32
     expected = []
-    for lo in range(0, budget, chunk):
-        n = min(chunk, budget - lo)
+    for _ in range(0, budget, chunk):
+        seed = int(draws.integers(2**62))
         if radius == 0.0:
-            expected.append(mplus_sample(system, n, int(rng.integers(2**62))))
+            expected.append(mplus_sample(system, chunk, seed))
             continue
-        d = v / r if spec.leaf_sampler is None else spec.leaf_sampler((v / r)[None], rng)[0]
-        expected.append(fiber_sample(system, r * d, n, int(rng.integers(2**62))))
+        u = v if spec.leaf_sampler is None else r * spec.leaf_sampler((v / r)[None], directions)[0]
+        expected.append(fiber_sample(system, u, chunk, seed))
     got = _leaf_sample_blocks(system, spec, v, budget, rng_from(44))
-    assert got.tobytes() == np.concatenate(expected).tobytes()
+    assert got.tobytes() == np.concatenate(expected)[:budget].tobytes()
 
 
 @pytest.mark.parametrize("spec_name,radius,chunk", [("points", 0.6, 256), ("height", 0.6, 32),
                                                     ("height", 0.0, 256)])
 def test_budget_multiples_of_the_chunk_draw_prefixes(spec_name, radius, chunk):
-    # a budget that is a multiple of its chunk draws a prefix of any larger
-    # budget's samples, a multiple of the chunk or not
+    # every budget, a multiple of the chunk or not, draws a prefix of any
+    # larger budget's samples
     system = build_system(2, 2)
     spec = builtin_spec(spec_name, system.m)
     v = radius * sample_unit_vectors(rng_from(51), system.m + 1, 1)[0]
     larger = _leaf_sample_blocks(system, spec, v, 2200, rng_from(52))
     assert larger.shape == (2200, system.dim)
-    for budget in (chunk, 2048, 2200 // chunk * chunk):
+    for budget in (1, 17, 33, chunk, 600, 1200, 2048, 2100, 2200 // chunk * chunk):
         got = _leaf_sample_blocks(system, spec, v, budget, rng_from(52))
         assert got.tobytes() == larger[:budget].tobytes()
+
+
+def test_leaf_blocks_are_one_draw(monkeypatch):
+    # budget 1200 on a height leaf is 38 chunks of 32: one leaf_sampler call
+    # draws their directions, one integers call their seeds and one
+    # fiber_sample call their samples
+    system = build_system(2, 2)
+    spec = builtin_spec("height", system.m)
+    directions, fibers = [], []
+
+    def sampler(units, rng):
+        directions.append(len(units))
+        return spec.leaf_sampler(units, rng)
+
+    def sample(system, points, n, seeds):
+        fibers.append((len(points), n, np.array(seeds)))
+        return fiber_sample(system, points, n, seeds)
+
+    monkeypatch.setattr(composed, "fiber_sample", sample)
+    v = 0.6 * sample_unit_vectors(rng_from(51), system.m + 1, 1)[0]
+    got = _leaf_sample_blocks(system, dataclasses.replace(spec, leaf_sampler=sampler), v, 1200,
+                              rng_from(52))
+    assert got.shape == (1200, system.dim)
+    assert directions == [38]
+    assert [f[:2] for f in fibers] == [(38, 32)]
+    np.testing.assert_array_equal(fibers[0][2], rng_from(52, 1).integers(2**62, size=38))
 
 
 def test_origin_class_estimate_is_the_same_for_every_spec():

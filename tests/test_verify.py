@@ -1,5 +1,6 @@
 """Suite engine: registry, determinism, isolation, report format."""
 
+import dataclasses
 import hashlib
 import json
 
@@ -171,10 +172,12 @@ class TestDeterminism:
     # took the generator images (129 of 1491 moved, by <= 7.1e-16 but for apex_to_boundary's
     # 26, which fell from <= 1.05e-8 to <= 5.6e-16; no verdict changed), and again when
     # the estimator restored its trial points by fiber transport (112 of 1491 moved, all
-    # in transnormality, by <= 5.2e-12; no verdict changed)
+    # in transnormality, by <= 5.2e-12; no verdict changed), and again when the estimator
+    # drew its leaf samples as whole chunks from two child streams (97 of 1491 moved, all
+    # in transnormality, by <= 3.0e-11; no verdict changed)
     REPORT_DIGEST = {
-        AVX512: "65f5d2904ec2323619d8a2a11520df796688fc435d52ff3883d89d89e84fc008",
-        AVX2: "d41be5078a2beb42a3049221fb5adc3a8096fe6659acda62d969313066f27dc0",
+        AVX512: "47472d885a118f4851a93857b3f6b1f312d07e6554a202f7221da960f88c2198",
+        AVX2: "782413d47017a91b2f619d822b13023ca443369a559de57da98aa98c083c5c42",
     }
 
     def test_seed7_report_is_pinned(self, seed7_report):
@@ -202,10 +205,14 @@ class TestDeterminism:
     # block (83 floats moved, by <= 3.3e-16), and again when every distance became one
     # unit_angle (55 floats moved, by <= 7.1e-16), and again when every trial point was
     # restored by one fiber transport (112 floats moved, by <= 5.2e-12: no_undercut's
-    # largest fell from 1.3e-12 to 4.9e-15 and same_leaf_zero's rose to 5.2e-12)
+    # largest fell from 1.3e-12 to 4.9e-15 and same_leaf_zero's rose to 5.2e-12), and
+    # again when the leaf samples became one draw of whole chunks from two child streams,
+    # cut to the budget (97 floats moved: same_leaf_zero's 28 by <= 3.0e-11, its largest
+    # 5.2e-12 -> 2.97e-11; composed_equidistance's and no_undercut's 28 each by <= 4.6e-15;
+    # fiber_equidistance's 13 by <= 1.1e-16)
     TRANSNORMALITY_DIGEST = {
-        AVX512: "c3273bd0fc7290db2c2b40b3335e8d84f7e4b7b378f176852dd752bc03529e7a",
-        AVX2: "f21d965642ed76c841d7874815c1625c14e6cb5bbe2d49ceacdb5d6329127e3c",
+        AVX512: "4fa01949a9deb359a69e1a9790b1476637ceb18effd6b699e59e0dd8225127c1",
+        AVX2: "afa3cdab61ce65bee3337d0ff946d66a53e89f2a494553adf72f11f30ff4068d",
     }
 
     def test_transnormality_reports_are_pinned(self, seed7_report):
@@ -323,10 +330,21 @@ class TestRunMatrix:
         assert "sphere_quotient" == summary["errors"][0]["suite"]
 
     def test_default_plan_full_width_passes(self):
-        # every compatible suite on every built system up to dimension 64
+        # every compatible suite on build_system(m, k), k <= 4, up to dimension 64
         plan = default_plan(max_dim=64, seed=7, samples=150)
         assert plan, "plan should not be empty"
         reports, summary = run_matrix(plan)
         assert not summary["errors"]
         assert summary["failed"] == []
         assert summary["passed"] == summary["total"] == len(plan) == len(reports)
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason="ROADMAP item 15: the m = 1 height leaf is two fibers, and the "
+                              "estimator's descent settles on the far one")
+    def test_transnormality_on_a_class_beyond_the_plan(self):
+        # build_system(1, 16) (2l = 32) is in the family but outside default_plan's k <= 4;
+        # with the plan's seed and budgets, one height pair's estimate reads 0.270 above
+        # the cone metric, against composed_equidistance's tolerance of 1e-2
+        config = next(c for c in default_plan(max_dim=8) if c.suite == "transnormality")
+        report = run_suite(dataclasses.replace(config, system=build_system(1, 16)))
+        assert [c.name for c in report.checks if not c.passed] == []
