@@ -608,8 +608,10 @@ def leaf_to_leaf_ambient_distance(system: CliffordSystem, spec: FoliationSpec,
     spec's ``invariant_jacobian`` or else central differences of its
     invariant map.  Boundary leaves, at lift height 0 as :func:`fiber_sample`
     and :func:`composed_quotient_distance` decide it, are handled in closed
-    form per sampled direction (the nearest point of a great subsphere is an
-    orthogonal projection p of x, at the angle of (|p|, |x - p|) to (1, 0)).
+    form per leaf direction (the nearest point of a great subsphere is an
+    orthogonal projection p of x, at the angle of (|p|, |x - p|) to (1, 0)):
+    the leaf's own direction, the :func:`_leaf_direction` of pi_C(x)'s
+    direction where it lands on the leaf to 1e-10, and up to 256 sampled ones.
     """
     _check_spec(system, spec)
     for name, count in (("budget", budget), ("starts", starts)):
@@ -633,11 +635,20 @@ def leaf_to_leaf_ambient_distance(system: CliffordSystem, spec: FoliationSpec,
 
     if _lift_height(r) == 0.0:
         # distance to E_+^1(P_w) is arccos |(x + P_w x)/2| per direction w
-        vhat = v / r
-        n_dirs = 1 if fiber else max(1, min(256, budget // 16))
-        units = np.repeat(vhat[None], n_dirs, axis=0)
-        w = units if fiber else spec.leaf_sampler(units, rng)
-        xs = np.broadcast_to(x, (n_dirs, 1, len(x)))
+        w = (v / r)[None]
+        if not fiber:
+            # the leaf's own direction, the leaf point Newton steps reach from pi_C(x)'s
+            # direction if they land on the leaf (so no candidate undercuts), then samples
+            tail = spec.invariant_map(w)[0]
+            vx = pi_c(system, x)
+            rx = float(row_norms(vx))
+            if rx > _ORIGIN_TOL:
+                near = _leaf_direction(spec, (vx / rx)[None], tail)
+                if np.max(np.abs(spec.invariant_map(near) - tail)) <= 1e-10:
+                    w = np.concatenate([w, near])
+            units = np.repeat(w[:1], max(1, min(256, budget // 16)), axis=0)
+            w = np.concatenate([w, spec.leaf_sampler(units, rng)])
+        xs = np.broadcast_to(x, (len(w), 1, len(x)))
         proj = 0.5 * (x + system.span_apply(w, xs)[:, 0])
         norms = row_norms(proj)
         # x = proj + (x - proj) orthogonally, so x sits at (|proj|, |x - proj|) from the nearest

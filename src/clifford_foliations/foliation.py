@@ -6,16 +6,16 @@ For a Clifford system C = (P_0, ..., P_m) on R^(2l), the map
 
 sends the unit sphere S^(2l-1) into the closed unit disk of R^(m+1); its
 fibers are the leaves of the Clifford foliation.  This module evaluates
-pi_C, samples its fibers (boundary fibers, the focal manifold M+ over the
-origin, interior fibers through the cos(t) x + sin(t) Qx parametrization),
-exposes the quartic form that factors through pi_C, horizontal geodesics and
-their projections, the curvature-4 metric on the quotient disk realized by a
-radius-1/2 hemisphere lift, and the reflection / spin symmetries.
+pi_C, samples its fibers (the focal manifold M+ over the origin, every other
+fiber through the cos(t) x + sin(t) Qx turn of M+, and boundary fibers as
+unit spheres of E_+(P)), exposes the quartic form that factors through pi_C,
+horizontal geodesics and their projections, the curvature-4 metric on the
+quotient disk realized by a radius-1/2 hemisphere lift, and the reflection /
+spin symmetries.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -165,15 +165,6 @@ def boundary_fiber_sample(system: CliffordSystem, p_coords: np.ndarray,
     return z[0] if single else z
 
 
-def _check_focal(system: CliffordSystem) -> None:
-    """Raise on an empty M+ and warn, once per call, on disconnected fibers."""
-    if system.l < system.m + 1:
-        raise EmptyFocalError("the quotient is the boundary sphere; M+ is empty")
-    if system.l == system.m + 1:
-        warnings.warn("l = m+1: the complement fibers are 0-spheres, so fibers are disconnected",
-                      stacklevel=3)
-
-
 def _project_out(w: np.ndarray, g: np.ndarray) -> np.ndarray:
     """Rows g[j] less their components along the orthonormal rows of w[j]."""
     return g - np.einsum("nmd,nm->nd", w, np.einsum("nmd,nd->nm", w, g))
@@ -212,12 +203,15 @@ def mplus_sample(system: CliffordSystem, n: int, seeds) -> np.ndarray:
     Each sample is (x_plus + x_minus)/sqrt(2) with x_plus uniform on the unit
     sphere of E_+(P_0) and x_minus uniform on the unit sphere of the
     complement of span(P_1 x_plus, ..., P_m x_plus) inside E_-(P_0); that
-    complement has dimension l - m.  An int seed gives (n, 2l); a (k,) seed
-    array gives (k, n, 2l), batch j equal bit for bit to the call with
-    seeds[j].
+    complement has dimension l - m: for l = m M+ is empty and the call
+    raises EmptyFocalError, and for l = m+1 the complement spheres are
+    0-spheres, so fibers are disconnected (the ``factorization_m_plus_1``
+    suite witnesses it).  An int seed gives (n, 2l); a (k,) seed array gives
+    (k, n, 2l), batch j equal bit for bit to the call with seeds[j].
     """
     seeds, single = seed_ints(seeds)
-    _check_focal(system)
+    if system.l <= system.m:
+        raise EmptyFocalError("the quotient is the boundary sphere; M+ is empty")
     x = system.p0_assemble(*_mplus_rows(system, n, seeds))
     return x[0] if single else x
 
@@ -225,14 +219,16 @@ def mplus_sample(system: CliffordSystem, n: int, seeds) -> np.ndarray:
 def fiber_sample(system: CliffordSystem, v: np.ndarray, n: int, seeds) -> np.ndarray:
     """n samples of the fiber over a disk point v.
 
-    Interior points use the parametrization cos(t) x + sin(t) Qx over x in M+
-    with Q = v/|v| and t = arcsin(|v|)/2, which lands exactly in the fiber
-    over sin(2t) Q = v, turning assembled M+ rows by one span action.  The
-    origin takes :func:`mplus_sample`'s rows; a boundary point, one whose lift
-    height (:func:`_lift_height`) is 0, :func:`boundary_fiber_sample`'s.  A
-    point (m+1,) with an int seed gives (n, 2l); k points (k, m+1) with k
-    seeds give (k, n, 2l), where origin, interior and boundary rows may be
-    mixed and fiber j equals the single call with seeds[j] bit for bit.
+    On a system with M+ (l > m) every fiber, origin and boundary included,
+    is the turn (:func:`_turn`) of M+ samples, as :func:`mplus_sample` draws
+    them, onto the fiber over v.  A boundary point, one whose lift height
+    (:func:`_lift_height`) is 0, is first snapped to v/|v|, so its samples
+    lie on the fiber the cone metric puts it on.  On a system without M+
+    (l = m) every fiber is a boundary fiber, drawn as
+    :func:`boundary_fiber_sample` draws it, and any other point raises
+    EmptyFocalError.  A point (m+1,) with an int seed gives (n, 2l); k points
+    (k, m+1) with k seeds give (k, n, 2l), fiber j equal bit for bit to the
+    single call with seeds[j].
     """
     v, seeds, single = _seeded_rows(v, seeds, system.m + 1)
     with np.errstate(over="ignore"):  # a huge row's norm is inf and fails the check below
@@ -240,17 +236,13 @@ def fiber_sample(system: CliffordSystem, v: np.ndarray, n: int, seeds) -> np.nda
     if not np.all(r <= 1.0 + 1e-12):
         raise ValueError("disk point has norm > 1 or is not finite")
     edge = _lift_height(r) == 0.0
-    if np.any(edge) and not np.all(edge):
-        # boundary rows and the others, each kind in one call of its own
-        out = np.empty((len(v), n, system.dim))
-        for rows in (np.flatnonzero(edge), np.flatnonzero(~edge)):
-            out[rows] = fiber_sample(system, v[rows], n, [seeds[j] for j in rows])
-        return out
-    if np.all(edge):
-        out = _boundary_rows(system, v / r[:, None], n, seeds)
-        return out[0] if single else out
-    _check_focal(system)
-    x = _turn(system, v, system.p0_assemble(*_mplus_rows(system, n, seeds)))
+    unit = v / np.where(edge, r, 1.0)[:, None]  # boundary rows snapped to v/|v|
+    if system.l > system.m:
+        x = _turn(system, unit, system.p0_assemble(*_mplus_rows(system, n, seeds)))
+    elif np.all(edge):
+        x = _boundary_rows(system, unit, n, seeds)
+    else:
+        raise EmptyFocalError("the quotient is the boundary sphere; M+ is empty")
     return x[0] if single else x
 
 
@@ -258,12 +250,15 @@ def _turn(system: CliffordSystem, v: np.ndarray, x: np.ndarray) -> np.ndarray:
     """x turned in place to cos(t) x + sin(t) Qx, Q = v / |v| and t = arcsin(|v|) / 2 per row.
 
     Row j of v (k, m+1) turns x[j] (k, n, 2l) by one span action.  The turn
-    takes M+ onto the fiber over sin(2t) Q = v.  Rows with |v| <= 1e-12 stay.
+    takes M+ onto the fiber over sin(2t) Q = v (Ferus, Karcher and Muenzner),
+    at t = pi/4 onto the boundary fiber over Q; |v| is clipped to 1 in the
+    arcsine, so rows a rounding above 1 turn by pi/4.  Rows with
+    |v| <= 1e-12 stay.
     """
     r = row_norms(v)
     mid = r > 1e-12
     if np.any(mid):
-        t = (np.arcsin(np.where(mid, r, 0.0)) / 2.0)[:, None, None]
+        t = (np.arcsin(np.minimum(np.where(mid, r, 0.0), 1.0)) / 2.0)[:, None, None]
         qx = system.span_apply(v / np.where(mid, r, np.inf)[:, None], x)
         qx *= np.sin(t)
         x *= np.cos(t)

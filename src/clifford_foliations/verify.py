@@ -11,7 +11,6 @@ seeds so no ordering effect can creep in.
 from __future__ import annotations
 
 import time
-import warnings
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -397,9 +396,7 @@ def _suite_fkm_consistency(cfg: SuiteConfig):
         "boundary_value", "the form equals -1 on boundary fibers",
         float(np.abs(fkm_f0(system, xb)[1] + 1.0).max()), 1e-10))
     if system.l >= system.m + 1:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            xm = mplus_sample(system, 64, cfg.seed + 3)
+        xm = mplus_sample(system, 64, cfg.seed + 3)
         checks.append(CheckResult.from_violation(
             "focal_value", "the form equals +1 on the focal manifold",
             float(np.abs(fkm_f0(system, xm)[1] - 1.0).max()), 1e-10))
@@ -519,9 +516,7 @@ def _suite_normal_forms(cfg: SuiteConfig):
         batches = [fiber_sample(system, v, max(8, n // 50), cfg.seed + 5)]
     elif system.l == system.m + 1:
         # disconnected-fiber case: the focal manifold is still a single fiber
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            batches = [mplus_sample(system, per, cfg.seed + 5)]
+        batches = [mplus_sample(system, per, cfg.seed + 5)]
         batches.append(boundary_fiber_sample(system, np.eye(system.m + 1)[0],
                                              per, cfg.seed + 6))
     else:

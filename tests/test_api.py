@@ -1,6 +1,6 @@
 """Every exported name resolves, and so does every function the traced benchmark wraps;
 only clifford.py reads the generators, built systems act without dense span matrices,
-and every angle is one algebra.unit_angle."""
+every angle is one algebra.unit_angle, and no module warns."""
 
 import importlib.util
 import pathlib
@@ -58,6 +58,14 @@ def test_angles_go_through_unit_angle():
     calls = {path.name: len(re.findall(r"np\.arc(?:sin|cos)\b", path.read_text()))
              for path in PACKAGE_DIR.glob("*.py")}
     assert {name: n for name, n in calls.items() if n} == {"algebra.py": 2, "foliation.py": 1}
+
+
+def test_no_module_warns():
+    # every claim is a check or an error: no src module imports the warnings channel
+    importers = sorted(path.name for path in PACKAGE_DIR.glob("*.py")
+                       if re.search(r"^\s*(?:import warnings|from warnings import)", path.read_text(),
+                                    re.MULTILINE))
+    assert importers == []
 
 
 def test_only_clifford_reads_generators():

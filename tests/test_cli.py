@@ -352,17 +352,23 @@ class TestFiberCsv:
                        "--count", 10, "--seed", 7, "--out", out) == 0
         assert a.read_bytes() == b.read_bytes()
 
-    def test_disconnected_fibers_warn_in_one_line(self, tmp_path, capsys):
-        # l = m+1: the library warns; the CLI shows it as one plain line
-        system = tmp_path / "s.json"
-        run("construct", "--m", 3, "--k", 1, "--out", system)
+    @pytest.mark.filterwarnings("error")
+    def test_disconnected_fibers_sample_quietly(self, tmp_path, capsys):
+        # l = m+1: the fibers are disconnected, which the factorization suite checks;
+        # sampling them writes nothing to stderr, and without M+ (l = m) only a
+        # boundary point has a fiber
+        disconnected, sphere = tmp_path / "d.json", tmp_path / "s.json"
+        run("construct", "--m", 3, "--k", 1, "--out", disconnected)
+        run("construct", "--m", 2, "--k", 1, "--out", sphere)
         capsys.readouterr()
-        for _ in range(2):
-            assert run("fiber", "--system", system, "--at", "0", "--count", 3,
+        for at in ("0", "0.6,0,0.8,0"):
+            assert run("fiber", "--system", disconnected, "--at", at, "--count", 3,
                        "--out", tmp_path / "f.csv") == 0
-            captured = capsys.readouterr()
-            assert captured.err == ("warning: l = m+1: the complement fibers are 0-spheres, "
-                                    "so fibers are disconnected\n")
+            assert capsys.readouterr().err == ""
+        assert run("fiber", "--system", sphere, "--at", "0.6,0,0.8", "--count", 3,
+                   "--out", tmp_path / "f.csv") == 0
+        assert run("fiber", "--system", sphere, "--at", "0", "--count", 3) == 2
+        assert "M+ is empty" in capsys.readouterr().err
 
     def test_bad_coordinates(self, tmp_path):
         system = tmp_path / "s.json"

@@ -341,7 +341,8 @@ class TestConeMetric:
     def test_sampler_and_cone_metric_share_the_boundary(self, s22, gap):
         # one boundary rule: at 1 - 1e-13 the sampler turns M+ onto the fiber over v (a
         # boundary fiber sample is 1e-13 off v) and the cone metric lifts the rows off
-        # height 0; at 1 - 1e-14 both put them on the boundary, at pi/4 from the apex
+        # height 0; at 1 - 1e-14 both put them on the boundary, at pi/4 from the apex:
+        # the sampler snaps v to v/|v| and turns M+ onto its boundary fiber
         one = builtin_spec("one_leaf", 2)
         p = sample_unit_vectors(rng_from(20), 3, 1)[0]
         v = (1.0 - gap) * p
@@ -386,12 +387,10 @@ def mixed_pairs(system, seed):
     parts = [sample_unit_vectors(rng, system.dim, 10),
              boundary_fiber_sample(system, sample_unit_vectors(rng, m + 1, 1)[0], 4, seed + 1)]
     if system.l >= m + 1:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")  # l = m+1: disconnected fibers
-            parts.append(mplus_sample(system, 4, seed + 2))
-            for i, r in enumerate((0.2, 0.5, 0.85)):
-                v = r * sample_unit_vectors(rng, m + 1, 1)[0]
-                parts.append(fiber_sample(system, v, 2, seed + 3 + i))
+        parts.append(mplus_sample(system, 4, seed + 2))
+        for i, r in enumerate((0.2, 0.5, 0.85)):
+            v = r * sample_unit_vectors(rng, m + 1, 1)[0]
+            parts.append(fiber_sample(system, v, 2, seed + 3 + i))
     rows = np.concatenate(parts)
     x = np.concatenate([rows] * 4)
     y = np.concatenate([np.roll(rows, -1, axis=0), rows[::-1], rows, -rows])
@@ -409,9 +408,7 @@ def edge_pairs(system):
         return np.empty((2, 0, system.dim))
     u = sample_unit_vectors(rng_from(50, m), m + 1, 1)[0]
     radii = [1e-9, 1e-8, 1.0 - 1e-12, 1.0 - 1e-12 - 5e-10]
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # l = m+1: disconnected fibers
-        f = fiber_sample(system, np.outer(radii, u), 4, np.arange(51, 55))
+    f = fiber_sample(system, np.outer(radii, u), 4, np.arange(51, 55))
     x = np.concatenate([f[0, 0::2], f[1, 0::2], f[2]])
     y = np.concatenate([f[0, 1::2], f[1, 1::2], f[3]])
     return x, y
@@ -553,11 +550,14 @@ class TestAmbientLeafDistance:
 
     # re-pinned when the span action moved to E_+-(P_0) coefficients (one ulp, from
     # ...1117p-1), keyed by numeric-kernel family since, and re-pinned when the closed
-    # form took its angle in the plane of x and its projection (one ulp, back to ...1117p-1)
-    BOUNDARY_LEAF_HEX = {AVX512: "0x1.b5a7833dc1117p-1", AVX2: "0x1.b5a7833dc1117p-1"}
+    # form took its angle in the plane of x and its projection (one ulp, back to ...1117p-1),
+    # and re-pinned when the leaf's own direction and the Newton point from pi_C(x)'s
+    # direction became candidates: from 1.5e-4 above the cone metric to within 1.1e-16
+    BOUNDARY_LEAF_HEX = {AVX512: "0x1.b59376eead2f9p-1", AVX2: "0x1.b59376eead2fbp-1"}
 
     def test_boundary_leaf_closed_form_is_pinned(self, s22):
-        # a height leaf through a boundary point: budget 320 takes 20 sampled
+        # a height leaf through a boundary point: budget 320 takes the leaf's own
+        # direction, the Newton point from pi_C(x)'s direction and 20 sampled
         # directions, each one nearest point of a great subsphere
         hgt = builtin_spec("height", 2)
         rng = rng_from(45)
@@ -568,6 +568,26 @@ class TestAmbientLeafDistance:
         d = leaf_to_leaf_ambient_distance(s22, hgt, x, y, 320, 48)
         assert d >= composed_quotient_distance(s22, hgt, x, y) - 1e-9
         assert d.hex() == pinned(self.BOUNDARY_LEAF_HEX)
+
+    @pytest.mark.parametrize("mk, name", [((2, 2), "height"), ((2, 2), "one_leaf"),
+                                          ((5, 1), "height"), ((5, 1), "one_leaf"),
+                                          ((9, 1), "height"), ((8, 2), "tensor_svd")], ids=str)
+    def test_boundary_leaf_candidates(self, mk, name):
+        # the closed form tries the leaf's own direction, so two points of one boundary
+        # fiber read 0 (sampled directions alone read up to 0.5), and the leaf point
+        # Newton steps reach from pi_C(x)'s direction, which is the nearest one on height
+        # and one_leaf leaves, so an interior point reads the cone metric there
+        system = build_system(*mk)
+        spec = builtin_spec(name, system.m)
+        rng = rng_from(91, *mk)
+        y = boundary_fiber_sample(system, sample_unit_vectors(rng, system.m + 1, 1)[0], 2, 92)
+        assert leaf_to_leaf_ambient_distance(system, spec, y[0], y[1], 1200, 93) <= 1e-12
+        x = fiber_sample(system, 0.5 * sample_unit_vectors(rng, system.m + 1, 1)[0], 1, 94)[0]
+        d = leaf_to_leaf_ambient_distance(system, spec, x, y[0], 1200, 95)
+        cone = composed_quotient_distance(system, spec, x, y[0])
+        assert d >= cone - 1e-12
+        if name != "tensor_svd":
+            assert d <= cone + 1e-12
 
     @pytest.mark.parametrize("budget", [0, -5, 100.0, True])
     def test_rejects_empty_budget(self, s22, budget):
@@ -828,6 +848,23 @@ def test_leaf_blocks_are_one_draw(monkeypatch):
     assert directions == [38]
     assert [f[:2] for f in fibers] == [(38, 32)]
     np.testing.assert_array_equal(fibers[0][2], rng_from(52, 1).integers(2**62, size=38))
+
+
+@pytest.mark.parametrize("mk", [(1, 2), (3, 1)], ids=str)
+def test_disconnected_fibers_raise_no_warning(mk):
+    # l = m+1: the fibers are disconnected, which the factorization suite witnesses;
+    # the samplers and the estimator say nothing about it
+    system = build_system(*mk)
+    u = sample_unit_vectors(rng_from(88, *mk), system.m + 1, 1)[0]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        x = fiber_sample(system, np.outer([0.0, 0.5, 1.0], u), 2, np.arange(3))
+        mplus_sample(system, 4, 89)
+        for name in ("points", "height"):
+            d = leaf_to_leaf_ambient_distance(system, builtin_spec(name, system.m),
+                                              x[1, 0], x[0, 0], 64, 90)
+            assert d >= composed_quotient_distance(system, builtin_spec(name, system.m),
+                                                   x[1, 0], x[0, 0]) - 1e-9
 
 
 def test_origin_class_estimate_is_the_same_for_every_spec():

@@ -251,8 +251,9 @@ class TestFiberSamplers:
             mplus_sample(build_system(2, 1), 4, 0)
 
     def test_mplus_flags_disconnected(self, s12):
-        with pytest.warns(UserWarning):
-            x = mplus_sample(s12, 50, 6)
+        # l = m+1: M+ still samples; that its fibers are disconnected is the
+        # factorization suite's disconnected_witness, not a warning
+        x = mplus_sample(s12, 50, 6)
         assert np.linalg.norm(pi_c(s12, x), axis=1).max() <= 1e-10
 
     def test_interior_fiber_and_redirects(self, s22):
@@ -260,12 +261,50 @@ class TestFiberSamplers:
         x = fiber_sample(s22, v, 400, 7)
         assert np.linalg.norm(pi_c(s22, x) - v, axis=1).max() <= 1e-9
         assert np.abs(np.linalg.norm(x, axis=1) - 1.0).max() <= 1e-12
-        # origin and boundary redirect to the dedicated samplers
+        # the origin and a boundary point are turns of M+ too, by 0 and pi/4
         origin = fiber_sample(s22, np.zeros(3), 50, 8)
         assert np.linalg.norm(pi_c(s22, origin), axis=1).max() <= 1e-10
         p = np.array([0.0, 1.0, 0.0])
         boundary = fiber_sample(s22, p, 50, 9)
         assert np.abs(pi_c(s22, boundary) - p).max() <= 1e-10
+
+    @pytest.mark.parametrize("mk", [(2, 2), (3, 1), (5, 1), (4, 3, 1), (12, 4)], ids=str)
+    def test_boundary_rows_are_turns_of_mplus(self, mk):
+        # a boundary fiber is M+ turned by pi/4, onto the unit sphere of E_+(P); the
+        # samples' second moment about (I + P)/2l is within three times the spread
+        # sqrt((1 - 1/l)/n) of n uniform samples, which the Gaussian sampler meets too
+        system = build_system(*mk)
+        p = sample_unit_vectors(rng_from(80, system.dim), system.m + 1, 1)[0]
+        n = 2000
+        x = fiber_sample(system, p, n, 81)
+        assert max_abs(pi_c(system, x) - p) <= 1e-12
+        assert max_abs(np.linalg.norm(x, axis=1) - 1.0) <= 1e-12
+        target = (np.eye(system.dim) + system.span_matrix(p)) / system.dim
+        bound = 3.0 * np.sqrt((1.0 - 1.0 / system.l) / n)
+        for sample in (x, boundary_fiber_sample(system, p, n, 81)):
+            assert np.linalg.norm(sample.T @ sample / n - target) <= bound
+
+    def test_boundary_rows_up_to_the_accepted_radius(self, s22):
+        # boundary rows snap to v/|v| before the turn, up to the accepted 1 + 1e-12; the
+        # turn clips |v| to 1 in its arcsine, so a row a rounding above 1 turns by pi/4
+        p = np.array([0.6, 0.0, 0.8])
+        radii = np.array([1.0 + 0.9e-12, 1.0, 1.0 - 1e-14])
+        x = fiber_sample(s22, radii[:, None] * p, 20, np.arange(3))
+        assert max_abs(pi_c(s22, x) - p) <= 1e-12
+        over = foliation._turn(s22, (1.0 + 1e-12) * p[None], mplus_sample(s22, 20, 3)[None])
+        assert max_abs(pi_c(s22, over) - p) <= 1e-12
+
+    def test_sphere_quotient_has_only_boundary_fibers(self):
+        # l = m: M+ is empty, so every fiber is a boundary fiber, drawn as
+        # boundary_fiber_sample draws it, and any other disk point has no fiber
+        system = build_system(2, 1)
+        p = sample_unit_vectors(rng_from(82), 3, 2)
+        x = fiber_sample(system, p, 10, np.array([83, 84]))
+        assert max_abs(pi_c(system, x) - p[:, None]) <= 1e-12
+        assert max_abs(x - boundary_fiber_sample(system, p, 10, np.array([83, 84]))) <= 1e-15
+        for v, seeds in ((np.zeros(3), 0), (0.5 * p[0], 0), (p * [[1.0], [0.5]], np.arange(2))):
+            with pytest.raises(EmptyFocalError):
+                fiber_sample(system, v, 4, seeds)
 
     def test_boundary_limit_parametrization(self, s22):
         # t = pi/4 maps focal points onto the boundary fiber of Q itself
@@ -382,7 +421,6 @@ class TestSamplerFormulas:
         assert (fiber_sample(system, rows, 3, seeds).tobytes()
                 == fiber_sample(twin, rows, 3, seeds).tobytes())
 
-    @pytest.mark.filterwarnings("ignore:l = m\\+1")
     @pytest.mark.parametrize("mk", list(reference_systems()), ids=str)
     def test_samplers_match_the_2l_formulas(self, mk):
         # sampled in E+-(P_0) coefficients, equal to the formulas on R^(2l) up to rounding
@@ -537,15 +575,6 @@ class TestRowWiseSamplers:
         assert batch[1].tobytes() == fiber_sample(s22, v, 3, 71).tobytes()
         assert batch[2].tobytes() == fiber_sample(s22, -v, 3, 72).tobytes()
 
-    def test_disconnected_warning_once_per_call(self, s12):
-        v = np.array([[0.0, 0.0], [0.3, 0.1], [-0.2, 0.5]])
-        with pytest.warns(UserWarning) as record:
-            fiber_sample(s12, v, 2, np.arange(3))
-        assert len(record) == 1
-        with pytest.warns(UserWarning) as record:
-            mplus_sample(s12, 2, np.arange(4))
-        assert len(record) == 1
-
     def test_seeds_must_be_integers(self, s22):
         # a float seed is rejected, not truncated to the stream of its integer part
         v = np.array([0.1, 0.2, 0.3])
@@ -625,18 +654,17 @@ class TestBlocks:
             return [pi_c(system, x), fiber_sample(system, v, n, seeds),
                     mplus_sample(system, n, seeds)]
 
-        # (rows, entries a row) of each slicing: pi_c's 50 rows of m l images; the 2
-        # boundary rows' l x l blocks B_p in span_apply; the 10 other rows' M+
-        # draws of n m l images in _mplus_rows, then their l x l turns in
-        # span_apply; mplus_sample's 12 rows of n m l images
-        sizes = [(50, m * l), (2, l * l), (10, n * m * l), (10, l * l), (12, n * m * l)]
+        # (rows, entries a row) of each slicing: pi_c's 50 rows of m l images; the 12
+        # fibers' M+ draws of n m l images in _mplus_rows, then their l x l turns
+        # (blocks B_p) in span_apply, boundary rows included; mplus_sample's 12 rows
+        # of n m l images
+        sizes = [(50, m * l), (12, n * m * l), (12, l * l), (12, n * m * l)]
         whole = draws()
         assert sliced == [size + (1,) for size in sizes]
-        # a slice of 640 entries holds at most 26 pi_c rows, 10 blocks B_p and 5 M+
-        # rows; one of 256 at most 10, 4 and 2, so the two boundary rows share a
-        # slice; one of 64 at most 2, 1 and 1, so that every path splits
-        for block, parts in ((640, [2, 1, 2, 1, 3]), (256, [5, 1, 5, 3, 6]),
-                             (64, [25, 2, 10, 10, 12])):
+        # a slice of 640 entries holds at most 26 pi_c rows, 5 M+ rows and 10 blocks
+        # B_p; one of 256 at most 10, 2 and 4; one of 64 at most 2, 1 and 1, so that
+        # every path splits
+        for block, parts in ((640, [2, 3, 2, 3]), (256, [5, 6, 3, 6]), (64, [25, 12, 12, 12])):
             monkeypatch.setattr(algebra, "_BLOCK", block)
             for got, expected in zip(draws(), whole):
                 assert got.tobytes() == expected.tobytes()
