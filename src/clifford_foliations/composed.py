@@ -61,6 +61,11 @@ class FoliationSpec:
     Jacobians (S, t, m+1) of v -> invariant_map(v / |v|); without it the
     estimator takes central differences, one ``invariant_map`` call on
     2(m+1) shifted rows per point.
+    ``nearest_leaf_point(u, tails)`` (optional) maps unit rows u (n, m+1) and
+    target tails (n, t), or one tail (t,) for every row, to fresh unit rows:
+    for each row, the nearest point to u of the boundary leaf with that tail.
+    :func:`_leaf_direction` starts its Newton steps there; without it they
+    start at u.
     """
 
     name: str
@@ -69,6 +74,7 @@ class FoliationSpec:
     quotient_distance: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
     leaf_sampler: Optional[Callable[[np.ndarray, np.random.Generator], np.ndarray]] = None
     invariant_jacobian: Optional[Callable[[np.ndarray], np.ndarray]] = None
+    nearest_leaf_point: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
 
 
 def signed_svd_triple(mat: np.ndarray) -> np.ndarray:
@@ -123,6 +129,7 @@ def builtin_spec(name: str, m: int) -> FoliationSpec:
             quotient_distance=lambda u, v: np.zeros(len(u)),
             leaf_sampler=lambda v, rng: sample_unit_vectors(rng, dim, len(v)),
             invariant_jacobian=lambda v: np.zeros(np.shape(v)[:-1] + (1, dim)),
+            nearest_leaf_point=lambda u, tails: np.array(u, dtype=float),
         )
     if name == "height":
         p0 = np.eye(dim)[0]
@@ -144,12 +151,24 @@ def builtin_spec(name: str, m: int) -> FoliationSpec:
             vhat = v / r
             return ((p0 - np.sum(vhat * p0, axis=-1, keepdims=True) * vhat) / r)[..., None, :]
 
+        def nearest_height(u, tails):
+            # h p0 + sqrt(1 - h^2) e^ for e^ the unit part of u off p0 = e_0; a pole,
+            # where every leaf point is nearest, stays
+            h = np.broadcast_to(tails, (len(u), 1))[:, 0]
+            out = np.array(u, dtype=float)
+            ne = row_norms(out[:, 1:])
+            off = ne > 0.0
+            out[off, 1:] *= (np.sqrt(np.maximum(0.0, 1.0 - h[off] * h[off])) / ne[off])[:, None]
+            out[off, 0] = h[off]
+            return out
+
         return FoliationSpec(
             "height", dim,
             invariant_map=lambda v: row_dots(v, p0)[:, None],
             quotient_distance=lambda u, v: np.abs(unit_angle(u, p0) - unit_angle(v, p0)),
             leaf_sampler=sample_leaf,
             invariant_jacobian=height_jacobian,
+            nearest_leaf_point=nearest_height,
         )
     if name == "tensor_svd":
         if m != 8:
@@ -180,12 +199,25 @@ def builtin_spec(name: str, m: int) -> FoliationSpec:
                                                 1e-6 * r[rep])
             return jac
 
+        def nearest_tensor(u, tails):
+            # U diag(tau) V^T for U, V in SO(3) with u = U diag(signed triple) V^T: its
+            # inner product with u is the triples', the most any orbit point reaches
+            # (von Neumann's trace inequality), so it is the nearest point of the orbit
+            mats = np.reshape(u, (-1, 3, 3))
+            left, _, vt = np.linalg.svd(mats)
+            # into SO(3) by their last singular vectors, which moves only the third value's sign
+            left[:, :, 2] *= np.sign(np.linalg.det(left))[:, None]
+            vt[:, 2] *= np.sign(np.linalg.det(vt))[:, None]
+            tau = np.broadcast_to(tails, (len(mats), 3))
+            return ((left * tau[:, None, :]) @ vt).reshape(len(mats), 9)
+
         return FoliationSpec(
             "tensor_svd", dim,
             invariant_map=signed_svd_triple,
             quotient_distance=tensor_orbit_distance,
             leaf_sampler=sample_leaf,
             invariant_jacobian=tensor_jacobian,
+            nearest_leaf_point=nearest_tensor,
         )
     raise ValueError(f"unknown foliation spec {name!r}; choose from {BUILTIN_SPEC_NAMES}")
 
@@ -487,7 +519,8 @@ def _restore(system, spec, z, target_r2, target):
     sum is x (no angle t is read off |v'|, which loses it as |v'| nears 1).
     :func:`~clifford_foliations.foliation._turn` lands x on the fiber over the
     leaf's disk point: the target of a fiber leaf, else sqrt(target_r2) times
-    :func:`_leaf_direction` of Q.  Returns the points, their residuals max |c|
+    :func:`_leaf_direction` of Q, the spec's nearest leaf point to Q where it has
+    one.  Returns the points, their residuals max |c|
     and their state (rows, v, pi_rows, dphi), all of :func:`_constraint_state`.
     """
     z = np.array(z, dtype=float)
@@ -507,11 +540,13 @@ def _restore(system, spec, z, target_r2, target):
 def _leaf_direction(spec, u, tail):
     """The unit rows u moved onto the boundary leaf invariant_map = tail of S^m by Newton steps.
 
-    Each step is the minimum-norm J^T y, J J^T y = -c by :func:`_solve_rows`, for the Jacobian
-    J of :func:`_invariant_jacobian` (y = 0 where J vanishes, as for ``one_leaf``), then
+    The steps start from the spec's ``nearest_leaf_point`` of u, which lies on the leaf, so on
+    the built-in specs no step is taken; a spec without one starts from u.  Each step is the
+    minimum-norm J^T y, J J^T y = -c by :func:`_solve_rows`, for the Jacobian J of
+    :func:`_invariant_jacobian` (y = 0 where J vanishes, as for ``one_leaf``), then
     renormalised.  A row stops once its residual drops below 1e-14, and after 8 steps.
     """
-    u = np.array(u)
+    u = np.array(u) if spec.nearest_leaf_point is None else spec.nearest_leaf_point(u, tail)
     live = np.arange(len(u))
     for _ in range(8):
         c = spec.invariant_map(u[live]) - tail
@@ -612,6 +647,9 @@ def leaf_to_leaf_ambient_distance(system: CliffordSystem, spec: FoliationSpec,
     orthogonal projection p of x, at the angle of (|p|, |x - p|) to (1, 0)):
     the leaf's own direction, the :func:`_leaf_direction` of pi_C(x)'s
     direction where it lands on the leaf to 1e-10, and up to 256 sampled ones.
+    Where the spec has a ``nearest_leaf_point``, as every built-in spec with a
+    leaf sampler does, that second direction is the nearest leaf point, so an
+    interior x reads the cone metric to a boundary class.
     """
     _check_spec(system, spec)
     for name, count in (("budget", budget), ("starts", starts)):

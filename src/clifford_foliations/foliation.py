@@ -166,8 +166,14 @@ def boundary_fiber_sample(system: CliffordSystem, p_coords: np.ndarray,
 
 
 def _project_out(w: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """Rows g[j] less their components along the orthonormal rows of w[j]."""
-    return g - np.einsum("nmd,nm->nd", w, np.einsum("nmd,nd->nm", w, g))
+    """Rows g[j] less their components along the orthonormal rows of w[j].
+
+    Where the rows leave only a line (one more column than rows, l = m+1), most of g
+    cancels and the first pass keeps its roundoff in the span, so a second pass follows.
+    """
+    for _ in range(2 if w.shape[-1] - w.shape[-2] == 1 else 1):
+        g = g - np.einsum("nmd,nm->nd", w, np.einsum("nmd,nd->nm", w, g))
+    return g
 
 
 def _mplus_rows(system: CliffordSystem, n: int, seeds):

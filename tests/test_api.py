@@ -1,6 +1,7 @@
 """Every exported name resolves, and so does every function the traced benchmark wraps;
 only clifford.py reads the generators, built systems act without dense span matrices,
-every angle is one algebra.unit_angle, and no module warns."""
+every angle is one algebra.unit_angle, no module warns, and every built-in spec with
+leaves to sample has the nearest leaf point in closed form."""
 
 import importlib.util
 import pathlib
@@ -13,7 +14,8 @@ import pytest
 import clifford_foliations
 from clifford_foliations.algebra import rng_from, row_dots, row_norms, sample_unit_vectors
 from clifford_foliations.clifford import CliffordSystem, build_system
-from clifford_foliations.composed import builtin_spec, leaf_to_leaf_ambient_distance
+from clifford_foliations.composed import (BUILTIN_SPEC_NAMES, builtin_spec,
+                                          leaf_to_leaf_ambient_distance)
 from clifford_foliations.foliation import (boundary_fiber_sample, fiber_sample, mplus_sample,
                                            random_horizontal_geodesic, reflect_symmetry,
                                            spin_rotate)
@@ -66,6 +68,14 @@ def test_no_module_warns():
                        if re.search(r"^\s*(?:import warnings|from warnings import)", path.read_text(),
                                     re.MULTILINE))
     assert importers == []
+
+
+@pytest.mark.parametrize("name", BUILTIN_SPEC_NAMES)
+def test_builtin_specs_with_leaves_have_nearest_points(name):
+    # the estimator's restore and boundary closed form start their Newton steps at the
+    # nearest leaf point; a built-in spec with non-point leaves must not fall back to them
+    spec = builtin_spec(name, 8)
+    assert (spec.leaf_sampler is None) or (spec.nearest_leaf_point is not None)
 
 
 def test_only_clifford_reads_generators():

@@ -15,6 +15,7 @@ from clifford_foliations.composed import (
     BUILTIN_SPEC_NAMES,
     FoliationSpec,
     _descend,
+    _unit,
     _leaf_sample_blocks,
     builtin_spec,
     composed_class,
@@ -574,9 +575,8 @@ class TestAmbientLeafDistance:
                                           ((9, 1), "height"), ((8, 2), "tensor_svd")], ids=str)
     def test_boundary_leaf_candidates(self, mk, name):
         # the closed form tries the leaf's own direction, so two points of one boundary
-        # fiber read 0 (sampled directions alone read up to 0.5), and the leaf point
-        # Newton steps reach from pi_C(x)'s direction, which is the nearest one on height
-        # and one_leaf leaves, so an interior point reads the cone metric there
+        # fiber read 0 (sampled directions alone read up to 0.5), and the spec's nearest
+        # leaf point to pi_C(x)'s direction, so an interior point reads the cone metric
         system = build_system(*mk)
         spec = builtin_spec(name, system.m)
         rng = rng_from(91, *mk)
@@ -585,9 +585,7 @@ class TestAmbientLeafDistance:
         x = fiber_sample(system, 0.5 * sample_unit_vectors(rng, system.m + 1, 1)[0], 1, 94)[0]
         d = leaf_to_leaf_ambient_distance(system, spec, x, y[0], 1200, 95)
         cone = composed_quotient_distance(system, spec, x, y[0])
-        assert d >= cone - 1e-12
-        if name != "tensor_svd":
-            assert d <= cone + 1e-12
+        assert abs(d - cone) <= 1e-12
 
     @pytest.mark.parametrize("budget", [0, -5, 100.0, True])
     def test_rejects_empty_budget(self, s22, budget):
@@ -1111,6 +1109,71 @@ class TestInvariantJacobian:
         spec = builtin_spec("one_leaf", 3)
         v = sample_unit_vectors(rng_from(44), 4, 6) * 0.5
         np.testing.assert_array_equal(spec.invariant_jacobian(v), np.zeros((6, 1, 4)))
+
+
+class TestNearestLeafPoint:
+    SPECS = [("one_leaf", 3), ("height", 4), ("tensor_svd", 8)]
+
+    @staticmethod
+    def rows(name, m):
+        """Unit rows u and targets w, with the edge cases of each spec among the rows."""
+        rng = rng_from(70, m)
+        u = sample_unit_vectors(rng, m + 1, 40)
+        w = sample_unit_vectors(rng, m + 1, 40)
+        if name == "height":
+            u[:2] = np.eye(m + 1)[0] * np.array([[1.0], [-1.0]])  # the poles stay
+            u[2] = _unit(np.eye(m + 1)[0] + 1e-9 * u[3])
+        if name == "tensor_svd":
+            u[0] = np.diag([0.8, -0.42, 0.42]).ravel()  # repeated singular values, det < 0
+            u[1] = np.diag([0.8, 0.6, 0.0]).ravel()  # det = 0
+            w[2] = -u[2]
+        return u, w
+
+    @pytest.mark.parametrize("name, m", SPECS, ids=[n for n, _ in SPECS])
+    def test_lies_on_the_leaf_at_the_leaf_space_distance(self, name, m):
+        # the chord to the nearest leaf point is 2 sin(delta / 2) for the leaf-space
+        # distance delta, so no point of the leaf is nearer
+        spec = builtin_spec(name, m)
+        u, w = self.rows(name, m)
+        tails = spec.invariant_map(w)
+        near = spec.nearest_leaf_point(u, tails)
+        assert not np.shares_memory(near, u)
+        if name == "height":
+            # a pole has no plane with p0, so every leaf point is nearest and u stays
+            assert near[:2].tobytes() == u[:2].tobytes()
+            u, w, tails, near = u[2:], w[2:], tails[2:], near[2:]
+        assert max_abs(spec.invariant_map(near) - tails) <= 1e-14
+        assert max_abs(row_norms(near) - 1.0) <= 1e-14
+        delta = spec.quotient_distance(u, w)
+        assert max_abs(row_norms(u - near) - 2.0 * np.sin(delta / 2.0)) <= 1e-14
+        # one tail (t,) serves every row
+        one = spec.nearest_leaf_point(u, tails[5])
+        assert one.tobytes() == spec.nearest_leaf_point(u, np.tile(tails[5], (len(u), 1))).tobytes()
+
+    @pytest.mark.parametrize("name, m", SPECS, ids=[n for n, _ in SPECS])
+    def test_leaf_direction_takes_no_newton_step(self, name, m, monkeypatch):
+        spec = builtin_spec(name, m)
+        u, w = self.rows(name, m)
+        u, tail = u[2:], spec.invariant_map(w[5:6])[0]
+
+        def refuse(*args):
+            raise AssertionError("a Newton step was taken")
+
+        monkeypatch.setattr(composed, "_solve_rows", refuse)
+        got = composed._leaf_direction(spec, u, tail)
+        assert got.tobytes() == spec.nearest_leaf_point(u, tail).tobytes()
+
+    def test_newton_fallback_reaches_the_nearest_point(self):
+        # a spec without the closed form takes Newton steps from u, which stay in the plane
+        # of p0 and u on a height leaf, so they reach the same point, up to the loop's stop:
+        # a height residual below 1e-14 is a step below 1e-14 / sqrt(1 - h^2) on the meridian
+        spec = builtin_spec("height", 4)
+        user = dataclasses.replace(spec, nearest_leaf_point=None)
+        u, w = self.rows("height", 4)
+        for tail in spec.invariant_map(w[:5]):
+            newton = composed._leaf_direction(user, u[3:], tail)
+            bound = 1e-14 / np.sqrt(1.0 - tail[0] ** 2) + 1e-15
+            assert max_abs(newton - spec.nearest_leaf_point(u[3:], tail)) <= bound
 
 
 class TestDiameterScenario:

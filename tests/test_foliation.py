@@ -256,6 +256,14 @@ class TestFiberSamplers:
         x = mplus_sample(s12, 50, 6)
         assert np.linalg.norm(pi_c(s12, x), axis=1).max() <= 1e-10
 
+    @pytest.mark.parametrize("mk", [(1, 2), (3, 1), (7, 1)], ids=str)
+    def test_mplus_holds_precision_on_a_line(self, mk):
+        # l = m+1 leaves a line in E_-(P_0) after P_1 x+, ..., P_m x+ are projected out;
+        # a second projection pass keeps pi_C at roundoff (one pass read up to 5.5e-13)
+        system = build_system(*mk)
+        assert system.l == system.m + 1
+        assert max_abs(pi_c(system, mplus_sample(system, 2000, 81))) <= 1e-14
+
     def test_interior_fiber_and_redirects(self, s22):
         v = np.array([0.3, -0.2, 0.4])
         x = fiber_sample(s22, v, 400, 7)
@@ -346,7 +354,9 @@ def mplus_reference(system, n, seed):
     x_plus = sample_unit_vectors(rng, system.l, n) @ b_plus.T
     w = np.stack([x_plus @ system.dense_generator(i).T for i in range(1, system.m + 1)], axis=1)
     g = rng.standard_normal((n, system.l)) @ b_minus.T
-    g -= np.einsum("nmd,nm->nd", w, np.einsum("nmd,nd->nm", w, g))
+    # l = m+1 leaves a line, where one pass keeps roundoff in the span: project twice
+    for _ in range(2 if system.l == system.m + 1 else 1):
+        g -= np.einsum("nmd,nm->nd", w, np.einsum("nmd,nd->nm", w, g))
     norms = np.linalg.norm(g, axis=1)
     assert norms.min() >= 1e-8  # no redraws, so the draws above are all of them
     return (x_plus + g / norms[:, None]) / np.sqrt(2.0)

@@ -111,7 +111,9 @@ class TestDeterminism:
     # moved: apex_to_boundary from <= 1.05e-8 to <= 5.6e-16 on 26 configs), quotient_metric
     # (6) and diameter (1) re-pinned when every distance became one unit_angle, and
     # fkm_consistency (27) when its direct form took <P_i x, x> from the generator images
-    # (by <= 4.4e-16 but for apex_to_boundary)
+    # (by <= 4.4e-16 but for apex_to_boundary); normal_forms (1 check moved: fiber_constancy
+    # on (1, 2), 1.9e-15 -> 1.1e-16) re-pinned when M+ samples on l = m+1 systems took a
+    # second projection pass
     PLAN_DIGESTS = {
         AVX512: {
             "relations": "3134b2bf296504f5009f19bbeee6bd28e733dfa9ae31601f50604054c83b6bf5",
@@ -127,7 +129,7 @@ class TestDeterminism:
                 "c1defa433385e82a47ad055d619638815582d8b29f41d630806eae91f95b603e",
             "homogeneous_orbits":
                 "64d30520c7dc36e83d2e978a3d68a6bc083cdba4401239cedf9039e0fb05567e",
-            "normal_forms": "3241839909741ff3b9a6c7a26882058370b7217d0dd0e447a74d604064b72c73",
+            "normal_forms": "10368c6984fa3f0d0e2bad79f5c60adaa29f09038bc23a2899dd15a7f10749d8",
             "focal_and_fibers": "926935c53d663a5cbf394a8bbc5a793f07595482f41b82a8fc8529250b51298c",
             "submersion_rank": "7095e0652c137177066fed3a889bde618ac4fab07673f029c2d8e9f377e5ccda",
             "composed_identities":
@@ -149,7 +151,7 @@ class TestDeterminism:
                 "4238dfd8a43a8b43058049f892d81e8cb9d6e92497c9481f657d9318e9c8770f",
             "homogeneous_orbits":
                 "5b5991d212b759f5b44403c788a085b9bee7216a1f5edd35d8f33d12bcb19a1c",
-            "normal_forms": "765a3b28830997d0d6c8def23d9990bfe6b8f47b27a1291f9661f5c674f88a80",
+            "normal_forms": "484ac567da02723d7efe7cded44773a6b4dca69710ed84ecea67a6a71b987024",
             "focal_and_fibers": "2b359e216f426d1a8ee33e697df1ab02d52f748e37b1b26cc65360275dbca2b7",
             "submersion_rank": "8400eefa92065a761cafa0b6426297ad86a6df19278202e17cac492dcafe2023",
             "composed_identities":
@@ -174,10 +176,14 @@ class TestDeterminism:
     # the estimator restored its trial points by fiber transport (112 of 1491 moved, all
     # in transnormality, by <= 5.2e-12; no verdict changed), and again when the estimator
     # drew its leaf samples as whole chunks from two child streams (97 of 1491 moved, all
-    # in transnormality, by <= 3.0e-11; no verdict changed)
+    # in transnormality, by <= 3.0e-11; no verdict changed), and again when the estimator's
+    # leaf directions started at the spec's nearest leaf point and M+ samples on l = m+1
+    # systems took a second projection pass (48 of 1491 moved, 47 in the AVX2 family, by
+    # <= 5.8e-15: all in transnormality but normal_forms' fiber_constancy on (1, 2); no
+    # verdict changed)
     REPORT_DIGEST = {
-        AVX512: "47472d885a118f4851a93857b3f6b1f312d07e6554a202f7221da960f88c2198",
-        AVX2: "782413d47017a91b2f619d822b13023ca443369a559de57da98aa98c083c5c42",
+        AVX512: "f1ecc64026b407969deed2891a63fa65aafb6017e21c1b3fb7b7679eaafcefa7",
+        AVX2: "8cae51b3bef2d3b193211e15a95eb6f68cc266058553fd8fed9d841f9fa16987",
     }
 
     def test_seed7_report_is_pinned(self, seed7_report):
@@ -209,10 +215,13 @@ class TestDeterminism:
     # again when the leaf samples became one draw of whole chunks from two child streams,
     # cut to the budget (97 floats moved: same_leaf_zero's 28 by <= 3.0e-11, its largest
     # 5.2e-12 -> 2.97e-11; composed_equidistance's and no_undercut's 28 each by <= 4.6e-15;
-    # fiber_equidistance's 13 by <= 1.1e-16)
+    # fiber_equidistance's 13 by <= 1.1e-16), and again when the estimator's leaf directions
+    # started at the spec's nearest leaf point, so no Newton step moves them (47 floats moved,
+    # 46 in the AVX2 family: composed_equidistance's 26 and no_undercut's 21 (20), by
+    # <= 5.8e-15, their largest 5.9e-15 -> 3.3e-16)
     TRANSNORMALITY_DIGEST = {
-        AVX512: "4fa01949a9deb359a69e1a9790b1476637ceb18effd6b699e59e0dd8225127c1",
-        AVX2: "afa3cdab61ce65bee3337d0ff946d66a53e89f2a494553adf72f11f30ff4068d",
+        AVX512: "894a8ca54c05f7a2eb741d374b375af78216f46a4365e7ff5013c8f05c44a442",
+        AVX2: "561d449c393d2804d05e2437f342013f1a505074c6071e53e0f6e0341ba16dd7",
     }
 
     def test_transnormality_reports_are_pinned(self, seed7_report):
