@@ -51,30 +51,33 @@ class FoliationSpec:
     """A boundary-sphere foliation given by a leaf-separating invariant map.
 
     Every callable takes rows.  ``invariant_map`` maps unit rows (n, m+1) to
-    (n, t), constant exactly on leaves.  ``quotient_distance`` (optional,
-    needed by the cone metric and so by :func:`same_leaf`) is the leaf-space
-    metric of paired rows, giving (n,).  ``leaf_sampler(units, rng)``
+    (n, t), constant exactly on leaves.  ``quotient_distance`` is the
+    leaf-space metric of paired rows, giving (n,).  ``leaf_sampler(units, rng)``
     (optional) draws a leaf point through each row, in row order; without it
     the leaves are points, as for ``points``, and each composed leaf is the
-    fiber over its disk point.
-    ``invariant_jacobian`` (optional) maps nonzero rows (S, m+1) to the
-    Jacobians (S, t, m+1) of v -> invariant_map(v / |v|); without it the
-    estimator takes central differences, one ``invariant_map`` call on
-    2(m+1) shifted rows per point.
-    ``nearest_leaf_point(u, tails)`` (optional) maps unit rows u (n, m+1) and
-    target tails (n, t), or one tail (t,) for every row, to fresh unit rows:
-    for each row, the nearest point to u of the boundary leaf with that tail.
-    :func:`_leaf_direction` starts its Newton steps there; without it they
-    start at u.
+    fiber over its disk point.  A spec with a leaf sampler also carries, in
+    closed form, ``invariant_jacobian``, mapping nonzero rows (S, m+1) to the
+    Jacobians (S, t, m+1) of v -> invariant_map(v / |v|), and
+    ``nearest_leaf_point(u, tails)``, mapping unit rows u (n, m+1) and target
+    tails (n, t), or one tail (t,) for every row, to fresh unit rows: for each
+    row, the nearest point to u of the boundary leaf with that tail.
+    Construction (``dataclasses.replace`` included) refuses a spec with a
+    leaf sampler and without both.
     """
 
     name: str
     ambient_dim: int
     invariant_map: Callable[[np.ndarray], np.ndarray]
-    quotient_distance: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
+    quotient_distance: Callable[[np.ndarray, np.ndarray], np.ndarray]
     leaf_sampler: Optional[Callable[[np.ndarray, np.random.Generator], np.ndarray]] = None
     invariant_jacobian: Optional[Callable[[np.ndarray], np.ndarray]] = None
     nearest_leaf_point: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
+
+    def __post_init__(self):
+        if self.leaf_sampler is not None and (self.invariant_jacobian is None
+                                              or self.nearest_leaf_point is None):
+            raise ValueError(f"spec {self.name!r} samples leaves, so it needs both "
+                             "invariant_jacobian and nearest_leaf_point")
 
 
 def signed_svd_triple(mat: np.ndarray) -> np.ndarray:
@@ -289,8 +292,6 @@ def composed_quotient_distance(system: CliffordSystem, spec: FoliationSpec,
     rows (n, 2l) an (n,) array; the leaf-space metric runs on rows with both classes off the origin.
     """
     _check_spec(system, spec)
-    if spec.quotient_distance is None:
-        raise ValueError(f"spec {spec.name!r} carries no leaf-space metric")
     _check_pair(x, y)
     vx, rx = _disk_points(system, x)
     vy, ry = _disk_points(system, y)
@@ -363,19 +364,12 @@ def _constraint_state(system: CliffordSystem, spec: FoliationSpec, z: np.ndarray
     r2 = np.sum(v * v, axis=-1)
     vhat = v / np.sqrt(np.maximum(r2, 1e-30))[:, None]
     tail = spec.invariant_map(vhat)
-    jac = _invariant_jacobian(spec, v)
+    # a contiguous operand takes the same matmul path at every batch size
+    jac = np.ascontiguousarray(spec.invariant_jacobian(v), dtype=float)
     c = np.concatenate([(r2 - target_r2)[:, None], tail - target], axis=1)
     rows = np.concatenate([2.0 * (v[:, None, :] @ rows_pi), jac @ rows_pi], axis=1)
     dphi = np.concatenate([2.0 * v[:, None, :], jac], axis=1)
     return c, rows, v, rows_pi, dphi
-
-
-def _invariant_jacobian(spec: FoliationSpec, v: np.ndarray) -> np.ndarray:
-    """Jacobians (S, t, m+1) of v -> invariant_map(v / |v|): the spec's, else central differences."""
-    if spec.invariant_jacobian is not None:
-        # a contiguous operand takes the same matmul path at every batch size
-        return np.ascontiguousarray(spec.invariant_jacobian(v), dtype=float)
-    return _central_differences(lambda u: spec.invariant_map(_unit(u)), v, np.full(len(v), 1e-6))
 
 
 def _central_differences(f, v: np.ndarray, h: np.ndarray) -> np.ndarray:
@@ -446,8 +440,8 @@ def _newton_direction(system, spec, z, g, lam, best, v, rows_pi, dphi, curved):
     with the sphere term mu = <x, z> - 2 <a, v>, the Lagrangian Hessian is
     -(B + J^T W J): B = 2 sum a_i P_i + mu I, J the pi_C rows and W the
     curvature of the constraint maps, 2 lam_0 I for |pi|^2 plus lam_t times
-    the invariant's Hessian (W = 0 on a fiber leaf, where ``curved`` is
-    false; without an invariant Jacobian the invariant term is left out).  As
+    the invariant's Hessian, central differences of ``invariant_jacobian``
+    (W = 0 on a fiber leaf, where ``curved`` is false).  As
     (2 sum a_i P_i)^2 = 4|a|^2 I, B^-1 = (B - 2 mu I) / (4|a|^2 - mu^2), and
     the direction is xi = B^-1 (g + C y) for C = [J^T, z]; y and the
     normal multipliers solve a square bordered system of m+2+k unknowns that
@@ -467,12 +461,10 @@ def _newton_direction(system, spec, z, g, lam, best, v, rows_pi, dphi, curved):
     w = np.zeros((n_rows, p, p))
     if curved:
         w += 2.0 * lam[:, 0, None, None] * np.eye(p)
-        if spec.invariant_jacobian is not None:
-            # the invariant's Hessians (S, t, m+1, m+1), symmetrized
-            hess = _central_differences(spec.invariant_jacobian, v,
-                                        1e-5 * np.linalg.norm(v, axis=-1))
-            hess = 0.5 * (hess + np.swapaxes(hess, -1, -2))
-            w += np.sum(lam[:, 1:, None, None] * hess, axis=1)
+        # the invariant's Hessians (S, t, m+1, m+1), symmetrized
+        hess = _central_differences(spec.invariant_jacobian, v, 1e-5 * np.linalg.norm(v, axis=-1))
+        hess = 0.5 * (hess + np.swapaxes(hess, -1, -2))
+        w += np.sum(lam[:, 1:, None, None] * hess, axis=1)
     cols = np.concatenate([rows_pi, z[:, None, :]], axis=1)  # C^T, (S, m+2, 2l)
     vecs = np.concatenate([g[:, None, :], cols], axis=1)
     # rows with a (nearly) singular B overflow quietly; the final mask drops them
@@ -519,9 +511,9 @@ def _restore(system, spec, z, target_r2, target):
     sum is x (no angle t is read off |v'|, which loses it as |v'| nears 1).
     :func:`~clifford_foliations.foliation._turn` lands x on the fiber over the
     leaf's disk point: the target of a fiber leaf, else sqrt(target_r2) times
-    :func:`_leaf_direction` of Q, the spec's nearest leaf point to Q where it has
-    one.  Returns the points, their residuals max |c|
-    and their state (rows, v, pi_rows, dphi), all of :func:`_constraint_state`.
+    the spec's ``nearest_leaf_point`` of Q.  Returns the points, their residuals
+    max |c| and their state (rows, v, pi_rows, dphi), all of
+    :func:`_constraint_state`.
     """
     z = np.array(z, dtype=float)
     images = system.generator_images(z)
@@ -531,33 +523,10 @@ def _restore(system, spec, z, target_r2, target):
     plus, minus = z + qz, z - qz
     back = (_unit(plus) + minus / np.maximum(row_norms(minus), 1e-300)[:, None]) / np.sqrt(2.0)
     disk = (np.broadcast_to(target, v.shape) if target_r2 is None
-            else np.sqrt(target_r2) * _leaf_direction(spec, q, target))
+            else np.sqrt(target_r2) * spec.nearest_leaf_point(q, target))
     z = _turn(system, disk, back[:, None])[:, 0]
     c, *state = _constraint_state(system, spec, z, target_r2, target)
     return z, np.max(np.abs(c), axis=1), state
-
-
-def _leaf_direction(spec, u, tail):
-    """The unit rows u moved onto the boundary leaf invariant_map = tail of S^m by Newton steps.
-
-    The steps start from the spec's ``nearest_leaf_point`` of u, which lies on the leaf, so on
-    the built-in specs no step is taken; a spec without one starts from u.  Each step is the
-    minimum-norm J^T y, J J^T y = -c by :func:`_solve_rows`, for the Jacobian J of
-    :func:`_invariant_jacobian` (y = 0 where J vanishes, as for ``one_leaf``), then
-    renormalised.  A row stops once its residual drops below 1e-14, and after 8 steps.
-    """
-    u = np.array(u) if spec.nearest_leaf_point is None else spec.nearest_leaf_point(u, tail)
-    live = np.arange(len(u))
-    for _ in range(8):
-        c = spec.invariant_map(u[live]) - tail
-        more = np.max(np.abs(c), axis=1) >= 1e-14
-        live, c = live[more], c[more]
-        if not live.size:
-            break
-        jac = _invariant_jacobian(spec, u[live])
-        y = _solve_rows(jac @ np.swapaxes(jac, -1, -2), -c)
-        u[live] = _unit(u[live] + np.sum(jac * y[:, :, None], axis=1))
-    return u
 
 
 def _descend(system, spec, x, z, target_r2, target):
@@ -640,16 +609,13 @@ def leaf_to_leaf_ambient_distance(system: CliffordSystem, spec: FoliationSpec,
     ``budget`` and ``starts`` are integers of at least 1 (bools are not).
     A fiber leaf (:func:`_fiber_leaf`) holds pi_C at its disk point, 0 at
     the origin; any other leaf holds |pi_C|^2 and the invariant, through the
-    spec's ``invariant_jacobian`` or else central differences of its
-    invariant map.  Boundary leaves, at lift height 0 as :func:`fiber_sample`
-    and :func:`composed_quotient_distance` decide it, are handled in closed
-    form per leaf direction (the nearest point of a great subsphere is an
-    orthogonal projection p of x, at the angle of (|p|, |x - p|) to (1, 0)):
-    the leaf's own direction, the :func:`_leaf_direction` of pi_C(x)'s
-    direction where it lands on the leaf to 1e-10, and up to 256 sampled ones.
-    Where the spec has a ``nearest_leaf_point``, as every built-in spec with a
-    leaf sampler does, that second direction is the nearest leaf point, so an
-    interior x reads the cone metric to a boundary class.
+    spec's ``invariant_jacobian``.  Boundary leaves, at lift height 0 as
+    :func:`fiber_sample` and :func:`composed_quotient_distance` decide it, are
+    handled in closed form per leaf direction (the nearest point of a great
+    subsphere is an orthogonal projection p of x, at the angle of (|p|, |x - p|)
+    to (1, 0)): the leaf's own direction, the ``nearest_leaf_point`` of
+    pi_C(x)'s direction where it lies on the leaf to 1e-10, and up to 256
+    sampled ones, so an interior x reads the cone metric to a boundary class.
     """
     _check_spec(system, spec)
     for name, count in (("budget", budget), ("starts", starts)):
@@ -675,13 +641,13 @@ def leaf_to_leaf_ambient_distance(system: CliffordSystem, spec: FoliationSpec,
         # distance to E_+^1(P_w) is arccos |(x + P_w x)/2| per direction w
         w = (v / r)[None]
         if not fiber:
-            # the leaf's own direction, the leaf point Newton steps reach from pi_C(x)'s
-            # direction if they land on the leaf (so no candidate undercuts), then samples
+            # the leaf's own direction, the nearest leaf point to pi_C(x)'s direction if it
+            # lies on the leaf (not so at a height pole, so no candidate undercuts), then samples
             tail = spec.invariant_map(w)[0]
             vx = pi_c(system, x)
             rx = float(row_norms(vx))
             if rx > _ORIGIN_TOL:
-                near = _leaf_direction(spec, (vx / rx)[None], tail)
+                near = spec.nearest_leaf_point((vx / rx)[None], tail)
                 if np.max(np.abs(spec.invariant_map(near) - tail)) <= 1e-10:
                     w = np.concatenate([w, near])
             units = np.repeat(w[:1], max(1, min(256, budget // 16)), axis=0)

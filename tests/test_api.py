@@ -1,8 +1,9 @@
 """Every exported name resolves, and so does every function the traced benchmark wraps;
 only clifford.py reads the generators, built systems act without dense span matrices,
-every angle is one algebra.unit_angle, no module warns, and every built-in spec with
-leaves to sample has the nearest leaf point in closed form."""
+every angle is one algebra.unit_angle, no module warns, and only FoliationSpec's
+construction check asks whether a spec carries its leaf metric and closed forms."""
 
+import ast
 import importlib.util
 import pathlib
 import pkgutil
@@ -14,8 +15,7 @@ import pytest
 import clifford_foliations
 from clifford_foliations.algebra import rng_from, row_dots, row_norms, sample_unit_vectors
 from clifford_foliations.clifford import CliffordSystem, build_system
-from clifford_foliations.composed import (BUILTIN_SPEC_NAMES, builtin_spec,
-                                          leaf_to_leaf_ambient_distance)
+from clifford_foliations.composed import builtin_spec, leaf_to_leaf_ambient_distance
 from clifford_foliations.foliation import (boundary_fiber_sample, fiber_sample, mplus_sample,
                                            random_horizontal_geodesic, reflect_symmetry,
                                            spin_rotate)
@@ -70,12 +70,36 @@ def test_no_module_warns():
     assert importers == []
 
 
-@pytest.mark.parametrize("name", BUILTIN_SPEC_NAMES)
-def test_builtin_specs_with_leaves_have_nearest_points(name):
-    # the estimator's restore and boundary closed form start their Newton steps at the
-    # nearest leaf point; a built-in spec with non-point leaves must not fall back to them
-    spec = builtin_spec(name, 8)
-    assert (spec.leaf_sampler is None) or (spec.nearest_leaf_point is not None)
+SPEC_CONTRACT = {"quotient_distance", "invariant_jacobian", "nearest_leaf_point"}
+
+
+def names_contract_field(node) -> bool:
+    """Whether node mentions a contract field: as an attribute, a name or a getattr string."""
+    return any((isinstance(n, ast.Attribute) and n.attr in SPEC_CONTRACT)
+               or (isinstance(n, ast.Name) and n.id in SPEC_CONTRACT)
+               or (isinstance(n, ast.Constant) and n.value in SPEC_CONTRACT)
+               for n in ast.walk(node))
+
+
+def test_only_construction_checks_the_spec_contract():
+    # FoliationSpec.__post_init__ refuses a spec that samples leaves without both closed
+    # forms, and the leaf-space metric is a required field, so no other src code may ask
+    # whether a spec has them: no fallback path for a spec without them
+    branches = []
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        checked = {id(n) for cls in ast.walk(tree)
+                   if isinstance(cls, ast.ClassDef) and cls.name == "FoliationSpec"
+                   for fn in cls.body
+                   if isinstance(fn, ast.FunctionDef) and fn.name == "__post_init__"
+                   for n in ast.walk(fn)}
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Compare) and id(node) not in checked
+                    and any(isinstance(o, ast.Constant) and o.value is None
+                            for o in [node.left, *node.comparators])
+                    and names_contract_field(node)):
+                branches.append(f"{path.name}:{node.lineno}")
+    assert branches == []
 
 
 def test_only_clifford_reads_generators():

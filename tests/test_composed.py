@@ -45,6 +45,28 @@ def rotation(rng):
     return sign_fixed_rotation(rng.standard_normal((3, 3)))
 
 
+def user_points_spec(m):
+    """A user-built point foliation of S^m with both closed forms.
+
+    Its identity leaf sampler keeps its leaves off the fiber-leaf path, so |pi|^2
+    and the direction are constrained separately, through the Jacobian
+    (I - v^ v^T) / |v| of v -> v / |v|; the nearest point of the leaf with tail w
+    is w / |w|.
+    """
+    def jacobian(v):
+        r = np.linalg.norm(v, axis=-1)
+        vhat = v / r[:, None]
+        return (np.eye(m + 1) - vhat[:, :, None] * vhat[:, None, :]) / r[:, None, None]
+
+    return FoliationSpec(
+        "user_points", m + 1, invariant_map=lambda v: np.asarray(v, dtype=float),
+        quotient_distance=lambda u, v: np.arccos(np.clip(np.sum(u * v, axis=-1), -1.0, 1.0)),
+        leaf_sampler=lambda v, rng: np.array(v, dtype=float),
+        invariant_jacobian=jacobian,
+        nearest_leaf_point=lambda u, tails: (np.broadcast_to(tails, np.shape(u))
+                                             / np.linalg.norm(tails, axis=-1, keepdims=True)))
+
+
 def signed_triple_oracle(mat):
     """Signed ordered singular values via the eigendecomposition of M^T M."""
     mat = np.asarray(mat, dtype=float).reshape(3, 3)
@@ -366,13 +388,21 @@ class TestConeMetric:
             expected = 0.5 * abs(np.arcsin(r1) - np.arcsin(r2))
             assert abs(composed_quotient_distance(s22, one, x, y) - expected) <= 1e-9
 
-    def test_missing_leaf_metric_rejected(self, s22):
-        from clifford_foliations.composed import FoliationSpec
-        bare = FoliationSpec("bare", 3, lambda v: np.zeros(1))
-        x = sample_unit_vectors(rng_from(17), s22.dim, 2)
-        for measure in (composed_quotient_distance, same_leaf):
-            with pytest.raises(ValueError, match="leaf-space metric"):
-                measure(s22, bare, x[0], x[1])
+    def test_missing_leaf_metric_rejected(self):
+        # the contract is checked once, at construction: every spec has a leaf-space
+        # metric, and a spec that samples leaves has both closed forms
+        with pytest.raises(TypeError, match="quotient_distance"):
+            FoliationSpec("bare", 3, lambda v: np.zeros((len(v), 1)))
+        height = builtin_spec("height", 2)
+        fields = {f.name: getattr(height, f.name) for f in dataclasses.fields(height)}
+        for name in ("invariant_jacobian", "nearest_leaf_point"):
+            with pytest.raises(ValueError, match="samples leaves"):
+                FoliationSpec(**{**fields, name: None})
+            with pytest.raises(ValueError, match="samples leaves"):
+                dataclasses.replace(height, **{name: None})
+        # point leaves need neither closed form
+        dataclasses.replace(height, leaf_sampler=None, invariant_jacobian=None,
+                            nearest_leaf_point=None)
 
 
 def mixed_pairs(system, seed):
@@ -670,20 +700,8 @@ class TestAmbientLeafDistance:
         for small, large in zip(estimates, estimates[1:]):
             assert large <= small + 1e-15
 
-    @pytest.mark.parametrize("kind, tol", [("height", 1e-2), ("points", 1e-3)])
-    def test_user_spec_without_jacobian_matches_cone_metric(self, s22, kind, tol):
-        # central differences of the invariant map stand in for a closed form;
-        # the point spec is given only by an identity invariant, so |pi|^2 and
-        # the direction are constrained separately
-        if kind == "height":
-            user = dataclasses.replace(builtin_spec("height", 2), invariant_jacobian=None)
-        else:
-            # the identity leaf sampler keeps its leaves off the fiber-leaf path
-            user = FoliationSpec(
-                "user_points", 3, invariant_map=lambda v: np.asarray(v, dtype=float),
-                quotient_distance=lambda u, v: np.arccos(
-                    np.clip(np.sum(u * v, axis=-1), -1.0, 1.0)),
-                leaf_sampler=lambda v, rng: np.array(v, dtype=float))
+    def test_user_spec_matches_cone_metric(self, s22):
+        user = user_points_spec(2)
         rng = rng_from(37)
         for i in range(3):
             va = sample_unit_vectors(rng, 3, 1)[0] * float(rng.uniform(0.2, 0.85))
@@ -693,7 +711,7 @@ class TestAmbientLeafDistance:
             d = leaf_to_leaf_ambient_distance(s22, user, xa, xb, 4000, 1400 + i, starts=6)
             dq = composed_quotient_distance(s22, user, xa, xb)
             assert dq - d <= 1e-9
-            assert abs(d - dq) <= tol
+            assert abs(d - dq) <= 1e-3
 
     def test_tensor_spec_matches_cone_metric(self):
         # without a closed-form invariant Jacobian the ascent stalled here at 1.026
@@ -751,10 +769,7 @@ class TestBatchedAscent:
         # the lockstep ascent keeps every start's arithmetic to its own row
         system = build_system(*mk)
         m = system.m
-        if spec_name == "user":
-            spec = dataclasses.replace(builtin_spec("height", m), invariant_jacobian=None)
-        else:
-            spec = builtin_spec(spec_name, m)
+        spec = user_points_spec(m) if spec_name == "user" else builtin_spec(spec_name, m)
         rng = rng_from(39, m)
         va = sample_unit_vectors(rng, m + 1, 1)[0] * 0.6
         vb = sample_unit_vectors(rng, m + 1, 1)[0] * 0.4
@@ -966,7 +981,7 @@ class TestNewtonAscent:
     def test_singular_hessian_takes_the_gradient(self, s22):
         # a = 0 and mu = 0 make B = 0: that row must take the gradient, and
         # quietly; the other row keeps its Newton direction
-        spec = builtin_spec("points", 2)
+        spec = user_points_spec(2)
         v0 = np.array([0.3, 0.1, -0.2])
         z = fiber_sample(s22, v0, 2, 45)
         x = fiber_sample(s22, np.array([-0.2, 0.4, 0.1]), 1, 46)[0]
@@ -1149,31 +1164,6 @@ class TestNearestLeafPoint:
         # one tail (t,) serves every row
         one = spec.nearest_leaf_point(u, tails[5])
         assert one.tobytes() == spec.nearest_leaf_point(u, np.tile(tails[5], (len(u), 1))).tobytes()
-
-    @pytest.mark.parametrize("name, m", SPECS, ids=[n for n, _ in SPECS])
-    def test_leaf_direction_takes_no_newton_step(self, name, m, monkeypatch):
-        spec = builtin_spec(name, m)
-        u, w = self.rows(name, m)
-        u, tail = u[2:], spec.invariant_map(w[5:6])[0]
-
-        def refuse(*args):
-            raise AssertionError("a Newton step was taken")
-
-        monkeypatch.setattr(composed, "_solve_rows", refuse)
-        got = composed._leaf_direction(spec, u, tail)
-        assert got.tobytes() == spec.nearest_leaf_point(u, tail).tobytes()
-
-    def test_newton_fallback_reaches_the_nearest_point(self):
-        # a spec without the closed form takes Newton steps from u, which stay in the plane
-        # of p0 and u on a height leaf, so they reach the same point, up to the loop's stop:
-        # a height residual below 1e-14 is a step below 1e-14 / sqrt(1 - h^2) on the meridian
-        spec = builtin_spec("height", 4)
-        user = dataclasses.replace(spec, nearest_leaf_point=None)
-        u, w = self.rows("height", 4)
-        for tail in spec.invariant_map(w[:5]):
-            newton = composed._leaf_direction(user, u[3:], tail)
-            bound = 1e-14 / np.sqrt(1.0 - tail[0] ** 2) + 1e-15
-            assert max_abs(newton - spec.nearest_leaf_point(u[3:], tail)) <= bound
 
 
 class TestDiameterScenario:

@@ -348,7 +348,7 @@ class TestRunMatrix:
         assert summary["passed"] == summary["total"] == len(plan) == len(reports)
 
     @pytest.mark.xfail(strict=True, raises=AssertionError,
-                       reason="ROADMAP item 15: the m = 1 height leaf is two fibers, and the "
+                       reason="ROADMAP item 18: the m = 1 height leaf is two fibers, and the "
                               "estimator's descent settles on the far one")
     def test_transnormality_on_a_class_beyond_the_plan(self):
         # build_system(1, 16) (2l = 32) is in the family but outside default_plan's k <= 4;
