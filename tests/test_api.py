@@ -1,7 +1,8 @@
 """Every exported name resolves, and so does every function the traced benchmark wraps;
 only clifford.py reads the generators, built systems act without dense span matrices,
-every angle is one algebra.unit_angle, no module warns, and only FoliationSpec's
-construction check asks whether a spec carries its leaf metric and closed forms."""
+every angle is one algebra.unit_angle, no module warns, every built-in spec with leaves
+to sample has its closed forms, and only FoliationSpec's construction check asks whether
+a spec carries its leaf metric and closed forms."""
 
 import ast
 import importlib.util
@@ -15,7 +16,8 @@ import pytest
 import clifford_foliations
 from clifford_foliations.algebra import rng_from, row_dots, row_norms, sample_unit_vectors
 from clifford_foliations.clifford import CliffordSystem, build_system
-from clifford_foliations.composed import builtin_spec, leaf_to_leaf_ambient_distance
+from clifford_foliations.composed import (BUILTIN_SPEC_NAMES, builtin_spec,
+                                          leaf_to_leaf_ambient_distance)
 from clifford_foliations.foliation import (boundary_fiber_sample, fiber_sample, mplus_sample,
                                            random_horizontal_geodesic, reflect_symmetry,
                                            spin_rotate)
@@ -68,6 +70,16 @@ def test_no_module_warns():
                        if re.search(r"^\s*(?:import warnings|from warnings import)", path.read_text(),
                                     re.MULTILINE))
     assert importers == []
+
+
+@pytest.mark.parametrize("name", BUILTIN_SPEC_NAMES)
+def test_builtin_specs_with_leaves_have_nearest_points(name):
+    # the estimator's restore and boundary closed form call nearest_leaf_point directly,
+    # and construction refuses a spec with leaves to sample but without it: every built-in
+    # spec must build, and one with non-point leaves must carry both closed forms
+    spec = builtin_spec(name, 8)
+    assert (spec.leaf_sampler is None) or (spec.nearest_leaf_point is not None
+                                           and spec.invariant_jacobian is not None)
 
 
 SPEC_CONTRACT = {"quotient_distance", "invariant_jacobian", "nearest_leaf_point"}
