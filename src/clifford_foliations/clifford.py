@@ -266,6 +266,11 @@ class CliffordSystem:
         """The :func:`_signed_index` of the E_+-(P_0) blocks."""
         return _signed_index(self._p0_blocks)
 
+    @cached_property
+    def _p0_scatter(self):
+        """The :func:`_scatter_index` of the E_+-(P_0) blocks, which :meth:`span_apply` sums."""
+        return _scatter_index(self._p0_blocks)
+
     def p0_images(self, u: np.ndarray) -> np.ndarray:
         """P_1 x, ..., P_m x in E_-(P_0) coefficients, for x = u B_plus^T in E_+(P_0).
 
@@ -313,7 +318,7 @@ class CliffordSystem:
         coords = np.asarray(coords, dtype=float)
         if coords.ndim not in (1, 2) or coords.shape[-1] != self.m + 1:
             raise ValueError("span coordinates must have length m+1")
-        out = _span_sum(coords.reshape(-1, self.m + 1), self.generators, self.dim)
+        out = _span_sum(coords.reshape(-1, self.m + 1), _scatter_index(self.generators), self.dim)
         return out.reshape(coords.shape[:-1] + (self.dim, self.dim))
 
     def span_trace(self, p: np.ndarray) -> float:
@@ -340,7 +345,7 @@ class CliffordSystem:
         u, w = self.p0_coefficients(x)
         out_u, out_w = np.empty(u.shape), np.empty(w.shape)
         for rows in _blocks(len(p), self.l ** 2):
-            b_p = _span_sum(p[rows, 1:], self._p0_blocks, self.l)
+            b_p = _span_sum(p[rows, 1:], self._p0_scatter, self.l)
             np.matmul(w[rows], b_p, out=out_u[rows])
             np.matmul(u[rows], np.swapaxes(b_p, -1, -2), out=out_w[rows])
         p0 = p[:, 0, None, None]
@@ -353,19 +358,18 @@ def _span_sum(rows: np.ndarray, blocks, width: int) -> np.ndarray:
     """sum_i rows[j, i] * A_i for each row j, shape (k, width, width).
 
     ``blocks`` holds the A_i (the generators, or the blocks R_i of
-    :meth:`CliffordSystem.span_apply`) as one gather pair or as one stack.  A gather
-    pair is scattered into a zero stack for every nonzero coefficient: two
-    anticommuting signed permutations (or blocks R_i, R_j with
-    R_i R_j^T + R_j R_i^T = 0) never share a nonzero entry, since a shared
-    entry at (r, c) would put +-2 on the diagonal of that sum, so the scatter
-    equals the dense sum bit for bit.
+    :meth:`CliffordSystem.span_apply`) as the :func:`_scatter_index` of a gather
+    pair or as one stack.  A gather pair is scattered into a zero stack for every
+    nonzero coefficient: two anticommuting signed permutations (or blocks R_i,
+    R_j with R_i R_j^T + R_j R_i^T = 0) never share a nonzero entry, since a
+    shared entry at (r, c) would put +-2 on the diagonal of that sum, so the
+    scatter equals the dense sum bit for bit.
     """
     out = np.zeros((len(rows), width, width))
     if isinstance(blocks, tuple):
-        cols, signs = blocks
+        offsets, signs = blocks
         j, i = np.nonzero(rows)
-        # flat index of entry (j, r, cols[i, r]) of the stack
-        at = (cols + np.arange(0, width ** 2, width))[i] + (j * width ** 2)[:, None]
+        at = offsets[i] + (j * width ** 2)[:, None]
         out.reshape(-1)[at] = rows[j, i, None] * signs[i]
         return out
     # zero coefficients add only zeros, which leave every entry's bits alone, so
@@ -386,6 +390,18 @@ def _signed_index(blocks):
         return None
     cols, signs = blocks
     return cols + cols.shape[-1] * (signs < 0)
+
+
+def _scatter_index(blocks):
+    """(cols + width r, signs): where entry (r, cols[i, r]) of A_i sits in a flat block.
+
+    A stack is returned as it is.
+    """
+    if not isinstance(blocks, tuple):
+        return blocks
+    cols, signs = blocks
+    width = cols.shape[-1]
+    return cols + np.arange(0, width ** 2, width), signs
 
 
 def _images(blocks, signed, x: np.ndarray) -> np.ndarray:
@@ -675,7 +691,7 @@ def _check_loaded(system: CliffordSystem) -> None:
         return
     built = _construction(system.m, prov.k, prov.flips)
     if not system.exact:
-        built = _span_sum(np.eye(system.m + 1), built, system.dim)
+        built = _span_sum(np.eye(system.m + 1), _scatter_index(built), system.dim)
     if not all(map(np.array_equal, system.generators, built)):
         raise MalformedSystemError(
             f"the provenance names build_system({system.m}, {prov.k}, {prov.flips}), but these are"

@@ -395,15 +395,18 @@ def _unit(v: np.ndarray) -> np.ndarray:
 def _solve_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Solutions of the square systems a[s] x = b[s], row by row, by LU.
 
-    a is (S, n, n) and b (S, n).  One batched LU solve; if it meets a zero
-    pivot, slogdet's zero sign finds those rows and the others are solved
-    again.  Rows with a zero pivot or a non-finite solution take the
+    a is (S, n, n) and b (S, n).  One batched LU solve, returned as it is
+    when it meets no zero pivot and every solution is finite; if it meets a
+    zero pivot, slogdet's zero sign finds those rows and the others are
+    solved again.  Rows with a zero pivot or a non-finite solution take the
     minimum-norm least-squares solution instead, with lstsq's default cutoff
     (singular values at or below machine epsilon times n, relative to the
     largest, count as zero).  No row's arithmetic depends on another row.
     """
     try:
         x = np.linalg.solve(a, b[..., None])[..., 0]
+        if np.isfinite(x).all():
+            return x
         lu = np.ones(len(a), dtype=bool)
     except np.linalg.LinAlgError:
         lu = np.linalg.slogdet(a)[0] != 0.0
@@ -441,57 +444,71 @@ def _newton_direction(system, spec, z, g, lam, best, v, rows_pi, dphi, curved):
     -(B + J^T W J): B = 2 sum a_i P_i + mu I, J the pi_C rows and W the
     curvature of the constraint maps, 2 lam_0 I for |pi|^2 plus lam_t times
     the invariant's Hessian, central differences of ``invariant_jacobian``
-    (W = 0 on a fiber leaf, where ``curved`` is false).  As
+    (no W where ``curved`` is false).  As
     (2 sum a_i P_i)^2 = 4|a|^2 I, B^-1 = (B - 2 mu I) / (4|a|^2 - mu^2), and
     the direction is xi = B^-1 (g + C y) for C = [J^T, z]; y and the
-    normal multipliers solve a square bordered system of m+2+k unknowns that
-    puts xi in the tangent space.  :func:`_solve_rows` solves it by LU; a
-    constraint with a vanishing gradient (the constant invariant of
-    ``one_leaf``) makes the system singular, and that row takes the
-    minimum-norm solution, in which the constraint drops out.  A row keeps
-    xi only when it is finite, an ascent direction and of positive
-    B + J^T W J curvature (negative model curvature of <x, .>); otherwise it
-    takes g, also where a singular B (4|a|^2 = mu^2) leaves the row
-    non-finite.  Returns the directions and their predicted gains <g, d>.
+    normal multipliers nu solve a square bordered system of m+2+k unknowns
+    that puts xi in the tangent space.  On a fiber leaf dphi is None, for
+    the identity of :func:`_constraint_state` (every constraint is pi_C
+    itself), and W = 0: the bordered system's first block row gives
+    nu = y_J, and y solves the m+2 unknowns gm y = -h, with h the
+    <C_i, B^-1 g> and gm the <C_i, B^-1 C_j>.  :func:`_solve_rows` solves
+    either system by LU; a singular one (the vanishing gradient of
+    ``one_leaf``'s constant invariant) takes the minimum-norm solution, in
+    which the constraint drops out; in the reduced system that norm weights
+    (y_J, y_z) alone, not (y_J, y_z, nu).  A row keeps xi only when it is
+    finite, an ascent direction and of positive B + J^T W J curvature
+    (negative model curvature of <x, .>); otherwise it takes g, also where
+    a singular B (4|a|^2 = mu^2) leaves the row non-finite.  Returns the
+    directions and their predicted gains <g, d>.
     """
     n_rows, p = v.shape
-    k = lam.shape[1]
-    a = np.sum(dphi * lam[:, :, None], axis=1)
+    a = lam if dphi is None else np.sum(dphi * lam[:, :, None], axis=1)
     mu = best - 2.0 * np.sum(a * v, axis=-1)
-    w = np.zeros((n_rows, p, p))
+    w = None
     if curved:
-        w += 2.0 * lam[:, 0, None, None] * np.eye(p)
+        w = 2.0 * lam[:, 0, None, None] * np.eye(p)
         # the invariant's Hessians (S, t, m+1, m+1), symmetrized
         hess = _central_differences(spec.invariant_jacobian, v, 1e-5 * np.linalg.norm(v, axis=-1))
         hess = 0.5 * (hess + np.swapaxes(hess, -1, -2))
         w += np.sum(lam[:, 1:, None, None] * hess, axis=1)
-    cols = np.concatenate([rows_pi, z[:, None, :]], axis=1)  # C^T, (S, m+2, 2l)
-    vecs = np.concatenate([g[:, None, :], cols], axis=1)
+    vecs = np.concatenate([g[:, None, :], rows_pi, z[:, None, :]], axis=1)
+    cols = vecs[:, 1:]  # C^T, (S, m+2, 2l)
     # rows with a (nearly) singular B overflow quietly; the final mask drops them
     with np.errstate(all="ignore"):
         binv = ((2.0 * system.span_apply(a, vecs) - mu[:, None, None] * vecs)
                 / (4.0 * np.sum(a * a, axis=-1) - mu * mu)[:, None, None])
         gram = cols @ np.ascontiguousarray(np.swapaxes(binv, -1, -2))  # <C_i, B^-1 vecs_j>
         h, gm = gram[..., 0], gram[..., 1:]
-        # unknowns (y_J, y_z, nu): y_J + W s = dphi^T nu, <z, xi> = 0, dphi s = 0,
-        # where s = J xi and (s, <z, xi>) = h + gm y
-        kkt = np.zeros((n_rows, p + 1 + k, p + 1 + k))
-        rhs = np.zeros((n_rows, p + 1 + k))
-        kkt[:, :p, :p + 1] = np.eye(p, p + 1) + _small_matmul(w, gm[:, :p])
-        kkt[:, :p, p + 1:] = -np.swapaxes(dphi, -1, -2)
-        kkt[:, p, :p + 1] = gm[:, p]
-        kkt[:, p + 1:, :p + 1] = _small_matmul(dphi, gm[:, :p])
-        rhs[:, :p] = -_small_matmul(w, h[:, :p, None])[..., 0]
-        rhs[:, p] = -h[:, p]
-        rhs[:, p + 1:] = -_small_matmul(dphi, h[:, :p, None])[..., 0]
+        if dphi is None:
+            kkt, rhs = gm, -h
+        else:
+            # unknowns (y_J, y_z, nu): y_J + W s = dphi^T nu, <z, xi> = 0, dphi s = 0,
+            # where s = J xi and (s, <z, xi>) = h + gm y
+            k = dphi.shape[1]
+            wd = dphi if w is None else np.concatenate([w, dphi], axis=1)
+            wd_gm, wd_h = _small_matmul(wd, gm[:, :p]), _small_matmul(wd, h[:, :p, None])[..., 0]
+            kkt = np.zeros((n_rows, p + 1 + k, p + 1 + k))
+            rhs = np.zeros((n_rows, p + 1 + k))
+            kkt[:, :p, :p + 1] = np.eye(p, p + 1)
+            if w is not None:
+                kkt[:, :p, :p + 1] += wd_gm[:, :p]
+                rhs[:, :p] = -wd_h[:, :p]
+            kkt[:, :p, p + 1:] = -np.swapaxes(dphi, -1, -2)
+            kkt[:, p, :p + 1] = gm[:, p]
+            kkt[:, p + 1:, :p + 1] = wd_gm[:, -k:]
+            rhs[:, p] = -h[:, p]
+            rhs[:, p + 1:] = -wd_h[:, -k:]
         finite = np.all(np.isfinite(kkt), axis=(1, 2)) & np.all(np.isfinite(rhs), axis=1)
-        kkt[~finite], rhs[~finite] = 0.0, 0.0  # the fallback SVD rejects non-finite input
+        # the fallback SVD rejects non-finite input (gram, which gm views, is not read again)
+        kkt[~finite], rhs[~finite] = 0.0, 0.0
         y = _solve_rows(kkt, rhs)[:, :p + 1]
         xi = binv[:, 0] + np.sum(y[:, :, None] * binv[:, 1:], axis=1)
         s = np.sum(rows_pi * xi[:, None, :], axis=-1)
         gain = np.sum(g * xi, axis=-1)
-        curv = (gain + np.sum(s * y[:, :p], axis=-1) + np.sum(z * xi, axis=-1) * y[:, p]
-                + np.sum(s * _small_matmul(w, s[..., None])[..., 0], axis=-1))
+        curv = gain + np.sum(s * y[:, :p], axis=-1) + np.sum(z * xi, axis=-1) * y[:, p]
+        if w is not None:
+            curv += np.sum(s * _small_matmul(w, s[..., None])[..., 0], axis=-1)
         newton = finite & np.all(np.isfinite(xi), axis=-1) & (gain > 0.0) & (curv > 0.0)
     d = np.where(newton[:, None], xi, g)
     return d, np.where(newton, gain, np.sum(g * g, axis=-1))
@@ -515,7 +532,6 @@ def _restore(system, spec, z, target_r2, target):
     max |c| and their state (rows, v, pi_rows, dphi), all of
     :func:`_constraint_state`.
     """
-    z = np.array(z, dtype=float)
     images = system.generator_images(z)
     v = row_dots(images, z[:, None, :])
     q = _unit(np.where(row_norms(v)[:, None] > 0.0, v, 1.0))  # any Q serves on M+
@@ -556,8 +572,8 @@ def _descend(system, spec, x, z, target_r2, target):
         za = z[active]
         rows, v, rows_pi, dphi = (s[active] for s in state)
         g, lam = _tangent_projection(rows, x - best[active, None] * za)
-        d, gain = _newton_direction(system, spec, za, g, lam, best[active], v, rows_pi, dphi,
-                                    curved)
+        d, gain = _newton_direction(system, spec, za, g, lam, best[active], v, rows_pi,
+                                    dphi if curved else None, curved)
         moving = gain >= 1e-16
         active, za, d = active[moving], za[moving], d[moving]
         pending = np.arange(len(active))
@@ -670,8 +686,8 @@ def leaf_to_leaf_ambient_distance(system: CliffordSystem, spec: FoliationSpec,
     # remaining ranks, so a global basin with a mediocre floor still gets a
     # descent.  Every budget beyond 2048 shares this pool.
     prefix = dots[:2048]
-    champions = [int(c * 32 + np.argmax(prefix[c * 32:(c + 1) * 32]))
-                 for c in range((len(prefix) + 31) // 32)]
+    slices = np.pad(prefix, (0, -len(prefix) % 32), constant_values=-np.inf).reshape(-1, 32)
+    champions = (32 * np.arange(len(slices)) + np.argmax(slices, axis=1)).tolist()
     champions.sort(key=lambda i: -dots[i])
     greedy = champions[:(starts + 1) // 2]
     rest = champions[len(greedy):]

@@ -259,16 +259,19 @@ def _turn(system: CliffordSystem, v: np.ndarray, x: np.ndarray) -> np.ndarray:
     takes M+ onto the fiber over sin(2t) Q = v (Ferus, Karcher and Muenzner),
     at t = pi/4 onto the boundary fiber over Q; |v| is clipped to 1 in the
     arcsine, so rows a rounding above 1 turn by pi/4.  Rows with
-    |v| <= 1e-12 stay.
+    |v| <= 1e-12 stay, and only the others reach the span action.
     """
     r = row_norms(v)
-    mid = r > 1e-12
-    if np.any(mid):
-        t = (np.arcsin(np.minimum(np.where(mid, r, 0.0), 1.0)) / 2.0)[:, None, None]
-        qx = system.span_apply(v / np.where(mid, r, np.inf)[:, None], x)
-        qx *= np.sin(t)
-        x *= np.cos(t)
-        x += qx
+    mid = np.flatnonzero(r > 1e-12)
+    if len(mid) < len(r):
+        if len(mid):
+            x[mid] = _turn(system, v[mid], x[mid])
+        return x
+    t = (np.arcsin(np.minimum(r, 1.0)) / 2.0)[:, None, None]
+    qx = system.span_apply(v / r[:, None], x)
+    qx *= np.sin(t)
+    x *= np.cos(t)
+    x += qx
     return x
 
 

@@ -1,8 +1,9 @@
 """Every exported name resolves, and so does every function the traced benchmark wraps;
 only clifford.py reads the generators, built systems act without dense span matrices,
 every angle is one algebra.unit_angle, no module warns, every built-in spec with leaves
-to sample has its closed forms, and only FoliationSpec's construction check asks whether
-a spec carries its leaf metric and closed forms."""
+to sample has its closed forms, only FoliationSpec's construction check asks whether
+a spec carries its leaf metric and closed forms, and only composed._solve_rows solves
+linear systems."""
 
 import ast
 import importlib.util
@@ -135,6 +136,36 @@ def test_only_clifford_builds_span_matrices():
     callers = sorted(path.name for path in PACKAGE_DIR.glob("*.py")
                      if re.search(r"\bspan_matrix\(", path.read_text()))
     assert callers == ["clifford.py"]
+
+
+LINEAR_SOLVES = {"solve", "lstsq", "inv", "pinv"}
+
+
+def linear_solves(node) -> list:
+    """The calls of linalg.solve, lstsq, inv or pinv under node."""
+    return [n for n in ast.walk(node) if isinstance(n, ast.Call)
+            and isinstance(n.func, ast.Attribute) and n.func.attr in LINEAR_SOLVES
+            and ((isinstance(n.func.value, ast.Attribute) and n.func.value.attr == "linalg")
+                 or (isinstance(n.func.value, ast.Name) and n.func.value.id == "linalg"))]
+
+
+def test_only_solve_rows_solves_linear_systems():
+    # every small solve of the estimator takes the one batched LU path of
+    # composed._solve_rows, with its row-by-row least-squares fallback
+    stray, inside = [], 0
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        allowed = {id(call) for fn in ast.walk(tree)
+                   if path.name == "composed.py" and isinstance(fn, ast.FunctionDef)
+                   and fn.name == "_solve_rows"
+                   for call in linear_solves(fn)}
+        inside += len(allowed)
+        stray += [f"{path.name}:{call.lineno}" for call in linear_solves(tree)
+                  if id(call) not in allowed]
+        stray += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, ast.ImportFrom) and "linalg" in (node.module or "")
+                  and LINEAR_SOLVES & {alias.name for alias in node.names}]
+    assert stray == [] and inside
 
 
 @pytest.mark.parametrize("m,k,flips", [(4, 3, 1), (12, 4, 0)])

@@ -998,6 +998,73 @@ class TestNewtonAscent:
         assert gain[0] == np.sum(g[0] * g[0])
         assert np.all(np.isfinite(d)) and gain[1] > 0.0
 
+    @staticmethod
+    def fiber_leaf_state(system, z, x, target):
+        # a fiber leaf's state, as _descend holds it: target_r2 = None, so dphi = I
+        spec = builtin_spec("points", system.m)
+        _, rows, v, rows_pi, dphi = composed._constraint_state(system, spec, z, None, target)
+        np.testing.assert_array_equal(dphi, np.broadcast_to(np.eye(system.m + 1), dphi.shape))
+        best = z @ x
+        g, lam = composed._tangent_projection(rows, x - best[:, None] * z)
+        return spec, g, lam, best, v, rows_pi
+
+    @pytest.mark.parametrize("at", ["interior", "origin"])
+    def test_fiber_leaf_step_equals_the_bordered_system(self, s22, at):
+        # the reduced system gm y = -h gives the direction and gain of the bordered
+        # system in (y_J, y_z, nu) with dphi = I and W = 0, built here from the same
+        # gram <C_i, B^-1 vecs_j> with dense span matrices
+        p = s22.m + 1
+        if at == "interior":
+            target = np.array([0.3, 0.1, -0.2])
+            z = fiber_sample(s22, target, 6, 63)
+        else:
+            target = np.zeros(p)
+            z = mplus_sample(s22, 6, 63)
+        x = fiber_sample(s22, np.array([-0.2, 0.4, 0.1]), 1, 64)[0]
+        spec, g, lam, best, v, rows_pi = self.fiber_leaf_state(s22, z, x, target)
+        d, gain = composed._newton_direction(s22, spec, z, g, lam, best, v, rows_pi, None, False)
+        newton = 0
+        for i in range(len(z)):
+            mu = best[i] - 2.0 * lam[i] @ v[i]
+            b = 2.0 * s22.span_matrix(lam[i]) + mu * np.eye(s22.dim)
+            vecs = np.vstack([g[i], rows_pi[i], z[i]])
+            binv = np.linalg.solve(b, vecs.T).T
+            gram = vecs[1:] @ binv.T
+            h, gm = gram[:, 0], gram[:, 1:]
+            # unknowns (y_J, y_z, nu): y_J = nu, <z, xi> = 0 and s = J xi = 0
+            kkt = np.zeros((2 * p + 1, 2 * p + 1))
+            kkt[:p, :p] = np.eye(p)
+            kkt[:p, p + 1:] = -np.eye(p)
+            kkt[p, :p + 1] = gm[p]
+            kkt[p + 1:, :p + 1] = gm[:p]
+            rhs = -np.concatenate([np.zeros(p), h[p:], h[:p]])
+            y = np.linalg.solve(kkt, rhs)[:p + 1]
+            xi = binv[0] + y @ binv[1:]
+            if g[i] @ xi <= 0.0:  # not an ascent direction: both take the gradient
+                np.testing.assert_array_equal(d[i], g[i])
+                continue
+            newton += 1
+            assert max_abs(d[i] - xi) <= 1e-12 * max_abs(xi)
+            assert abs(gain[i] - g[i] @ xi) <= 1e-12 * abs(g[i] @ xi)
+        assert newton >= 4  # 5 of the 6 rows at either target
+
+    def test_fiber_leaf_singular_hessian_takes_the_gradient(self, s22):
+        # the fiber-leaf twin of the singular B: lam_0 = 0 and best = 0 give a = 0 and
+        # mu = 0, so B = 0; that row takes the gradient, quietly, and the other its
+        # Newton direction
+        v0 = np.array([0.3, 0.1, -0.2])
+        z = fiber_sample(s22, v0, 2, 45)
+        x = fiber_sample(s22, np.array([-0.2, 0.4, 0.1]), 1, 46)[0]
+        spec, g, lam, best, v, rows_pi = self.fiber_leaf_state(s22, z, x, v0)
+        lam[0], best[0] = 0.0, 0.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            d, gain = composed._newton_direction(s22, spec, z, g, lam, best, v, rows_pi, None,
+                                                 False)
+        np.testing.assert_array_equal(d[0], g[0])
+        assert gain[0] == np.sum(g[0] * g[0])
+        assert np.all(np.isfinite(d)) and gain[1] > 0.0
+
     @pytest.mark.parametrize("dense", [False, True], ids=["exact", "dense"])
     def test_constraint_state_matches_public_maps(self, s22, dense):
         # v comes from pi_C's E_+-(P_0) kernel and the pi_C rows from the generator

@@ -665,16 +665,16 @@ class TestBlocks:
                     mplus_sample(system, n, seeds)]
 
         # (rows, entries a row) of each slicing: pi_c's 50 rows of m l images; the 12
-        # fibers' M+ draws of n m l images in _mplus_rows, then their l x l turns
-        # (blocks B_p) in span_apply, boundary rows included; mplus_sample's 12 rows
-        # of n m l images
-        sizes = [(50, m * l), (12, n * m * l), (12, l * l), (12, n * m * l)]
+        # fibers' M+ draws of n m l images in _mplus_rows, then the l x l turns
+        # (blocks B_p) in span_apply of the 10 rows off the origin, boundary rows
+        # included; mplus_sample's 12 rows of n m l images
+        sizes = [(50, m * l), (12, n * m * l), (10, l * l), (12, n * m * l)]
         whole = draws()
         assert sliced == [size + (1,) for size in sizes]
         # a slice of 640 entries holds at most 26 pi_c rows, 5 M+ rows and 10 blocks
         # B_p; one of 256 at most 10, 2 and 4; one of 64 at most 2, 1 and 1, so that
-        # every path splits
-        for block, parts in ((640, [2, 3, 2, 3]), (256, [5, 6, 3, 6]), (64, [25, 12, 12, 12])):
+        # every path splits at 256 and 64, and all but the turns at 640
+        for block, parts in ((640, [2, 3, 1, 3]), (256, [5, 6, 3, 6]), (64, [25, 12, 10, 12])):
             monkeypatch.setattr(algebra, "_BLOCK", block)
             for got, expected in zip(draws(), whole):
                 assert got.tobytes() == expected.tobytes()
