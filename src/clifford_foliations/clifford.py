@@ -64,9 +64,7 @@ def delta(m: int) -> int:
     """Dimension of the irreducible module for m+1 generators."""
     if m < 1:
         raise ValueError("delta is defined for m >= 1")
-    if m <= 8:
-        return _DELTA_SMALL[m - 1]
-    return 16 * delta(m - 8)
+    return 16 ** ((m - 1) // 8) * _DELTA_SMALL[(m - 1) % 8]
 
 
 def dimension_cap() -> int:
@@ -439,12 +437,12 @@ def build_system(m: int, k: int, flips: int = 0) -> CliffordSystem:
         raise ValueError("flips must lie in [0, k]")
     if (m, k) == (1, 1):
         raise ValueError("(m, k) = (1, 1) is degenerate (fibers are point pairs) and not supported")
-    l = k * delta(m)
     cap = dimension_cap()
-    if 2 * l > cap:
-        raise ValueError(f"system dimension 2l = {2 * l} exceeds the cap {cap}"
-                         " (override with CFL_MAX_DIM)")
-    return CliffordSystem(m, l, _construction(m, k, flips), Provenance(k, flips))
+    # delta(m) >= 16^((m - 1) // 8): a large m is over the cap before delta(m) is formed
+    if 4 * ((m - 1) // 8) >= cap.bit_length() or 2 * k * delta(m) > cap:
+        raise ValueError(f"system dimension 2l = 2k delta(m) at m = {m}, k = {k} exceeds the"
+                         f" cap {cap} (override with CFL_MAX_DIM)")
+    return CliffordSystem(m, k * delta(m), _construction(m, k, flips), Provenance(k, flips))
 
 
 def _construction(m: int, k: int, flips: int):
@@ -642,6 +640,11 @@ def _system_from_fields(data: dict) -> CliffordSystem:
     payload = data["generators"]
     if len(payload) != m + 1:
         raise MalformedSystemError("generator count does not match rank")
+    # true of every Clifford system, and cheap where the relation check costs (m+1)^2 2l
+    # gathers; the count above bounds m, and so the size of delta(m), by the payload's
+    if l % delta(m):
+        raise MalformedSystemError(f"l = {l} is not a multiple of delta(m) = "
+                                   f"2^{delta(m).bit_length() - 1}")
     if encoding == "signed_perm":
         if any(len(pairs) != 2 * l for pairs in payload):
             raise MalformedSystemError("each signed_perm generator must list 2l columns")

@@ -24,7 +24,7 @@ import numpy as np
 from .algebra import (check_unit, rng_from, row_dots, row_norms, sample_unit_vectors,
                       sign_fixed_rotation, unit_angle)
 from .clifford import CliffordSystem
-from .foliation import _lift_height, _pi_state, _turn, fiber_sample, pi_c
+from .foliation import _lift_height, _pi_state, _quadratic_values, _turn, fiber_sample, pi_c
 
 __all__ = [
     "FoliationSpec",
@@ -60,9 +60,11 @@ class FoliationSpec:
     Jacobians (S, t, m+1) of v -> invariant_map(v / |v|), and
     ``nearest_leaf_point(u, tails)``, mapping unit rows u (n, m+1) and target
     tails (n, t), or one tail (t,) for every row, to fresh unit rows: for each
-    row, the nearest point to u of the boundary leaf with that tail.
-    Construction (``dataclasses.replace`` included) refuses a spec with a
-    leaf sampler and without both.
+    row, the nearest point to u of the boundary leaf with that tail.  Both
+    give each row the bits of its single-row call, whatever batch holds it:
+    the estimator forms a point's constraint rows in a batch other than the
+    one that restored it.  Construction (``dataclasses.replace`` included)
+    refuses a spec with a leaf sampler and without both.
     """
 
     name: str
@@ -339,37 +341,44 @@ def _leaf_sample_blocks(system: CliffordSystem, spec: FoliationSpec, v: np.ndarr
     return fiber_sample(system, points, chunk, seeds).reshape(-1, system.dim)[:budget]
 
 
-def _constraint_state(system: CliffordSystem, spec: FoliationSpec, z: np.ndarray,
-                      target_r2: Optional[float], target: np.ndarray):
-    """Constraint residuals c(z), their tangent-space Jacobian rows and pi_C data.
+def _residuals(system: CliffordSystem, spec: FoliationSpec, z: np.ndarray,
+               target_r2: Optional[float], target: np.ndarray) -> np.ndarray:
+    """Constraint residuals c(z), shape (S, k), of the points z (S, 2l).
 
-    z holds one point per row, shape (S, 2l); c has shape (S, k) and the rows
-    (S, k, 2l).  A fiber leaf (:func:`_fiber_leaf`) passes target_r2 = None
-    and its disk point as target, 0 for the origin class, and holds
-    pi_C(z) - target; a |pi|^2 constraint would have a vanishing gradient
-    exactly on the focal manifold.  Any other leaf holds |pi|^2 - target_r2
-    and its direction invariant less target, with the invariant's Jacobian
-    chained through the pi_C gradients.
-
-    Every constraint is a function phi of pi_C, so the rows are
-    dphi @ pi_rows.  Returns (c, rows, v, pi_rows, dphi) with v = pi_C(z)
-    (S, m+1), pi_rows (S, m+1, 2l) and dphi (S, k, m+1); the Newton step
-    reuses the last three.  The points are the estimator's own, so pi_C is
+    A fiber leaf (:func:`_fiber_leaf`) passes target_r2 = None and its disk
+    point as target, 0 for the origin class, and holds pi_C(z) - target; a
+    |pi|^2 constraint would have a vanishing gradient exactly on the focal
+    manifold.  Any other leaf holds |pi|^2 - target_r2 and its direction
+    invariant less target.  The points are the estimator's own, so pi_C is
     evaluated without the unit-norm check of the public ``pi_c``.
+    """
+    v = _quadratic_values(system, z)
+    if target_r2 is None:
+        return v - target
+    r2 = np.sum(v * v, axis=-1)
+    vhat = v / np.sqrt(np.maximum(r2, 1e-30))[:, None]
+    return np.concatenate([(r2 - target_r2)[:, None], spec.invariant_map(vhat) - target], axis=1)
+
+
+def _constraint_rows(system: CliffordSystem, spec: FoliationSpec, z: np.ndarray,
+                     target_r2: Optional[float]):
+    """Tangent-space Jacobian rows of the :func:`_residuals` constraints, and pi_C data.
+
+    Every constraint is a function phi of pi_C, so the rows (S, k, 2l) are
+    dphi @ pi_rows, with the invariant's Jacobian chained through the pi_C
+    gradients.  Returns (rows, v, pi_rows, dphi) with v = pi_C(z) (S, m+1),
+    pi_rows (S, m+1, 2l) and dphi (S, k, m+1); the Newton step reuses the
+    last three.  On a fiber leaf (target_r2 = None) every constraint is
+    pi_C itself: dphi is None and the rows are pi_rows.
     """
     v, rows_pi = _pi_state(system, z)
     if target_r2 is None:
-        eye = np.broadcast_to(np.eye(v.shape[-1]), v.shape + v.shape[-1:])
-        return v - target, rows_pi, v, rows_pi, eye
-    r2 = np.sum(v * v, axis=-1)
-    vhat = v / np.sqrt(np.maximum(r2, 1e-30))[:, None]
-    tail = spec.invariant_map(vhat)
+        return rows_pi, v, rows_pi, None
     # a contiguous operand takes the same matmul path at every batch size
     jac = np.ascontiguousarray(spec.invariant_jacobian(v), dtype=float)
-    c = np.concatenate([(r2 - target_r2)[:, None], tail - target], axis=1)
     rows = np.concatenate([2.0 * (v[:, None, :] @ rows_pi), jac @ rows_pi], axis=1)
     dphi = np.concatenate([2.0 * v[:, None, :], jac], axis=1)
-    return c, rows, v, rows_pi, dphi
+    return rows, v, rows_pi, dphi
 
 
 def _central_differences(f, v: np.ndarray, h: np.ndarray) -> np.ndarray:
@@ -435,7 +444,7 @@ def _tangent_projection(g: np.ndarray, grad: np.ndarray):
     return grad - (g_t @ coef[..., None])[..., 0], coef
 
 
-def _newton_direction(system, spec, z, g, lam, best, v, rows_pi, dphi, curved):
+def _newton_direction(system, spec, z, g, lam, best, v, rows_pi, dphi):
     """Riemannian Newton direction of <x, .> on the leaf at every row of z.
 
     g is the projected gradient and lam its multipliers for the rows
@@ -443,30 +452,28 @@ def _newton_direction(system, spec, z, g, lam, best, v, rows_pi, dphi, curved):
     with the sphere term mu = <x, z> - 2 <a, v>, the Lagrangian Hessian is
     -(B + J^T W J): B = 2 sum a_i P_i + mu I, J the pi_C rows and W the
     curvature of the constraint maps, 2 lam_0 I for |pi|^2 plus lam_t times
-    the invariant's Hessian, central differences of ``invariant_jacobian``
-    (no W where ``curved`` is false).  As
-    (2 sum a_i P_i)^2 = 4|a|^2 I, B^-1 = (B - 2 mu I) / (4|a|^2 - mu^2), and
+    the invariant's Hessian, central differences of ``invariant_jacobian``.
+    As (2 sum a_i P_i)^2 = 4|a|^2 I, B^-1 = (B - 2 mu I) / (4|a|^2 - mu^2), and
     the direction is xi = B^-1 (g + C y) for C = [J^T, z]; y and the
     normal multipliers nu solve a square bordered system of m+2+k unknowns
-    that puts xi in the tangent space.  On a fiber leaf dphi is None, for
-    the identity of :func:`_constraint_state` (every constraint is pi_C
-    itself), and W = 0: the bordered system's first block row gives
-    nu = y_J, and y solves the m+2 unknowns gm y = -h, with h the
-    <C_i, B^-1 g> and gm the <C_i, B^-1 C_j>.  :func:`_solve_rows` solves
-    either system by LU; a singular one (the vanishing gradient of
-    ``one_leaf``'s constant invariant) takes the minimum-norm solution, in
-    which the constraint drops out; in the reduced system that norm weights
-    (y_J, y_z) alone, not (y_J, y_z, nu).  A row keeps xi only when it is
-    finite, an ascent direction and of positive B + J^T W J curvature
-    (negative model curvature of <x, .>); otherwise it takes g, also where
-    a singular B (4|a|^2 = mu^2) leaves the row non-finite.  Returns the
+    that puts xi in the tangent space.  On a fiber leaf dphi is None (every
+    constraint is pi_C itself, :func:`_constraint_rows`) and W = 0: the
+    bordered system's first block row gives nu = y_J, and y solves the m+2
+    unknowns gm y = -h, with h the <C_i, B^-1 g> and gm the
+    <C_i, B^-1 C_j>.  :func:`_solve_rows` solves either system by LU; a
+    singular one (the vanishing gradient of ``one_leaf``'s constant invariant) takes the
+    minimum-norm solution, in which the constraint drops out; in the reduced
+    system that norm weights (y_J, y_z) alone, not (y_J, y_z, nu).  A row keeps
+    xi only when it is finite, an ascent direction and of positive B + J^T W J
+    curvature (negative model curvature of <x, .>); otherwise it takes g, also
+    where a singular B (4|a|^2 = mu^2) leaves the row non-finite.  Returns the
     directions and their predicted gains <g, d>.
     """
     n_rows, p = v.shape
-    a = lam if dphi is None else np.sum(dphi * lam[:, :, None], axis=1)
+    fiber = dphi is None
+    a = lam if fiber else np.sum(dphi * lam[:, :, None], axis=1)
     mu = best - 2.0 * np.sum(a * v, axis=-1)
-    w = None
-    if curved:
+    if not fiber:
         w = 2.0 * lam[:, 0, None, None] * np.eye(p)
         # the invariant's Hessians (S, t, m+1, m+1), symmetrized
         hess = _central_differences(spec.invariant_jacobian, v, 1e-5 * np.linalg.norm(v, axis=-1))
@@ -480,25 +487,20 @@ def _newton_direction(system, spec, z, g, lam, best, v, rows_pi, dphi, curved):
                 / (4.0 * np.sum(a * a, axis=-1) - mu * mu)[:, None, None])
         gram = cols @ np.ascontiguousarray(np.swapaxes(binv, -1, -2))  # <C_i, B^-1 vecs_j>
         h, gm = gram[..., 0], gram[..., 1:]
-        if dphi is None:
+        if fiber:
             kkt, rhs = gm, -h
         else:
             # unknowns (y_J, y_z, nu): y_J + W s = dphi^T nu, <z, xi> = 0, dphi s = 0,
             # where s = J xi and (s, <z, xi>) = h + gm y
             k = dphi.shape[1]
-            wd = dphi if w is None else np.concatenate([w, dphi], axis=1)
+            wd = np.concatenate([w, dphi], axis=1)
             wd_gm, wd_h = _small_matmul(wd, gm[:, :p]), _small_matmul(wd, h[:, :p, None])[..., 0]
             kkt = np.zeros((n_rows, p + 1 + k, p + 1 + k))
-            rhs = np.zeros((n_rows, p + 1 + k))
-            kkt[:, :p, :p + 1] = np.eye(p, p + 1)
-            if w is not None:
-                kkt[:, :p, :p + 1] += wd_gm[:, :p]
-                rhs[:, :p] = -wd_h[:, :p]
+            kkt[:, :p, :p + 1] = np.eye(p, p + 1) + wd_gm[:, :p]
             kkt[:, :p, p + 1:] = -np.swapaxes(dphi, -1, -2)
             kkt[:, p, :p + 1] = gm[:, p]
-            kkt[:, p + 1:, :p + 1] = wd_gm[:, -k:]
-            rhs[:, p] = -h[:, p]
-            rhs[:, p + 1:] = -wd_h[:, -k:]
+            kkt[:, p + 1:, :p + 1] = wd_gm[:, p:]
+            rhs = -np.concatenate([wd_h[:, :p], h[:, p:], wd_h[:, p:]], axis=1)
         finite = np.all(np.isfinite(kkt), axis=(1, 2)) & np.all(np.isfinite(rhs), axis=1)
         # the fallback SVD rejects non-finite input (gram, which gm views, is not read again)
         kkt[~finite], rhs[~finite] = 0.0, 0.0
@@ -507,7 +509,7 @@ def _newton_direction(system, spec, z, g, lam, best, v, rows_pi, dphi, curved):
         s = np.sum(rows_pi * xi[:, None, :], axis=-1)
         gain = np.sum(g * xi, axis=-1)
         curv = gain + np.sum(s * y[:, :p], axis=-1) + np.sum(z * xi, axis=-1) * y[:, p]
-        if w is not None:
+        if not fiber:
             curv += np.sum(s * _small_matmul(w, s[..., None])[..., 0], axis=-1)
         newton = finite & np.all(np.isfinite(xi), axis=-1) & (gain > 0.0) & (curv > 0.0)
     d = np.where(newton[:, None], xi, g)
@@ -528,9 +530,8 @@ def _restore(system, spec, z, target_r2, target):
     sum is x (no angle t is read off |v'|, which loses it as |v'| nears 1).
     :func:`~clifford_foliations.foliation._turn` lands x on the fiber over the
     leaf's disk point: the target of a fiber leaf, else sqrt(target_r2) times
-    the spec's ``nearest_leaf_point`` of Q.  Returns the points, their residuals
-    max |c| and their state (rows, v, pi_rows, dphi), all of
-    :func:`_constraint_state`.
+    the spec's ``nearest_leaf_point`` of Q.  Returns the points and their
+    :func:`_residuals` max |c|.
     """
     images = system.generator_images(z)
     v = row_dots(images, z[:, None, :])
@@ -541,8 +542,7 @@ def _restore(system, spec, z, target_r2, target):
     disk = (np.broadcast_to(target, v.shape) if target_r2 is None
             else np.sqrt(target_r2) * spec.nearest_leaf_point(q, target))
     z = _turn(system, disk, back[:, None])[:, 0]
-    c, *state = _constraint_state(system, spec, z, target_r2, target)
-    return z, np.max(np.abs(c), axis=1), state
+    return z, np.max(np.abs(_residuals(system, spec, z, target_r2, target)), axis=1)
 
 
 def _descend(system, spec, x, z, target_r2, target):
@@ -559,21 +559,18 @@ def _descend(system, spec, x, z, target_r2, target):
     point could undercut the true leaf distance) and raises <x, .> by more
     than 1e-15; a row stops when the predicted gain <g, d> of its direction
     is below 1e-16, where no step could pass that margin, when no step of
-    its line search is accepted, or after 120 iterations.  Returns the best
-    point of every row and its <x, .>.
+    its line search is accepted, or after 120 iterations.  An iteration forms
+    its rows' constraint rows once (:func:`_constraint_rows`); restores read
+    residuals only.  Returns the best point of every row and its <x, .>.
     """
     z = np.array(z, dtype=float)
     best = np.sum(z * x, axis=-1)
-    _, *state = _constraint_state(system, spec, z, target_r2, target)
-    state = [np.array(s) for s in state]
-    curved = target_r2 is not None
     active = np.arange(len(z))
     for _ in range(120):
         za = z[active]
-        rows, v, rows_pi, dphi = (s[active] for s in state)
+        rows, v, rows_pi, dphi = _constraint_rows(system, spec, za, target_r2)
         g, lam = _tangent_projection(rows, x - best[active, None] * za)
-        d, gain = _newton_direction(system, spec, za, g, lam, best[active], v, rows_pi,
-                                    dphi if curved else None, curved)
+        d, gain = _newton_direction(system, spec, za, g, lam, best[active], v, rows_pi, dphi)
         moving = gain >= 1e-16
         active, za, d = active[moving], za[moving], d[moving]
         pending = np.arange(len(active))
@@ -582,8 +579,8 @@ def _descend(system, spec, x, z, target_r2, target):
             if not pending.size:
                 break
             trial = za[pending, None] + steps[:, None] * d[pending, None]
-            cand, resid, cand_state = _restore(system, spec, _unit(trial.reshape(-1, len(x))),
-                                               target_r2, target)
+            cand, resid = _restore(system, spec, _unit(trial.reshape(-1, len(x))),
+                                   target_r2, target)
             val = np.sum(cand * x, axis=-1)
             ok = ((resid <= 1e-10) & (val > np.repeat(best[active[pending]], len(steps)) + 1e-15)
                   ).reshape(len(pending), len(steps))
@@ -591,8 +588,6 @@ def _descend(system, spec, x, z, target_r2, target):
             first = np.flatnonzero(hit) * len(steps) + np.argmax(ok[hit], axis=1)
             accepted = active[pending[hit]]
             z[accepted], best[accepted] = cand[first], val[first]
-            for kept, found in zip(state, cand_state):
-                kept[accepted] = found[first]
             improved[pending[hit]] = True
             pending = pending[~hit]
         active = active[improved]

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from clifford_foliations import verify
+from clifford_foliations import clifford, verify
 from clifford_foliations.cli import main
 from clifford_foliations.clifford import (
     CliffordSystem,
@@ -50,6 +50,12 @@ class TestConstruct:
         out = tmp_path / "golden.json"
         assert run("construct", "--m", 2, "--k", 1, "--out", out) == 0
         assert out.read_bytes() == GOLDEN.read_bytes()
+
+    def test_rejects_large_m(self, tmp_path, capsys):
+        # delta(10000) has 1505 digits: over the cap, and taken in closed form, not by recursion
+        assert run("construct", "--m", 10000, "--k", 1, "--out", tmp_path / "x.json") == 2
+        err = capsys.readouterr().err
+        assert "exceeds the cap" in err and "Traceback" not in err
 
 
 class TestVerify:
@@ -166,6 +172,7 @@ class TestMalformedSystemFiles:
         assert run(*(command or ("invariant",)), "--system", path) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and "Traceback" not in err
+        return err
 
     def test_missing_key(self, tmp_path, capsys):
         self.assert_rejected(tmp_path, capsys, {"m": 2})
@@ -307,6 +314,26 @@ class TestMalformedSystemFiles:
         payload = self.constructed(tmp_path, "--m", 3, "--k", 2)
         payload["provenance"]["flips"] = 3
         self.assert_rejected(tmp_path, capsys, payload)
+
+    @staticmethod
+    def one_column_pair_payload(m, prov):
+        # l = 1 with m + 1 generators: a shape no Clifford system of m >= 2 has
+        return {"m": m, "l": 1, "encoding": "signed_perm", "provenance": prov,
+                "generators": [[[0, 1], [1, 1]]] * (m + 1)}
+
+    def test_large_m_with_provenance(self, tmp_path, capsys):
+        # the provenance check reads delta(10000), which recursed past Python's limit
+        self.assert_rejected(tmp_path, capsys,
+                             self.one_column_pair_payload(10000, {"k": 1, "flips": 0}))
+
+    def test_l_not_a_multiple_of_delta(self, tmp_path, capsys, monkeypatch):
+        # rejected before the relation check, which builds (m+1)^2 2l gathers
+        def unreachable(system):
+            raise AssertionError("relation check reached")
+
+        monkeypatch.setattr(clifford, "_relation_violations", unreachable)
+        err = self.assert_rejected(tmp_path, capsys, self.one_column_pair_payload(300, None))
+        assert "l = 1 is not a multiple of delta(m) = 2^150" in err
 
 
 class TestInvariantAndClassify:

@@ -154,6 +154,27 @@ class TestBuiltinSpecs:
             rng = rng_from(47)
             one_by_one = [spec.leaf_sampler(u[j:j + 1], rng)[0] for j in range(len(u))]
             assert spec.leaf_sampler(u, rng_from(47)).tobytes() == np.array(one_by_one).tobytes()
+            # the closed forms too, on rows of several lengths: the estimator forms a
+            # point's constraint rows in whatever batch holds it. Row 0 is a height
+            # pole, and for tensor_svd a matrix with a repeated singular value,
+            # whose Jacobian takes central differences
+            w = u * rng_from(48).uniform(0.2, 3.0, (len(u), 1))
+            if name == "height":
+                w[0] = 0.7 * np.eye(9)[0]
+            if name == "tensor_svd":
+                q = sign_fixed_rotation(rng_from(49).standard_normal((2, 3, 3)))
+                w[0] = 1.3 * (q[0] @ np.diag([0.6, 0.6, 0.3]) @ q[1].T).ravel()
+            jac = spec.invariant_jacobian(w)
+            units = _unit(w)
+            tails = spec.invariant_map(v)
+            nearest = spec.nearest_leaf_point(units, tails)
+            one_tail = spec.nearest_leaf_point(units, tails[1])
+            for j in range(len(u)):
+                assert jac[j].tobytes() == spec.invariant_jacobian(w[j:j + 1])[0].tobytes()
+                one = spec.nearest_leaf_point(units[j:j + 1], tails[j:j + 1])[0]
+                assert nearest[j].tobytes() == one.tobytes()
+                one = spec.nearest_leaf_point(units[j:j + 1], tails[1])[0]
+                assert one_tail[j].tobytes() == one.tobytes()
 
     # digest of the 50 rows below, taken with the per-row sampler it replaced, and
     # keyed by numeric-kernel family since
@@ -763,8 +784,14 @@ class TestBatchedAscent:
         np.testing.assert_array_equal(
             rows, [composed_quotient_distance(system, spec, p, q) for p, q in zip(xs, ys)])
 
-    @pytest.mark.parametrize("mk", [(2, 2), (1, 4), (9, 1), (4, 3, 1)])
-    @pytest.mark.parametrize("spec_name", ["points", "height", "user", "one_leaf"])
+    # every spec on four systems, and tensor_svd, the one sampled-leaf spec whose
+    # Jacobian comes from an SVD, on the 8-sphere it lives on
+    CASES = [pytest.param(mk, name, id=f"{name}-mk{i}")
+             for name in ("points", "height", "user", "one_leaf")
+             for i, mk in enumerate([(2, 2), (1, 4), (9, 1), (4, 3, 1)])]
+    CASES.append(pytest.param((8, 2), "tensor_svd", id="tensor_svd-8_2"))
+
+    @pytest.mark.parametrize("mk,spec_name", CASES)
     def test_batch_equals_each_start_alone(self, mk, spec_name):
         # the lockstep ascent keeps every start's arithmetic to its own row
         system = build_system(*mk)
@@ -923,9 +950,10 @@ class TestNewtonAscent:
     # _restore rows per estimate; the projected-gradient ascent took 2276,
     # 612 and 720
     RESTORE_CEILING = {"points_2_2": 400, "height_4_3": 150, "height_9_1": 150}
-    # _constraint_state calls per estimate, one per _restore and one per _descend call;
-    # with up to 8 Newton corrections per restore they were 20, 43 and 31
-    CONSTRAINT_CEILING = {"points_2_2": 10, "height_4_3": 16, "height_9_1": 12}
+    # _residuals calls per estimate, one per _restore call; with up to 8 Newton
+    # corrections per restore the constraints were evaluated 20, 43 and 31 times,
+    # one of them at the start of the ascent, which now forms constraint rows only
+    CONSTRAINT_CEILING = {"points_2_2": 9, "height_4_3": 15, "height_9_1": 11}
 
     @classmethod
     def estimate(cls, case):
@@ -961,13 +989,13 @@ class TestNewtonAscent:
     @pytest.mark.parametrize("case", sorted(CASES))
     def test_constraint_evaluations_below_ceiling(self, case, monkeypatch):
         calls = []
-        state = composed._constraint_state
+        residuals = composed._residuals
 
         def counted(*args):
             calls.append(len(args[2]))
-            return state(*args)
+            return residuals(*args)
 
-        monkeypatch.setattr(composed, "_constraint_state", counted)
+        monkeypatch.setattr(composed, "_residuals", counted)
         d, dq = self.estimate(case)
         assert len(calls) <= self.CONSTRAINT_CEILING[case]
         assert dq - d <= 1e-9
@@ -986,24 +1014,26 @@ class TestNewtonAscent:
         z = fiber_sample(s22, v0, 2, 45)
         x = fiber_sample(s22, np.array([-0.2, 0.4, 0.1]), 1, 46)[0]
         r = float(np.linalg.norm(v0))
-        _, rows, v, rows_pi, dphi = composed._constraint_state(s22, spec, z, r * r, v0)
+        rows, v, rows_pi, dphi = composed._constraint_rows(s22, spec, z, r * r)
         best = z @ x
         g, lam = composed._tangent_projection(rows, x - best[:, None] * z)
         lam[0], best[0] = 0.0, 0.0
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            d, gain = composed._newton_direction(s22, spec, z, g, lam, best, v, rows_pi, dphi,
-                                                 False)
+            d, gain = composed._newton_direction(s22, spec, z, g, lam, best, v, rows_pi, dphi)
         np.testing.assert_array_equal(d[0], g[0])
         assert gain[0] == np.sum(g[0] * g[0])
         assert np.all(np.isfinite(d)) and gain[1] > 0.0
 
     @staticmethod
     def fiber_leaf_state(system, z, x, target):
-        # a fiber leaf's state, as _descend holds it: target_r2 = None, so dphi = I
+        # a fiber leaf's state, as _descend forms it: target_r2 = None, so dphi is None
+        # (the identity), the rows are the pi_C rows and the residuals pi_C(z) - target
         spec = builtin_spec("points", system.m)
-        _, rows, v, rows_pi, dphi = composed._constraint_state(system, spec, z, None, target)
-        np.testing.assert_array_equal(dphi, np.broadcast_to(np.eye(system.m + 1), dphi.shape))
+        rows, v, rows_pi, dphi = composed._constraint_rows(system, spec, z, None)
+        assert dphi is None and rows is rows_pi
+        np.testing.assert_array_equal(composed._residuals(system, spec, z, None, target),
+                                      v - target)
         best = z @ x
         g, lam = composed._tangent_projection(rows, x - best[:, None] * z)
         return spec, g, lam, best, v, rows_pi
@@ -1022,7 +1052,7 @@ class TestNewtonAscent:
             z = mplus_sample(s22, 6, 63)
         x = fiber_sample(s22, np.array([-0.2, 0.4, 0.1]), 1, 64)[0]
         spec, g, lam, best, v, rows_pi = self.fiber_leaf_state(s22, z, x, target)
-        d, gain = composed._newton_direction(s22, spec, z, g, lam, best, v, rows_pi, None, False)
+        d, gain = composed._newton_direction(s22, spec, z, g, lam, best, v, rows_pi, None)
         newton = 0
         for i in range(len(z)):
             mu = best[i] - 2.0 * lam[i] @ v[i]
@@ -1059,8 +1089,7 @@ class TestNewtonAscent:
         lam[0], best[0] = 0.0, 0.0
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            d, gain = composed._newton_direction(s22, spec, z, g, lam, best, v, rows_pi, None,
-                                                 False)
+            d, gain = composed._newton_direction(s22, spec, z, g, lam, best, v, rows_pi, None)
         np.testing.assert_array_equal(d[0], g[0])
         assert gain[0] == np.sum(g[0] * g[0])
         assert np.all(np.isfinite(d)) and gain[1] > 0.0
@@ -1075,10 +1104,12 @@ class TestNewtonAscent:
         v0 = np.array([0.3, 0.1, -0.2])
         z = fiber_sample(system, v0, 5, 48)
         r = float(np.linalg.norm(v0))
-        tail = spec.invariant_map((v0 / r)[None])[0]
-        _, _, v, rows_pi, _ = composed._constraint_state(system, spec, z, r * r, tail)
+        _, v, rows_pi, _ = composed._constraint_rows(system, spec, z, r * r)
         assert v.tobytes() == pi_c(system, z).tobytes()
         assert rows_pi.tobytes() == pi_jacobian_rows(system, z).tobytes()
+        # a fiber leaf's residuals read the same v
+        resid = composed._residuals(system, builtin_spec("points", 2), z, None, v0)
+        assert resid.tobytes() == (pi_c(system, z) - v0).tobytes()
 
     def test_one_leaf_converges(self):
         # one_leaf's invariant row vanishes; the ascent still converges, where
@@ -1119,13 +1150,13 @@ class TestFiberTransport:
             z = fiber_sample(system, r_from * dirs[0], 8, 65 + i)
             for r_to in radii:
                 v = r_to * dirs[1]
-                got, resid, _ = composed._restore(system, builtin_spec("points", m), z, None, v)
+                got, resid = composed._restore(system, builtin_spec("points", m), z, None, v)
                 assert np.max(np.abs(pi_c(system, got) - v)) <= 1e-13
                 assert np.max(np.abs(row_norms(got) - 1.0)) <= 1e-14
                 assert np.max(resid) <= 1e-13
                 if r_to:
                     # any other leaf: the direction moved onto the height leaf first
-                    got, resid, _ = composed._restore(system, hgt, z, r_to * r_to, tail)
+                    got, resid = composed._restore(system, hgt, z, r_to * r_to, tail)
                     assert np.max(resid) <= 1e-13
                     assert np.max(np.abs(row_norms(got) - 1.0)) <= 1e-14
 
