@@ -21,8 +21,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .algebra import (check_unit, rng_from, row_dots, row_norms, sample_unit_vectors,
-                      sign_fixed_rotation, unit_angle)
+from .algebra import check_unit, rng_from, row_dots, row_norms, sample_unit_vectors, unit_angle
 from .clifford import CliffordSystem
 from .foliation import _lift_height, _pi_state, _quadratic_values, _turn, fiber_sample, pi_c
 
@@ -52,34 +51,33 @@ class FoliationSpec:
 
     Every callable takes rows.  ``invariant_map`` maps unit rows (n, m+1) to
     (n, t), constant exactly on leaves.  ``quotient_distance`` is the
-    leaf-space metric of paired rows, giving (n,).  ``leaf_sampler(units, rng)``
-    (optional) draws a leaf point through each row, in row order; without it
-    the leaves are points, as for ``points``, and each composed leaf is the
-    fiber over its disk point.  A spec with a leaf sampler also carries, in
-    closed form, ``invariant_jacobian``, mapping nonzero rows (S, m+1) to the
-    Jacobians (S, t, m+1) of v -> invariant_map(v / |v|), and
-    ``nearest_leaf_point(u, tails)``, mapping unit rows u (n, m+1) and target
+    leaf-space metric of paired rows, giving (n,).  A spec with non-point
+    leaves carries two closed forms; without them the leaves are points, as
+    for ``points``, and each composed leaf is the fiber over its disk point.
+    ``invariant_jacobian`` maps nonzero rows (S, m+1) to the Jacobians
+    (S, t, m+1) of v -> invariant_map(v / |v|), and
+    ``nearest_leaf_point(u, tails)`` maps unit rows u (n, m+1) and target
     tails (n, t), or one tail (t,) for every row, to fresh unit rows: for each
-    row, the nearest point to u of the boundary leaf with that tail.  Both
-    give each row the bits of its single-row call, whatever batch holds it:
-    the estimator forms a point's constraint rows in a batch other than the
-    one that restored it.  Construction (``dataclasses.replace`` included)
-    refuses a spec with a leaf sampler and without both.
+    row, the nearest point to u of the boundary leaf with that tail.  The
+    estimator's leaf samples are the nearest points of uniform directions,
+    uniform on the leaf where the leaves are the orbits of a group of
+    isometries.  Both give each row the bits of its single-row call, whatever
+    batch holds it: the estimator forms a point's constraint rows in a batch
+    other than the one that restored it.  Construction (``dataclasses.replace``
+    included) refuses a spec with one closed form and not the other.
     """
 
     name: str
     ambient_dim: int
     invariant_map: Callable[[np.ndarray], np.ndarray]
     quotient_distance: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    leaf_sampler: Optional[Callable[[np.ndarray, np.random.Generator], np.ndarray]] = None
     invariant_jacobian: Optional[Callable[[np.ndarray], np.ndarray]] = None
     nearest_leaf_point: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
 
     def __post_init__(self):
-        if self.leaf_sampler is not None and (self.invariant_jacobian is None
-                                              or self.nearest_leaf_point is None):
-            raise ValueError(f"spec {self.name!r} samples leaves, so it needs both "
-                             "invariant_jacobian and nearest_leaf_point")
+        if (self.invariant_jacobian is None) != (self.nearest_leaf_point is None):
+            raise ValueError(f"spec {self.name!r} needs both invariant_jacobian and "
+                             "nearest_leaf_point, or neither for point leaves")
 
 
 def signed_svd_triple(mat: np.ndarray) -> np.ndarray:
@@ -121,7 +119,7 @@ def builtin_spec(name: str, m: int) -> FoliationSpec:
     """
     dim = m + 1
     if name == "points":
-        # no leaf sampler: the composed leaves are single fibers
+        # no closed forms: the composed leaves are single fibers
         return FoliationSpec(
             "points", dim,
             invariant_map=lambda v: np.asarray(v, dtype=float),
@@ -132,23 +130,11 @@ def builtin_spec(name: str, m: int) -> FoliationSpec:
             "one_leaf", dim,
             invariant_map=lambda v: np.zeros((len(v), 1)),
             quotient_distance=lambda u, v: np.zeros(len(u)),
-            leaf_sampler=lambda v, rng: sample_unit_vectors(rng, dim, len(v)),
             invariant_jacobian=lambda v: np.zeros(np.shape(v)[:-1] + (1, dim)),
             nearest_leaf_point=lambda u, tails: np.array(u, dtype=float),
         )
     if name == "height":
         p0 = np.eye(dim)[0]
-
-        def sample_leaf(v, rng):
-            c = np.clip(row_dots(v, p0), -1.0, 1.0)
-            q = sample_unit_vectors(rng, dim, len(v))
-            q -= row_dots(q, p0)[:, None] * p0
-            nq = row_norms(q)
-            out = c[:, None] * p0
-            off = nq >= 1e-12  # a draw on the pole axis leaves the point at the pole
-            out[off] += (np.sqrt(np.maximum(0.0, 1.0 - c[off] * c[off]))[:, None]
-                         * (q[off] / nq[off, None]))
-            return out
 
         def height_jacobian(v):
             # d<v/|v|, p0>/dv = (p0 - <v^, p0> v^) / |v|
@@ -157,33 +143,27 @@ def builtin_spec(name: str, m: int) -> FoliationSpec:
             return ((p0 - np.sum(vhat * p0, axis=-1, keepdims=True) * vhat) / r)[..., None, :]
 
         def nearest_height(u, tails):
-            # h p0 + sqrt(1 - h^2) e^ for e^ the unit part of u off p0 = e_0; a pole,
-            # where every leaf point is nearest, stays
+            # h p0 + sqrt(1 - h^2) e^ for e^ the unit part of u off p0 = e_0; at a pole
+            # every leaf point is nearest, and e^ = e_1 serves
             h = np.broadcast_to(tails, (len(u), 1))[:, 0]
             out = np.array(u, dtype=float)
             ne = row_norms(out[:, 1:])
-            off = ne > 0.0
-            out[off, 1:] *= (np.sqrt(np.maximum(0.0, 1.0 - h[off] * h[off])) / ne[off])[:, None]
-            out[off, 0] = h[off]
+            pole = ne == 0.0
+            out[pole, 1], ne[pole] = 1.0, 1.0
+            out[:, 1:] *= (np.sqrt(np.maximum(0.0, 1.0 - h * h)) / ne)[:, None]
+            out[:, 0] = h
             return out
 
         return FoliationSpec(
             "height", dim,
             invariant_map=lambda v: row_dots(v, p0)[:, None],
             quotient_distance=lambda u, v: np.abs(unit_angle(u, p0) - unit_angle(v, p0)),
-            leaf_sampler=sample_leaf,
             invariant_jacobian=height_jacobian,
             nearest_leaf_point=nearest_height,
         )
     if name == "tensor_svd":
         if m != 8:
             raise ValueError("tensor_svd lives on the 8-sphere of unit 3x3 matrices")
-
-        def sample_leaf(v, rng):
-            # U M W^T per row, U drawn before W (left operand first), all rows in one draw
-            mats = np.reshape(v, (-1, 3, 3))
-            uw = sign_fixed_rotation(rng.standard_normal((len(mats), 2, 3, 3)))
-            return (uw[:, 0] @ mats @ np.swapaxes(uw[:, 1], -1, -2)).reshape(len(mats), 9)
 
         def tensor_jacobian(v):
             # d tau_i = u_i^T dM v_i with u_3 times sign(det), chained through
@@ -220,7 +200,6 @@ def builtin_spec(name: str, m: int) -> FoliationSpec:
             "tensor_svd", dim,
             invariant_map=signed_svd_triple,
             quotient_distance=tensor_orbit_distance,
-            leaf_sampler=sample_leaf,
             invariant_jacobian=tensor_jacobian,
             nearest_leaf_point=nearest_tensor,
         )
@@ -313,19 +292,21 @@ def composed_quotient_distance(system: CliffordSystem, spec: FoliationSpec,
 # --------------------------------------------------------------------------- #
 
 def _fiber_leaf(spec: FoliationSpec, r: float) -> bool:
-    """Whether the leaf over radius r is a fiber: at the origin, or if spec has no leaf sampler."""
-    return spec.leaf_sampler is None or r <= _ORIGIN_TOL
+    """Whether the leaf over radius r is a fiber: at the origin, or if spec has point leaves."""
+    return spec.nearest_leaf_point is None or r <= _ORIGIN_TOL
 
 
 def _leaf_sample_blocks(system: CliffordSystem, spec: FoliationSpec, v: np.ndarray,
-                        budget: int, rng: np.random.Generator):
+                        budget: int, rng: np.random.Generator, tail: np.ndarray):
     """The first ``budget`` samples of the composed leaf through the disk class of v.
 
     One :func:`fiber_sample` draw of ceil(budget / chunk) whole chunks, cut
     to the budget: a fiber leaf (:func:`_fiber_leaf`) takes chunks of 256 over
-    v (0 at the origin), any other leaf chunks of 32 over r times leaf-sampler
-    directions.  The directions come from rng's first child stream (for
-    rng_from(seed), rng_from(seed, 0)) in one sampler call, the chunk seeds
+    v (0 at the origin), any other leaf chunks of 32 over r times the
+    ``nearest_leaf_point`` on the leaf with invariant ``tail`` of uniform
+    directions, which is uniform on the leaf for a group-orbit foliation (a
+    fiber leaf reads no tail).  The directions come from rng's first child
+    stream (for rng_from(seed), rng_from(seed, 0)) in one draw, the chunk seeds
     from its second in one ``integers`` call, so every budget's samples are a
     prefix of any larger budget's.
     """
@@ -334,9 +315,8 @@ def _leaf_sample_blocks(system: CliffordSystem, spec: FoliationSpec, v: np.ndarr
     chunk = 256 if fiber else 32
     count = (budget + chunk - 1) // chunk
     directions, draws = rng.spawn(2)
-    points = np.repeat(v[None], count, axis=0)
-    if not fiber:
-        points = r * spec.leaf_sampler(points / r, directions)
+    points = (np.repeat(v[None], count, axis=0) if fiber else
+              r * spec.nearest_leaf_point(sample_unit_vectors(directions, len(v), count), tail))
     seeds = draws.integers(2**62, size=count)
     return fiber_sample(system, points, chunk, seeds).reshape(-1, system.dim)[:budget]
 
@@ -625,8 +605,8 @@ def leaf_to_leaf_ambient_distance(system: CliffordSystem, spec: FoliationSpec,
     handled in closed form per leaf direction (the nearest point of a great
     subsphere is an orthogonal projection p of x, at the angle of (|p|, |x - p|)
     to (1, 0)): the leaf's own direction, the ``nearest_leaf_point`` of
-    pi_C(x)'s direction where it lies on the leaf to 1e-10, and up to 256
-    sampled ones, so an interior x reads the cone metric to a boundary class.
+    pi_C(x)'s direction where it lies on the leaf to 1e-10, and those of up to
+    256 uniform directions, so an interior x reads the cone metric to a boundary class.
     """
     _check_spec(system, spec)
     for name, count in (("budget", budget), ("starts", starts)):
@@ -647,22 +627,23 @@ def leaf_to_leaf_ambient_distance(system: CliffordSystem, spec: FoliationSpec,
         v, r = np.zeros_like(v), 0.0  # the origin class is the fiber over 0, for every spec
     fiber = _fiber_leaf(spec, r)
     rng = rng_from(seed)
+    target_r2, target = (None, v) if fiber else (r * r, spec.invariant_map((v / r)[None])[0])
 
     if _lift_height(r) == 0.0:
         # distance to E_+^1(P_w) is arccos |(x + P_w x)/2| per direction w
         w = (v / r)[None]
         if not fiber:
             # the leaf's own direction, the nearest leaf point to pi_C(x)'s direction if it
-            # lies on the leaf (not so at a height pole, so no candidate undercuts), then samples
-            tail = spec.invariant_map(w)[0]
+            # lies on the leaf (a spec's nearest point could miss it, and a candidate off
+            # the leaf could undercut), then the nearest leaf points of uniform directions
             vx = pi_c(system, x)
             rx = float(row_norms(vx))
             if rx > _ORIGIN_TOL:
-                near = spec.nearest_leaf_point((vx / rx)[None], tail)
-                if np.max(np.abs(spec.invariant_map(near) - tail)) <= 1e-10:
+                near = spec.nearest_leaf_point((vx / rx)[None], target)
+                if np.max(np.abs(spec.invariant_map(near) - target)) <= 1e-10:
                     w = np.concatenate([w, near])
-            units = np.repeat(w[:1], max(1, min(256, budget // 16)), axis=0)
-            w = np.concatenate([w, spec.leaf_sampler(units, rng)])
+            units = sample_unit_vectors(rng, len(v), max(1, min(256, budget // 16)))
+            w = np.concatenate([w, spec.nearest_leaf_point(units, target)])
         xs = np.broadcast_to(x, (len(w), 1, len(x)))
         proj = 0.5 * (x + system.span_apply(w, xs)[:, 0])
         norms = row_norms(proj)
@@ -672,10 +653,9 @@ def leaf_to_leaf_ambient_distance(system: CliffordSystem, spec: FoliationSpec,
         plane = np.stack([norms, row_norms(x - proj)], axis=1)
         return float(np.min(np.where(norms > 0.0, unit_angle(plane, np.eye(2)[:1]), 0.5 * np.pi)))
 
-    samples = _leaf_sample_blocks(system, spec, v, budget, rng)
+    samples = _leaf_sample_blocks(system, spec, v, budget, rng, target)
     dots = samples @ x
 
-    target_r2, target = (None, v) if fiber else (r * r, spec.invariant_map((v / r)[None])[0])
     # Starts: champions of the 32-sample slices of the first 2048 samples,
     # half taken greedily by objective value and half spread through the
     # remaining ranks, so a global basin with a mediocre floor still gets a

@@ -1,11 +1,13 @@
 """Every exported name resolves, and so does every function the traced benchmark wraps;
 only clifford.py reads the generators, built systems act without dense span matrices,
-every angle is one algebra.unit_angle, no module warns, every built-in spec with leaves
-to sample has its closed forms, only FoliationSpec's construction check asks whether
-a spec carries its leaf metric and closed forms, and only composed._solve_rows solves
-linear systems."""
+every angle is one algebra.unit_angle, no module warns, every built-in spec carries both
+closed forms or neither, FoliationSpec has its six fields, only FoliationSpec's
+construction check and composed._fiber_leaf ask whether a spec carries its leaf metric
+and closed forms, only composed._solve_rows solves linear systems, and every python
+block of README.md runs."""
 
 import ast
+import dataclasses
 import importlib.util
 import pathlib
 import pkgutil
@@ -17,7 +19,7 @@ import pytest
 import clifford_foliations
 from clifford_foliations.algebra import rng_from, row_dots, row_norms, sample_unit_vectors
 from clifford_foliations.clifford import CliffordSystem, build_system
-from clifford_foliations.composed import (BUILTIN_SPEC_NAMES, builtin_spec,
+from clifford_foliations.composed import (BUILTIN_SPEC_NAMES, FoliationSpec, builtin_spec,
                                           leaf_to_leaf_ambient_distance)
 from clifford_foliations.foliation import (boundary_fiber_sample, fiber_sample, mplus_sample,
                                            random_horizontal_geodesic, reflect_symmetry,
@@ -25,6 +27,7 @@ from clifford_foliations.foliation import (boundary_fiber_sample, fiber_sample, 
 
 MODULES = [info.name for info in pkgutil.iter_modules(clifford_foliations.__path__)]
 TRACING = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
 PACKAGE_DIR = pathlib.Path(clifford_foliations.__file__).resolve().parent
 
 
@@ -75,12 +78,20 @@ def test_no_module_warns():
 
 @pytest.mark.parametrize("name", BUILTIN_SPEC_NAMES)
 def test_builtin_specs_with_leaves_have_nearest_points(name):
-    # the estimator's restore and boundary closed form call nearest_leaf_point directly,
-    # and construction refuses a spec with leaves to sample but without it: every built-in
-    # spec must build, and one with non-point leaves must carry both closed forms
+    # the estimator samples, restores and closes boundary leaves through nearest_leaf_point,
+    # and construction refuses a spec with one closed form but not the other: every built-in
+    # spec must build, with both closed forms or, for point leaves, neither
     spec = builtin_spec(name, 8)
-    assert (spec.leaf_sampler is None) or (spec.nearest_leaf_point is not None
-                                           and spec.invariant_jacobian is not None)
+    assert (spec.nearest_leaf_point is None) == (spec.invariant_jacobian is None)
+    assert (spec.nearest_leaf_point is None) == (name == "points")
+
+
+def test_foliation_spec_has_six_fields():
+    # a spec is its invariant, its leaf metric and two closed forms: its leaf samples
+    # follow from nearest_leaf_point, and no option rides along
+    assert [f.name for f in dataclasses.fields(FoliationSpec)] == [
+        "name", "ambient_dim", "invariant_map", "quotient_distance", "invariant_jacobian",
+        "nearest_leaf_point"]
 
 
 SPEC_CONTRACT = {"quotient_distance", "invariant_jacobian", "nearest_leaf_point"}
@@ -95,9 +106,10 @@ def names_contract_field(node) -> bool:
 
 
 def test_only_construction_checks_the_spec_contract():
-    # FoliationSpec.__post_init__ refuses a spec that samples leaves without both closed
-    # forms, and the leaf-space metric is a required field, so no other src code may ask
-    # whether a spec has them: no fallback path for a spec without them
+    # FoliationSpec.__post_init__ refuses a spec with one closed form but not the other,
+    # and the leaf-space metric is a required field, so no other src code may ask whether
+    # a spec has them, but composed._fiber_leaf, which reads "no closed forms" as point
+    # leaves: no fallback path for a spec without them
     branches = []
     for path in sorted(PACKAGE_DIR.glob("*.py")):
         tree = ast.parse(path.read_text())
@@ -106,6 +118,10 @@ def test_only_construction_checks_the_spec_contract():
                    for fn in cls.body
                    if isinstance(fn, ast.FunctionDef) and fn.name == "__post_init__"
                    for n in ast.walk(fn)}
+        checked |= {id(n) for fn in tree.body
+                    if path.name == "composed.py" and isinstance(fn, ast.FunctionDef)
+                    and fn.name == "_fiber_leaf"
+                    for n in ast.walk(fn)}
         for node in ast.walk(tree):
             if (isinstance(node, ast.Compare) and id(node) not in checked
                     and any(isinstance(o, ast.Constant) and o.value is None
@@ -191,3 +207,12 @@ def test_built_systems_act_without_span_matrices(monkeypatch, m, k, flips):
     for name, y in (("points", x[1, 0]), ("height", x[1, 0]), ("height", x[2, 0])):
         d = leaf_to_leaf_ambient_distance(system, builtin_spec(name, m), x[0, 0], y, 64, 81)
         assert 0.0 <= d <= np.pi
+
+
+PYTHON_BLOCKS = re.findall(r"^```python\n(.*?)^```", README.read_text(), re.MULTILINE | re.DOTALL)
+
+
+@pytest.mark.parametrize("block", range(len(PYTHON_BLOCKS)))
+def test_readme_python_blocks_run(block):
+    # the documented API cannot drift from the code: every example runs as written
+    exec(compile(PYTHON_BLOCKS[block], f"README.md python block {block}", "exec"), {})

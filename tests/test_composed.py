@@ -1,7 +1,6 @@
 """Composed foliations: specs, leaf classes, cone metric, ambient distances."""
 
 import dataclasses
-import hashlib
 import warnings
 
 import numpy as np
@@ -48,10 +47,10 @@ def rotation(rng):
 def user_points_spec(m):
     """A user-built point foliation of S^m with both closed forms.
 
-    Its identity leaf sampler keeps its leaves off the fiber-leaf path, so |pi|^2
-    and the direction are constrained separately, through the Jacobian
-    (I - v^ v^T) / |v| of v -> v / |v|; the nearest point of the leaf with tail w
-    is w / |w|.
+    Its closed forms keep its leaves off the fiber-leaf path, so |pi|^2 and the
+    direction are constrained separately, through the Jacobian (I - v^ v^T) / |v|
+    of v -> v / |v|; the nearest point of the leaf with tail w is w / |w|, so its
+    leaf samples are that point whatever the direction drawn.
     """
     def jacobian(v):
         r = np.linalg.norm(v, axis=-1)
@@ -61,10 +60,15 @@ def user_points_spec(m):
     return FoliationSpec(
         "user_points", m + 1, invariant_map=lambda v: np.asarray(v, dtype=float),
         quotient_distance=lambda u, v: np.arccos(np.clip(np.sum(u * v, axis=-1), -1.0, 1.0)),
-        leaf_sampler=lambda v, rng: np.array(v, dtype=float),
         invariant_jacobian=jacobian,
         nearest_leaf_point=lambda u, tails: (np.broadcast_to(tails, np.shape(u))
                                              / np.linalg.norm(tails, axis=-1, keepdims=True)))
+
+
+def leaf_tail(spec, v):
+    """The invariant tail the estimator passes for the leaf through disk point v (None at 0)."""
+    r = float(row_norms(v))
+    return spec.invariant_map((v / r)[None])[0] if r else None
 
 
 def signed_triple_oracle(mat):
@@ -117,25 +121,25 @@ class TestBuiltinSpecs:
         spec = builtin_spec("points", 4)
         v = sample_unit_vectors(rng_from(0), 5, 1)[0]
         np.testing.assert_array_equal(spec.invariant_map(v), v)
-        assert spec.leaf_sampler is None
+        assert spec.invariant_jacobian is None and spec.nearest_leaf_point is None
 
     def test_one_leaf_constant(self):
         spec = builtin_spec("one_leaf", 3)
         u, v = sample_unit_vectors(rng_from(1), 4, 2)
         np.testing.assert_array_equal(spec.invariant_map(u[None])[0],
                                       spec.invariant_map(v[None])[0])
-        assert spec.leaf_sampler is not None
+        assert spec.nearest_leaf_point is not None
         assert spec.quotient_distance(u[None], v[None])[0] == 0.0
 
     def test_height_leaves_and_sampler(self):
+        # a leaf's samples are the nearest leaf points of uniform directions
         spec = builtin_spec("height", 2)
         rng = rng_from(2)
         v = sample_unit_vectors(rng, 3, 1)[0]
-        for _ in range(10):
-            w = spec.leaf_sampler(v[None], rng)[0]
-            assert abs(np.linalg.norm(w) - 1.0) <= 1e-12
-            np.testing.assert_allclose(spec.invariant_map(w[None])[0],
-                                       spec.invariant_map(v[None])[0], atol=1e-12)
+        tail = spec.invariant_map(v[None])[0]
+        w = spec.nearest_leaf_point(sample_unit_vectors(rng, 3, 10), tail)
+        assert max_abs(row_norms(w) - 1.0) <= 1e-12
+        assert max_abs(spec.invariant_map(w) - tail) <= 1e-12
 
     @pytest.mark.parametrize("name", BUILTIN_SPEC_NAMES)
     def test_rows_equal_single_rows(self, name):
@@ -150,10 +154,7 @@ class TestBuiltinSpecs:
             assert invariants[j].tobytes() == spec.invariant_map(u[j:j + 1])[0].tobytes()
             one = spec.quotient_distance(u[j:j + 1], v[j:j + 1])[0]
             assert distances[j].tobytes() == one.tobytes()
-        if spec.leaf_sampler is not None:
-            rng = rng_from(47)
-            one_by_one = [spec.leaf_sampler(u[j:j + 1], rng)[0] for j in range(len(u))]
-            assert spec.leaf_sampler(u, rng_from(47)).tobytes() == np.array(one_by_one).tobytes()
+        if spec.nearest_leaf_point is not None:
             # the closed forms too, on rows of several lengths: the estimator forms a
             # point's constraint rows in whatever batch holds it. Row 0 is a height
             # pole, and for tensor_svd a matrix with a repeated singular value,
@@ -175,23 +176,6 @@ class TestBuiltinSpecs:
                 assert nearest[j].tobytes() == one.tobytes()
                 one = spec.nearest_leaf_point(units[j:j + 1], tails[1])[0]
                 assert one_tail[j].tobytes() == one.tobytes()
-
-    # digest of the 50 rows below, taken with the per-row sampler it replaced, and
-    # keyed by numeric-kernel family since
-    TENSOR_ROWS_DIGEST = {
-        AVX512: "ada7a57e7261a1f6591c16afc3ffa186c7691f5dc7a9b9d465efb593f7c333c9",
-        AVX2: "457d9f2be0ce088dd0cd02bea26cf2d85febd38dd55c25daa211ad143961e8dc",
-    }
-
-    def test_tensor_sampler_equals_per_row_rotations(self):
-        # one draw for all rows, in the per-row order U_1, W_1, U_2, W_2, ...
-        v = sample_unit_vectors(rng_from(48), 9, 50)
-        rng = rng_from(49)
-        per_row = np.array([(rotation(rng) @ mat @ rotation(rng).T).ravel()
-                            for mat in v.reshape(-1, 3, 3)])
-        rows = builtin_spec("tensor_svd", 8).leaf_sampler(v, rng_from(49))
-        assert rows.tobytes() == per_row.tobytes()
-        assert hashlib.sha256(rows.tobytes()).hexdigest() == pinned(self.TENSOR_ROWS_DIGEST)
 
     def test_tensor_restricted_to_nine_dims(self):
         with pytest.raises(ValueError):
@@ -411,19 +395,22 @@ class TestConeMetric:
 
     def test_missing_leaf_metric_rejected(self):
         # the contract is checked once, at construction: every spec has a leaf-space
-        # metric, and a spec that samples leaves has both closed forms
+        # metric, and both closed forms or neither
         with pytest.raises(TypeError, match="quotient_distance"):
             FoliationSpec("bare", 3, lambda v: np.zeros((len(v), 1)))
         height = builtin_spec("height", 2)
         fields = {f.name: getattr(height, f.name) for f in dataclasses.fields(height)}
         for name in ("invariant_jacobian", "nearest_leaf_point"):
-            with pytest.raises(ValueError, match="samples leaves"):
+            with pytest.raises(ValueError, match="both invariant_jacobian and nearest_leaf_point"):
                 FoliationSpec(**{**fields, name: None})
-            with pytest.raises(ValueError, match="samples leaves"):
+            with pytest.raises(ValueError, match="both invariant_jacobian and nearest_leaf_point"):
                 dataclasses.replace(height, **{name: None})
         # point leaves need neither closed form
-        dataclasses.replace(height, leaf_sampler=None, invariant_jacobian=None,
-                            nearest_leaf_point=None)
+        points = dataclasses.replace(height, invariant_jacobian=None, nearest_leaf_point=None)
+        assert composed._fiber_leaf(points, 0.5) and not composed._fiber_leaf(height, 0.5)
+        # leaf samples follow from nearest_leaf_point: a spec takes no sampler
+        with pytest.raises(TypeError, match="leaf_sampler"):
+            FoliationSpec(**fields, leaf_sampler=lambda v, rng: v)
 
 
 def mixed_pairs(system, seed):
@@ -747,10 +734,11 @@ class TestAmbientLeafDistance:
         assert abs(d - dq) <= 1e-6
 
     def test_fiber_leaves_target_the_disk_point(self):
-        # without a leaf sampler the leaf is the fiber pi_C(z) = pi_C(y) whatever
+        # without closed forms the leaf is the fiber pi_C(z) = pi_C(y) whatever
         # the invariant, so the estimate is the fiber distance, above the cone metric
         system = build_system(3, 2)
-        spec = dataclasses.replace(builtin_spec("height", 3), leaf_sampler=None)
+        spec = dataclasses.replace(builtin_spec("height", 3), invariant_jacobian=None,
+                                   nearest_leaf_point=None)
         dirs = sample_unit_vectors(rng_from(3), 4, 2)
         xa = fiber_sample(system, 0.4 * dirs[0], 1, 13)[0]
         xb = fiber_sample(system, 0.7 * dirs[1], 1, 23)[0]
@@ -772,9 +760,9 @@ class TestBatchedAscent:
         x = fiber_sample(system, va, 1, 58)[0]
         v = pi_c(system, fiber_sample(system, vb, 1, 59)[0])
         r = float(row_norms(v))
-        target = (None, v) if spec.leaf_sampler is None else (
+        target = (None, v) if spec.nearest_leaf_point is None else (
             r * r, spec.invariant_map((v / r)[None])[0])
-        starts = _leaf_sample_blocks(system, spec, v, 256, rng_from(60))[::32]
+        starts = _leaf_sample_blocks(system, spec, v, 256, rng_from(60), target[1])[::32]
         _, batch = _descend(system, spec, x, starts, *target)
         alone = [_descend(system, spec, x, starts[i:i + 1], *target)[1][0]
                  for i in range(len(starts))]
@@ -805,11 +793,11 @@ class TestBatchedAscent:
         v = pi_c(system, y)
         r = float(np.linalg.norm(v))
         # a fiber leaf's target is pi_C(y) itself, any other leaf's |pi_C(y)|^2 and invariant
-        if spec.leaf_sampler is None:
+        if spec.nearest_leaf_point is None:
             target = (None, v)
         else:
             target = (r * r, spec.invariant_map((v / r)[None])[0])
-        starts = _leaf_sample_blocks(system, spec, v, 256, rng_from(42))[::32]
+        starts = _leaf_sample_blocks(system, spec, v, 256, rng_from(42), target[1])[::32]
         points, batch = _descend(system, spec, x, starts, *target)
         alone = [_descend(system, spec, x, starts[i:i + 1], *target)
                  for i in range(len(starts))]
@@ -827,25 +815,29 @@ class TestBatchedAscent:
                                               ("one_leaf", 0.0), ("height", 1.0)])
 def test_leaf_blocks_equal_chunk_by_chunk_draws(spec_name, radius):
     # the blocks are the whole chunks one fiber_sample call per chunk would
-    # draw, in order and cut to the budget: each chunk's direction from the
-    # child stream rng_from(seed, 0), its seed from rng_from(seed, 1)
+    # draw, in order and cut to the budget: each chunk's direction the nearest
+    # leaf point of a uniform direction from the child stream rng_from(seed, 0),
+    # its seed from rng_from(seed, 1)
     system = build_system(3, 2)
     spec = builtin_spec(spec_name, system.m)
     v = radius * sample_unit_vectors(rng_from(43), system.m + 1, 1)[0]
     # the sampler's own radius: |v| taken row-wise, which need not be radius at the last bit
     r = float(row_norms(v))
+    tail = leaf_tail(spec, v)
     budget = 600
     directions, draws = rng_from(44, 0), rng_from(44, 1)
-    chunk = 256 if spec.leaf_sampler is None or radius == 0.0 else 32
+    fiber = spec.nearest_leaf_point is None or radius == 0.0
+    chunk = 256 if fiber else 32
     expected = []
     for _ in range(0, budget, chunk):
         seed = int(draws.integers(2**62))
         if radius == 0.0:
             expected.append(mplus_sample(system, chunk, seed))
             continue
-        u = v if spec.leaf_sampler is None else r * spec.leaf_sampler((v / r)[None], directions)[0]
+        u = v if fiber else r * spec.nearest_leaf_point(
+            sample_unit_vectors(directions, system.m + 1, 1), tail)[0]
         expected.append(fiber_sample(system, u, chunk, seed))
-    got = _leaf_sample_blocks(system, spec, v, budget, rng_from(44))
+    got = _leaf_sample_blocks(system, spec, v, budget, rng_from(44), tail)
     assert got.tobytes() == np.concatenate(expected)[:budget].tobytes()
 
 
@@ -857,24 +849,25 @@ def test_budget_multiples_of_the_chunk_draw_prefixes(spec_name, radius, chunk):
     system = build_system(2, 2)
     spec = builtin_spec(spec_name, system.m)
     v = radius * sample_unit_vectors(rng_from(51), system.m + 1, 1)[0]
-    larger = _leaf_sample_blocks(system, spec, v, 2200, rng_from(52))
+    tail = leaf_tail(spec, v)
+    larger = _leaf_sample_blocks(system, spec, v, 2200, rng_from(52), tail)
     assert larger.shape == (2200, system.dim)
     for budget in (1, 17, 33, chunk, 600, 1200, 2048, 2100, 2200 // chunk * chunk):
-        got = _leaf_sample_blocks(system, spec, v, budget, rng_from(52))
+        got = _leaf_sample_blocks(system, spec, v, budget, rng_from(52), tail)
         assert got.tobytes() == larger[:budget].tobytes()
 
 
 def test_leaf_blocks_are_one_draw(monkeypatch):
-    # budget 1200 on a height leaf is 38 chunks of 32: one leaf_sampler call
-    # draws their directions, one integers call their seeds and one
-    # fiber_sample call their samples
+    # budget 1200 on a height leaf is 38 chunks of 32: one nearest_leaf_point call
+    # on one draw of 38 uniform directions gives their directions, one integers call
+    # their seeds and one fiber_sample call their samples
     system = build_system(2, 2)
     spec = builtin_spec("height", system.m)
     directions, fibers = [], []
 
-    def sampler(units, rng):
-        directions.append(len(units))
-        return spec.leaf_sampler(units, rng)
+    def nearest(units, tails):
+        directions.append(units)
+        return spec.nearest_leaf_point(units, tails)
 
     def sample(system, points, n, seeds):
         fibers.append((len(points), n, np.array(seeds)))
@@ -882,10 +875,11 @@ def test_leaf_blocks_are_one_draw(monkeypatch):
 
     monkeypatch.setattr(composed, "fiber_sample", sample)
     v = 0.6 * sample_unit_vectors(rng_from(51), system.m + 1, 1)[0]
-    got = _leaf_sample_blocks(system, dataclasses.replace(spec, leaf_sampler=sampler), v, 1200,
-                              rng_from(52))
+    got = _leaf_sample_blocks(system, dataclasses.replace(spec, nearest_leaf_point=nearest), v,
+                              1200, rng_from(52), leaf_tail(spec, v))
     assert got.shape == (1200, system.dim)
-    assert directions == [38]
+    assert [len(units) for units in directions] == [38]
+    assert directions[0].tobytes() == sample_unit_vectors(rng_from(52, 0), 3, 38).tobytes()
     assert [f[:2] for f in fibers] == [(38, 32)]
     np.testing.assert_array_equal(fibers[0][2], rng_from(52, 1).integers(2**62, size=38))
 
@@ -1234,7 +1228,7 @@ class TestNearestLeafPoint:
         u = sample_unit_vectors(rng, m + 1, 40)
         w = sample_unit_vectors(rng, m + 1, 40)
         if name == "height":
-            u[:2] = np.eye(m + 1)[0] * np.array([[1.0], [-1.0]])  # the poles stay
+            u[:2] = np.eye(m + 1)[0] * np.array([[1.0], [-1.0]])  # poles: every leaf point is nearest
             u[2] = _unit(np.eye(m + 1)[0] + 1e-9 * u[3])
         if name == "tensor_svd":
             u[0] = np.diag([0.8, -0.42, 0.42]).ravel()  # repeated singular values, det < 0
@@ -1251,10 +1245,6 @@ class TestNearestLeafPoint:
         tails = spec.invariant_map(w)
         near = spec.nearest_leaf_point(u, tails)
         assert not np.shares_memory(near, u)
-        if name == "height":
-            # a pole has no plane with p0, so every leaf point is nearest and u stays
-            assert near[:2].tobytes() == u[:2].tobytes()
-            u, w, tails, near = u[2:], w[2:], tails[2:], near[2:]
         assert max_abs(spec.invariant_map(near) - tails) <= 1e-14
         assert max_abs(row_norms(near) - 1.0) <= 1e-14
         delta = spec.quotient_distance(u, w)
@@ -1262,6 +1252,65 @@ class TestNearestLeafPoint:
         # one tail (t,) serves every row
         one = spec.nearest_leaf_point(u, tails[5])
         assert one.tobytes() == spec.nearest_leaf_point(u, np.tile(tails[5], (len(u), 1))).tobytes()
+
+
+class TestLeafSamples:
+    """A leaf's samples are the nearest leaf points of uniform directions.
+
+    Every built-in leaf is an orbit of a group of isometries, and the nearest-point
+    map commutes with the group, so it carries uniform directions to uniform leaf
+    points: the samples' first and second moments match those of an independent
+    construction of the orbit, each entry within five standard errors of the
+    difference of two independent means of N draws.
+    """
+
+    N = 40000
+
+    @staticmethod
+    def assert_moments_agree(a, b):
+        for fa, fb in ((a, b), (np.einsum("ni,nj->nij", a, a), np.einsum("ni,nj->nij", b, b))):
+            fa, fb = fa.reshape(len(fa), -1), fb.reshape(len(fb), -1)
+            se = np.sqrt(fa.var(axis=0) / len(fa) + fb.var(axis=0) / len(fb))
+            assert np.all(np.abs(fa.mean(axis=0) - fb.mean(axis=0)) <= 5.0 * se + 1e-15)
+
+    def samples(self, spec, tail, seed):
+        """The estimator's leaf directions: one uniform draw from rng_from(seed, 0)."""
+        units = sample_unit_vectors(rng_from(seed, 0), spec.ambient_dim, self.N)
+        near = spec.nearest_leaf_point(units, tail)
+        assert max_abs(row_norms(near) - 1.0) <= 1e-12
+        assert max_abs(spec.invariant_map(near) - tail) <= 1e-12
+        return near
+
+    def test_height_samples_are_uniform_on_the_leaf(self):
+        # rotations fixing e_0 carry one leaf point over the whole leaf
+        m = 4
+        spec = builtin_spec("height", m)
+        h = 0.3
+        got = self.samples(spec, np.array([h]), 73)
+        q = sign_fixed_rotation(rng_from(74).standard_normal((self.N, m, m)))
+        orbit = np.concatenate([np.full((self.N, 1), h), np.sqrt(1.0 - h * h) * q[:, :, 0]], axis=1)
+        self.assert_moments_agree(got, orbit)
+
+    def test_tensor_samples_are_uniform_on_the_leaf(self):
+        # U M W^T for Haar U and W carries M over its rotate-both-sides orbit
+        spec = builtin_spec("tensor_svd", 8)
+        mat = sample_unit_vectors(rng_from(75), 9, 1)[0].reshape(3, 3)
+        got = self.samples(spec, signed_svd_triple(mat), 76)
+        uw = sign_fixed_rotation(rng_from(77).standard_normal((self.N, 2, 3, 3)))
+        orbit = (uw[:, 0] @ mat @ np.swapaxes(uw[:, 1], -1, -2)).reshape(self.N, 9)
+        self.assert_moments_agree(got, orbit)
+
+    def test_one_leaf_blocks_are_uniform_directions(self):
+        # one_leaf's nearest point is the direction itself: its blocks are fibers over
+        # r times the uniform draw of the child stream rng_from(seed, 0), bit for bit
+        system = build_system(3, 2)
+        spec = builtin_spec("one_leaf", system.m)
+        v = 0.6 * sample_unit_vectors(rng_from(78), system.m + 1, 1)[0]
+        r = float(row_norms(v))
+        got = _leaf_sample_blocks(system, spec, v, 600, rng_from(79), leaf_tail(spec, v))
+        units = sample_unit_vectors(rng_from(79, 0), system.m + 1, 19)
+        blocks = fiber_sample(system, r * units, 32, rng_from(79, 1).integers(2**62, size=19))
+        assert got.tobytes() == blocks.reshape(-1, system.dim)[:600].tobytes()
 
 
 class TestDiameterScenario:

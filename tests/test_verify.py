@@ -182,10 +182,12 @@ class TestDeterminism:
     # <= 5.8e-15: all in transnormality but normal_forms' fiber_constancy on (1, 2); no
     # verdict changed), and again when the Newton step on fiber leaves solved the reduced
     # system of m+2 unknowns (15 of 1491 moved, 17 in the AVX2 family, all in
-    # transnormality, by <= 1.4e-16; no verdict changed)
+    # transnormality, by <= 1.4e-16; no verdict changed), and again when every leaf sample
+    # became the spec's nearest leaf point of a uniform direction (26 of 1491 moved, 17 in
+    # the AVX2 family, all in transnormality, by <= 1.4e-16; no verdict changed)
     REPORT_DIGEST = {
-        AVX512: "880356c68cd274b3564bc53fb12f6e562b4e879d2efd4126dc7280340629aa5e",
-        AVX2: "124fe0d7c8dce43ecf63a6effe218a91ae1985a98af3c422bef34f38763a8d83",
+        AVX512: "6d034073c7b3266b8b35ba1104816d9f96af76dffad655d43ecd5cec28a13b35",
+        AVX2: "9da0cd4ea5424c3ba00900f5885fb7b34c46a8e85a73cff603ce7d1af5206473",
     }
 
     def test_seed7_report_is_pinned(self, seed7_report):
@@ -223,10 +225,12 @@ class TestDeterminism:
     # <= 5.8e-15, their largest 5.9e-15 -> 3.3e-16), and again when the Newton step on
     # fiber leaves solved gm y = -h in m+2 unknowns instead of the bordered system (15
     # floats moved, 17 in the AVX2 family: same_leaf_zero, fiber_equidistance and
-    # no_undercut values, by <= 1.4e-16)
+    # no_undercut values, by <= 1.4e-16), and again when every leaf sample became the
+    # spec's nearest leaf point of a uniform direction (26 floats moved, 17 in the AVX2
+    # family: composed_equidistance and no_undercut values, by <= 1.4e-16)
     TRANSNORMALITY_DIGEST = {
-        AVX512: "587bbd44c3294915d64842b6a7f1bbc26f613b07ac8b3dfb3b00dc4d83922b60",
-        AVX2: "30b229247c3e3c221ba4732643be7c07f170fba68c5c08686cad28ff688bf1ab",
+        AVX512: "f1829fb854dd7eabf9048cd8a5e00394b6922dd7f245c5d9c40c5fe3ee7d8c2a",
+        AVX2: "af5ceb545472f1d62de435703fd38e465853258fea351ca315a2d0a99aa47164",
     }
 
     def test_transnormality_reports_are_pinned(self, seed7_report):
