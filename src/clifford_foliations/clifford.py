@@ -238,6 +238,11 @@ class CliffordSystem:
         return np.argsort(-diag, kind="stable")
 
     @cached_property
+    def _p0_in_place(self) -> bool:
+        """Whether the system is exact with E_+(P_0), E_-(P_0) its first and last l coordinates."""
+        return self.exact and np.array_equal(self._p0_coords, np.arange(self.dim))
+
+    @cached_property
     def _p0_order(self):
         """The slot of each coordinate of R^(2l) in [u, w], where P_0 is a +-1 diagonal."""
         return None if self._p0_coords is None else np.argsort(self._p0_coords)
@@ -280,11 +285,14 @@ class CliffordSystem:
     def p0_assemble(self, u: np.ndarray, w: np.ndarray) -> np.ndarray:
         """u B_plus^T + w B_minus^T: the point of R^(2l) with E_+-(P_0) coefficients u, w.
 
-        Where P_0 is a +-1 diagonal, [u, w] is permuted into place by
-        one ``np.take``: the products' other terms are exact zeros, so the bits
-        are the products'.  Other bases take the products, one (1, l) row at a
-        time, so a row's bits do not depend on its batch.
+        Where P_0 is a +-1 diagonal, [u, w] is concatenated, then permuted into
+        place by one ``np.take`` unless :attr:`_p0_in_place` (built, no flips):
+        the products' other terms are exact zeros, so the bits are the products'.
+        Other bases take the products, one (1, l) row at a time, so a row's bits
+        do not depend on its batch.
         """
+        if self._p0_in_place:
+            return np.concatenate((u, w), axis=-1)
         if self._p0_order is None:
             b_plus, b_minus = self.p0_eigenbases
             out = (u[..., None, :] @ b_plus.T)[..., 0, :]
@@ -296,10 +304,14 @@ class CliffordSystem:
         """(u, w) = (x B_plus, x B_minus): the E_+-(P_0) coefficients, undoing :meth:`p0_assemble`.
 
         x holds points (..., 2l); u and w have shape (..., l).  Where P_0 is a
-        +-1 diagonal they are read off x by one ``np.take`` at
-        :attr:`_p0_coords`, the products' bits; other bases take the products,
-        one (1, 2l) row at a time as :meth:`p0_assemble` does.
+        +-1 diagonal they are the products' bits: views of x (made C-contiguous),
+        which callers only read, where :attr:`_p0_in_place`, else one ``np.take``
+        at :attr:`_p0_coords`.  Other bases take the products, one (1, 2l) row
+        at a time as :meth:`p0_assemble` does.
         """
+        if self._p0_in_place:
+            x = np.ascontiguousarray(x)
+            return x[..., :self.l], x[..., self.l:]
         if self._p0_coords is None:
             b_plus, b_minus = self.p0_eigenbases
             return (x[..., None, :] @ b_plus)[..., 0, :], (x[..., None, :] @ b_minus)[..., 0, :]
@@ -328,9 +340,10 @@ class CliffordSystem:
 
         P_j is p_0 P_0 plus the l x l block B_p = sum_{i>=1} p_i R_i, so x
         with E_+-(P_0) coefficients (u, w) goes to the point with coefficients
-        (p_0 u + w B_p, u B_p^T - p_0 w).  B_p is summed one ``_blocks`` slice
-        of rows at a time, and each product is the (n, l) @ (l, l) one a single
-        row takes.  A single p (m+1,) acts on x (..., 2l) as a batch of one.
+        (p_0 u + w B_p, u B_p^T - p_0 w), read as views of x where :attr:`_p0_in_place`.
+        B_p is summed one ``_blocks`` slice of rows at a time, and each product
+        is the (n, l) @ (l, l) one a single row takes.  A single p (m+1,) acts
+        on x (..., 2l) as a batch of one.
         """
         p, x = np.asarray(p, dtype=float), np.asarray(x, dtype=float)
         if p.shape[-1:] != (self.m + 1,) or x.shape[-1:] != (self.dim,):
@@ -552,7 +565,9 @@ def conjugate_system(system: CliffordSystem, a: np.ndarray) -> CliffordSystem:
         raise ValueError("conjugating matrix has the wrong shape")
     if max_abs(a.T @ a - np.eye(system.dim)) > 1e-12:
         raise ValueError("conjugating matrix is not orthogonal to 1e-12")
-    gens = a.T @ system.span_matrix(np.eye(system.m + 1)) @ a
+    gens = np.empty((system.m + 1, system.dim, system.dim))
+    for rows in _blocks(system.m + 1, system.dim ** 2):  # a slice's products stay in cache
+        np.matmul(a.T @ system.span_matrix(np.eye(system.m + 1)[rows]), a, out=gens[rows])
     return CliffordSystem(system.m, system.l, gens)
 
 

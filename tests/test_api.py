@@ -3,8 +3,8 @@ only clifford.py reads the generators, built systems act without dense span matr
 every angle is one algebra.unit_angle, no module warns, every built-in spec carries both
 closed forms or neither, FoliationSpec has its six fields, only FoliationSpec's
 construction check and composed._fiber_leaf ask whether a spec carries its leaf metric
-and closed forms, only composed._solve_rows solves linear systems, and every python
-block of README.md runs."""
+and closed forms, only composed._solve_rows solves linear systems, library calls leave
+read-only inputs untouched, and every python block of README.md runs."""
 
 import ast
 import dataclasses
@@ -20,9 +20,10 @@ import clifford_foliations
 from clifford_foliations.algebra import rng_from, row_dots, row_norms, sample_unit_vectors
 from clifford_foliations.clifford import CliffordSystem, build_system
 from clifford_foliations.composed import (BUILTIN_SPEC_NAMES, FoliationSpec, builtin_spec,
-                                          leaf_to_leaf_ambient_distance)
+                                          composed_quotient_distance,
+                                          leaf_to_leaf_ambient_distance, same_leaf)
 from clifford_foliations.foliation import (boundary_fiber_sample, fiber_sample, mplus_sample,
-                                           random_horizontal_geodesic, reflect_symmetry,
+                                           pi_c, random_horizontal_geodesic, reflect_symmetry,
                                            spin_rotate)
 
 MODULES = [info.name for info in pkgutil.iter_modules(clifford_foliations.__path__)]
@@ -207,6 +208,31 @@ def test_built_systems_act_without_span_matrices(monkeypatch, m, k, flips):
     for name, y in (("points", x[1, 0]), ("height", x[1, 0]), ("height", x[2, 0])):
         d = leaf_to_leaf_ambient_distance(system, builtin_spec(name, m), x[0, 0], y, 64, 81)
         assert 0.0 <= d <= np.pi
+
+
+@pytest.mark.parametrize("m,k,flips", [(3, 2, 0), (4, 2, 1)])
+def test_read_only_inputs_stay_untouched(m, k, flips):
+    # on a built system p0_coefficients returns views of the caller's points, so no kernel
+    # may write into them: every input is read-only, and its bytes must not change
+    system, spec = build_system(m, k, flips), builtin_spec("height", m)
+    rng = rng_from(90, m, k)
+    p = sample_unit_vectors(rng, m + 1, 3)
+    v = p * np.array([0.0, 0.5, 1.0])[:, None]
+    x = fiber_sample(system, v, 4, np.arange(3))
+    seeds = np.arange(3)
+    inputs = (p, v, x, seeds)
+    for a in inputs:
+        a.flags.writeable = False
+    before = [a.tobytes() for a in inputs]
+    pi_c(system, x)
+    system.span_apply(p, x)
+    system.span_apply(p[0], x[0])
+    fiber_sample(system, v, 4, seeds)
+    boundary_fiber_sample(system, p, 4, seeds)
+    composed_quotient_distance(system, spec, x[0], x[1])
+    same_leaf(system, spec, x[0], x[2])
+    leaf_to_leaf_ambient_distance(system, spec, x[0, 0], x[1, 0], 64, 81)
+    assert [a.tobytes() for a in inputs] == before
 
 
 PYTHON_BLOCKS = re.findall(r"^```python\n(.*?)^```", README.read_text(), re.MULTILINE | re.DOTALL)

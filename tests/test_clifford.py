@@ -7,7 +7,7 @@ from functools import reduce
 import numpy as np
 import pytest
 
-from clifford_foliations.algebra import eig_split, max_abs, rng_from, sign_fixed_q
+from clifford_foliations.algebra import _blocks, eig_split, max_abs, rng_from, sign_fixed_q
 from clifford_foliations.clifford import (
     CliffordSystem,
     MalformedSystemError,
@@ -22,6 +22,8 @@ from clifford_foliations.clifford import (
     trace_invariant,
     verify_relations,
 )
+from clifford_foliations.foliation import pi_c
+from clifford_foliations.verify import default_plan
 
 
 def haar(seed, n):
@@ -288,6 +290,63 @@ class TestGeneratorPaths:
             system.span_apply(p, x[:1])
 
 
+def permuted_system(system, perm):
+    """The exact system E P_i E^T with E x = x[perm]: its gather pair, coordinates permuted."""
+    cols, signs = system.generators
+    return CliffordSystem(system.m, system.l, (np.argsort(perm)[cols[:, perm]], signs[:, perm]))
+
+
+class TestP0Layout:
+    def test_plan_systems_split_as_views(self):
+        # every system the report and the benchmark build keeps E+(P_0) in the first l
+        # coordinates, so p0_coefficients reads views of x and gathers nothing
+        systems = {(c.system.m, c.system.l): c.system
+                   for c in default_plan(64) + default_plan(512)}
+        systems.update({(s.m, s.l): s for s in (build_system(11, 2), build_system(12, 4))})
+        for system in systems.values():
+            assert system._p0_in_place
+            x = rng_from(60).standard_normal((3, system.dim))
+            u, w = system.p0_coefficients(x)
+            assert np.shares_memory(u, x) and np.shares_memory(w, x)
+
+    def test_round_trip_bits_on_every_path(self):
+        built = build_system(3, 2)
+        flipped = [build_system(4, 2, 1), build_system(8, 3, 2)]
+        dense = system_from_dict(system_to_dict(built, "dense"))
+        swap = np.eye(built.dim)[rng_from(61).permutation(built.dim)]
+        conjugated = conjugate_system(built, swap)
+        permuted = permuted_system(built, swap.argmax(axis=1))
+        assert verify_relations(permuted).passed
+        assert np.array_equal(gather_dense(*permuted.generators),
+                              swap @ gather_dense(*built.generators) @ swap.T)
+        for system in [built] + flipped + [dense, conjugated, permuted]:
+            x = rng_from(63).standard_normal((4, 5, system.dim))
+            u, w = system.p0_coefficients(x)
+            assert system.p0_assemble(u, w).tobytes() == x.tobytes()
+            # only the exact in-place layout aliases x; the others gather or multiply
+            assert system._p0_in_place is (system is built)
+            assert np.shares_memory(u, x) is (system is built)
+        # a Haar conjugate takes the eigenbasis products (their bits are pinned by
+        # test_other_bases_take_the_product), so its round trip holds to rounding only
+        conjugated = conjugate_system(built, haar(66, built.dim))
+        u, w = conjugated.p0_coefficients(x)
+        assert not conjugated._p0_in_place and not np.shares_memory(u, x)
+        assert max_abs(conjugated.p0_assemble(u, w) - x) <= 1e-14
+
+    def test_point_layout_leaves_the_bits(self):
+        # a Fortran-ordered or strided x is split as its C-contiguous copy would be, so
+        # pi_c's sums (pairwise on contiguous rows) and span_apply see the same rows
+        system = build_system(3, 2)
+        x = rng_from(64).standard_normal((40, system.dim))
+        x /= np.linalg.norm(x, axis=-1, keepdims=True)
+        p = rng_from(65).standard_normal(system.m + 1)
+        expected = pi_c(system, x).tobytes(), system.span_apply(p, x).tobytes()
+        for other in (np.asfortranarray(x), np.concatenate([x, x], axis=-1)[..., ::2]):
+            other[...] = x
+            assert (pi_c(system, other).tobytes(),
+                    system.span_apply(p, other).tobytes()) == expected
+
+
 class TestSpanMatrix:
     def test_rows_equal_the_per_generator_sum(self):
         # identity, sparse and full coefficient rows, alone and mixed in one stack, give
@@ -397,6 +456,15 @@ class TestConjugation:
             assert rep.passed and max(check.violation for check in rep.checks) <= 1e-12
             assert abs(trace_invariant(c) - base) <= 1e-9
             assert equivalence_profile(c).as_tuple() == equivalence_profile(s).as_tuple()
+
+    def test_blocks_equal_per_generator_products(self):
+        # at 2l = 128 the generators are conjugated a few _blocks slices at a time, and
+        # each equals its own product A^T P_i A bit for bit
+        s = build_system(12, 1)
+        assert len(_blocks(s.m + 1, s.dim ** 2)) > 1
+        a = haar(57, s.dim)
+        expected = np.stack([a.T @ s.dense_generator(i) @ a for i in range(s.m + 1)])
+        assert conjugate_system(s, a).generators.tobytes() == expected.tobytes()
 
     def test_conjugates_carry_no_provenance(self):
         # conjugate_system never records a construction, not even for A = Id
