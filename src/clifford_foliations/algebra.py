@@ -218,12 +218,19 @@ def eig_split(p: np.ndarray):
 # Seeded sampling
 # --------------------------------------------------------------------------- #
 
+def _index(value) -> int:
+    """``operator.index(value)``, a Python int; a bool raises TypeError as a float does."""
+    if isinstance(value, bool):
+        raise TypeError(f"expected an integer, got the bool {value!r}")
+    return operator.index(value)
+
+
 def seed_ints(seeds):
     """The seeds as a list of non-negative ints, and whether a single int was given.
 
-    Takes an int or a 1-D array or sequence of ints.  A non-integer seed
-    raises ``TypeError``, as ``rng_from`` does, rather than being truncated;
-    a negative one raises ``ValueError``.
+    Takes an int or a 1-D array or sequence of ints.  A non-integer seed, a
+    bool included, raises ``TypeError``, as ``rng_from`` does for a float,
+    rather than being truncated; a negative one raises ``ValueError``.
     """
     arr = seeds if isinstance(seeds, np.ndarray) else np.asarray(seeds, dtype=object)
     if arr.ndim > 1:
@@ -231,7 +238,7 @@ def seed_ints(seeds):
     ints = arr.ravel().tolist()
     if arr.dtype.kind not in "iu":
         try:
-            ints = [operator.index(s) for s in ints]
+            ints = [_index(s) for s in ints]
         except TypeError:
             raise TypeError(f"seeds must be integers, got {seeds!r}") from None
     if ints and min(ints) < 0:

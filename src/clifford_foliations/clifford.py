@@ -27,7 +27,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .algebra import _blocks, _cd_gather, _identity, _kron, _mul, _transpose, eig_split, max_abs
+from .algebra import (_blocks, _cd_gather, _identity, _index, _kron, _mul, _transpose, eig_split,
+                      max_abs)
 from .reports import CheckResult, VerificationReport
 
 __all__ = [
@@ -169,9 +170,9 @@ class CliffordSystem:
     systems (conjugated or loaded dense) hold one (m+1, 2l, 2l) float stack.  A
     :class:`Provenance` states that the generators, in either form, are one
     :func:`build_system` call's; a conjugated system has none, and the profile never
-    reads one.  Treat instances as immutable: the diagonals of the generators,
-    :attr:`p0_eigenbases` (read off P_0 where it is a +-1 diagonal, as on every built
-    system), the blocks of P_1..P_m between them and the signed indices are cached lazily.
+    reads one.  Treat instances as immutable: the diagonals of the generators, the
+    E_+-(P_0) split (an index pair where P_0 is a +-1 diagonal) or :attr:`p0_eigenbases`,
+    the blocks of P_1..P_m between them and the signed indices are cached lazily.
     """
 
     m: int
@@ -213,56 +214,50 @@ class CliffordSystem:
     def p0_eigenbases(self):
         """Orthonormal bases (B_plus, B_minus) of E_+(P_0) and E_-(P_0).
 
-        Where P_0 is a +-1 diagonal, the unit columns at :attr:`_p0_coords`;
+        Where P_0 is a +-1 diagonal, the unit columns at :attr:`_p0_split`;
         any other P_0 takes :func:`~clifford_foliations.algebra.eig_split`,
         whose involution check runs on that first use.
         """
-        if self._p0_coords is None:
+        if self._p0_split is None:
             return eig_split(self.dense_generator(0))
-        units = np.eye(self.dim)[:, self._p0_coords]
-        return units[:, :self.l], units[:, self.l:]
+        return tuple(np.eye(self.dim)[:, at] for at in self._p0_split)
 
     @cached_property
-    def _p0_coords(self):
-        """The coordinates of E_+(P_0), then those of E_-(P_0), each ascending, or None.
+    def _p0_split(self):
+        """The indices (plus, minus) of E_+(P_0) and E_-(P_0) in R^(2l), or None.
 
-        Read off row 0 of :attr:`_diagonals` where P_0 has 2l nonzeros (a
-        signed permutation always does), all +-1 on the diagonal and l of each
-        sign (every built system, its sub-systems and its dense copy), which
-        squares to Id exactly.  Any other P_0 gives None.
+        Read off row 0 of :attr:`_diagonals` where P_0 has 2l nonzeros (a signed permutation
+        always does), all +-1 on the diagonal and l of each sign (every built system, its
+        sub-systems and its dense copy), which squares to Id exactly.  Each index lists its
+        coordinates ascending: a slice where they form one run, so x[..., plus] is a view,
+        else an int array.  Any other P_0 gives None.
         """
         diag = self._diagonals[0]
         nonzeros = self.dim if self.exact else np.count_nonzero(self.generators[0])
         if nonzeros != self.dim or np.any(np.abs(diag) != 1) or diag.sum():
             return None
-        return np.argsort(-diag, kind="stable")
-
-    @cached_property
-    def _p0_in_place(self) -> bool:
-        """Whether the system is exact with E_+(P_0), E_-(P_0) its first and last l coordinates."""
-        return self.exact and np.array_equal(self._p0_coords, np.arange(self.dim))
-
-    @cached_property
-    def _p0_order(self):
-        """The slot of each coordinate of R^(2l) in [u, w], where P_0 is a +-1 diagonal."""
-        return None if self._p0_coords is None else np.argsort(self._p0_coords)
+        return tuple(slice(int(c[0]), int(c[-1]) + 1) if c[-1] - c[0] == self.l - 1 else c
+                     for c in map(np.flatnonzero, (diag > 0, diag < 0)))
 
     @cached_property
     def _p0_blocks(self):
         """The blocks R_i = B_minus^T P_i B_plus of P_1..P_m, from E_+(P_0) to E_-(P_0).
 
         Each P_i with i >= 1 anticommutes with P_0, so it maps E_+(P_0) onto
-        E_-(P_0) as the l x l block R_i (and back as R_i^T).  An exact system
-        whose P_0 is a +-1 diagonal keeps them as one (m, l) gather pair, the
-        rows of P_i at the coordinates of E_-(P_0), whose columns lie in
-        E_+(P_0).  Other systems keep one (m, l, l) stack.
+        E_-(P_0) as the l x l block R_i (and back as R_i^T).  Where P_0 is a +-1
+        diagonal R_i is P_i at rows E_-(P_0), columns E_+(P_0): a gather pair (m, l)
+        with columns renumbered to slots of E_+(P_0), or a stack (m, l, l) selected
+        from dense generators.  Other P_0 multiply out the stack.
         """
-        if self.exact and self._p0_coords is not None:
-            cols, signs = self.generators
-            c_minus = self._p0_coords[self.l:]
-            return self._p0_order[cols[1:, c_minus]], signs[1:, c_minus]
-        b_plus, b_minus = self.p0_eigenbases
-        return b_minus.T @ self.span_matrix(np.eye(self.m + 1)[1:]) @ b_plus
+        if self._p0_split is None:
+            b_plus, b_minus = self.p0_eigenbases
+            return b_minus.T @ self.span_matrix(np.eye(self.m + 1)[1:]) @ b_plus
+        plus, minus = self._p0_split
+        if not self.exact:
+            return np.ascontiguousarray(self.generators[1:][:, minus][..., plus])
+        slot = np.zeros(self.dim, dtype=np.intp)
+        slot[plus] = np.arange(self.l)
+        return slot[self.generators[0][1:, minus]], self.generators[1][1:, minus]
 
     @cached_property
     def _p0_signed_cols(self):
@@ -285,38 +280,35 @@ class CliffordSystem:
     def p0_assemble(self, u: np.ndarray, w: np.ndarray) -> np.ndarray:
         """u B_plus^T + w B_minus^T: the point of R^(2l) with E_+-(P_0) coefficients u, w.
 
-        Where P_0 is a +-1 diagonal, [u, w] is concatenated, then permuted into
-        place by one ``np.take`` unless :attr:`_p0_in_place` (built, no flips):
-        the products' other terms are exact zeros, so the bits are the products'.
-        Other bases take the products, one (1, l) row at a time, so a row's bits
-        do not depend on its batch.
+        Where P_0 is a +-1 diagonal, u and w are written at :attr:`_p0_split`: the products'
+        other terms are exact zeros, so the bits are the products'.  Other bases take the
+        products, one (1, l) row at a time, so a row's bits do not depend on its batch.
         """
-        if self._p0_in_place:
-            return np.concatenate((u, w), axis=-1)
-        if self._p0_order is None:
+        if self._p0_split is None:
             b_plus, b_minus = self.p0_eigenbases
             out = (u[..., None, :] @ b_plus.T)[..., 0, :]
             out += (w[..., None, :] @ b_minus.T)[..., 0, :]
             return out
-        return np.concatenate((u, w), axis=-1).take(self._p0_order, axis=-1)
+        plus, minus = self._p0_split
+        out = np.empty(u.shape[:-1] + (self.dim,))
+        out[..., plus], out[..., minus] = u, w
+        return out
 
     def p0_coefficients(self, x: np.ndarray):
         """(u, w) = (x B_plus, x B_minus): the E_+-(P_0) coefficients, undoing :meth:`p0_assemble`.
 
-        x holds points (..., 2l); u and w have shape (..., l).  Where P_0 is a
-        +-1 diagonal they are the products' bits: views of x (made C-contiguous),
-        which callers only read, where :attr:`_p0_in_place`, else one ``np.take``
-        at :attr:`_p0_coords`.  Other bases take the products, one (1, 2l) row
+        x holds points (..., 2l); u and w have shape (..., l).  Where P_0 is a +-1 diagonal
+        they are the products' bits, read off x (made C-contiguous) at :attr:`_p0_split`: a
+        view where the index is a slice, which callers only read, else a gather, which numpy
+        lays out coordinate axis outermost.  Other bases take the products, one (1, 2l) row
         at a time as :meth:`p0_assemble` does.
         """
-        if self._p0_in_place:
-            x = np.ascontiguousarray(x)
-            return x[..., :self.l], x[..., self.l:]
-        if self._p0_coords is None:
+        if self._p0_split is None:
             b_plus, b_minus = self.p0_eigenbases
             return (x[..., None, :] @ b_plus)[..., 0, :], (x[..., None, :] @ b_minus)[..., 0, :]
-        uw = x.take(self._p0_coords, axis=-1)
-        return uw[..., :self.l], uw[..., self.l:]
+        plus, minus = self._p0_split
+        x = np.ascontiguousarray(x)
+        return x[..., plus], x[..., minus]
 
     def span_matrix(self, coords: np.ndarray) -> np.ndarray:
         """Dense matrix of sum_i coords[i] * P_i; rows of coords give a stack.
@@ -340,7 +332,7 @@ class CliffordSystem:
 
         P_j is p_0 P_0 plus the l x l block B_p = sum_{i>=1} p_i R_i, so x
         with E_+-(P_0) coefficients (u, w) goes to the point with coefficients
-        (p_0 u + w B_p, u B_p^T - p_0 w), read as views of x where :attr:`_p0_in_place`.
+        (p_0 u + w B_p, u B_p^T - p_0 w), read by :meth:`p0_coefficients`.
         B_p is summed one ``_blocks`` slice of rows at a time, and each product
         is the (n, l) @ (l, l) one a single row takes.  A single p (m+1,) acts
         on x (..., 2l) as a batch of one.
@@ -437,11 +429,12 @@ def _gather_diagonal(cols: np.ndarray, signs: np.ndarray) -> np.ndarray:
 def build_system(m: int, k: int, flips: int = 0) -> CliffordSystem:
     """Rank-(m+1) system of multiplicity k on R^(2 k delta(m)), built exactly.
 
-    ``flips`` of the k irreducible blocks carry -P_0 instead of P_0.  The
-    degenerate pair (m, k) = (1, 1) is rejected: its boundary fibers are
-    antipodal point pairs, which none of the geometry downstream supports.
-    2l may not exceed :func:`dimension_cap`.
+    ``flips`` of the k irreducible blocks carry -P_0 instead of P_0.  The degenerate pair
+    (m, k) = (1, 1) is rejected: its boundary fibers are antipodal point pairs, which none
+    of the geometry downstream supports.  2l may not exceed :func:`dimension_cap`.  The
+    arguments are stored as Python ints (numpy integers too); a bool raises TypeError.
     """
+    m, k, flips = map(_index, (m, k, flips))
     if m < 1:
         raise ValueError("m must be >= 1")
     if k < 1:

@@ -55,18 +55,17 @@ def _quadratic_values(system: CliffordSystem, x: np.ndarray) -> np.ndarray:
     """pi_C(x) = (|u|^2 - |w|^2, 2 <u R_1^T, w>, ..., 2 <u R_m^T, w>) for points x (..., 2l).
 
     (u, w) are the E_+-(P_0) coefficients of x and R_i the blocks of
-    :meth:`~CliffordSystem.p0_images`: P_0 x = (u, -w) and P_i x = (w R_i,
-    u R_i^T) for i >= 1.  v_0 sums u_a^2 - w_a^2; the (..., m, l) images of u
-    are multiplied by 2w in place and summed along their last axis.  The sums
-    run row by row, so where every step is a gather (an exact system whose
-    P_0 is a +-1 diagonal) a row's values are the same in any batch.  An
-    m = 0 system gives v_0 alone.  :mod:`~clifford_foliations.homogeneity`'s
-    pi_C(u, v) = (|u|^2 - |v|^2, 2 sum_i u_i conj(v_i)) on F^k, for m in
-    {1, 2, 4}, is this formula's case.
+    :meth:`~CliffordSystem.p0_images`: P_0 x = (u, -w) and P_i x = (w R_i, u R_i^T) for
+    i >= 1.  v_0 sums u_a^2 - w_a^2, u squared C-ordered (a gathered u has its coordinate
+    axis outermost); the (..., m, l) images of u are multiplied by 2w in place and summed
+    along their last axis.  The sums run row by row, so where every step is a gather (an
+    exact system whose P_0 is a +-1 diagonal) a row's values are the same in any batch.
+    An m = 0 system gives v_0 alone.  :mod:`~clifford_foliations.homogeneity`'s pi_C(u, v)
+    = (|u|^2 - |v|^2, 2 sum_i u_i conj(v_i)) on F^k, for m in {1, 2, 4}, is this formula's case.
     """
     u, w = system.p0_coefficients(x)
     out = np.empty(x.shape[:-1] + (system.m + 1,))
-    squares = u * u
+    squares = np.multiply(u, u, order="C")
     squares -= w * w
     np.add.reduce(squares, axis=-1, out=out[..., 0])
     if system.m:

@@ -462,6 +462,17 @@ class TestStreams:
         with pytest.raises(ValueError):
             seed_ints(np.zeros((2, 2), dtype=int))
 
+    def test_bool_seeds_raise(self):
+        # bools are ints to Python and to operator.index, but a seed must be an integer
+        for bad in (True, False, np.array([True, False]), [3, True],
+                    np.array([True], dtype=object)):
+            with pytest.raises(TypeError, match="integers"):
+                seed_ints(bad)
+            with pytest.raises(TypeError, match="integers"):
+                rng_streams(bad)
+        with pytest.raises(TypeError, match="integers"):
+            rng_streams(np.arange(8), True)
+
     @pytest.mark.parametrize("dim", [1, 2, 3, 5, 16, 64])
     @pytest.mark.parametrize("count", [0, 1, 3, 50])
     def test_rowwise_unit_vectors_equal_single_calls(self, dim, count):

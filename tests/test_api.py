@@ -18,7 +18,8 @@ import pytest
 
 import clifford_foliations
 from clifford_foliations.algebra import rng_from, row_dots, row_norms, sample_unit_vectors
-from clifford_foliations.clifford import CliffordSystem, build_system
+from clifford_foliations.clifford import (CliffordSystem, build_system, system_from_dict,
+                                          system_to_dict)
 from clifford_foliations.composed import (BUILTIN_SPEC_NAMES, FoliationSpec, builtin_spec,
                                           composed_quotient_distance,
                                           leaf_to_leaf_ambient_distance, same_leaf)
@@ -210,29 +211,31 @@ def test_built_systems_act_without_span_matrices(monkeypatch, m, k, flips):
         assert 0.0 <= d <= np.pi
 
 
-@pytest.mark.parametrize("m,k,flips", [(3, 2, 0), (4, 2, 1)])
+@pytest.mark.parametrize("m,k,flips", [(3, 2, 0), (4, 2, 1), (4, 2, 2)])
 def test_read_only_inputs_stay_untouched(m, k, flips):
-    # on a built system p0_coefficients returns views of the caller's points, so no kernel
-    # may write into them: every input is read-only, and its bytes must not change
-    system, spec = build_system(m, k, flips), builtin_spec("height", m)
-    rng = rng_from(90, m, k)
-    p = sample_unit_vectors(rng, m + 1, 3)
-    v = p * np.array([0.0, 0.5, 1.0])[:, None]
-    x = fiber_sample(system, v, 4, np.arange(3))
-    seeds = np.arange(3)
-    inputs = (p, v, x, seeds)
-    for a in inputs:
-        a.flags.writeable = False
-    before = [a.tobytes() for a in inputs]
-    pi_c(system, x)
-    system.span_apply(p, x)
-    system.span_apply(p[0], x[0])
-    fiber_sample(system, v, 4, seeds)
-    boundary_fiber_sample(system, p, 4, seeds)
-    composed_quotient_distance(system, spec, x[0], x[1])
-    same_leaf(system, spec, x[0], x[2])
-    leaf_to_leaf_ambient_distance(system, spec, x[0, 0], x[1, 0], 64, 81)
-    assert [a.tobytes() for a in inputs] == before
+    # wherever E+-(P_0) are coordinate runs, p0_coefficients returns views of the caller's
+    # points (a built system, fully flipped too, and its dense copy), so no kernel may write
+    # into them: every input is read-only, and its bytes must not change
+    built, spec = build_system(m, k, flips), builtin_spec("height", m)
+    for system in (built, system_from_dict(system_to_dict(built, "dense"))):
+        rng = rng_from(90, m, k)
+        p = sample_unit_vectors(rng, m + 1, 3)
+        v = p * np.array([0.0, 0.5, 1.0])[:, None]
+        x = fiber_sample(system, v, 4, np.arange(3))
+        seeds = np.arange(3)
+        inputs = (p, v, x, seeds)
+        for a in inputs:
+            a.flags.writeable = False
+        before = [a.tobytes() for a in inputs]
+        pi_c(system, x)
+        system.span_apply(p, x)
+        system.span_apply(p[0], x[0])
+        fiber_sample(system, v, 4, seeds)
+        boundary_fiber_sample(system, p, 4, seeds)
+        composed_quotient_distance(system, spec, x[0], x[1])
+        same_leaf(system, spec, x[0], x[2])
+        leaf_to_leaf_ambient_distance(system, spec, x[0, 0], x[1, 0], 64, 81)
+        assert [a.tobytes() for a in inputs] == before
 
 
 PYTHON_BLOCKS = re.findall(r"^```python\n(.*?)^```", README.read_text(), re.MULTILINE | re.DOTALL)

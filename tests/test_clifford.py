@@ -105,6 +105,20 @@ class TestBuildSystem:
         with pytest.raises(ValueError):
             build_system(2, 2, flips=3)
 
+    def test_numpy_integer_arguments_save_and_reload(self):
+        # numpy integers are taken and stored as Python ints, so the system saves as JSON
+        system = build_system(np.int64(4), np.int64(2), np.int64(1))
+        stored = (system.m, system.l, system.provenance.k, system.provenance.flips)
+        assert {type(value) for value in stored} == {int}
+        loaded = system_from_dict(json.loads(json.dumps(system_to_dict(system))))
+        assert all(map(np.array_equal, loaded.generators, build_system(4, 2, 1).generators))
+        assert loaded.provenance == system.provenance == build_system(4, 2, 1).provenance
+
+    @pytest.mark.parametrize("args", [(4, 2, True), (True, 2), (4, True), (4, 2, np.True_)])
+    def test_bool_arguments_raise(self, args):
+        with pytest.raises(TypeError):
+            build_system(*args)
+
     def test_dimension_cap(self, monkeypatch):
         build_system(12, 4)  # 2l = 512 is the default cap
         with pytest.raises(ValueError):
@@ -232,7 +246,7 @@ class TestGeneratorPaths:
             diag = np.diag(system.dense_generator(0))
             order = np.concatenate([np.flatnonzero(diag == 1), np.flatnonzero(diag == -1)])
             assert np.array_equal(np.hstack(system.p0_eigenbases), np.eye(system.dim)[:, order])
-            assert system._p0_coords is not None
+            assert system._p0_split is not None
             assert isinstance(system._p0_blocks, tuple)
             assert_product_bits(system, m * 10 + k)
             assert_block_actions(system, m * 10 + k, 1e-14)
@@ -254,7 +268,7 @@ class TestGeneratorPaths:
         assert verify_relations(swapped).passed
         for system in (conj, swapped):
             # P_0 is not diagonal: the bases are eig_split's, and the products act on them
-            assert system._p0_coords is None
+            assert system._p0_split is None
             assert all(np.array_equal(b, e) for b, e in
                        zip(system.p0_eigenbases, eig_split(system.dense_generator(0))))
             assert isinstance(system._p0_blocks, np.ndarray)
@@ -304,34 +318,72 @@ class TestP0Layout:
                    for c in default_plan(64) + default_plan(512)}
         systems.update({(s.m, s.l): s for s in (build_system(11, 2), build_system(12, 4))})
         for system in systems.values():
-            assert system._p0_in_place
+            assert system._p0_split == (slice(0, system.l), slice(system.l, system.dim))
             x = rng_from(60).standard_normal((3, system.dim))
             u, w = system.p0_coefficients(x)
             assert np.shares_memory(u, x) and np.shares_memory(w, x)
 
-    def test_round_trip_bits_on_every_path(self):
+    def test_each_index_is_a_run_or_a_gather(self):
+        # a run is a view of x, a gather a copy; fully flipped systems (E+(P_0) the last l
+        # coordinates) and dense copies read views, a partial flip gathers E-(P_0) only
+        # (its +1 coordinates are one run), a coordinate permutation gathers both
         built = build_system(3, 2)
-        flipped = [build_system(4, 2, 1), build_system(8, 3, 2)]
-        dense = system_from_dict(system_to_dict(built, "dense"))
         swap = np.eye(built.dim)[rng_from(61).permutation(built.dim)]
-        conjugated = conjugate_system(built, swap)
         permuted = permuted_system(built, swap.argmax(axis=1))
         assert verify_relations(permuted).passed
         assert np.array_equal(gather_dense(*permuted.generators),
                               swap @ gather_dense(*built.generators) @ swap.T)
-        for system in [built] + flipped + [dense, conjugated, permuted]:
+        cases = [(built, ("run", "run")), (build_system(4, 3, 3), ("run", "run")),
+                 (build_system(8, 2, 2), ("run", "run")),
+                 (system_from_dict(system_to_dict(build_system(4, 2, 2), "dense")), ("run", "run")),
+                 (system_from_dict(system_to_dict(built, "dense")), ("run", "run")),
+                 (build_system(4, 2, 1), ("run", "gather")),
+                 (build_system(8, 3, 2), ("run", "gather")),
+                 (conjugate_system(built, swap), ("gather", "gather")),
+                 (permuted, ("gather", "gather"))]
+        for system, kinds in cases:
+            x = rng_from(62).standard_normal((4, 5, system.dim))
+            for at, part, kind in zip(system._p0_split, system.p0_coefficients(x), kinds):
+                assert isinstance(at, slice) is (kind == "run")
+                assert np.array_equal(part, x[..., at])
+                assert np.shares_memory(part, x) is (kind == "run")
+        for k in (1, 2, 3):
+            flipped = build_system(4, k, k)
+            assert flipped._p0_split == (slice(flipped.l, flipped.dim), slice(0, flipped.l))
+
+    def test_round_trip_bits_on_every_path(self):
+        built = build_system(3, 2)
+        swap = np.eye(built.dim)[rng_from(61).permutation(built.dim)]
+        systems = [built, build_system(4, 2, 1), build_system(4, 2, 2), build_system(8, 2, 2),
+                   build_system(8, 3, 2), system_from_dict(system_to_dict(built, "dense")),
+                   conjugate_system(built, swap), permuted_system(built, swap.argmax(axis=1))]
+        for system in systems:
+            # x -> (u, w) -> x and (u, w) -> x -> (u, w), bit for bit, at every batch shape
             x = rng_from(63).standard_normal((4, 5, system.dim))
-            u, w = system.p0_coefficients(x)
-            assert system.p0_assemble(u, w).tobytes() == x.tobytes()
-            # only the exact in-place layout aliases x; the others gather or multiply
-            assert system._p0_in_place is (system is built)
-            assert np.shares_memory(u, x) is (system is built)
+            uw = rng_from(64).standard_normal((2, 4, 5, system.l))
+            for at in (np.s_[:], np.s_[0], np.s_[0, 0]):
+                u, w = system.p0_coefficients(x[at])
+                assert system.p0_assemble(u, w).tobytes() == x[at].tobytes()
+                back = system.p0_coefficients(system.p0_assemble(uw[0][at], uw[1][at]))
+                assert [b.tobytes() for b in back] == [c[at].tobytes() for c in uw]
         # a Haar conjugate takes the eigenbasis products (their bits are pinned by
         # test_other_bases_take_the_product), so its round trip holds to rounding only
         conjugated = conjugate_system(built, haar(66, built.dim))
+        assert conjugated._p0_split is None
         u, w = conjugated.p0_coefficients(x)
-        assert not conjugated._p0_in_place and not np.shares_memory(u, x)
+        assert not np.shares_memory(u, x) and not np.shares_memory(w, x)
         assert max_abs(conjugated.p0_assemble(u, w) - x) <= 1e-14
+
+    def test_gathered_rows_keep_their_bits(self):
+        # a gathered E+(P_0) comes back with its coordinate axis outermost in memory; pi_c
+        # still sums each row pairwise, so a row's values are its single call's
+        built = build_system(8, 2, 1)
+        permuted = permuted_system(built, rng_from(67).permutation(built.dim))
+        for system in (built, permuted, system_from_dict(system_to_dict(permuted, "dense"))):
+            x = rng_from(68).standard_normal((40, system.dim))
+            x /= np.linalg.norm(x, axis=-1, keepdims=True)
+            got = pi_c(system, x)
+            assert all(pi_c(system, row).tobytes() == got[j].tobytes() for j, row in enumerate(x))
 
     def test_point_layout_leaves_the_bits(self):
         # a Fortran-ordered or strided x is split as its C-contiguous copy would be, so

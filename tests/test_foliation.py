@@ -126,7 +126,7 @@ class TestPiC:
             got = pi_c(system, x)
             assert got.shape == (20, system.m + 1)
             assert max_abs(got - expected) <= 1e-14
-            if system.exact and system._p0_coords is not None:
+            if system.exact and system._p0_split is not None:
                 # with E+-(P_0) read off a diagonal P_0 a row is its single call, bit
                 # for bit; other bases take BLAS products shaped by the batch
                 assert all(pi_c(system, row).tobytes() == got[j].tobytes()
@@ -597,6 +597,14 @@ class TestRowWiseSamplers:
                 call()
         with pytest.raises(ValueError, match="non-negative"):
             mplus_sample(s22, 2, np.array([3, -1]))
+
+    def test_bool_seeds_raise(self, s22):
+        # a bool is not a seed: True would otherwise draw seed 1's stream
+        v = np.array([0.1, 0.2, 0.3])
+        for points, seeds in ((v, True), (np.stack([v, v]), np.array([True, False])),
+                              (np.stack([v, v]), [1, True])):
+            with pytest.raises(TypeError, match="integers"):
+                fiber_sample(s22, points, 2, seeds)
 
     @pytest.mark.parametrize("sampler, at", [("boundary", 0), ("mplus", 0), ("mplus", 1)])
     def test_short_rows_redraw_from_their_own_stream(self, s22, monkeypatch, sampler, at):
