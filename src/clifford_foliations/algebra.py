@@ -218,19 +218,30 @@ def eig_split(p: np.ndarray):
 # Seeded sampling
 # --------------------------------------------------------------------------- #
 
-def _index(value) -> int:
-    """``operator.index(value)``, a Python int; a bool raises TypeError as a float does."""
-    if isinstance(value, bool):
-        raise TypeError(f"expected an integer, got the bool {value!r}")
-    return operator.index(value)
+def _index(value, name: str) -> int:
+    """``operator.index(value)``, a Python int; anything else, a bool too, is a TypeError."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise TypeError(f"{name} must be an integer, got {value!r}")
+
+
+def _count(value, name: str, least: int) -> int:
+    """:func:`_index` of value, and a ValueError if it is below least; both name the argument."""
+    value = _index(value, name)
+    if value < least:
+        raise ValueError(f"{name} must be at least {least}, got {value}")
+    return value
 
 
 def seed_ints(seeds):
     """The seeds as a list of non-negative ints, and whether a single int was given.
 
     Takes an int or a 1-D array or sequence of ints.  A non-integer seed, a
-    bool included, raises ``TypeError``, as ``rng_from`` does for a float,
-    rather than being truncated; a negative one raises ``ValueError``.
+    bool included, raises ``TypeError``, as in ``rng_from``, rather than
+    being truncated; a negative one raises ``ValueError``.
     """
     arr = seeds if isinstance(seeds, np.ndarray) else np.asarray(seeds, dtype=object)
     if arr.ndim > 1:
@@ -238,7 +249,7 @@ def seed_ints(seeds):
     ints = arr.ravel().tolist()
     if arr.dtype.kind not in "iu":
         try:
-            ints = [_index(s) for s in ints]
+            ints = [_index(s, "seeds") for s in ints]
         except TypeError:
             raise TypeError(f"seeds must be integers, got {seeds!r}") from None
     if ints and min(ints) < 0:
@@ -250,9 +261,12 @@ def rng_from(seed: int, *path: int) -> np.random.Generator:
     """Generator for a seed plus a derivation path.
 
     Child streams for sample index / suite stage are derived by extending the
-    path, so fan-out order never affects the draws.
+    path, so fan-out order never affects the draws.  Seed and path are
+    non-negative integers (:func:`_count`), so a bool does not draw 1's stream.
     """
-    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=path)))
+    path = tuple(_count(entry, "path entry", 0) for entry in path)
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(_count(seed, "seed", 0),
+                                                                      spawn_key=path)))
 
 
 # numpy's SeedSequence hash (NEP 19 keeps it stable): pool mixing, state output, word mixing
@@ -394,8 +408,9 @@ def sample_unit_vectors(rng, dim: int, count: int) -> np.ndarray:
     Gaussian draws normalized; rows with norm below 1e-8 are redrawn.  A
     list of k generators gives (k, count, dim), stream j drawing its rows
     in the order a single call with it does, so batch j equals that call
-    bit for bit.
+    bit for bit.  dim is at least 1 and count at least 0.
     """
+    dim, count = _count(dim, "dim", 1), _count(count, "count", 0)
     rngs = rng if isinstance(rng, list) else [rng]
     x = gaussian_rows(rngs, (count, dim))
     norms = redraw_short_rows(x, lambda j, bad: rngs[j].standard_normal((int(np.sum(bad)), dim)))

@@ -18,7 +18,7 @@ import tempfile
 import numpy as np
 
 from . import __version__
-from .algebra import rng_from, sample_unit_vectors
+from .algebra import _count, rng_from, sample_unit_vectors
 from .clifford import (
     MalformedSystemError,
     build_system,
@@ -137,8 +137,7 @@ def _write_csv(path, header, rows):
 
 
 def _cmd_fiber(args) -> int:
-    if args.count < 0:
-        raise ValueError(f"--count must be at least 0, got {args.count}")
+    _count(args.count, "--count", 0)
     system = _load_system(args.system)
     v = _parse_disk_point(args.at, system.m + 1)
     points = fiber_sample(system, v, args.count, args.seed)
@@ -153,9 +152,8 @@ def _cmd_fiber(args) -> int:
 
 
 def _cmd_compose(args) -> int:
-    for flag, value in (("--count", args.count), ("--check-pairs", args.check_pairs)):
-        if value < 0:
-            raise ValueError(f"{flag} must be at least 0, got {value}")
+    _count(args.count, "--count", 0)
+    _count(args.check_pairs, "--check-pairs", 0)
     system = _load_system(args.system)
     spec = builtin_spec(args.spec, system.m)
     if 2 * args.check_pairs > args.count:

@@ -27,8 +27,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .algebra import (_blocks, _cd_gather, _identity, _index, _kron, _mul, _transpose, eig_split,
-                      max_abs)
+from .algebra import (_blocks, _cd_gather, _count, _identity, _index, _kron, _mul, _transpose,
+                      eig_split, max_abs)
 from .reports import CheckResult, VerificationReport
 
 __all__ = [
@@ -62,9 +62,8 @@ class MalformedSystemError(ValueError):
 
 
 def delta(m: int) -> int:
-    """Dimension of the irreducible module for m+1 generators."""
-    if m < 1:
-        raise ValueError("delta is defined for m >= 1")
+    """Dimension of the irreducible module for m+1 generators, m >= 1."""
+    m = _count(m, "m", 1)
     return 16 ** ((m - 1) // 8) * _DELTA_SMALL[(m - 1) % 8]
 
 
@@ -114,8 +113,7 @@ def build_complex_structures(n: int, target_dim: int):
     minimal block per copy), which is the layout of k components of a
     division-algebra column vector.
     """
-    if n < 0:
-        raise ValueError("n must be nonnegative")
+    n, target_dim = _count(n, "n", 0), _index(target_dim, "target_dim")
     minimal = delta(n + 1)
     if target_dim < minimal or target_dim % minimal:
         raise ValueError(
@@ -190,6 +188,7 @@ class CliffordSystem:
 
     def dense_generator(self, i: int) -> np.ndarray:
         """P_i as a dense matrix: the stored one, or :meth:`span_matrix` of e_i for exact P_i."""
+        i = _count(i, "i", 0)
         if not self.exact:
             return self.generators[i]
         return self.span_matrix(np.eye(self.m + 1)[i])
@@ -434,11 +433,7 @@ def build_system(m: int, k: int, flips: int = 0) -> CliffordSystem:
     of the geometry downstream supports.  2l may not exceed :func:`dimension_cap`.  The
     arguments are stored as Python ints (numpy integers too); a bool raises TypeError.
     """
-    m, k, flips = map(_index, (m, k, flips))
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    if k < 1:
-        raise ValueError("k must be >= 1")
+    m, k, flips = _count(m, "m", 1), _count(k, "k", 1), _index(flips, "flips")
     if not (0 <= flips <= k):
         raise ValueError("flips must lie in [0, k]")
     if (m, k) == (1, 1):
@@ -565,8 +560,8 @@ def conjugate_system(system: CliffordSystem, a: np.ndarray) -> CliffordSystem:
 
 
 def sub_system(system: CliffordSystem, indices: Sequence[int]) -> CliffordSystem:
-    """Restriction to a nonempty subsequence of distinct generators."""
-    indices = list(indices)
+    """Restriction to a nonempty subsequence of distinct generators, given by integer indices."""
+    indices = [_index(i, "generator index") for i in indices]
     if not indices:
         raise ValueError("sub_system needs at least one generator index")
     if any(i < 0 or i > system.m for i in indices):

@@ -21,7 +21,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .algebra import check_unit, rng_from, row_dots, row_norms, sample_unit_vectors, unit_angle
+from .algebra import (_count, check_unit, rng_from, row_dots, row_norms, sample_unit_vectors,
+                      unit_angle)
 from .clifford import CliffordSystem
 from .foliation import _lift_height, _pi_state, _quadratic_values, _turn, fiber_sample, pi_c
 
@@ -117,7 +118,7 @@ def builtin_spec(name: str, m: int) -> FoliationSpec:
     tensor_svd-- m = 8 only: orbits of the rotate-both-sides action on unit
                  3x3 matrices, separated by the signed singular triple.
     """
-    dim = m + 1
+    dim = _count(m, "m", 1) + 1
     if name == "points":
         # no closed forms: the composed leaves are single fibers
         return FoliationSpec(
@@ -597,7 +598,8 @@ def leaf_to_leaf_ambient_distance(system: CliffordSystem, spec: FoliationSpec,
     starts ascend together as one (starts, 2l) batch, each with its own
     direction, step and acceptance.  A start's result is bit for bit the
     one it reaches alone, on dense systems too, whose products go row by row.
-    ``budget`` and ``starts`` are integers of at least 1 (bools are not).
+    ``budget`` and ``starts`` are integers of at least 1: a bool, a float or a
+    string raises TypeError, a smaller integer ValueError.
     A fiber leaf (:func:`_fiber_leaf`) holds pi_C at its disk point, 0 at
     the origin; any other leaf holds |pi_C|^2 and the invariant, through the
     spec's ``invariant_jacobian``.  Boundary leaves, at lift height 0 as
@@ -609,14 +611,7 @@ def leaf_to_leaf_ambient_distance(system: CliffordSystem, spec: FoliationSpec,
     256 uniform directions, so an interior x reads the cone metric to a boundary class.
     """
     _check_spec(system, spec)
-    for name, count in (("budget", budget), ("starts", starts)):
-        if isinstance(count, bool) or not isinstance(count, (int, np.integer)):
-            raise ValueError(f"{name} must be an integer, got {count!r}")
-    budget, starts = int(budget), int(starts)
-    if budget < 1:
-        raise ValueError(f"budget must be at least 1 leaf sample, got {budget}")
-    if starts < 1:
-        raise ValueError(f"starts must be at least 1 descent start, got {starts}")
+    budget, starts = _count(budget, "budget", 1), _count(starts, "starts", 1)
     _check_pair(x, y)
     if np.shape(x) != (system.dim,):
         raise ValueError(f"x and y must be single points of shape ({system.dim},)")

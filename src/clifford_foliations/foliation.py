@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import (_blocks, check_unit, eig_split, gaussian_rows, redraw_short_rows,
+from .algebra import (_blocks, _count, check_unit, eig_split, gaussian_rows, redraw_short_rows,
                       rng_streams, row_dots, row_norms, sample_unit_vectors, seed_ints,
                       snapped_sqrt, unit_angle)
 from .clifford import CliffordSystem
@@ -132,6 +132,7 @@ def _seeded_rows(points, seeds, width: int):
 
 def _boundary_rows(system: CliffordSystem, p: np.ndarray, n: int, seeds) -> np.ndarray:
     """n samples of each boundary fiber over the unit rows of p, shape (k, n, 2l)."""
+    n = _count(n, "n", 0)
     # P^2 = |p|^2 Id on a Clifford system: the involution check, without P @ P
     if not np.all(np.abs(row_norms(p) ** 2 - 1.0) <= 1e-10):
         raise ValueError("span element is not an involution to 1e-10")
@@ -180,6 +181,7 @@ def _mplus_rows(system: CliffordSystem, n: int, seeds):
 
     The sample is u B_plus^T + w B_minus^T; each seed draws in the single call's order.
     """
+    n = _count(n, "n", 0)
     m, l = system.m, system.l
     rngs = rng_streams(seeds)
     u = sample_unit_vectors(rngs, l, n)

@@ -24,7 +24,7 @@ from typing import Optional
 
 import numpy as np
 
-from .algebra import (cd_mul, cd_units, check_unit, gaussian_rows, rng_streams, row_norms,
+from .algebra import (_count, cd_mul, cd_units, check_unit, gaussian_rows, rng_streams, row_norms,
                       seed_ints, sign_fixed_q, sign_fixed_rotation, snapped_sqrt)
 from .clifford import EquivalenceProfile, delta
 
@@ -129,8 +129,7 @@ def sample_group_element(field: str, k: int, seeds) -> GroupElement:
     for bit to the element of that seed alone.  Fixed seed gives a
     bit-identical element.
     """
-    if k < 1:
-        raise ValueError("k must be >= 1")
+    k = _count(k, "k", 1)
     if field not in FIELD_DIM:
         raise ValueError(f"unknown field {field!r}")
     seeds, single = seed_ints(seeds)

@@ -16,9 +16,6 @@ class CheckResult:
 
     ``claim`` states the property being checked in plain words; it is carried
     into reports so a failure is readable without the source at hand.
-    ``headroom`` marks checks whose violation is a roundoff-scale residual
-    (as opposed to a budget-limited estimate), for which re-seeding must keep
-    a wide margin below the tolerance.
     """
 
     name: str
@@ -26,13 +23,10 @@ class CheckResult:
     violation: float
     tol: float
     passed: bool
-    headroom: bool = True
 
     @classmethod
-    def from_violation(cls, name: str, claim: str, violation: float, tol: float,
-                       headroom: bool = True) -> "CheckResult":
-        return cls(name, claim, float(violation), float(tol),
-                   bool(violation <= tol), headroom)
+    def from_violation(cls, name: str, claim: str, violation: float, tol: float) -> "CheckResult":
+        return cls(name, claim, float(violation), float(tol), bool(violation <= tol))
 
     def to_json_dict(self) -> dict:
         return {

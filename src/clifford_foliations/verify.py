@@ -17,6 +17,8 @@ from typing import Callable, Optional
 import numpy as np
 
 from .algebra import (
+    _count,
+    _index,
     gaussian_rows,
     max_abs,
     rng_from,
@@ -92,10 +94,10 @@ class SuiteConfig:
 
     ``budget`` holds per-suite effort knobs named in ``_BUDGET_KNOBS``, each
     at least 1; any other name raises ValueError.  The seed, ``samples`` and
-    every knob are integers (anything else, a bool too, raises TypeError).
-    The seed satisfies 0 <= seed < 2^48, so every seed a suite derives from
-    it (at most seed * 20000 + i) fits in int64.  Tolerances are pinned in
-    the suites.
+    every knob are integers (anything else, a bool too, raises TypeError),
+    ``samples`` at least 1.  The seed satisfies 0 <= seed < 2^48, so every
+    seed a suite derives from it (at most seed * 20000 + i) fits in int64.
+    Tolerances are pinned in the suites.
     """
 
     suite: str
@@ -105,19 +107,13 @@ class SuiteConfig:
     budget: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        for name, value in [("seed", self.seed), ("samples", self.samples), *self.budget.items()]:
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise TypeError(f"{name} must be an integer, got {value!r}")
-        self.seed, self.samples = int(self.seed), int(self.samples)
+        self.seed, self.samples = _index(self.seed, "seed"), _count(self.samples, "samples", 1)
         if not 0 <= self.seed < 2**48:
             raise ValueError(f"seed must satisfy 0 <= seed < 2**48, got {self.seed}")
-        if self.samples < 1:
-            raise ValueError("samples must be positive")
         for name, value in self.budget.items():
             if name not in _BUDGET_KNOBS:
                 raise ValueError(f"unknown budget knob {name!r}; choose from {_BUDGET_KNOBS}")
-            if value < 1:
-                raise ValueError(f"budget knob {name} must be at least 1, got {value}")
+            _count(value, name, 1)
 
     def knob(self, name: str, default: int) -> int:
         return int(self.budget.get(name, default))
@@ -259,7 +255,7 @@ def _suite_submersion_rank(cfg: SuiteConfig):
             "gradient_tangency", "gradient rows are tangent to the sphere", tangency, 1e-12),
         CheckResult.from_violation(
             "finite_difference", "central differences match the analytic differential",
-            fd_worst, 1e-6, headroom=False),
+            fd_worst, 1e-6),
     ]
 
 
@@ -636,15 +632,15 @@ def _suite_transnormality(cfg: SuiteConfig):
     return [
         CheckResult.from_violation(
             "fiber_equidistance", "ambient fiber distances match the disk metric",
-            worst_points, 1e-3, headroom=False),
+            worst_points, 1e-3),
         CheckResult.from_violation(
             "composed_equidistance", "ambient composed-leaf distances match the cone metric",
-            worst_height, 1e-2, headroom=False),
+            worst_height, 1e-2),
         CheckResult.from_violation(
             "no_undercut", "ambient estimates never fall below the quotient lower bound",
             max(0.0, undercut), 1e-9),
         CheckResult.from_violation(
-            "same_leaf_zero", "a leaf has distance zero to itself", zero, 1e-6, headroom=False),
+            "same_leaf_zero", "a leaf has distance zero to itself", zero, 1e-6),
         CheckResult.from_violation(
             "perpendicular_boundary_fibers", "opposite boundary fibers sit at distance pi/2",
             perp, 1e-3),
@@ -670,7 +666,7 @@ def _suite_diameter(cfg: SuiteConfig):
     if system.l > system.m + 1:
         checks.append(CheckResult.from_violation(
             "diameter_attained", "sampled pairs come within 0.05 of the diameter pi/4",
-            max(0.0, (np.pi / 4.0 - 0.05) - sup), 0.0, headroom=False))
+            max(0.0, (np.pi / 4.0 - 0.05) - sup), 0.0))
 
     # the tensor spec's invariant, which depends on no system: checked once per m = 8 system,
     # on blocks of 100 images U M W^T of one random matrix M each, for Haar U and W drawn

@@ -473,6 +473,12 @@ class TestStreams:
         with pytest.raises(TypeError, match="integers"):
             rng_streams(np.arange(8), True)
 
+    @pytest.mark.parametrize("args", [(True,), (1, True), (np.True_,), (1, 2, False)])
+    def test_rng_from_rejects_bools(self, args):
+        # numpy's SeedSequence would read True as 1: rng_from(True) drew seed 1's stream
+        with pytest.raises(TypeError, match="must be an integer"):
+            rng_from(*args)
+
     @pytest.mark.parametrize("dim", [1, 2, 3, 5, 16, 64])
     @pytest.mark.parametrize("count", [0, 1, 3, 50])
     def test_rowwise_unit_vectors_equal_single_calls(self, dim, count):

@@ -3,8 +3,10 @@ only clifford.py reads the generators, built systems act without dense span matr
 every angle is one algebra.unit_angle, no module warns, every built-in spec carries both
 closed forms or neither, FoliationSpec has its six fields, only FoliationSpec's
 construction check and composed._fiber_leaf ask whether a spec carries its leaf metric
-and closed forms, only composed._solve_rows solves linear systems, library calls leave
-read-only inputs untouched, and every python block of README.md runs."""
+and closed forms, only composed._solve_rows solves linear systems, only algebra tests
+for integers, every integer argument takes numpy integers and refuses bools, floats,
+strings and values below its range, library calls leave read-only inputs untouched, and
+every python block of README.md runs."""
 
 import ast
 import dataclasses
@@ -18,7 +20,8 @@ import pytest
 
 import clifford_foliations
 from clifford_foliations.algebra import rng_from, row_dots, row_norms, sample_unit_vectors
-from clifford_foliations.clifford import (CliffordSystem, build_system, system_from_dict,
+from clifford_foliations.clifford import (CliffordSystem, build_complex_structures,
+                                          build_system, delta, sub_system, system_from_dict,
                                           system_to_dict)
 from clifford_foliations.composed import (BUILTIN_SPEC_NAMES, FoliationSpec, builtin_spec,
                                           composed_quotient_distance,
@@ -26,6 +29,8 @@ from clifford_foliations.composed import (BUILTIN_SPEC_NAMES, FoliationSpec, bui
 from clifford_foliations.foliation import (boundary_fiber_sample, fiber_sample, mplus_sample,
                                            pi_c, random_horizontal_geodesic, reflect_symmetry,
                                            spin_rotate)
+from clifford_foliations.homogeneity import sample_group_element
+from clifford_foliations.verify import SuiteConfig
 
 MODULES = [info.name for info in pkgutil.iter_modules(clifford_foliations.__path__)]
 TRACING = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
@@ -184,6 +189,90 @@ def test_only_solve_rows_solves_linear_systems():
                   if isinstance(node, ast.ImportFrom) and "linalg" in (node.module or "")
                   and LINEAR_SOLVES & {alias.name for alias in node.names}]
     assert stray == [] and inside
+
+
+INTEGER_TYPES = {"bool", "bool_", "int", "integer"}
+
+
+def integer_tests(tree) -> list:
+    """The isinstance calls under tree that test for bool or int, and every np.integer."""
+    return [n for n in ast.walk(tree)
+            if (isinstance(n, ast.Call) and isinstance(n.func, ast.Name)
+                and n.func.id == "isinstance"
+                and INTEGER_TYPES & {t.id if isinstance(t, ast.Name) else t.attr
+                                     for t in ast.walk(n.args[1])
+                                     if isinstance(t, (ast.Name, ast.Attribute))})
+            or (isinstance(n, ast.Attribute) and n.attr == "integer")]
+
+
+def test_only_algebra_checks_integers():
+    # every integer argument goes through algebra._index, the one isinstance(value, bool),
+    # and algebra._count: no other module tests for bool, int or np.integer by hand
+    stray, inside = [], 0
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        allowed = {id(n) for fn in ast.walk(tree)
+                   if path.name == "algebra.py" and isinstance(fn, ast.FunctionDef)
+                   and fn.name == "_index"
+                   for n in integer_tests(fn)}
+        inside += len(allowed)
+        stray += [f"{path.name}:{n.lineno}" for n in integer_tests(tree) if id(n) not in allowed]
+    assert stray == [] and inside == 1
+
+
+S22 = build_system(2, 2)
+V = np.array([0.3, 0.2, -0.1])
+PAIR = fiber_sample(S22, V, 2, 18)
+HEIGHT = builtin_spec("height", 2)
+
+# (the argument's name in its messages, a call taking the value, a valid value, a value
+# below the argument's range)
+INTEGER_ARGUMENTS = {
+    "SuiteConfig.seed": ("seed", lambda v: SuiteConfig("disk_image", S22, seed=v), 3, -1),
+    "SuiteConfig.samples": ("samples", lambda v: SuiteConfig("disk_image", S22, samples=v), 8, 0),
+    "SuiteConfig.budget": ("pairs", lambda v: SuiteConfig("diameter", S22, budget={"pairs": v}),
+                           2, 0),
+    "estimator.budget": ("budget", lambda v: leaf_to_leaf_ambient_distance(
+        S22, HEIGHT, PAIR[0], PAIR[1], v, 19, starts=1), 40, 0),
+    "estimator.starts": ("starts", lambda v: leaf_to_leaf_ambient_distance(
+        S22, HEIGHT, PAIR[0], PAIR[1], 40, 19, starts=v), 2, 0),
+    "estimator.seed": ("seed", lambda v: leaf_to_leaf_ambient_distance(
+        S22, HEIGHT, PAIR[0], PAIR[1], 40, v, starts=1), 19, -1),
+    "build_system.m": ("m", lambda v: build_system(v, 2), 2, 0),
+    "build_system.k": ("k", lambda v: build_system(2, v), 2, 0),
+    "build_system.flips": ("flips", lambda v: build_system(4, 2, v), 1, -1),
+    "delta": ("m", delta, 3, 0),
+    "build_complex_structures.n": ("n", lambda v: build_complex_structures(v, 8), 2, -1),
+    "build_complex_structures.target_dim": ("target_dim",
+                                            lambda v: build_complex_structures(2, v), 8, 0),
+    "sub_system": ("generator index", lambda v: sub_system(S22, [0, v]), 1, -1),
+    "dense_generator": ("i", S22.dense_generator, 1, -1),
+    "builtin_spec.m": ("m", lambda v: builtin_spec("height", v), 2, 0),
+    "sample_group_element.k": ("k", lambda v: sample_group_element("C", v, 5), 2, 0),
+    "fiber_sample.n": ("n", lambda v: fiber_sample(S22, V, v, 1), 2, -1),
+    "mplus_sample.n": ("n", lambda v: mplus_sample(S22, v, 1), 2, -1),
+    "boundary_fiber_sample.n": ("n", lambda v: boundary_fiber_sample(S22, np.eye(3)[0], v, 1),
+                                2, -1),
+    "sample_unit_vectors.dim": ("dim", lambda v: sample_unit_vectors(rng_from(1), v, 2), 3, 0),
+    "sample_unit_vectors.count": ("count", lambda v: sample_unit_vectors(rng_from(1), 3, v),
+                                  2, -1),
+    "rng_from.seed": ("seed", rng_from, 1, -1),
+    "rng_from.path": ("path entry", lambda v: rng_from(1, 0, v), 1, -1),
+}
+
+
+@pytest.mark.parametrize("argument", INTEGER_ARGUMENTS)
+def test_integer_arguments(argument):
+    # one rule for every integer argument: numpy integers are taken; a bool (which Python
+    # counts an int), a float or a string raises TypeError, and a value below range
+    # ValueError, each naming the argument
+    name, call, valid, below = INTEGER_ARGUMENTS[argument]
+    for bad in (True, 2.5, "2"):
+        with pytest.raises(TypeError, match=rf"^{name} must be an integer, got {bad!r}$"):
+            call(bad)
+    call(np.int64(valid))
+    with pytest.raises(ValueError, match=rf"^{name}\b"):
+        call(below)
 
 
 @pytest.mark.parametrize("m,k,flips", [(4, 3, 1), (12, 4, 0)])

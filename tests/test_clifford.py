@@ -558,6 +558,11 @@ class TestSubSystem:
         with pytest.raises(ValueError, match="at most once"):
             sub_system(build_system(2, 2), indices)
 
+    def test_bool_indices_rejected(self):
+        # numpy would read a list of bools as a mask: [True, False] picked P_0 alone
+        with pytest.raises(TypeError, match="generator index"):
+            sub_system(build_system(1, 2), [True, False])
+
 
 class TestSerialization:
     def test_signed_perm_roundtrip_lossless(self):

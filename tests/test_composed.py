@@ -627,16 +627,17 @@ class TestAmbientLeafDistance:
 
     @pytest.mark.parametrize("budget", [0, -5, 100.0, True])
     def test_rejects_empty_budget(self, s22, budget):
+        # an integer below 1 is a ValueError; a float or a bool is no integer, a TypeError
         pts = builtin_spec("points", 2)
         x = fiber_sample(s22, np.array([0.3, 0.2, -0.1]), 2, 18)
-        with pytest.raises(ValueError, match="budget"):
+        with pytest.raises(ValueError if type(budget) is int else TypeError, match="budget"):
             leaf_to_leaf_ambient_distance(s22, pts, x[0], x[1], budget, 19)
 
     @pytest.mark.parametrize("starts", [0, -2, 2.5, True, np.float64(2.0)])
     def test_rejects_no_starts(self, s22, starts):
         pts = builtin_spec("points", 2)
         x = fiber_sample(s22, np.array([0.3, 0.2, -0.1]), 2, 18)
-        with pytest.raises(ValueError, match="starts"):
+        with pytest.raises(ValueError if type(starts) is int else TypeError, match="starts"):
             leaf_to_leaf_ambient_distance(s22, pts, x[0], x[1], 100, 19, starts=starts)
 
     def test_numpy_integer_counts(self, s22):

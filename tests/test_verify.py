@@ -243,7 +243,7 @@ class TestDeterminism:
             assert a.passed and b.passed
 
     def test_headroom_on_reseeded_runs(self, s22):
-        # tight algebraic checks keep a 10x margin below tolerance at any seed
+        # every check with a nonzero tolerance keeps a 10x margin below it at any seed
         runs = [(suite, s22) for suite in ("disk_image", "geodesics", "symmetry",
                                            "fkm_consistency", "quotient_metric", "boundary_fibers",
                                            "composed_identities", "invariants_classification")]
@@ -253,7 +253,7 @@ class TestDeterminism:
                 report = run_suite(SuiteConfig(suite, system, seed=seed, samples=80,
                                                budget=dict(FAST_BUDGET)))
                 for check in report.checks:
-                    if check.headroom and check.tol > 0:
+                    if check.tol > 0:
                         assert check.violation * 10.0 <= check.tol, \
                             f"{suite}/{check.name} at seed {seed}"
 
