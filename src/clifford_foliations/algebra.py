@@ -68,7 +68,6 @@ def _transpose(a):
     return t_cols, np.take_along_axis(signs, t_cols, axis=-1)
 
 
-@lru_cache(maxsize=None)
 def cd_units(d: int):
     """Unit table of R, C, H or O (d = 1, 2, 4, 8) by Cayley-Dickson doubling.
 
@@ -77,10 +76,18 @@ def cd_units(d: int):
     as a signed permutation.  Each doubling step applies
     (a, b)(c, d) = (ac - conj(d) b, da + b conj(c)) to unit pairs, so in the
     basis e_0..e_(n-1) = (e_., 0), e_n..e_(2n-1) = (0, e_.) the table of
-    H is Hamilton's (1, i, j, k) and no product is typed by hand.
+    H is Hamilton's (1, i, j, k) and no product is typed by hand.  d is an integer
+    (:func:`_index`), so a bool or 2.0 does not read the cached table of 1 or 2.
     """
+    d = _index(d, "d")
     if d not in (1, 2, 4, 8):
-        raise ValueError("Cayley-Dickson units exist here for d in {1, 2, 4, 8}")
+        raise ValueError(f"d must be 1, 2, 4 or 8, got {d}")
+    return _cd_units(d)
+
+
+@lru_cache(maxsize=None)
+def _cd_units(d: int):
+    """:func:`cd_units` of a checked d, cached."""
     rows = np.zeros((1, 1), dtype=np.int64)
     signs = np.ones((1, 1), dtype=np.int64)
     while len(rows) < d:
@@ -257,6 +264,21 @@ def seed_ints(seeds):
     return ints, arr.ndim == 0
 
 
+def _path_ints(entry) -> list:
+    """A path entry of :func:`rng_streams`, an int or a 1-D array, as a list of ints.
+
+    Each entry is checked as :func:`rng_from` checks its path (:func:`_count`),
+    except a numpy integer array with no negative entry, which is taken as it is.
+    """
+    arr = entry if isinstance(entry, np.ndarray) else np.asarray(entry, dtype=object)
+    if arr.ndim > 1:
+        raise ValueError("path entries must be an int or a 1-D array")
+    ints = arr.ravel().tolist()
+    if arr.dtype.kind not in "iu" or (ints and min(ints) < 0):
+        ints = [_count(value, "path entry", 0) for value in ints]
+    return ints
+
+
 def rng_from(seed: int, *path: int) -> np.random.Generator:
     """Generator for a seed plus a derivation path.
 
@@ -357,7 +379,7 @@ def rng_streams(seeds, *path) -> list:
     seeds of 2^64 or more or path entries of 2^32 or more, the streams come
     from ``rng_from``.
     """
-    columns = [seed_ints(seeds)[0]] + [seed_ints(entry)[0] for entry in path]
+    columns = [seed_ints(seeds)[0]] + [_path_ints(entry) for entry in path]
     sizes = {len(c) for c in columns} - {1}
     if len(sizes) > 1:
         raise ValueError("path entries must broadcast against the seeds")

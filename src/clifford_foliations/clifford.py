@@ -55,6 +55,12 @@ _DELTA_SMALL = (1, 2, 4, 4, 8, 8, 8, 8)
 
 DEFAULT_DIM_CAP = 512
 
+# Narrowest copy that span_apply acts on one copy at a time.  Per-copy products round
+# unlike the l x l ones at some shapes (a single point always), so narrower copies, the
+# systems of `cfl report --max-dim 64`, would move its pinned bytes; at 64 the samplers'
+# 32-row batches keep the l x l bits on AVX-512 kernels, with 1/c of the flops.
+_COPY_WIDTH = 64
+
 
 class MalformedSystemError(ValueError):
     """A system whose dimensions are inconsistent with its rank, or a payload
@@ -170,7 +176,8 @@ class CliffordSystem:
     :func:`build_system` call's; a conjugated system has none, and the profile never
     reads one.  Treat instances as immutable: the diagonals of the generators, the
     E_+-(P_0) split (an index pair where P_0 is a +-1 diagonal) or :attr:`p0_eigenbases`,
-    the blocks of P_1..P_m between them and the signed indices are cached lazily.
+    the blocks of P_1..P_m between them, their copy count and the signed indices are
+    cached lazily.
     """
 
     m: int
@@ -264,9 +271,33 @@ class CliffordSystem:
         return _signed_index(self._p0_blocks)
 
     @cached_property
+    def _p0_copies(self) -> int:
+        """The largest count c of equal diagonal copies, each at least :data:`_COPY_WIDTH`
+        wide, that the E_+-(P_0) blocks are, else 1.
+
+        The gather pair of :attr:`_p0_blocks` is c copies where shifting its columns by one
+        copy width d = l / c adds d to the indices and keeps the signs; each R_i, and so
+        each B_p of :meth:`span_apply`, is then c equal d x d diagonal blocks.  Built systems,
+        their signed_perm files and sub-systems are k copies of the irreducible module; a
+        partial flip and a stack give 1.
+        """
+        if not isinstance(self._p0_blocks, tuple):
+            return 1
+        cols, signs = self._p0_blocks
+        for c in range(self.l // _COPY_WIDTH, 1, -1):
+            d = self.l // c
+            if (not self.l % c and np.array_equal(cols[:, d:], cols[:, :-d] + d)
+                    and np.array_equal(signs[:, d:], signs[:, :-d])):
+                return c
+        return 1
+
+    @cached_property
     def _p0_scatter(self):
-        """The :func:`_scatter_index` of the E_+-(P_0) blocks, which :meth:`span_apply` sums."""
-        return _scatter_index(self._p0_blocks)
+        """The :func:`_scatter_index` of the first of the :attr:`_p0_copies` of the E_+-(P_0)
+        blocks (all of them where there is one), which :meth:`span_apply` sums."""
+        c = self._p0_copies
+        return _scatter_index(self._p0_blocks if c == 1
+                              else tuple(a[:, :self.l // c] for a in self._p0_blocks))
 
     def p0_images(self, u: np.ndarray) -> np.ndarray:
         """P_1 x, ..., P_m x in E_-(P_0) coefficients, for x = u B_plus^T in E_+(P_0).
@@ -314,7 +345,7 @@ class CliffordSystem:
 
         coords of shape (m+1,) gives a (2l, 2l) matrix, (k, m+1) a (k, 2l, 2l)
         stack, summed by :func:`_span_sum`.  Only dense generators need it:
-        :meth:`span_apply` acts through the l x l blocks instead.
+        :meth:`span_apply` acts through the blocks R_i (one copy wide) instead.
         """
         coords = np.asarray(coords, dtype=float)
         if coords.ndim not in (1, 2) or coords.shape[-1] != self.m + 1:
@@ -332,9 +363,12 @@ class CliffordSystem:
         P_j is p_0 P_0 plus the l x l block B_p = sum_{i>=1} p_i R_i, so x
         with E_+-(P_0) coefficients (u, w) goes to the point with coefficients
         (p_0 u + w B_p, u B_p^T - p_0 w), read by :meth:`p0_coefficients`.
-        B_p is summed one ``_blocks`` slice of rows at a time, and each product
-        is the (n, l) @ (l, l) one a single row takes.  A single p (m+1,) acts
-        on x (..., 2l) as a batch of one.
+        Where the blocks are c > 1 :attr:`_p0_copies`, B_p is c equal diagonal
+        blocks of width d = l / c, so only one d x d block is summed and the n
+        rows of u and w act as n c rows of width d (copied where they are views).
+        B_p is summed one ``_blocks`` slice of frames at a time, and each product
+        is the (n c, d) @ (d, d) one a single frame takes.  A single p (m+1,)
+        acts on x (..., 2l) as a batch of one.
         """
         p, x = np.asarray(p, dtype=float), np.asarray(x, dtype=float)
         if p.shape[-1:] != (self.m + 1,) or x.shape[-1:] != (self.dim,):
@@ -344,24 +378,26 @@ class CliffordSystem:
             return self.span_apply(p[None], x.reshape(1, -1, self.dim)).reshape(x.shape)
         if p.ndim != 2 or x.ndim != 3 or len(p) != len(x):
             raise ValueError("pass one frame per row of x, with x of shape (k, n, 2l)")
-        u, w = self.p0_coefficients(x)
+        width = self.l // self._p0_copies
+        u, w = (a.reshape(len(p), -1, width) for a in self.p0_coefficients(x))
         out_u, out_w = np.empty(u.shape), np.empty(w.shape)
-        for rows in _blocks(len(p), self.l ** 2):
-            b_p = _span_sum(p[rows, 1:], self._p0_scatter, self.l)
+        for rows in _blocks(len(p), width ** 2):
+            b_p = _span_sum(p[rows, 1:], self._p0_scatter, width)
             np.matmul(w[rows], b_p, out=out_u[rows])
             np.matmul(u[rows], np.swapaxes(b_p, -1, -2), out=out_w[rows])
         p0 = p[:, 0, None, None]
         out_u += p0 * u
         out_w -= p0 * w
-        return self.p0_assemble(out_u, out_w)
+        shape = x.shape[:-1] + (self.l,)
+        return self.p0_assemble(out_u.reshape(shape), out_w.reshape(shape))
 
 
 def _span_sum(rows: np.ndarray, blocks, width: int) -> np.ndarray:
     """sum_i rows[j, i] * A_i for each row j, shape (k, width, width).
 
     ``blocks`` holds the A_i (the generators, or the blocks R_i of
-    :meth:`CliffordSystem.span_apply`) as the :func:`_scatter_index` of a gather
-    pair or as one stack.  A gather pair is scattered into a zero stack for every
+    :meth:`CliffordSystem.span_apply`, or the first of their equal diagonal copies) as
+    the :func:`_scatter_index` of a gather pair or as one stack.  A gather pair is scattered into a zero stack for every
     nonzero coefficient: two anticommuting signed permutations (or blocks R_i,
     R_j with R_i R_j^T + R_j R_i^T = 0) never share a nonzero entry, since a
     shared entry at (r, c) would put +-2 on the diagonal of that sum, so the

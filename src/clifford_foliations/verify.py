@@ -789,6 +789,7 @@ def default_plan(max_dim: int = 64, seed: int = 7, samples: int = 300):
     (1, 1), flipped classes and k > 4 are left out: at max_dim 64 the plan
     covers 34 systems and 416 configs, 34 of the 102 classes with 2l <= 64.
     """
+    max_dim = _count(max_dim, "max_dim", 1)
     plan = []
     budget = {"pairs": 4, "leaf_budget": 1200, "geodesics": 20, "targets": 25,
               "conjugations": 5, "rotations": 200, "trials": 40}

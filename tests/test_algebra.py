@@ -470,7 +470,8 @@ class TestStreams:
                 seed_ints(bad)
             with pytest.raises(TypeError, match="integers"):
                 rng_streams(bad)
-        with pytest.raises(TypeError, match="integers"):
+        # a path entry is named as rng_from names it, not as a seed
+        with pytest.raises(TypeError, match="^path entry must be an integer, got True$"):
             rng_streams(np.arange(8), True)
 
     @pytest.mark.parametrize("args", [(True,), (1, True), (np.True_,), (1, 2, False)])

@@ -19,7 +19,8 @@ import numpy as np
 import pytest
 
 import clifford_foliations
-from clifford_foliations.algebra import rng_from, row_dots, row_norms, sample_unit_vectors
+from clifford_foliations.algebra import (cd_units, rng_from, rng_streams, row_dots, row_norms,
+                                         sample_unit_vectors)
 from clifford_foliations.clifford import (CliffordSystem, build_complex_structures,
                                           build_system, delta, sub_system, system_from_dict,
                                           system_to_dict)
@@ -30,7 +31,7 @@ from clifford_foliations.foliation import (boundary_fiber_sample, fiber_sample, 
                                            pi_c, random_horizontal_geodesic, reflect_symmetry,
                                            spin_rotate)
 from clifford_foliations.homogeneity import sample_group_element
-from clifford_foliations.verify import SuiteConfig
+from clifford_foliations.verify import SuiteConfig, default_plan
 
 MODULES = [info.name for info in pkgutil.iter_modules(clifford_foliations.__path__)]
 TRACING = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
@@ -258,6 +259,9 @@ INTEGER_ARGUMENTS = {
                                   2, -1),
     "rng_from.seed": ("seed", rng_from, 1, -1),
     "rng_from.path": ("path entry", lambda v: rng_from(1, 0, v), 1, -1),
+    "rng_streams.path": ("path entry", lambda v: rng_streams(np.arange(8), v), 1, -1),
+    "default_plan.max_dim": ("max_dim", default_plan, 8, 0),
+    "cd_units": ("d", cd_units, 4, 0),
 }
 
 

@@ -22,8 +22,9 @@ from clifford_foliations.clifford import (
     trace_invariant,
     verify_relations,
 )
-from clifford_foliations.foliation import pi_c
+from clifford_foliations.foliation import boundary_fiber_sample, fiber_sample, pi_c
 from clifford_foliations.verify import default_plan
+from kernel_family import AVX512, pinned
 
 
 def haar(seed, n):
@@ -302,6 +303,60 @@ class TestGeneratorPaths:
                 system.span_apply(bad_p, bad_x)
         with pytest.raises(ValueError, match="one frame per row of x"):
             system.span_apply(p, x[:1])
+
+
+def full_block_twin(system):
+    """A fresh system on the same generators whose span action takes the l x l blocks."""
+    twin = CliffordSystem(system.m, system.l, system.generators)
+    vars(twin)["_p0_copies"] = 1  # set before the cached scatter index is read
+    return twin
+
+
+class TestSpanCopies:
+    def test_copy_counts(self):
+        # k copies where the irreducible module is at least 64 wide; a partial flip, a dense
+        # system and every narrower system act through the l x l blocks.  The copies' span
+        # action is checked against span matrices by TestGeneratorPaths at (11, 2), (12, 4)
+        for m, k in ((11, 2), (12, 4)):
+            built = build_system(m, k)
+            loaded = system_from_dict(json.loads(json.dumps(system_to_dict(built))))
+            assert built._p0_copies == loaded._p0_copies == k
+        flipped = build_system(12, 4, 1)
+        dense = CliffordSystem(12, flipped.l, flipped.span_matrix(np.eye(13)))
+        assert flipped._p0_copies == dense._p0_copies == 1
+        assert all(config.system._p0_copies == 1 for config in default_plan(64))
+        # D P_i D for a random sign diagonal D: the copies' indices agree, their signs not
+        cols, signs = build_system(11, 2).generators
+        d = rng_from(70).choice([-1, 1], cols.shape[-1])
+        signed = CliffordSystem(11, 128, (cols, signs * d * d[cols]))
+        assert verify_relations(signed).passed and signed._p0_copies == 1
+        assert_block_actions(signed, 70, 1e-14)
+
+    @pytest.mark.parametrize("m,k", [(11, 2), (12, 4)])
+    def test_copies_keep_the_full_blocks_bits(self, m, k):
+        # at the fiber samplers' batch shape (one frame, 32 rows) the per-copy product rounds
+        # as the l x l one does; the bits were compared in the AVX-512 family only
+        pinned({AVX512: None})
+        system = build_system(m, k)
+        twin = full_block_twin(system)
+        for seed in range(4):
+            p = rng_from(71, seed).standard_normal(m + 1)
+            p /= np.linalg.norm(p)
+            x = rng_from(72, seed).standard_normal((1, 32, system.dim))
+            assert system.span_apply(p[None], x).tobytes() == twin.span_apply(p[None], x).tobytes()
+            v = 0.6 * p
+            assert (fiber_sample(system, v, 32, seed).tobytes()
+                    == fiber_sample(twin, v, 32, seed).tobytes())
+            assert (boundary_fiber_sample(system, p, 32, seed).tobytes()
+                    == boundary_fiber_sample(twin, p, 32, seed).tobytes())
+
+    @pytest.mark.parametrize("m,k", [(11, 2), (12, 4)])
+    def test_frames_equal_single_calls(self, m, k):
+        system = build_system(m, k)
+        p = rng_from(73).standard_normal((5, m + 1))
+        x = rng_from(74).standard_normal((5, 32, system.dim))
+        got = system.span_apply(p, x)
+        assert all(got[j].tobytes() == system.span_apply(p[j], x[j]).tobytes() for j in range(5))
 
 
 def permuted_system(system, perm):
