@@ -397,18 +397,20 @@ def _span_sum(rows: np.ndarray, blocks, width: int) -> np.ndarray:
 
     ``blocks`` holds the A_i (the generators, or the blocks R_i of
     :meth:`CliffordSystem.span_apply`, or the first of their equal diagonal copies) as
-    the :func:`_scatter_index` of a gather pair or as one stack.  A gather pair is scattered into a zero stack for every
-    nonzero coefficient: two anticommuting signed permutations (or blocks R_i,
-    R_j with R_i R_j^T + R_j R_i^T = 0) never share a nonzero entry, since a
-    shared entry at (r, c) would put +-2 on the diagonal of that sum, so the
-    scatter equals the dense sum bit for bit.
+    the :func:`_scatter_index` of a gather pair or as one stack.  A gather pair is
+    scattered into a zero stack in one write of every row's signed coefficients: two
+    anticommuting signed permutations (or blocks R_i, R_j with R_i R_j^T + R_j R_i^T = 0)
+    never share a nonzero entry, since a shared entry at (r, c) would put +-2 on the
+    diagonal of that sum, so each entry is written once and the scatter equals the dense
+    sum bit for bit.  A zero coefficient, 0 or -0.0, leaves +0.0 on its entries, as the
+    dense sum's zero terms leave the zero stack; a NaN one marks only its own entries.
     """
     out = np.zeros((len(rows), width, width))
     if isinstance(blocks, tuple):
         offsets, signs = blocks
-        j, i = np.nonzero(rows)
-        at = offsets[i] + (j * width ** 2)[:, None]
-        out.reshape(-1)[at] = rows[j, i, None] * signs[i]
+        values = rows[:, :, None] * signs
+        values += 0.0  # -0.0 + 0.0 is +0.0, and every other value stays as it is
+        out.reshape(len(rows), -1)[:, offsets] = values
         return out
     # zero coefficients add only zeros, which leave every entry's bits alone, so
     # each A_i goes only into the rows whose coefficient is nonzero: identity

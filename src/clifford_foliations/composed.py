@@ -24,7 +24,7 @@ import numpy as np
 from .algebra import (_count, check_unit, rng_from, row_dots, row_norms, sample_unit_vectors,
                       unit_angle)
 from .clifford import CliffordSystem
-from .foliation import _lift_height, _pi_state, _quadratic_values, _turn, fiber_sample, pi_c
+from .foliation import _lift_height, _pi_rows, _quadratic_values, _turn, fiber_sample, pi_c
 
 __all__ = [
     "FoliationSpec",
@@ -323,8 +323,8 @@ def _leaf_sample_blocks(system: CliffordSystem, spec: FoliationSpec, v: np.ndarr
 
 
 def _residuals(system: CliffordSystem, spec: FoliationSpec, z: np.ndarray,
-               target_r2: Optional[float], target: np.ndarray) -> np.ndarray:
-    """Constraint residuals c(z), shape (S, k), of the points z (S, 2l).
+               target_r2: Optional[float], target: np.ndarray):
+    """pi_C(z), shape (S, m+1), and the constraint residuals c(z), shape (S, k), of z (S, 2l).
 
     A fiber leaf (:func:`_fiber_leaf`) passes target_r2 = None and its disk
     point as target, 0 for the origin class, and holds pi_C(z) - target; a
@@ -335,31 +335,35 @@ def _residuals(system: CliffordSystem, spec: FoliationSpec, z: np.ndarray,
     """
     v = _quadratic_values(system, z)
     if target_r2 is None:
-        return v - target
-    r2 = np.sum(v * v, axis=-1)
+        return v, v - target
+    r2 = np.add.reduce(v * v, axis=-1)
     vhat = v / np.sqrt(np.maximum(r2, 1e-30))[:, None]
-    return np.concatenate([(r2 - target_r2)[:, None], spec.invariant_map(vhat) - target], axis=1)
+    return v, np.concatenate([(r2 - target_r2)[:, None], spec.invariant_map(vhat) - target],
+                             axis=1)
 
 
-def _constraint_rows(system: CliffordSystem, spec: FoliationSpec, z: np.ndarray,
+def _constraint_rows(system: CliffordSystem, spec: FoliationSpec, z: np.ndarray, v: np.ndarray,
                      target_r2: Optional[float]):
-    """Tangent-space Jacobian rows of the :func:`_residuals` constraints, and pi_C data.
+    """Tangent-space Jacobian rows of the :func:`_residuals` constraints at z, with v = pi_C(z).
 
     Every constraint is a function phi of pi_C, so the rows (S, k, 2l) are
     dphi @ pi_rows, with the invariant's Jacobian chained through the pi_C
-    gradients.  Returns (rows, v, pi_rows, dphi) with v = pi_C(z) (S, m+1),
-    pi_rows (S, m+1, 2l) and dphi (S, k, m+1); the Newton step reuses the
-    last three.  On a fiber leaf (target_r2 = None) every constraint is
-    pi_C itself: dphi is None and the rows are pi_rows.
+    gradients.  v (S, m+1) is the pi_C that :func:`_restore` returned with
+    z, carried by :func:`_descend`: ``_quadratic_values`` gives each row its
+    bits whatever the batch, so it is the value a fresh evaluation of z gives.
+    Returns (rows, pi_rows, dphi) with pi_rows (S, m+1, 2l) and dphi
+    (S, k, m+1); the Newton step reuses the last two.  On a fiber leaf
+    (target_r2 = None) every constraint is pi_C itself: dphi is None and the
+    rows are pi_rows.
     """
-    v, rows_pi = _pi_state(system, z)
+    rows_pi = _pi_rows(system, z, v)
     if target_r2 is None:
-        return rows_pi, v, rows_pi, None
+        return rows_pi, rows_pi, None
     # a contiguous operand takes the same matmul path at every batch size
     jac = np.ascontiguousarray(spec.invariant_jacobian(v), dtype=float)
     rows = np.concatenate([2.0 * (v[:, None, :] @ rows_pi), jac @ rows_pi], axis=1)
     dphi = np.concatenate([2.0 * v[:, None, :], jac], axis=1)
-    return rows, v, rows_pi, dphi
+    return rows, rows_pi, dphi
 
 
 def _central_differences(f, v: np.ndarray, h: np.ndarray) -> np.ndarray:
@@ -379,7 +383,8 @@ def _central_differences(f, v: np.ndarray, h: np.ndarray) -> np.ndarray:
 
 
 def _unit(v: np.ndarray) -> np.ndarray:
-    return v / np.linalg.norm(v, axis=-1, keepdims=True)
+    # the row norms np.linalg.norm(v, axis=-1) takes, without its wrapper
+    return v / np.sqrt(np.add.reduce(v * v, axis=-1, keepdims=True))
 
 
 def _solve_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -419,7 +424,7 @@ def _tangent_projection(g: np.ndarray, grad: np.ndarray):
     rows, from the normal equations regularized by 1e-14 and solved by
     :func:`_solve_rows`.
     """
-    g_t = np.swapaxes(g, -1, -2)
+    g_t = g.swapaxes(-1, -2)
     gg = g @ g_t
     coef = _solve_rows(gg + 1e-14 * np.eye(gg.shape[-1]), (g @ grad[..., None])[..., 0])
     return grad - (g_t @ coef[..., None])[..., 0], coef
@@ -452,21 +457,22 @@ def _newton_direction(system, spec, z, g, lam, best, v, rows_pi, dphi):
     """
     n_rows, p = v.shape
     fiber = dphi is None
-    a = lam if fiber else np.sum(dphi * lam[:, :, None], axis=1)
-    mu = best - 2.0 * np.sum(a * v, axis=-1)
+    a = lam if fiber else np.add.reduce(dphi * lam[:, :, None], axis=1)
+    mu = best - 2.0 * np.add.reduce(a * v, axis=-1)
     if not fiber:
         w = 2.0 * lam[:, 0, None, None] * np.eye(p)
         # the invariant's Hessians (S, t, m+1, m+1), symmetrized
-        hess = _central_differences(spec.invariant_jacobian, v, 1e-5 * np.linalg.norm(v, axis=-1))
-        hess = 0.5 * (hess + np.swapaxes(hess, -1, -2))
-        w += np.sum(lam[:, 1:, None, None] * hess, axis=1)
+        step = 1e-5 * np.sqrt(np.add.reduce(v * v, axis=-1))  # np.linalg.norm(v, axis=-1)
+        hess = _central_differences(spec.invariant_jacobian, v, step)
+        hess = 0.5 * (hess + hess.swapaxes(-1, -2))
+        w += np.add.reduce(lam[:, 1:, None, None] * hess, axis=1)
     vecs = np.concatenate([g[:, None, :], rows_pi, z[:, None, :]], axis=1)
     cols = vecs[:, 1:]  # C^T, (S, m+2, 2l)
     # rows with a (nearly) singular B overflow quietly; the final mask drops them
     with np.errstate(all="ignore"):
         binv = ((2.0 * system.span_apply(a, vecs) - mu[:, None, None] * vecs)
-                / (4.0 * np.sum(a * a, axis=-1) - mu * mu)[:, None, None])
-        gram = cols @ np.ascontiguousarray(np.swapaxes(binv, -1, -2))  # <C_i, B^-1 vecs_j>
+                / (4.0 * np.add.reduce(a * a, axis=-1) - mu * mu)[:, None, None])
+        gram = cols @ np.ascontiguousarray(binv.swapaxes(-1, -2))  # <C_i, B^-1 vecs_j>
         h, gm = gram[..., 0], gram[..., 1:]
         if fiber:
             kkt, rhs = gm, -h
@@ -478,28 +484,29 @@ def _newton_direction(system, spec, z, g, lam, best, v, rows_pi, dphi):
             wd_gm, wd_h = _small_matmul(wd, gm[:, :p]), _small_matmul(wd, h[:, :p, None])[..., 0]
             kkt = np.zeros((n_rows, p + 1 + k, p + 1 + k))
             kkt[:, :p, :p + 1] = np.eye(p, p + 1) + wd_gm[:, :p]
-            kkt[:, :p, p + 1:] = -np.swapaxes(dphi, -1, -2)
+            kkt[:, :p, p + 1:] = -dphi.swapaxes(-1, -2)
             kkt[:, p, :p + 1] = gm[:, p]
             kkt[:, p + 1:, :p + 1] = wd_gm[:, p:]
             rhs = -np.concatenate([wd_h[:, :p], h[:, p:], wd_h[:, p:]], axis=1)
-        finite = np.all(np.isfinite(kkt), axis=(1, 2)) & np.all(np.isfinite(rhs), axis=1)
+        finite = np.isfinite(kkt).all(axis=(1, 2)) & np.isfinite(rhs).all(axis=1)
         # the fallback SVD rejects non-finite input (gram, which gm views, is not read again)
         kkt[~finite], rhs[~finite] = 0.0, 0.0
         y = _solve_rows(kkt, rhs)[:, :p + 1]
-        xi = binv[:, 0] + np.sum(y[:, :, None] * binv[:, 1:], axis=1)
-        s = np.sum(rows_pi * xi[:, None, :], axis=-1)
-        gain = np.sum(g * xi, axis=-1)
-        curv = gain + np.sum(s * y[:, :p], axis=-1) + np.sum(z * xi, axis=-1) * y[:, p]
+        xi = binv[:, 0] + np.add.reduce(y[:, :, None] * binv[:, 1:], axis=1)
+        s = np.add.reduce(rows_pi * xi[:, None, :], axis=-1)
+        gain = np.add.reduce(g * xi, axis=-1)
+        curv = (gain + np.add.reduce(s * y[:, :p], axis=-1)
+                + np.add.reduce(z * xi, axis=-1) * y[:, p])
         if not fiber:
-            curv += np.sum(s * _small_matmul(w, s[..., None])[..., 0], axis=-1)
-        newton = finite & np.all(np.isfinite(xi), axis=-1) & (gain > 0.0) & (curv > 0.0)
+            curv += np.add.reduce(s * _small_matmul(w, s[..., None])[..., 0], axis=-1)
+        newton = finite & np.isfinite(xi).all(axis=-1) & (gain > 0.0) & (curv > 0.0)
     d = np.where(newton[:, None], xi, g)
-    return d, np.where(newton, gain, np.sum(g * g, axis=-1))
+    return d, np.where(newton, gain, np.add.reduce(g * g, axis=-1))
 
 
 def _small_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """a @ b for stacks of small matrices, summed in a fixed order per row."""
-    return np.sum(a[..., :, :, None] * b[..., None, :, :], axis=-2)
+    return np.add.reduce(a[..., :, :, None] * b[..., None, :, :], axis=-2)
 
 
 def _restore(system, spec, z, target_r2, target):
@@ -511,19 +518,21 @@ def _restore(system, spec, z, target_r2, target):
     sum is x (no angle t is read off |v'|, which loses it as |v'| nears 1).
     :func:`~clifford_foliations.foliation._turn` lands x on the fiber over the
     leaf's disk point: the target of a fiber leaf, else sqrt(target_r2) times
-    the spec's ``nearest_leaf_point`` of Q.  Returns the points and their
-    :func:`_residuals` max |c|.
+    the spec's ``nearest_leaf_point`` of Q.  Returns the points, their pi_C,
+    which the feasibility check evaluates and :func:`_descend` carries into
+    :func:`_constraint_rows`, and their :func:`_residuals` max |c|.
     """
     images = system.generator_images(z)
     v = row_dots(images, z[:, None, :])
     q = _unit(np.where(row_norms(v)[:, None] > 0.0, v, 1.0))  # any Q serves on M+
-    qz = np.sum(q[:, :, None] * images, axis=1)
+    qz = np.add.reduce(q[:, :, None] * images, axis=1)
     plus, minus = z + qz, z - qz
     back = (_unit(plus) + minus / np.maximum(row_norms(minus), 1e-300)[:, None]) / np.sqrt(2.0)
     disk = (np.broadcast_to(target, v.shape) if target_r2 is None
             else np.sqrt(target_r2) * spec.nearest_leaf_point(q, target))
     z = _turn(system, disk, back[:, None])[:, 0]
-    return z, np.max(np.abs(_residuals(system, spec, z, target_r2, target)), axis=1)
+    v, c = _residuals(system, spec, z, target_r2, target)
+    return z, v, np.maximum.reduce(np.abs(c), axis=1)
 
 
 def _descend(system, spec, x, z, target_r2, target):
@@ -542,16 +551,19 @@ def _descend(system, spec, x, z, target_r2, target):
     is below 1e-16, where no step could pass that margin, when no step of
     its line search is accepted, or after 120 iterations.  An iteration forms
     its rows' constraint rows once (:func:`_constraint_rows`); restores read
-    residuals only.  Returns the best point of every row and its <x, .>.
+    residuals only.  Every row carries its pi_C with its point: evaluated
+    once for the starts, then the one each accepted restore returns.
+    Returns the best point of every row and its <x, .>.
     """
     z = np.array(z, dtype=float)
-    best = np.sum(z * x, axis=-1)
+    pis = _quadratic_values(system, z)
+    best = np.add.reduce(z * x, axis=-1)
     active = np.arange(len(z))
     for _ in range(120):
-        za = z[active]
-        rows, v, rows_pi, dphi = _constraint_rows(system, spec, za, target_r2)
+        za, va = z[active], pis[active]
+        rows, rows_pi, dphi = _constraint_rows(system, spec, za, va, target_r2)
         g, lam = _tangent_projection(rows, x - best[active, None] * za)
-        d, gain = _newton_direction(system, spec, za, g, lam, best[active], v, rows_pi, dphi)
+        d, gain = _newton_direction(system, spec, za, g, lam, best[active], va, rows_pi, dphi)
         moving = gain >= 1e-16
         active, za, d = active[moving], za[moving], d[moving]
         pending = np.arange(len(active))
@@ -560,21 +572,33 @@ def _descend(system, spec, x, z, target_r2, target):
             if not pending.size:
                 break
             trial = za[pending, None] + steps[:, None] * d[pending, None]
-            cand, resid = _restore(system, spec, _unit(trial.reshape(-1, len(x))),
-                                   target_r2, target)
-            val = np.sum(cand * x, axis=-1)
+            cand, cand_pi, resid = _restore(system, spec, _unit(trial.reshape(-1, len(x))),
+                                            target_r2, target)
+            val = np.add.reduce(cand * x, axis=-1)
             ok = ((resid <= 1e-10) & (val > np.repeat(best[active[pending]], len(steps)) + 1e-15)
                   ).reshape(len(pending), len(steps))
-            hit = np.any(ok, axis=1)
-            first = np.flatnonzero(hit) * len(steps) + np.argmax(ok[hit], axis=1)
+            hit = ok.any(axis=1)
+            first = np.flatnonzero(hit) * len(steps) + ok[hit].argmax(axis=1)
             accepted = active[pending[hit]]
-            z[accepted], best[accepted] = cand[first], val[first]
+            z[accepted], pis[accepted], best[accepted] = cand[first], cand_pi[first], val[first]
             improved[pending[hit]] = True
             pending = pending[~hit]
         active = active[improved]
         if not active.size:
             break
     return z, best
+
+
+def _sample_floor(samples: np.ndarray, dots: np.ndarray, x: np.ndarray) -> float:
+    """The least ``unit_angle`` from x to the unit rows samples, with dots = samples @ x.
+
+    Only the samples whose dot is within 1e-9 of the largest are measured.  For unit rows
+    |s -+ x|^2 = |s|^2 + |x|^2 -+ 2 <s, x> with |s|^2 = 1 to about 1e-15, so the angle
+    falls as <s, x> rises, and a dot 1e-9 below the best is an angle larger by far more than
+    roundoff: the least angle is among the candidates, and as ``unit_angle`` is row-wise it
+    has the bits of the least over all samples.
+    """
+    return unit_angle(samples[dots >= dots.max() - 1e-9], x).min()
 
 
 def leaf_to_leaf_ambient_distance(system: CliffordSystem, spec: FoliationSpec,
@@ -594,7 +618,9 @@ def leaf_to_leaf_ambient_distance(system: CliffordSystem, spec: FoliationSpec,
     by about 1e-10 / (2r) (3.3e-10 at r = 0.15).  Descent starts are taken from the first
     2048 samples, and every budget's samples (:func:`_leaf_sample_blocks`)
     are a prefix of any larger budget's, so from 2048 on no larger budget
-    gives a larger estimate.  All
+    gives a larger estimate.  The samples' floor is measured only on those
+    within 1e-9 of the largest <x, .>, which hold its minimum
+    (:func:`_sample_floor`).  All
     starts ascend together as one (starts, 2l) batch, each with its own
     direction, step and acceptance.  A start's result is bit for bit the
     one it reaches alone, on dense systems too, whose products go row by row.
@@ -665,4 +691,4 @@ def leaf_to_leaf_ambient_distance(system: CliffordSystem, spec: FoliationSpec,
               for j in range(starts - len(greedy))] if rest else []
     starts_idx = list(dict.fromkeys(greedy + spread))
     refined, _ = _descend(system, spec, x, samples[starts_idx], target_r2, target)
-    return float(min(np.min(unit_angle(samples, x)), np.min(unit_angle(refined, x))))
+    return float(min(_sample_floor(samples, dots, x), unit_angle(refined, x).min()))

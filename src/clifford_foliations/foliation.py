@@ -280,18 +280,17 @@ def _turn(system: CliffordSystem, v: np.ndarray, x: np.ndarray) -> np.ndarray:
 # Differential of pi_C and the quartic form
 # --------------------------------------------------------------------------- #
 
-def _pi_state(system: CliffordSystem, x: np.ndarray):
-    """pi_C at float x, unchecked, and the :func:`pi_jacobian_rows`.
+def _pi_rows(system: CliffordSystem, x: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """The :func:`pi_jacobian_rows` at float x, unchecked, given v = pi_C(x).
 
-    v is :func:`_quadratic_values`, as :func:`pi_c` gives it; the rows
+    v is :func:`_quadratic_values` of x, as :func:`pi_c` gives it; the rows
     2 (P_i x - v_i x) are formed in the (..., m+1, 2l) image stack, in place,
     where doubling is exact.
     """
-    v = _quadratic_values(system, x)
     px = system.generator_images(x)
     px -= v[..., None] * x[..., None, :]
     px *= 2.0
-    return v, px
+    return px
 
 
 def pi_jacobian_rows(system: CliffordSystem, x: np.ndarray) -> np.ndarray:
@@ -301,7 +300,7 @@ def pi_jacobian_rows(system: CliffordSystem, x: np.ndarray) -> np.ndarray:
     """
     x = np.asarray(x, dtype=float)
     _check_width(system, x)
-    return _pi_state(system, x)[1]
+    return _pi_rows(system, x, _quadratic_values(system, x))
 
 
 def fkm_f0(system: CliffordSystem, x: np.ndarray):

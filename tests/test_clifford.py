@@ -10,6 +10,7 @@ import pytest
 from clifford_foliations.algebra import _blocks, eig_split, max_abs, rng_from, sign_fixed_q
 from clifford_foliations.clifford import (
     CliffordSystem,
+    _span_sum,
     MalformedSystemError,
     build_complex_structures,
     build_system,
@@ -474,6 +475,57 @@ class TestSpanMatrix:
                         acc = acc + c * gen
                     expected.append(acc)
                 assert system.span_matrix(rows).tobytes() == np.stack(expected).tobytes()
+
+
+class TestSpanScatter:
+    """_span_sum writes every coefficient row of a gather pair in one scatter."""
+
+    @staticmethod
+    def support_sum(rows, dense):
+        """sum_i rows[j, i] A_i added block by block from zero on each A_i's nonzero entries:
+        the dense sum for finite rows, a NaN coefficient marking only its own entries."""
+        out = np.zeros((len(rows),) + dense.shape[1:])
+        for acc, row in zip(out, rows):
+            for c, block in zip(row, dense):
+                on = block != 0
+                acc[on] = acc[on] + c * block[on]
+        return out
+
+    @staticmethod
+    def rows(m, seed):
+        full = rng_from(seed).standard_normal((4, m))
+        odd = full.copy()
+        odd[0, ::2] = 0.0
+        odd[1, ::2] = -0.0
+        odd[2, 1] = np.nan
+        odd[3, 0], odd[3, -1] = -0.0, np.nan
+        return np.vstack([full, odd, np.zeros(m), np.full(m, -0.0), np.eye(m)])
+
+    @classmethod
+    def assert_scatter(cls, got, rows, cols, signs):
+        expected = cls.support_sum(rows, gather_dense(cols, signs).astype(float))
+        assert got.tobytes() == expected.tobytes()
+        # zero coefficients, -0.0 included, leave +0.0 on their entries
+        assert not np.signbit(got[got == 0.0]).any()
+        assert np.isnan(got[6]).sum() == cols.shape[-1]
+
+    @pytest.mark.parametrize("m,k,flips", [(4, 3, 1), (8, 2, 0)])
+    def test_span_matrix(self, m, k, flips):
+        # width 2l: the generators
+        system = build_system(m, k, flips)
+        rows = self.rows(m + 1, 91 + m)
+        self.assert_scatter(system.span_matrix(rows), rows, *system.generators)
+
+    @pytest.mark.parametrize("m,k,flips", [(4, 3, 1), (8, 2, 0), (12, 4, 0)])
+    def test_span_apply_blocks(self, m, k, flips):
+        # width l: the blocks R_i, and at (12, 4) the first of the four 64-wide copies
+        # span_apply sums
+        system = build_system(m, k, flips)
+        width = system.l // system._p0_copies
+        assert width == (64 if m == 12 else system.l)
+        rows = self.rows(m, 92 + m)
+        cols, signs = (a[:, :width] for a in system._p0_blocks)
+        self.assert_scatter(_span_sum(rows, system._p0_scatter, width), rows, cols, signs)
 
 
 class TestSpanTrace:

@@ -9,13 +9,14 @@ import pytest
 from clifford_foliations.algebra import (max_abs, rng_from, row_norms, sample_unit_vectors,
                                          sign_fixed_q, sign_fixed_rotation, unit_angle)
 from clifford_foliations import composed, foliation
-from clifford_foliations.clifford import build_system, conjugate_system
+from clifford_foliations.clifford import CliffordSystem, build_system, conjugate_system
 from clifford_foliations.composed import (
     BUILTIN_SPEC_NAMES,
     FoliationSpec,
     _descend,
     _unit,
     _leaf_sample_blocks,
+    _sample_floor,
     builtin_spec,
     composed_class,
     composed_quotient_distance,
@@ -104,6 +105,27 @@ def orbit_distance_search_oracle(a, b, restarts=12, iters=40, seed=0):
             v = best_rotation(a.T @ u @ b)
         best = max(best, float(np.sum(a * (u @ b @ v.T))))
     return float(np.arccos(np.clip(best, -1.0, 1.0)))
+
+
+def leaf_distance_pool():
+    """The 13 leaf pairs of the ``leaf_distance`` benchmark, as perfbench/workloads.py draws
+    them: (system, spec, starts, xa, xb, estimator seed)."""
+    seeds = np.random.default_rng([0, 0]).integers(2**62, size=13)
+    pairs = []
+    for j, mk in enumerate(((2, 2), (1, 4), (3, 2), (5, 1), (4, 3), (6, 2), (9, 1))):
+        system = build_system(*mk)
+        for s, (name, starts) in enumerate((("points", 64), ("height", 6))):
+            if (mk, name) == ((9, 1), "points"):
+                continue
+            rng = np.random.default_rng([0, j, s, 0])
+            vs = []
+            for _ in range(2):
+                v = rng.standard_normal(system.m + 1)
+                vs.append(v / np.linalg.norm(v) * rng.uniform(0.15, 0.9))
+            xa, xb = (fiber_sample(system, v, 1, int(rng.integers(2**62)))[0] for v in vs)
+            pairs.append((system, builtin_spec(name, system.m), starts, xa, xb,
+                          int(seeds[len(pairs)])))
+    return pairs
 
 
 @pytest.fixture(scope="module")
@@ -1009,7 +1031,8 @@ class TestNewtonAscent:
         z = fiber_sample(s22, v0, 2, 45)
         x = fiber_sample(s22, np.array([-0.2, 0.4, 0.1]), 1, 46)[0]
         r = float(np.linalg.norm(v0))
-        rows, v, rows_pi, dphi = composed._constraint_rows(s22, spec, z, r * r)
+        v = foliation._quadratic_values(s22, z)
+        rows, rows_pi, dphi = composed._constraint_rows(s22, spec, z, v, r * r)
         best = z @ x
         g, lam = composed._tangent_projection(rows, x - best[:, None] * z)
         lam[0], best[0] = 0.0, 0.0
@@ -1025,10 +1048,10 @@ class TestNewtonAscent:
         # a fiber leaf's state, as _descend forms it: target_r2 = None, so dphi is None
         # (the identity), the rows are the pi_C rows and the residuals pi_C(z) - target
         spec = builtin_spec("points", system.m)
-        rows, v, rows_pi, dphi = composed._constraint_rows(system, spec, z, None)
+        v, resid = composed._residuals(system, spec, z, None, target)
+        rows, rows_pi, dphi = composed._constraint_rows(system, spec, z, v, None)
         assert dphi is None and rows is rows_pi
-        np.testing.assert_array_equal(composed._residuals(system, spec, z, None, target),
-                                      v - target)
+        np.testing.assert_array_equal(resid, v - target)
         best = z @ x
         g, lam = composed._tangent_projection(rows, x - best[:, None] * z)
         return spec, g, lam, best, v, rows_pi
@@ -1099,12 +1122,13 @@ class TestNewtonAscent:
         v0 = np.array([0.3, 0.1, -0.2])
         z = fiber_sample(system, v0, 5, 48)
         r = float(np.linalg.norm(v0))
-        _, v, rows_pi, _ = composed._constraint_rows(system, spec, z, r * r)
+        # the v the restore's residuals return, which the ascent carries, and a fiber
+        # leaf's residuals read the same v
+        v, resid = composed._residuals(system, builtin_spec("points", 2), z, None, v0)
         assert v.tobytes() == pi_c(system, z).tobytes()
-        assert rows_pi.tobytes() == pi_jacobian_rows(system, z).tobytes()
-        # a fiber leaf's residuals read the same v
-        resid = composed._residuals(system, builtin_spec("points", 2), z, None, v0)
         assert resid.tobytes() == (pi_c(system, z) - v0).tobytes()
+        _, rows_pi, _ = composed._constraint_rows(system, spec, z, v, r * r)
+        assert rows_pi.tobytes() == pi_jacobian_rows(system, z).tobytes()
 
     def test_one_leaf_converges(self):
         # one_leaf's invariant row vanishes; the ascent still converges, where
@@ -1145,13 +1169,13 @@ class TestFiberTransport:
             z = fiber_sample(system, r_from * dirs[0], 8, 65 + i)
             for r_to in radii:
                 v = r_to * dirs[1]
-                got, resid = composed._restore(system, builtin_spec("points", m), z, None, v)
+                got, _, resid = composed._restore(system, builtin_spec("points", m), z, None, v)
                 assert np.max(np.abs(pi_c(system, got) - v)) <= 1e-13
                 assert np.max(np.abs(row_norms(got) - 1.0)) <= 1e-14
                 assert np.max(resid) <= 1e-13
                 if r_to:
                     # any other leaf: the direction moved onto the height leaf first
-                    got, resid = composed._restore(system, hgt, z, r_to * r_to, tail)
+                    got, _, resid = composed._restore(system, hgt, z, r_to * r_to, tail)
                     assert np.max(resid) <= 1e-13
                     assert np.max(np.abs(row_norms(got) - 1.0)) <= 1e-14
 
@@ -1163,6 +1187,75 @@ class TestFiberTransport:
         seeds = np.array([67, 68, 69])
         turned = foliation._turn(system, v, mplus_sample(system, 5, seeds))
         assert turned.tobytes() == fiber_sample(system, v, 5, seeds).tobytes()
+
+
+def carry_system(kind):
+    """An exact, a flipped (E+-(P_0) an int-array split), a dense and a conjugated system."""
+    if kind == "exact":
+        return build_system(3, 2)
+    if kind == "flipped":
+        return build_system(4, 2, 1)
+    if kind == "dense":
+        built = build_system(2, 2)
+        return CliffordSystem(2, built.l, np.stack([built.dense_generator(i) for i in range(3)]))
+    return transport_system("conjugated")
+
+
+class TestCarriedPi:
+    """_descend carries each point's pi_C from the restore that accepted it into
+    _constraint_rows, which must be the value a fresh evaluation gives, bit for bit."""
+
+    KINDS = ["exact", "flipped", "dense", "conjugated"]
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_restore_returns_the_fresh_pi(self, kind):
+        system = carry_system(kind)
+        m = system.m
+        if kind == "flipped":
+            assert not all(isinstance(at, slice) for at in system._p0_split)
+        dirs = sample_unit_vectors(rng_from(80, m), m + 1, 2)
+        hgt = builtin_spec("height", m)
+        z = fiber_sample(system, 0.4 * dirs[0], 8, 81)
+        for spec, target_r2, target in ((builtin_spec("points", m), None, 0.7 * dirs[1]),
+                                        (hgt, 0.49, hgt.invariant_map(dirs[1:])[0])):
+            got, v, _ = composed._restore(system, spec, z, target_r2, target)
+            assert v.tobytes() == foliation._quadratic_values(system, got).tobytes()
+            # and each row's, as a batch of one: the carried rows are regrouped
+            for i in range(len(got)):
+                assert (v[i].tobytes()
+                        == foliation._quadratic_values(system, got[i:i + 1])[0].tobytes())
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("spec_name", ["points", "height"])
+    def test_carry_equals_fresh_evaluation(self, kind, spec_name, monkeypatch):
+        system = carry_system(kind)
+        m = system.m
+        spec = builtin_spec(spec_name, m)
+        rng = rng_from(82, m)
+        va = sample_unit_vectors(rng, m + 1, 1)[0] * 0.6
+        vb = sample_unit_vectors(rng, m + 1, 1)[0] * 0.4
+        x = fiber_sample(system, va, 1, 83)[0]
+        v = pi_c(system, fiber_sample(system, vb, 1, 84)[0])
+        r = float(row_norms(v))
+        target = (None, v) if spec.nearest_leaf_point is None else (
+            r * r, spec.invariant_map((v / r)[None])[0])
+        starts = _leaf_sample_blocks(system, spec, v, 256, rng_from(85), target[1])[::32]
+        carried = _descend(system, spec, x, starts, *target)
+
+        constraint_rows, calls = composed._constraint_rows, []
+
+        def fresh(system, spec, z, v, target_r2):
+            # the ascent as it ran before the carry: pi_C evaluated again at every iteration
+            again = foliation._quadratic_values(system, z)
+            assert v.tobytes() == again.tobytes()
+            calls.append(len(z))
+            return constraint_rows(system, spec, z, again, target_r2)
+
+        monkeypatch.setattr(composed, "_constraint_rows", fresh)
+        evaluated = _descend(system, spec, x, starts, *target)
+        assert len(calls) >= 2
+        assert carried[0].tobytes() == evaluated[0].tobytes()
+        assert carried[1].tobytes() == evaluated[1].tobytes()
 
 
 class TestInvariantJacobian:
@@ -1312,6 +1405,72 @@ class TestLeafSamples:
         units = sample_unit_vectors(rng_from(79, 0), system.m + 1, 19)
         blocks = fiber_sample(system, r * units, 32, rng_from(79, 1).integers(2**62, size=19))
         assert got.tobytes() == blocks.reshape(-1, system.dim)[:600].tobytes()
+
+
+class TestSampleFloor:
+    """The estimator's sample floor measures only the samples within 1e-9 of the best dot,
+    and must give the least unit_angle over all of them, bit for bit."""
+
+    @staticmethod
+    def assert_floor(samples, x):
+        dots = samples @ x
+        floor = _sample_floor(samples, dots, x)
+        assert floor.tobytes() == np.min(unit_angle(samples, x)).tobytes()
+        return floor
+
+    def test_benchmark_pool(self, monkeypatch):
+        floors = []
+        sample_floor = composed._sample_floor
+
+        def checked(samples, dots, x):
+            np.testing.assert_array_equal(dots, samples @ x)
+            floors.append(self.assert_floor(samples, x))
+            return sample_floor(samples, dots, x)
+
+        monkeypatch.setattr(composed, "_sample_floor", checked)
+        for system, spec, starts, xa, xb, seed in leaf_distance_pool():
+            leaf_to_leaf_ambient_distance(system, spec, xa, xb, 1200, seed, starts=starts)
+        assert len(floors) == 13
+
+    @pytest.mark.parametrize("mk", [(3, 2), (4, 2, 1)], ids=["3_2", "4_2_1"])
+    @pytest.mark.parametrize("spec_name", ["points", "height"])
+    @pytest.mark.parametrize("radius", [0.0, 0.5, 1.0 - 1e-8], ids=["origin", "interior",
+                                                                    "boundary_adjacent"])
+    def test_seeded_leaves(self, mk, spec_name, radius):
+        system = build_system(*mk)
+        m = system.m
+        spec = builtin_spec(spec_name, m)
+        rng = rng_from(86, m, int(1e3 * radius))
+        v = radius * sample_unit_vectors(rng, m + 1, 1)[0]
+        assert foliation._lift_height(radius) > 0.0  # samples, not the boundary closed form
+        x = fiber_sample(system, 0.3 * sample_unit_vectors(rng, m + 1, 1)[0], 1, 87)[0]
+        for budget in (1, 17, 64, 1200):
+            samples = _leaf_sample_blocks(system, spec, v, budget, rng_from(88, budget),
+                                          leaf_tail(spec, v))
+            assert len(samples) == budget
+            # x unit, x off unit by 5e-10 (check_unit passes it), and x next to a sample
+            near = _unit(samples[-1] + 1e-7 * sample_unit_vectors(rng, system.dim, 1)[0])
+            for point in (x, x * (1.0 + 5e-10), near):
+                self.assert_floor(samples, point)
+
+    def test_every_sample_on_the_far_side(self):
+        rng = rng_from(89)
+        x = sample_unit_vectors(rng, 16, 1)[0]
+        for spread in (0.05, 0.5, 1.0):
+            samples = _unit(-x + spread * rng.standard_normal((600, 16)) / 4.0)
+            assert np.all(samples @ x < 0.0)
+            for point in (x, x * (1.0 - 5e-10)):
+                self.assert_floor(samples, point)
+
+    def test_ties_and_repeats(self):
+        # the best sample repeated, and samples a roundoff apart in their dot
+        rng = rng_from(90)
+        x = sample_unit_vectors(rng, 8, 1)[0]
+        base = sample_unit_vectors(rng, 8, 40)
+        samples = np.vstack([base, np.repeat(base[:1], 5, axis=0),
+                             _unit(base[:1] + 1e-15 * rng.standard_normal((30, 8)))])
+        self.assert_floor(samples, x)
+        self.assert_floor(samples, _unit(samples[0] + 1e-12 * rng.standard_normal(8)))
 
 
 class TestDiameterScenario:
