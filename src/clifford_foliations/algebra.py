@@ -24,7 +24,6 @@ __all__ = [
     "snapped_sqrt",
     "projector_colspace_basis",
     "eig_split",
-    "seed_ints",
     "rng_from",
     "rng_streams",
     "redraw_short_rows",
@@ -243,39 +242,18 @@ def _count(value, name: str, least: int) -> int:
     return value
 
 
-def seed_ints(seeds):
-    """The seeds as a list of non-negative ints, and whether a single int was given.
+def _stream_ints(entry, name: str) -> list:
+    """A seed or path entry of :func:`rng_streams`, an int or a 1-D array, as a list of ints.
 
-    Takes an int or a 1-D array or sequence of ints.  A non-integer seed, a
-    bool included, raises ``TypeError``, as in ``rng_from``, rather than
-    being truncated; a negative one raises ``ValueError``.
-    """
-    arr = seeds if isinstance(seeds, np.ndarray) else np.asarray(seeds, dtype=object)
-    if arr.ndim > 1:
-        raise ValueError("seeds must be an int or a 1-D array")
-    ints = arr.ravel().tolist()
-    if arr.dtype.kind not in "iu":
-        try:
-            ints = [_index(s, "seeds") for s in ints]
-        except TypeError:
-            raise TypeError(f"seeds must be integers, got {seeds!r}") from None
-    if ints and min(ints) < 0:
-        raise ValueError(f"seeds must be non-negative, got {seeds!r}")
-    return ints, arr.ndim == 0
-
-
-def _path_ints(entry) -> list:
-    """A path entry of :func:`rng_streams`, an int or a 1-D array, as a list of ints.
-
-    Each entry is checked as :func:`rng_from` checks its path (:func:`_count`),
-    except a numpy integer array with no negative entry, which is taken as it is.
+    Each value goes through ``_count(value, name, 0)``, as in :func:`rng_from`, except a
+    numpy integer array with no negative entry, which is taken as it is.
     """
     arr = entry if isinstance(entry, np.ndarray) else np.asarray(entry, dtype=object)
     if arr.ndim > 1:
-        raise ValueError("path entries must be an int or a 1-D array")
+        raise ValueError(f"{name} must be an int or a 1-D array")
     ints = arr.ravel().tolist()
     if arr.dtype.kind not in "iu" or (ints and min(ints) < 0):
-        ints = [_count(value, "path entry", 0) for value in ints]
+        ints = [_count(value, name, 0) for value in ints]
     return ints
 
 
@@ -372,14 +350,15 @@ def _pcg64_words(seeds: np.ndarray, path: np.ndarray) -> np.ndarray:
 def rng_streams(seeds, *path) -> list:
     """Generators for k seeds plus a derivation path, from one vectorised hash.
 
-    seeds is an int or a (k,) array, and each path entry an int or a (k,)
-    array broadcast against them.  Generator j has exactly the state of
-    ``rng_from(seeds[j], *path_j)``: the SeedSequence pool hash runs once on
-    all k word rows.  Below five streams, where that is no faster, and for
-    seeds of 2^64 or more or path entries of 2^32 or more, the streams come
-    from ``rng_from``.
+    The one reader of seeds and path entries: seeds is an int or a (k,) array,
+    and each path entry an int or a (k,) array broadcast against them, every
+    value a non-negative integer (:func:`_stream_ints`).  Generator j has
+    exactly the state of ``rng_from(seeds[j], *path_j)``: the SeedSequence pool
+    hash runs once on all k word rows.  Below five streams, where that is no
+    faster, and for seeds of 2^64 or more or path entries of 2^32 or more,
+    each stream is built as ``rng_from`` builds it, from the ints read here.
     """
-    columns = [seed_ints(seeds)[0]] + [_path_ints(entry) for entry in path]
+    columns = [_stream_ints(seeds, "seeds")] + [_stream_ints(entry, "path entry") for entry in path]
     sizes = {len(c) for c in columns} - {1}
     if len(sizes) > 1:
         raise ValueError("path entries must broadcast against the seeds")
@@ -387,7 +366,8 @@ def rng_streams(seeds, *path) -> list:
     columns = [c * k if len(c) == 1 else c for c in columns]
     if (k < _STREAMS_CROSSOVER or max(columns[0]) >= 2**64
             or any(max(c) >= 2**32 for c in columns[1:])):
-        return [rng_from(seed, *entries) for seed, *entries in zip(*columns)]
+        return [np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=key)))
+                for seed, *key in zip(*columns)]
     words = _pcg64_words(np.array(columns[0], dtype=np.uint64),
                          np.array(columns[1:], dtype=np.uint32).reshape(len(path), k).T)
     return [np.random.Generator(np.random.PCG64(_StateWords(w))) for w in words]

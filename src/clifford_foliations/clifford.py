@@ -404,6 +404,8 @@ def _span_sum(rows: np.ndarray, blocks, width: int) -> np.ndarray:
     diagonal of that sum, so each entry is written once and the scatter equals the dense
     sum bit for bit.  A zero coefficient, 0 or -0.0, leaves +0.0 on its entries, as the
     dense sum's zero terms leave the zero stack; a NaN one marks only its own entries.
+    A stack is that dense sum, each A_i added to every row from zero: a zero term adds
+    +-0.0, which leaves every entry's bits alone.
     """
     out = np.zeros((len(rows), width, width))
     if isinstance(blocks, tuple):
@@ -412,15 +414,8 @@ def _span_sum(rows: np.ndarray, blocks, width: int) -> np.ndarray:
         values += 0.0  # -0.0 + 0.0 is +0.0, and every other value stays as it is
         out.reshape(len(rows), -1)[:, offsets] = values
         return out
-    # zero coefficients add only zeros, which leave every entry's bits alone, so
-    # each A_i goes only into the rows whose coefficient is nonzero: identity
-    # rows take one pass each, and full rows the whole-stack pass
     for i in range(rows.shape[1]):
-        at = np.flatnonzero(rows[:, i])
-        if len(at) == len(rows):
-            out += rows[:, i, None, None] * blocks[i]
-        elif len(at):
-            out[at] += rows[at, i, None, None] * blocks[i]
+        out += rows[:, i, None, None] * blocks[i]
     return out
 
 

@@ -21,8 +21,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .algebra import (_count, check_unit, rng_from, row_dots, row_norms, sample_unit_vectors,
-                      unit_angle)
+from .algebra import (_count, _pairwise_norms, check_unit, rng_from, row_dots, row_norms,
+                      sample_unit_vectors, unit_angle)
 from .clifford import CliffordSystem
 from .foliation import _lift_height, _pi_rows, _quadratic_values, _turn, fiber_sample, pi_c
 
@@ -139,9 +139,9 @@ def builtin_spec(name: str, m: int) -> FoliationSpec:
 
         def height_jacobian(v):
             # d<v/|v|, p0>/dv = (p0 - <v^, p0> v^) / |v|
-            r = np.linalg.norm(v, axis=-1, keepdims=True)
+            r = _pairwise_norms(v)[..., None]
             vhat = v / r
-            return ((p0 - np.sum(vhat * p0, axis=-1, keepdims=True) * vhat) / r)[..., None, :]
+            return ((p0 - np.add.reduce(vhat * p0, -1, keepdims=True) * vhat) / r)[..., None, :]
 
         def nearest_height(u, tails):
             # h p0 + sqrt(1 - h^2) e^ for e^ the unit part of u off p0 = e_0; at a pole
@@ -170,7 +170,7 @@ def builtin_spec(name: str, m: int) -> FoliationSpec:
             # d tau_i = u_i^T dM v_i with u_3 times sign(det), chained through
             # (I - v^ v^T) / |v|; where singular values repeat, tau has no
             # derivative, so those rows take central differences
-            r = np.linalg.norm(v, axis=-1)
+            r = _pairwise_norms(v)
             vhat = v / r[:, None]
             mats = vhat.reshape(-1, 3, 3)
             u, sv, vt = np.linalg.svd(mats)
@@ -383,8 +383,7 @@ def _central_differences(f, v: np.ndarray, h: np.ndarray) -> np.ndarray:
 
 
 def _unit(v: np.ndarray) -> np.ndarray:
-    # the row norms np.linalg.norm(v, axis=-1) takes, without its wrapper
-    return v / np.sqrt(np.add.reduce(v * v, axis=-1, keepdims=True))
+    return v / _pairwise_norms(v)[..., None]
 
 
 def _solve_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -462,7 +461,7 @@ def _newton_direction(system, spec, z, g, lam, best, v, rows_pi, dphi):
     if not fiber:
         w = 2.0 * lam[:, 0, None, None] * np.eye(p)
         # the invariant's Hessians (S, t, m+1, m+1), symmetrized
-        step = 1e-5 * np.sqrt(np.add.reduce(v * v, axis=-1))  # np.linalg.norm(v, axis=-1)
+        step = 1e-5 * _pairwise_norms(v)
         hess = _central_differences(spec.invariant_jacobian, v, step)
         hess = 0.5 * (hess + hess.swapaxes(-1, -2))
         w += np.add.reduce(lam[:, 1:, None, None] * hess, axis=1)

@@ -21,8 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import (_blocks, _count, check_unit, eig_split, gaussian_rows, redraw_short_rows,
-                      rng_streams, row_dots, row_norms, sample_unit_vectors, seed_ints,
-                      snapped_sqrt, unit_angle)
+                      rng_streams, row_dots, row_norms, sample_unit_vectors, snapped_sqrt,
+                      unit_angle)
 from .clifford import CliffordSystem
 
 __all__ = [
@@ -116,27 +116,27 @@ def pi_c(system: CliffordSystem, x: np.ndarray) -> np.ndarray:
 # --------------------------------------------------------------------------- #
 
 def _seeded_rows(points, seeds, width: int):
-    """Rows of points as (k, width) floats, the seeds as k ints, and whether the call was single.
+    """Rows of points as (k, width) floats, their k generators, and whether the call was single.
 
-    A 1-D point takes one int seed and is a batch of one; k rows take k seeds.
+    A 1-D point takes one int seed and is a batch of one; k rows take k seeds, which
+    :func:`rng_streams` reads.
     """
     points = np.asarray(points, dtype=float)
     if points.ndim not in (1, 2) or points.shape[-1] != width:
         raise ValueError(f"points must have shape ({width},) or (k, {width})")
-    seeds, single = seed_ints(seeds)
-    if single != (points.ndim == 1) or len(seeds) != len(np.atleast_2d(points)):
+    rngs, single = rng_streams(seeds), np.ndim(seeds) == 0
+    if single != (points.ndim == 1) or len(rngs) != len(np.atleast_2d(points)):
         raise ValueError("pass one seed per point: an int for a single point, "
                          "a (k,) array for k rows")
-    return np.atleast_2d(points), seeds, single
+    return np.atleast_2d(points), rngs, single
 
 
-def _boundary_rows(system: CliffordSystem, p: np.ndarray, n: int, seeds) -> np.ndarray:
-    """n samples of each boundary fiber over the unit rows of p, shape (k, n, 2l)."""
+def _boundary_rows(system: CliffordSystem, p: np.ndarray, n: int, rngs: list) -> np.ndarray:
+    """n samples of each boundary fiber over the unit rows of p, (k, n, 2l), fiber j by rngs[j]."""
     n = _count(n, "n", 0)
     # P^2 = |p|^2 Id on a Clifford system: the involution check, without P @ P
     if not np.all(np.abs(row_norms(p) ** 2 - 1.0) <= 1e-10):
         raise ValueError("span element is not an involution to 1e-10")
-    rngs = rng_streams(seeds)
     z = gaussian_rows(rngs, (n, system.dim))
     z += system.span_apply(p, z)
 
@@ -159,9 +159,9 @@ def boundary_fiber_sample(system: CliffordSystem, p_coords: np.ndarray,
     (n, 2l); k points (k, m+1) with k seeds give (k, n, 2l), fiber j equal
     bit for bit to the single call with seeds[j].
     """
-    p_coords, seeds, single = _seeded_rows(p_coords, seeds, system.m + 1)
+    p_coords, rngs, single = _seeded_rows(p_coords, seeds, system.m + 1)
     check_unit(p_coords, "span element")
-    z = _boundary_rows(system, p_coords, n, seeds)
+    z = _boundary_rows(system, p_coords, n, rngs)
     return z[0] if single else z
 
 
@@ -176,14 +176,13 @@ def _project_out(w: np.ndarray, g: np.ndarray) -> np.ndarray:
     return g
 
 
-def _mplus_rows(system: CliffordSystem, n: int, seeds):
-    """n samples of M+ per seed as E_+-(P_0) coefficients (u, w), each (k, n, l).
+def _mplus_rows(system: CliffordSystem, n: int, rngs: list):
+    """n samples of M+ per generator as E_+-(P_0) coefficients (u, w), each (k, n, l).
 
-    The sample is u B_plus^T + w B_minus^T; each seed draws in the single call's order.
+    The sample is u B_plus^T + w B_minus^T; each generator draws in the single call's order.
     """
     n = _count(n, "n", 0)
     m, l = system.m, system.l
-    rngs = rng_streams(seeds)
     u = sample_unit_vectors(rngs, l, n)
     g = gaussian_rows(rngs, (n, l))
     if m:
@@ -216,11 +215,11 @@ def mplus_sample(system: CliffordSystem, n: int, seeds) -> np.ndarray:
     suite witnesses it).  An int seed gives (n, 2l); a (k,) seed array gives
     (k, n, 2l), batch j equal bit for bit to the call with seeds[j].
     """
-    seeds, single = seed_ints(seeds)
+    rngs = rng_streams(seeds)
     if system.l <= system.m:
         raise EmptyFocalError("the quotient is the boundary sphere; M+ is empty")
-    x = system.p0_assemble(*_mplus_rows(system, n, seeds))
-    return x[0] if single else x
+    x = system.p0_assemble(*_mplus_rows(system, n, rngs))
+    return x[0] if np.ndim(seeds) == 0 else x
 
 
 def fiber_sample(system: CliffordSystem, v: np.ndarray, n: int, seeds) -> np.ndarray:
@@ -237,7 +236,7 @@ def fiber_sample(system: CliffordSystem, v: np.ndarray, n: int, seeds) -> np.nda
     (k, m+1) with k seeds give (k, n, 2l), fiber j equal bit for bit to the
     single call with seeds[j].
     """
-    v, seeds, single = _seeded_rows(v, seeds, system.m + 1)
+    v, rngs, single = _seeded_rows(v, seeds, system.m + 1)
     with np.errstate(over="ignore"):  # a huge row's norm is inf and fails the check below
         r = row_norms(v)
     if not np.all(r <= 1.0 + 1e-12):
@@ -245,9 +244,9 @@ def fiber_sample(system: CliffordSystem, v: np.ndarray, n: int, seeds) -> np.nda
     edge = _lift_height(r) == 0.0
     unit = v / np.where(edge, r, 1.0)[:, None]  # boundary rows snapped to v/|v|
     if system.l > system.m:
-        x = _turn(system, unit, system.p0_assemble(*_mplus_rows(system, n, seeds)))
+        x = _turn(system, unit, system.p0_assemble(*_mplus_rows(system, n, rngs)))
     elif np.all(edge):
-        x = _boundary_rows(system, unit, n, seeds)
+        x = _boundary_rows(system, unit, n, rngs)
     else:
         raise EmptyFocalError("the quotient is the boundary sphere; M+ is empty")
     return x[0] if single else x
@@ -344,16 +343,15 @@ def random_horizontal_geodesic(system: CliffordSystem, seeds) -> HorizontalGeode
     equal bit for bit to the geodesic of seeds[j], with all 2k endpoints
     drawn in one sampler call.
     """
-    seeds, single = seed_ints(seeds)
-    k = len(seeds)
     rngs = rng_streams(seeds)
+    k = len(rngs)
     p = sample_unit_vectors(rngs, system.m + 1, 1)[:, 0]
     ends = np.empty((2, k), dtype=np.int64)
     for j, rng in enumerate(rngs):
         ends[:, j] = rng.integers(2**62), rng.integers(2**62)
     x = boundary_fiber_sample(system, np.concatenate([p, -p]), 1, ends.ravel())[:, 0]
     rows = (p, x[:k], x[k:])
-    return HorizontalGeodesic(*(a[0] if single else a for a in rows))
+    return HorizontalGeodesic(*(a[0] if np.ndim(seeds) == 0 else a for a in rows))
 
 
 def geodesic_eval(g: HorizontalGeodesic, t) -> np.ndarray:

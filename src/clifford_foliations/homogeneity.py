@@ -25,7 +25,7 @@ from typing import Optional
 import numpy as np
 
 from .algebra import (_count, cd_mul, cd_units, check_unit, gaussian_rows, rng_streams, row_norms,
-                      seed_ints, sign_fixed_q, sign_fixed_rotation, snapped_sqrt)
+                      sign_fixed_q, sign_fixed_rotation, snapped_sqrt)
 from .clifford import EquivalenceProfile, delta
 
 __all__ = [
@@ -132,7 +132,6 @@ def sample_group_element(field: str, k: int, seeds) -> GroupElement:
     k = _count(k, "k", 1)
     if field not in FIELD_DIM:
         raise ValueError(f"unknown field {field!r}")
-    seeds, single = seed_ints(seeds)
     # each element's Gaussians, drawn as its single call draws them
     shape = {"R": (k, k), "C": (2, k, k), "H": (k, k, 4)}[field]
     draws = gaussian_rows(rng_streams(seeds), shape)
@@ -146,7 +145,7 @@ def sample_group_element(field: str, k: int, seeds) -> GroupElement:
         entries = np.stack([q.real, q.imag], axis=-1)
     else:
         entries = _quaternionic_unitary(draws)
-    return GroupElement(field, k, entries[0] if single else entries)
+    return GroupElement(field, k, entries[0] if np.ndim(seeds) == 0 else entries)
 
 
 def diagonal_act(g: GroupElement, x: np.ndarray) -> np.ndarray:

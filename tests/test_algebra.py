@@ -16,7 +16,6 @@ from clifford_foliations.algebra import (
     row_dots,
     row_norms,
     sample_unit_vectors,
-    seed_ints,
     sign_fixed_q,
     sign_fixed_rotation,
     unit_angle,
@@ -447,28 +446,24 @@ class TestStreams:
             rng_streams(np.arange(3), np.arange(4))
 
     def test_seed_coercion(self):
-        assert seed_ints(5) == ([5], True)
-        assert seed_ints(np.int64(5)) == ([5], True)
-        assert seed_ints([2**70, np.uint64(2**63)]) == ([2**70, 2**63], False)
-        assert seed_ints(np.array([], dtype=float)) == ([], False)
+        # rng_streams reads seeds under the one integer rule, each value by _count
+        assert_same_streams(rng_streams(np.int64(5)), [5])
+        assert_same_streams(rng_streams([2**70, np.uint64(2**63)]), [2**70, 2**63])
+        assert rng_streams(np.array([], dtype=float)) == []
         for bad in (1.5, np.array([1.9, 2.2]), [1, 2.0], "7"):
-            with pytest.raises(TypeError):
-                seed_ints(bad)
-            with pytest.raises(TypeError):
+            with pytest.raises(TypeError, match="^seeds must be an integer, got"):
                 rng_streams(bad)
         for negative in (-1, [3, -2], np.array([-5])):
-            with pytest.raises(ValueError):
+            with pytest.raises(ValueError, match="^seeds must be at least 0, got -"):
                 rng_streams(negative)
-        with pytest.raises(ValueError):
-            seed_ints(np.zeros((2, 2), dtype=int))
+        with pytest.raises(ValueError, match="^seeds must be an int or a 1-D array$"):
+            rng_streams(np.zeros((2, 2), dtype=int))
 
     def test_bool_seeds_raise(self):
         # bools are ints to Python and to operator.index, but a seed must be an integer
         for bad in (True, False, np.array([True, False]), [3, True],
                     np.array([True], dtype=object)):
-            with pytest.raises(TypeError, match="integers"):
-                seed_ints(bad)
-            with pytest.raises(TypeError, match="integers"):
+            with pytest.raises(TypeError, match="^seeds must be an integer, got (True|False)$"):
                 rng_streams(bad)
         # a path entry is named as rng_from names it, not as a seed
         with pytest.raises(TypeError, match="^path entry must be an integer, got True$"):

@@ -5,8 +5,8 @@ closed forms or neither, FoliationSpec has its six fields, only FoliationSpec's
 construction check and composed._fiber_leaf ask whether a spec carries its leaf metric
 and closed forms, only composed._solve_rows solves linear systems, only algebra tests
 for integers, every integer argument takes numpy integers and refuses bools, floats,
-strings and values below its range, library calls leave read-only inputs untouched, and
-every python block of README.md runs."""
+strings and values below its range, a draw's seeds are read once, by rng_streams, library
+calls leave read-only inputs untouched, and every python block of README.md runs."""
 
 import ast
 import dataclasses
@@ -19,6 +19,7 @@ import numpy as np
 import pytest
 
 import clifford_foliations
+from clifford_foliations import algebra, foliation, homogeneity
 from clifford_foliations.algebra import (cd_units, rng_from, rng_streams, row_dots, row_norms,
                                          sample_unit_vectors)
 from clifford_foliations.clifford import (CliffordSystem, build_complex_structures,
@@ -250,6 +251,14 @@ INTEGER_ARGUMENTS = {
     "dense_generator": ("i", S22.dense_generator, 1, -1),
     "builtin_spec.m": ("m", lambda v: builtin_spec("height", v), 2, 0),
     "sample_group_element.k": ("k", lambda v: sample_group_element("C", v, 5), 2, 0),
+    "sample_group_element.seeds": ("seeds", lambda v: sample_group_element("C", 2, v), 5, -1),
+    "fiber_sample.seeds": ("seeds", lambda v: fiber_sample(S22, V, 2, v), 1, -1),
+    "boundary_fiber_sample.seeds": ("seeds", lambda v: boundary_fiber_sample(
+        S22, np.eye(3)[0], 2, v), 1, -1),
+    "mplus_sample.seeds": ("seeds", lambda v: mplus_sample(S22, 2, v), 1, -1),
+    "random_horizontal_geodesic.seeds": ("seeds", lambda v: random_horizontal_geodesic(S22, v),
+                                         1, -1),
+    "rng_streams.seeds": ("seeds", rng_streams, 1, -1),
     "fiber_sample.n": ("n", lambda v: fiber_sample(S22, V, v, 1), 2, -1),
     "mplus_sample.n": ("n", lambda v: mplus_sample(S22, v, 1), 2, -1),
     "boundary_fiber_sample.n": ("n", lambda v: boundary_fiber_sample(S22, np.eye(3)[0], v, 1),
@@ -277,6 +286,52 @@ def test_integer_arguments(argument):
     call(np.int64(valid))
     with pytest.raises(ValueError, match=rf"^{name}\b"):
         call(below)
+
+
+def rows_for(point, seeds):
+    """point for an int seed, one row of it per seed for a list of seeds."""
+    return np.tile(point, (len(seeds), 1)) if np.ndim(seeds) else point
+
+
+# every public draw, as a function of its seeds
+DRAWS = {
+    "fiber_sample": lambda seeds: fiber_sample(S22, rows_for(V, seeds), 2, seeds),
+    "boundary_fiber_sample": lambda seeds: boundary_fiber_sample(
+        S22, rows_for(np.eye(3)[0], seeds), 2, seeds),
+    "mplus_sample": lambda seeds: mplus_sample(S22, 2, seeds),
+    "random_horizontal_geodesic": lambda seeds: random_horizontal_geodesic(S22, seeds),
+    "sample_group_element": lambda seeds: sample_group_element("H", 2, seeds),
+}
+
+
+@pytest.mark.parametrize("seeds", [7, [3, 4, 5, 6, 7, 8]], ids=["int", "list"])
+@pytest.mark.parametrize("draw", DRAWS)
+def test_draws_read_their_seeds_once(monkeypatch, draw, seeds):
+    # rng_streams is the one reader of seeds: a draw hands its seeds to it once and passes
+    # the generators on; every integer read of src goes through algebra._index
+    # (test_only_algebra_checks_integers), so counting its reads by name counts every
+    # parse of a seed
+    calls, names = [], []
+    streams, index = algebra.rng_streams, algebra._index
+
+    def counted_streams(*args):
+        calls.append(args[0])
+        return streams(*args)
+
+    def counted_index(value, name):
+        names.append(name)
+        return index(value, name)
+
+    for module in (foliation, homogeneity):
+        monkeypatch.setattr(module, "rng_streams", counted_streams)
+    monkeypatch.setattr(algebra, "_index", counted_index)
+    DRAWS[draw](seeds)
+    assert [call is seeds for call in calls].count(True) == 1
+    # the geodesic's endpoints come from seeds its own streams draw, an int64 array that
+    # boundary_fiber_sample hands to rng_streams in a call of its own
+    assert len(calls) == (2 if draw == "random_horizontal_geodesic" else 1)
+    assert names.count("seeds") == np.size(seeds)
+    assert "seed" not in names and "path entry" not in names
 
 
 @pytest.mark.parametrize("m,k,flips", [(4, 3, 1), (12, 4, 0)])

@@ -477,6 +477,33 @@ class TestSpanMatrix:
                 assert system.span_matrix(rows).tobytes() == np.stack(expected).tobytes()
 
 
+    @pytest.mark.parametrize("mkf", [(2, 2, 0), (4, 2, 1), (8, 1, 0)])
+    def test_stack_sums_equal_the_nonzero_terms(self, mkf):
+        # a stack (dense and conjugated systems) adds every term, zero terms included; the
+        # dense sum of the nonzero terms alone must give the same bits, at width 2l (the
+        # generators) and at width l (the blocks R_i span_apply sums), for identity rows,
+        # random rows and rows holding 0, -0.0, NaN or only zeros
+        built = build_system(*mkf)
+        twin = CliffordSystem(built.m, built.l, gather_dense(*built.generators).astype(float))
+        conj = conjugate_system(built, haar(30 + built.m, built.dim))
+        n = built.m + 1
+        odd = rng_from(31, built.m).standard_normal((4, n))
+        odd[0, ::2], odd[1, ::2], odd[2, 1] = 0.0, -0.0, np.nan
+        rows = np.vstack([np.eye(n), np.eye(n)[1:], rng_from(32, built.m).standard_normal((7, n)),
+                          odd, np.zeros(n), np.full(n, -0.0)])
+        for system in (twin, conj):
+            gens = np.stack([system.dense_generator(i) for i in range(n)])
+            for coeffs, blocks, width in ((rows, gens, system.dim),
+                                          (rows[:, 1:], system._p0_scatter, system.l)):
+                assert not isinstance(blocks, tuple)
+                expected = np.zeros((len(coeffs), width, width))
+                for acc, row in zip(expected, coeffs):
+                    for c, block in zip(row, blocks):
+                        if c != 0.0:
+                            acc += c * block
+                assert _span_sum(coeffs, blocks, width).tobytes() == expected.tobytes()
+
+
 class TestSpanScatter:
     """_span_sum writes every coefficient row of a gather pair in one scatter."""
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from clifford_foliations import algebra, clifford, foliation
-from clifford_foliations.algebra import (max_abs, rng_from, sample_unit_vectors, seed_ints,
+from clifford_foliations.algebra import (max_abs, rng_from, rng_streams, sample_unit_vectors,
                                          sign_fixed_q)
 from clifford_foliations.clifford import (CliffordSystem, build_system, conjugate_system, delta,
                                           sub_system)
@@ -477,6 +477,41 @@ class TestSamplerFormulas:
         assert boundary_fiber_sample(system, p, 4, 41).shape == (4, 512)
 
 
+class TestSamplerLaws:
+    """First and second moments of N draws of every sampler, against their closed forms.
+
+    For unit rows x with E[x] = 0 and E[x x^T] = M, E|x_bar|^2 = 1/N and
+    E|M_hat - M|_F^2 = (1 - |M|_F^2)/N, so sqrt(N)|x_bar| and sqrt(N)|M_hat - M|_F each
+    have rms at most 1 and, by Chebyshev, exceed BOUND = 20 with probability at most 1/400.
+    The fiber over v has M = (I + sum v_i P_i)/(2l): v = 0 for uniform points of S^(2l-1)
+    and for M+, and v = q for the boundary fiber over a unit q.
+    """
+
+    N, BOUND = 10**5, 20.0
+
+    @pytest.mark.parametrize("mkf", [(3, 2, 0), (4, 2, 1), (5, 1, 0), (7, 1, 0)], ids=str)
+    def test_moments_match_the_closed_forms(self, mkf):
+        system = build_system(*mkf)
+        q = sample_unit_vectors(rng_from(93, *mkf), system.m + 1, 1)[0]
+        origin = np.zeros(system.m + 1)
+        draws = {
+            "uniform": (origin,
+                        lambda: sample_unit_vectors(rng_from(94, *mkf), system.dim, self.N)),
+            "mplus": (origin, lambda: mplus_sample(system, self.N, 95)),
+            "fiber_0.5": (0.5 * q, lambda: fiber_sample(system, 0.5 * q, self.N, 96)),
+            "fiber_0.95": (0.95 * q, lambda: fiber_sample(system, 0.95 * q, self.N, 97)),
+            "boundary": (q, lambda: boundary_fiber_sample(system, q, self.N, 98)),
+        }
+        eye = np.eye(system.dim)
+        stats = {}
+        for name, (v, draw) in draws.items():
+            x = draw()
+            moment = (eye + system.span_apply(v, eye)) / system.dim
+            stats[name] = (np.sqrt(self.N) * np.linalg.norm(x.mean(axis=0)),
+                           np.sqrt(self.N) * np.linalg.norm(x.T @ x / self.N - moment))
+        assert max(max(pair) for pair in stats.values()) <= self.BOUND, stats
+
+
 class ZeroRowAt:
     """A generator whose standard_normal draw number ``at`` comes back with row 1 zeroed."""
 
@@ -593,9 +628,9 @@ class TestRowWiseSamplers:
                      lambda: mplus_sample(s22, 2, np.array([1.9, 2.2])),
                      lambda: boundary_fiber_sample(s22, np.eye(3)[0], 2, 3.0),
                      lambda: random_horizontal_geodesic(s22, 1.5)):
-            with pytest.raises(TypeError, match="integers"):
+            with pytest.raises(TypeError, match="^seeds must be an integer, got"):
                 call()
-        with pytest.raises(ValueError, match="non-negative"):
+        with pytest.raises(ValueError, match="^seeds must be at least 0, got -1$"):
             mplus_sample(s22, 2, np.array([3, -1]))
 
     def test_bool_seeds_raise(self, s22):
@@ -603,7 +638,7 @@ class TestRowWiseSamplers:
         v = np.array([0.1, 0.2, 0.3])
         for points, seeds in ((v, True), (np.stack([v, v]), np.array([True, False])),
                               (np.stack([v, v]), [1, True])):
-            with pytest.raises(TypeError, match="integers"):
+            with pytest.raises(TypeError, match="^seeds must be an integer, got True$"):
                 fiber_sample(s22, points, 2, seeds)
 
     @pytest.mark.parametrize("sampler, at", [("boundary", 0), ("mplus", 0), ("mplus", 1)])
@@ -612,7 +647,7 @@ class TestRowWiseSamplers:
         # Gaussians, the M+ unit vectors or the M+ complement Gaussians
         plain = sample(s22, sampler, np.arange(7) + 40)
         monkeypatch.setattr(foliation, "rng_streams",
-                            lambda seeds: [ZeroRowAt(rng_from(s), at) for s in seed_ints(seeds)[0]])
+                            lambda seeds: [ZeroRowAt(rng, at) for rng in rng_streams(seeds)])
         rows = sample(s22, sampler, np.arange(7) + 40)
         for j in range(7):
             assert rows[j].tobytes() == sample(s22, sampler, 40 + j).tobytes()

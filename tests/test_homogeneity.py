@@ -66,9 +66,9 @@ class TestGroupSampling:
 
     def test_seeds_must_be_integers(self):
         for seeds in (1.5, np.array([1.0, 2.0])):
-            with pytest.raises(TypeError, match="integers"):
+            with pytest.raises(TypeError, match="^seeds must be an integer, got"):
                 sample_group_element("R", 2, seeds)
-        with pytest.raises(ValueError, match="non-negative"):
+        with pytest.raises(ValueError, match="^seeds must be at least 0, got -3$"):
             sample_group_element("C", 2, -3)
 
 
