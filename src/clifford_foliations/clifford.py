@@ -250,17 +250,17 @@ class CliffordSystem:
         """The blocks R_i = B_minus^T P_i B_plus of P_1..P_m, from E_+(P_0) to E_-(P_0).
 
         Each P_i with i >= 1 anticommutes with P_0, so it maps E_+(P_0) onto
-        E_-(P_0) as the l x l block R_i (and back as R_i^T).  Where P_0 is a +-1
-        diagonal R_i is P_i at rows E_-(P_0), columns E_+(P_0): a gather pair (m, l)
-        with columns renumbered to slots of E_+(P_0), or a stack (m, l, l) selected
-        from dense generators.  Other P_0 multiply out the stack.
+        E_-(P_0) as the l x l block R_i (and back as R_i^T).  An exact system whose P_0
+        is a +-1 diagonal reads R_i off its gather pair: P_i at rows E_-(P_0), a gather
+        pair (m, l) with columns renumbered to slots of E_+(P_0).  Every other system
+        multiplies out the stack (m, l, l) on :attr:`p0_eigenbases`; where those are unit
+        columns every product term but one is an exact zero, so R_i holds P_i's entries
+        bit for bit.
         """
-        if self._p0_split is None:
+        if not self.exact or self._p0_split is None:
             b_plus, b_minus = self.p0_eigenbases
             return b_minus.T @ self.span_matrix(np.eye(self.m + 1)[1:]) @ b_plus
         plus, minus = self._p0_split
-        if not self.exact:
-            return np.ascontiguousarray(self.generators[1:][:, minus][..., plus])
         slot = np.zeros(self.dim, dtype=np.intp)
         slot[plus] = np.arange(self.l)
         return slot[self.generators[0][1:, minus]], self.generators[1][1:, minus]
@@ -378,8 +378,9 @@ class CliffordSystem:
             return self.span_apply(p[None], x.reshape(1, -1, self.dim)).reshape(x.shape)
         if p.ndim != 2 or x.ndim != 3 or len(p) != len(x):
             raise ValueError("pass one frame per row of x, with x of shape (k, n, 2l)")
-        width = self.l // self._p0_copies
-        u, w = (a.reshape(len(p), -1, width) for a in self.p0_coefficients(x))
+        c = self._p0_copies
+        width = self.l // c
+        u, w = (a.reshape(len(p), x.shape[1] * c, width) for a in self.p0_coefficients(x))
         out_u, out_w = np.empty(u.shape), np.empty(w.shape)
         for rows in _blocks(len(p), width ** 2):
             b_p = _span_sum(p[rows, 1:], self._p0_scatter, width)
@@ -412,7 +413,7 @@ def _span_sum(rows: np.ndarray, blocks, width: int) -> np.ndarray:
         offsets, signs = blocks
         values = rows[:, :, None] * signs
         values += 0.0  # -0.0 + 0.0 is +0.0, and every other value stays as it is
-        out.reshape(len(rows), -1)[:, offsets] = values
+        out.reshape(len(rows), width * width)[:, offsets] = values
         return out
     for i in range(rows.shape[1]):
         out += rows[:, i, None, None] * blocks[i]
@@ -514,7 +515,8 @@ def _relation_violations(system: CliffordSystem):
     """Largest entries of P_i^T - P_i, P_i^2 - Id and P_i P_j + P_j P_i (i < j).
 
     Exact systems compare gather forms: P_i P_j gathers cols_j[cols_i] with
-    signs s_i s_j[cols_i].  Dense systems multiply out.
+    signs s_i s_j[cols_i].  Dense systems multiply out, one batched product per
+    generator against the generators after it; NumPy's max keeps a NaN violation.
     """
     if system.exact:
         cols, signs = system.generators
@@ -528,16 +530,10 @@ def _relation_violations(system: CliffordSystem):
         invol = _gather_gap(diag_cols, diag_signs, np.arange(system.dim), 1, -1)
         anti = _gather_gap(pair_cols[i, j], pair_signs[i, j], pair_cols[j, i], pair_signs[j, i], 1)
         return sym, invol, anti
-    eye = np.eye(system.dim)
-    sym = invol = anti = 0.0
-    dense = system.generators
-    # np.maximum keeps a NaN violation, where max() would drop it
-    for i, p in enumerate(dense):
-        sym = np.maximum(sym, max_abs(p.T - p))
-        invol = np.maximum(invol, max_abs(p @ p - eye))
-        for q in dense[i + 1:]:
-            anti = np.maximum(anti, max_abs(p @ q + q @ p))
-    return float(sym), float(invol), float(anti)
+    gens = system.generators
+    anti = [max_abs(p @ gens[i + 1:] + gens[i + 1:] @ p) for i, p in enumerate(gens)]
+    return (max_abs(gens - np.swapaxes(gens, -1, -2)), max_abs(gens @ gens - np.eye(system.dim)),
+            float(np.max(anti)))
 
 
 def verify_relations(system: CliffordSystem) -> VerificationReport:

@@ -55,14 +55,6 @@ def _f_conj(a: np.ndarray) -> np.ndarray:
     return out
 
 
-def _row_sum(terms: np.ndarray) -> np.ndarray:
-    """Sum over axis -2 of terms, its rows added one by one to zeros in order."""
-    out = np.zeros(terms.shape[:-2] + terms.shape[-1:])
-    for t in np.moveaxis(terms, -2, 0):
-        out += t
-    return out
-
-
 def _right_mult_matrices(q: np.ndarray) -> np.ndarray:
     """Real d x d matrices of x -> x * q on F, for q of shape (..., d).
 
@@ -112,7 +104,7 @@ def _quaternionic_unitary(g: np.ndarray) -> np.ndarray:
         for _ in range(2):  # re-orthogonalize once for full precision
             for a in range(j):
                 # <col_a, col_j> in H, then col_j -= col_a * overlap
-                ov = _row_sum(cd_mul(_f_conj(g[:, :, a]), g[:, :, j]))
+                ov = np.cumsum(cd_mul(_f_conj(g[:, :, a]), g[:, :, j]), axis=-2)[:, -1]
                 g[:, :, j] -= cd_mul(g[:, :, a], ov[:, None])
         g[:, :, j] /= row_norms(g[:, :, j].reshape(n, 4 * k))[:, None, None]
     return g
@@ -213,7 +205,7 @@ def normal_form(x: np.ndarray, field: str) -> NormalForm:
     v = rows[:, l:].reshape(len(rows), l // d, d)
     uu = np.sum(rows[:, :l] * rows[:, :l], axis=-1)
     r0 = uu - np.sum(rows[:, l:] * rows[:, l:], axis=-1)
-    w_conj = _f_conj(_row_sum(cd_mul(u, _f_conj(v))))
+    w_conj = _f_conj(np.cumsum(cd_mul(u, _f_conj(v)), axis=-2)[:, -1])
     u1 = snapped_sqrt((1.0 + r0) / 2.0)
     off = u1 > 1e-8
     v1 = np.zeros((len(rows), d))

@@ -10,6 +10,7 @@ import pytest
 from clifford_foliations.algebra import _blocks, eig_split, max_abs, rng_from, sign_fixed_q
 from clifford_foliations.clifford import (
     CliffordSystem,
+    _relation_violations,
     _span_sum,
     MalformedSystemError,
     build_complex_structures,
@@ -168,6 +169,18 @@ class TestBuildSystem:
         assert report.passed and max(c.violation for c in report.checks) == 0.0
 
 
+def pair_loop_violations(system):
+    """The relation violations of a dense stack, one product per generator and per pair."""
+    eye = np.eye(system.dim)
+    sym = invol = anti = 0.0
+    for i, p in enumerate(system.generators):
+        sym = np.maximum(sym, max_abs(p.T - p))
+        invol = np.maximum(invol, max_abs(p @ p - eye))
+        for q in system.generators[i + 1:]:
+            anti = np.maximum(anti, max_abs(p @ q + q @ p))  # np.maximum keeps a NaN
+    return float(sym), float(invol), float(anti)
+
+
 class TestRelationViolations:
     def test_exact_values_match_dense_on_broken_systems(self):
         # the exact gather comparison must report what the dense matmuls report
@@ -192,6 +205,46 @@ class TestRelationViolations:
                 want = [c.violation for c in verify_relations(dense).checks]
                 assert got == want
                 assert max(got) > 0.0
+
+    @pytest.mark.parametrize("mkf", [(2, 2, 0), (4, 2, 1), (8, 1, 0)], ids=str)
+    def test_batched_products_equal_the_pair_loop(self, mkf):
+        # a dense stack's violations are the per-pair products' maxima, bit for bit, on a
+        # dense copy, its Haar conjugate and a one-generator sub-system
+        built = build_system(*mkf)
+        twin = system_from_dict(system_to_dict(built, "dense"))
+        conj = conjugate_system(built, haar(33 + built.m, built.dim))
+        for system in (twin, conj, sub_system(conj, [1])):
+            got = _relation_violations(system)
+            assert np.array(got).tobytes() == np.array(pair_loop_violations(system)).tobytes()
+            assert max(got) <= 1e-12
+
+    def test_broken_dense_relations_are_found(self):
+        # every anticommuting pair of (3, 1) checked, and a broken symmetry or involution
+        twin = system_from_dict(system_to_dict(build_system(3, 1), "dense"))
+        for i in range(4):
+            for j in range(i + 1, 4):
+                gens = twin.generators.copy()
+                gens[j] = gens[i]  # P_i P_j + P_j P_i = 2 Id; every other relation holds
+                broken = CliffordSystem(3, twin.l, gens)
+                assert _relation_violations(broken) == pair_loop_violations(broken) == (0, 0, 2)
+        skew, scaled = twin.generators.copy(), twin.generators.copy()
+        skew[2, 0, 1] += 1e-9
+        scaled[3] *= 1.0 + 2**-40
+        for gens, failing in ((skew, "symmetry"), (scaled, "involution")):
+            system = CliffordSystem(3, twin.l, gens)
+            got = _relation_violations(system)
+            assert np.array(got).tobytes() == np.array(pair_loop_violations(system)).tobytes()
+            assert failing in [c.name for c in verify_relations(system).checks if not c.passed]
+
+    def test_nan_entry_fails_to_load(self):
+        # a NaN entry reads NaN in every relation, and the loader rejects the file
+        payload = system_to_dict(build_system(4, 2, 1), "dense")
+        payload["generators"][3][5] = float("nan")
+        gens = np.array(payload["generators"]).reshape(5, 16, 16)
+        with np.errstate(invalid="ignore"):
+            assert np.isnan(_relation_violations(CliffordSystem(4, 8, gens))).all()
+        with pytest.raises(MalformedSystemError, match="violation nan"):
+            system_from_dict(payload)
 
     def test_tolerance_follows_representation(self):
         s = build_system(3, 2)

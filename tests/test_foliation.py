@@ -28,6 +28,7 @@ from clifford_foliations.foliation import (
     rotated_disk_point,
     spin_rotate,
 )
+from clifford_foliations.homogeneity import normal_form, sample_group_element
 
 
 def haar(seed, n):
@@ -484,7 +485,8 @@ class TestSamplerLaws:
     E|M_hat - M|_F^2 = (1 - |M|_F^2)/N, so sqrt(N)|x_bar| and sqrt(N)|M_hat - M|_F each
     have rms at most 1 and, by Chebyshev, exceed BOUND = 20 with probability at most 1/400.
     The fiber over v has M = (I + sum v_i P_i)/(2l): v = 0 for uniform points of S^(2l-1)
-    and for M+, and v = q for the boundary fiber over a unit q.
+    and for M+, and v = q for the boundary fiber over a unit q.  The E_-(P_0) coefficients
+    w of M+ have E[w] = 0 and E|w|^2 = 1/2, so sqrt(2N)|w_bar| has rms at most 1 too.
     """
 
     N, BOUND = 10**5, 20.0
@@ -509,6 +511,9 @@ class TestSamplerLaws:
             moment = (eye + system.span_apply(v, eye)) / system.dim
             stats[name] = (np.sqrt(self.N) * np.linalg.norm(x.mean(axis=0)),
                            np.sqrt(self.N) * np.linalg.norm(x.T @ x / self.N - moment))
+            if name == "mplus":
+                w = system.p0_coefficients(x)[1]
+                stats["mplus_minus_half"] = (np.sqrt(2 * self.N) * np.linalg.norm(w.mean(axis=0)),)
         assert max(max(pair) for pair in stats.values()) <= self.BOUND, stats
 
 
@@ -661,6 +666,27 @@ class TestRowWiseSamplers:
             y = rng.standard_normal(s22.dim)
             z = y + s22.span_matrix(target) @ y
             assert max_abs(rows[0, 1] - z / np.linalg.norm(z)) <= 1e-15
+
+    @pytest.mark.parametrize("mk", [(2, 2), (11, 2)], ids=str)
+    def test_empty_batches(self, mk):
+        # k = 0 rows give an empty batch of the documented shape, on an l x l system
+        # and on one whose span action takes one copy at a time
+        system = build_system(*mk)
+        assert system._p0_copies == (1 if mk == (2, 2) else 2)
+        n, dim, none = 3, system.dim, np.arange(0)
+        p, x = np.empty((0, system.m + 1)), np.empty((0, n, dim))
+        for rows in (fiber_sample(system, p, n, none), boundary_fiber_sample(system, p, n, none),
+                     mplus_sample(system, n, none), reflect_symmetry(system, p, x),
+                     spin_rotate(system, p, p, 0.3, x), system.span_apply(p, x)):
+            assert rows.shape == (0, n, dim)
+        assert system.span_matrix(p).shape == (0, dim, dim)
+        geodesics = random_horizontal_geodesic(system, none)
+        assert [a.shape for a in (geodesics.p_coords, geodesics.x_plus, geodesics.x_minus)] == [
+            (0, system.m + 1), (0, dim), (0, dim)]
+        assert rng_streams(none) == []
+        assert sample_group_element("H", 2, none).entries.shape == (0, 2, 2, 4)
+        form = normal_form(np.empty((0, dim)), "R")
+        assert [np.shape(a) for a in (form.u1, form.v1, form.v2)] == [(0,), (0, 1), (0,)]
 
     def test_seed_count_must_match_rows(self, s22):
         v = np.array([[0.1, 0.2, 0.3], [0.0, 0.4, 0.0]])
