@@ -515,8 +515,9 @@ def _relation_violations(system: CliffordSystem):
     """Largest entries of P_i^T - P_i, P_i^2 - Id and P_i P_j + P_j P_i (i < j).
 
     Exact systems compare gather forms: P_i P_j gathers cols_j[cols_i] with
-    signs s_i s_j[cols_i].  Dense systems multiply out, one batched product per
-    generator against the generators after it; NumPy's max keeps a NaN violation.
+    signs s_i s_j[cols_i].  Dense systems multiply out one :func:`_blocks` slice of
+    generators at a time, and every generator before the slice's end against the slice's
+    generators after it, so no product stack outgrows a slice; NumPy's max keeps a NaN.
     """
     if system.exact:
         cols, signs = system.generators
@@ -530,10 +531,16 @@ def _relation_violations(system: CliffordSystem):
         invol = _gather_gap(diag_cols, diag_signs, np.arange(system.dim), 1, -1)
         anti = _gather_gap(pair_cols[i, j], pair_signs[i, j], pair_cols[j, i], pair_signs[j, i], 1)
         return sym, invol, anti
-    gens = system.generators
-    anti = [max_abs(p @ gens[i + 1:] + gens[i + 1:] @ p) for i, p in enumerate(gens)]
-    return (max_abs(gens - np.swapaxes(gens, -1, -2)), max_abs(gens @ gens - np.eye(system.dim)),
-            float(np.max(anti)))
+    gens, eye = system.generators, np.eye(system.dim)
+    sym, invol, anti = [], [], []
+    for rows in _blocks(system.m + 1, system.dim ** 2):
+        g = gens[rows]
+        sym.append(max_abs(g - np.swapaxes(g, -1, -2)))
+        invol.append(max_abs(g @ g - eye))
+        for i in range(rows.stop):  # P_i against the generators after it in this slice
+            q = gens[max(i + 1, rows.start):rows.stop]
+            anti.append(max_abs(gens[i] @ q + q @ gens[i]))
+    return float(np.max(sym)), float(np.max(invol)), float(np.max(anti))
 
 
 def verify_relations(system: CliffordSystem) -> VerificationReport:

@@ -6,12 +6,12 @@ For a Clifford system C = (P_0, ..., P_m) on R^(2l), the map
 
 sends the unit sphere S^(2l-1) into the closed unit disk of R^(m+1); its
 fibers are the leaves of the Clifford foliation.  This module evaluates
-pi_C, samples its fibers (the focal manifold M+ over the origin, every other
-fiber through the cos(t) x + sin(t) Qx turn of M+, and boundary fibers as
-unit spheres of E_+(P)), exposes the quartic form that factors through pi_C,
-horizontal geodesics and their projections, the curvature-4 metric on the
-quotient disk realized by a radius-1/2 hemisphere lift, and the reflection /
-spin symmetries.
+pi_C, samples its fibers with one sampler, :func:`fiber_sample` (boundary
+fibers as unit spheres of E_+(P), every other fiber through the
+cos(t) x + sin(t) Qx turn of the focal manifold M+ over the origin), exposes
+the quartic form that factors through pi_C, horizontal geodesics and their
+projections, the curvature-4 metric on the quotient disk realized by a
+radius-1/2 hemisphere lift, and the reflection / spin symmetries.
 """
 
 from __future__ import annotations
@@ -124,19 +124,15 @@ def _seeded_rows(points, seeds, width: int):
     points = np.asarray(points, dtype=float)
     if points.ndim not in (1, 2) or points.shape[-1] != width:
         raise ValueError(f"points must have shape ({width},) or (k, {width})")
-    rngs, single = rng_streams(seeds), np.ndim(seeds) == 0
-    if single != (points.ndim == 1) or len(rngs) != len(np.atleast_2d(points)):
+    rngs, single, rows = rng_streams(seeds), np.ndim(seeds) == 0, points.reshape(-1, width)
+    if single != (points.ndim == 1) or len(rngs) != len(rows):
         raise ValueError("pass one seed per point: an int for a single point, "
                          "a (k,) array for k rows")
-    return np.atleast_2d(points), rngs, single
+    return rows, rngs, single
 
 
 def _boundary_rows(system: CliffordSystem, p: np.ndarray, n: int, rngs: list) -> np.ndarray:
     """n samples of each boundary fiber over the unit rows of p, (k, n, 2l), fiber j by rngs[j]."""
-    n = _count(n, "n", 0)
-    # P^2 = |p|^2 Id on a Clifford system: the involution check, without P @ P
-    if not np.all(np.abs(row_norms(p) ** 2 - 1.0) <= 1e-10):
-        raise ValueError("span element is not an involution to 1e-10")
     z = gaussian_rows(rngs, (n, system.dim))
     z += system.span_apply(p, z)
 
@@ -145,24 +141,6 @@ def _boundary_rows(system: CliffordSystem, p: np.ndarray, n: int, rngs: list) ->
         return fresh + system.span_apply(p[j], fresh)
 
     return z / redraw_short_rows(z, draw)[..., None]
-
-
-def boundary_fiber_sample(system: CliffordSystem, p_coords: np.ndarray,
-                          n: int, seeds) -> np.ndarray:
-    """n uniform samples of the boundary fiber over P = sum p_i P_i.
-
-    The fiber over a boundary point is the unit sphere of the positive
-    eigenspace E_+(P).  A Gaussian y in R^(2l) maps to z = y + P y, twice its
-    orthogonal projection onto E_+(P), which is a Gaussian of E_+(P); so z/|z|
-    is uniform on the fiber, with no eigenbasis needed.  Rows with |z| below
-    1e-8 are redrawn.  A point (m+1,) with an int seed gives rows of shape
-    (n, 2l); k points (k, m+1) with k seeds give (k, n, 2l), fiber j equal
-    bit for bit to the single call with seeds[j].
-    """
-    p_coords, rngs, single = _seeded_rows(p_coords, seeds, system.m + 1)
-    check_unit(p_coords, "span element")
-    z = _boundary_rows(system, p_coords, n, rngs)
-    return z[0] if single else z
 
 
 def _project_out(w: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -181,7 +159,6 @@ def _mplus_rows(system: CliffordSystem, n: int, rngs: list):
 
     The sample is u B_plus^T + w B_minus^T; each generator draws in the single call's order.
     """
-    n = _count(n, "n", 0)
     m, l = system.m, system.l
     u = sample_unit_vectors(rngs, l, n)
     g = gaussian_rows(rngs, (n, l))
@@ -203,52 +180,67 @@ def _mplus_rows(system: CliffordSystem, n: int, rngs: list):
     return u, g
 
 
-def mplus_sample(system: CliffordSystem, n: int, seeds) -> np.ndarray:
-    """n samples of the focal manifold M+ = preimage of the disk origin.
+def _fiber_rows(system: CliffordSystem, v: np.ndarray, r: np.ndarray, n: int,
+                rngs: list) -> np.ndarray:
+    """n samples of the fibers over the rows of v (k, m+1), of norms r, (k, n, 2l), by rngs.
 
-    Each sample is (x_plus + x_minus)/sqrt(2) with x_plus uniform on the unit
-    sphere of E_+(P_0) and x_minus uniform on the unit sphere of the
-    complement of span(P_1 x_plus, ..., P_m x_plus) inside E_-(P_0); that
-    complement has dimension l - m: for l = m M+ is empty and the call
-    raises EmptyFocalError, and for l = m+1 the complement spheres are
-    0-spheres, so fibers are disconnected (the ``factorization_m_plus_1``
-    suite witnesses it).  An int seed gives (n, 2l); a (k,) seed array gives
-    (k, n, 2l), batch j equal bit for bit to the call with seeds[j].
+    Boundary rows take :func:`_boundary_rows` at v/|v|, the others a :func:`_turn` of M+;
+    a mixed batch draws each kind as a batch of its own, from its rows' generators.
     """
-    rngs = rng_streams(seeds)
+    edge = _lift_height(r) == 0.0
+    if edge.all():
+        return _boundary_rows(system, v / r[:, None], n, rngs)
     if system.l <= system.m:
         raise EmptyFocalError("the quotient is the boundary sphere; M+ is empty")
-    x = system.p0_assemble(*_mplus_rows(system, n, rngs))
-    return x[0] if np.ndim(seeds) == 0 else x
+    if not edge.any():
+        return _turn(system, v, system.p0_assemble(*_mplus_rows(system, n, rngs)))
+    x = np.empty((len(v), n, system.dim))
+    for rows in (np.flatnonzero(edge), np.flatnonzero(~edge)):
+        x[rows] = _fiber_rows(system, v[rows], r[rows], n, [rngs[j] for j in rows])
+    return x
+
+
+def boundary_fiber_sample(system: CliffordSystem, p_coords: np.ndarray,
+                          n: int, seeds) -> np.ndarray:
+    """:func:`fiber_sample` over the unit rows p of p_coords, each snapped to p/|p|.
+
+    p is checked to be a unit vector to 1e-9, and P = sum p_i P_i an involution to 1e-10:
+    P^2 = |p|^2 Id on a Clifford system, so that is |p|^2 - 1, with no P @ P formed.
+    """
+    p = check_unit(p_coords, "span element")
+    r = row_norms(p)
+    if not np.all(np.abs(r * r - 1.0) <= 1e-10):
+        raise ValueError("span element is not an involution to 1e-10")
+    return fiber_sample(system, p / r[..., None], n, seeds)
+
+
+def mplus_sample(system: CliffordSystem, n: int, seeds) -> np.ndarray:
+    """n samples of the focal manifold M+: :func:`fiber_sample` at the disk origin."""
+    return fiber_sample(system, np.zeros(np.shape(seeds) + (system.m + 1,)), n, seeds)
 
 
 def fiber_sample(system: CliffordSystem, v: np.ndarray, n: int, seeds) -> np.ndarray:
-    """n samples of the fiber over a disk point v.
+    """n samples of the fiber over a disk point v: the one sampler of every fiber.
 
-    On a system with M+ (l > m) every fiber, origin and boundary included,
-    is the turn (:func:`_turn`) of M+ samples, as :func:`mplus_sample` draws
-    them, onto the fiber over v.  A boundary point, one whose lift height
-    (:func:`_lift_height`) is 0, is first snapped to v/|v|, so its samples
-    lie on the fiber the cone metric puts it on.  On a system without M+
-    (l = m) every fiber is a boundary fiber, drawn as
-    :func:`boundary_fiber_sample` draws it, and any other point raises
-    EmptyFocalError.  A point (m+1,) with an int seed gives (n, 2l); k points
-    (k, m+1) with k seeds give (k, n, 2l), fiber j equal bit for bit to the
-    single call with seeds[j].
+    A point whose lift height (:func:`_lift_height`) is 0 is on the boundary: it is snapped
+    to v/|v|, the fiber the cone metric puts it on, the unit sphere of E_+(P) for P =
+    sum v_i P_i.  A Gaussian y in R^(2l) maps to y + Py, twice its projection onto E_+(P),
+    which normalised is uniform there, with no eigenbasis.  Every other fiber is the
+    :func:`_turn` of M+ = pi_C^(-1)(0), whose samples are (x_plus + x_minus)/sqrt(2): x_plus
+    uniform on the unit sphere of E_+(P_0), x_minus on that of the complement of
+    span(P_1 x_plus, ..., P_m x_plus) in E_-(P_0), of dimension l - m.  So for l = m M+ is
+    empty and a point off the boundary raises EmptyFocalError; for l = m+1 the fibers are
+    disconnected (the ``factorization_m_plus_1`` suite's witness).  Gaussian rows shorter
+    than 1e-8 are redrawn.  A point (m+1,) with an int seed gives (n, 2l); k points (k, m+1)
+    with k seeds give (k, n, 2l), fiber j bit for bit the single call with seeds[j].
     """
     v, rngs, single = _seeded_rows(v, seeds, system.m + 1)
+    n = _count(n, "n", 0)
     with np.errstate(over="ignore"):  # a huge row's norm is inf and fails the check below
         r = row_norms(v)
-    if not np.all(r <= 1.0 + 1e-12):
+    if not (r <= 1.0 + 1e-12).all():
         raise ValueError("disk point has norm > 1 or is not finite")
-    edge = _lift_height(r) == 0.0
-    unit = v / np.where(edge, r, 1.0)[:, None]  # boundary rows snapped to v/|v|
-    if system.l > system.m:
-        x = _turn(system, unit, system.p0_assemble(*_mplus_rows(system, n, rngs)))
-    elif np.all(edge):
-        x = _boundary_rows(system, unit, n, rngs)
-    else:
-        raise EmptyFocalError("the quotient is the boundary sphere; M+ is empty")
+    x = _fiber_rows(system, v, r, n, rngs)
     return x[0] if single else x
 
 
@@ -262,9 +254,9 @@ def _turn(system: CliffordSystem, v: np.ndarray, x: np.ndarray) -> np.ndarray:
     |v| <= 1e-12 stay, and only the others reach the span action.
     """
     r = row_norms(v)
-    mid = np.flatnonzero(r > 1e-12)
-    if len(mid) < len(r):
-        if len(mid):
+    mid = r > 1e-12
+    if not mid.all():
+        if mid.any():
             x[mid] = _turn(system, v[mid], x[mid])
         return x
     t = (np.arcsin(np.minimum(r, 1.0)) / 2.0)[:, None, None]
@@ -349,7 +341,7 @@ def random_horizontal_geodesic(system: CliffordSystem, seeds) -> HorizontalGeode
     ends = np.empty((2, k), dtype=np.int64)
     for j, rng in enumerate(rngs):
         ends[:, j] = rng.integers(2**62), rng.integers(2**62)
-    x = boundary_fiber_sample(system, np.concatenate([p, -p]), 1, ends.ravel())[:, 0]
+    x = fiber_sample(system, np.concatenate([p, -p]), 1, ends.ravel())[:, 0]
     rows = (p, x[:k], x[k:])
     return HorizontalGeodesic(*(a[0] if np.ndim(seeds) == 0 else a for a in rows))
 

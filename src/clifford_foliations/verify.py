@@ -49,11 +49,9 @@ from .composed import (
     signed_svd_triple,
 )
 from .foliation import (
-    boundary_fiber_sample,
     fiber_sample,
     fkm_f0,
     geodesic_eval,
-    mplus_sample,
     pi_c,
     pi_jacobian_rows,
     project_geodesic_params,
@@ -169,10 +167,10 @@ def _suite_disk_image(cfg: SuiteConfig):
 def _suite_boundary_fibers(cfg: SuiteConfig):
     system = cfg.system
     p = sample_unit_vectors(rng_from(cfg.seed, 0), system.m + 1, 1)[0]
-    x = boundary_fiber_sample(system, p, cfg.samples, cfg.seed + 1)
+    x = fiber_sample(system, p, cfg.samples, cfg.seed + 1)
     res = np.abs(pi_c(system, x) - p).max()
     res_anti = np.abs(pi_c(system, -x) - p).max()
-    # P is an involution (P^2 = |p|^2 Id, checked by the sampler), so its
+    # p is a unit vector and P^2 = |p|^2 Id, so P is an involution: its
     # eigenvalues are +-1 and dim E_+(P) = tr((Id + P) / 2)
     dim_plus = round((system.dim + system.span_trace(p)) / 2.0)
     return [
@@ -190,7 +188,7 @@ def _suite_sphere_quotient(cfg: SuiteConfig):
     x = _unit_batch(system, cfg.seed, 0, cfg.samples)
     radii = np.linalg.norm(pi_c(system, x), axis=1)
     targets = sample_unit_vectors(rng_from(cfg.seed, 1), system.m + 1, cfg.knob("targets", 100))
-    z = boundary_fiber_sample(system, targets, 4, cfg.seed + 100 + np.arange(len(targets)))
+    z = fiber_sample(system, targets, 4, cfg.seed + 100 + np.arange(len(targets)))
     worst = float(np.abs(pi_c(system, z) - targets[:, None]).max(initial=0.0))
     return [
         CheckResult.from_violation(
@@ -204,7 +202,7 @@ def _suite_sphere_quotient(cfg: SuiteConfig):
 
 def _suite_focal_and_fibers(cfg: SuiteConfig):
     system = cfg.system
-    xm = mplus_sample(system, cfg.samples, cfg.seed + 1)
+    xm = fiber_sample(system, np.zeros(system.m + 1), cfg.samples, cfg.seed + 1)
     focal = float(np.linalg.norm(pi_c(system, xm), axis=1).max())
     grid = _interior_grid(system.m)
     per = max(4, cfg.samples // len(grid))
@@ -272,7 +270,7 @@ def _suite_factorization(cfg: SuiteConfig):
     v = sample_unit_vectors(rng, m + 1, 1)[0] * 0.6
     c = float(np.sqrt(1.0 - v @ v))
     ends = np.array([np.append(v, c), np.append(v, -c)])
-    xs, ys = boundary_fiber_sample(full, ends, 4, cfg.seed + np.array([2, 3]))
+    xs, ys = fiber_sample(full, ends, 4, cfg.seed + np.array([2, 3]))
     same_sub = float(np.abs(pi_c(sub, xs) - pi_c(sub, ys)).max())
     opposite = float(np.abs(pi_c(full, xs)[:, m + 1] + pi_c(full, ys)[:, m + 1]).max())
     nontrivial = float(np.abs(pi_c(full, xs)[:, m + 1]).min())
@@ -388,12 +386,12 @@ def _suite_fkm_consistency(cfg: SuiteConfig):
         "two_evaluations", "the quartic form equals its factorization through the quotient map",
         float(np.abs(direct - factored).max()), 1e-12)]
     p = sample_unit_vectors(rng_from(cfg.seed, 1), system.m + 1, 1)[0]
-    xb = boundary_fiber_sample(system, p, 64, cfg.seed + 2)
+    xb = fiber_sample(system, p, 64, cfg.seed + 2)
     checks.append(CheckResult.from_violation(
         "boundary_value", "the form equals -1 on boundary fibers",
         float(np.abs(fkm_f0(system, xb)[1] + 1.0).max()), 1e-10))
     if system.l >= system.m + 1:
-        xm = mplus_sample(system, 64, cfg.seed + 3)
+        xm = fiber_sample(system, np.zeros(system.m + 1), 64, cfg.seed + 3)
         checks.append(CheckResult.from_violation(
             "focal_value", "the form equals +1 on the focal manifold",
             float(np.abs(fkm_f0(system, xm)[1] - 1.0).max()), 1e-10))
@@ -512,14 +510,13 @@ def _suite_normal_forms(cfg: SuiteConfig):
         v = sample_unit_vectors(rng, system.m + 1, 1)[0] * 0.55
         batches = [fiber_sample(system, v, max(8, n // 50), cfg.seed + 5)]
     elif system.l == system.m + 1:
-        # disconnected-fiber case: the focal manifold is still a single fiber
-        batches = [mplus_sample(system, per, cfg.seed + 5)]
-        batches.append(boundary_fiber_sample(system, np.eye(system.m + 1)[0],
-                                             per, cfg.seed + 6))
+        # disconnected-fiber case: the focal manifold and the fiber over e_0
+        batches = list(fiber_sample(system, np.eye(2, system.m + 1, -1), per,
+                                    cfg.seed + np.array([5, 6])))
     else:
         # sphere quotient: only boundary fibers exist
         p = sample_unit_vectors(rng_from(cfg.seed, 404), system.m + 1, 2)
-        batches = list(boundary_fiber_sample(system, p, per, cfg.seed + np.array([5, 6])))
+        batches = list(fiber_sample(system, p, per, cfg.seed + np.array([5, 6])))
     forms = [normal_form(batch, field_tag).as_array() for batch in batches]
     same_fiber = max(float(np.abs(bn - bn[0]).max()) for bn in forms)
     pis = pi_c(system, np.concatenate(batches))
@@ -563,7 +560,7 @@ def _suite_composed_identities(cfg: SuiteConfig):
                 + np.sum(same_leaf(system, pts, a0, b)) + np.sum(~same_leaf(system, one, a0, b))
                 + np.sum(same_leaf(system, one, a0[has_c], c)))
     radius_law = float(np.max(np.abs(fkm_f0(system, a0)[1] - fkm_f0(system, b)[1])))
-    xm = mplus_sample(system, 4, cfg.seed + 7)
+    xm = fiber_sample(system, np.zeros(m + 1), 4, cfg.seed + 7)
     cls = composed_class(system, pts, xm[0])
     origin_ok = cls.tail is None and cls.radius <= 1e-10
     x = _unit_batch(system, cfg.seed, 501, 64)
@@ -571,7 +568,7 @@ def _suite_composed_identities(cfg: SuiteConfig):
     d2 = quotient_distance(pi_c(system, x[0::2]), pi_c(system, x[1::2]))
     dist_identity = float(np.max(np.abs(d1 - d2)))
     p0 = np.eye(m + 1)[0]
-    xb = boundary_fiber_sample(system, p0, 1, cfg.seed + 8)[0]
+    xb = fiber_sample(system, p0, 1, cfg.seed + 8)[0]
     apex = abs(composed_quotient_distance(system, one, xm[0], xb) - np.pi / 4.0)
     return [
         CheckResult.from_violation(
@@ -626,7 +623,7 @@ def _suite_transnormality(cfg: SuiteConfig):
     zero = leaf_to_leaf_ambient_distance(system, pts, zz[0], zz[1],
                                          max(leaf_budget, 1000), cfg.seed + 10, starts=6)
     p = np.eye(m + 1)[0]
-    bx, by = boundary_fiber_sample(system, [p, -p], 1, cfg.seed + np.array([11, 12]))[:, 0]
+    bx, by = fiber_sample(system, [p, -p], 1, cfg.seed + np.array([11, 12]))[:, 0]
     perp = abs(leaf_to_leaf_ambient_distance(system, pts, bx, by, 64, cfg.seed + 13)
                - np.pi / 2.0)
     return [
@@ -653,8 +650,9 @@ def _suite_diameter(cfg: SuiteConfig):
     rng = rng_from(cfg.seed, 700)
     pools = []
     if system.l > system.m + 1:
-        pools.append(mplus_sample(system, 60, cfg.seed + 14))
-        pools.append(boundary_fiber_sample(system, np.eye(system.m + 1)[0], 60, cfg.seed + 15))
+        # M+ and the fiber over e_0
+        pools.extend(fiber_sample(system, np.eye(2, system.m + 1, -1), 60,
+                                  cfg.seed + np.array([14, 15])))
     pools.append(sample_unit_vectors(rng, system.dim, 180))
     pool = np.concatenate(pools)
     n_pairs = cfg.samples

@@ -163,6 +163,16 @@ def test_only_clifford_builds_span_matrices():
     assert callers == ["clifford.py"]
 
 
+def test_only_fiber_sample_draws_fibers():
+    # mplus_sample and boundary_fiber_sample delegate to fiber_sample; no other module
+    # calls them, and the package only re-exports them
+    namers = sorted(path.name for path in PACKAGE_DIR.glob("*.py")
+                    if re.search(r"\b(mplus_sample|boundary_fiber_sample)\b", path.read_text()))
+    assert namers == ["__init__.py", "foliation.py"]
+    init = (PACKAGE_DIR / "__init__.py").read_text()
+    assert not re.search(r"\b(mplus_sample|boundary_fiber_sample)\(", init)
+
+
 LINEAR_SOLVES = {"solve", "lstsq", "inv", "pinv"}
 
 

@@ -1,6 +1,7 @@
 """System construction, relations, invariants, equivalence, serialization."""
 
 import json
+import tracemalloc
 import warnings
 from functools import reduce
 
@@ -245,6 +246,18 @@ class TestRelationViolations:
             assert np.isnan(_relation_violations(CliffordSystem(4, 8, gens))).all()
         with pytest.raises(MalformedSystemError, match="violation nan"):
             system_from_dict(payload)
+
+    def test_dense_check_holds_one_slice_of_products(self):
+        # the dense products are taken one _blocks slice of generators at a time, so at
+        # 2l = 128 (13 generators, four to a slice) the check holds less than the stack it reads
+        twin = system_from_dict(system_to_dict(build_system(12, 1), "dense"))
+        tracemalloc.start()
+        try:
+            assert _relation_violations(twin) == (0.0, 0.0, 0.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < twin.generators.nbytes
 
     def test_tolerance_follows_representation(self):
         s = build_system(3, 2)

@@ -270,7 +270,7 @@ class TestFiberSamplers:
         x = fiber_sample(s22, v, 400, 7)
         assert np.linalg.norm(pi_c(s22, x) - v, axis=1).max() <= 1e-9
         assert np.abs(np.linalg.norm(x, axis=1) - 1.0).max() <= 1e-12
-        # the origin and a boundary point are turns of M+ too, by 0 and pi/4
+        # the origin's fiber is M+ (a turn by 0); a boundary point's is drawn on E_+(P)
         origin = fiber_sample(s22, np.zeros(3), 50, 8)
         assert np.linalg.norm(pi_c(s22, origin), axis=1).max() <= 1e-10
         p = np.array([0.0, 1.0, 0.0])
@@ -279,13 +279,14 @@ class TestFiberSamplers:
 
     @pytest.mark.parametrize("mk", [(2, 2), (3, 1), (5, 1), (4, 3, 1), (12, 4)], ids=str)
     def test_boundary_rows_are_turns_of_mplus(self, mk):
-        # a boundary fiber is M+ turned by pi/4, onto the unit sphere of E_+(P); the
-        # samples' second moment about (I + P)/2l is within three times the spread
-        # sqrt((1 - 1/l)/n) of n uniform samples, which the Gaussian sampler meets too
+        # a boundary fiber is M+ turned by pi/4 (foliation._turn at |v| = 1), onto the unit
+        # sphere of E_+(P); the samples' second moment about (I + P)/2l is within three
+        # times the spread sqrt((1 - 1/l)/n) of n uniform samples, which the Gaussian
+        # construction the sampler takes meets too
         system = build_system(*mk)
         p = sample_unit_vectors(rng_from(80, system.dim), system.m + 1, 1)[0]
         n = 2000
-        x = fiber_sample(system, p, n, 81)
+        x = foliation._turn(system, p[None], mplus_sample(system, n, 81)[None])[0]
         assert max_abs(pi_c(system, x) - p) <= 1e-12
         assert max_abs(np.linalg.norm(x, axis=1) - 1.0) <= 1e-12
         target = (np.eye(system.dim) + system.span_matrix(p)) / system.dim
@@ -294,8 +295,8 @@ class TestFiberSamplers:
             assert np.linalg.norm(sample.T @ sample / n - target) <= bound
 
     def test_boundary_rows_up_to_the_accepted_radius(self, s22):
-        # boundary rows snap to v/|v| before the turn, up to the accepted 1 + 1e-12; the
-        # turn clips |v| to 1 in its arcsine, so a row a rounding above 1 turns by pi/4
+        # boundary rows snap to v/|v| before they are drawn, up to the accepted 1 + 1e-12;
+        # the turn clips |v| to 1 in its arcsine, so a row a rounding above 1 turns by pi/4
         p = np.array([0.6, 0.0, 0.8])
         radii = np.array([1.0 + 0.9e-12, 1.0, 1.0 - 1e-14])
         x = fiber_sample(s22, radii[:, None] * p, 20, np.arange(3))
@@ -485,8 +486,10 @@ class TestSamplerLaws:
     E|M_hat - M|_F^2 = (1 - |M|_F^2)/N, so sqrt(N)|x_bar| and sqrt(N)|M_hat - M|_F each
     have rms at most 1 and, by Chebyshev, exceed BOUND = 20 with probability at most 1/400.
     The fiber over v has M = (I + sum v_i P_i)/(2l): v = 0 for uniform points of S^(2l-1)
-    and for M+, and v = q for the boundary fiber over a unit q.  The E_-(P_0) coefficients
-    w of M+ have E[w] = 0 and E|w|^2 = 1/2, so sqrt(2N)|w_bar| has rms at most 1 too.
+    and for M+, and v = q for the boundary fiber over a unit q, drawn on E_+(Q) by the
+    sampler and, as Ferus, Karcher and Muenzner's turn of M+ by pi/4, by foliation._turn.
+    The E_-(P_0) coefficients w of M+ have E[w] = 0 and E|w|^2 = 1/2, so sqrt(2N)|w_bar|
+    has rms at most 1 too.
     """
 
     N, BOUND = 10**5, 20.0
@@ -503,6 +506,9 @@ class TestSamplerLaws:
             "fiber_0.5": (0.5 * q, lambda: fiber_sample(system, 0.5 * q, self.N, 96)),
             "fiber_0.95": (0.95 * q, lambda: fiber_sample(system, 0.95 * q, self.N, 97)),
             "boundary": (q, lambda: boundary_fiber_sample(system, q, self.N, 98)),
+            "fiber_1": (q, lambda: fiber_sample(system, q, self.N, 99)),
+            "turn": (q, lambda: foliation._turn(system, q[None],
+                                                mplus_sample(system, self.N, 100)[None])[0]),
         }
         eye = np.eye(system.dim)
         stats = {}
@@ -515,6 +521,52 @@ class TestSamplerLaws:
                 w = system.p0_coefficients(x)[1]
                 stats["mplus_minus_half"] = (np.sqrt(2 * self.N) * np.linalg.norm(w.mean(axis=0)),)
         assert max(max(pair) for pair in stats.values()) <= self.BOUND, stats
+
+
+def delegation_systems():
+    """Exact, flipped, dense, conjugated, l = m and l = m+1 systems."""
+    yield build_system(3, 2)
+    yield build_system(4, 2, 1)
+    yield dense_twin(build_system(4, 3, 1))
+    yield conjugate_system(build_system(3, 2), haar(65, 16))
+    yield build_system(2, 1)
+    yield build_system(3, 1)
+
+
+class TestOneSampler:
+    """mplus_sample and boundary_fiber_sample are fiber_sample, at the origin and at p/|p|."""
+
+    @pytest.mark.parametrize("case", range(6))
+    def test_delegations_equal_fiber_sample(self, case):
+        system = list(delegation_systems())[case]
+        p = sample_unit_vectors(rng_from(66, system.dim), system.m + 1, 3)
+        unit = p / algebra.row_norms(p)[:, None]  # each row's 1-D norm, as a single call's
+        seeds = np.array([7, 8, 9])
+        for rows, row_seeds in ((p, seeds), (p[0], 7)):
+            got = boundary_fiber_sample(system, rows, 4, row_seeds)
+            want = fiber_sample(system, unit if rows.ndim == 2 else unit[0], 4, row_seeds)
+            assert got.tobytes() == want.tobytes()
+        origin = np.zeros((3, system.m + 1))
+        if system.l == system.m:  # no M+: both raise where M+ is asked for
+            for call in (lambda: mplus_sample(system, 4, seeds),
+                         lambda: fiber_sample(system, origin, 4, seeds)):
+                with pytest.raises(EmptyFocalError):
+                    call()
+        else:
+            for origin_rows, row_seeds in ((origin, seeds), (origin[0], 7)):
+                assert (mplus_sample(system, 4, row_seeds).tobytes()
+                        == fiber_sample(system, origin_rows, 4, row_seeds).tobytes())
+
+    def test_boundary_point_off_unit_by_the_involution_tolerance(self, s22):
+        # |p| = 1 + 4e-11 is above fiber_sample's 1 + 1e-12, but |p|^2 - 1 is within the
+        # involution's 1e-10, so it samples the fiber over p/|p|; 1 + 5e-10 is not
+        p = np.array([0.6, 0.0, 0.8])
+        x = boundary_fiber_sample(s22, (1.0 + 4e-11) * p, 8, 3)
+        assert max_abs(pi_c(s22, x) - p) <= 1e-12
+        with pytest.raises(ValueError, match="norm > 1"):
+            fiber_sample(s22, (1.0 + 4e-11) * p, 8, 3)
+        with pytest.raises(ValueError, match="involution"):
+            boundary_fiber_sample(s22, (1.0 + 5e-10) * p, 8, 3)
 
 
 class ZeroRowAt:
@@ -733,17 +785,19 @@ class TestBlocks:
             return [pi_c(system, x), fiber_sample(system, v, n, seeds),
                     mplus_sample(system, n, seeds)]
 
-        # (rows, entries a row) of each slicing: pi_c's 50 rows of m l images; the 12
-        # fibers' M+ draws of n m l images in _mplus_rows, then the l x l turns
-        # (blocks B_p) in span_apply of the 10 rows off the origin, boundary rows
-        # included; mplus_sample's 12 rows of n m l images
-        sizes = [(50, m * l), (12, n * m * l), (10, l * l), (12, n * m * l)]
+        # (rows, entries a row) of each slicing: pi_c's 50 rows of m l images; the 2
+        # boundary fibers' l x l blocks B_p in span_apply, then the other 10 fibers' M+
+        # draws of n m l images in _mplus_rows and the l x l turns of the 8 rows off the
+        # origin; mplus_sample's 12 rows of n m l images
+        sizes = [(50, m * l), (2, l * l), (10, n * m * l), (8, l * l), (12, n * m * l)]
         whole = draws()
         assert sliced == [size + (1,) for size in sizes]
         # a slice of 640 entries holds at most 26 pi_c rows, 5 M+ rows and 10 blocks
         # B_p; one of 256 at most 10, 2 and 4; one of 64 at most 2, 1 and 1, so that
-        # every path splits at 256 and 64, and all but the turns at 640
-        for block, parts in ((640, [2, 3, 1, 3]), (256, [5, 6, 3, 6]), (64, [25, 12, 10, 12])):
+        # every path splits at 64, all but the boundary rows at 256, and pi_c and the
+        # M+ draws at 640
+        for block, parts in ((640, [2, 1, 2, 1, 3]), (256, [5, 1, 5, 2, 6]),
+                             (64, [25, 2, 10, 8, 12])):
             monkeypatch.setattr(algebra, "_BLOCK", block)
             for got, expected in zip(draws(), whole):
                 assert got.tobytes() == expected.tobytes()

@@ -113,18 +113,21 @@ class TestDeterminism:
     # fkm_consistency (27) when its direct form took <P_i x, x> from the generator images
     # (by <= 4.4e-16 but for apex_to_boundary); normal_forms (1 check moved: fiber_constancy
     # on (1, 2), 1.9e-15 -> 1.1e-16) re-pinned when M+ samples on l = m+1 systems took a
-    # second projection pass
+    # second projection pass; quotient_metric (27 checks moved, 23 in the AVX2 family),
+    # geodesics (23, 22), boundary_fibers (6, 7), sphere_quotient (1, 2) and fkm_consistency
+    # (1, 1) re-pinned when fiber_sample became the one sampler and snapped every boundary
+    # point to p/|p| (by <= 1.4e-15, 1.5e-15 in the AVX2 family)
     PLAN_DIGESTS = {
         AVX512: {
             "relations": "3134b2bf296504f5009f19bbeee6bd28e733dfa9ae31601f50604054c83b6bf5",
             "disk_image": "8b39d4bdd10630e97050149ceeeda871e335a143df92fd6a21165e32849b9908",
-            "boundary_fibers": "cdd850d7b7ccbcf4c2314b2d6db4ddd0e4eb8794cdc7f75816a825fd4e968be9",
+            "boundary_fibers": "5132bdac16cf5baad07153b7141b02e31ca50f843ee6a79d753ae92baf91b0c4",
             "factorization_m_plus_1":
                 "600956b92295d45d071ba29ff1283e86edb01837687282439e0c55fdc232f3bb",
-            "geodesics": "5c0f576be21c2c4655353cbb50b5a4ac2ebf3f7aade13a91114c254667014c78",
-            "quotient_metric": "556a8d52bc2e7f92cdd6f4237a00038f0f6b51545102a746e3988f0bbac6ea46",
+            "geodesics": "a5f5d430a3b9bc98dcb4bfe619e194afcfb917bf76ea5754adf5f47580a3f89d",
+            "quotient_metric": "2e284b3e1a5e02c60291d930e21069d396f150e7adc3196d0fcb4adae147e171",
             "symmetry": "0f96cf1d934c797cc0ade9635ef291be2afb474de89478074e111a51fd31f1cb",
-            "fkm_consistency": "06f99f77186627aafc5ab0ef1da6bd7a6f884b2453ccca11825252ff5f9733bd",
+            "fkm_consistency": "2683cc85b4c216df42cbaf7e2c0938ed651fe41557460566d2c11186834f31f3",
             "invariants_classification":
                 "c1defa433385e82a47ad055d619638815582d8b29f41d630806eae91f95b603e",
             "homogeneous_orbits":
@@ -134,19 +137,19 @@ class TestDeterminism:
             "submersion_rank": "7095e0652c137177066fed3a889bde618ac4fab07673f029c2d8e9f377e5ccda",
             "composed_identities":
                 "e26c6837204acc8cb36a238b47d4a25ebcba63c743c3b2b5bc034de43fed4c04",
-            "sphere_quotient": "f452777506353c2274da073481d07c5dd82d6322a249f93ef5bee57624c60724",
+            "sphere_quotient": "83f5e5396db4529248188662f585bc76082905961daeb0c1662d7a566fcb7814",
             "diameter": "558bd441d5f819392118af5f927b88d7334c6e1979d14fef538717bcafedae36",
         },
         AVX2: {
             "relations": "3134b2bf296504f5009f19bbeee6bd28e733dfa9ae31601f50604054c83b6bf5",
             "disk_image": "8b39d4bdd10630e97050149ceeeda871e335a143df92fd6a21165e32849b9908",
-            "boundary_fibers": "cdd850d7b7ccbcf4c2314b2d6db4ddd0e4eb8794cdc7f75816a825fd4e968be9",
+            "boundary_fibers": "79541e280a31d572ee181ee45eb9c011beb7c0434810940ae4c56116cdb6d773",
             "factorization_m_plus_1":
                 "600956b92295d45d071ba29ff1283e86edb01837687282439e0c55fdc232f3bb",
-            "geodesics": "e606496b359b23c0d91f8de16774175ce6cac085e9b1d4855075d72b94489038",
-            "quotient_metric": "fdb409e2b63193ed9c6638e898fe9e6aee88ea1a1a7f0399253b2e5ee8747146",
+            "geodesics": "7f9616459d174801b015d2f4fb9ef094b5f929c54d0ecaf621fa0c0511cd9aac",
+            "quotient_metric": "3bf27ab2c713a70e4773c26e705a616c5776c392ea9c257a86621f49aa8b6784",
             "symmetry": "03c911240637d60dbd970dd594b922080068f45c644ca413fa14dc4b234de204",
-            "fkm_consistency": "d96d6da640a0914541e923579fd494531690f4f8b3171c85d58e19f603492cc1",
+            "fkm_consistency": "b13e7c9bf31b5899ee0f9dffee897d7ddedd7815ac3ed012db23eeae42fe6a62",
             "invariants_classification":
                 "4238dfd8a43a8b43058049f892d81e8cb9d6e92497c9481f657d9318e9c8770f",
             "homogeneous_orbits":
@@ -156,7 +159,7 @@ class TestDeterminism:
             "submersion_rank": "8400eefa92065a761cafa0b6426297ad86a6df19278202e17cac492dcafe2023",
             "composed_identities":
                 "2b5b403dccdb884d6027e11b770613db2ad85aad51c2099610c6c920e8b91556",
-            "sphere_quotient": "f452777506353c2274da073481d07c5dd82d6322a249f93ef5bee57624c60724",
+            "sphere_quotient": "4390845793841c749ada487538eebc6da24758a7e485ac4d75237e1a12fa666f",
             "diameter": "40363dc5eee7b4fbece245b603885a7c117d3ee563fffa0be8492d57c5773a69",
         },
     }
@@ -184,10 +187,13 @@ class TestDeterminism:
     # system of m+2 unknowns (15 of 1491 moved, 17 in the AVX2 family, all in
     # transnormality, by <= 1.4e-16; no verdict changed), and again when every leaf sample
     # became the spec's nearest leaf point of a uniform direction (26 of 1491 moved, 17 in
-    # the AVX2 family, all in transnormality, by <= 1.4e-16; no verdict changed)
+    # the AVX2 family, all in transnormality, by <= 1.4e-16; no verdict changed), and again
+    # when fiber_sample became the one sampler and snapped every boundary point to p/|p|
+    # (58 of 1491 moved, 55 in the AVX2 family, in five suites and none in transnormality,
+    # by <= 1.4e-15, 1.5e-15 in the AVX2 family; no verdict changed)
     REPORT_DIGEST = {
-        AVX512: "6d034073c7b3266b8b35ba1104816d9f96af76dffad655d43ecd5cec28a13b35",
-        AVX2: "9da0cd4ea5424c3ba00900f5885fb7b34c46a8e85a73cff603ce7d1af5206473",
+        AVX512: "5b66c5a3748e173700d02b2750b231ce7a32b7a399a11b6039e546dfe7d0ceb0",
+        AVX2: "de2271561f0a1b4391f93391c0f8adfc7e03f93f783c480a9e8e8d9cd4afacc8",
     }
 
     def test_seed7_report_is_pinned(self, seed7_report):
