@@ -149,16 +149,17 @@ def max_abs(a: np.ndarray) -> float:
 
 
 def row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """<a_j, b_j> along the last axis, each the one BLAS dot a 1-D ``np.dot`` takes.
+    """<a_j, b_j> along the last axis: the one row reduction of the package.
 
-    So a row's product does not depend on its batch; ``np.sum(a * b, axis=-1)``
-    sums pairwise instead and differs from it in the last bit on some rows.
+    The product is laid out C-ordered and summed pairwise along each row, so a row's
+    bits are its single call's whatever the operands' layout (Fortran-ordered,
+    transposed, broadcast) or batch.  They need not be a 1-D ``np.dot``'s.
     """
-    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
+    return np.add.reduce(np.multiply(a, b, order="C"), axis=-1)
 
 
 def row_norms(a: np.ndarray) -> np.ndarray:
-    """Euclidean norm of every row of a, as the 1-D ``np.linalg.norm`` takes it."""
+    """Euclidean norm of every row of a: the square root of its :func:`row_dots`."""
     return np.sqrt(row_dots(a, a))
 
 
@@ -373,11 +374,6 @@ def rng_streams(seeds, *path) -> list:
     return [np.random.Generator(np.random.PCG64(_StateWords(w))) for w in words]
 
 
-def _pairwise_norms(x: np.ndarray) -> np.ndarray:
-    """Norms along the last axis, the pairwise sums ``np.linalg.norm(x, axis=-1)`` takes."""
-    return np.sqrt(np.add.reduce(x * x, axis=-1))
-
-
 def redraw_short_rows(z: np.ndarray, draw) -> np.ndarray:
     """Row norms of z (k, n, d), after redrawing in place the rows with norm below 1e-8.
 
@@ -385,14 +381,14 @@ def redraw_short_rows(z: np.ndarray, draw) -> np.ndarray:
     mask bad picks, from batch j's own stream; each batch redraws until no
     row is short, in the order a single call of its own would.
     """
-    norms = _pairwise_norms(z)
+    norms = row_norms(z)
     if norms.min(initial=np.inf) >= 1e-8:  # the usual case, one reduction
         return norms
     for j in np.flatnonzero(np.any(norms < 1e-8, axis=-1)):
         while np.any(norms[j] < 1e-8):
             bad = norms[j] < 1e-8
             z[j, bad] = draw(j, bad)
-            norms[j] = _pairwise_norms(z[j])
+            norms[j] = row_norms(z[j])
     return norms
 
 

@@ -517,7 +517,8 @@ def _relation_violations(system: CliffordSystem):
     Exact systems compare gather forms: P_i P_j gathers cols_j[cols_i] with
     signs s_i s_j[cols_i].  Dense systems multiply out one :func:`_blocks` slice of
     generators at a time, and every generator before the slice's end against the slice's
-    generators after it, so no product stack outgrows a slice; NumPy's max keeps a NaN.
+    generators after it, so no product stack outgrows a slice; running ``np.maximum``
+    values keep a NaN.
     """
     if system.exact:
         cols, signs = system.generators
@@ -532,15 +533,15 @@ def _relation_violations(system: CliffordSystem):
         anti = _gather_gap(pair_cols[i, j], pair_signs[i, j], pair_cols[j, i], pair_signs[j, i], 1)
         return sym, invol, anti
     gens, eye = system.generators, np.eye(system.dim)
-    sym, invol, anti = [], [], []
+    sym = invol = anti = 0.0
     for rows in _blocks(system.m + 1, system.dim ** 2):
         g = gens[rows]
-        sym.append(max_abs(g - np.swapaxes(g, -1, -2)))
-        invol.append(max_abs(g @ g - eye))
+        sym = np.maximum(sym, max_abs(g - np.swapaxes(g, -1, -2)))
+        invol = np.maximum(invol, max_abs(g @ g - eye))
         for i in range(rows.stop):  # P_i against the generators after it in this slice
             q = gens[max(i + 1, rows.start):rows.stop]
-            anti.append(max_abs(gens[i] @ q + q @ gens[i]))
-    return float(np.max(sym)), float(np.max(invol)), float(np.max(anti))
+            anti = np.maximum(anti, max_abs(gens[i] @ q + q @ gens[i]))
+    return float(sym), float(invol), float(anti)
 
 
 def verify_relations(system: CliffordSystem) -> VerificationReport:

@@ -21,7 +21,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .algebra import (_count, _pairwise_norms, check_unit, rng_from, row_dots, row_norms,
+from .algebra import (_count, check_unit, rng_from, row_dots, row_norms,
                       sample_unit_vectors, unit_angle)
 from .clifford import CliffordSystem
 from .foliation import _lift_height, _pi_rows, _quadratic_values, _turn, fiber_sample, pi_c
@@ -139,9 +139,9 @@ def builtin_spec(name: str, m: int) -> FoliationSpec:
 
         def height_jacobian(v):
             # d<v/|v|, p0>/dv = (p0 - <v^, p0> v^) / |v|
-            r = _pairwise_norms(v)[..., None]
+            r = row_norms(v)[..., None]
             vhat = v / r
-            return ((p0 - np.add.reduce(vhat * p0, -1, keepdims=True) * vhat) / r)[..., None, :]
+            return ((p0 - row_dots(vhat, p0)[..., None] * vhat) / r)[..., None, :]
 
         def nearest_height(u, tails):
             # h p0 + sqrt(1 - h^2) e^ for e^ the unit part of u off p0 = e_0; at a pole
@@ -170,7 +170,7 @@ def builtin_spec(name: str, m: int) -> FoliationSpec:
             # d tau_i = u_i^T dM v_i with u_3 times sign(det), chained through
             # (I - v^ v^T) / |v|; where singular values repeat, tau has no
             # derivative, so those rows take central differences
-            r = _pairwise_norms(v)
+            r = row_norms(v)
             vhat = v / r[:, None]
             mats = vhat.reshape(-1, 3, 3)
             u, sv, vt = np.linalg.svd(mats)
@@ -336,7 +336,7 @@ def _residuals(system: CliffordSystem, spec: FoliationSpec, z: np.ndarray,
     v = _quadratic_values(system, z)
     if target_r2 is None:
         return v, v - target
-    r2 = np.add.reduce(v * v, axis=-1)
+    r2 = row_dots(v, v)
     vhat = v / np.sqrt(np.maximum(r2, 1e-30))[:, None]
     return v, np.concatenate([(r2 - target_r2)[:, None], spec.invariant_map(vhat) - target],
                              axis=1)
@@ -383,7 +383,7 @@ def _central_differences(f, v: np.ndarray, h: np.ndarray) -> np.ndarray:
 
 
 def _unit(v: np.ndarray) -> np.ndarray:
-    return v / _pairwise_norms(v)[..., None]
+    return v / row_norms(v)[..., None]
 
 
 def _solve_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -457,11 +457,11 @@ def _newton_direction(system, spec, z, g, lam, best, v, rows_pi, dphi):
     n_rows, p = v.shape
     fiber = dphi is None
     a = lam if fiber else np.add.reduce(dphi * lam[:, :, None], axis=1)
-    mu = best - 2.0 * np.add.reduce(a * v, axis=-1)
+    mu = best - 2.0 * row_dots(a, v)
     if not fiber:
         w = 2.0 * lam[:, 0, None, None] * np.eye(p)
         # the invariant's Hessians (S, t, m+1, m+1), symmetrized
-        step = 1e-5 * _pairwise_norms(v)
+        step = 1e-5 * row_norms(v)
         hess = _central_differences(spec.invariant_jacobian, v, step)
         hess = 0.5 * (hess + hess.swapaxes(-1, -2))
         w += np.add.reduce(lam[:, 1:, None, None] * hess, axis=1)
@@ -470,7 +470,7 @@ def _newton_direction(system, spec, z, g, lam, best, v, rows_pi, dphi):
     # rows with a (nearly) singular B overflow quietly; the final mask drops them
     with np.errstate(all="ignore"):
         binv = ((2.0 * system.span_apply(a, vecs) - mu[:, None, None] * vecs)
-                / (4.0 * np.add.reduce(a * a, axis=-1) - mu * mu)[:, None, None])
+                / (4.0 * row_dots(a, a) - mu * mu)[:, None, None])
         gram = cols @ np.ascontiguousarray(binv.swapaxes(-1, -2))  # <C_i, B^-1 vecs_j>
         h, gm = gram[..., 0], gram[..., 1:]
         if fiber:
@@ -492,15 +492,14 @@ def _newton_direction(system, spec, z, g, lam, best, v, rows_pi, dphi):
         kkt[~finite], rhs[~finite] = 0.0, 0.0
         y = _solve_rows(kkt, rhs)[:, :p + 1]
         xi = binv[:, 0] + np.add.reduce(y[:, :, None] * binv[:, 1:], axis=1)
-        s = np.add.reduce(rows_pi * xi[:, None, :], axis=-1)
-        gain = np.add.reduce(g * xi, axis=-1)
-        curv = (gain + np.add.reduce(s * y[:, :p], axis=-1)
-                + np.add.reduce(z * xi, axis=-1) * y[:, p])
+        s = row_dots(rows_pi, xi[:, None, :])
+        gain = row_dots(g, xi)
+        curv = gain + row_dots(s, y[:, :p]) + row_dots(z, xi) * y[:, p]
         if not fiber:
-            curv += np.add.reduce(s * _small_matmul(w, s[..., None])[..., 0], axis=-1)
+            curv += row_dots(s, _small_matmul(w, s[..., None])[..., 0])
         newton = finite & np.isfinite(xi).all(axis=-1) & (gain > 0.0) & (curv > 0.0)
     d = np.where(newton[:, None], xi, g)
-    return d, np.where(newton, gain, np.add.reduce(g * g, axis=-1))
+    return d, np.where(newton, gain, row_dots(g, g))
 
 
 def _small_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -556,7 +555,7 @@ def _descend(system, spec, x, z, target_r2, target):
     """
     z = np.array(z, dtype=float)
     pis = _quadratic_values(system, z)
-    best = np.add.reduce(z * x, axis=-1)
+    best = row_dots(z, x)
     active = np.arange(len(z))
     for _ in range(120):
         za, va = z[active], pis[active]
@@ -573,7 +572,7 @@ def _descend(system, spec, x, z, target_r2, target):
             trial = za[pending, None] + steps[:, None] * d[pending, None]
             cand, cand_pi, resid = _restore(system, spec, _unit(trial.reshape(-1, len(x))),
                                             target_r2, target)
-            val = np.add.reduce(cand * x, axis=-1)
+            val = row_dots(cand, x)
             ok = ((resid <= 1e-10) & (val > np.repeat(best[active[pending]], len(steps)) + 1e-15)
                   ).reshape(len(pending), len(steps))
             hit = ok.any(axis=1)

@@ -236,11 +236,7 @@ def fiber_sample(system: CliffordSystem, v: np.ndarray, n: int, seeds) -> np.nda
     """
     v, rngs, single = _seeded_rows(v, seeds, system.m + 1)
     n = _count(n, "n", 0)
-    with np.errstate(over="ignore"):  # a huge row's norm is inf and fails the check below
-        r = row_norms(v)
-    if not (r <= 1.0 + 1e-12).all():
-        raise ValueError("disk point has norm > 1 or is not finite")
-    x = _fiber_rows(system, v, r, n, rngs)
+    x = _fiber_rows(system, v, _disk_radii(v), n, rngs)
     return x[0] if single else x
 
 
@@ -307,9 +303,9 @@ def fkm_f0(system: CliffordSystem, x: np.ndarray):
     x = np.asarray(x, dtype=float)
     q = _in_blocks(system, x, lambda y: row_dots(system.generator_images(y), y[:, None, :]),
                    (system.m + 1) * system.dim)
-    sq = np.sum(np.square(x), axis=-1)
-    direct = sq * sq - 2.0 * np.sum(q * q, axis=-1)
-    factored = 1.0 - 2.0 * np.sum(v * v, axis=-1)
+    sq = row_dots(x, x)
+    direct = sq * sq - 2.0 * row_dots(q, q)
+    factored = 1.0 - 2.0 * row_dots(v, v)
     return direct, factored
 
 
@@ -354,7 +350,7 @@ def geodesic_eval(g: HorizontalGeodesic, t) -> np.ndarray:
 
 def project_geodesic_params(system: CliffordSystem, g: HorizontalGeodesic):
     """(P, Q) with Q_i = <P_i x_plus, x_minus>, so pi_C(gamma(t)) = -cos(2t) P + sin(2t) Q."""
-    # generator images and one BLAS dot per Q_i, both row by row: rows equal singles
+    # generator images and one row dot per Q_i, both row by row: rows equal singles
     q = row_dots(system.generator_images(g.x_plus), g.x_minus[..., None, :])
     return np.array(g.p_coords, dtype=float), q
 
@@ -368,20 +364,26 @@ def _lift_height(r) -> np.ndarray:
     return snapped_sqrt(1.0 - r * r)
 
 
+def _disk_radii(v: np.ndarray) -> np.ndarray:
+    """:func:`row_norms` of disk points v, after checking each is finite and at most 1 + 1e-12."""
+    with np.errstate(over="ignore"):  # a huge row's norm is inf and fails the check below
+        r = row_norms(v)
+    if not (r <= 1.0 + 1e-12).all():
+        raise ValueError("disk point has norm > 1 or is not finite")
+    return r
+
+
 def quotient_lift(v: np.ndarray) -> np.ndarray:
     """Lift of a disk point to the radius-1/2 upper hemisphere in R^(m+2).
 
     lambda(v) = (v, sqrt(1 - |v|^2)) / 2; the curvature-4 quotient metric on
-    the disk is the round metric of this hemisphere.  The height snaps as
-    :func:`_lift_height` snaps it, from |v|^2 summed here, so boundary points
-    up to accumulated roundoff lift with height exactly zero.
+    the disk is the round metric of this hemisphere.  The height is
+    :func:`_lift_height` of |v|, the one boundary rule of the sampler, the cone
+    metric and the estimator, so boundary points up to accumulated roundoff lift
+    with height exactly zero.
     """
     v = np.asarray(v, dtype=float)
-    with np.errstate(over="ignore"):  # a huge row's r2 is inf and fails the check below
-        r2 = np.sum(v * v, axis=-1)
-    if not np.all(r2 <= 1.0 + 2e-12):
-        raise ValueError("disk point has norm > 1 or is not finite")
-    height = snapped_sqrt(1.0 - r2)
+    height = _lift_height(_disk_radii(v))
     return 0.5 * np.concatenate([v, np.expand_dims(height, -1)], axis=-1)
 
 
@@ -414,7 +416,7 @@ def reflected_disk_point(v: np.ndarray, p_coords: np.ndarray) -> np.ndarray:
     """Reflection -v + 2 <v, p> p of the disk along the axis through p."""
     v = np.asarray(v, dtype=float)
     p = np.asarray(p_coords, dtype=float)
-    return -v + 2.0 * np.sum(v * p, axis=-1, keepdims=True) * p
+    return -v + 2.0 * row_dots(v, p)[..., None] * p
 
 
 def spin_rotate(system: CliffordSystem, p_coords: np.ndarray, q_coords: np.ndarray,
@@ -452,8 +454,8 @@ def rotated_disk_point(v: np.ndarray, p_coords: np.ndarray, q_coords: np.ndarray
     v = np.asarray(v, dtype=float)
     p = np.asarray(p_coords, dtype=float)
     q = np.asarray(q_coords, dtype=float)
-    a = np.sum(v * p, axis=-1, keepdims=True)
-    b = np.sum(v * q, axis=-1, keepdims=True)
+    a = row_dots(v, p)[..., None]
+    b = row_dots(v, q)[..., None]
     rest = v - a * p - b * q
     c, s = np.cos(2.0 * theta), np.sin(2.0 * theta)
     return rest + (c * a + s * b) * p + (-s * a + c * b) * q

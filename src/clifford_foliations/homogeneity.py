@@ -24,8 +24,8 @@ from typing import Optional
 
 import numpy as np
 
-from .algebra import (_count, cd_mul, cd_units, check_unit, gaussian_rows, rng_streams, row_norms,
-                      sign_fixed_q, sign_fixed_rotation, snapped_sqrt)
+from .algebra import (_count, cd_mul, cd_units, check_unit, gaussian_rows, rng_streams, row_dots,
+                      row_norms, sign_fixed_q, sign_fixed_rotation, snapped_sqrt)
 from .clifford import EquivalenceProfile, delta
 
 __all__ = [
@@ -203,8 +203,8 @@ def normal_form(x: np.ndarray, field: str) -> NormalForm:
         raise ValueError("point dimension is not a multiple of dim F")
     u = rows[:, :l].reshape(len(rows), l // d, d)
     v = rows[:, l:].reshape(len(rows), l // d, d)
-    uu = np.sum(rows[:, :l] * rows[:, :l], axis=-1)
-    r0 = uu - np.sum(rows[:, l:] * rows[:, l:], axis=-1)
+    uu = row_dots(rows[:, :l], rows[:, :l])
+    r0 = uu - row_dots(rows[:, l:], rows[:, l:])
     w_conj = _f_conj(np.cumsum(cd_mul(u, _f_conj(v)), axis=-2)[:, -1])
     u1 = snapped_sqrt((1.0 + r0) / 2.0)
     off = u1 > 1e-8

@@ -130,7 +130,7 @@ def _interior_grid(m: int, count: int = 10, rmax: float = 0.92) -> np.ndarray:
         d = np.zeros(m + 1)
         d[i % (m + 1)] = np.cos(a)
         d[(i + 1) % (m + 1)] = np.sin(a)
-        pts[i] = r * d / np.linalg.norm(d)
+        pts[i] = r * d / row_norms(d)
     return pts
 
 
@@ -152,7 +152,7 @@ def _suite_relations(cfg: SuiteConfig):
 def _suite_disk_image(cfg: SuiteConfig):
     x = _unit_batch(cfg.system, cfg.seed, 0, cfg.samples)
     v = pi_c(cfg.system, x)
-    radii = np.linalg.norm(v, axis=1)
+    radii = row_norms(v)
     even = pi_c(cfg.system, -x)
     return [
         CheckResult.from_violation(
@@ -186,7 +186,7 @@ def _suite_boundary_fibers(cfg: SuiteConfig):
 def _suite_sphere_quotient(cfg: SuiteConfig):
     system = cfg.system
     x = _unit_batch(system, cfg.seed, 0, cfg.samples)
-    radii = np.linalg.norm(pi_c(system, x), axis=1)
+    radii = row_norms(pi_c(system, x))
     targets = sample_unit_vectors(rng_from(cfg.seed, 1), system.m + 1, cfg.knob("targets", 100))
     z = fiber_sample(system, targets, 4, cfg.seed + 100 + np.arange(len(targets)))
     worst = float(np.abs(pi_c(system, z) - targets[:, None]).max(initial=0.0))
@@ -203,12 +203,12 @@ def _suite_sphere_quotient(cfg: SuiteConfig):
 def _suite_focal_and_fibers(cfg: SuiteConfig):
     system = cfg.system
     xm = fiber_sample(system, np.zeros(system.m + 1), cfg.samples, cfg.seed + 1)
-    focal = float(np.linalg.norm(pi_c(system, xm), axis=1).max())
+    focal = float(row_norms(pi_c(system, xm)).max())
     grid = _interior_grid(system.m)
     per = max(4, cfg.samples // len(grid))
     z = fiber_sample(system, grid, per, cfg.seed + 10 + np.arange(len(grid)))
-    worst = float(np.linalg.norm(pi_c(system, z) - grid[:, None], axis=-1).max())
-    unit_err = float(np.abs(np.linalg.norm(z, axis=-1) - 1.0).max())
+    worst = float(row_norms(pi_c(system, z) - grid[:, None]).max())
+    unit_err = float(np.abs(row_norms(z) - 1.0).max())
     return [
         CheckResult.from_violation(
             "focal_manifold", "focal samples map to the disk origin", focal, 1e-10),

@@ -285,15 +285,33 @@ class TestSignedPerm:
 
 class TestDenseHelpers:
     def test_row_norms_equal_single_row_norms(self):
-        # the pairwise axis norm of the first row is one ulp off its 1-D norm
+        # the first row is a norm trap: its 1-D np.linalg.norm, a BLAS dot, and its pairwise
+        # axis norm differ in the last bit on some kernels; a batch row has its single call's
         a = np.concatenate([[[0.3808923102553664, 0.22284632304195315, -0.40652252618398793]],
                             sample_unit_vectors(rng_from(6), 3, 200) * 0.6])
-        if np.linalg.norm(a[0]) == np.linalg.norm(a, axis=-1)[0]:
-            pytest.skip("no norm trap on these kernels: the 1-D and pairwise axis norms of"
-                        " the first row agree in the last bit")
-        assert row_norms(a).tobytes() == np.array([np.linalg.norm(r) for r in a]).tobytes()
+        assert row_norms(a).tobytes() == np.array([row_norms(r) for r in a]).tobytes()
         b = np.roll(a, 1, axis=0)
-        assert row_dots(a, b).tobytes() == np.array([np.dot(r, s) for r, s in zip(a, b)]).tobytes()
+        singles = np.array([row_dots(r, s) for r, s in zip(a, b)])
+        assert row_dots(a, b).tobytes() == singles.tobytes()
+
+    @pytest.mark.parametrize("width", [3, 8, 9, 16, 17, 64, 129, 512])
+    def test_rows_equal_single_calls_in_any_layout(self, width):
+        # row_dots sums a C-ordered product along each row, so Fortran-ordered operands,
+        # transposed views, broadcast operands and 3-D stacks give every row the bits of
+        # its single-row call; a product in the operands' own layout did not, from width 9
+        rng = rng_from(12, width)
+        a, b = sample_unit_vectors(rng, width, 24), sample_unit_vectors(rng, width, 24)
+        cases = {"fortran": (np.asfortranarray(a), np.asfortranarray(b)),
+                 "transposed": (np.ascontiguousarray(a.T).T, b),
+                 "broadcast": (a, b[0]),
+                 "stack": (np.asfortranarray(a.reshape(4, 6, width)), b[:6])}
+        kernels = {"row_dots": row_dots, "unit_angle": unit_angle,
+                   "row_norms": lambda x, y: row_norms(x - y)}
+        for case, (x, y) in cases.items():
+            rows = list(zip(*(z.reshape(-1, width) for z in np.broadcast_arrays(x, y))))
+            for name, kernel in kernels.items():
+                singles = np.array([kernel(np.array(r), np.array(s)) for r, s in rows])
+                assert kernel(x, y).ravel().tobytes() == singles.tobytes(), (case, name)
 
     def test_unit_angle_rows_equal_single_calls(self):
         a = sample_unit_vectors(rng_from(7), 5, 200)

@@ -1,12 +1,13 @@
 """Every exported name resolves, and so does every function the traced benchmark wraps;
 only clifford.py reads the generators, built systems act without dense span matrices,
-every angle is one algebra.unit_angle, no module warns, every built-in spec carries both
-closed forms or neither, FoliationSpec has its six fields, only FoliationSpec's
-construction check and composed._fiber_leaf ask whether a spec carries its leaf metric
-and closed forms, only composed._solve_rows solves linear systems, only algebra tests
-for integers, every integer argument takes numpy integers and refuses bools, floats,
-strings and values below its range, a draw's seeds are read once, by rng_streams, library
-calls leave read-only inputs untouched, and every python block of README.md runs."""
+every angle is one algebra.unit_angle, every row dot and norm one algebra.row_dots, no
+module warns, every built-in spec carries both closed forms or neither, FoliationSpec has
+its six fields, only FoliationSpec's construction check and composed._fiber_leaf ask
+whether a spec carries its leaf metric and closed forms, only composed._solve_rows
+solves linear systems, only algebra tests for integers, every integer argument takes
+numpy integers and refuses bools, floats, strings and values below its range, a draw's
+seeds are read once, by rng_streams, library calls leave read-only inputs untouched, and
+every python block of README.md runs."""
 
 import ast
 import dataclasses
@@ -75,6 +76,48 @@ def test_angles_go_through_unit_angle():
     calls = {path.name: len(re.findall(r"np\.arc(?:sin|cos)\b", path.read_text()))
              for path in PACKAGE_DIR.glob("*.py")}
     assert {name: n for name, n in calls.items() if n} == {"algebra.py": 2, "foliation.py": 1}
+
+
+def is_product(node) -> bool:
+    """Whether node is a product a * b, np.multiply(...) or np.square(...)."""
+    return ((isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult))
+            or (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr in {"multiply", "square"}))
+
+
+def last_axis_product_sums(tree) -> list:
+    """The np.add.reduce, np.sum and .sum calls under tree that sum a product along axis -1."""
+    found = []
+    for n in ast.walk(tree):
+        if not (isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute)):
+            continue
+        if (n.func.attr, ast.unparse(n.func.value)) in {("reduce", "np.add"), ("sum", "np")}:
+            operand, axis = n.args[:1], n.args[1:2]
+        elif n.func.attr == "sum":
+            operand, axis = [n.func.value], n.args[:1]
+        else:
+            continue
+        axis += [k.value for k in n.keywords if k.arg == "axis"]
+        if operand and is_product(operand[0]) and [ast.unparse(a) for a in axis] == ["-1"]:
+            found.append(n)
+    return found
+
+
+def test_row_reductions_go_through_row_dots():
+    # one row reduction: algebra.row_dots sums a C-ordered product along the last axis and
+    # row_norms is its square root, so no other module sums a product along its last axis,
+    # calls np.linalg.norm or keeps a norm kernel of its own
+    sums, norms = {}, []
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        text = path.read_text()
+        tree = ast.parse(text)
+        if found := last_axis_product_sums(tree):
+            sums[path.name] = len(found)
+        if re.search(r"\blinalg\.norm\b|\b_pairwise_norms\b", text) or any(
+                isinstance(n, ast.ImportFrom) and "linalg" in (n.module or "")
+                and "norm" in {alias.name for alias in n.names} for n in ast.walk(tree)):
+            norms.append(path.name)
+    assert sums == {"algebra.py": 1} and norms == []
 
 
 def test_no_module_warns():

@@ -531,22 +531,20 @@ class TestRowWise:
             assert any(row.tail is None for row in rows)
 
     def test_radius_is_the_single_point_norm(self, s22):
-        # at this row norm(v, axis=-1) sums pairwise and differs from the 1-D
-        # norm in the last bit; radii and distances keep the 1-D value.  With pi_C
-        # taken in E_+-(P_0) coefficients row 0 is the one row of this draw that
-        # shows the trap, and row 3 is the reference
+        # row 0 of this draw is a norm trap: with pi_C taken in E_+-(P_0) coefficients its
+        # 1-D np.linalg.norm, a BLAS dot, and its pairwise axis norm differ in the last bit
+        # on some kernels.  Radii and distances of a batch row keep its single call's
+        # row_norms; row 3 is the reference
         x = sample_unit_vectors(rng_from(31), s22.dim, 8)
-        v = pi_c(s22, x[0])
-        r = float(np.linalg.norm(v))
-        if r == np.linalg.norm(v, axis=-1):
-            pytest.skip("no norm trap on these kernels: the 1-D and pairwise axis norms of"
-                        " this row agree in the last bit")
-        assert composed_class(s22, builtin_spec("points", 2), x)[0].radius == r
-        r0 = float(np.linalg.norm(pi_c(s22, x[3])))
+        points, one_leaf = builtin_spec("points", 2), builtin_spec("one_leaf", 2)
+        r = float(row_norms(pi_c(s22, x[0])))
+        assert composed_class(s22, points, x)[0].radius == r
+        assert composed_class(s22, points, x[0]).radius == r
+        r0 = float(row_norms(pi_c(s22, x[3])))
         cone = [np.array([np.sqrt(1.0 - t * t), t, 0.0]) for t in (r, r0)]
         expected = 0.5 * unit_angle(*cone)
-        d = composed_quotient_distance(s22, builtin_spec("one_leaf", 2), x, x[[3] * 8])
-        assert d[0] == expected
+        d = composed_quotient_distance(s22, one_leaf, x, x[[3] * 8])
+        assert d[0] == composed_quotient_distance(s22, one_leaf, x[0], x[3]) == expected
 
     def test_mismatched_shapes_rejected(self, s22):
         x = sample_unit_vectors(rng_from(43), s22.dim, 4)
@@ -613,8 +611,10 @@ class TestAmbientLeafDistance:
     # ...1117p-1), keyed by numeric-kernel family since, and re-pinned when the closed
     # form took its angle in the plane of x and its projection (one ulp, back to ...1117p-1),
     # and re-pinned when the leaf's own direction and the Newton point from pi_C(x)'s
-    # direction became candidates: from 1.5e-4 above the cone metric to within 1.1e-16
-    BOUNDARY_LEAF_HEX = {AVX512: "0x1.b59376eead2f9p-1", AVX2: "0x1.b59376eead2fbp-1"}
+    # direction became candidates: from 1.5e-4 above the cone metric to within 1.1e-16; the
+    # AVX2 family's re-pinned when every row dot and norm became algebra.row_dots (two ulps,
+    # to the AVX512 family's value)
+    BOUNDARY_LEAF_HEX = {AVX512: "0x1.b59376eead2f9p-1", AVX2: "0x1.b59376eead2f9p-1"}
 
     def test_boundary_leaf_closed_form_is_pinned(self, s22):
         # a height leaf through a boundary point: budget 320 takes the leaf's own

@@ -540,7 +540,7 @@ class TestOneSampler:
     def test_delegations_equal_fiber_sample(self, case):
         system = list(delegation_systems())[case]
         p = sample_unit_vectors(rng_from(66, system.dim), system.m + 1, 3)
-        unit = p / algebra.row_norms(p)[:, None]  # each row's 1-D norm, as a single call's
+        unit = p / algebra.row_norms(p)[:, None]  # each row's norm, as a single call's
         seeds = np.array([7, 8, 9])
         for rows, row_seeds in ((p, seeds), (p[0], 7)):
             got = boundary_fiber_sample(system, rows, 4, row_seeds)
@@ -666,12 +666,9 @@ class TestRowWiseSamplers:
             assert mat.tobytes() == dense_span(system, c).tobytes()
 
     def test_norm_trap_row(self, s22):
-        # the pairwise norm of this row is one ulp off the dot-product norm a
-        # single call takes; the batch radius must be the single call's
+        # the pairwise norm of this row is one ulp off its 1-D np.linalg.norm, a BLAS dot,
+        # on some kernels; the batch radius must be the single call's
         v = np.array([0.3808923102553664, 0.22284632304195315, -0.40652252618398793])
-        if np.linalg.norm(v[None], axis=-1)[0] == np.linalg.norm(v):
-            pytest.skip("no norm trap on these kernels: the pairwise and 1-D norms of"
-                        " this row agree in the last bit")
         rows = np.stack([0.5 * v, v, -v])
         batch = fiber_sample(s22, rows, 3, np.array([70, 71, 72]))
         assert batch[1].tobytes() == fiber_sample(s22, v, 3, 71).tobytes()
@@ -976,6 +973,30 @@ class TestQuotientMetric:
     def test_rejects_outside_disk(self):
         with pytest.raises(ValueError):
             quotient_lift(np.array([1.2, 0.0]))
+
+    def test_lift_and_sampler_share_the_disk_check(self, s22):
+        # one norm check, |v| <= 1 + 1e-12, with one message, for the lift and the sampler
+        v = np.array([0.6, 0.0, 0.8])
+        quotient_lift((1.0 + 5e-13) * v)
+        fiber_sample(s22, (1.0 + 5e-13) * v, 2, 0)
+        for call in (lambda: quotient_lift((1.0 + 3e-12) * v),
+                     lambda: fiber_sample(s22, (1.0 + 3e-12) * v, 2, 0)):
+            with pytest.raises(ValueError, match="^disk point has norm > 1 or is not finite$"):
+                call()
+
+    @pytest.mark.parametrize("v", [
+        [-0.08319989872380268, -0.4740900640722058, -0.8765365868007227],
+        [0.47980120379938623, -0.1352799920526903, -0.26300881847266117, 0.6811641080667096,
+         0.40794744857411636, 0.19909300080490103, 0.10116412489839548, 0.0354680016361893,
+         0.02794002140171126]])
+    def test_lift_snaps_by_the_one_boundary_rule(self, v):
+        # radicands 1 - |v|^2 near the 1e-13 snap, where |v|^2 summed apart from |v| can
+        # snap the other way: the lift's height is _lift_height(|v|), the boundary rule of
+        # the sampler, the cone metric and the estimator
+        v = np.array(v)
+        height = foliation._lift_height(algebra.row_norms(v))
+        assert 2.0 * quotient_lift(v)[-1] == height
+        assert (2.0 * quotient_lift(np.stack([v, -v]))[:, -1] == height).all()
 
 
 class TestSymmetries:

@@ -116,51 +116,56 @@ class TestDeterminism:
     # second projection pass; quotient_metric (27 checks moved, 23 in the AVX2 family),
     # geodesics (23, 22), boundary_fibers (6, 7), sphere_quotient (1, 2) and fkm_consistency
     # (1, 1) re-pinned when fiber_sample became the one sampler and snapped every boundary
-    # point to p/|p| (by <= 1.4e-15, 1.5e-15 in the AVX2 family)
+    # point to p/|p| (by <= 1.4e-15, 1.5e-15 in the AVX2 family); every suite but relations,
+    # disk_image, factorization_m_plus_1, focal_and_fibers and diameter (sphere_quotient in
+    # the AVX2 family) re-pinned when every row dot and norm became algebra.row_dots, one
+    # pairwise sum of a C-ordered product, and quotient_lift's height _lift_height(|v|)
+    # (168 checks moved, 122 in the AVX2 family, by <= 1.8e-15 but for quotient_metric's
+    # lifted_great_circle: 25 by <= 2.2e-14, its largest falling 1.04e-13 -> 8.1e-14)
     PLAN_DIGESTS = {
         AVX512: {
             "relations": "3134b2bf296504f5009f19bbeee6bd28e733dfa9ae31601f50604054c83b6bf5",
             "disk_image": "8b39d4bdd10630e97050149ceeeda871e335a143df92fd6a21165e32849b9908",
-            "boundary_fibers": "5132bdac16cf5baad07153b7141b02e31ca50f843ee6a79d753ae92baf91b0c4",
+            "boundary_fibers": "22c93bbdf4b0be21ffa6ffdffbbc13ddc74ddcf8dc25dd61e92663b4cd838807",
             "factorization_m_plus_1":
                 "600956b92295d45d071ba29ff1283e86edb01837687282439e0c55fdc232f3bb",
-            "geodesics": "a5f5d430a3b9bc98dcb4bfe619e194afcfb917bf76ea5754adf5f47580a3f89d",
-            "quotient_metric": "2e284b3e1a5e02c60291d930e21069d396f150e7adc3196d0fcb4adae147e171",
-            "symmetry": "0f96cf1d934c797cc0ade9635ef291be2afb474de89478074e111a51fd31f1cb",
-            "fkm_consistency": "2683cc85b4c216df42cbaf7e2c0938ed651fe41557460566d2c11186834f31f3",
+            "geodesics": "a56ffbe92ff87c738eb05c3a4fce9fab3cd5a817c4edafe8695f2a08e64dc5d8",
+            "quotient_metric": "c8847dbd5f31d66d7e969996782595265f5319d560b649c3629434afebaba559",
+            "symmetry": "1e5e25a64e509593ef7b39eeac94a875fc42829185161dd25a91a973b8db23da",
+            "fkm_consistency": "6cffbc82ff1e263a3bab4049df09c51bfb657e0955a9d8ad9b416a6a1bc68311",
             "invariants_classification":
-                "c1defa433385e82a47ad055d619638815582d8b29f41d630806eae91f95b603e",
+                "9035813629bc6cdb3cae8926f8cbd200c882d97854590221f6464a744af4ca4d",
             "homogeneous_orbits":
-                "64d30520c7dc36e83d2e978a3d68a6bc083cdba4401239cedf9039e0fb05567e",
-            "normal_forms": "10368c6984fa3f0d0e2bad79f5c60adaa29f09038bc23a2899dd15a7f10749d8",
+                "5f7f80aa39b410bbf6b86f851574b0d9d7ededa4c25ea1383fd91753c15d414f",
+            "normal_forms": "b78a336cf7f9193b598922409dd3146ee13be41ceb4b12665f7a631e1dccc626",
             "focal_and_fibers": "926935c53d663a5cbf394a8bbc5a793f07595482f41b82a8fc8529250b51298c",
-            "submersion_rank": "7095e0652c137177066fed3a889bde618ac4fab07673f029c2d8e9f377e5ccda",
+            "submersion_rank": "3888e62740531fbef0e7dd47082d7b2d624c182f0761d73286e1f4b248a70e37",
             "composed_identities":
-                "e26c6837204acc8cb36a238b47d4a25ebcba63c743c3b2b5bc034de43fed4c04",
-            "sphere_quotient": "83f5e5396db4529248188662f585bc76082905961daeb0c1662d7a566fcb7814",
+                "498aabd72727bf252baecaa5340c4c303d3f37eadfdfc141234fd2aa04c4f7de",
+            "sphere_quotient": "4390845793841c749ada487538eebc6da24758a7e485ac4d75237e1a12fa666f",
             "diameter": "558bd441d5f819392118af5f927b88d7334c6e1979d14fef538717bcafedae36",
         },
         AVX2: {
             "relations": "3134b2bf296504f5009f19bbeee6bd28e733dfa9ae31601f50604054c83b6bf5",
             "disk_image": "8b39d4bdd10630e97050149ceeeda871e335a143df92fd6a21165e32849b9908",
-            "boundary_fibers": "79541e280a31d572ee181ee45eb9c011beb7c0434810940ae4c56116cdb6d773",
+            "boundary_fibers": "22c93bbdf4b0be21ffa6ffdffbbc13ddc74ddcf8dc25dd61e92663b4cd838807",
             "factorization_m_plus_1":
                 "600956b92295d45d071ba29ff1283e86edb01837687282439e0c55fdc232f3bb",
-            "geodesics": "7f9616459d174801b015d2f4fb9ef094b5f929c54d0ecaf621fa0c0511cd9aac",
-            "quotient_metric": "3bf27ab2c713a70e4773c26e705a616c5776c392ea9c257a86621f49aa8b6784",
-            "symmetry": "03c911240637d60dbd970dd594b922080068f45c644ca413fa14dc4b234de204",
-            "fkm_consistency": "b13e7c9bf31b5899ee0f9dffee897d7ddedd7815ac3ed012db23eeae42fe6a62",
+            "geodesics": "f70105c0ca5ff71a76cc8de8a47eef5755f74cd964c47d1e2e5432f59da00110",
+            "quotient_metric": "d0cf24cf888533e55f3230b89baf2ec33ae4429ecb045bb0e23aaa846217e639",
+            "symmetry": "d99f34fbbe825157f3c10eb9719b7103a538a9c29d30fe622874e69e3ecada36",
+            "fkm_consistency": "6cffbc82ff1e263a3bab4049df09c51bfb657e0955a9d8ad9b416a6a1bc68311",
             "invariants_classification":
-                "4238dfd8a43a8b43058049f892d81e8cb9d6e92497c9481f657d9318e9c8770f",
+                "ded5ac474935a2bdac15922bb2eb8212a09251d9ec7382fe40dc5a624e806d9d",
             "homogeneous_orbits":
-                "5b5991d212b759f5b44403c788a085b9bee7216a1f5edd35d8f33d12bcb19a1c",
-            "normal_forms": "484ac567da02723d7efe7cded44773a6b4dca69710ed84ecea67a6a71b987024",
+                "883aef4541829f8c31d4ff7e5cbf7a40d770a925ce7ff061b3f96f9603c4294e",
+            "normal_forms": "ce0361fc03bbb73498e298a40baeac327e876d08858a2ba15c81fdde3ed4ed07",
             "focal_and_fibers": "2b359e216f426d1a8ee33e697df1ab02d52f748e37b1b26cc65360275dbca2b7",
-            "submersion_rank": "8400eefa92065a761cafa0b6426297ad86a6df19278202e17cac492dcafe2023",
+            "submersion_rank": "526744ea474b2c6648210c2e897c42c078bdbbb35d68b632d76db9eabdc1e00f",
             "composed_identities":
-                "2b5b403dccdb884d6027e11b770613db2ad85aad51c2099610c6c920e8b91556",
+                "b6319d2ae2307f2a6d29dad85491986b6b22838e04c59d36e21b4c857a43a789",
             "sphere_quotient": "4390845793841c749ada487538eebc6da24758a7e485ac4d75237e1a12fa666f",
-            "diameter": "40363dc5eee7b4fbece245b603885a7c117d3ee563fffa0be8492d57c5773a69",
+            "diameter": "ed639768f5c2e55ff4e5c2148ea5dc79be1e4e9a1fbed0bc86d1775c97bb5d23",
         },
     }
 
@@ -190,10 +195,13 @@ class TestDeterminism:
     # the AVX2 family, all in transnormality, by <= 1.4e-16; no verdict changed), and again
     # when fiber_sample became the one sampler and snapped every boundary point to p/|p|
     # (58 of 1491 moved, 55 in the AVX2 family, in five suites and none in transnormality,
-    # by <= 1.4e-15, 1.5e-15 in the AVX2 family; no verdict changed)
+    # by <= 1.4e-15, 1.5e-15 in the AVX2 family; no verdict changed), and again when every
+    # row dot and norm became algebra.row_dots and quotient_lift's height _lift_height(|v|)
+    # (254 of 1491 moved, 194 in the AVX2 family, in 12 suites, by <= 1.8e-15 but for
+    # lifted_great_circle's 25, by <= 2.2e-14; no verdict changed)
     REPORT_DIGEST = {
-        AVX512: "5b66c5a3748e173700d02b2750b231ce7a32b7a399a11b6039e546dfe7d0ceb0",
-        AVX2: "de2271561f0a1b4391f93391c0f8adfc7e03f93f783c480a9e8e8d9cd4afacc8",
+        AVX512: "8c3650a5ec963089f66fbe5796d1463ff7d03e7b5c2b44b0735028488fa41d6b",
+        AVX2: "f25ad9cf0394f223e2ed7f7c48c4549bcb7b0d69e72bd04a7b110b7f670ece93",
     }
 
     def test_seed7_report_is_pinned(self, seed7_report):
@@ -233,10 +241,12 @@ class TestDeterminism:
     # floats moved, 17 in the AVX2 family: same_leaf_zero, fiber_equidistance and
     # no_undercut values, by <= 1.4e-16), and again when every leaf sample became the
     # spec's nearest leaf point of a uniform direction (26 floats moved, 17 in the AVX2
-    # family: composed_equidistance and no_undercut values, by <= 1.4e-16)
+    # family: composed_equidistance and no_undercut values, by <= 1.4e-16), and again when
+    # every row dot and norm became algebra.row_dots (86 floats moved, 72 in the AVX2
+    # family, by <= 2.4e-16)
     TRANSNORMALITY_DIGEST = {
-        AVX512: "f1829fb854dd7eabf9048cd8a5e00394b6922dd7f245c5d9c40c5fe3ee7d8c2a",
-        AVX2: "af5ceb545472f1d62de435703fd38e465853258fea351ca315a2d0a99aa47164",
+        AVX512: "7cabcce673df56be82dc31138c63210154615d719c3b61487ca63680c20937a7",
+        AVX2: "e869d1f8b50bb929b1ec07a1266b15b4cd1fd31daaa70bf19603a8dd4fe220d3",
     }
 
     def test_transnormality_reports_are_pinned(self, seed7_report):
