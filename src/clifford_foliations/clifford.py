@@ -55,12 +55,6 @@ _DELTA_SMALL = (1, 2, 4, 4, 8, 8, 8, 8)
 
 DEFAULT_DIM_CAP = 512
 
-# Narrowest copy that span_apply acts on one copy at a time.  Per-copy products round
-# unlike the l x l ones at some shapes (a single point always), so narrower copies, the
-# systems of `cfl report --max-dim 64`, would move its pinned bytes; at 64 the samplers'
-# 32-row batches keep the l x l bits on AVX-512 kernels, with 1/c of the flops.
-_COPY_WIDTH = 64
-
 
 class MalformedSystemError(ValueError):
     """A system whose dimensions are inconsistent with its rank, or a payload
@@ -272,23 +266,22 @@ class CliffordSystem:
 
     @cached_property
     def _p0_copies(self) -> int:
-        """The largest count c of equal diagonal copies, each at least :data:`_COPY_WIDTH`
-        wide, that the E_+-(P_0) blocks are, else 1.
+        """The largest count c of equal diagonal copies that the E_+-(P_0) blocks are, else 1.
 
         The gather pair of :attr:`_p0_blocks` is c copies where shifting its columns by one
         copy width d = l / c adds d to the indices and keeps the signs; each R_i, and so
-        each B_p of :meth:`span_apply`, is then c equal d x d diagonal blocks.  Built systems,
-        their signed_perm files and sub-systems are k copies of the irreducible module; a
-        partial flip and a stack give 1.
+        each B_p of :meth:`span_apply`, is then c equal d x d diagonal blocks.  The smallest
+        such d dividing l gives c.  Built systems with no or every copy flipped, their
+        signed_perm files and sub-systems are k copies of the irreducible module; a partial
+        flip (its flipped copies' blocks differ) and a stack give 1.
         """
         if not isinstance(self._p0_blocks, tuple):
             return 1
         cols, signs = self._p0_blocks
-        for c in range(self.l // _COPY_WIDTH, 1, -1):
-            d = self.l // c
-            if (not self.l % c and np.array_equal(cols[:, d:], cols[:, :-d] + d)
+        for d in range(1, self.l):
+            if (not self.l % d and np.array_equal(cols[:, d:], cols[:, :-d] + d)
                     and np.array_equal(signs[:, d:], signs[:, :-d])):
-                return c
+                return self.l // d
         return 1
 
     @cached_property
@@ -363,9 +356,9 @@ class CliffordSystem:
         P_j is p_0 P_0 plus the l x l block B_p = sum_{i>=1} p_i R_i, so x
         with E_+-(P_0) coefficients (u, w) goes to the point with coefficients
         (p_0 u + w B_p, u B_p^T - p_0 w), read by :meth:`p0_coefficients`.
-        Where the blocks are c > 1 :attr:`_p0_copies`, B_p is c equal diagonal
-        blocks of width d = l / c, so only one d x d block is summed and the n
-        rows of u and w act as n c rows of width d (copied where they are views).
+        The blocks are c :attr:`_p0_copies`, so B_p is c equal diagonal blocks of
+        width d = l / c: one d x d block is summed and the n rows of u and w act as
+        n c rows of width d (copied where they are views); c = 1 is the l x l block.
         B_p is summed one ``_blocks`` slice of frames at a time, and each product
         is the (n c, d) @ (d, d) one a single frame takes.  A single p (m+1,)
         acts on x (..., 2l) as a batch of one.
@@ -396,14 +389,14 @@ class CliffordSystem:
 def _span_sum(rows: np.ndarray, blocks, width: int) -> np.ndarray:
     """sum_i rows[j, i] * A_i for each row j, shape (k, width, width).
 
-    ``blocks`` holds the A_i (the generators, or the blocks R_i of
-    :meth:`CliffordSystem.span_apply`, or the first of their equal diagonal copies) as
-    the :func:`_scatter_index` of a gather pair or as one stack.  A gather pair is
-    scattered into a zero stack in one write of every row's signed coefficients: two
-    anticommuting signed permutations (or blocks R_i, R_j with R_i R_j^T + R_j R_i^T = 0)
-    never share a nonzero entry, since a shared entry at (r, c) would put +-2 on the
-    diagonal of that sum, so each entry is written once and the scatter equals the dense
-    sum bit for bit.  A zero coefficient, 0 or -0.0, leaves +0.0 on its entries, as the
+    ``blocks`` holds the A_i (the generators, or the first of the c equal diagonal
+    copies of the blocks R_i that :meth:`CliffordSystem.span_apply` sums, all of R_i
+    where c = 1) as the :func:`_scatter_index` of a gather pair or as one stack.  A
+    gather pair is scattered into a zero stack in one write of every row's signed
+    coefficients: two anticommuting signed permutations (or blocks R_i, R_j with
+    R_i R_j^T + R_j R_i^T = 0) never share a nonzero entry, since a shared entry at
+    (r, c) would put +-2 on the diagonal of that sum, so each entry is written once and
+    the scatter equals the dense sum bit for bit.  A zero coefficient, 0 or -0.0, leaves +0.0 on its entries, as the
     dense sum's zero terms leave the zero stack; a NaN one marks only its own entries.
     A stack is that dense sum, each A_i added to every row from zero: a zero term adds
     +-0.0, which leaves every entry's bits alone.

@@ -230,6 +230,8 @@ def _check_spec(system: CliffordSystem, spec: FoliationSpec):
 
 def _disk_points(system: CliffordSystem, x: np.ndarray):
     """pi_C of every row of x and its radius; a single point is a batch of one."""
+    if np.ndim(x) > 2:
+        raise ValueError(f"points must have shape (2l,) or (n, 2l), got {np.shape(x)}")
     v = pi_c(system, np.atleast_2d(x))
     return v, row_norms(v)
 

@@ -193,6 +193,8 @@ def normal_form(x: np.ndarray, field: str) -> NormalForm:
     the forms of all rows in one evaluation, row j equal bit for bit to the
     form of x[j] alone.
     """
+    if field not in FIELD_DIM:
+        raise ValueError(f"unknown field {field!r}")
     x = np.asarray(x, dtype=float)
     if x.ndim not in (1, 2):
         raise ValueError("normal_form expects a point (2l,) or rows (n, 2l)")

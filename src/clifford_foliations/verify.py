@@ -389,18 +389,18 @@ def _suite_fkm_consistency(cfg: SuiteConfig):
     xb = fiber_sample(system, p, 64, cfg.seed + 2)
     checks.append(CheckResult.from_violation(
         "boundary_value", "the form equals -1 on boundary fibers",
-        float(np.abs(fkm_f0(system, xb)[1] + 1.0).max()), 1e-10))
+        float(np.abs(fkm_f0(system, xb)[0] + 1.0).max()), 1e-10))
     if system.l >= system.m + 1:
         xm = fiber_sample(system, np.zeros(system.m + 1), 64, cfg.seed + 3)
         checks.append(CheckResult.from_violation(
             "focal_value", "the form equals +1 on the focal manifold",
-            float(np.abs(fkm_f0(system, xm)[1] - 1.0).max()), 1e-10))
+            float(np.abs(fkm_f0(system, xm)[0] - 1.0).max()), 1e-10))
     if system.l > system.m + 1:
         v = 0.5 * p
         xr = fiber_sample(system, v, 64, cfg.seed + 4)
         checks.append(CheckResult.from_violation(
             "half_radius_value", "the form equals 1/2 on fibers at radius 1/2",
-            float(np.abs(fkm_f0(system, xr)[1] - 0.5).max()), 1e-10))
+            float(np.abs(fkm_f0(system, xr)[0] - 0.5).max()), 1e-10))
     return checks
 
 
@@ -559,7 +559,7 @@ def _suite_composed_identities(cfg: SuiteConfig):
     wrong = int(np.sum(~same_leaf(system, pts, a0, a1)) + np.sum(~same_leaf(system, pts, a0, -a0))
                 + np.sum(same_leaf(system, pts, a0, b)) + np.sum(~same_leaf(system, one, a0, b))
                 + np.sum(same_leaf(system, one, a0[has_c], c)))
-    radius_law = float(np.max(np.abs(fkm_f0(system, a0)[1] - fkm_f0(system, b)[1])))
+    radius_law = float(np.max(np.abs(fkm_f0(system, a0)[0] - fkm_f0(system, b)[0])))
     xm = fiber_sample(system, np.zeros(m + 1), 4, cfg.seed + 7)
     cls = composed_class(system, pts, xm[0])
     origin_ok = cls.tail is None and cls.radius <= 1e-10

@@ -381,17 +381,22 @@ def full_block_twin(system):
 
 class TestSpanCopies:
     def test_copy_counts(self):
-        # k copies where the irreducible module is at least 64 wide; a partial flip, a dense
-        # system and every narrower system act through the l x l blocks.  The copies' span
-        # action is checked against span matrices by TestGeneratorPaths at (11, 2), (12, 4)
-        for m, k in ((11, 2), (12, 4)):
-            built = build_system(m, k)
-            loaded = system_from_dict(json.loads(json.dumps(system_to_dict(built))))
-            assert built._p0_copies == loaded._p0_copies == k
-        flipped = build_system(12, 4, 1)
-        dense = CliffordSystem(12, flipped.l, flipped.span_matrix(np.eye(13)))
-        assert flipped._p0_copies == dense._p0_copies == 1
-        assert all(config.system._p0_copies == 1 for config in default_plan(64))
+        # an unflipped or fully flipped system is k copies of the irreducible module at every
+        # width, and so is its signed_perm file; a partial flip (its flipped copies' blocks
+        # differ from the others') and a dense system act through the l x l blocks.  The
+        # copies' span action is checked against span matrices by TestGeneratorPaths
+        for m in range(1, 17):
+            for k in range(1, 9):
+                if 2 * k * delta(m) > 512 or (m, k) == (1, 1):
+                    continue
+                for flips in range(k + 1):
+                    built = build_system(m, k, flips)
+                    loaded = system_from_dict(json.loads(json.dumps(system_to_dict(built))))
+                    copies = k if flips in (0, k) else 1
+                    assert built._p0_copies == loaded._p0_copies == copies, (m, k, flips)
+        built = build_system(12, 4)
+        dense = CliffordSystem(12, built.l, built.span_matrix(np.eye(13)))
+        assert dense._p0_copies == 1
         # D P_i D for a random sign diagonal D: the copies' indices agree, their signs not
         cols, signs = build_system(11, 2).generators
         d = rng_from(70).choice([-1, 1], cols.shape[-1])
@@ -611,11 +616,11 @@ class TestSpanScatter:
 
     @pytest.mark.parametrize("m,k,flips", [(4, 3, 1), (8, 2, 0), (12, 4, 0)])
     def test_span_apply_blocks(self, m, k, flips):
-        # width l: the blocks R_i, and at (12, 4) the first of the four 64-wide copies
-        # span_apply sums
+        # width l: the blocks R_i of the partial flip, and of an unflipped system the first
+        # of its k copies span_apply sums
         system = build_system(m, k, flips)
         width = system.l // system._p0_copies
-        assert width == (64 if m == 12 else system.l)
+        assert width == (system.l if flips else system.l // k)
         rows = self.rows(m, 92 + m)
         cols, signs = (a[:, :width] for a in system._p0_blocks)
         self.assert_scatter(_span_sum(rows, system._p0_scatter, width), rows, cols, signs)

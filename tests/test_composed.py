@@ -553,6 +553,16 @@ class TestRowWise:
         with pytest.raises(ValueError):
             composed_quotient_distance(s22, builtin_spec("points", 2), x[:3], x)
 
+    def test_batches_of_more_than_two_axes_rejected(self, s22):
+        # only a point (2l,) or rows (n, 2l) are accepted, by all three
+        x = sample_unit_vectors(rng_from(44), s22.dim, 6).reshape(2, 3, s22.dim)
+        points = builtin_spec("points", 2)
+        for call in (lambda: composed_class(s22, points, x),
+                     lambda: composed_quotient_distance(s22, points, x, x),
+                     lambda: same_leaf(s22, points, x, x)):
+            with pytest.raises(ValueError, match=r"\(2l,\) or \(n, 2l\), got \(2, 3, 8\)"):
+                call()
+
 
 class TestAmbientLeafDistance:
     def test_same_leaf_goes_to_zero(self, s22):

@@ -418,8 +418,13 @@ class TestSamplerFormulas:
     @pytest.mark.parametrize("mk", [(2, 2), (3, 2), (4, 3), (6, 2), (9, 1), (4, 3, 1)])
     def test_exact_samplers_match_dense_formulas_bitwise(self, mk):
         # the gather pair of an exact system and the (m, l, l) blocks of its
-        # dense twin give the same bits, on one point and on rows
-        system = build_system(*mk)
+        # dense twin give the same bits, on one point and on rows, where both take
+        # l x l blocks B_p; the exact system's own span action takes one copy at a time
+        # (except on the partial flip and at k = 1), whose products differ from the l x l
+        # ones in the last bits on some kernels
+        copies = build_system(*mk)
+        system = CliffordSystem(copies.m, copies.l, copies.generators)
+        vars(system)["_p0_copies"] = 1  # set before the cached scatter index is read
         twin = dense_twin(system)
         assert isinstance(system._p0_blocks, tuple)
         assert isinstance(twin._p0_blocks, np.ndarray)
@@ -430,8 +435,9 @@ class TestSamplerFormulas:
         v = 0.6 * coords / np.linalg.norm(coords)
         assert fiber_sample(system, v, 40, 37).tobytes() == fiber_sample(twin, v, 40, 37).tobytes()
         rows, seeds = mixed_disk_rows(system)
-        assert (fiber_sample(system, rows, 3, seeds).tobytes()
-                == fiber_sample(twin, rows, 3, seeds).tobytes())
+        expected = fiber_sample(twin, rows, 3, seeds)
+        assert fiber_sample(system, rows, 3, seeds).tobytes() == expected.tobytes()
+        assert max_abs(fiber_sample(copies, rows, 3, seeds) - expected) <= 1e-15
 
     @pytest.mark.parametrize("mk", list(reference_systems()), ids=str)
     def test_samplers_match_the_2l_formulas(self, mk):
@@ -716,12 +722,12 @@ class TestRowWiseSamplers:
             z = y + s22.span_matrix(target) @ y
             assert max_abs(rows[0, 1] - z / np.linalg.norm(z)) <= 1e-15
 
-    @pytest.mark.parametrize("mk", [(2, 2), (11, 2)], ids=str)
+    @pytest.mark.parametrize("mk", [(2, 2), (11, 2), (2, 2, 1)], ids=str)
     def test_empty_batches(self, mk):
-        # k = 0 rows give an empty batch of the documented shape, on an l x l system
-        # and on one whose span action takes one copy at a time
+        # k = 0 rows give an empty batch of the documented shape, on systems whose span
+        # action takes one copy at a time and on a partial flip's, which takes l x l blocks
         system = build_system(*mk)
-        assert system._p0_copies == (1 if mk == (2, 2) else 2)
+        assert system._p0_copies == (1 if mk[2:] else 2)
         n, dim, none = 3, system.dim, np.arange(0)
         p, x = np.empty((0, system.m + 1)), np.empty((0, n, dim))
         for rows in (fiber_sample(system, p, n, none), boundary_fiber_sample(system, p, n, none),
@@ -767,6 +773,7 @@ class TestBlocks:
         x = sample_unit_vectors(rng_from(70), system.dim, 50)
         v, seeds = mixed_disk_rows(system)  # 2 origin, 8 interior and 2 boundary rows
         n, m, l = 5, system.m, system.l
+        d = l // system._p0_copies  # 4 on the exact system's two copies, 8 when conjugated
         sliced = []
 
         def blocks(count, size):
@@ -783,18 +790,19 @@ class TestBlocks:
                     mplus_sample(system, n, seeds)]
 
         # (rows, entries a row) of each slicing: pi_c's 50 rows of m l images; the 2
-        # boundary fibers' l x l blocks B_p in span_apply, then the other 10 fibers' M+
-        # draws of n m l images in _mplus_rows and the l x l turns of the 8 rows off the
+        # boundary fibers' d x d blocks B_p in span_apply, then the other 10 fibers' M+
+        # draws of n m l images in _mplus_rows and the d x d turns of the 8 rows off the
         # origin; mplus_sample's 12 rows of n m l images
-        sizes = [(50, m * l), (2, l * l), (10, n * m * l), (8, l * l), (12, n * m * l)]
+        sizes = [(50, m * l), (2, d * d), (10, n * m * l), (8, d * d), (12, n * m * l)]
         whole = draws()
         assert sliced == [size + (1,) for size in sizes]
-        # a slice of 640 entries holds at most 26 pi_c rows, 5 M+ rows and 10 blocks
-        # B_p; one of 256 at most 10, 2 and 4; one of 64 at most 2, 1 and 1, so that
-        # every path splits at 64, all but the boundary rows at 256, and pi_c and the
-        # M+ draws at 640
-        for block, parts in ((640, [2, 1, 2, 1, 3]), (256, [5, 1, 5, 2, 6]),
-                             (64, [25, 2, 10, 8, 12])):
+        # a slice of 640 entries holds at most 26 pi_c rows, 5 M+ rows and 640 / d^2
+        # blocks B_p; one of 256 at most 10, 2 and 256 / d^2; one of 64 at most 2, 1 and
+        # 64 / d^2; one of 16 at most 1 of each.  Every path splits at d^2, all but the
+        # boundary rows at 256 where d = 8, and pi_c and the M+ draws at 640
+        levels = {4: ((640, [2, 1, 2, 1, 3]), (256, [5, 1, 5, 1, 6]), (16, [50, 2, 10, 8, 12])),
+                  8: ((640, [2, 1, 2, 1, 3]), (256, [5, 1, 5, 2, 6]), (64, [25, 2, 10, 8, 12]))}
+        for block, parts in levels[d]:
             monkeypatch.setattr(algebra, "_BLOCK", block)
             for got, expected in zip(draws(), whole):
                 assert got.tobytes() == expected.tobytes()

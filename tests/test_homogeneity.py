@@ -201,6 +201,15 @@ class TestNormalForm:
         with pytest.raises(ValueError):
             normal_form(np.ones(4), "R")
 
+    def test_rejects_unknown_field(self):
+        # as sample_group_element does, for a point and for rows
+        x = np.eye(4)[:2]
+        for point in (x, x[0]):
+            with pytest.raises(ValueError, match="^unknown field 'Q'$"):
+                normal_form(point, "Q")
+        with pytest.raises(ValueError, match="^unknown field 'Q'$"):
+            sample_group_element("Q", 2, 0)
+
     @pytest.mark.parametrize("m,k", [(1, 3), (2, 1), (2, 2), (4, 1), (4, 2)])
     def test_rows_equal_single_points(self, m, k):
         # uniform points, a point with u = 0 and a boundary fiber, in one call

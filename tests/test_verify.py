@@ -7,7 +7,7 @@ import json
 import numpy as np
 import pytest
 
-from clifford_foliations import foliation
+from clifford_foliations import foliation, verify
 from clifford_foliations.cli import main
 from clifford_foliations.clifford import build_system
 from clifford_foliations.verify import (
@@ -121,7 +121,13 @@ class TestDeterminism:
     # the AVX2 family) re-pinned when every row dot and norm became algebra.row_dots, one
     # pairwise sum of a C-ordered product, and quotient_lift's height _lift_height(|v|)
     # (168 checks moved, 122 in the AVX2 family, by <= 1.8e-15 but for quotient_metric's
-    # lifted_great_circle: 25 by <= 2.2e-14, its largest falling 1.04e-13 -> 8.1e-14)
+    # lifted_great_circle: 25 by <= 2.2e-14, its largest falling 1.04e-13 -> 8.1e-14);
+    # geodesics, quotient_metric, symmetry, invariants_classification, composed_identities,
+    # focal_and_fibers and submersion_rank (the first four and composed_identities in the
+    # AVX2 family) re-pinned when span_apply acted per irreducible copy wherever the
+    # E_+-(P_0) blocks are equal copies (93 checks moved, 81 in the AVX2 family, by
+    # <= 1.8e-15), and fkm_consistency (88 checks moved) and composed_identities (23, 25 in
+    # the AVX2 family) when the FKM value checks read the direct quartic (by <= 3.8e-15)
     PLAN_DIGESTS = {
         AVX512: {
             "relations": "3134b2bf296504f5009f19bbeee6bd28e733dfa9ae31601f50604054c83b6bf5",
@@ -129,19 +135,19 @@ class TestDeterminism:
             "boundary_fibers": "22c93bbdf4b0be21ffa6ffdffbbc13ddc74ddcf8dc25dd61e92663b4cd838807",
             "factorization_m_plus_1":
                 "600956b92295d45d071ba29ff1283e86edb01837687282439e0c55fdc232f3bb",
-            "geodesics": "a56ffbe92ff87c738eb05c3a4fce9fab3cd5a817c4edafe8695f2a08e64dc5d8",
-            "quotient_metric": "c8847dbd5f31d66d7e969996782595265f5319d560b649c3629434afebaba559",
-            "symmetry": "1e5e25a64e509593ef7b39eeac94a875fc42829185161dd25a91a973b8db23da",
-            "fkm_consistency": "6cffbc82ff1e263a3bab4049df09c51bfb657e0955a9d8ad9b416a6a1bc68311",
+            "geodesics": "9f801b01a13899d7cf9ee02b626f3bf628795d18c0258881a8d4c1a9af68d10b",
+            "quotient_metric": "9d81f49aab3676b7012993e68f324f7b4482717cf59c4cf54d35191438274d2c",
+            "symmetry": "4aa834a136efc4735aa7e464a64bb816bc32012a993b0d04432953bfa31760b7",
+            "fkm_consistency": "d16545d97ec7e54a51aa0697b89c141dd7bb2376ae453acba8c01ed63e201a06",
             "invariants_classification":
-                "9035813629bc6cdb3cae8926f8cbd200c882d97854590221f6464a744af4ca4d",
+                "69e806e7aa87aaaedfe915f84889a16ce0214a45cec5e09863fcae808633350b",
             "homogeneous_orbits":
                 "5f7f80aa39b410bbf6b86f851574b0d9d7ededa4c25ea1383fd91753c15d414f",
             "normal_forms": "b78a336cf7f9193b598922409dd3146ee13be41ceb4b12665f7a631e1dccc626",
-            "focal_and_fibers": "926935c53d663a5cbf394a8bbc5a793f07595482f41b82a8fc8529250b51298c",
-            "submersion_rank": "3888e62740531fbef0e7dd47082d7b2d624c182f0761d73286e1f4b248a70e37",
+            "focal_and_fibers": "7d97025ed73a48a0a334f50fee89dcd8c5b9eda3cd8bd87bb82f49a9a0516853",
+            "submersion_rank": "526744ea474b2c6648210c2e897c42c078bdbbb35d68b632d76db9eabdc1e00f",
             "composed_identities":
-                "498aabd72727bf252baecaa5340c4c303d3f37eadfdfc141234fd2aa04c4f7de",
+                "c9d3cee9d17b37c1069a9cd300fcbb8f6fb17f282a3dbb5811056f2294d5beb4",
             "sphere_quotient": "4390845793841c749ada487538eebc6da24758a7e485ac4d75237e1a12fa666f",
             "diameter": "558bd441d5f819392118af5f927b88d7334c6e1979d14fef538717bcafedae36",
         },
@@ -151,19 +157,19 @@ class TestDeterminism:
             "boundary_fibers": "22c93bbdf4b0be21ffa6ffdffbbc13ddc74ddcf8dc25dd61e92663b4cd838807",
             "factorization_m_plus_1":
                 "600956b92295d45d071ba29ff1283e86edb01837687282439e0c55fdc232f3bb",
-            "geodesics": "f70105c0ca5ff71a76cc8de8a47eef5755f74cd964c47d1e2e5432f59da00110",
-            "quotient_metric": "d0cf24cf888533e55f3230b89baf2ec33ae4429ecb045bb0e23aaa846217e639",
+            "geodesics": "ff4460c58613f51f11af597977e09428722dd1f8d8a83959861b2a499cc27d32",
+            "quotient_metric": "3d610335f9436e1f93c4bed61a464d5099fc25e3ee6abd28a9c98e389986d123",
             "symmetry": "d99f34fbbe825157f3c10eb9719b7103a538a9c29d30fe622874e69e3ecada36",
-            "fkm_consistency": "6cffbc82ff1e263a3bab4049df09c51bfb657e0955a9d8ad9b416a6a1bc68311",
+            "fkm_consistency": "d16545d97ec7e54a51aa0697b89c141dd7bb2376ae453acba8c01ed63e201a06",
             "invariants_classification":
-                "ded5ac474935a2bdac15922bb2eb8212a09251d9ec7382fe40dc5a624e806d9d",
+                "fddb31aa3275cd3c48a3314fbdd67e0af0ebaba0b1056425400b22a9ea3958b8",
             "homogeneous_orbits":
                 "883aef4541829f8c31d4ff7e5cbf7a40d770a925ce7ff061b3f96f9603c4294e",
             "normal_forms": "ce0361fc03bbb73498e298a40baeac327e876d08858a2ba15c81fdde3ed4ed07",
             "focal_and_fibers": "2b359e216f426d1a8ee33e697df1ab02d52f748e37b1b26cc65360275dbca2b7",
             "submersion_rank": "526744ea474b2c6648210c2e897c42c078bdbbb35d68b632d76db9eabdc1e00f",
             "composed_identities":
-                "b6319d2ae2307f2a6d29dad85491986b6b22838e04c59d36e21b4c857a43a789",
+                "f2a32176d69d9ed3e2c61add93ecc1d6811b0f9ed04eec51698db1a10fb30429",
             "sphere_quotient": "4390845793841c749ada487538eebc6da24758a7e485ac4d75237e1a12fa666f",
             "diameter": "ed639768f5c2e55ff4e5c2148ea5dc79be1e4e9a1fbed0bc86d1775c97bb5d23",
         },
@@ -198,10 +204,14 @@ class TestDeterminism:
     # by <= 1.4e-15, 1.5e-15 in the AVX2 family; no verdict changed), and again when every
     # row dot and norm became algebra.row_dots and quotient_lift's height _lift_height(|v|)
     # (254 of 1491 moved, 194 in the AVX2 family, in 12 suites, by <= 1.8e-15 but for
-    # lifted_great_circle's 25, by <= 2.2e-14; no verdict changed)
+    # lifted_great_circle's 25, by <= 2.2e-14; no verdict changed), and again when
+    # span_apply acted per irreducible copy wherever the E_+-(P_0) blocks are equal copies
+    # (155 of 1491 moved, 143 in the AVX2 family, by <= 1.8e-15) and the FKM value checks
+    # read the direct quartic (111 more moved, 113 in the AVX2 family, by <= 3.8e-15); no
+    # verdict changed
     REPORT_DIGEST = {
-        AVX512: "8c3650a5ec963089f66fbe5796d1463ff7d03e7b5c2b44b0735028488fa41d6b",
-        AVX2: "f25ad9cf0394f223e2ed7f7c48c4549bcb7b0d69e72bd04a7b110b7f670ece93",
+        AVX512: "1972f4fd8c7ed97ddfba00622b01338e0d6d4d48d3e002d508e01df831505a1b",
+        AVX2: "cbea29761bc91c0eda8b79e160905544d1a283965e332ac23bdbf9ca6e522975",
     }
 
     def test_seed7_report_is_pinned(self, seed7_report):
@@ -243,10 +253,11 @@ class TestDeterminism:
     # spec's nearest leaf point of a uniform direction (26 floats moved, 17 in the AVX2
     # family: composed_equidistance and no_undercut values, by <= 1.4e-16), and again when
     # every row dot and norm became algebra.row_dots (86 floats moved, 72 in the AVX2
-    # family, by <= 2.4e-16)
+    # family, by <= 2.4e-16), and again when span_apply acted per irreducible copy wherever
+    # the E_+-(P_0) blocks are equal copies (62 floats moved in each family, by <= 2.8e-16)
     TRANSNORMALITY_DIGEST = {
-        AVX512: "7cabcce673df56be82dc31138c63210154615d719c3b61487ca63680c20937a7",
-        AVX2: "e869d1f8b50bb929b1ec07a1266b15b4cd1fd31daaa70bf19603a8dd4fe220d3",
+        AVX512: "7048fa09d83cec4493736e4fca36d509d3f25c775deb7eae6551420e19d31fef",
+        AVX2: "6ebc514e7f414a5cc1d70508385059197022b7a7209c39ad0bd1bd13dafd504d",
     }
 
     def test_transnormality_reports_are_pinned(self, seed7_report):
@@ -289,6 +300,27 @@ class TestCheckSensitivity:
         report = run_suite(SuiteConfig("fkm_consistency", s22, seed=1, samples=80))
         check = next(c for c in report.checks if c.name == "two_evaluations")
         assert check.violation >= 1e-7 and not check.passed
+
+    def test_fkm_value_checks_read_the_direct_form(self, s22, monkeypatch):
+        # the value checks evaluate the quartic itself, not 1 - 2 |pi_C|^2, so an error of
+        # 1e-6 in the direct form (its sign the sign of x_0, so points of one leaf disagree)
+        # fails each of them
+        exact = verify.fkm_f0
+
+        def off(system, x):
+            direct, factored = exact(system, x)
+            return direct + np.where(np.asarray(x)[..., 0] < 0, -1e-6, 1e-6), factored
+
+        names = {"fkm_consistency": ["boundary_value", "focal_value", "half_radius_value"],
+                 "composed_identities": ["equal_radius_law"]}
+        for patched in (False, True):
+            if patched:
+                monkeypatch.setattr(verify, "fkm_f0", off)
+            for suite, checks in names.items():
+                report = run_suite(SuiteConfig(suite, s22, seed=1, samples=80,
+                                               budget=dict(FAST_BUDGET)))
+                passed = {c.name: c.passed for c in report.checks}
+                assert [passed[name] for name in checks] == [not patched] * len(checks)
 
 
 class TestReportFormat:
