@@ -210,11 +210,11 @@ def eig_split(p: np.ndarray):
     """Orthonormal bases (B_plus, B_minus) of the +-1 eigenspaces of an involution.
 
     Bases come from the projectors (Id +- P)/2; each has l columns.  Raises
-    ``ValueError`` when P^2 differs from Id by more than 1e-10.
+    ``ValueError`` when P has a non-finite entry or P^2 differs from Id by more than 1e-10.
     """
     p = np.asarray(p, dtype=float)
     n = p.shape[0]
-    if max_abs(p @ p - np.eye(n)) > 1e-10:
+    if not np.isfinite(p).all() or max_abs(p @ p - np.eye(n)) > 1e-10:
         raise ValueError("matrix is not an involution to 1e-10")
     b_plus = projector_colspace_basis((np.eye(n) + p) / 2.0)
     b_minus = projector_colspace_basis((np.eye(n) - p) / 2.0)

@@ -20,7 +20,7 @@ combinations that the trace invariant |tr(P_0 ... P_m)| tells apart.
 from __future__ import annotations
 
 import os
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from functools import cached_property, reduce
 from itertools import chain
 from typing import Optional, Sequence
@@ -36,7 +36,6 @@ __all__ = [
     "build_complex_structures",
     "build_system",
     "CliffordSystem",
-    "Provenance",
     "EquivalenceProfile",
     "verify_relations",
     "trace_invariant",
@@ -126,14 +125,6 @@ def build_complex_structures(n: int, target_dim: int):
 # Systems
 # --------------------------------------------------------------------------- #
 
-@dataclass(frozen=True)
-class Provenance:
-    """Construction record: the generators are ``build_system(m, k, flips)``'s, entry for entry."""
-
-    k: int
-    flips: int
-
-
 @dataclass
 class EquivalenceProfile:
     """(m, k, kappa): the data deciding geometric equivalence.
@@ -165,19 +156,17 @@ class CliffordSystem:
     Exact systems (from :func:`build_system` or a signed_perm payload) hold their
     generators as signed permutations in one gather pair ``(cols, signs)``, int arrays
     of shape (m+1, 2l): entry r of P_i x is ``signs[i, r] * x[cols[i, r]]``.  Other
-    systems (conjugated or loaded dense) hold one (m+1, 2l, 2l) float stack.  A
-    :class:`Provenance` states that the generators, in either form, are one
-    :func:`build_system` call's; a conjugated system has none, and the profile never
-    reads one.  Treat instances as immutable: the diagonals of the generators, the
-    E_+-(P_0) split (an index pair where P_0 is a +-1 diagonal) or :attr:`p0_eigenbases`,
-    the blocks of P_1..P_m between them, their copy count and the signed indices are
-    cached lazily.
+    systems (conjugated or loaded dense) hold one (m+1, 2l, 2l) float stack.  Whether the
+    generators are the construction's is read off them (:attr:`standard_layout`), in
+    either form.  Treat instances as immutable: that predicate, the diagonals of the
+    generators, the E_+-(P_0) split (an index pair where P_0 is a +-1 diagonal) or
+    :attr:`p0_eigenbases`, the blocks of P_1..P_m between them, their copy count and the
+    signed indices are cached lazily.
     """
 
     m: int
     l: int
     generators: tuple
-    provenance: Optional[Provenance] = None
 
     @property
     def dim(self) -> int:
@@ -193,6 +182,24 @@ class CliffordSystem:
         if not self.exact:
             return self.generators[i]
         return self.span_matrix(np.eye(self.m + 1)[i])
+
+    @cached_property
+    def standard_layout(self) -> bool:
+        """Whether the generators are the unflipped ``build_system(m, l / delta(m))``'s.
+
+        The construction is built without the dimension cap or the (1, 1) rejection and
+        compared with the gather pair or the dense stack, entry for entry.  A sub-system
+        keeping every generator, the identity conjugate and a dense copy of an unflipped
+        built system read True; a flipped system, a conjugate that moves an entry and a
+        coordinate-permuted file read False.
+        """
+        d = delta(self.m)
+        if self.l % d:
+            return False
+        built = _construction(self.m, self.l // d, 0)
+        if not self.exact:
+            built = _span_sum(np.eye(self.m + 1), _scatter_index(built), self.dim)
+        return all(map(np.array_equal, self.generators, built))
 
     @cached_property
     def _signed_cols(self):
@@ -455,10 +462,11 @@ def _gather_diagonal(cols: np.ndarray, signs: np.ndarray) -> np.ndarray:
 def build_system(m: int, k: int, flips: int = 0) -> CliffordSystem:
     """Rank-(m+1) system of multiplicity k on R^(2 k delta(m)), built exactly.
 
-    ``flips`` of the k irreducible blocks carry -P_0 instead of P_0.  The degenerate pair
+    ``flips`` of the k irreducible blocks carry -P_0 instead of P_0; with none flipped the
+    system is in the :attr:`~CliffordSystem.standard_layout`.  The degenerate pair
     (m, k) = (1, 1) is rejected: its boundary fibers are antipodal point pairs, which none
     of the geometry downstream supports.  2l may not exceed :func:`dimension_cap`.  The
-    arguments are stored as Python ints (numpy integers too); a bool raises TypeError.
+    arguments are read as Python ints (numpy integers too); a bool raises TypeError.
     """
     m, k, flips = _count(m, "m", 1), _count(k, "k", 1), _index(flips, "flips")
     if not (0 <= flips <= k):
@@ -470,11 +478,12 @@ def build_system(m: int, k: int, flips: int = 0) -> CliffordSystem:
     if 4 * ((m - 1) // 8) >= cap.bit_length() or 2 * k * delta(m) > cap:
         raise ValueError(f"system dimension 2l = 2k delta(m) at m = {m}, k = {k} exceeds the"
                          f" cap {cap} (override with CFL_MAX_DIM)")
-    return CliffordSystem(m, k * delta(m), _construction(m, k, flips), Provenance(k, flips))
+    return CliffordSystem(m, k * delta(m), _construction(m, k, flips))
 
 
 def _construction(m: int, k: int, flips: int):
-    """The gather pair of ``build_system(m, k, flips)``, without its cap or (1, 1) rejection."""
+    """The gather pair of ``build_system(m, k, flips)``, without its cap or (1, 1) rejection;
+    :attr:`CliffordSystem.standard_layout` compares the generators with the unflipped one."""
     d = delta(m)
     l = k * d
     j_cols, j_signs = build_complex_structures(m - 1, l)
@@ -568,7 +577,8 @@ def trace_invariant(system: CliffordSystem) -> float:
 
 
 def equivalence_profile(system: CliffordSystem) -> EquivalenceProfile:
-    """Profile (m, k, kappa) deciding the geometric equivalence class, read off the generators."""
+    """Profile (m, k, kappa) deciding the geometric equivalence class, read off the generators:
+    k = l / delta(m), as :attr:`CliffordSystem.standard_layout` reads it, and kappa."""
     d = delta(system.m)
     if system.l % d:
         raise MalformedSystemError(f"l = {system.l} is not divisible by delta({system.m}) = {d}")
@@ -577,11 +587,12 @@ def equivalence_profile(system: CliffordSystem) -> EquivalenceProfile:
 
 
 def conjugate_system(system: CliffordSystem, a: np.ndarray) -> CliffordSystem:
-    """System with generators A^T P_i A for orthogonal A (dense result, no provenance)."""
+    """System with generators A^T P_i A for a finite A orthogonal to 1e-12, as a dense stack;
+    it is in the standard layout where its entries are the construction's, as at A = Id."""
     a = np.asarray(a, dtype=float)
     if a.shape != (system.dim, system.dim):
         raise ValueError("conjugating matrix has the wrong shape")
-    if max_abs(a.T @ a - np.eye(system.dim)) > 1e-12:
+    if not np.isfinite(a).all() or max_abs(a.T @ a - np.eye(system.dim)) > 1e-12:
         raise ValueError("conjugating matrix is not orthogonal to 1e-12")
     gens = np.empty((system.m + 1, system.dim, system.dim))
     for rows in _blocks(system.m + 1, system.dim ** 2):  # a slice's products stay in cache
@@ -590,7 +601,8 @@ def conjugate_system(system: CliffordSystem, a: np.ndarray) -> CliffordSystem:
 
 
 def sub_system(system: CliffordSystem, indices: Sequence[int]) -> CliffordSystem:
-    """Restriction to a nonempty subsequence of distinct generators, given by integer indices."""
+    """Restriction to a nonempty subsequence of distinct generators, given by integer indices;
+    keeping every index in order keeps an unflipped built system's standard layout."""
     indices = [_index(i, "generator index") for i in indices]
     if not indices:
         raise ValueError("sub_system needs at least one generator index")
@@ -600,7 +612,7 @@ def sub_system(system: CliffordSystem, indices: Sequence[int]) -> CliffordSystem
         raise ValueError("sub_system takes each generator index at most once")
     gens = system.generators
     gens = (gens[0][indices], gens[1][indices]) if system.exact else gens[indices]
-    return CliffordSystem(len(indices) - 1, system.l, gens, None)
+    return CliffordSystem(len(indices) - 1, system.l, gens)
 
 
 # --------------------------------------------------------------------------- #
@@ -625,7 +637,6 @@ def system_to_dict(system: CliffordSystem, encoding: Optional[str] = None) -> di
     return {
         "m": system.m,
         "l": system.l,
-        "provenance": system.provenance and asdict(system.provenance),
         "encoding": encoding,
         "generators": payload,
     }
@@ -636,6 +647,7 @@ def system_from_dict(data: dict) -> CliffordSystem:
 
     Any payload that does not describe a system (not a JSON object, a missing
     key, a field of the wrong type or shape) raises :class:`MalformedSystemError`.
+    The ``provenance`` key of files written by older versions is ignored.
     """
     if not isinstance(data, dict):
         raise MalformedSystemError("system payload must be a JSON object")
@@ -662,11 +674,7 @@ def _require_types(values, kinds: set, message: str) -> None:
 
 def _system_from_fields(data: dict) -> CliffordSystem:
     m, l = data["m"], data["l"]
-    prov = data.get("provenance")  # only JSON null means "no provenance"
-    if prov is not None and not (type(prov) is dict and {"k", "flips"} <= prov.keys()):
-        raise MalformedSystemError("provenance must be null or an object with integer k and flips")
-    _require_types([m, l] + ([] if prov is None else [prov["k"], prov["flips"]]), {int},
-                   "m, l and the provenance's k and flips must be integers")
+    _require_types([m, l], {int}, "m and l must be integers")
     if m < 1 or l < 1:
         raise MalformedSystemError("m and l must be at least 1")
     encoding = data["encoding"]
@@ -698,37 +706,14 @@ def _system_from_fields(data: dict) -> CliffordSystem:
                          for cols in payload])
     else:
         raise MalformedSystemError(f"unknown encoding {encoding!r}")
-    system = CliffordSystem(m, l, gens, prov and Provenance(prov["k"], prov["flips"]))
-    # inf/NaN entries fail the checks; numpy need not warn about them first
+    system = CliffordSystem(m, l, gens)
+    # relations hold exactly for signed permutations and to 1e-12 for dense generators;
+    # inf/NaN entries fail them, and numpy need not warn about them first
     with np.errstate(invalid="ignore", over="ignore"):
-        _check_loaded(system)
-    return system
-
-
-def _check_loaded(system: CliffordSystem) -> None:
-    """Reject a loaded system that breaks the relations or its provenance.
-
-    Relations are checked exactly for signed permutations and to 1e-12 for
-    dense generators.  A provenance (k, flips), once l = k delta(m) and 0 <= flips <= k
-    hold, must name the generators: build_system(m, k, flips)'s, entry for entry, built
-    without the dimension cap or the degenerate-pair rejection.
-    """
-    prov = system.provenance
-    if prov and (system.l != prov.k * delta(system.m) or not 0 <= prov.flips <= prov.k):
-        raise MalformedSystemError(f"provenance k = {prov.k}, flips = {prov.flips} needs"
-                                   f" l = {system.l} = k*delta(m) and flips in [0, k]")
-    report = verify_relations(system)
+        report = verify_relations(system)
     for check in report.checks:
         if not check.passed:
             raise MalformedSystemError(
                 f"generators fail the {check.name} relation: violation {check.violation:.3g}"
                 f" exceeds {check.tol:.3g}")
-    if prov is None:
-        return
-    built = _construction(system.m, prov.k, prov.flips)
-    if not system.exact:
-        built = _span_sum(np.eye(system.m + 1), _scatter_index(built), system.dim)
-    if not all(map(np.array_equal, system.generators, built)):
-        raise MalformedSystemError(
-            f"the provenance names build_system({system.m}, {prov.k}, {prov.flips}), but these are"
-            " not its generators (a conjugated system's file must carry no provenance)")
+    return system

@@ -140,13 +140,9 @@ def _interior_grid(m: int, count: int = 10, rmax: float = 0.92) -> np.ndarray:
 
 def _suite_relations(cfg: SuiteConfig):
     system = cfg.system
-    report = verify_relations(system)
-    checks = list(report.checks)
-    if system.provenance is not None:
-        gap = abs(system.l - system.provenance.k * delta(system.m))
-        checks.append(CheckResult.from_violation(
-            "dimension", "generators act on R^(2 k delta(m))", float(gap), 0.0))
-    return checks
+    gap = float(system.l % delta(system.m))
+    return [*verify_relations(system).checks, CheckResult.from_violation(
+        "dimension", "generators act on R^(2 k delta(m))", gap, 0.0)]
 
 
 def _suite_disk_image(cfg: SuiteConfig):
@@ -462,7 +458,7 @@ def _suite_invariants_classification(cfg: SuiteConfig):
 def _orbit_requirements(system: CliffordSystem) -> Optional[str]:
     if system.m not in FIELD_FOR_M:
         return "explicit group actions exist only for rank 2, 3, or 5 systems"
-    if system.provenance is None or system.provenance.flips:
+    if not system.standard_layout:
         return "requires an unflipped system in the standard constructed layout"
     return None
 
@@ -470,7 +466,7 @@ def _orbit_requirements(system: CliffordSystem) -> Optional[str]:
 def _suite_homogeneous_orbits(cfg: SuiteConfig):
     system = cfg.system
     field_tag = FIELD_FOR_M[system.m]
-    k = system.provenance.k
+    k = system.l // delta(system.m)
     g = sample_group_element(field_tag, k, cfg.seed * 10000 + np.arange(cfg.samples))
     mat = g.action_matrix()
     ortho = max_abs(np.swapaxes(mat, -1, -2) @ mat - np.eye(mat.shape[-1]))
@@ -496,7 +492,7 @@ def _suite_homogeneous_orbits(cfg: SuiteConfig):
 def _suite_normal_forms(cfg: SuiteConfig):
     system = cfg.system
     field_tag = FIELD_FOR_M[system.m]
-    k = system.provenance.k
+    k = system.l // delta(system.m)
     n = cfg.samples
     pairs = max(1, n // 2)
     xs = sample_unit_vectors(rng_streams(cfg.seed, 400 + np.arange(pairs)), system.dim, 1)[:, 0]

@@ -1,5 +1,7 @@
 """Division-algebra arithmetic, signed permutations, and sampling primitives."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,6 +10,7 @@ from hypothesis import strategies as st
 from clifford_foliations.algebra import (
     cd_mul,
     cd_units,
+    eig_split,
     max_abs,
     projector_colspace_basis,
     redraw_short_rows,
@@ -358,6 +361,17 @@ class TestDenseHelpers:
         b = projector_colspace_basis(p)
         assert b.shape == (10, 4)
         assert max_abs(p @ b - b) <= 1e-12
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_eig_split_rejects_non_finite_without_warnings(self, bad):
+        # a NaN gap passes every comparison's False branch (and then fails the SVD), and an
+        # inf entry warns in the product, so non-finite entries are rejected before it
+        p = build_system(2, 2).dense_generator(1)
+        p[0, 1] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="not an involution"):
+                eig_split(p)
 
 
 class TestSampling:

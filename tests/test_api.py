@@ -2,12 +2,12 @@
 only clifford.py reads the generators, built systems act without dense span matrices,
 every angle is one algebra.unit_angle, every row dot and norm one algebra.row_dots, no
 module warns, every built-in spec carries both closed forms or neither, FoliationSpec has
-its six fields, only FoliationSpec's construction check and composed._fiber_leaf ask
-whether a spec carries its leaf metric and closed forms, only composed._solve_rows
-solves linear systems, only algebra tests for integers, every integer argument takes
-numpy integers and refuses bools, floats, strings and values below its range, a draw's
-seeds are read once, by rng_streams, library calls leave read-only inputs untouched, and
-every python block of README.md runs."""
+its six fields and CliffordSystem its three, only FoliationSpec's construction check and
+composed._fiber_leaf ask whether a spec carries its leaf metric and closed forms, only
+composed._solve_rows solves linear systems, only algebra tests for integers, every integer
+argument takes numpy integers and refuses bools, floats, strings and values below its
+range, a draw's seeds are read once, by rng_streams, library calls leave read-only inputs
+untouched, and every python block of README.md runs."""
 
 import ast
 import dataclasses
@@ -146,6 +146,12 @@ def test_foliation_spec_has_six_fields():
         "nearest_leaf_point"]
 
 
+def test_clifford_system_has_three_fields():
+    # a system is its rank, its half dimension and its generators: whether it is the
+    # construction is read off the generators (standard_layout), not stored beside them
+    assert [f.name for f in dataclasses.fields(CliffordSystem)] == ["m", "l", "generators"]
+
+
 SPEC_CONTRACT = {"quotient_distance", "invariant_jacobian", "nearest_leaf_point"}
 
 
@@ -191,8 +197,8 @@ def test_only_clifford_reads_generators():
 
 
 def test_only_clifford_reads_the_storage_form():
-    # which form a system's generators take is clifford.py's business alone; a
-    # provenance, not the form, tells the orbit suites a system is the construction
+    # which form a system's generators take is clifford.py's business alone; the
+    # generators' entries, in either form, tell the orbit suites a system is the construction
     readers = sorted(path.name for path in PACKAGE_DIR.glob("*.py")
                      if re.search(r"\.exact\b", path.read_text()))
     assert readers == ["clifford.py"]

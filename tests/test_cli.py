@@ -19,7 +19,6 @@ from clifford_foliations.cli import main
 from clifford_foliations.clifford import (
     CliffordSystem,
     MalformedSystemError,
-    Provenance,
     build_system,
     system_from_dict,
     system_to_dict,
@@ -79,11 +78,11 @@ class TestVerify:
 
     @pytest.mark.parametrize("suite", ["homogeneous_orbits", "normal_forms"])
     def test_orbit_suites_run_on_dense_files(self, tmp_path, suite):
-        # a dense file of a built system keeps its provenance, and the orbit suites
-        # need only that, not the gather-pair form
+        # a dense file of a built system holds the construction's entries, and the orbit
+        # suites need only those, not the gather-pair form
         system = tmp_path / "s.json"
         run("construct", "--m", 4, "--k", 2, "--encoding", "dense", "--out", system)
-        assert system_from_dict(json.loads(system.read_text())).provenance == Provenance(2, 0)
+        assert system_from_dict(json.loads(system.read_text())).standard_layout
         assert run("verify", "--system", system, "--suite", suite, "--seed", 3,
                    "--samples", 60) == 0
 
@@ -216,8 +215,7 @@ class TestMalformedSystemFiles:
             del pairs[-1]
         self.assert_rejected(tmp_path, capsys, payload)
 
-    @pytest.mark.parametrize("defect", ["fractional_m", "string_l", "fractional_k", "false_flips",
-                                        "true_k", "zero_m"])
+    @pytest.mark.parametrize("defect", ["fractional_m", "string_l", "zero_m"])
     def test_header_fields_checked(self, tmp_path, capsys, defect):
         # each payload would load as the golden system, or as an m = 0 one that
         # cfl invariant rejects but cfl fiber samples
@@ -226,23 +224,20 @@ class TestMalformedSystemFiles:
             payload["m"] = 2.9
         elif defect == "string_l":
             payload["l"] = "2"
-        elif defect == "fractional_k":
-            payload["provenance"]["k"] = 1.7
-        elif defect == "false_flips":
-            payload["provenance"]["flips"] = False
-        elif defect == "true_k":
-            payload["provenance"]["k"] = True
         else:
-            payload.update(m=0, provenance=None, generators=payload["generators"][:1])
+            payload.update(m=0, generators=payload["generators"][:1])
             self.assert_rejected(tmp_path, capsys, payload, "fiber", "--at", "0")
         self.assert_rejected(tmp_path, capsys, payload)
 
     @pytest.mark.parametrize("prov", [False, 0, "", [], {}], ids=repr)
     def test_provenance_of_the_wrong_type(self, tmp_path, capsys, prov):
-        # only JSON null means "no provenance"; these falsy values loaded as none
+        # an older file's provenance is ignored, whatever its value, and the orbit suites
+        # read the golden generators, the construction's
         payload = json.loads(GOLDEN.read_text())
         payload["provenance"] = prov
-        self.assert_rejected(tmp_path, capsys, payload)
+        path = self.assert_loads(tmp_path, payload)
+        assert run("verify", "--system", path, "--suite", "homogeneous_orbits",
+                   "--samples", 20) == 0
 
     @pytest.mark.parametrize("defect", ["string_entry", "bool_entry", "zero_l"])
     def test_dense_payload_checked(self, tmp_path, capsys, defect):
@@ -253,7 +248,7 @@ class TestMalformedSystemFiles:
         elif defect == "bool_entry":
             payload["generators"][1][one] = True
         else:
-            payload.update(l=0, provenance=None, generators=[[], [], []])
+            payload.update(l=0, generators=[[], [], []])
         self.assert_rejected(tmp_path, capsys, payload)
 
     @staticmethod
@@ -261,6 +256,23 @@ class TestMalformedSystemFiles:
         path = tmp_path / "built.json"
         assert run("construct", *argv, "--out", path) == 0
         return json.loads(path.read_text())
+
+    @staticmethod
+    def assert_loads(tmp_path, payload):
+        # the generators load as they are stored, and save back without the provenance
+        path = tmp_path / "labelled.json"
+        path.write_text(json.dumps(payload))
+        assert run("invariant", "--system", path) == 0
+        stored = {key: value for key, value in payload.items() if key != "provenance"}
+        assert system_to_dict(system_from_dict(payload), payload["encoding"]) == stored
+        return path
+
+    @staticmethod
+    def assert_orbit_suites_refuse(path, capsys):
+        capsys.readouterr()
+        for suite in ("homogeneous_orbits", "normal_forms"):
+            assert run("verify", "--system", path, "--suite", suite) == 2
+            assert "unflipped" in capsys.readouterr().err
 
     def test_signed_perm_equal_generators(self, tmp_path, capsys):
         payload = self.constructed(tmp_path, "--m", 3, "--k", 2)
@@ -281,25 +293,27 @@ class TestMalformedSystemFiles:
         self.assert_rejected(tmp_path, capsys, payload)
 
     def test_wrong_flips(self, tmp_path, capsys):
+        # an older file of build_system(4, 3, 1) labelled unflipped loads as what it is, and
+        # the orbit suites, which read the generators, refuse it
         payload = self.constructed(tmp_path, "--m", 4, "--k", 3, "--flips", 1)
-        payload["provenance"]["flips"] = 0
-        self.assert_rejected(tmp_path, capsys, payload)
+        payload["provenance"] = {"k": 3, "flips": 0}
+        self.assert_orbit_suites_refuse(self.assert_loads(tmp_path, payload), capsys)
 
     def test_wrong_flips_dense(self, tmp_path, capsys):
         payload = self.constructed(tmp_path, "--m", 4, "--k", 3, "--flips", 1,
                                    "--encoding", "dense")
-        payload["provenance"]["flips"] = 0
-        self.assert_rejected(tmp_path, capsys, payload)
+        payload["provenance"] = {"k": 3, "flips": 0}
+        self.assert_orbit_suites_refuse(self.assert_loads(tmp_path, payload), capsys)
 
     @pytest.mark.parametrize("encoding", ["signed_perm", "dense"])
     @pytest.mark.parametrize("m", [1, 2])
     def test_wrong_flips_without_trace_invariant(self, tmp_path, capsys, m, encoding):
-        # off the multiples of four the trace invariant cannot tell flips apart; the
-        # provenance still names a construction these generators are not
+        # off the multiples of four the trace invariant cannot tell flips apart, but the
+        # generators can: the file loads, and the orbit suites refuse it
         payload = self.constructed(tmp_path, "--m", m, "--k", 3, "--flips", 1,
                                    "--encoding", encoding)
-        payload["provenance"]["flips"] = 0
-        self.assert_rejected(tmp_path, capsys, payload)
+        payload["provenance"] = {"k": 3, "flips": 0}
+        self.assert_orbit_suites_refuse(self.assert_loads(tmp_path, payload), capsys)
 
     def test_non_finite_numbers(self, tmp_path, capsys):
         payload = self.constructed(tmp_path, "--m", 2, "--k", 2)
@@ -311,20 +325,20 @@ class TestMalformedSystemFiles:
             self.assert_rejected(tmp_path, capsys, payload)
 
     def test_flips_outside_range(self, tmp_path, capsys):
+        # a provenance no construction has is ignored as any other
         payload = self.constructed(tmp_path, "--m", 3, "--k", 2)
-        payload["provenance"]["flips"] = 3
-        self.assert_rejected(tmp_path, capsys, payload)
+        payload["provenance"] = {"k": 2, "flips": 3}
+        self.assert_loads(tmp_path, payload)
 
     @staticmethod
-    def one_column_pair_payload(m, prov):
+    def one_column_pair_payload(m):
         # l = 1 with m + 1 generators: a shape no Clifford system of m >= 2 has
-        return {"m": m, "l": 1, "encoding": "signed_perm", "provenance": prov,
+        return {"m": m, "l": 1, "encoding": "signed_perm",
                 "generators": [[[0, 1], [1, 1]]] * (m + 1)}
 
     def test_large_m_with_provenance(self, tmp_path, capsys):
-        # the provenance check reads delta(10000), which recursed past Python's limit
-        self.assert_rejected(tmp_path, capsys,
-                             self.one_column_pair_payload(10000, {"k": 1, "flips": 0}))
+        # the loader reads delta(10000), which once recursed past Python's limit
+        self.assert_rejected(tmp_path, capsys, self.one_column_pair_payload(10000))
 
     def test_l_not_a_multiple_of_delta(self, tmp_path, capsys, monkeypatch):
         # rejected before the relation check, which builds (m+1)^2 2l gathers
@@ -332,7 +346,7 @@ class TestMalformedSystemFiles:
             raise AssertionError("relation check reached")
 
         monkeypatch.setattr(clifford, "_relation_violations", unreachable)
-        err = self.assert_rejected(tmp_path, capsys, self.one_column_pair_payload(300, None))
+        err = self.assert_rejected(tmp_path, capsys, self.one_column_pair_payload(300))
         assert "l = 1 is not a multiple of delta(m) = 2^150" in err
 
 

@@ -112,11 +112,9 @@ class TestBuildSystem:
     def test_numpy_integer_arguments_save_and_reload(self):
         # numpy integers are taken and stored as Python ints, so the system saves as JSON
         system = build_system(np.int64(4), np.int64(2), np.int64(1))
-        stored = (system.m, system.l, system.provenance.k, system.provenance.flips)
-        assert {type(value) for value in stored} == {int}
+        assert {type(value) for value in (system.m, system.l)} == {int}
         loaded = system_from_dict(json.loads(json.dumps(system_to_dict(system))))
         assert all(map(np.array_equal, loaded.generators, build_system(4, 2, 1).generators))
-        assert loaded.provenance == system.provenance == build_system(4, 2, 1).provenance
 
     @pytest.mark.parametrize("args", [(4, 2, True), (True, 2), (4, True), (4, 2, np.True_)])
     def test_bool_arguments_raise(self, args):
@@ -165,7 +163,7 @@ class TestBuildSystem:
         cols, signs = s.generators
         signs = signs.copy()
         signs[1] *= -1
-        flipped = CliffordSystem(s.m, s.l, (cols, signs), None)
+        flipped = CliffordSystem(s.m, s.l, (cols, signs))
         report = verify_relations(flipped)
         assert report.passed and max(c.violation for c in report.checks) == 0.0
 
@@ -630,8 +628,7 @@ class TestSpanTrace:
     @pytest.mark.parametrize("m,k,flips", [(1, 2, 0), (3, 2, 1), (4, 3, 1), (8, 1, 0), (9, 1, 0)])
     def test_exact_and_dense_traces_match_the_matrix(self, m, k, flips):
         built = build_system(m, k, flips)
-        twin = CliffordSystem(m, built.l, gather_dense(*built.generators).astype(float),
-                              built.provenance)
+        twin = CliffordSystem(m, built.l, gather_dense(*built.generators).astype(float))
         conj = conjugate_system(built, haar(26, built.dim))
         p = rng_from(25, m, k).standard_normal(m + 1)
         expected = float(np.trace(built.span_matrix(p)))
@@ -679,7 +676,7 @@ class TestEquivalence:
 
     def test_inferred_multiplicity(self):
         s = build_system(2, 3)
-        s2 = sub_system(s, range(3))  # same generators, provenance dropped
+        s2 = sub_system(s, range(3))  # the same generators, k read off l
         assert equivalence_profile(s2).as_tuple() == (2, 3, None)
 
     def test_malformed_dimension(self):
@@ -724,15 +721,30 @@ class TestConjugation:
         assert conjugate_system(s, a).generators.tobytes() == expected.tobytes()
 
     def test_conjugates_carry_no_provenance(self):
-        # conjugate_system never records a construction, not even for A = Id
-        s = build_system(4, 2, 1)
-        assert conjugate_system(s, haar(55, s.dim)).provenance is None
-        assert conjugate_system(s, np.eye(s.dim)).provenance is None
+        # conjugate_system records no construction: the result's layout is read off its
+        # entries. A = Id keeps an unflipped system's entries, and so its standard layout; a
+        # flipped system's identity conjugate and a Haar conjugate are not the construction
+        s, flipped = build_system(2, 2), build_system(4, 2, 1)
+        assert conjugate_system(s, np.eye(s.dim)).standard_layout
+        assert not conjugate_system(s, haar(55, s.dim)).standard_layout
+        assert not conjugate_system(flipped, np.eye(flipped.dim)).standard_layout
 
     def test_rejects_non_orthogonal(self):
         s = build_system(2, 1)
         with pytest.raises(ValueError):
             conjugate_system(s, np.eye(s.dim) * 1.001)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_rejects_non_finite_without_warnings(self, bad):
+        # a NaN gap passes every comparison's False branch, and an inf entry warns in the
+        # product, so non-finite entries are rejected before it
+        s = build_system(2, 2)
+        a = np.eye(s.dim)
+        a[1, 1] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="not orthogonal"):
+                conjugate_system(s, a)
 
 
 class TestSubSystem:
@@ -769,13 +781,73 @@ class TestSubSystem:
             sub_system(build_system(1, 2), [True, False])
 
 
+def dense_stack(system):
+    """A system on the same generators, stored as one dense stack."""
+    return CliffordSystem(system.m, system.l,
+                          np.stack([system.dense_generator(i) for i in range(system.m + 1)]))
+
+
+def signed_perm_file(system):
+    """The system saved and loaded as a signed_perm file."""
+    return system_from_dict(json.loads(json.dumps(system_to_dict(system))))
+
+
+class TestStandardLayout:
+    """standard_layout: the generators are build_system(m, l / delta(m))'s, unflipped."""
+
+    @pytest.mark.parametrize("m,k", [(1, 2), (2, 1), (2, 2), (3, 2), (4, 1), (4, 3), (5, 1),
+                                     (8, 1), (12, 1)])
+    def test_unflipped_built_systems(self, m, k):
+        # in both encodings, after a signed_perm round trip, kept whole by sub_system, and
+        # conjugated by the identity
+        s = build_system(m, k)
+        same = [s, dense_stack(s), signed_perm_file(s), sub_system(s, range(m + 1)),
+                conjugate_system(s, np.eye(s.dim)), dense_stack(signed_perm_file(s))]
+        assert [t.standard_layout for t in same] == [True] * len(same)
+
+    def test_every_flipped_class(self):
+        # every flips count of every built system with 2l <= 64, in both encodings
+        for m, k in ALL_PAIRS:
+            if 2 * k * delta(m) <= 64:
+                for flips in range(1, k + 1):
+                    s = build_system(m, k, flips)
+                    for t in (s, dense_stack(s), signed_perm_file(s)):
+                        assert not t.standard_layout, (m, k, flips)
+
+    @pytest.mark.parametrize("m,k", [(1, 2), (2, 2), (4, 1), (4, 2)])
+    def test_conjugates_and_permuted_files(self, m, k):
+        # a generic Haar conjugate and a file with its coordinates permuted are
+        # equivalent to the construction, but their entries are not its entries
+        s = build_system(m, k)
+        perm = rng_from(58, m, k).permutation(s.dim)
+        others = [conjugate_system(s, haar(59 + i, s.dim)) for i in range(3)]
+        others += [signed_perm_file(permuted_system(s, perm)),
+                   system_from_dict(system_to_dict(permuted_system(s, perm), "dense"))]
+        assert [t.standard_layout for t in others] == [False] * len(others)
+
+    def test_sub_systems_with_fewer_generators(self):
+        # a sub-system is the construction of its own rank only where its generators are;
+        # a prefix of a rank-3 or rank-5 system is (their structures nest), not every prefix
+        assert not sub_system(build_system(2, 2), [0, 2]).standard_layout
+        assert not sub_system(build_system(4, 1), [1, 2, 3]).standard_layout
+        assert not sub_system(build_system(3, 2), [0, 1, 3]).standard_layout
+        assert not sub_system(build_system(8, 1), range(3)).standard_layout
+        assert not sub_system(build_system(5, 2), range(4)).standard_layout
+        assert sub_system(build_system(4, 2), range(3)).standard_layout
+        assert sub_system(build_system(2, 2), range(2)).standard_layout
+
+    def test_l_not_a_multiple_of_delta(self):
+        # no construction has l = 1 at m = 2 (delta = 2), so none is built to compare
+        gens = (np.tile([1, 0], (3, 1)), np.ones((3, 2), dtype=np.int64))
+        assert not CliffordSystem(2, 1, gens).standard_layout
+
+
 class TestSerialization:
     def test_signed_perm_roundtrip_lossless(self):
         s = build_system(5, 2, 1)
         blob = json.dumps(system_to_dict(s))
         t = system_from_dict(json.loads(blob))
         assert t.m == s.m and t.l == s.l
-        assert t.provenance == s.provenance
         assert t.exact
         for a, b in zip(s.generators, t.generators):
             assert np.array_equal(a, b)
@@ -789,15 +861,18 @@ class TestSerialization:
             np.testing.assert_array_equal(t.dense_generator(i), s.dense_generator(i))
 
     def test_dense_provenance_names_the_construction(self):
-        # a dense file of a built system keeps its provenance; one whose generators
-        # were conjugated, as older files of conjugated systems are, is refused
-        s = build_system(4, 2, 1)
+        # a dense file's entries name its construction: a file of an unflipped built system
+        # is the construction; a conjugate's file that an older version labelled with the
+        # construction it came from loads, and is not
+        s = build_system(4, 2)
         t = system_from_dict(json.loads(json.dumps(system_to_dict(s, "dense"))))
-        assert t.provenance == s.provenance and not t.exact
-        d = system_to_dict(conjugate_system(s, haar(56, s.dim)))
-        d["provenance"] = {"k": 2, "flips": 1}
-        with pytest.raises(MalformedSystemError, match="conjugated"):
-            system_from_dict(d)
+        assert t.standard_layout and not t.exact
+        conj = conjugate_system(s, haar(56, s.dim))
+        d = system_to_dict(conj)
+        d["provenance"] = {"k": 2, "flips": 0}
+        loaded = system_from_dict(d)
+        assert loaded.generators.tobytes() == conj.generators.tobytes()
+        assert not loaded.standard_layout
 
     def test_bad_payload(self):
         d = system_to_dict(build_system(2, 1))
@@ -811,15 +886,12 @@ class TestSerialization:
                                                 ("fractional", "integers"),
                                                 ("string_sign", "integers"),
                                                 ("fractional_m", "integers"),
-                                                ("string_l", "integers"),
-                                                ("fractional_k", "integers"),
-                                                ("false_flips", "integers")],
+                                                ("string_l", "integers")],
                              ids=["repeated_row", "sign_two", "short_generator",
-                                  "fractional", "string_sign", "fractional_m", "string_l",
-                                  "fractional_k", "false_flips"])
+                                  "fractional", "string_sign", "fractional_m", "string_l"])
     def test_signed_perm_payload_checked(self, defect, message):
         # row targets must be a permutation, signs +-1, each entry an integer,
-        # and each generator 2l pairs long; m, l, k and flips are integers too
+        # and each generator 2l pairs long; m and l are integers too
         d = system_to_dict(build_system(3, 2))
         pairs = d["generators"][2]
         # each header value below would truncate or parse back to the exact system
@@ -827,10 +899,6 @@ class TestSerialization:
             d["m"] = 3.9
         elif defect == "string_l":
             d["l"] = "8"
-        elif defect == "fractional_k":
-            d["provenance"]["k"] = 2.7
-        elif defect == "false_flips":
-            d["provenance"]["flips"] = False
         elif defect == "repeated_row":
             pairs[1][0] = pairs[0][0]
         elif defect == "sign_two":
@@ -847,39 +915,40 @@ class TestSerialization:
 
     @pytest.mark.parametrize("defect,message", [("string_entry", "numbers"),
                                                 ("bool_entry", "numbers"),
-                                                ("true_k", "integers"),
                                                 ("zero_l", "at least 1"),
                                                 ("zero_m", "at least 1")],
-                             ids=["string_entry", "bool_entry", "true_k", "zero_l", "zero_m"])
+                             ids=["string_entry", "bool_entry", "zero_l", "zero_m"])
     def test_dense_payload_checked(self, defect, message):
-        # entries are JSON numbers, k an integer, and m, l at least 1; each
-        # payload here would load as a system
+        # entries are JSON numbers, and m, l at least 1; each payload here would load
+        # as a system
         d = system_to_dict(build_system(2, 1), "dense")
         one = d["generators"][1].index(1.0)
         if defect == "string_entry":
             d["generators"][1][one] = "1"
         elif defect == "bool_entry":
             d["generators"][1][one] = True
-        elif defect == "true_k":
-            d["provenance"]["k"] = True
         elif defect == "zero_l":
-            d.update(l=0, provenance=None, generators=[[], [], []])
+            d.update(l=0, generators=[[], [], []])
         else:
             d = system_to_dict(sub_system(build_system(2, 1), [0]), "dense")
             assert d["m"] == 0
         with pytest.raises(MalformedSystemError, match=message):
             system_from_dict(d)
 
-    @pytest.mark.parametrize("prov", [False, 0, 0.0, "", [], {}], ids=repr)
-    def test_provenance_of_the_wrong_type_rejected(self, prov):
-        # only JSON null means "no provenance"; these falsy values loaded as none
+    @pytest.mark.parametrize("prov", [False, 0, 0.0, "", [], {}, None, {"k": 1, "flips": 0},
+                                      {"k": 2, "flips": 1}, {"k": 2.7, "flips": True}],
+                             ids=repr)
+    def test_provenance_of_any_value_ignored(self, prov):
+        # files written by older versions carry a provenance key, of any value here; the
+        # generators alone are loaded, and the standard layout is read off them
+        s = build_system(2, 2)
         for encoding in ("signed_perm", "dense"):
-            d = system_to_dict(build_system(2, 2), encoding)
+            d = system_to_dict(s, encoding)
+            assert "provenance" not in d
             d["provenance"] = prov
-            with pytest.raises(MalformedSystemError, match="provenance"):
-                system_from_dict(d)
-            d["provenance"] = None
-            assert system_from_dict(d).provenance is None
+            t = system_from_dict(d)
+            assert system_to_dict(t, encoding) == system_to_dict(s, encoding)
+            assert t.standard_layout
 
     @pytest.mark.parametrize("bad", [float("inf"), -float("inf"), float("nan")])
     def test_non_finite_dense_rejected_without_warnings(self, bad):

@@ -367,7 +367,7 @@ def mplus_reference(system, n, seed):
 def dense_twin(system):
     """The generators of a system as one dense stack, so its E_+-(P_0) blocks are a stack too."""
     gens = np.stack([system.dense_generator(i) for i in range(system.m + 1)])
-    return CliffordSystem(system.m, system.l, gens, system.provenance)
+    return CliffordSystem(system.m, system.l, gens)
 
 
 def reference_systems():

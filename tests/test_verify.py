@@ -7,13 +7,16 @@ import json
 import numpy as np
 import pytest
 
-from clifford_foliations import foliation, verify
+from clifford_foliations import clifford, foliation, verify
+from clifford_foliations.algebra import rng_from, sign_fixed_q
 from clifford_foliations.cli import main
-from clifford_foliations.clifford import build_system
+from clifford_foliations.clifford import (build_system, conjugate_system, sub_system,
+                                          system_from_dict, system_to_dict)
 from clifford_foliations.verify import (
     IncompatibleSuiteError,
     SUITE_IDS,
     SuiteConfig,
+    compatible_suites,
     default_plan,
     run_matrix,
     run_suite,
@@ -75,6 +78,57 @@ class TestRegistry:
         s431 = build_system(4, 3, 1)
         with pytest.raises(IncompatibleSuiteError):
             run_suite(SuiteConfig("homogeneous_orbits", s431))
+
+
+ORBIT_SUITES = ("homogeneous_orbits", "normal_forms")
+
+
+class TestOrbitGating:
+    """The orbit suites run exactly on systems whose generators are the construction's."""
+
+    @pytest.mark.parametrize("suite", ORBIT_SUITES)
+    def test_identical_systems_pass(self, s22, suite):
+        # sub_system(s, range(m+1)) is s's gather pair, so its reports are s's, bit for bit;
+        # the identity conjugate is the same entries as a dense stack
+        cfg = dict(seed=3, samples=60)
+        built = run_suite(SuiteConfig(suite, s22, **cfg))
+        whole = run_suite(SuiteConfig(suite, sub_system(s22, range(3)), **cfg))
+        same = run_suite(SuiteConfig(suite, conjugate_system(s22, np.eye(s22.dim)), **cfg))
+        assert built.passed and whole.passed and same.passed
+        assert whole.to_json_dict() == built.to_json_dict()
+
+    @pytest.mark.parametrize("m,k", [(1, 2), (1, 3), (2, 1), (2, 2), (4, 1), (4, 2), (4, 3)])
+    def test_other_systems_refused(self, m, k):
+        # every flipped class and every generic conjugate, saved and loaded too
+        built = build_system(m, k)
+        a = sign_fixed_q(rng_from(61, m, k).standard_normal((1, built.dim, built.dim)))[0]
+        others = [build_system(m, k, flips) for flips in range(1, k + 1)]
+        others.append(conjugate_system(built, a))
+        for system in others + [system_from_dict(system_to_dict(t)) for t in others]:
+            assert not set(ORBIT_SUITES) & set(compatible_suites(system))
+            for suite in ORBIT_SUITES:
+                with pytest.raises(IncompatibleSuiteError, match="unflipped"):
+                    run_suite(SuiteConfig(suite, system))
+        assert set(ORBIT_SUITES) <= set(compatible_suites(built))
+
+    def test_layout_built_once_per_system(self, monkeypatch):
+        # the predicate is cached: compatible_suites and run_suite build the construction
+        # once between them
+        system = build_system(4, 1)
+        calls = []
+        construction = clifford._construction
+        monkeypatch.setattr(clifford, "_construction",
+                            lambda *args: calls.append(args) or construction(*args))
+        compatible_suites(system)
+        run_suite(SuiteConfig("homogeneous_orbits", system, seed=2, samples=10))
+        assert calls == [(4, 1, 0)]
+
+    def test_dimension_checked_on_every_system(self, s22):
+        # a conjugate and a sub-system read l mod delta(m) as a built system does
+        a = sign_fixed_q(rng_from(62).standard_normal((1, s22.dim, s22.dim)))[0]
+        for system in (s22, conjugate_system(s22, a), sub_system(s22, [0, 2])):
+            check = run_suite(SuiteConfig("relations", system)).checks[-1]
+            assert (check.name, check.violation, check.passed) == ("dimension", 0.0, True)
 
 
 class TestDeterminism:
