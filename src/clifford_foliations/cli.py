@@ -110,7 +110,7 @@ def _cmd_invariant(args) -> int:
 def _cmd_classify(args) -> int:
     a = equivalence_profile(_load_system(args.system))
     b = equivalence_profile(_load_system(args.other))
-    verdict = "equivalent" if a.as_tuple() == b.as_tuple() else "inequivalent"
+    verdict = "equivalent" if a == b else "inequivalent"
     print(f"{verdict}: {a} vs {b}")
     return 0
 

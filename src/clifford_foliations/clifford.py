@@ -138,9 +138,6 @@ class EquivalenceProfile:
     k: int
     kappa: Optional[int] = None
 
-    def as_tuple(self):
-        return (self.m, self.k, self.kappa)
-
     def to_json_dict(self) -> dict:
         return {"m": self.m, "k": self.k, "kappa": self.kappa}
 
@@ -151,22 +148,31 @@ class EquivalenceProfile:
 
 @dataclass
 class CliffordSystem:
-    """A rank-(m+1) Clifford system on R^(2l).
+    """A rank-(m+1) Clifford system on R^(2l): its generators P_0..P_m, and nothing else.
 
     Exact systems (from :func:`build_system` or a signed_perm payload) hold their
     generators as signed permutations in one gather pair ``(cols, signs)``, int arrays
     of shape (m+1, 2l): entry r of P_i x is ``signs[i, r] * x[cols[i, r]]``.  Other
-    systems (conjugated or loaded dense) hold one (m+1, 2l, 2l) float stack.  Whether the
-    generators are the construction's is read off them (:attr:`standard_layout`), in
-    either form.  Treat instances as immutable: that predicate, the diagonals of the
-    generators, the E_+-(P_0) split (an index pair where P_0 is a +-1 diagonal) or
-    :attr:`p0_eigenbases`, the blocks of P_1..P_m between them, their copy count and the
-    signed indices are cached lazily.
+    systems (conjugated or loaded dense) hold one (m+1, 2l, 2l) float stack.  The rank
+    m+1, the width 2l and whether the generators are the construction's
+    (:attr:`standard_layout`) are read off them, in either form.  Treat instances as
+    immutable: m, l, that predicate, the diagonals of the generators, the E_+-(P_0)
+    split (an index pair where P_0 is a +-1 diagonal) or :attr:`p0_eigenbases`, the
+    blocks of P_1..P_m between them, their copy count and the signed indices are cached
+    lazily.
     """
 
-    m: int
-    l: int
     generators: tuple
+
+    @cached_property
+    def m(self) -> int:
+        """The generator count less one, read off :attr:`_diagonals`' shape (m+1, 2l)."""
+        return len(self._diagonals) - 1
+
+    @cached_property
+    def l(self) -> int:
+        """Half the generators' width, read off :attr:`_diagonals`' shape (m+1, 2l)."""
+        return self._diagonals.shape[1] // 2
 
     @property
     def dim(self) -> int:
@@ -478,7 +484,7 @@ def build_system(m: int, k: int, flips: int = 0) -> CliffordSystem:
     if 4 * ((m - 1) // 8) >= cap.bit_length() or 2 * k * delta(m) > cap:
         raise ValueError(f"system dimension 2l = 2k delta(m) at m = {m}, k = {k} exceeds the"
                          f" cap {cap} (override with CFL_MAX_DIM)")
-    return CliffordSystem(m, k * delta(m), _construction(m, k, flips))
+    return CliffordSystem(_construction(m, k, flips))
 
 
 def _construction(m: int, k: int, flips: int):
@@ -555,11 +561,11 @@ def verify_relations(system: CliffordSystem) -> VerificationReport:
     tol = 0.0 if system.exact else 1e-12
     sym, invol, anti = _relation_violations(system)
     checks = [
-        CheckResult.from_violation("symmetry", "each generator equals its transpose", sym, tol),
-        CheckResult.from_violation("involution", "each generator squares to the identity", invol, tol),
-        CheckResult.from_violation("anticommutation", "distinct generators anticommute", anti, tol),
+        CheckResult("symmetry", "each generator equals its transpose", sym, tol),
+        CheckResult("involution", "each generator squares to the identity", invol, tol),
+        CheckResult("anticommutation", "distinct generators anticommute", anti, tol),
     ]
-    return VerificationReport.from_checks("relations", 0, 0, checks)
+    return VerificationReport("relations", 0, 0, checks)
 
 
 def trace_invariant(system: CliffordSystem) -> float:
@@ -597,22 +603,23 @@ def conjugate_system(system: CliffordSystem, a: np.ndarray) -> CliffordSystem:
     gens = np.empty((system.m + 1, system.dim, system.dim))
     for rows in _blocks(system.m + 1, system.dim ** 2):  # a slice's products stay in cache
         np.matmul(a.T @ system.span_matrix(np.eye(system.m + 1)[rows]), a, out=gens[rows])
-    return CliffordSystem(system.m, system.l, gens)
+    return CliffordSystem(gens)
 
 
 def sub_system(system: CliffordSystem, indices: Sequence[int]) -> CliffordSystem:
-    """Restriction to a nonempty subsequence of distinct generators, given by integer indices;
-    keeping every index in order keeps an unflipped built system's standard layout."""
+    """Restriction to a subsequence of at least two distinct generators, given by integer
+    indices, so the rank is at least 2 (m >= 1) as everywhere else; keeping every index in
+    order keeps an unflipped built system's standard layout."""
     indices = [_index(i, "generator index") for i in indices]
-    if not indices:
-        raise ValueError("sub_system needs at least one generator index")
+    if len(indices) < 2:
+        raise ValueError("sub_system needs at least two generator indices (m >= 1)")
     if any(i < 0 or i > system.m for i in indices):
         raise ValueError("generator index out of range")
     if len(set(indices)) < len(indices):
         raise ValueError("sub_system takes each generator index at most once")
     gens = system.generators
     gens = (gens[0][indices], gens[1][indices]) if system.exact else gens[indices]
-    return CliffordSystem(len(indices) - 1, system.l, gens)
+    return CliffordSystem(gens)
 
 
 # --------------------------------------------------------------------------- #
@@ -706,7 +713,7 @@ def _system_from_fields(data: dict) -> CliffordSystem:
                          for cols in payload])
     else:
         raise MalformedSystemError(f"unknown encoding {encoding!r}")
-    system = CliffordSystem(m, l, gens)
+    system = CliffordSystem(gens)
     # relations hold exactly for signed permutations and to 1e-12 for dense generators;
     # inf/NaN entries fail them, and numpy need not warn about them first
     with np.errstate(invalid="ignore", over="ignore"):

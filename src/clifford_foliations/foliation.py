@@ -60,18 +60,17 @@ def _quadratic_values(system: CliffordSystem, x: np.ndarray) -> np.ndarray:
     axis outermost); the (..., m, l) images of u are multiplied by 2w in place and summed
     along their last axis.  The sums run row by row, so where every step is a gather (an
     exact system whose P_0 is a +-1 diagonal) a row's values are the same in any batch.
-    An m = 0 system gives v_0 alone.  :mod:`~clifford_foliations.homogeneity`'s pi_C(u, v)
-    = (|u|^2 - |v|^2, 2 sum_i u_i conj(v_i)) on F^k, for m in {1, 2, 4}, is this formula's case.
+    :mod:`~clifford_foliations.homogeneity`'s pi_C(u, v) = (|u|^2 - |v|^2,
+    2 sum_i u_i conj(v_i)) on F^k, for m in {1, 2, 4}, is this formula's case.
     """
     u, w = system.p0_coefficients(x)
     out = np.empty(x.shape[:-1] + (system.m + 1,))
     squares = np.multiply(u, u, order="C")
     squares -= w * w
     np.add.reduce(squares, axis=-1, out=out[..., 0])
-    if system.m:
-        images = system.p0_images(u)
-        images *= (w + w)[..., None, :]
-        np.add.reduce(images, axis=-1, out=out[..., 1:])
+    images = system.p0_images(u)
+    images *= (w + w)[..., None, :]
+    np.add.reduce(images, axis=-1, out=out[..., 1:])
     return out
 
 
@@ -162,16 +161,15 @@ def _mplus_rows(system: CliffordSystem, n: int, rngs: list):
     m, l = system.m, system.l
     u = sample_unit_vectors(rngs, l, n)
     g = gaussian_rows(rngs, (n, l))
-    if m:
-        # P_1 x+, ..., P_m x+ are orthonormal vectors of E_-(P_0) at each
-        # sample; their (rows, m, l) coefficients are built block by block
-        for rows in _blocks(len(rngs), n * m * l):
-            w = system.p0_images(u[rows]).reshape(-1, m, l)
-            g[rows] = _project_out(w, g[rows].reshape(-1, l)).reshape(g[rows].shape)
+    # P_1 x+, ..., P_m x+ are orthonormal vectors of E_-(P_0) at each
+    # sample; their (rows, m, l) coefficients are built block by block
+    for rows in _blocks(len(rngs), n * m * l):
+        w = system.p0_images(u[rows]).reshape(-1, m, l)
+        g[rows] = _project_out(w, g[rows].reshape(-1, l)).reshape(g[rows].shape)
 
     def draw(j, bad):
         fresh = rngs[j].standard_normal((int(np.sum(bad)), l))
-        return _project_out(system.p0_images(u[j][bad]), fresh) if m else fresh
+        return _project_out(system.p0_images(u[j][bad]), fresh)
 
     # the halves of (x_plus + g / |g|) / sqrt(2), in place
     g /= redraw_short_rows(g, draw)[..., None]

@@ -77,17 +77,16 @@ class GroupElement:
     """Unitary k x k matrix over F = R, C, or H, stored componentwise.
 
     ``entries`` has shape (k, k, dim F), or (n, k, k, dim F) for a stack of
-    n elements.  ``action_matrix`` is the real representation of u -> u g on
-    F^k (components of u stored consecutively), an orthogonal L x L matrix
-    for L = k dim F, and (n, L, L) for a stack.
+    n elements; k and dim F are read off its last two axes.  ``action_matrix``
+    is the real representation of u -> u g on F^k (components of u stored
+    consecutively), an orthogonal L x L matrix for L = k dim F, and (n, L, L)
+    for a stack.
     """
 
-    field: str
-    k: int
     entries: np.ndarray
 
     def action_matrix(self) -> np.ndarray:
-        n = self.k * FIELD_DIM[self.field]
+        n = self.entries.shape[-2] * self.entries.shape[-1]  # k dim F
         # block (i, j) is the matrix of x -> x * entries[j, i]
         blocks = _right_mult_matrices(np.swapaxes(self.entries, -3, -2))
         return blocks.swapaxes(-3, -2).reshape(self.entries.shape[:-3] + (n, n))
@@ -137,7 +136,7 @@ def sample_group_element(field: str, k: int, seeds) -> GroupElement:
         entries = np.stack([q.real, q.imag], axis=-1)
     else:
         entries = _quaternionic_unitary(draws)
-    return GroupElement(field, k, entries[0] if np.ndim(seeds) == 0 else entries)
+    return GroupElement(entries[0] if np.ndim(seeds) == 0 else entries)
 
 
 def diagonal_act(g: GroupElement, x: np.ndarray) -> np.ndarray:

@@ -5,8 +5,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from ._version import __version__
-
 __all__ = ["CheckResult", "VerificationReport"]
 
 
@@ -15,18 +13,22 @@ class CheckResult:
     """One named check: worst observed violation against its tolerance.
 
     ``claim`` states the property being checked in plain words; it is carried
-    into reports so a failure is readable without the source at hand.
+    into reports so a failure is readable without the source at hand.  Both
+    numbers are stored as floats, and the verdict is read off them:
+    ``passed`` is ``violation <= tol``, so a NaN violation fails.
     """
 
     name: str
     claim: str
     violation: float
     tol: float
-    passed: bool
 
-    @classmethod
-    def from_violation(cls, name: str, claim: str, violation: float, tol: float) -> "CheckResult":
-        return cls(name, claim, float(violation), float(tol), bool(violation <= tol))
+    def __post_init__(self):
+        self.violation, self.tol = float(self.violation), float(self.tol)
+
+    @property
+    def passed(self) -> bool:
+        return self.violation <= self.tol
 
     def to_json_dict(self) -> dict:
         return {
@@ -40,27 +42,22 @@ class CheckResult:
 
 @dataclass
 class VerificationReport:
-    """Outcome of one suite run.
+    """Outcome of one suite run: its checks, and the profile of the system it ran on.
 
-    ``passed`` holds iff every check passed.  ``wall_time`` and ``version``
-    are provenance only and deliberately excluded from the JSON form so that
-    reports for a fixed seed are byte-identical across runs.
+    ``passed`` is read off the checks: it holds iff every check passed.  A
+    report carries no wall time or version, so reports for a fixed seed are
+    byte-identical across runs.
     """
 
     suite: str
     seed: int
     samples: int
     checks: list = field(default_factory=list)
-    passed: bool = True
-    wall_time: float = 0.0
     system: Optional[dict] = None
-    version: str = __version__
 
-    @classmethod
-    def from_checks(cls, suite: str, seed: int, samples: int, checks,
-                    wall_time: float = 0.0, system: Optional[dict] = None) -> "VerificationReport":
-        return cls(suite, seed, samples, list(checks),
-                   all(c.passed for c in checks), wall_time, system)
+    @property
+    def passed(self) -> bool:
+        return all(c.passed for c in self.checks)
 
     def to_json_dict(self) -> dict:
         return {

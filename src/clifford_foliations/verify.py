@@ -4,13 +4,12 @@ Every desk-checkable claim of the construction is bound into one of the
 suites below; each suite samples with an explicit seed, records the worst
 violation per named check, and passes iff every violation is within its
 pinned tolerance.  Identical configurations reproduce identical reports
-bit for bit (wall time aside), and sample fan-out uses index-derived child
-seeds so no ordering effect can creep in.
+bit for bit, and sample fan-out uses index-derived child seeds so no
+ordering effect can creep in.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -141,7 +140,7 @@ def _interior_grid(m: int, count: int = 10, rmax: float = 0.92) -> np.ndarray:
 def _suite_relations(cfg: SuiteConfig):
     system = cfg.system
     gap = float(system.l % delta(system.m))
-    return [*verify_relations(system).checks, CheckResult.from_violation(
+    return [*verify_relations(system).checks, CheckResult(
         "dimension", "generators act on R^(2 k delta(m))", gap, 0.0)]
 
 
@@ -151,10 +150,10 @@ def _suite_disk_image(cfg: SuiteConfig):
     radii = row_norms(v)
     even = pi_c(cfg.system, -x)
     return [
-        CheckResult.from_violation(
+        CheckResult(
             "disk_containment", "image of the quotient map lies in the closed unit disk",
             max(0.0, float(radii.max()) - 1.0), 1e-12),
-        CheckResult.from_violation(
+        CheckResult(
             "evenness", "the quotient map takes the same value at antipodes, bitwise",
             float(np.max(np.abs(v - even))), 0.0),
     ]
@@ -170,10 +169,10 @@ def _suite_boundary_fibers(cfg: SuiteConfig):
     # eigenvalues are +-1 and dim E_+(P) = tr((Id + P) / 2)
     dim_plus = round((system.dim + system.span_trace(p)) / 2.0)
     return [
-        CheckResult.from_violation(
+        CheckResult(
             "fiber_projects_to_point", "every boundary-fiber sample maps to its boundary point",
             float(max(res, res_anti)), 1e-10),
-        CheckResult.from_violation(
+        CheckResult(
             "eigenspace_dimension", "the positive eigenspace of a unit span element has dimension l",
             float(abs(dim_plus - system.l)), 0.0),
     ]
@@ -187,10 +186,10 @@ def _suite_sphere_quotient(cfg: SuiteConfig):
     z = fiber_sample(system, targets, 4, cfg.seed + 100 + np.arange(len(targets)))
     worst = float(np.abs(pi_c(system, z) - targets[:, None]).max(initial=0.0))
     return [
-        CheckResult.from_violation(
+        CheckResult(
             "image_on_boundary", "with l = m the whole sphere maps onto the boundary sphere",
             float(np.abs(radii - 1.0).max()), 1e-10),
-        CheckResult.from_violation(
+        CheckResult(
             "preimage_construction", "every boundary target admits explicit preimages",
             worst, 1e-10),
     ]
@@ -206,12 +205,10 @@ def _suite_focal_and_fibers(cfg: SuiteConfig):
     worst = float(row_norms(pi_c(system, z) - grid[:, None]).max())
     unit_err = float(np.abs(row_norms(z) - 1.0).max())
     return [
-        CheckResult.from_violation(
-            "focal_manifold", "focal samples map to the disk origin", focal, 1e-10),
-        CheckResult.from_violation(
+        CheckResult("focal_manifold", "focal samples map to the disk origin", focal, 1e-10),
+        CheckResult(
             "interior_fibers", "fiber samples hit a deterministic interior grid", worst, 1e-9),
-        CheckResult.from_violation(
-            "fiber_unit_norm", "fiber samples stay on the unit sphere", unit_err, 1e-12),
+        CheckResult("fiber_unit_norm", "fiber samples stay on the unit sphere", unit_err, 1e-12),
     ]
 
 
@@ -242,12 +239,12 @@ def _suite_submersion_rank(cfg: SuiteConfig):
     pred = (rows[:20] @ w[:, :, None])[..., 0]
     fd_worst = float(np.abs(fd - pred).max())
     return [
-        CheckResult.from_violation(
+        CheckResult(
             "jacobian_rank", "the quotient map has full rank m+1 at interior points "
             "(no singular value inside the forbidden band)", float(rank_bad), 0.0),
-        CheckResult.from_violation(
+        CheckResult(
             "gradient_tangency", "gradient rows are tangent to the sphere", tangency, 1e-12),
-        CheckResult.from_violation(
+        CheckResult(
             "finite_difference", "central differences match the analytic differential",
             fd_worst, 1e-6),
     ]
@@ -271,13 +268,13 @@ def _suite_factorization(cfg: SuiteConfig):
     opposite = float(np.abs(pi_c(full, xs)[:, m + 1] + pi_c(full, ys)[:, m + 1]).max())
     nontrivial = float(np.abs(pi_c(full, xs)[:, m + 1]).min())
     return [
-        CheckResult.from_violation(
+        CheckResult(
             "projection_factorizes", "the restricted map equals the truncated extended map, bitwise",
             gap, 0.0),
-        CheckResult.from_violation(
+        CheckResult(
             "disconnected_witness", "a same-fiber pair with opposite extended coordinate exists",
             max(same_sub, opposite), 1e-10),
-        CheckResult.from_violation(
+        CheckResult(
             "witness_nontrivial", "the witness pair has extended coordinate bounded away from zero",
             max(0.0, 0.1 - nontrivial), 0.0),
     ]
@@ -295,14 +292,13 @@ def _suite_geodesics(cfg: SuiteConfig):
     q_norm = float(np.max(row_norms(q))) - 1.0
     pq = float(np.max(np.abs(row_dots(p, q))))
     return [
-        CheckResult.from_violation(
+        CheckResult(
             "projected_geodesic", "horizontal great circles project onto disk geodesics "
             "traversed at twice the speed", res, 1e-10),
-        CheckResult.from_violation(
+        CheckResult(
             "q_in_disk", "the projected-geodesic parameter stays in the unit disk",
             max(0.0, q_norm), 1e-12),
-        CheckResult.from_violation(
-            "q_orthogonal", "the projected-geodesic parameters are orthogonal", pq, 1e-12),
+        CheckResult("q_orthogonal", "the projected-geodesic parameters are orthogonal", pq, 1e-12),
     ]
 
 
@@ -326,18 +322,17 @@ def _suite_quotient_metric(cfg: SuiteConfig):
     anti = float(np.max(np.abs(quotient_distance(p, -p) - np.pi / 2.0)))
     self_d = float(np.max(np.abs(quotient_distance(p * 0.5, p * 0.5))))
     return [
-        CheckResult.from_violation(
+        CheckResult(
             "lifted_great_circle", "projected geodesics lift to great circles of the "
             "radius-1/2 hemisphere", lift_res, 1e-9),
-        CheckResult.from_violation(
+        CheckResult(
             "lift_frame", "the lifted circle frame is orthogonal of radius 1/2", frame_err, 1e-9),
-        CheckResult.from_violation(
+        CheckResult(
             "unit_speed", "projected geodesics are unit speed for the disk metric",
             speed_err, 1e-8),
-        CheckResult.from_violation(
+        CheckResult(
             "antipodal_boundary", "antipodal boundary points sit at distance pi/2", anti, 1e-12),
-        CheckResult.from_violation(
-            "self_distance", "the distance of a point to itself vanishes", self_d, 1e-7),
+        CheckResult("self_distance", "the distance of a point to itself vanishes", self_d, 1e-7),
     ]
 
 
@@ -361,16 +356,14 @@ def _suite_symmetry(cfg: SuiteConfig):
     e = np.eye(system.m + 1)
     ident = max_abs(spin_rotate(system, e[0], e[1], 0.0, x) - x)
     return [
-        CheckResult.from_violation(
+        CheckResult(
             "reflection", "boundary elements act as disk reflections through their axis",
             refl, 1e-10),
-        CheckResult.from_violation(
+        CheckResult(
             "spin_rotation", "the one-parameter symmetry rotates the disk by twice its angle",
             spin, 1e-9),
-        CheckResult.from_violation(
-            "spin_half_turn", "angle pi gives a full disk turn", half_turn, 1e-9),
-        CheckResult.from_violation(
-            "spin_identity", "angle zero acts as the identity", ident, 0.0),
+        CheckResult("spin_half_turn", "angle pi gives a full disk turn", half_turn, 1e-9),
+        CheckResult("spin_identity", "angle zero acts as the identity", ident, 0.0),
     ]
 
 
@@ -378,23 +371,23 @@ def _suite_fkm_consistency(cfg: SuiteConfig):
     system = cfg.system
     x = _unit_batch(system, cfg.seed, 0, cfg.samples)
     direct, factored = fkm_f0(system, x)
-    checks = [CheckResult.from_violation(
+    checks = [CheckResult(
         "two_evaluations", "the quartic form equals its factorization through the quotient map",
         float(np.abs(direct - factored).max()), 1e-12)]
     p = sample_unit_vectors(rng_from(cfg.seed, 1), system.m + 1, 1)[0]
     xb = fiber_sample(system, p, 64, cfg.seed + 2)
-    checks.append(CheckResult.from_violation(
+    checks.append(CheckResult(
         "boundary_value", "the form equals -1 on boundary fibers",
         float(np.abs(fkm_f0(system, xb)[0] + 1.0).max()), 1e-10))
     if system.l >= system.m + 1:
         xm = fiber_sample(system, np.zeros(system.m + 1), 64, cfg.seed + 3)
-        checks.append(CheckResult.from_violation(
+        checks.append(CheckResult(
             "focal_value", "the form equals +1 on the focal manifold",
             float(np.abs(fkm_f0(system, xm)[0] - 1.0).max()), 1e-10))
     if system.l > system.m + 1:
         v = 0.5 * p
         xr = fiber_sample(system, v, 64, cfg.seed + 4)
-        checks.append(CheckResult.from_violation(
+        checks.append(CheckResult(
             "half_radius_value", "the form equals 1/2 on fibers at radius 1/2",
             float(np.abs(fkm_f0(system, xr)[0] - 0.5).max()), 1e-10))
     return checks
@@ -418,14 +411,14 @@ def _suite_invariants_classification(cfg: SuiteConfig):
             else:
                 zeros = max(zeros, abs(t))
         if m % 4 == 0:
-            checks.append(CheckResult.from_violation(
+            checks.append(CheckResult(
                 "trace_values", "the flip count sets the normalized trace to |k - 2j|",
                 kappa_gap, 1e-12))
-            checks.append(CheckResult.from_violation(
+            checks.append(CheckResult(
                 "class_count", "flips realize floor(k/2)+1 distinct classes",
                 float(abs(len(values) - (k // 2 + 1))), 0.0))
         else:
-            checks.append(CheckResult.from_violation(
+            checks.append(CheckResult(
                 "trace_vanishes", "off the multiples of four the generator product is traceless",
                 zeros, 1e-12))
     base_t = trace_invariant(system)
@@ -435,12 +428,12 @@ def _suite_invariants_classification(cfg: SuiteConfig):
         conj = conjugate_system(system, a)
         drift = max(drift, abs(trace_invariant(conj) - base_t))
         cp = equivalence_profile(conj)
-        mismatch = max(mismatch, float(cp.as_tuple() != prof.as_tuple()))
+        mismatch = max(mismatch, float(cp != prof))
         rel = verify_relations(conj)
         mismatch = max(mismatch, 0.0 if rel.passed else 1.0)
-    checks.append(CheckResult.from_violation(
+    checks.append(CheckResult(
         "conjugation_invariance", "the profile survives orthogonal conjugation", drift, 1e-9))
-    checks.append(CheckResult.from_violation(
+    checks.append(CheckResult(
         "conjugation_exactness", "conjugated systems keep relations and profile",
         mismatch, 0.0))
     rng = rng_from(cfg.seed, 7)
@@ -449,7 +442,7 @@ def _suite_invariants_classification(cfg: SuiteConfig):
     px = system.span_apply(pq[:, 0], x)[:, 0]
     qx = system.span_apply(pq[:, 1], x)[:, 0]
     iso = float(np.max(np.abs(row_dots(px, qx) - row_dots(pq[:, 0], pq[:, 1]))))
-    checks.append(CheckResult.from_violation(
+    checks.append(CheckResult(
         "span_isometry", "span elements multiply like their coordinates on every unit vector",
         iso, 1e-12))
     return checks
@@ -478,13 +471,13 @@ def _suite_homogeneous_orbits(cfg: SuiteConfig):
     g2 = sample_group_element(field_tag, k, cfg.seed + 1)
     det = float(np.abs(g1.entries - g2.entries).max())
     return [
-        CheckResult.from_violation(
+        CheckResult(
             "orbit_in_fiber", "the diagonal group action preserves the quotient map",
             invariance, 1e-10),
-        CheckResult.from_violation(
+        CheckResult(
             "group_orthogonality", "sampled group elements are orthogonal in the real representation",
             ortho, 1e-12),
-        CheckResult.from_violation(
+        CheckResult(
             "sampling_determinism", "equal seeds give bit-identical group elements", det, 0.0),
     ]
 
@@ -526,11 +519,9 @@ def _suite_normal_forms(cfg: SuiteConfig):
     nf_close = np.abs(pool_nf[i] - pool_nf[j]).max(axis=1) <= 1e-9
     mismatches = int(np.sum(pi_close != nf_close))
     return [
-        CheckResult.from_violation(
-            "orbit_constancy", "normal forms are constant along group orbits", orbit, 1e-9),
-        CheckResult.from_violation(
-            "fiber_constancy", "normal forms are constant along fibers", same_fiber, 1e-9),
-        CheckResult.from_violation(
+        CheckResult("orbit_constancy", "normal forms are constant along group orbits", orbit, 1e-9),
+        CheckResult("fiber_constancy", "normal forms are constant along fibers", same_fiber, 1e-9),
+        CheckResult(
             "form_determines_fiber", "equal normal forms and equal quotient values coincide",
             float(mismatches), 0.0),
     ]
@@ -567,19 +558,19 @@ def _suite_composed_identities(cfg: SuiteConfig):
     xb = fiber_sample(system, p0, 1, cfg.seed + 8)[0]
     apex = abs(composed_quotient_distance(system, one, xm[0], xb) - np.pi / 4.0)
     return [
-        CheckResult.from_violation(
+        CheckResult(
             "membership_identities", "point leaves reproduce the fibers and the one-leaf "
             "spec reproduces the level sets", float(wrong), 0.0),
-        CheckResult.from_violation(
+        CheckResult(
             "equal_radius_law", "points of one composed leaf share the quartic value",
             radius_law, 2e-9),
-        CheckResult.from_violation(
+        CheckResult(
             "origin_class", "the focal manifold forms a single tailless class",
             0.0 if origin_ok else 1.0, 0.0),
-        CheckResult.from_violation(
+        CheckResult(
             "points_distance_identity", "the cone metric collapses to the disk metric for "
             "point leaves", dist_identity, 1e-9),
-        CheckResult.from_violation(
+        CheckResult(
             "apex_to_boundary", "focal-to-boundary classes sit at distance pi/4", apex, 1e-7),
     ]
 
@@ -623,18 +614,17 @@ def _suite_transnormality(cfg: SuiteConfig):
     perp = abs(leaf_to_leaf_ambient_distance(system, pts, bx, by, 64, cfg.seed + 13)
                - np.pi / 2.0)
     return [
-        CheckResult.from_violation(
+        CheckResult(
             "fiber_equidistance", "ambient fiber distances match the disk metric",
             worst_points, 1e-3),
-        CheckResult.from_violation(
+        CheckResult(
             "composed_equidistance", "ambient composed-leaf distances match the cone metric",
             worst_height, 1e-2),
-        CheckResult.from_violation(
+        CheckResult(
             "no_undercut", "ambient estimates never fall below the quotient lower bound",
             max(0.0, undercut), 1e-9),
-        CheckResult.from_violation(
-            "same_leaf_zero", "a leaf has distance zero to itself", zero, 1e-6),
-        CheckResult.from_violation(
+        CheckResult("same_leaf_zero", "a leaf has distance zero to itself", zero, 1e-6),
+        CheckResult(
             "perpendicular_boundary_fibers", "opposite boundary fibers sit at distance pi/2",
             perp, 1e-3),
     ]
@@ -654,11 +644,11 @@ def _suite_diameter(cfg: SuiteConfig):
     n_pairs = cfg.samples
     idx = rng_from(cfg.seed, 701).integers(0, len(pool), size=(n_pairs, 2))
     sup = float(np.max(composed_quotient_distance(system, ten, pool[idx[:, 0]], pool[idx[:, 1]])))
-    checks = [CheckResult.from_violation(
+    checks = [CheckResult(
         "diameter_upper", "the composed quotient has diameter at most pi/4",
         max(0.0, sup - np.pi / 4.0), 1e-6)]
     if system.l > system.m + 1:
-        checks.append(CheckResult.from_violation(
+        checks.append(CheckResult(
             "diameter_attained", "sampled pairs come within 0.05 of the diameter pi/4",
             max(0.0, (np.pi / 4.0 - 0.05) - sup), 0.0))
 
@@ -672,7 +662,7 @@ def _suite_diameter(cfg: SuiteConfig):
     uw = sign_fixed_rotation(rngr.standard_normal((rotations, 2, 3, 3)))
     orbit = uw[:, 0] @ pmat.reshape(-1, 3, 3) @ np.swapaxes(uw[:, 1], -1, -2)
     rot = max_abs(signed_svd_triple(orbit) - signed_svd_triple(pmat))
-    checks.append(CheckResult.from_violation(
+    checks.append(CheckResult(
         "tensor_invariance", "the signed singular triple is constant on rotate-both-sides "
         "orbits", rot, 1e-10))
     return checks
@@ -736,15 +726,12 @@ def run_suite(config: SuiteConfig) -> VerificationReport:
     reason = suite.requires(config.system)
     if reason is not None:
         raise IncompatibleSuiteError(f"suite {config.suite!r}: {reason}")
-    started = time.perf_counter()
     checks = suite.runner(config)
-    elapsed = time.perf_counter() - started
     try:
         profile = equivalence_profile(config.system).to_json_dict()
     except MalformedSystemError:
         profile = None
-    return VerificationReport.from_checks(config.suite, config.seed, config.samples,
-                                          checks, elapsed, profile)
+    return VerificationReport(config.suite, config.seed, config.samples, checks, profile)
 
 
 def run_matrix(plan):

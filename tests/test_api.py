@@ -2,7 +2,8 @@
 only clifford.py reads the generators, built systems act without dense span matrices,
 every angle is one algebra.unit_angle, every row dot and norm one algebra.row_dots, no
 module warns, every built-in spec carries both closed forms or neither, FoliationSpec has
-its six fields and CliffordSystem its three, only FoliationSpec's construction check and
+its six fields, CliffordSystem, CheckResult, VerificationReport and GroupElement only the
+data they cannot derive, only FoliationSpec's construction check and
 composed._fiber_leaf ask whether a spec carries its leaf metric and closed forms, only
 composed._solve_rows solves linear systems, only algebra tests for integers, every integer
 argument takes numpy integers and refuses bools, floats, strings and values below its
@@ -32,7 +33,8 @@ from clifford_foliations.composed import (BUILTIN_SPEC_NAMES, FoliationSpec, bui
 from clifford_foliations.foliation import (boundary_fiber_sample, fiber_sample, mplus_sample,
                                            pi_c, random_horizontal_geodesic, reflect_symmetry,
                                            spin_rotate)
-from clifford_foliations.homogeneity import sample_group_element
+from clifford_foliations.homogeneity import GroupElement, sample_group_element
+from clifford_foliations.reports import CheckResult, VerificationReport
 from clifford_foliations.verify import SuiteConfig, default_plan
 
 MODULES = [info.name for info in pkgutil.iter_modules(clifford_foliations.__path__)]
@@ -146,10 +148,20 @@ def test_foliation_spec_has_six_fields():
         "nearest_leaf_point"]
 
 
-def test_clifford_system_has_three_fields():
-    # a system is its rank, its half dimension and its generators: whether it is the
-    # construction is read off the generators (standard_layout), not stored beside them
-    assert [f.name for f in dataclasses.fields(CliffordSystem)] == ["m", "l", "generators"]
+def test_clifford_system_is_its_generators():
+    # a system is its generators: its rank m+1, its width 2l and whether it is the
+    # construction (standard_layout) are read off them, not stored beside them
+    assert [f.name for f in dataclasses.fields(CliffordSystem)] == ["generators"]
+
+
+def test_value_types_store_only_their_data():
+    # a check's verdict is read off its numbers, a report's off its checks, and a group
+    # element's k and dim F off its entries' shape
+    assert [f.name for f in dataclasses.fields(CheckResult)] == [
+        "name", "claim", "violation", "tol"]
+    assert [f.name for f in dataclasses.fields(VerificationReport)] == [
+        "suite", "seed", "samples", "checks", "system"]
+    assert [f.name for f in dataclasses.fields(GroupElement)] == ["entries"]
 
 
 SPEC_CONTRACT = {"quotient_distance", "invariant_jacobian", "nearest_leaf_point"}

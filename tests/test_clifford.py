@@ -11,6 +11,7 @@ import pytest
 from clifford_foliations.algebra import _blocks, eig_split, max_abs, rng_from, sign_fixed_q
 from clifford_foliations.clifford import (
     CliffordSystem,
+    EquivalenceProfile,
     _relation_violations,
     _span_sum,
     MalformedSystemError,
@@ -146,6 +147,20 @@ class TestBuildSystem:
         s = build_system(9, 1)
         assert s.dim == 32 and s.generators[0].shape == (10, 32)
 
+    def test_rank_and_width_are_read_off_the_generators(self):
+        # m and l are the generators' count less one and half their width, as Python ints,
+        # on a gather pair, its dense twin, a sub-system keeping every index and a Haar
+        # conjugate; a rank and width cannot be given beside the generators
+        for m, k in ALL_PAIRS:
+            if 2 * k * delta(m) <= 64:
+                s = build_system(m, k, min(1, k - 1))
+                for t in (s, dense_stack(s), sub_system(s, range(m + 1)),
+                          conjugate_system(s, haar(90 + m, s.dim))):
+                    assert (t.m, t.l) == (m, k * delta(m)), (m, k)
+                    assert {type(t.m), type(t.l)} == {int}
+        with pytest.raises(TypeError):
+            CliffordSystem(1, 4, build_system(2, 2).generators)
+
     @pytest.mark.parametrize("m,k", ALL_PAIRS)
     def test_relations_exact_everywhere(self, m, k):
         for flips in {0, min(1, k)}:
@@ -163,7 +178,7 @@ class TestBuildSystem:
         cols, signs = s.generators
         signs = signs.copy()
         signs[1] *= -1
-        flipped = CliffordSystem(s.m, s.l, (cols, signs))
+        flipped = CliffordSystem((cols, signs))
         report = verify_relations(flipped)
         assert report.passed and max(c.violation for c in report.checks) == 0.0
 
@@ -198,8 +213,8 @@ class TestRelationViolations:
                     cols[i], signs[i] = rng.permutation(s.dim), rng.choice([-1, 1], s.dim)
                 else:
                     cols[i], signs[i] = cols[(i + 1) % (m + 1)], signs[(i + 1) % (m + 1)]
-                exact = CliffordSystem(m, s.l, (cols, signs))
-                dense = CliffordSystem(m, s.l, gather_dense(cols, signs).astype(float))
+                exact = CliffordSystem((cols, signs))
+                dense = CliffordSystem(gather_dense(cols, signs).astype(float))
                 got = [c.violation for c in verify_relations(exact).checks]
                 want = [c.violation for c in verify_relations(dense).checks]
                 assert got == want
@@ -208,11 +223,13 @@ class TestRelationViolations:
     @pytest.mark.parametrize("mkf", [(2, 2, 0), (4, 2, 1), (8, 1, 0)], ids=str)
     def test_batched_products_equal_the_pair_loop(self, mkf):
         # a dense stack's violations are the per-pair products' maxima, bit for bit, on a
-        # dense copy, its Haar conjugate and a one-generator sub-system
+        # dense copy, its Haar conjugate and a two-generator sub-system; none has one generator
         built = build_system(*mkf)
         twin = system_from_dict(system_to_dict(built, "dense"))
         conj = conjugate_system(built, haar(33 + built.m, built.dim))
-        for system in (twin, conj, sub_system(conj, [1])):
+        with pytest.raises(ValueError, match="at least two"):
+            sub_system(conj, [1])
+        for system in (twin, conj, sub_system(conj, [2, 1])):
             got = _relation_violations(system)
             assert np.array(got).tobytes() == np.array(pair_loop_violations(system)).tobytes()
             assert max(got) <= 1e-12
@@ -224,13 +241,13 @@ class TestRelationViolations:
             for j in range(i + 1, 4):
                 gens = twin.generators.copy()
                 gens[j] = gens[i]  # P_i P_j + P_j P_i = 2 Id; every other relation holds
-                broken = CliffordSystem(3, twin.l, gens)
+                broken = CliffordSystem(gens)
                 assert _relation_violations(broken) == pair_loop_violations(broken) == (0, 0, 2)
         skew, scaled = twin.generators.copy(), twin.generators.copy()
         skew[2, 0, 1] += 1e-9
         scaled[3] *= 1.0 + 2**-40
         for gens, failing in ((skew, "symmetry"), (scaled, "involution")):
-            system = CliffordSystem(3, twin.l, gens)
+            system = CliffordSystem(gens)
             got = _relation_violations(system)
             assert np.array(got).tobytes() == np.array(pair_loop_violations(system)).tobytes()
             assert failing in [c.name for c in verify_relations(system).checks if not c.passed]
@@ -241,7 +258,7 @@ class TestRelationViolations:
         payload["generators"][3][5] = float("nan")
         gens = np.array(payload["generators"]).reshape(5, 16, 16)
         with np.errstate(invalid="ignore"):
-            assert np.isnan(_relation_violations(CliffordSystem(4, 8, gens))).all()
+            assert np.isnan(_relation_violations(CliffordSystem(gens))).all()
         with pytest.raises(MalformedSystemError, match="violation nan"):
             system_from_dict(payload)
 
@@ -330,7 +347,7 @@ class TestGeneratorPaths:
         conj = conjugate_system(build_system(3, 2), haar(23, 16))
         # a signed-perm system whose P_0 (the built P_1) is not diagonal
         cols, signs = build_system(3, 2).generators
-        swapped = CliffordSystem(3, 8, (cols[[1, 0, 2, 3]], signs[[1, 0, 2, 3]]))
+        swapped = CliffordSystem((cols[[1, 0, 2, 3]], signs[[1, 0, 2, 3]]))
         assert verify_relations(swapped).passed
         for system in (conj, swapped):
             # P_0 is not diagonal: the bases are eig_split's, and the products act on them
@@ -351,11 +368,11 @@ class TestGeneratorPaths:
             assert f(rows).tobytes() == np.stack([f(r) for r in rows]).tobytes()
 
     def test_rank_one_sub_system(self):
-        # m = 0: every span element is p_0 P_0, and the E+-(P_0) blocks are empty
-        for system in (sub_system(build_system(3, 2), [0]),
-                       sub_system(conjugate_system(build_system(3, 2), haar(24, 16)), [0])):
-            assert system.m == 0
-            assert_block_actions(system, 25, 1e-14)
+        # m = 0 is refused, exact or dense: every system has m >= 1, as the loader requires
+        for system in (build_system(3, 2), conjugate_system(build_system(3, 2), haar(24, 16))):
+            for i in range(4):
+                with pytest.raises(ValueError, match="at least two generator indices"):
+                    sub_system(system, [i])
 
     def test_span_apply_rejects_other_widths(self):
         system = build_system(3, 2)
@@ -372,7 +389,7 @@ class TestGeneratorPaths:
 
 def full_block_twin(system):
     """A fresh system on the same generators whose span action takes the l x l blocks."""
-    twin = CliffordSystem(system.m, system.l, system.generators)
+    twin = CliffordSystem(system.generators)
     vars(twin)["_p0_copies"] = 1  # set before the cached scatter index is read
     return twin
 
@@ -393,12 +410,12 @@ class TestSpanCopies:
                     copies = k if flips in (0, k) else 1
                     assert built._p0_copies == loaded._p0_copies == copies, (m, k, flips)
         built = build_system(12, 4)
-        dense = CliffordSystem(12, built.l, built.span_matrix(np.eye(13)))
+        dense = CliffordSystem(built.span_matrix(np.eye(13)))
         assert dense._p0_copies == 1
         # D P_i D for a random sign diagonal D: the copies' indices agree, their signs not
         cols, signs = build_system(11, 2).generators
         d = rng_from(70).choice([-1, 1], cols.shape[-1])
-        signed = CliffordSystem(11, 128, (cols, signs * d * d[cols]))
+        signed = CliffordSystem((cols, signs * d * d[cols]))
         assert verify_relations(signed).passed and signed._p0_copies == 1
         assert_block_actions(signed, 70, 1e-14)
 
@@ -432,7 +449,7 @@ class TestSpanCopies:
 def permuted_system(system, perm):
     """The exact system E P_i E^T with E x = x[perm]: its gather pair, coordinates permuted."""
     cols, signs = system.generators
-    return CliffordSystem(system.m, system.l, (np.argsort(perm)[cols[:, perm]], signs[:, perm]))
+    return CliffordSystem((np.argsort(perm)[cols[:, perm]], signs[:, perm]))
 
 
 class TestP0Layout:
@@ -529,7 +546,7 @@ class TestSpanMatrix:
         # identity, sparse and full coefficient rows, alone and mixed in one stack, give
         # sum_i c_i P_i added generator by generator from zero, bit for bit
         built = build_system(4, 3, 1)
-        twin = CliffordSystem(4, built.l, gather_dense(*built.generators).astype(float))
+        twin = CliffordSystem(gather_dense(*built.generators).astype(float))
         conj = conjugate_system(built, haar(27, built.dim))
         full = rng_from(28).standard_normal((6, 5))
         sparse = np.where(rng_from(29).random((6, 5)) < 0.4, full, 0.0)
@@ -553,7 +570,7 @@ class TestSpanMatrix:
         # generators) and at width l (the blocks R_i span_apply sums), for identity rows,
         # random rows and rows holding 0, -0.0, NaN or only zeros
         built = build_system(*mkf)
-        twin = CliffordSystem(built.m, built.l, gather_dense(*built.generators).astype(float))
+        twin = CliffordSystem(gather_dense(*built.generators).astype(float))
         conj = conjugate_system(built, haar(30 + built.m, built.dim))
         n = built.m + 1
         odd = rng_from(31, built.m).standard_normal((4, n))
@@ -628,7 +645,7 @@ class TestSpanTrace:
     @pytest.mark.parametrize("m,k,flips", [(1, 2, 0), (3, 2, 1), (4, 3, 1), (8, 1, 0), (9, 1, 0)])
     def test_exact_and_dense_traces_match_the_matrix(self, m, k, flips):
         built = build_system(m, k, flips)
-        twin = CliffordSystem(m, built.l, gather_dense(*built.generators).astype(float))
+        twin = CliffordSystem(gather_dense(*built.generators).astype(float))
         conj = conjugate_system(built, haar(26, built.dim))
         p = rng_from(25, m, k).standard_normal(m + 1)
         expected = float(np.trace(built.span_matrix(p)))
@@ -643,7 +660,7 @@ class TestSpanTrace:
         assert build_system(4, 3, 1).span_trace(np.arange(5.0)) == 0.0
         cols = np.array([[0, 1, 3, 2, 4, 5]])
         signs = np.array([[1, 1, 1, 1, -1, 1]])
-        lone = CliffordSystem(0, 3, (cols, signs))
+        lone = CliffordSystem((cols, signs))
         assert lone.span_trace(np.array([0.5])) == 0.5 * np.trace(lone.dense_generator(0)) == 1.0
 
 
@@ -665,27 +682,26 @@ class TestEquivalence:
     def test_profiles_distinguish_flips_mod4(self):
         a = equivalence_profile(build_system(4, 3, 0))
         b = equivalence_profile(build_system(4, 3, 1))
-        assert a.as_tuple() == (4, 3, 3)
-        assert b.as_tuple() == (4, 3, 1)
-        assert a.as_tuple() != b.as_tuple()
+        assert a == EquivalenceProfile(4, 3, 3)
+        assert b == EquivalenceProfile(4, 3, 1)
+        assert a != b
 
     def test_flip_insensitive_off_mod4(self):
         a = equivalence_profile(build_system(3, 2, 0))
         b = equivalence_profile(build_system(3, 2, 1))
-        assert a.as_tuple() == b.as_tuple() == (3, 2, None)
+        assert a == b == EquivalenceProfile(3, 2, None)
 
     def test_inferred_multiplicity(self):
         s = build_system(2, 3)
         s2 = sub_system(s, range(3))  # the same generators, k read off l
-        assert equivalence_profile(s2).as_tuple() == (2, 3, None)
+        assert equivalence_profile(s2) == EquivalenceProfile(2, 3, None)
 
     def test_malformed_dimension(self):
         s = build_system(3, 1)  # l = 4
         bad = sub_system(s, [0, 1, 2])  # m = 2 needs delta = 2 | 4: fine
         assert equivalence_profile(bad).k == 2
-        worse = sub_system(build_system(3, 1), [0])  # m = 0 invalid for delta
-        with pytest.raises(ValueError):
-            equivalence_profile(worse)
+        with pytest.raises(ValueError):  # m = 0, invalid for delta, is never built
+            sub_system(build_system(3, 1), [0])
 
 
 class TestConjugation:
@@ -709,7 +725,7 @@ class TestConjugation:
             rep = verify_relations(c)
             assert rep.passed and max(check.violation for check in rep.checks) <= 1e-12
             assert abs(trace_invariant(c) - base) <= 1e-9
-            assert equivalence_profile(c).as_tuple() == equivalence_profile(s).as_tuple()
+            assert equivalence_profile(c) == equivalence_profile(s)
 
     def test_blocks_equal_per_generator_products(self):
         # at 2l = 128 the generators are conjugated a few _blocks slices at a time, and
@@ -783,8 +799,7 @@ class TestSubSystem:
 
 def dense_stack(system):
     """A system on the same generators, stored as one dense stack."""
-    return CliffordSystem(system.m, system.l,
-                          np.stack([system.dense_generator(i) for i in range(system.m + 1)]))
+    return CliffordSystem(np.stack([system.dense_generator(i) for i in range(system.m + 1)]))
 
 
 def signed_perm_file(system):
@@ -839,7 +854,7 @@ class TestStandardLayout:
     def test_l_not_a_multiple_of_delta(self):
         # no construction has l = 1 at m = 2 (delta = 2), so none is built to compare
         gens = (np.tile([1, 0], (3, 1)), np.ones((3, 2), dtype=np.int64))
-        assert not CliffordSystem(2, 1, gens).standard_layout
+        assert not CliffordSystem(gens).standard_layout
 
 
 class TestSerialization:
@@ -930,8 +945,7 @@ class TestSerialization:
         elif defect == "zero_l":
             d.update(l=0, generators=[[], [], []])
         else:
-            d = system_to_dict(sub_system(build_system(2, 1), [0]), "dense")
-            assert d["m"] == 0
+            d.update(m=0, generators=d["generators"][:1])  # P_0 alone, written by hand
         with pytest.raises(MalformedSystemError, match=message):
             system_from_dict(d)
 

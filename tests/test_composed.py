@@ -1207,7 +1207,7 @@ def carry_system(kind):
         return build_system(4, 2, 1)
     if kind == "dense":
         built = build_system(2, 2)
-        return CliffordSystem(2, built.l, np.stack([built.dense_generator(i) for i in range(3)]))
+        return CliffordSystem(np.stack([built.dense_generator(i) for i in range(3)]))
     return transport_system("conjugated")
 
 

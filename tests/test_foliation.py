@@ -114,12 +114,12 @@ class TestPiC:
     def test_matches_the_dense_quadratic_forms(self):
         # (|u|^2 - |w|^2, 2 <u R_i^T, w>) in E+-(P_0) coefficients is <P_i x, x>, whether
         # P_0 is a +-1 diagonal (built systems, their dense twins, prefix sub-systems)
-        # or not (conjugates, a sub-system led by P_1), and for m = 0
+        # or not (conjugates, a sub-system led by P_1)
         built = [build_system(m, k, flips) for m, k in built_pairs(64) for flips in {0, min(1, k)}]
         s431 = build_system(4, 3, 1)
         others = [dense_twin(s431), conjugate_system(s431, haar(75, s431.dim)),
                   sub_system(s431, range(3)), sub_system(s431, [0, 2, 4]),
-                  sub_system(s431, [1, 0, 3]), sub_system(s431, [0]), sub_system(s431, [2])]
+                  sub_system(s431, [1, 0, 3]), sub_system(s431, [2, 0])]
         for system in built + others:
             x = sample_unit_vectors(rng_from(76, system.dim, system.m), system.dim, 20)
             gens = np.stack([system.dense_generator(i) for i in range(system.m + 1)])
@@ -139,7 +139,7 @@ class TestPiC:
             full = build_system(m, k, min(1, k - 1))
             x = sample_unit_vectors(rng_from(77, m, k), full.dim, 12)
             whole = pi_c(full, x)
-            for top in range(m):
+            for top in range(1, m):
                 assert np.array_equal(pi_c(sub_system(full, range(top + 1)), x),
                                       whole[:, :top + 1])
 
@@ -367,7 +367,7 @@ def mplus_reference(system, n, seed):
 def dense_twin(system):
     """The generators of a system as one dense stack, so its E_+-(P_0) blocks are a stack too."""
     gens = np.stack([system.dense_generator(i) for i in range(system.m + 1)])
-    return CliffordSystem(system.m, system.l, gens)
+    return CliffordSystem(gens)
 
 
 def reference_systems():
@@ -423,7 +423,7 @@ class TestSamplerFormulas:
         # (except on the partial flip and at k = 1), whose products differ from the l x l
         # ones in the last bits on some kernels
         copies = build_system(*mk)
-        system = CliffordSystem(copies.m, copies.l, copies.generators)
+        system = CliffordSystem(copies.generators)
         vars(system)["_p0_copies"] = 1  # set before the cached scatter index is read
         twin = dense_twin(system)
         assert isinstance(system._p0_blocks, tuple)

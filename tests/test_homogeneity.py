@@ -96,7 +96,7 @@ class TestDiagonalAction:
         from clifford_foliations.homogeneity import GroupElement
         entries = np.zeros((2, 2, 4))
         entries[0, 0, 0] = entries[1, 1, 0] = 1.0
-        identity = GroupElement("H", 2, entries)
+        identity = GroupElement(entries)
         x = sample_unit_vectors(rng_from(21), 16, 4)
         np.testing.assert_array_equal(diagonal_act(identity, x), x)
 

@@ -12,6 +12,7 @@ from clifford_foliations.algebra import rng_from, sign_fixed_q
 from clifford_foliations.cli import main
 from clifford_foliations.clifford import (build_system, conjugate_system, sub_system,
                                           system_from_dict, system_to_dict)
+from clifford_foliations.reports import CheckResult
 from clifford_foliations.verify import (
     IncompatibleSuiteError,
     SUITE_IDS,
@@ -385,9 +386,24 @@ class TestReportFormat:
         assert payload["system"] == {"m": 2, "k": 2, "kappa": None}
         for check in payload["checks"]:
             assert set(check) == {"name", "claim", "violation", "tol", "pass"}
-        # wall time and code version are provenance only, never serialized
-        assert "wall_time" not in payload and report.wall_time >= 0.0
-        assert report.version
+
+    def test_check_verdict_follows_its_numbers(self):
+        # the verdict is violation <= tol on the stored floats: above fails, NaN fails and
+        # equal passes, and no verdict can be given beside the numbers
+        assert not CheckResult("x", "y", 1.0, 0.0).passed
+        assert not CheckResult("x", "y", float("nan"), 1.0).passed
+        assert CheckResult("x", "y", 1e-12, 1e-12).passed
+        check = CheckResult("x", "y", np.float64(0.5), np.int64(1))
+        assert (type(check.violation), type(check.tol)) == (float, float)
+        assert check.to_json_dict()["pass"] is True
+        with pytest.raises(TypeError):
+            CheckResult("x", "y", 1.0, 0.0, True)
+
+    def test_report_that_gains_a_failing_check_fails(self, s22):
+        report = run_suite(SuiteConfig("relations", s22, seed=0, samples=10))
+        assert report.passed and report.to_json_dict()["pass"] is True
+        report.checks.append(CheckResult("x", "y", 1.0, 0.0))
+        assert not report.passed and report.to_json_dict()["pass"] is False
 
 
 class TestConfigValidation:
