@@ -19,7 +19,6 @@ combinations that the trace invariant |tr(P_0 ... P_m)| tells apart.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from functools import cached_property, reduce
 from itertools import chain
@@ -29,7 +28,7 @@ import numpy as np
 
 from .algebra import (_blocks, _cd_gather, _count, _identity, _index, _kron, _mul, _transpose,
                       eig_split, max_abs)
-from .reports import CheckResult, VerificationReport
+from .reports import CheckResult
 
 __all__ = [
     "delta",
@@ -44,15 +43,15 @@ __all__ = [
     "sub_system",
     "system_to_dict",
     "system_from_dict",
-    "dimension_cap",
-    "DEFAULT_DIM_CAP",
     "MalformedSystemError",
 ]
 
 # Irreducible module dimension by rank - 1; periodic with factor 16 beyond 8.
 _DELTA_SMALL = (1, 2, 4, 4, 8, 8, 8, 8)
 
-DEFAULT_DIM_CAP = 512
+# the largest 2l build_system makes: the widest system of the default plan, 2 * 4 delta(12)
+_DIM_CAP = 512
+_ONE_ONE = "(m, k) = (1, 1) is degenerate (fibers are point pairs) and not supported"
 
 
 class MalformedSystemError(ValueError):
@@ -64,14 +63,6 @@ def delta(m: int) -> int:
     """Dimension of the irreducible module for m+1 generators, m >= 1."""
     m = _count(m, "m", 1)
     return 16 ** ((m - 1) // 8) * _DELTA_SMALL[(m - 1) % 8]
-
-
-def dimension_cap() -> int:
-    """Matrix size cap on 2l; overridable through CFL_MAX_DIM, a positive integer."""
-    raw = os.environ.get("CFL_MAX_DIM")
-    if raw and not (raw.strip().isdecimal() and int(raw) > 0):
-        raise ValueError(f"CFL_MAX_DIM must be a positive integer, got {raw!r}")
-    return int(raw) if raw else DEFAULT_DIM_CAP
 
 
 # --------------------------------------------------------------------------- #
@@ -470,20 +461,21 @@ def build_system(m: int, k: int, flips: int = 0) -> CliffordSystem:
 
     ``flips`` of the k irreducible blocks carry -P_0 instead of P_0; with none flipped the
     system is in the :attr:`~CliffordSystem.standard_layout`.  The degenerate pair
-    (m, k) = (1, 1) is rejected: its boundary fibers are antipodal point pairs, which none
-    of the geometry downstream supports.  2l may not exceed :func:`dimension_cap`.  The
-    arguments are read as Python ints (numpy integers too); a bool raises TypeError.
+    (m, k) = (1, 1) is rejected, as :func:`system_from_dict` rejects it: its boundary fibers
+    are antipodal point pairs, which none of the geometry downstream supports.  2l may not
+    exceed 512, the widest system of the default plan, which bounds what a command-line
+    argument can allocate.  The arguments are read as Python ints (numpy integers too); a
+    bool raises TypeError.
     """
     m, k, flips = _count(m, "m", 1), _count(k, "k", 1), _index(flips, "flips")
     if not (0 <= flips <= k):
         raise ValueError("flips must lie in [0, k]")
     if (m, k) == (1, 1):
-        raise ValueError("(m, k) = (1, 1) is degenerate (fibers are point pairs) and not supported")
-    cap = dimension_cap()
+        raise ValueError(_ONE_ONE)
     # delta(m) >= 16^((m - 1) // 8): a large m is over the cap before delta(m) is formed
-    if 4 * ((m - 1) // 8) >= cap.bit_length() or 2 * k * delta(m) > cap:
+    if 4 * ((m - 1) // 8) >= _DIM_CAP.bit_length() or 2 * k * delta(m) > _DIM_CAP:
         raise ValueError(f"system dimension 2l = 2k delta(m) at m = {m}, k = {k} exceeds the"
-                         f" cap {cap} (override with CFL_MAX_DIM)")
+                         f" cap {_DIM_CAP}")
     return CliffordSystem(_construction(m, k, flips))
 
 
@@ -552,20 +544,19 @@ def _relation_violations(system: CliffordSystem):
     return float(sym), float(invol), float(anti)
 
 
-def verify_relations(system: CliffordSystem) -> VerificationReport:
-    """Check symmetry, involutivity, and pairwise anticommutation.
+def verify_relations(system: CliffordSystem) -> list:
+    """The symmetry, involution and anticommutation checks, as a list of three CheckResults.
 
     The tolerance is 0 for exact (signed-permutation) systems and 1e-12 for
     dense ones.
     """
     tol = 0.0 if system.exact else 1e-12
     sym, invol, anti = _relation_violations(system)
-    checks = [
+    return [
         CheckResult("symmetry", "each generator equals its transpose", sym, tol),
         CheckResult("involution", "each generator squares to the identity", invol, tol),
         CheckResult("anticommutation", "distinct generators anticommute", anti, tol),
     ]
-    return VerificationReport("relations", 0, 0, checks)
 
 
 def trace_invariant(system: CliffordSystem) -> float:
@@ -653,8 +644,10 @@ def system_from_dict(data: dict) -> CliffordSystem:
     """Inverse of :func:`system_to_dict`.
 
     Any payload that does not describe a system (not a JSON object, a missing
-    key, a field of the wrong type or shape) raises :class:`MalformedSystemError`.
-    The ``provenance`` key of files written by older versions is ignored.
+    key, a field of the wrong type or shape, generators failing
+    :func:`verify_relations`) raises :class:`MalformedSystemError`, and so does
+    (m, l) = (1, 1), which :func:`build_system` refuses too.  No dimension cap
+    applies.  The ``provenance`` key of files written by older versions is ignored.
     """
     if not isinstance(data, dict):
         raise MalformedSystemError("system payload must be a JSON object")
@@ -684,6 +677,8 @@ def _system_from_fields(data: dict) -> CliffordSystem:
     _require_types([m, l], {int}, "m and l must be integers")
     if m < 1 or l < 1:
         raise MalformedSystemError("m and l must be at least 1")
+    if (m, l) == (1, 1):  # l = k, as delta(1) = 1
+        raise MalformedSystemError(_ONE_ONE)
     encoding = data["encoding"]
     payload = data["generators"]
     if len(payload) != m + 1:
@@ -717,8 +712,8 @@ def _system_from_fields(data: dict) -> CliffordSystem:
     # relations hold exactly for signed permutations and to 1e-12 for dense generators;
     # inf/NaN entries fail them, and numpy need not warn about them first
     with np.errstate(invalid="ignore", over="ignore"):
-        report = verify_relations(system)
-    for check in report.checks:
+        checks = verify_relations(system)
+    for check in checks:
         if not check.passed:
             raise MalformedSystemError(
                 f"generators fail the {check.name} relation: violation {check.violation:.3g}"

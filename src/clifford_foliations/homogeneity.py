@@ -34,7 +34,6 @@ __all__ = [
     "GroupElement",
     "sample_group_element",
     "diagonal_act",
-    "NormalForm",
     "normal_form",
     "HomogeneityVerdict",
     "classify_homogeneity",
@@ -165,32 +164,15 @@ def diagonal_act(g: GroupElement, x: np.ndarray) -> np.ndarray:
 # Normal form
 # --------------------------------------------------------------------------- #
 
-@dataclass
-class NormalForm:
-    """Fiber representative (u1 e1, v1 e1 + v2 e2) with u1, v2 >= 0, v1 in F.
+def normal_form(x: np.ndarray, field: str) -> np.ndarray:
+    """Normal form [u1, v1, v2] of a unit point of F^k x F^k under the diagonal group.
 
-    Its entries are functions of pi_C alone, so it is constant on fibers and
-    two points have (numerically) equal normal forms exactly when their pi_C
-    values agree.  The forms of n rows hold u1 and v2 as (n,) arrays and v1
-    as (n, dim F).
-    """
-
-    u1: float | np.ndarray
-    v1: np.ndarray
-    v2: float | np.ndarray
-
-    def as_array(self) -> np.ndarray:
-        """(u1, v1, v2) along the last axis: (dim F + 2,), or (n, dim F + 2) for rows."""
-        return np.concatenate([np.expand_dims(self.u1, -1), self.v1,
-                               np.expand_dims(self.v2, -1)], axis=-1)
-
-
-def normal_form(x: np.ndarray, field: str) -> NormalForm:
-    """Normal form of a unit point of F^k x F^k under the diagonal group.
-
-    x of shape (2l,) gives one form with float u1 and v2; rows (n, 2l) give
-    the forms of all rows in one evaluation, row j equal bit for bit to the
-    form of x[j] alone.
+    It is the fiber representative (u1 e1, v1 e1 + v2 e2) with u1, v2 >= 0 and v1
+    in F.  Its entries are functions of pi_C alone, so it is constant on fibers and
+    two points have (numerically) equal normal forms exactly when their pi_C values
+    agree.  x of shape (2l,) gives the array (dim F + 2,); rows (n, 2l) give
+    (n, dim F + 2) in one evaluation, row j equal bit for bit to the form of x[j]
+    alone.
     """
     if field not in FIELD_DIM:
         raise ValueError(f"unknown field {field!r}")
@@ -219,9 +201,8 @@ def normal_form(x: np.ndarray, field: str) -> NormalForm:
     v2[off] = row_norms(resid.reshape(len(resid), l))
     # u = 0: the group is transitive on the v-sphere, so v moves to e1
     v1[~off, 0] = snapped_sqrt((1.0 - r0[~off]) / 2.0)
-    if x.ndim == 1:
-        return NormalForm(float(u1[0]), v1[0], float(v2[0]))
-    return NormalForm(u1, v1, v2)
+    forms = np.concatenate([u1[:, None], v1, v2[:, None]], axis=-1)
+    return forms[0] if x.ndim == 1 else forms
 
 
 # --------------------------------------------------------------------------- #

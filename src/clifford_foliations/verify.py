@@ -140,7 +140,7 @@ def _interior_grid(m: int, count: int = 10, rmax: float = 0.92) -> np.ndarray:
 def _suite_relations(cfg: SuiteConfig):
     system = cfg.system
     gap = float(system.l % delta(system.m))
-    return [*verify_relations(system).checks, CheckResult(
+    return [*verify_relations(system), CheckResult(
         "dimension", "generators act on R^(2 k delta(m))", gap, 0.0)]
 
 
@@ -397,40 +397,34 @@ def _suite_invariants_classification(cfg: SuiteConfig):
     system = cfg.system
     prof = equivalence_profile(system)
     m, k = prof.m, prof.k
-    checks = []
-    if (m, k) != (1, 1):
-        kappa_gap = 0.0
-        zeros = 0.0
-        values = set()
-        for j in range(k + 1):
-            variant = build_system(m, k, j)
-            t = trace_invariant(variant)
-            if m % 4 == 0:
-                kappa_gap = max(kappa_gap, abs(t - abs(k - 2 * j)))
-                values.add(int(round(t)))
-            else:
-                zeros = max(zeros, abs(t))
+    kappa_gap = zeros = 0.0
+    values = set()
+    for j in range(k + 1):
+        variant = build_system(m, k, j)
+        t = trace_invariant(variant)
         if m % 4 == 0:
-            checks.append(CheckResult(
-                "trace_values", "the flip count sets the normalized trace to |k - 2j|",
-                kappa_gap, 1e-12))
-            checks.append(CheckResult(
-                "class_count", "flips realize floor(k/2)+1 distinct classes",
-                float(abs(len(values) - (k // 2 + 1))), 0.0))
+            kappa_gap = max(kappa_gap, abs(t - abs(k - 2 * j)))
+            values.add(int(round(t)))
         else:
-            checks.append(CheckResult(
-                "trace_vanishes", "off the multiples of four the generator product is traceless",
-                zeros, 1e-12))
+            zeros = max(zeros, abs(t))
+    if m % 4 == 0:
+        checks = [
+            CheckResult("trace_values", "the flip count sets the normalized trace to |k - 2j|",
+                        kappa_gap, 1e-12),
+            CheckResult("class_count", "flips realize floor(k/2)+1 distinct classes",
+                        float(abs(len(values) - (k // 2 + 1))), 0.0)]
+    else:
+        checks = [CheckResult(
+            "trace_vanishes", "off the multiples of four the generator product is traceless",
+            zeros, 1e-12)]
     base_t = trace_invariant(system)
     drift = mismatch = 0.0
     rngs = rng_streams(cfg.seed, 200 + np.arange(cfg.knob("conjugations", 10)))
     for a in sign_fixed_q(gaussian_rows(rngs, (system.dim, system.dim))):
         conj = conjugate_system(system, a)
         drift = max(drift, abs(trace_invariant(conj) - base_t))
-        cp = equivalence_profile(conj)
-        mismatch = max(mismatch, float(cp != prof))
-        rel = verify_relations(conj)
-        mismatch = max(mismatch, 0.0 if rel.passed else 1.0)
+        mismatch = max(mismatch, float(equivalence_profile(conj) != prof),
+                       float(not all(c.passed for c in verify_relations(conj))))
     checks.append(CheckResult(
         "conjugation_invariance", "the profile survives orthogonal conjugation", drift, 1e-9))
     checks.append(CheckResult(
@@ -490,8 +484,7 @@ def _suite_normal_forms(cfg: SuiteConfig):
     pairs = max(1, n // 2)
     xs = sample_unit_vectors(rng_streams(cfg.seed, 400 + np.arange(pairs)), system.dim, 1)[:, 0]
     gxs = diagonal_act(sample_group_element(field_tag, k, cfg.seed * 20000 + np.arange(pairs)), xs)
-    orbit = float(np.abs(normal_form(xs, field_tag).as_array()
-                         - normal_form(gxs, field_tag).as_array()).max())
+    orbit = float(np.abs(normal_form(xs, field_tag) - normal_form(gxs, field_tag)).max())
 
     per = max(4, n // 100)
     if system.l > system.m + 1:
@@ -506,13 +499,13 @@ def _suite_normal_forms(cfg: SuiteConfig):
         # sphere quotient: only boundary fibers exist
         p = sample_unit_vectors(rng_from(cfg.seed, 404), system.m + 1, 2)
         batches = list(fiber_sample(system, p, per, cfg.seed + np.array([5, 6])))
-    forms = [normal_form(batch, field_tag).as_array() for batch in batches]
+    forms = [normal_form(batch, field_tag) for batch in batches]
     same_fiber = max(float(np.abs(bn - bn[0]).max()) for bn in forms)
     pis = pi_c(system, np.concatenate(batches))
 
     x = _unit_batch(system, cfg.seed, 402, n)
     pool_pi = np.concatenate([pi_c(system, x), pis])
-    pool_nf = np.concatenate([normal_form(x, field_tag).as_array()] + forms)
+    pool_nf = np.concatenate([normal_form(x, field_tag)] + forms)
     rng = rng_from(cfg.seed, 403)
     i, j = rng.integers(0, len(pool_pi), size=(n, 2)).T
     pi_close = np.abs(pool_pi[i] - pool_pi[j]).max(axis=1) <= 1e-8

@@ -1,9 +1,10 @@
 """Every exported name resolves, and so does every function the traced benchmark wraps;
 only clifford.py reads the generators, built systems act without dense span matrices,
 every angle is one algebra.unit_angle, every row dot and norm one algebra.row_dots, no
-module warns, every built-in spec carries both closed forms or neither, FoliationSpec has
-its six fields, CliffordSystem, CheckResult, VerificationReport and GroupElement only the
-data they cannot derive, only FoliationSpec's construction check and
+module warns or reads the environment, every built-in spec carries both closed forms or
+neither, FoliationSpec has its six fields, CliffordSystem, CheckResult, VerificationReport
+and GroupElement only the data they cannot derive, normal_form and verify_relations return
+only what their callers read, only FoliationSpec's construction check and
 composed._fiber_leaf ask whether a spec carries its leaf metric and closed forms, only
 composed._solve_rows solves linear systems, only algebra tests for integers, every integer
 argument takes numpy integers and refuses bools, floats, strings and values below its
@@ -21,19 +22,19 @@ import numpy as np
 import pytest
 
 import clifford_foliations
-from clifford_foliations import algebra, foliation, homogeneity
+from clifford_foliations import algebra, clifford, foliation, homogeneity
 from clifford_foliations.algebra import (cd_units, rng_from, rng_streams, row_dots, row_norms,
                                          sample_unit_vectors)
 from clifford_foliations.clifford import (CliffordSystem, build_complex_structures,
                                           build_system, delta, sub_system, system_from_dict,
-                                          system_to_dict)
+                                          system_to_dict, verify_relations)
 from clifford_foliations.composed import (BUILTIN_SPEC_NAMES, FoliationSpec, builtin_spec,
                                           composed_quotient_distance,
                                           leaf_to_leaf_ambient_distance, same_leaf)
 from clifford_foliations.foliation import (boundary_fiber_sample, fiber_sample, mplus_sample,
                                            pi_c, random_horizontal_geodesic, reflect_symmetry,
                                            spin_rotate)
-from clifford_foliations.homogeneity import GroupElement, sample_group_element
+from clifford_foliations.homogeneity import GroupElement, normal_form, sample_group_element
 from clifford_foliations.reports import CheckResult, VerificationReport
 from clifford_foliations.verify import SuiteConfig, default_plan
 
@@ -130,6 +131,17 @@ def test_no_module_warns():
     assert importers == []
 
 
+def test_no_module_reads_the_environment():
+    # every setting is an argument: no src module reads os.environ or calls os.getenv, so
+    # the 2l cap, like everything else, is the same in every shell
+    readers = sorted(
+        f"{path.name}:{node.lineno}" for path in PACKAGE_DIR.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text()))
+        if (isinstance(node, ast.Attribute) and node.attr in ("environ", "getenv"))
+        or (isinstance(node, ast.ImportFrom) and node.module == "os"))
+    assert readers == []
+
+
 @pytest.mark.parametrize("name", BUILTIN_SPEC_NAMES)
 def test_builtin_specs_with_leaves_have_nearest_points(name):
     # the estimator samples, restores and closes boundary leaves through nearest_leaf_point,
@@ -162,6 +174,18 @@ def test_value_types_store_only_their_data():
     assert [f.name for f in dataclasses.fields(VerificationReport)] == [
         "suite", "seed", "samples", "checks", "system"]
     assert [f.name for f in dataclasses.fields(GroupElement)] == ["entries"]
+
+
+def test_results_are_what_callers_read():
+    # a normal form is its array [u1, v1, v2] and a relation check its three CheckResults,
+    # with no wrapper type; the 2l cap has no function or setting of its own
+    form = normal_form(np.eye(8)[0], "C")
+    assert type(form) is np.ndarray and form.shape == (4,)
+    checks = verify_relations(build_system(2, 2))
+    assert type(checks) is list and all(type(c) is CheckResult for c in checks)
+    assert [c.name for c in checks] == ["symmetry", "involution", "anticommutation"]
+    assert not hasattr(homogeneity, "NormalForm")
+    assert not {"dimension_cap", "DEFAULT_DIM_CAP"} & set(dir(clifford))
 
 
 SPEC_CONTRACT = {"quotient_distance", "invariant_jacobian", "nearest_leaf_point"}

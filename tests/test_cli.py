@@ -336,6 +336,17 @@ class TestMalformedSystemFiles:
         return {"m": m, "l": 1, "encoding": "signed_perm",
                 "generators": [[[0, 1], [1, 1]]] * (m + 1)}
 
+    @pytest.mark.parametrize("encoding", ["signed_perm", "dense"])
+    def test_one_one_refused(self, tmp_path, capsys, encoding):
+        # the (m, l) = (1, 1) file satisfies every relation, and is refused as
+        # build_system(1, 1) is: no command runs on it, verify --suite all included
+        payload = {"m": 1, "l": 1, "encoding": "signed_perm",
+                   "generators": [[[0, 1], [1, -1]], [[1, 1], [0, 1]]]}
+        if encoding == "dense":
+            payload.update(encoding="dense", generators=[[1, 0, 0, -1], [0, 1, 1, 0]])
+        for command in (("invariant",), ("verify", "--suite", "all", "--samples", 40)):
+            assert "degenerate" in self.assert_rejected(tmp_path, capsys, payload, *command)
+
     def test_large_m_with_provenance(self, tmp_path, capsys):
         # the loader reads delta(10000), which once recursed past Python's limit
         self.assert_rejected(tmp_path, capsys, self.one_column_pair_payload(10000))

@@ -123,23 +123,14 @@ class TestBuildSystem:
             build_system(*args)
 
     def test_dimension_cap(self, monkeypatch):
-        build_system(12, 4)  # 2l = 512 is the default cap
-        with pytest.raises(ValueError):
-            build_system(13, 4)  # 2l = 1024 over the default cap
-        monkeypatch.setenv("CFL_MAX_DIM", "256")
-        with pytest.raises(ValueError):
-            build_system(12, 4)  # the env override also lowers the cap
-        monkeypatch.setenv("CFL_MAX_DIM", "1024")
-        s = build_system(13, 4)  # allowed once the env override raises the cap
-        assert s.dim == 8 * delta(13)
-        with pytest.raises(ValueError):
-            build_system(17, 4)  # 2l = 2048 > 1024
-
-    @pytest.mark.parametrize("raw", ["abc", "0", "-4", "12.5"])
-    def test_dimension_cap_must_be_a_positive_integer(self, monkeypatch, raw):
-        monkeypatch.setenv("CFL_MAX_DIM", raw)
-        with pytest.raises(ValueError, match="CFL_MAX_DIM must be a positive integer"):
-            build_system(2, 2)
+        # 2l <= 512 is fixed: no environment variable moves it, CFL_MAX_DIM included
+        for env in (None, "256", "1024"):
+            if env is not None:
+                monkeypatch.setenv("CFL_MAX_DIM", env)
+            assert build_system(12, 4).dim == 512
+            for m, k in ((12, 5), (13, 4), (10**6, 1)):  # 2l = 640, 1024, and far beyond
+                with pytest.raises(ValueError, match="exceeds the cap 512$"):
+                    build_system(m, k)
 
     def test_rank_and_dimension(self):
         s = build_system(1, 2)
@@ -164,9 +155,9 @@ class TestBuildSystem:
     @pytest.mark.parametrize("m,k", ALL_PAIRS)
     def test_relations_exact_everywhere(self, m, k):
         for flips in {0, min(1, k)}:
-            report = verify_relations(build_system(m, k, flips))
-            assert report.passed
-            assert max(c.violation for c in report.checks) == 0.0
+            checks = verify_relations(build_system(m, k, flips))
+            assert all(c.passed for c in checks)
+            assert max(c.violation for c in checks) == 0.0
 
     def test_m4_generator_product_is_minus_identity(self):
         s = build_system(4, 1)
@@ -179,8 +170,8 @@ class TestBuildSystem:
         signs = signs.copy()
         signs[1] *= -1
         flipped = CliffordSystem((cols, signs))
-        report = verify_relations(flipped)
-        assert report.passed and max(c.violation for c in report.checks) == 0.0
+        checks = verify_relations(flipped)
+        assert all(c.passed for c in checks) and max(c.violation for c in checks) == 0.0
 
 
 def pair_loop_violations(system):
@@ -215,8 +206,8 @@ class TestRelationViolations:
                     cols[i], signs[i] = cols[(i + 1) % (m + 1)], signs[(i + 1) % (m + 1)]
                 exact = CliffordSystem((cols, signs))
                 dense = CliffordSystem(gather_dense(cols, signs).astype(float))
-                got = [c.violation for c in verify_relations(exact).checks]
-                want = [c.violation for c in verify_relations(dense).checks]
+                got = [c.violation for c in verify_relations(exact)]
+                want = [c.violation for c in verify_relations(dense)]
                 assert got == want
                 assert max(got) > 0.0
 
@@ -250,7 +241,7 @@ class TestRelationViolations:
             system = CliffordSystem(gens)
             got = _relation_violations(system)
             assert np.array(got).tobytes() == np.array(pair_loop_violations(system)).tobytes()
-            assert failing in [c.name for c in verify_relations(system).checks if not c.passed]
+            assert failing in [c.name for c in verify_relations(system) if not c.passed]
 
     def test_nan_entry_fails_to_load(self):
         # a NaN entry reads NaN in every relation, and the loader rejects the file
@@ -276,9 +267,9 @@ class TestRelationViolations:
 
     def test_tolerance_follows_representation(self):
         s = build_system(3, 2)
-        assert [c.tol for c in verify_relations(s).checks] == [0.0] * 3
+        assert [c.tol for c in verify_relations(s)] == [0.0] * 3
         dense = conjugate_system(s, haar(22, s.dim))
-        assert [c.tol for c in verify_relations(dense).checks] == [1e-12] * 3
+        assert [c.tol for c in verify_relations(dense)] == [1e-12] * 3
 
 
 def assert_product_bits(system, seed):
@@ -348,7 +339,7 @@ class TestGeneratorPaths:
         # a signed-perm system whose P_0 (the built P_1) is not diagonal
         cols, signs = build_system(3, 2).generators
         swapped = CliffordSystem((cols[[1, 0, 2, 3]], signs[[1, 0, 2, 3]]))
-        assert verify_relations(swapped).passed
+        assert all(c.passed for c in verify_relations(swapped))
         for system in (conj, swapped):
             # P_0 is not diagonal: the bases are eig_split's, and the products act on them
             assert system._p0_split is None
@@ -416,7 +407,7 @@ class TestSpanCopies:
         cols, signs = build_system(11, 2).generators
         d = rng_from(70).choice([-1, 1], cols.shape[-1])
         signed = CliffordSystem((cols, signs * d * d[cols]))
-        assert verify_relations(signed).passed and signed._p0_copies == 1
+        assert all(c.passed for c in verify_relations(signed)) and signed._p0_copies == 1
         assert_block_actions(signed, 70, 1e-14)
 
     @pytest.mark.parametrize("m,k", [(11, 2), (12, 4)])
@@ -472,7 +463,7 @@ class TestP0Layout:
         built = build_system(3, 2)
         swap = np.eye(built.dim)[rng_from(61).permutation(built.dim)]
         permuted = permuted_system(built, swap.argmax(axis=1))
-        assert verify_relations(permuted).passed
+        assert all(c.passed for c in verify_relations(permuted))
         assert np.array_equal(gather_dense(*permuted.generators),
                               swap @ gather_dense(*built.generators) @ swap.T)
         cases = [(built, ("run", "run")), (build_system(4, 3, 3), ("run", "run")),
@@ -722,8 +713,9 @@ class TestConjugation:
         for i in range(5):
             a = haar(50 + i, s.dim)
             c = conjugate_system(s, a)
-            rep = verify_relations(c)
-            assert rep.passed and max(check.violation for check in rep.checks) <= 1e-12
+            checks = verify_relations(c)
+            assert all(check.passed for check in checks)
+            assert max(check.violation for check in checks) <= 1e-12
             assert abs(trace_invariant(c) - base) <= 1e-9
             assert equivalence_profile(c) == equivalence_profile(s)
 
@@ -774,12 +766,12 @@ class TestSubSystem:
     def test_restriction_gives_disconnected_case(self):
         s = sub_system(build_system(2, 1), [0, 1])
         assert (s.m, s.l) == (1, 2)  # l = m + 1
-        assert max(c.violation for c in verify_relations(s).checks) == 0.0
+        assert max(c.violation for c in verify_relations(s)) == 0.0
 
     def test_drop_one_from_rank_nine(self):
         s = sub_system(build_system(8, 1), range(8))
         assert s.m == 7
-        assert max(c.violation for c in verify_relations(s).checks) == 0.0
+        assert max(c.violation for c in verify_relations(s)) == 0.0
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
@@ -948,6 +940,19 @@ class TestSerialization:
             d.update(m=0, generators=d["generators"][:1])  # P_0 alone, written by hand
         with pytest.raises(MalformedSystemError, match=message):
             system_from_dict(d)
+
+    def test_one_one_refused_as_build_system_refuses_it(self):
+        # a hand-written (m, l) = (1, 1) file passes every relation; since delta(1) = 1, l = k
+        # and the loader refuses it in either encoding, with build_system(1, 1)'s reason
+        with pytest.raises(ValueError) as built:
+            build_system(1, 1)
+        signed = {"m": 1, "l": 1, "encoding": "signed_perm",
+                  "generators": [[[0, 1], [1, -1]], [[1, 1], [0, 1]]]}
+        dense = {**signed, "encoding": "dense", "generators": [[1, 0, 0, -1], [0, 1, 1, 0]]}
+        for payload in (signed, dense):
+            with pytest.raises(MalformedSystemError) as loaded:
+                system_from_dict(payload)
+            assert str(loaded.value) == str(built.value)
 
     @pytest.mark.parametrize("prov", [False, 0, 0.0, "", [], {}, None, {"k": 1, "flips": 0},
                                       {"k": 2, "flips": 1}, {"k": 2.7, "flips": True}],

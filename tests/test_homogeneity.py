@@ -115,16 +115,16 @@ class TestNormalForm:
         x = np.zeros(4)
         x[0] = 1.0
         nf = normal_form(x, "R")
-        assert (nf.u1, nf.v2) == (1.0, 0.0)
-        np.testing.assert_array_equal(nf.v1, [0.0])
+        assert (nf[..., 0], nf[..., -1]) == (1.0, 0.0)
+        np.testing.assert_array_equal(nf[..., 1:-1], [0.0])
 
     def test_complex_worked_example(self):
         # u = (0, 1)/sqrt2, v = (i, 0)/sqrt2: frozen (1/sqrt2, 0, 1/sqrt2)
         x = np.array([0, 0, 1, 0, 0, 1, 0, 0], dtype=float) / np.sqrt(2)
         nf = normal_form(x, "C")
-        assert nf.u1 == pytest.approx(1 / np.sqrt(2), abs=1e-12)
-        np.testing.assert_allclose(nf.v1, [0.0, 0.0], atol=1e-12)
-        assert nf.v2 == pytest.approx(1 / np.sqrt(2), abs=1e-12)
+        assert nf[..., 0] == pytest.approx(1 / np.sqrt(2), abs=1e-12)
+        np.testing.assert_allclose(nf[..., 1:-1], [0.0, 0.0], atol=1e-12)
+        assert nf[..., -1] == pytest.approx(1 / np.sqrt(2), abs=1e-12)
 
     def test_unit_decomposition_invariant(self):
         rng = rng_from(13)
@@ -132,7 +132,7 @@ class TestNormalForm:
             dim = 2 * k * FIELD_DIM[field]
             for x in sample_unit_vectors(rng, dim, 30):
                 nf = normal_form(x, field)
-                total = nf.u1 ** 2 + float(nf.v1 @ nf.v1) + nf.v2 ** 2
+                total = nf[..., 0] ** 2 + float(nf[..., 1:-1] @ nf[..., 1:-1]) + nf[..., -1] ** 2
                 assert abs(total - 1.0) <= 1e-12
 
     def test_zero_u_branch(self):
@@ -140,9 +140,9 @@ class TestNormalForm:
         x = np.zeros(8)
         x[5] = 1.0  # a v-component of C^2 x C^2
         nf = normal_form(x, "C")
-        assert nf.u1 == 0.0
-        np.testing.assert_allclose(nf.v1, [1.0, 0.0], atol=1e-12)
-        assert nf.v2 == 0.0
+        assert nf[..., 0] == 0.0
+        np.testing.assert_allclose(nf[..., 1:-1], [1.0, 0.0], atol=1e-12)
+        assert nf[..., -1] == 0.0
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_rejects_non_finite(self, bad):
@@ -158,11 +158,11 @@ class TestNormalForm:
         rng = rng_from(14)
         v = sample_unit_vectors(rng, m + 1, 1)[0] * 0.6
         fiber = fiber_sample(system, v, 40, 15)
-        nfs = np.stack([normal_form(z, field).as_array() for z in fiber])
+        nfs = np.stack([normal_form(z, field) for z in fiber])
         assert np.abs(nfs - nfs[0]).max() <= 1e-9
         g = sample_group_element(field, k, 16)
         moved = diagonal_act(g, fiber)
-        nfs2 = np.stack([normal_form(z, field).as_array() for z in moved])
+        nfs2 = np.stack([normal_form(z, field) for z in moved])
         assert np.abs(nfs2 - nfs).max() <= 1e-9
 
     @pytest.mark.parametrize("m,k", [(2, 1), (2, 2), (4, 1)])
@@ -181,8 +181,8 @@ class TestNormalForm:
                 x[:l] *= u_norm / np.linalg.norm(x[:l])
                 x[l:] *= np.sqrt(1.0 - u_norm ** 2) / np.linalg.norm(x[l:])
             moved = diagonal_act(sample_group_element(field, k, seed), x)
-            worst = max(worst, float(np.abs(normal_form(x, field).as_array()
-                                            - normal_form(moved, field).as_array()).max()))
+            worst = max(worst, float(np.abs(normal_form(x, field)
+                                            - normal_form(moved, field)).max()))
         assert worst <= 1e-9
 
     def test_form_determines_fiber(self):
@@ -190,7 +190,7 @@ class TestNormalForm:
         rng = rng_from(17)
         x = sample_unit_vectors(rng, system.dim, 120)
         pis = pi_c(system, x)
-        nfs = np.stack([normal_form(z, "C").as_array() for z in x])
+        nfs = np.stack([normal_form(z, "C") for z in x])
         for i in range(0, 120, 3):
             for j in range(0, 120, 3):
                 pi_close = np.abs(pis[i] - pis[j]).max() <= 1e-8
@@ -220,13 +220,12 @@ class TestNormalForm:
         x[3] /= np.linalg.norm(x[3])
         p = sample_unit_vectors(rng_from(20, m, k), m + 1, 1)[0]
         x = np.concatenate([x, boundary_fiber_sample(system, p, 8, 21)])
-        forms = normal_form(x, field)
-        assert forms.u1.shape == forms.v2.shape == (len(x),)
-        rows = forms.as_array()
+        rows = normal_form(x, field)
+        assert rows[..., 0].shape == rows[..., -1].shape == (len(x),)
         assert rows.shape == (len(x), FIELD_DIM[field] + 2)
-        assert forms.u1[3] == 0.0
+        assert rows[3, 0] == 0.0
         for row, z in zip(rows, x):
-            assert row.tobytes() == normal_form(z, field).as_array().tobytes()
+            assert row.tobytes() == normal_form(z, field).tobytes()
         with pytest.raises(ValueError):
             normal_form(np.concatenate([x[:2], np.ones((1, system.dim))]), field)
 
