@@ -1,7 +1,7 @@
 """Command-line surface: build systems, persist them, run suites, sample leaves.
 
-Exit codes: 0 on success (and suite pass), 1 when a verification suite fails,
-2 on usage errors, invalid parameters, or suite/system incompatibility.
+Exit codes: 0 on success (every suite of a plan passed), 1 when a suite of the plan
+fails or raises, 2 on usage errors, invalid parameters, or suite/system incompatibility.
 All commands take an explicit --seed; there are no hidden entropy sources.
 """
 
@@ -36,7 +36,6 @@ from .verify import (
     compatible_suites,
     default_plan,
     run_matrix,
-    run_suite,
 )
 
 
@@ -74,30 +73,30 @@ def _cmd_construct(args) -> int:
     return 0
 
 
+def _run_plan(plan, out) -> int:
+    """Run a plan, write its report to out if given and print its summary; 0 iff all pass."""
+    reports, summary = run_matrix(plan)
+    if out:
+        _atomic_write(out, _dump_json({"reports": [r.to_json_dict() for r in reports],
+                                       "summary": summary}))
+    print(f"{summary['passed']}/{summary['total']} suites passed, "
+          f"{len(summary['errors'])} errors")
+    for failure in summary["failed"]:
+        for check in failure["checks"]:
+            print(f"  FAILED {failure['suite']}/{check['name']} on {failure['system']}: "
+                  f"violation {check['violation']:.3e} (tol {check['tol']:.1e})")
+    for err in summary["errors"]:
+        print(f"  ERROR {err['suite']}: {err['error']}")
+    return 0 if summary["passed"] == summary["total"] else 1
+
+
 def _cmd_verify(args) -> int:
     system = _load_system(args.system)
+    # "all" skips inapplicable suites; a named one that does not apply raises
+    suites = compatible_suites(system) if args.suite == "all" else [args.suite]
     budget = {"pairs": args.pairs, "leaf_budget": args.leaf_budget}
-    if args.suite == "all":
-        # "all" skips inapplicable suites rather than failing on them
-        plan = [SuiteConfig(suite, system, seed=args.seed, samples=args.samples,
-                            budget=dict(budget)) for suite in compatible_suites(system)]
-        reports, summary = run_matrix(plan)
-        payload = {"reports": [r.to_json_dict() for r in reports], "summary": summary}
-        passed = all(r.passed for r in reports) and not summary["errors"]
-    else:
-        report = run_suite(SuiteConfig(args.suite, system, seed=args.seed,
-                                       samples=args.samples, budget=budget))
-        payload = report.to_json_dict()
-        passed = report.passed
-        for check in report.checks:
-            mark = "pass" if check.passed else "FAIL"
-            print(f"[{mark}] {args.suite}/{check.name}: violation {check.violation:.3e}"
-                  f" (tol {check.tol:.1e})")
-    if args.report:
-        _atomic_write(args.report, _dump_json(payload))
-        print(f"report written to {args.report}")
-    print("PASS" if passed else "FAIL")
-    return 0 if passed else 1
+    return _run_plan([SuiteConfig(suite, system, seed=args.seed, samples=args.samples,
+                                  budget=dict(budget)) for suite in suites], args.report)
 
 
 def _cmd_invariant(args) -> int:
@@ -184,18 +183,7 @@ def _cmd_report(args) -> int:
     plan = default_plan(max_dim=args.max_dim, seed=args.seed, samples=args.samples)
     if not plan:
         raise ValueError(f"--max-dim {args.max_dim} admits no system of the plan")
-    reports, summary = run_matrix(plan)
-    payload = {"reports": [r.to_json_dict() for r in reports], "summary": summary}
-    if args.out:
-        _atomic_write(args.out, _dump_json(payload))
-    print(f"{summary['passed']}/{summary['total']} suites passed, "
-          f"{len(summary['errors'])} errors")
-    for failure in summary["failed"]:
-        print(f"  FAILED {failure['suite']} on {failure['system']}")
-    for err in summary["errors"]:
-        print(f"  ERROR {err['suite']}: {err['error']}")
-    ok = summary["passed"] == summary["total"] and not summary["errors"]
-    return 0 if ok else 1
+    return _run_plan(plan, args.out)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -288,23 +288,22 @@ def pi_jacobian_rows(system: CliffordSystem, x: np.ndarray) -> np.ndarray:
     return _pi_rows(system, x, _quadratic_values(system, x))
 
 
-def fkm_f0(system: CliffordSystem, x: np.ndarray):
-    """The quartic isoparametric form on the sphere, computed two ways.
+def fkm_f0(system: CliffordSystem, x: np.ndarray) -> np.ndarray:
+    """The quartic isoparametric form <x,x>^2 - 2 sum <P_i x, x>^2 on the unit sphere.
 
-    Returns (direct, factored) where direct = <x,x>^2 - 2 sum <P_i x, x>^2 and
-    factored = 1 - 2 |pi_C(x)|^2; on the unit sphere the two agree to roundoff.
-    direct takes each <P_i x, x> as the row dot of x with its full-width
-    :meth:`~CliffordSystem.generator_images`, in :func:`_blocks` slices, and
-    factored takes :func:`pi_c`'s E_+-(P_0) kernel, so they share no arithmetic.
+    x is checked as :func:`pi_c` checks it: points of width 2l, each a unit vector.
+    Each <P_i x, x> is the row dot of x with its full-width
+    :meth:`~CliffordSystem.generator_images`, in :func:`_blocks` slices, so the form
+    shares no arithmetic with pi_c's E_+-(P_0) kernel and 1 - 2 |pi_C(x)|^2, its
+    factorization through the quotient map, is an independent second evaluation.
     """
-    v = pi_c(system, x)
     x = np.asarray(x, dtype=float)
+    _check_width(system, x)
+    x = check_unit(x)
     q = _in_blocks(system, x, lambda y: row_dots(system.generator_images(y), y[:, None, :]),
                    (system.m + 1) * system.dim)
     sq = row_dots(x, x)
-    direct = sq * sq - 2.0 * row_dots(q, q)
-    factored = 1.0 - 2.0 * row_dots(v, v)
-    return direct, factored
+    return sq * sq - 2.0 * row_dots(q, q)
 
 
 # --------------------------------------------------------------------------- #

@@ -30,7 +30,6 @@ from .algebra import (
 )
 from .clifford import (
     CliffordSystem,
-    MalformedSystemError,
     build_system,
     conjugate_system,
     delta,
@@ -94,7 +93,9 @@ class SuiteConfig:
     every knob are integers (anything else, a bool too, raises TypeError),
     ``samples`` at least 1.  The seed satisfies 0 <= seed < 2^48, so every
     seed a suite derives from it (at most seed * 20000 + i) fits in int64.
-    Tolerances are pinned in the suites.
+    Then an unknown suite raises ValueError, and a suite the system does not meet
+    IncompatibleSuiteError with the requirement's reason, so a config that exists
+    applies.  Treat instances as immutable (``dataclasses.replace`` checks again).
     """
 
     suite: str
@@ -111,6 +112,11 @@ class SuiteConfig:
             if name not in _BUDGET_KNOBS:
                 raise ValueError(f"unknown budget knob {name!r}; choose from {_BUDGET_KNOBS}")
             _count(value, name, 1)
+        if self.suite not in _SUITES:
+            raise ValueError(f"unknown suite {self.suite!r}; choose from {SUITE_IDS}")
+        reason = _SUITES[self.suite].requires(self.system)
+        if reason is not None:
+            raise IncompatibleSuiteError(f"suite {self.suite!r}: {reason}")
 
     def knob(self, name: str, default: int) -> int:
         return int(self.budget.get(name, default))
@@ -370,26 +376,26 @@ def _suite_symmetry(cfg: SuiteConfig):
 def _suite_fkm_consistency(cfg: SuiteConfig):
     system = cfg.system
     x = _unit_batch(system, cfg.seed, 0, cfg.samples)
-    direct, factored = fkm_f0(system, x)
+    v = pi_c(system, x)
     checks = [CheckResult(
         "two_evaluations", "the quartic form equals its factorization through the quotient map",
-        float(np.abs(direct - factored).max()), 1e-12)]
+        float(np.abs(fkm_f0(system, x) - (1.0 - 2.0 * row_dots(v, v))).max()), 1e-12)]
     p = sample_unit_vectors(rng_from(cfg.seed, 1), system.m + 1, 1)[0]
     xb = fiber_sample(system, p, 64, cfg.seed + 2)
     checks.append(CheckResult(
         "boundary_value", "the form equals -1 on boundary fibers",
-        float(np.abs(fkm_f0(system, xb)[0] + 1.0).max()), 1e-10))
+        float(np.abs(fkm_f0(system, xb) + 1.0).max()), 1e-10))
     if system.l >= system.m + 1:
         xm = fiber_sample(system, np.zeros(system.m + 1), 64, cfg.seed + 3)
         checks.append(CheckResult(
             "focal_value", "the form equals +1 on the focal manifold",
-            float(np.abs(fkm_f0(system, xm)[0] - 1.0).max()), 1e-10))
+            float(np.abs(fkm_f0(system, xm) - 1.0).max()), 1e-10))
     if system.l > system.m + 1:
         v = 0.5 * p
         xr = fiber_sample(system, v, 64, cfg.seed + 4)
         checks.append(CheckResult(
             "half_radius_value", "the form equals 1/2 on fibers at radius 1/2",
-            float(np.abs(fkm_f0(system, xr)[0] - 0.5).max()), 1e-10))
+            float(np.abs(fkm_f0(system, xr) - 0.5).max()), 1e-10))
     return checks
 
 
@@ -539,7 +545,7 @@ def _suite_composed_identities(cfg: SuiteConfig):
     wrong = int(np.sum(~same_leaf(system, pts, a0, a1)) + np.sum(~same_leaf(system, pts, a0, -a0))
                 + np.sum(same_leaf(system, pts, a0, b)) + np.sum(~same_leaf(system, one, a0, b))
                 + np.sum(same_leaf(system, one, a0[has_c], c)))
-    radius_law = float(np.max(np.abs(fkm_f0(system, a0)[0] - fkm_f0(system, b)[0])))
+    radius_law = float(np.max(np.abs(fkm_f0(system, a0) - fkm_f0(system, b))))
     xm = fiber_sample(system, np.zeros(m + 1), 4, cfg.seed + 7)
     cls = composed_class(system, pts, xm[0])
     origin_ok = cls.tail is None and cls.radius <= 1e-10
@@ -711,49 +717,44 @@ def compatible_suites(system: CliffordSystem) -> list:
     return [suite for suite, sdef in _SUITES.items() if sdef.requires(system) is None]
 
 
-def run_suite(config: SuiteConfig) -> VerificationReport:
-    """Run one suite; raises IncompatibleSuiteError when it does not apply."""
-    if config.suite not in _SUITES:
-        raise ValueError(f"unknown suite {config.suite!r}; choose from {SUITE_IDS}")
-    suite = _SUITES[config.suite]
-    reason = suite.requires(config.system)
-    if reason is not None:
-        raise IncompatibleSuiteError(f"suite {config.suite!r}: {reason}")
-    checks = suite.runner(config)
+def _profile(system: CliffordSystem) -> Optional[dict]:
+    """equivalence_profile as JSON, or None where it raises (where delta(m) does not divide l)."""
     try:
-        profile = equivalence_profile(config.system).to_json_dict()
-    except MalformedSystemError:
-        profile = None
-    return VerificationReport(config.suite, config.seed, config.samples, checks, profile)
+        return equivalence_profile(system).to_json_dict()
+    except (ArithmeticError, ValueError):
+        return None
+
+
+def run_suite(config: SuiteConfig) -> VerificationReport:
+    """Run one suite; its config was checked to apply when it was built."""
+    checks = _SUITES[config.suite].runner(config)
+    return VerificationReport(config.suite, config.seed, config.samples, checks,
+                              _profile(config.system))
 
 
 def run_matrix(plan):
-    """Run a list of SuiteConfigs, isolating failures and incompatibilities.
+    """Run a list of SuiteConfigs; returns (reports, summary), ``total`` the plan's length.
 
-    Returns (reports, summary); errors never abort sibling configs.
+    A failing report's failing checks go to ``failed``; a suite that raises goes to
+    ``errors``, and the configs after it still run.
     """
     reports = []
-    summary = {"total": 0, "passed": 0, "failed": [], "errors": []}
+    summary = {"total": len(plan), "passed": 0, "failed": [], "errors": []}
     for config in plan:
-        label = {"suite": config.suite, "seed": config.seed}
-        try:
-            label["system"] = equivalence_profile(config.system).to_json_dict()
-        except Exception:
-            label["system"] = None
-        summary["total"] += 1
         try:
             report = run_suite(config)
         except Exception as exc:
-            summary["errors"].append({**label, "error": f"{type(exc).__name__}: {exc}"})
+            summary["errors"].append({"suite": config.suite, "seed": config.seed,
+                                      "system": _profile(config.system),
+                                      "error": f"{type(exc).__name__}: {exc}"})
             continue
         reports.append(report)
-        if report.passed:
-            summary["passed"] += 1
+        failing = [c.to_json_dict() for c in report.checks if not c.passed]
+        if failing:
+            summary["failed"].append({"suite": report.suite, "seed": report.seed,
+                                      "system": report.system, "checks": failing})
         else:
-            summary["failed"].append({
-                **label,
-                "checks": [c.to_json_dict() for c in report.checks if not c.passed],
-            })
+            summary["passed"] += 1
     return reports, summary
 
 

@@ -327,8 +327,8 @@ HEIGHT = builtin_spec("height", 2)
 INTEGER_ARGUMENTS = {
     "SuiteConfig.seed": ("seed", lambda v: SuiteConfig("disk_image", S22, seed=v), 3, -1),
     "SuiteConfig.samples": ("samples", lambda v: SuiteConfig("disk_image", S22, samples=v), 8, 0),
-    "SuiteConfig.budget": ("pairs", lambda v: SuiteConfig("diameter", S22, budget={"pairs": v}),
-                           2, 0),
+    "SuiteConfig.budget": ("pairs", lambda v: SuiteConfig("transnormality", S22,
+                                                          budget={"pairs": v}), 2, 0),
     "estimator.budget": ("budget", lambda v: leaf_to_leaf_ambient_distance(
         S22, HEIGHT, PAIR[0], PAIR[1], v, 19, starts=1), 40, 0),
     "estimator.starts": ("starts", lambda v: leaf_to_leaf_ambient_distance(

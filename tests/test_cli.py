@@ -24,6 +24,7 @@ from clifford_foliations.clifford import (
     system_to_dict,
 )
 from clifford_foliations.composed import BUILTIN_SPEC_NAMES
+from clifford_foliations.reports import CheckResult
 from kernel_family import AVX2, AVX512, pinned
 
 GOLDEN = pathlib.Path(__file__).parent / "golden" / "system_m2_k1.json"
@@ -65,7 +66,7 @@ class TestVerify:
         code = run("verify", "--system", system, "--suite", "relations",
                    "--seed", 9, "--samples", 50, "--report", report)
         assert code == 0
-        payload = json.loads(report.read_text())
+        payload = json.loads(report.read_text())["reports"][0]
         assert payload["pass"] is True
         assert payload["suite"] == "relations"
         assert {"name", "claim", "violation", "tol", "pass"} == set(payload["checks"][0])
@@ -147,7 +148,8 @@ class TestVerify:
                             lambda g, x: np.roll(x, x.shape[-1] // 2, axis=-1))
         assert run("verify", "--system", system, "--suite", "normal_forms",
                    "--samples", 1, "--report", report) == 1
-        checks = {c["name"]: c["pass"] for c in json.loads(report.read_text())["checks"]}
+        checks = {c["name"]: c["pass"]
+                  for c in json.loads(report.read_text())["reports"][0]["checks"]}
         assert checks["orbit_constancy"] is False
 
     def test_missing_file_exit_two(self, tmp_path):
@@ -532,6 +534,63 @@ class TestReportCommand:
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err.startswith("error:")
         assert "--max-dim 3" in captured.err and not out.exists()
+
+
+class TestFailingPlans:
+    """What a plan with a failing and a raising suite prints, writes and exits with."""
+
+    @pytest.fixture
+    def registry(self, monkeypatch):
+        # relations as it is, a suite whose second check fails by m/4, and one that raises
+        def drift(cfg):
+            return [CheckResult("steady", "a check that passes", 0.0, 0.0),
+                    CheckResult("drift", "a check that fails", cfg.system.m / 4, 1e-3)]
+
+        def broken(cfg):
+            raise RuntimeError(f"no luck at l = {cfg.system.l}")
+
+        monkeypatch.setattr(verify, "_SUITES", {
+            "relations": verify._SUITES["relations"],
+            "drift": verify._SuiteDef(drift, lambda s: None),
+            "broken": verify._SuiteDef(broken, lambda s: None)})
+
+    @staticmethod
+    def summary_of(path):
+        summary = json.loads(path.read_text())["summary"]
+        return ([(f["suite"], f["system"], [c["name"] for c in f["checks"]])
+                 for f in summary["failed"]],
+                [(e["suite"], e["system"], e["error"]) for e in summary["errors"]])
+
+    def test_verify_all(self, registry, tmp_path, capsys):
+        system, report = tmp_path / "s.json", tmp_path / "r.json"
+        run("construct", "--m", 2, "--k", 2, "--out", system)
+        capsys.readouterr()
+        assert run("verify", "--system", system, "--suite", "all", "--report", report) == 1
+        assert capsys.readouterr().out.splitlines() == [
+            "1/3 suites passed, 1 errors",
+            "  FAILED drift/drift on {'m': 2, 'k': 2, 'kappa': None}: "
+            "violation 5.000e-01 (tol 1.0e-03)",
+            "  ERROR broken: RuntimeError: no luck at l = 4"]
+        s22 = {"m": 2, "k": 2, "kappa": None}
+        assert self.summary_of(report) == ([("drift", s22, ["drift"])],
+                                           [("broken", s22, "RuntimeError: no luck at l = 4")])
+
+    def test_report(self, registry, tmp_path, capsys):
+        out = tmp_path / "summary.json"
+        assert run("report", "--max-dim", 8, "--out", out) == 1
+        # the systems with 2l <= 8: (m, k, kappa) and l
+        systems = [((1, 2, None), 2), ((1, 3, None), 3), ((1, 4, None), 4), ((2, 1, None), 2),
+                   ((2, 2, None), 4), ((3, 1, None), 4), ((4, 1, 1), 4)]
+        profiles = [dict(zip(("m", "k", "kappa"), p)) for p, _ in systems]
+        assert capsys.readouterr().out.splitlines() == (
+            ["7/21 suites passed, 7 errors"]
+            + [f"  FAILED drift/drift on {p}: violation {p['m'] / 4:.3e} (tol 1.0e-03)"
+               for p in profiles]
+            + [f"  ERROR broken: RuntimeError: no luck at l = {l}" for _, l in systems])
+        assert self.summary_of(out) == (
+            [("drift", p, ["drift"]) for p in profiles],
+            [("broken", p, f"RuntimeError: no luck at l = {l}")
+             for p, (_, l) in zip(profiles, systems)])
 
 
 # ---------------------------------------------------------------------------

@@ -64,21 +64,21 @@ class TestRegistry:
 
     def test_unknown_suite(self, s22):
         with pytest.raises(ValueError):
-            run_suite(SuiteConfig("bogus", s22))
+            SuiteConfig("bogus", s22)
 
     def test_incompatibilities(self, s22):
         with pytest.raises(IncompatibleSuiteError):
-            run_suite(SuiteConfig("sphere_quotient", s22))
+            SuiteConfig("sphere_quotient", s22)
         with pytest.raises(IncompatibleSuiteError):
-            run_suite(SuiteConfig("factorization_m_plus_1", s22))
+            SuiteConfig("factorization_m_plus_1", s22)
         with pytest.raises(IncompatibleSuiteError):
-            run_suite(SuiteConfig("diameter", s22))
+            SuiteConfig("diameter", s22)
         s41 = build_system(4, 1)
         with pytest.raises(IncompatibleSuiteError):
-            run_suite(SuiteConfig("focal_and_fibers", s41))
+            SuiteConfig("focal_and_fibers", s41)
         s431 = build_system(4, 3, 1)
         with pytest.raises(IncompatibleSuiteError):
-            run_suite(SuiteConfig("homogeneous_orbits", s431))
+            SuiteConfig("homogeneous_orbits", s431)
 
 
 ORBIT_SUITES = ("homogeneous_orbits", "normal_forms")
@@ -109,12 +109,12 @@ class TestOrbitGating:
             assert not set(ORBIT_SUITES) & set(compatible_suites(system))
             for suite in ORBIT_SUITES:
                 with pytest.raises(IncompatibleSuiteError, match="unflipped"):
-                    run_suite(SuiteConfig(suite, system))
+                    SuiteConfig(suite, system)
         assert set(ORBIT_SUITES) <= set(compatible_suites(built))
 
     def test_layout_built_once_per_system(self, monkeypatch):
-        # the predicate is cached: compatible_suites and run_suite build the construction
-        # once between them
+        # the predicate is cached: compatible_suites, SuiteConfig's check and run_suite build
+        # the construction once between them
         system = build_system(4, 1)
         calls = []
         construction = clifford._construction
@@ -363,8 +363,7 @@ class TestCheckSensitivity:
         exact = verify.fkm_f0
 
         def off(system, x):
-            direct, factored = exact(system, x)
-            return direct + np.where(np.asarray(x)[..., 0] < 0, -1e-6, 1e-6), factored
+            return exact(system, x) + np.where(np.asarray(x)[..., 0] < 0, -1e-6, 1e-6)
 
         names = {"fkm_consistency": ["boundary_value", "focal_value", "half_radius_value"],
                  "composed_identities": ["equal_radius_law"]}
@@ -447,23 +446,63 @@ class TestConfigValidation:
         assert run_suite(config).passed
 
 
+def _broken(cfg):
+    raise RuntimeError("no luck")
+
+
+# a suite that applies to every system and raises
+BROKEN = verify._SuiteDef(_broken, lambda s: None)
+
+
 class TestRunMatrix:
     def test_empty_plan(self):
         reports, summary = run_matrix([])
         assert reports == [] and summary["total"] == 0
         assert summary["failed"] == [] and summary["errors"] == []
 
-    def test_incompatible_entry_is_isolated(self, s22):
+    def test_incompatible_config_refused_and_raising_suite_isolated(self, s22, monkeypatch):
+        # a config that exists applies: building or replacing one for a suite the system
+        # does not meet raises, so the only errors run_matrix isolates are suites that raise
+        with pytest.raises(IncompatibleSuiteError, match="sphere quotient"):
+            SuiteConfig("sphere_quotient", s22, seed=1, samples=10)
+        with pytest.raises(IncompatibleSuiteError, match="disk quotient"):
+            dataclasses.replace(SuiteConfig("focal_and_fibers", s22), system=build_system(4, 1))
+
+        monkeypatch.setitem(verify._SUITES, "geodesics", BROKEN)
         plan = [
             SuiteConfig("relations", s22, seed=1, samples=10),
-            SuiteConfig("sphere_quotient", s22, seed=1, samples=10),
+            SuiteConfig("geodesics", s22, seed=1, samples=10),
             SuiteConfig("disk_image", s22, seed=1, samples=50),
         ]
         reports, summary = run_matrix(plan)
-        assert len(reports) == 2 and all(r.passed for r in reports)
-        assert summary["total"] == 3 and summary["passed"] == 2
-        assert len(summary["errors"]) == 1
-        assert "sphere_quotient" == summary["errors"][0]["suite"]
+        assert [r.suite for r in reports] == ["relations", "disk_image"]
+        assert all(r.passed for r in reports)
+        assert summary["total"] == 3 and summary["passed"] == 2 and summary["failed"] == []
+        assert summary["errors"] == [{"suite": "geodesics", "seed": 1,
+                                      "system": {"m": 2, "k": 2, "kappa": None},
+                                      "error": "RuntimeError: no luck"}]
+
+    def test_unreadable_profile_is_none(self, monkeypatch):
+        # m = 4 and l = 2: every generator is the identity, and l is no multiple of
+        # delta(4) = 4, so the relations fail and no profile can be read, in a report, a
+        # failed entry or an error entry alike
+        bad = clifford.CliffordSystem((np.tile(np.arange(4), (5, 1)),
+                                       np.ones((5, 4), dtype=np.int64)))
+        assert (bad.m, bad.l) == (4, 2)
+        report = run_suite(SuiteConfig("relations", bad))
+        failing = {c.name: c.violation for c in report.checks if not c.passed}
+        assert failing == {"anticommutation": 2.0, "dimension": 2.0}
+        assert report.system is None and not report.passed
+
+        monkeypatch.setitem(verify._SUITES, "geodesics", BROKEN)
+        reports, summary = run_matrix([SuiteConfig("relations", bad),
+                                       SuiteConfig("geodesics", bad)])
+        assert [r.to_json_dict() for r in reports] == [report.to_json_dict()]
+        assert summary["total"] == 2 and summary["passed"] == 0
+        [failed], [error] = summary["failed"], summary["errors"]
+        assert failed["system"] is None and error["system"] is None
+        assert [c["name"] for c in failed["checks"]] == ["anticommutation", "dimension"]
+        assert error["error"] == "RuntimeError: no luck"
 
     def test_default_plan_full_width_passes(self):
         # every compatible suite on build_system(m, k), k <= 4, up to dimension 64
