@@ -129,6 +129,13 @@ class EquivalenceProfile:
     k: int
     kappa: Optional[int] = None
 
+    def __post_init__(self):
+        """Refuse a profile no system has: m or k below 1, (m, k) = (1, 1), a kappa where 4
+        does not divide m, none where it does, or one off {k, k-2, ..., k mod 2}."""
+        kappas = range(self.k % 2, self.k + 1, 2) if self.m % 4 == 0 else (None,)
+        if self.m < 1 or self.k < 1 or (self.m, self.k) == (1, 1) or self.kappa not in kappas:
+            raise ValueError(f"no system has the profile {self}")
+
     def to_json_dict(self) -> dict:
         return {"m": self.m, "k": self.k, "kappa": self.kappa}
 

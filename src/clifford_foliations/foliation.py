@@ -16,8 +16,6 @@ radius-1/2 hemisphere lift, and the reflection / spin symmetries.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .algebra import (_blocks, _count, check_unit, eig_split, gaussian_rows, redraw_short_rows,
@@ -33,7 +31,6 @@ __all__ = [
     "fiber_sample",
     "pi_jacobian_rows",
     "fkm_f0",
-    "HorizontalGeodesic",
     "random_horizontal_geodesic",
     "geodesic_eval",
     "project_geodesic_params",
@@ -310,23 +307,13 @@ def fkm_f0(system: CliffordSystem, x: np.ndarray) -> np.ndarray:
 # Horizontal geodesics
 # --------------------------------------------------------------------------- #
 
-@dataclass
-class HorizontalGeodesic:
-    """Great circle cos(t) x_minus + sin(t) x_plus with x_+- in E_+-(P); k of them as rows."""
+def random_horizontal_geodesic(system: CliffordSystem, seeds) -> tuple:
+    """(p, x_plus, x_minus): a uniform unit span element P and uniform unit x_+- in E_+-(P).
 
-    p_coords: np.ndarray
-    x_plus: np.ndarray
-    x_minus: np.ndarray
-
-
-def random_horizontal_geodesic(system: CliffordSystem, seeds) -> HorizontalGeodesic:
-    """Geodesic over a uniform unit span element P with uniform x_+- in E_+-(P).
-
-    E_-(P) is E_+(-P), so both endpoints are boundary-fiber samples over +-P,
-    drawn with seeds from the geodesic's own generator.  An int seed gives
-    one geodesic; a (k,) seed array gives one geodesic of k rows, row j
-    equal bit for bit to the geodesic of seeds[j], with all 2k endpoints
-    drawn in one sampler call.
+    E_-(P) is E_+(-P), so both endpoints are boundary-fiber samples over +-P, drawn with
+    seeds from the geodesic's own generator.  An int seed gives one geodesic; a (k,) seed
+    array gives k geodesics as rows, row j equal bit for bit to the geodesic of seeds[j],
+    with all 2k endpoints drawn in one sampler call.
     """
     rngs = rng_streams(seeds)
     k = len(rngs)
@@ -336,20 +323,19 @@ def random_horizontal_geodesic(system: CliffordSystem, seeds) -> HorizontalGeode
         ends[:, j] = rng.integers(2**62), rng.integers(2**62)
     x = fiber_sample(system, np.concatenate([p, -p]), 1, ends.ravel())[:, 0]
     rows = (p, x[:k], x[k:])
-    return HorizontalGeodesic(*(a[0] if np.ndim(seeds) == 0 else a for a in rows))
+    return tuple(a[0] if np.ndim(seeds) == 0 else a for a in rows)
 
 
-def geodesic_eval(g: HorizontalGeodesic, t) -> np.ndarray:
+def geodesic_eval(x_plus: np.ndarray, x_minus: np.ndarray, t) -> np.ndarray:
     """gamma(t) = cos(t) x_minus + sin(t) x_plus, of shape t.shape + x_minus.shape."""
     t = np.asarray(t, dtype=float)
-    return np.multiply.outer(np.cos(t), g.x_minus) + np.multiply.outer(np.sin(t), g.x_plus)
+    return np.multiply.outer(np.cos(t), x_minus) + np.multiply.outer(np.sin(t), x_plus)
 
 
-def project_geodesic_params(system: CliffordSystem, g: HorizontalGeodesic):
-    """(P, Q) with Q_i = <P_i x_plus, x_minus>, so pi_C(gamma(t)) = -cos(2t) P + sin(2t) Q."""
+def project_geodesic_params(system: CliffordSystem, x_plus, x_minus) -> np.ndarray:
+    """Q_i = <P_i x_plus, x_minus> row by row, so pi_C(gamma(t)) = -cos(2t) P + sin(2t) Q."""
     # generator images and one row dot per Q_i, both row by row: rows equal singles
-    q = row_dots(system.generator_images(g.x_plus), g.x_minus[..., None, :])
-    return np.array(g.p_coords, dtype=float), q
+    return row_dots(system.generator_images(x_plus), x_minus[..., None, :])
 
 
 # --------------------------------------------------------------------------- #

@@ -24,14 +24,12 @@ from typing import Optional
 
 import numpy as np
 
-from .algebra import (_count, cd_mul, cd_units, check_unit, gaussian_rows, rng_streams, row_dots,
-                      row_norms, sign_fixed_q, sign_fixed_rotation, snapped_sqrt)
+from .algebra import (_count, _index, cd_mul, cd_units, check_unit, gaussian_rows, rng_streams,
+                      row_dots, row_norms, sign_fixed_q, sign_fixed_rotation, snapped_sqrt)
 from .clifford import EquivalenceProfile, delta
 
 __all__ = [
-    "FIELD_DIM",
-    "FIELD_FOR_M",
-    "GroupElement",
+    "ORBIT_RANKS",
     "sample_group_element",
     "diagonal_act",
     "normal_form",
@@ -39,8 +37,15 @@ __all__ = [
     "classify_homogeneity",
 ]
 
-FIELD_DIM = {"R": 1, "C": 2, "H": 4}
-FIELD_FOR_M = {1: "R", 2: "C", 4: "H"}
+ORBIT_RANKS = (1, 2, 4)  # m = dim_R F for F = R, C, H
+
+
+def _orbit_rank(m) -> int:
+    """m as an int: a TypeError off the integers, a ValueError off :data:`ORBIT_RANKS`."""
+    m = _index(m, "m")
+    if m not in ORBIT_RANKS:
+        raise ValueError(f"m must be one of ORBIT_RANKS = {ORBIT_RANKS}, got {m}")
+    return m
 
 
 # --------------------------------------------------------------------------- #
@@ -71,26 +76,6 @@ def _right_mult_matrices(q: np.ndarray) -> np.ndarray:
 # Group elements
 # --------------------------------------------------------------------------- #
 
-@dataclass
-class GroupElement:
-    """Unitary k x k matrix over F = R, C, or H, stored componentwise.
-
-    ``entries`` has shape (k, k, dim F), or (n, k, k, dim F) for a stack of
-    n elements; k and dim F are read off its last two axes.  ``action_matrix``
-    is the real representation of u -> u g on F^k (components of u stored
-    consecutively), an orthogonal L x L matrix for L = k dim F, and (n, L, L)
-    for a stack.
-    """
-
-    entries: np.ndarray
-
-    def action_matrix(self) -> np.ndarray:
-        n = self.entries.shape[-2] * self.entries.shape[-1]  # k dim F
-        # block (i, j) is the matrix of x -> x * entries[j, i]
-        blocks = _right_mult_matrices(np.swapaxes(self.entries, -3, -2))
-        return blocks.swapaxes(-3, -2).reshape(self.entries.shape[:-3] + (n, n))
-
-
 def _quaternionic_unitary(g: np.ndarray) -> np.ndarray:
     """Gram-Schmidt over H on a stack g (n, k, k, 4) of Gaussian draws.
 
@@ -108,26 +93,24 @@ def _quaternionic_unitary(g: np.ndarray) -> np.ndarray:
     return g
 
 
-def sample_group_element(field: str, k: int, seeds) -> GroupElement:
-    """Haar-style sample from SO(k), SU(k), or Sp(k) (field R, C, H).
+def sample_group_element(m: int, k: int, seeds) -> np.ndarray:
+    """Haar-style sample from SO(k), SU(k), or Sp(k) (m = 1, 2, 4), as its action matrix.
 
-    QR of a Gaussian with the usual sign / phase normalization; for C the
-    determinant is brought to 1 by a global phase, for R by flipping the last
-    column when needed.  An int seed gives one element, ``entries`` (k, k,
-    dim F); a seed array (n,) gives a stack, ``entries`` (n, k, k, dim F),
-    element j drawn from its own ``rng_from(seeds[j])`` stream and equal bit
-    for bit to the element of that seed alone.  Fixed seed gives a
-    bit-identical element.
+    QR of a Gaussian with the usual sign / phase normalization; for C the determinant is
+    brought to 1 by a global phase, for R by flipping the last column when needed.  The
+    element g is returned as the orthogonal real matrix of u -> u g on F^k (components of
+    u stored consecutively), of size L = k m: in block (i, j), column m j and rows m i to
+    m i + m - 1 hold g_ji.  An int seed gives one (L, L) matrix; a seed array (n,) gives a
+    stack (n, L, L), element j drawn from its own ``rng_from(seeds[j])`` stream and equal
+    bit for bit to the element of that seed alone.  Fixed seed gives a bit-identical element.
     """
-    k = _count(k, "k", 1)
-    if field not in FIELD_DIM:
-        raise ValueError(f"unknown field {field!r}")
+    m, k = _orbit_rank(m), _count(k, "k", 1)
     # each element's Gaussians, drawn as its single call draws them
-    shape = {"R": (k, k), "C": (2, k, k), "H": (k, k, 4)}[field]
+    shape = {1: (k, k), 2: (2, k, k), 4: (k, k, 4)}[m]
     draws = gaussian_rows(rng_streams(seeds), shape)
-    if field == "R":
+    if m == 1:
         entries = sign_fixed_rotation(draws)[..., None]
-    elif field == "C":
+    elif m == 2:
         q = sign_fixed_q(draws[:, 0] + 1j * draws[:, 1])
         # one scalar exp per element: the array form differs in the last bit
         phase = [np.exp(-1j * angle / k) for angle in np.angle(np.linalg.det(q))]
@@ -135,19 +118,21 @@ def sample_group_element(field: str, k: int, seeds) -> GroupElement:
         entries = np.stack([q.real, q.imag], axis=-1)
     else:
         entries = _quaternionic_unitary(draws)
-    return GroupElement(entries[0] if np.ndim(seeds) == 0 else entries)
+    # block (i, j) is the matrix of x -> x * entries[j, i]
+    blocks = _right_mult_matrices(np.swapaxes(entries, -3, -2))
+    mats = blocks.swapaxes(-3, -2).reshape(len(entries), k * m, k * m)
+    return mats[0] if np.ndim(seeds) == 0 else mats
 
 
-def diagonal_act(g: GroupElement, x: np.ndarray) -> np.ndarray:
-    """Diagonal action on F^k x F^k: both halves of x transform by g.
+def diagonal_act(mat: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Diagonal action on F^k x F^k: both halves of x transform by the action matrix mat.
 
-    x has shape (..., 2l) with l = k dim F in the standard (u, v) layout.  A
-    stack of n elements acts with element j on row j of x (n, 2l), as n
-    single calls.
+    mat is a :func:`sample_group_element` matrix (L, L) and x has shape
+    (..., 2L) in the standard (u, v) layout.  A stack (n, L, L) acts with
+    matrix j on row j of x (n, 2L), as n single calls.
     """
     x = np.asarray(x, dtype=float)
     l = x.shape[-1] // 2
-    mat = g.action_matrix()
     if mat.shape[-1] != l:
         raise ValueError("group element does not match the point dimension")
     stacked = mat.ndim == 3
@@ -164,23 +149,21 @@ def diagonal_act(g: GroupElement, x: np.ndarray) -> np.ndarray:
 # Normal form
 # --------------------------------------------------------------------------- #
 
-def normal_form(x: np.ndarray, field: str) -> np.ndarray:
+def normal_form(x: np.ndarray, m: int) -> np.ndarray:
     """Normal form [u1, v1, v2] of a unit point of F^k x F^k under the diagonal group.
 
     It is the fiber representative (u1 e1, v1 e1 + v2 e2) with u1, v2 >= 0 and v1
     in F.  Its entries are functions of pi_C alone, so it is constant on fibers and
     two points have (numerically) equal normal forms exactly when their pi_C values
-    agree.  x of shape (2l,) gives the array (dim F + 2,); rows (n, 2l) give
-    (n, dim F + 2) in one evaluation, row j equal bit for bit to the form of x[j]
-    alone.
+    agree.  x of shape (2l,) gives the array (m + 2,); rows (n, 2l) give
+    (n, m + 2) in one evaluation, row j equal bit for bit to the form of x[j]
+    alone.  m = dim F is one of :data:`ORBIT_RANKS`.
     """
-    if field not in FIELD_DIM:
-        raise ValueError(f"unknown field {field!r}")
+    d = _orbit_rank(m)
     x = np.asarray(x, dtype=float)
     if x.ndim not in (1, 2):
         raise ValueError("normal_form expects a point (2l,) or rows (n, 2l)")
     rows = check_unit(np.atleast_2d(x))
-    d = FIELD_DIM[field]
     l = rows.shape[-1] // 2
     if l % d:
         raise ValueError("point dimension is not a multiple of dim F")
@@ -227,14 +210,12 @@ class HomogeneityVerdict:
 
 
 def classify_homogeneity(profile: EquivalenceProfile) -> HomogeneityVerdict:
-    """Decision table over equivalence profiles.
+    """Decision table over equivalence profiles, each one that some system has.
 
     Constructive cases carry the acting group; everything else is settled by
     the known classification of these foliations, quoted as plain statements.
     """
     m, k, kappa = profile.m, profile.k, profile.kappa
-    if m < 1 or k < 1 or (m, k) == (1, 1):
-        raise ValueError(f"unsupported profile {profile}")
     l = k * delta(m)
     if l == m:
         # quotient is the boundary sphere: the three Hopf projections

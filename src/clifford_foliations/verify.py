@@ -61,7 +61,7 @@ from .foliation import (
     rotated_disk_point,
     spin_rotate,
 )
-from .homogeneity import FIELD_FOR_M, diagonal_act, normal_form, sample_group_element
+from .homogeneity import ORBIT_RANKS, diagonal_act, normal_form, sample_group_element
 from .reports import CheckResult, VerificationReport
 
 __all__ = [
@@ -290,9 +290,9 @@ def _suite_geodesics(cfg: SuiteConfig):
     system = cfg.system
     n_geo = cfg.knob("geodesics", min(cfg.samples, 100))
     ts = np.linspace(0.0, np.pi / 2.0, 100)
-    g = random_horizontal_geodesic(system, cfg.seed * 1000 + np.arange(n_geo))
-    p, q = project_geodesic_params(system, g)
-    curve = pi_c(system, geodesic_eval(g, ts))
+    p, x_plus, x_minus = random_horizontal_geodesic(system, cfg.seed * 1000 + np.arange(n_geo))
+    q = project_geodesic_params(system, x_plus, x_minus)
+    curve = pi_c(system, geodesic_eval(x_plus, x_minus, ts))
     pred = -np.cos(2 * ts)[:, None, None] * p + np.sin(2 * ts)[:, None, None] * q
     res = float(np.abs(curve - pred).max())
     q_norm = float(np.max(row_norms(q))) - 1.0
@@ -314,10 +314,10 @@ def _suite_quotient_metric(cfg: SuiteConfig):
     ts = np.linspace(0.0, np.pi / 2.0, 25)
     knots = range(0, len(ts), 6)
     si, ti = np.array([(i, j) for i in knots for j in knots if i != j]).T
-    g = random_horizontal_geodesic(system, cfg.seed * 2000 + np.arange(n_geo))
-    curve = pi_c(system, geodesic_eval(g, ts))
+    _, x_plus, x_minus = random_horizontal_geodesic(system, cfg.seed * 2000 + np.arange(n_geo))
+    curve = pi_c(system, geodesic_eval(x_plus, x_minus, ts))
     a = quotient_lift(curve[0])
-    b = quotient_lift(pi_c(system, geodesic_eval(g, np.pi / 4.0)))
+    b = quotient_lift(pi_c(system, geodesic_eval(x_plus, x_minus, np.pi / 4.0)))
     pred = np.cos(2 * ts)[:, None, None] * a + np.sin(2 * ts)[:, None, None] * b
     lift_res = float(np.abs(quotient_lift(curve) - pred).max())
     frame_err = float(max(np.max(np.abs(row_norms(a) - 0.5)), np.max(np.abs(row_norms(b) - 0.5)),
@@ -449,7 +449,7 @@ def _suite_invariants_classification(cfg: SuiteConfig):
 
 
 def _orbit_requirements(system: CliffordSystem) -> Optional[str]:
-    if system.m not in FIELD_FOR_M:
+    if system.m not in ORBIT_RANKS:
         return "explicit group actions exist only for rank 2, 3, or 5 systems"
     if not system.standard_layout:
         return "requires an unflipped system in the standard constructed layout"
@@ -458,18 +458,16 @@ def _orbit_requirements(system: CliffordSystem) -> Optional[str]:
 
 def _suite_homogeneous_orbits(cfg: SuiteConfig):
     system = cfg.system
-    field_tag = FIELD_FOR_M[system.m]
     k = system.l // delta(system.m)
-    g = sample_group_element(field_tag, k, cfg.seed * 10000 + np.arange(cfg.samples))
-    mat = g.action_matrix()
+    mat = sample_group_element(system.m, k, cfg.seed * 10000 + np.arange(cfg.samples))
     ortho = max_abs(np.swapaxes(mat, -1, -2) @ mat - np.eye(mat.shape[-1]))
     rngs = rng_streams(cfg.seed, 300 + np.arange(cfg.samples))
     x = sample_unit_vectors(rngs, system.dim, 1)[:, 0]
-    gx = diagonal_act(g, x)
+    gx = diagonal_act(mat, x)
     invariance = float(np.abs(pi_c(system, gx) - pi_c(system, x)).max())
-    g1 = sample_group_element(field_tag, k, cfg.seed + 1)
-    g2 = sample_group_element(field_tag, k, cfg.seed + 1)
-    det = float(np.abs(g1.entries - g2.entries).max())
+    g1 = sample_group_element(system.m, k, cfg.seed + 1)
+    g2 = sample_group_element(system.m, k, cfg.seed + 1)
+    det = float(np.abs(g1 - g2).max())
     return [
         CheckResult(
             "orbit_in_fiber", "the diagonal group action preserves the quotient map",
@@ -484,13 +482,12 @@ def _suite_homogeneous_orbits(cfg: SuiteConfig):
 
 def _suite_normal_forms(cfg: SuiteConfig):
     system = cfg.system
-    field_tag = FIELD_FOR_M[system.m]
-    k = system.l // delta(system.m)
+    m, k = system.m, system.l // delta(system.m)
     n = cfg.samples
     pairs = max(1, n // 2)
     xs = sample_unit_vectors(rng_streams(cfg.seed, 400 + np.arange(pairs)), system.dim, 1)[:, 0]
-    gxs = diagonal_act(sample_group_element(field_tag, k, cfg.seed * 20000 + np.arange(pairs)), xs)
-    orbit = float(np.abs(normal_form(xs, field_tag) - normal_form(gxs, field_tag)).max())
+    gxs = diagonal_act(sample_group_element(m, k, cfg.seed * 20000 + np.arange(pairs)), xs)
+    orbit = float(np.abs(normal_form(xs, m) - normal_form(gxs, m)).max())
 
     per = max(4, n // 100)
     if system.l > system.m + 1:
@@ -505,13 +502,13 @@ def _suite_normal_forms(cfg: SuiteConfig):
         # sphere quotient: only boundary fibers exist
         p = sample_unit_vectors(rng_from(cfg.seed, 404), system.m + 1, 2)
         batches = list(fiber_sample(system, p, per, cfg.seed + np.array([5, 6])))
-    forms = [normal_form(batch, field_tag) for batch in batches]
+    forms = [normal_form(batch, m) for batch in batches]
     same_fiber = max(float(np.abs(bn - bn[0]).max()) for bn in forms)
     pis = pi_c(system, np.concatenate(batches))
 
     x = _unit_batch(system, cfg.seed, 402, n)
     pool_pi = np.concatenate([pi_c(system, x), pis])
-    pool_nf = np.concatenate([normal_form(x, field_tag)] + forms)
+    pool_nf = np.concatenate([normal_form(x, m)] + forms)
     rng = rng_from(cfg.seed, 403)
     i, j = rng.integers(0, len(pool_pi), size=(n, 2)).T
     pi_close = np.abs(pool_pi[i] - pool_pi[j]).max(axis=1) <= 1e-8

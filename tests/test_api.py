@@ -2,9 +2,9 @@
 only clifford.py reads the generators, built systems act without dense span matrices,
 every angle is one algebra.unit_angle, every row dot and norm one algebra.row_dots, no
 module warns or reads the environment, every built-in spec carries both closed forms or
-neither, FoliationSpec has its six fields, CliffordSystem, CheckResult, VerificationReport
-and GroupElement only the data they cannot derive, normal_form and verify_relations return
-only what their callers read, only FoliationSpec's construction check and
+neither, FoliationSpec has its six fields, CliffordSystem, CheckResult and
+VerificationReport only the data they cannot derive, the orbit and geodesic layers and
+verify_relations return only what their callers read, only FoliationSpec's construction check and
 composed._fiber_leaf ask whether a spec carries its leaf metric and closed forms, only
 composed._solve_rows solves linear systems, only algebra tests for integers, every integer
 argument takes numpy integers and refuses bools, floats, strings and values below its
@@ -32,9 +32,10 @@ from clifford_foliations.composed import (BUILTIN_SPEC_NAMES, FoliationSpec, bui
                                           composed_quotient_distance,
                                           leaf_to_leaf_ambient_distance, same_leaf)
 from clifford_foliations.foliation import (boundary_fiber_sample, fiber_sample, mplus_sample,
-                                           pi_c, random_horizontal_geodesic, reflect_symmetry,
+                                           pi_c, project_geodesic_params,
+                                           random_horizontal_geodesic, reflect_symmetry,
                                            spin_rotate)
-from clifford_foliations.homogeneity import GroupElement, normal_form, sample_group_element
+from clifford_foliations.homogeneity import normal_form, sample_group_element
 from clifford_foliations.reports import CheckResult, VerificationReport
 from clifford_foliations.verify import SuiteConfig, default_plan
 
@@ -167,20 +168,30 @@ def test_clifford_system_is_its_generators():
 
 
 def test_value_types_store_only_their_data():
-    # a check's verdict is read off its numbers, a report's off its checks, and a group
-    # element's k and dim F off its entries' shape
+    # a check's verdict is read off its numbers and a report's off its checks
     assert [f.name for f in dataclasses.fields(CheckResult)] == [
         "name", "claim", "violation", "tol"]
     assert [f.name for f in dataclasses.fields(VerificationReport)] == [
         "suite", "seed", "samples", "checks", "system"]
-    assert [f.name for f in dataclasses.fields(GroupElement)] == ["entries"]
 
 
 def test_results_are_what_callers_read():
-    # a normal form is its array [u1, v1, v2] and a relation check its three CheckResults,
-    # with no wrapper type; the 2l cap has no function or setting of its own
-    form = normal_form(np.eye(8)[0], "C")
+    # a normal form is its array [u1, v1, v2], a group element its action matrix, a
+    # geodesic its three arrays (p, x_plus, x_minus), its projection Q alone and a relation
+    # check its three CheckResults, with no wrapper type or field tag; the 2l cap has no
+    # function or setting of its own
+    form = normal_form(np.eye(8)[0], 2)
     assert type(form) is np.ndarray and form.shape == (4,)
+    mat = sample_group_element(2, 2, 5)
+    assert type(mat) is np.ndarray and mat.shape == (4, 4)
+    geodesic = random_horizontal_geodesic(S22, 3)
+    assert type(geodesic) is tuple and len(geodesic) == 3
+    assert all(type(a) is np.ndarray for a in geodesic)
+    q = project_geodesic_params(S22, *geodesic[1:])
+    assert type(q) is np.ndarray and q.shape == (S22.m + 1,)
+    for module in (foliation, homogeneity):
+        assert not {"GroupElement", "FIELD_DIM", "FIELD_FOR_M", "HorizontalGeodesic"} & set(
+            dir(module))
     checks = verify_relations(build_system(2, 2))
     assert type(checks) is list and all(type(c) is CheckResult for c in checks)
     assert [c.name for c in checks] == ["symmetry", "involution", "anticommutation"]
@@ -345,8 +356,10 @@ INTEGER_ARGUMENTS = {
     "sub_system": ("generator index", lambda v: sub_system(S22, [0, v]), 1, -1),
     "dense_generator": ("i", S22.dense_generator, 1, -1),
     "builtin_spec.m": ("m", lambda v: builtin_spec("height", v), 2, 0),
-    "sample_group_element.k": ("k", lambda v: sample_group_element("C", v, 5), 2, 0),
-    "sample_group_element.seeds": ("seeds", lambda v: sample_group_element("C", 2, v), 5, -1),
+    "sample_group_element.m": ("m", lambda v: sample_group_element(v, 2, 5), 2, 3),
+    "sample_group_element.k": ("k", lambda v: sample_group_element(2, v, 5), 2, 0),
+    "sample_group_element.seeds": ("seeds", lambda v: sample_group_element(2, 2, v), 5, -1),
+    "normal_form.m": ("m", lambda v: normal_form(np.eye(8)[0], v), 2, 3),
     "fiber_sample.seeds": ("seeds", lambda v: fiber_sample(S22, V, 2, v), 1, -1),
     "boundary_fiber_sample.seeds": ("seeds", lambda v: boundary_fiber_sample(
         S22, np.eye(3)[0], 2, v), 1, -1),
@@ -395,7 +408,7 @@ DRAWS = {
         S22, rows_for(np.eye(3)[0], seeds), 2, seeds),
     "mplus_sample": lambda seeds: mplus_sample(S22, 2, seeds),
     "random_horizontal_geodesic": lambda seeds: random_horizontal_geodesic(S22, seeds),
-    "sample_group_element": lambda seeds: sample_group_element("H", 2, seeds),
+    "sample_group_element": lambda seeds: sample_group_element(4, 2, seeds),
 }
 
 
@@ -446,7 +459,7 @@ def test_built_systems_act_without_span_matrices(monkeypatch, m, k, flips):
     assert x.shape == (3, 2, system.dim)
     assert mplus_sample(system, 2, np.arange(3)).shape == x.shape
     assert boundary_fiber_sample(system, p, 2, np.arange(3)).shape == x.shape
-    assert random_horizontal_geodesic(system, np.arange(3)).x_plus.shape == (3, system.dim)
+    assert random_horizontal_geodesic(system, np.arange(3))[1].shape == (3, system.dim)
     assert reflect_symmetry(system, p, x).shape == x.shape
     assert spin_rotate(system, p, q, np.array([0.1, 0.2, 0.3]), x).shape == x.shape
     for name, y in (("points", x[1, 0]), ("height", x[1, 0]), ("height", x[2, 0])):

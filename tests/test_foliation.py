@@ -10,7 +10,6 @@ from clifford_foliations.clifford import (CliffordSystem, build_system, conjugat
                                           sub_system)
 from clifford_foliations.foliation import (
     EmptyFocalError,
-    HorizontalGeodesic,
     boundary_fiber_sample,
     eig_split,
     fiber_sample,
@@ -646,18 +645,16 @@ class TestRowWiseSamplers:
         system = list(row_wise_systems())[case]
         seeds = 7000 + np.arange(9)
         geodesics = random_horizontal_geodesic(system, seeds)
-        assert len(geodesics.x_plus) == len(seeds)
+        assert len(geodesics[1]) == len(seeds)
         ts = np.linspace(0.0, np.pi / 2.0, 7)
-        curves = geodesic_eval(geodesics, ts)
-        p, q = project_geodesic_params(system, geodesics)
+        curves = geodesic_eval(*geodesics[1:], ts)
+        q = project_geodesic_params(system, *geodesics[1:])
         for j, seed in enumerate(seeds):
             one = random_horizontal_geodesic(system, int(seed))
-            for name in ("p_coords", "x_plus", "x_minus"):
-                assert getattr(geodesics, name)[j].tobytes() == getattr(one, name).tobytes()
-            assert curves[:, j].tobytes() == geodesic_eval(one, ts).tobytes()
-            p_one, q_one = project_geodesic_params(system, one)
-            assert p[j].tobytes() == p_one.tobytes()
-            assert q[j].tobytes() == q_one.tobytes()
+            for rows, single in zip(geodesics, one):  # p, x_plus, x_minus
+                assert rows[j].tobytes() == single.tobytes()
+            assert curves[:, j].tobytes() == geodesic_eval(*one[1:], ts).tobytes()
+            assert q[j].tobytes() == project_geodesic_params(system, *one[1:]).tobytes()
 
     @pytest.mark.parametrize("case", range(5))
     def test_span_stack_equals_single_matrices(self, case):
@@ -736,11 +733,10 @@ class TestRowWiseSamplers:
             assert rows.shape == (0, n, dim)
         assert system.span_matrix(p).shape == (0, dim, dim)
         geodesics = random_horizontal_geodesic(system, none)
-        assert [a.shape for a in (geodesics.p_coords, geodesics.x_plus, geodesics.x_minus)] == [
-            (0, system.m + 1), (0, dim), (0, dim)]
+        assert [a.shape for a in geodesics] == [(0, system.m + 1), (0, dim), (0, dim)]
         assert rng_streams(none) == []
-        assert sample_group_element("H", 2, none).entries.shape == (0, 2, 2, 4)
-        form = normal_form(np.empty((0, dim)), "R")
+        assert sample_group_element(4, 2, none).shape == (0, 8, 8)
+        form = normal_form(np.empty((0, dim)), 1)
         assert [np.shape(a) for a in (form[..., 0], form[..., 1:-1], form[..., -1])] == [
             (0,), (0, 1), (0,)]
 
@@ -870,16 +866,15 @@ class TestFkm:
 class TestGeodesics:
     def test_worked_example_projection(self, s12):
         # P = first generator, x+ = e1, x- = e3: frozen image (-cos 2t, sin 2t)
-        g = HorizontalGeodesic(np.array([1.0, 0.0]),
-                               np.array([1.0, 0, 0, 0]), np.array([0, 0, 1.0, 0]))
+        x_plus, x_minus = np.array([1.0, 0, 0, 0]), np.array([0, 0, 1.0, 0])
         p0 = s12.dense_generator(0)
-        np.testing.assert_array_equal(p0 @ g.x_plus, g.x_plus)
-        np.testing.assert_array_equal(p0 @ g.x_minus, -g.x_minus)
+        np.testing.assert_array_equal(p0 @ x_plus, x_plus)
+        np.testing.assert_array_equal(p0 @ x_minus, -x_minus)
         ts = np.linspace(0, np.pi, 40)
         np.testing.assert_allclose(
-            pi_c(s12, geodesic_eval(g, ts)),
+            pi_c(s12, geodesic_eval(x_plus, x_minus, ts)),
             np.stack([-np.cos(2 * ts), np.sin(2 * ts)], axis=1), atol=1e-14)
-        p, q = project_geodesic_params(s12, g)
+        q = project_geodesic_params(s12, x_plus, x_minus)
         np.testing.assert_allclose(q, [0.0, 1.0], atol=1e-15)
 
     def test_random_endpoints_are_eigenvectors(self, monkeypatch):
@@ -900,34 +895,35 @@ class TestGeodesics:
             if not system.exact:
                 monkeypatch.setattr(algebra, "projector_colspace_basis", record)
             for i in range(5):
-                g = random_horizontal_geodesic(system, 30 + i)
-                p = system.span_matrix(g.p_coords)
-                assert abs(np.linalg.norm(g.p_coords) - 1.0) <= 1e-12
-                assert max_abs(p @ g.x_plus - g.x_plus) <= 1e-12
-                assert max_abs(p @ g.x_minus + g.x_minus) <= 1e-12
-                assert abs(np.linalg.norm(g.x_plus) - 1.0) <= 1e-12
-                assert abs(np.linalg.norm(g.x_minus) - 1.0) <= 1e-12
-                assert abs(float(g.x_plus @ g.x_minus)) <= 1e-12
-                again = random_horizontal_geodesic(system, 30 + i)
-                assert again.x_plus.tobytes() == g.x_plus.tobytes()
-                assert again.x_minus.tobytes() == g.x_minus.tobytes()
+                p_coords, x_plus, x_minus = random_horizontal_geodesic(system, 30 + i)
+                p = system.span_matrix(p_coords)
+                assert abs(np.linalg.norm(p_coords) - 1.0) <= 1e-12
+                assert max_abs(p @ x_plus - x_plus) <= 1e-12
+                assert max_abs(p @ x_minus + x_minus) <= 1e-12
+                assert abs(np.linalg.norm(x_plus) - 1.0) <= 1e-12
+                assert abs(np.linalg.norm(x_minus) - 1.0) <= 1e-12
+                assert abs(float(x_plus @ x_minus)) <= 1e-12
+                _, again_plus, again_minus = random_horizontal_geodesic(system, 30 + i)
+                assert again_plus.tobytes() == x_plus.tobytes()
+                assert again_minus.tobytes() == x_minus.tobytes()
         # E+-(P_0) of the conjugated system, once over its ten draws
         assert len(bases) == 2
 
     def test_endpoints(self, s22):
-        g = random_horizontal_geodesic(s22, 20)
-        np.testing.assert_allclose(geodesic_eval(g, 0.0), g.x_minus, atol=1e-15)
-        np.testing.assert_allclose(geodesic_eval(g, np.pi / 2), g.x_plus, atol=1e-15)
-        np.testing.assert_allclose(pi_c(s22, g.x_minus), -g.p_coords, atol=1e-12)
+        p_coords, x_plus, x_minus = random_horizontal_geodesic(s22, 20)
+        np.testing.assert_allclose(geodesic_eval(x_plus, x_minus, 0.0), x_minus, atol=1e-15)
+        np.testing.assert_allclose(geodesic_eval(x_plus, x_minus, np.pi / 2), x_plus,
+                                   atol=1e-15)
+        np.testing.assert_allclose(pi_c(s22, x_minus), -p_coords, atol=1e-12)
 
     def test_projection_identity_random(self, s22):
         ts = np.linspace(0, np.pi / 2, 100)
         for i in range(20):
-            g = random_horizontal_geodesic(s22, 100 + i)
-            p, q = project_geodesic_params(s22, g)
+            p, x_plus, x_minus = random_horizontal_geodesic(s22, 100 + i)
+            q = project_geodesic_params(s22, x_plus, x_minus)
             assert np.linalg.norm(q) <= 1.0 + 1e-12
             assert abs(p @ q) <= 1e-12
-            curve = pi_c(s22, geodesic_eval(g, ts))
+            curve = pi_c(s22, geodesic_eval(x_plus, x_minus, ts))
             pred = -np.cos(2 * ts)[:, None] * p + np.sin(2 * ts)[:, None] * q
             assert np.abs(curve - pred).max() <= 1e-10
 
@@ -940,8 +936,7 @@ class TestGeodesics:
         g_raw = minus @ sample_unit_vectors(rng_from(23), s22.l, 1)[0]
         g_raw -= w.T @ (w @ g_raw)
         xm = g_raw / np.linalg.norm(g_raw)
-        geo = HorizontalGeodesic(p, xp, xm)
-        _, q = project_geodesic_params(s22, geo)
+        q = project_geodesic_params(s22, xp, xm)
         assert np.abs(q).max() <= 1e-12
 
 
@@ -971,8 +966,8 @@ class TestQuotientMetric:
     def test_unit_speed_projection(self, s22):
         ts = np.linspace(0, np.pi / 2, 30)
         for i in range(5):
-            g = random_horizontal_geodesic(s22, 200 + i)
-            curve = pi_c(s22, geodesic_eval(g, ts))
+            _, x_plus, x_minus = random_horizontal_geodesic(s22, 200 + i)
+            curve = pi_c(s22, geodesic_eval(x_plus, x_minus, ts))
             for a in range(0, 30, 7):
                 for b in range(0, 30, 7):
                     if a == b:

@@ -7,79 +7,84 @@ from clifford_foliations.algebra import max_abs, rng_from, sample_unit_vectors
 from clifford_foliations.clifford import EquivalenceProfile, build_system, delta, equivalence_profile
 from clifford_foliations.foliation import boundary_fiber_sample, fiber_sample, pi_c
 from clifford_foliations.homogeneity import (
-    FIELD_DIM,
-    FIELD_FOR_M,
+    ORBIT_RANKS,
     classify_homogeneity,
     diagonal_act,
     normal_form,
     sample_group_element,
 )
 
+# test ids name the field F of dimension m
+FIELD_IDS = {1: "R", 2: "C", 4: "H"}
+SAMPLING_CASES = [(1, 2), (1, 4), (2, 1), (2, 3), (4, 1), (4, 2), (4, 3)]
+
+
+def entries(mat, m):
+    """Entries of the element g with action matrix mat, (..., k, k, m) with [j, i] = g_ji:
+    in block (i, j), column m j and rows m i to m i + m - 1 hold g_ji."""
+    k = mat.shape[-1] // m
+    columns = mat.reshape(mat.shape[:-2] + (k, m, k, m))[..., 0]  # [..., i, :, j]
+    return np.moveaxis(columns, -1, -3)
+
 
 class TestGroupSampling:
-    @pytest.mark.parametrize("field,k", [("R", 2), ("R", 4), ("C", 1), ("C", 3),
-                                         ("H", 1), ("H", 2), ("H", 3)])
-    def test_real_representation_orthogonal(self, field, k):
+    @pytest.mark.parametrize("m,k", SAMPLING_CASES,
+                             ids=[f"{FIELD_IDS[m]}-{k}" for m, k in SAMPLING_CASES])
+    def test_real_representation_orthogonal(self, m, k):
         for seed in range(5):
-            g = sample_group_element(field, k, seed)
-            mat = g.action_matrix()
-            n = k * FIELD_DIM[field]
+            mat = sample_group_element(m, k, seed)
+            n = k * m
             assert mat.shape == (n, n)
             assert max_abs(mat.T @ mat - np.eye(n)) <= 1e-12
 
     def test_determinism(self):
-        a = sample_group_element("H", 3, 42)
-        b = sample_group_element("H", 3, 42)
-        assert np.array_equal(a.entries, b.entries)
-        c = sample_group_element("H", 3, 43)
-        assert not np.array_equal(a.entries, c.entries)
+        a = sample_group_element(4, 3, 42)
+        b = sample_group_element(4, 3, 42)
+        assert np.array_equal(a, b)
+        c = sample_group_element(4, 3, 43)
+        assert not np.array_equal(a, c)
 
     def test_special_determinants(self):
-        g = sample_group_element("R", 4, 1)
-        assert np.linalg.det(g.entries[..., 0]) == pytest.approx(1.0, abs=1e-12)
-        gc = sample_group_element("C", 3, 2)
-        zc = gc.entries[..., 0] + 1j * gc.entries[..., 1]
+        g = entries(sample_group_element(1, 4, 1), 1)
+        assert np.linalg.det(g[..., 0]) == pytest.approx(1.0, abs=1e-12)
+        gc = entries(sample_group_element(2, 3, 2), 2)
+        zc = gc[..., 0] + 1j * gc[..., 1]
         assert np.linalg.det(zc) == pytest.approx(1.0, abs=1e-12)
 
     def test_sp1_is_unit_quaternion(self):
-        g = sample_group_element("H", 1, 3)
-        assert abs(np.linalg.norm(g.entries[0, 0]) - 1.0) <= 1e-12
+        g = entries(sample_group_element(4, 1, 3), 4)
+        assert abs(np.linalg.norm(g[0, 0]) - 1.0) <= 1e-12
 
-    @pytest.mark.parametrize("field", ["R", "C", "H"])
+    @pytest.mark.parametrize("m", ORBIT_RANKS, ids=FIELD_IDS.get)
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
-    def test_seed_array_equals_single_seeds(self, field, k):
+    def test_seed_array_equals_single_seeds(self, m, k):
         # at (C, 3) an array-wide phase exp differs from the scalar one in the last bit
         seeds = 500 * k + np.arange(64)
-        g = sample_group_element(field, k, seeds)
-        d = FIELD_DIM[field]
-        assert g.entries.shape == (64, k, k, d)
-        mats = g.action_matrix()
-        assert mats.shape == (64, k * d, k * d)
-        x = sample_unit_vectors(rng_from(k), 2 * k * d, 64)
-        gx = diagonal_act(g, x)
+        mats = sample_group_element(m, k, seeds)
+        assert mats.shape == (64, k * m, k * m)
+        x = sample_unit_vectors(rng_from(k), 2 * k * m, 64)
+        gx = diagonal_act(mats, x)
         for j, seed in enumerate(seeds):
-            one = sample_group_element(field, k, int(seed))
-            assert one.entries.tobytes() == g.entries[j].tobytes()
-            assert one.action_matrix().tobytes() == mats[j].tobytes()
+            one = sample_group_element(m, k, int(seed))
+            assert one.tobytes() == mats[j].tobytes()
             assert diagonal_act(one, x[j]).tobytes() == gx[j].tobytes()
 
 
     def test_seeds_must_be_integers(self):
         for seeds in (1.5, np.array([1.0, 2.0])):
             with pytest.raises(TypeError, match="^seeds must be an integer, got"):
-                sample_group_element("R", 2, seeds)
+                sample_group_element(1, 2, seeds)
         with pytest.raises(ValueError, match="^seeds must be at least 0, got -3$"):
-            sample_group_element("C", 2, -3)
+            sample_group_element(2, 2, -3)
 
 
 class TestDiagonalAction:
     @pytest.mark.parametrize("m,k", [(1, 2), (1, 3), (2, 2), (2, 3), (4, 2), (4, 3)])
     def test_preserves_quotient_map(self, m, k):
         system = build_system(m, k)
-        field = FIELD_FOR_M[m]
         worst = 0.0
         for i in range(60):
-            g = sample_group_element(field, k, 7000 + i)
+            g = sample_group_element(m, k, 7000 + i)
             x = sample_unit_vectors(rng_from(100 + i), system.dim, 1)[0]
             worst = max(worst, float(np.abs(
                 pi_c(system, diagonal_act(g, x)) - pi_c(system, x)).max()))
@@ -87,24 +92,20 @@ class TestDiagonalAction:
 
     def test_identity_like_behavior(self):
         system = build_system(2, 2)
-        g = sample_group_element("C", 2, 11)
+        g = sample_group_element(2, 2, 11)
         x = sample_unit_vectors(rng_from(12), system.dim, 5)
         gx = diagonal_act(g, x)
         np.testing.assert_allclose(np.linalg.norm(gx, axis=1), 1.0, atol=1e-12)
 
     def test_identity_element_acts_trivially(self):
-        from clifford_foliations.homogeneity import GroupElement
-        entries = np.zeros((2, 2, 4))
-        entries[0, 0, 0] = entries[1, 1, 0] = 1.0
-        identity = GroupElement(entries)
         x = sample_unit_vectors(rng_from(21), 16, 4)
-        np.testing.assert_array_equal(diagonal_act(identity, x), x)
+        np.testing.assert_array_equal(diagonal_act(np.eye(8), x), x)
 
     def test_dimension_mismatch(self):
-        g = sample_group_element("R", 3, 0)
+        g = sample_group_element(1, 3, 0)
         with pytest.raises(ValueError):
             diagonal_act(g, np.zeros(4))
-        stack = sample_group_element("C", 2, np.arange(3))
+        stack = sample_group_element(2, 2, np.arange(3))
         with pytest.raises(ValueError):
             diagonal_act(stack, np.zeros((2, 8)))
 
@@ -114,24 +115,24 @@ class TestNormalForm:
         # (u, v) = (e1, 0)
         x = np.zeros(4)
         x[0] = 1.0
-        nf = normal_form(x, "R")
+        nf = normal_form(x, 1)
         assert (nf[..., 0], nf[..., -1]) == (1.0, 0.0)
         np.testing.assert_array_equal(nf[..., 1:-1], [0.0])
 
     def test_complex_worked_example(self):
         # u = (0, 1)/sqrt2, v = (i, 0)/sqrt2: frozen (1/sqrt2, 0, 1/sqrt2)
         x = np.array([0, 0, 1, 0, 0, 1, 0, 0], dtype=float) / np.sqrt(2)
-        nf = normal_form(x, "C")
+        nf = normal_form(x, 2)
         assert nf[..., 0] == pytest.approx(1 / np.sqrt(2), abs=1e-12)
         np.testing.assert_allclose(nf[..., 1:-1], [0.0, 0.0], atol=1e-12)
         assert nf[..., -1] == pytest.approx(1 / np.sqrt(2), abs=1e-12)
 
     def test_unit_decomposition_invariant(self):
         rng = rng_from(13)
-        for field, k in (("R", 3), ("C", 2), ("H", 2)):
-            dim = 2 * k * FIELD_DIM[field]
+        for m, k in ((1, 3), (2, 2), (4, 2)):
+            dim = 2 * k * m
             for x in sample_unit_vectors(rng, dim, 30):
-                nf = normal_form(x, field)
+                nf = normal_form(x, m)
                 total = nf[..., 0] ** 2 + float(nf[..., 1:-1] @ nf[..., 1:-1]) + nf[..., -1] ** 2
                 assert abs(total - 1.0) <= 1e-12
 
@@ -139,7 +140,7 @@ class TestNormalForm:
         # u = 0 forces the representative (0, e1): v1 real positive, v2 = 0
         x = np.zeros(8)
         x[5] = 1.0  # a v-component of C^2 x C^2
-        nf = normal_form(x, "C")
+        nf = normal_form(x, 2)
         assert nf[..., 0] == 0.0
         np.testing.assert_allclose(nf[..., 1:-1], [1.0, 0.0], atol=1e-12)
         assert nf[..., -1] == 0.0
@@ -149,20 +150,19 @@ class TestNormalForm:
         x = np.zeros(8)
         x[0] = bad
         with pytest.raises(ValueError):
-            normal_form(x, "C")
+            normal_form(x, 2)
 
     @pytest.mark.parametrize("m,k", [(1, 3), (2, 2), (4, 2)])
     def test_constant_on_orbits_and_fibers(self, m, k):
         system = build_system(m, k)
-        field = FIELD_FOR_M[m]
         rng = rng_from(14)
         v = sample_unit_vectors(rng, m + 1, 1)[0] * 0.6
         fiber = fiber_sample(system, v, 40, 15)
-        nfs = np.stack([normal_form(z, field) for z in fiber])
+        nfs = np.stack([normal_form(z, m) for z in fiber])
         assert np.abs(nfs - nfs[0]).max() <= 1e-9
-        g = sample_group_element(field, k, 16)
+        g = sample_group_element(m, k, 16)
         moved = diagonal_act(g, fiber)
-        nfs2 = np.stack([normal_form(z, field) for z in moved])
+        nfs2 = np.stack([normal_form(z, m) for z in moved])
         assert np.abs(nfs2 - nfs).max() <= 1e-9
 
     @pytest.mark.parametrize("m,k", [(2, 1), (2, 2), (4, 1)])
@@ -170,8 +170,7 @@ class TestNormalForm:
         # uniform points, then points with |u| in [0.01, 0.1]: there
         # |v|^2 - |v1|^2 loses eps / |u|^2, whose square root is far above
         # the suite's 1e-9 wherever v2 vanishes (always when k = 1)
-        field = FIELD_FOR_M[m]
-        l = k * FIELD_DIM[field]
+        l = k * m
         worst = 0.0
         for seed in range(200):
             rng = rng_from(seed, 18)
@@ -180,9 +179,8 @@ class TestNormalForm:
                 u_norm = rng.uniform(0.01, 0.1)
                 x[:l] *= u_norm / np.linalg.norm(x[:l])
                 x[l:] *= np.sqrt(1.0 - u_norm ** 2) / np.linalg.norm(x[l:])
-            moved = diagonal_act(sample_group_element(field, k, seed), x)
-            worst = max(worst, float(np.abs(normal_form(x, field)
-                                            - normal_form(moved, field)).max()))
+            moved = diagonal_act(sample_group_element(m, k, seed), x)
+            worst = max(worst, float(np.abs(normal_form(x, m) - normal_form(moved, m)).max()))
         assert worst <= 1e-9
 
     def test_form_determines_fiber(self):
@@ -190,7 +188,7 @@ class TestNormalForm:
         rng = rng_from(17)
         x = sample_unit_vectors(rng, system.dim, 120)
         pis = pi_c(system, x)
-        nfs = np.stack([normal_form(z, "C") for z in x])
+        nfs = np.stack([normal_form(z, 2) for z in x])
         for i in range(0, 120, 3):
             for j in range(0, 120, 3):
                 pi_close = np.abs(pis[i] - pis[j]).max() <= 1e-8
@@ -199,35 +197,36 @@ class TestNormalForm:
 
     def test_rejects_non_unit(self):
         with pytest.raises(ValueError):
-            normal_form(np.ones(4), "R")
+            normal_form(np.ones(4), 1)
 
     def test_rejects_unknown_field(self):
-        # as sample_group_element does, for a point and for rows
-        x = np.eye(4)[:2]
+        # an m that is no dim F of R, C, H, as sample_group_element does, for a point
+        # and for rows
+        x = np.eye(6)[:2]
+        message = r"^m must be one of ORBIT_RANKS = \(1, 2, 4\), got 3$"
         for point in (x, x[0]):
-            with pytest.raises(ValueError, match="^unknown field 'Q'$"):
-                normal_form(point, "Q")
-        with pytest.raises(ValueError, match="^unknown field 'Q'$"):
-            sample_group_element("Q", 2, 0)
+            with pytest.raises(ValueError, match=message):
+                normal_form(point, 3)
+        with pytest.raises(ValueError, match=message):
+            sample_group_element(3, 2, 0)
 
     @pytest.mark.parametrize("m,k", [(1, 3), (2, 1), (2, 2), (4, 1), (4, 2)])
     def test_rows_equal_single_points(self, m, k):
         # uniform points, a point with u = 0 and a boundary fiber, in one call
         system = build_system(m, k)
-        field = FIELD_FOR_M[m]
         x = sample_unit_vectors(rng_from(19, m, k), system.dim, 40)
         x[3, :system.l] = 0.0
         x[3] /= np.linalg.norm(x[3])
         p = sample_unit_vectors(rng_from(20, m, k), m + 1, 1)[0]
         x = np.concatenate([x, boundary_fiber_sample(system, p, 8, 21)])
-        rows = normal_form(x, field)
+        rows = normal_form(x, m)
         assert rows[..., 0].shape == rows[..., -1].shape == (len(x),)
-        assert rows.shape == (len(x), FIELD_DIM[field] + 2)
+        assert rows.shape == (len(x), m + 2)
         assert rows[3, 0] == 0.0
         for row, z in zip(rows, x):
-            assert row.tobytes() == normal_form(z, field).tobytes()
+            assert row.tobytes() == normal_form(z, m).tobytes()
         with pytest.raises(ValueError):
-            normal_form(np.concatenate([x[:2], np.ones((1, system.dim))]), field)
+            normal_form(np.concatenate([x[:2], np.ones((1, system.dim))]), m)
 
 
 def expected_verdict(m, k, kappa):
@@ -279,6 +278,12 @@ class TestClassification:
         with pytest.raises(ValueError):
             classify_homogeneity(EquivalenceProfile(1, 1))
 
+    @pytest.mark.parametrize("args", [(4, 2), (4, 2, 5), (4, 2, 1), (2, 3, 7)], ids=str)
+    def test_profiles_no_system_has_are_refused(self, args):
+        # a kappa exactly where 4 divides m, and then one of k, k - 2, ..., k mod 2
+        with pytest.raises(ValueError, match="^no system has the profile"):
+            EquivalenceProfile(*args)
+
 
 class TestFiberWitnesses:
     def test_boundary_orbit_matches_fiber(self):
@@ -286,6 +291,6 @@ class TestFiberWitnesses:
         system = build_system(2, 2)
         p = sample_unit_vectors(rng_from(18), 3, 1)[0]
         x = boundary_fiber_sample(system, p, 3, 19)
-        g = sample_group_element("C", 2, 20)
+        g = sample_group_element(2, 2, 20)
         np.testing.assert_allclose(pi_c(system, diagonal_act(g, x)),
                                    pi_c(system, x), atol=1e-10)
