@@ -130,10 +130,14 @@ class EquivalenceProfile:
     kappa: Optional[int] = None
 
     def __post_init__(self):
-        """Refuse a profile no system has: m or k below 1, (m, k) = (1, 1), a kappa where 4
-        does not divide m, none where it does, or one off {k, k-2, ..., k mod 2}."""
+        """Refuse a profile no system has: m, k or a kappa not an integer (TypeError), m or
+        k below 1 or a kappa below 0, (m, k) = (1, 1), a kappa where 4 does not divide m,
+        none where it does, or one off {k, k-2, ..., k mod 2}."""
+        self.m, self.k = _count(self.m, "m", 1), _count(self.k, "k", 1)
+        if self.kappa is not None:
+            self.kappa = _count(self.kappa, "kappa", 0)
         kappas = range(self.k % 2, self.k + 1, 2) if self.m % 4 == 0 else (None,)
-        if self.m < 1 or self.k < 1 or (self.m, self.k) == (1, 1) or self.kappa not in kappas:
+        if (self.m, self.k) == (1, 1) or self.kappa not in kappas:
             raise ValueError(f"no system has the profile {self}")
 
     def to_json_dict(self) -> dict:
@@ -508,24 +512,23 @@ def _construction(m: int, k: int, flips: int):
 # Relations, invariants, equivalence
 # --------------------------------------------------------------------------- #
 
-def _gather_gap(cols_a, signs_a, cols_b, signs_b, sign: int) -> float:
-    """max |A + sign B| for signed permutations given as gathers, over all leading axes.
+def _gather_gap(cols_a, signs_a, cols_b, signs_b, sign: int) -> np.ndarray:
+    """Row r's largest entry of |A + sign B| for signed permutations given as gathers.
 
     Row r of A x is signs_a[r] x[cols_a[r]].  A row whose columns differ
-    contributes 1, any other row |signs_a[r] + sign signs_b[r]|.
+    reads 1, any other row |signs_a[r] + sign signs_b[r]|.
     """
-    rowwise = np.where(cols_a == cols_b, np.abs(signs_a + sign * signs_b), 1)
-    return float(np.max(rowwise, initial=0))
+    return np.where(cols_a == cols_b, np.abs(signs_a + sign * signs_b), 1)
 
 
 def _relation_violations(system: CliffordSystem):
-    """Largest entries of P_i^T - P_i, P_i^2 - Id and P_i P_j + P_j P_i (i < j).
+    """The rows of P_i^T - P_i, P_i^2 - Id and P_i P_j + P_j P_i (i < j), for CheckResult.
 
-    Exact systems compare gather forms: P_i P_j gathers cols_j[cols_i] with
-    signs s_i s_j[cols_i].  Dense systems multiply out one :func:`_blocks` slice of
-    generators at a time, and every generator before the slice's end against the slice's
-    generators after it, so no product stack outgrows a slice; running ``np.maximum``
-    values keep a NaN.
+    Exact systems compare gather forms, one row per generator row: P_i P_j gathers
+    cols_j[cols_i] with signs s_i s_j[cols_i].  Dense systems multiply out one
+    :func:`_blocks` slice of generators at a time, and every generator before the slice's
+    end against the slice's generators after it, so no product stack outgrows a slice;
+    a row is one product's largest entry, NaN if any entry is NaN.
     """
     if system.exact:
         cols, signs = system.generators
@@ -540,15 +543,15 @@ def _relation_violations(system: CliffordSystem):
         anti = _gather_gap(pair_cols[i, j], pair_signs[i, j], pair_cols[j, i], pair_signs[j, i], 1)
         return sym, invol, anti
     gens, eye = system.generators, np.eye(system.dim)
-    sym = invol = anti = 0.0
+    sym, invol, anti = [], [], []
     for rows in _blocks(system.m + 1, system.dim ** 2):
         g = gens[rows]
-        sym = np.maximum(sym, max_abs(g - np.swapaxes(g, -1, -2)))
-        invol = np.maximum(invol, max_abs(g @ g - eye))
+        sym.append(max_abs(g - np.swapaxes(g, -1, -2)))
+        invol.append(max_abs(g @ g - eye))
         for i in range(rows.stop):  # P_i against the generators after it in this slice
             q = gens[max(i + 1, rows.start):rows.stop]
-            anti = np.maximum(anti, max_abs(gens[i] @ q + q @ gens[i]))
-    return float(sym), float(invol), float(anti)
+            anti.append(max_abs(gens[i] @ q + q @ gens[i]))
+    return sym, invol, anti
 
 
 def verify_relations(system: CliffordSystem) -> list:

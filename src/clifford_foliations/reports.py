@@ -5,17 +5,22 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
+import numpy as np
+
 __all__ = ["CheckResult", "VerificationReport"]
 
 
 @dataclass
 class CheckResult:
-    """One named check: worst observed violation against its tolerance.
+    """One named check: the worst row's excess against its tolerance.
 
     ``claim`` states the property being checked in plain words; it is carried
-    into reports so a failure is readable without the source at hand.  Both
-    numbers are stored as floats, and the verdict is read off them:
-    ``passed`` is ``violation <= tol``, so a NaN violation fails.
+    into reports so a failure is readable without the source at hand.  A check
+    hands over its rows' excesses (a scalar, a count or an array of any shape),
+    and the one reduction of the package stores their worst as a float: never
+    negative (an empty array or a row below 0 reads 0, -0.0 reads 0.0) and NaN if
+    any row is NaN.  The verdict is read off the stored floats: ``passed`` is
+    ``violation <= tol``, so a NaN violation fails.
     """
 
     name: str
@@ -24,7 +29,8 @@ class CheckResult:
     tol: float
 
     def __post_init__(self):
-        self.violation, self.tol = float(self.violation), float(self.tol)
+        self.violation = float(np.max(self.violation, initial=0.0)) + 0.0
+        self.tol = float(self.tol)
 
     @property
     def passed(self) -> bool:

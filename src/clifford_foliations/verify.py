@@ -1,11 +1,11 @@
 """Named, seeded property suites over a Clifford system.
 
 Every desk-checkable claim of the construction is bound into one of the
-suites below; each suite samples with an explicit seed, records the worst
-violation per named check, and passes iff every violation is within its
-pinned tolerance.  Identical configurations reproduce identical reports
-bit for bit, and sample fan-out uses index-derived child seeds so no
-ordering effect can creep in.
+suites below; each suite samples with an explicit seed, hands each named
+check its rows' excesses (``CheckResult`` keeps the worst), and passes iff
+every check's worst is within its pinned tolerance.  Identical
+configurations reproduce identical reports bit for bit, and sample fan-out
+uses index-derived child seeds so no ordering effect can creep in.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ from .algebra import (
     _count,
     _index,
     gaussian_rows,
-    max_abs,
     rng_from,
     rng_streams,
     row_dots,
@@ -145,23 +144,20 @@ def _interior_grid(m: int, count: int = 10, rmax: float = 0.92) -> np.ndarray:
 
 def _suite_relations(cfg: SuiteConfig):
     system = cfg.system
-    gap = float(system.l % delta(system.m))
     return [*verify_relations(system), CheckResult(
-        "dimension", "generators act on R^(2 k delta(m))", gap, 0.0)]
+        "dimension", "generators act on R^(2 k delta(m))", system.l % delta(system.m), 0.0)]
 
 
 def _suite_disk_image(cfg: SuiteConfig):
     x = _unit_batch(cfg.system, cfg.seed, 0, cfg.samples)
     v = pi_c(cfg.system, x)
-    radii = row_norms(v)
-    even = pi_c(cfg.system, -x)
     return [
         CheckResult(
             "disk_containment", "image of the quotient map lies in the closed unit disk",
-            max(0.0, float(radii.max()) - 1.0), 1e-12),
+            row_norms(v) - 1.0, 1e-12),
         CheckResult(
             "evenness", "the quotient map takes the same value at antipodes, bitwise",
-            float(np.max(np.abs(v - even))), 0.0),
+            np.abs(v - pi_c(cfg.system, -x)), 0.0),
     ]
 
 
@@ -169,52 +165,48 @@ def _suite_boundary_fibers(cfg: SuiteConfig):
     system = cfg.system
     p = sample_unit_vectors(rng_from(cfg.seed, 0), system.m + 1, 1)[0]
     x = fiber_sample(system, p, cfg.samples, cfg.seed + 1)
-    res = np.abs(pi_c(system, x) - p).max()
-    res_anti = np.abs(pi_c(system, -x) - p).max()
+    res = np.abs([pi_c(system, x) - p, pi_c(system, -x) - p])
     # p is a unit vector and P^2 = |p|^2 Id, so P is an involution: its
     # eigenvalues are +-1 and dim E_+(P) = tr((Id + P) / 2)
     dim_plus = round((system.dim + system.span_trace(p)) / 2.0)
     return [
         CheckResult(
             "fiber_projects_to_point", "every boundary-fiber sample maps to its boundary point",
-            float(max(res, res_anti)), 1e-10),
+            res, 1e-10),
         CheckResult(
             "eigenspace_dimension", "the positive eigenspace of a unit span element has dimension l",
-            float(abs(dim_plus - system.l)), 0.0),
+            abs(dim_plus - system.l), 0.0),
     ]
 
 
 def _suite_sphere_quotient(cfg: SuiteConfig):
     system = cfg.system
     x = _unit_batch(system, cfg.seed, 0, cfg.samples)
-    radii = row_norms(pi_c(system, x))
     targets = sample_unit_vectors(rng_from(cfg.seed, 1), system.m + 1, cfg.knob("targets", 100))
     z = fiber_sample(system, targets, 4, cfg.seed + 100 + np.arange(len(targets)))
-    worst = float(np.abs(pi_c(system, z) - targets[:, None]).max(initial=0.0))
     return [
         CheckResult(
             "image_on_boundary", "with l = m the whole sphere maps onto the boundary sphere",
-            float(np.abs(radii - 1.0).max()), 1e-10),
+            np.abs(row_norms(pi_c(system, x)) - 1.0), 1e-10),
         CheckResult(
             "preimage_construction", "every boundary target admits explicit preimages",
-            worst, 1e-10),
+            np.abs(pi_c(system, z) - targets[:, None]), 1e-10),
     ]
 
 
 def _suite_focal_and_fibers(cfg: SuiteConfig):
     system = cfg.system
     xm = fiber_sample(system, np.zeros(system.m + 1), cfg.samples, cfg.seed + 1)
-    focal = float(row_norms(pi_c(system, xm)).max())
     grid = _interior_grid(system.m)
     per = max(4, cfg.samples // len(grid))
     z = fiber_sample(system, grid, per, cfg.seed + 10 + np.arange(len(grid)))
-    worst = float(row_norms(pi_c(system, z) - grid[:, None]).max())
-    unit_err = float(np.abs(row_norms(z) - 1.0).max())
     return [
-        CheckResult("focal_manifold", "focal samples map to the disk origin", focal, 1e-10),
-        CheckResult(
-            "interior_fibers", "fiber samples hit a deterministic interior grid", worst, 1e-9),
-        CheckResult("fiber_unit_norm", "fiber samples stay on the unit sphere", unit_err, 1e-12),
+        CheckResult("focal_manifold", "focal samples map to the disk origin",
+                    row_norms(pi_c(system, xm)), 1e-10),
+        CheckResult("interior_fibers", "fiber samples hit a deterministic interior grid",
+                    row_norms(pi_c(system, z) - grid[:, None]), 1e-9),
+        CheckResult("fiber_unit_norm", "fiber samples stay on the unit sphere",
+                    np.abs(row_norms(z) - 1.0), 1e-12),
     ]
 
 
@@ -227,12 +219,11 @@ def _suite_submersion_rank(cfg: SuiteConfig):
     seeds = cfg.seed + 20 + np.arange(len(grid))
     points = fiber_sample(system, grid, per, seeds).reshape(-1, system.dim)[:trials]
     rows = pi_jacobian_rows(system, points)
-    tangency = float(np.abs(rows @ points[:, :, None]).max())
     sv = np.linalg.svd(rows, compute_uv=False)
     rel = sv / sv[:, :1]
     keep = np.sum(rel > 1e-6, axis=1)
     in_band = np.sum((rel > 1e-8) & (rel <= 1e-6), axis=1)
-    rank_bad = int(np.sum((keep != m + 1) | (in_band > 0)))
+    rank_bad = np.sum((keep != m + 1) | (in_band > 0))
     # finite differences along great circles vs. the analytic gradient rows
     h = 1e-5
     x = points[:20]
@@ -243,16 +234,15 @@ def _suite_submersion_rank(cfg: SuiteConfig):
     bwd = pi_c(system, np.cos(h) * x - np.sin(h) * w)
     fd = (fwd - bwd) / (2.0 * h)
     pred = (rows[:20] @ w[:, :, None])[..., 0]
-    fd_worst = float(np.abs(fd - pred).max())
     return [
         CheckResult(
             "jacobian_rank", "the quotient map has full rank m+1 at interior points "
-            "(no singular value inside the forbidden band)", float(rank_bad), 0.0),
-        CheckResult(
-            "gradient_tangency", "gradient rows are tangent to the sphere", tangency, 1e-12),
+            "(no singular value inside the forbidden band)", rank_bad, 0.0),
+        CheckResult("gradient_tangency", "gradient rows are tangent to the sphere",
+                    np.abs(rows @ points[:, :, None]), 1e-12),
         CheckResult(
             "finite_difference", "central differences match the analytic differential",
-            fd_worst, 1e-6),
+            np.abs(fd - pred), 1e-6),
     ]
 
 
@@ -263,26 +253,26 @@ def _suite_factorization(cfg: SuiteConfig):
     full = build_system(m + 1, k_full, 0)
     sub = sub_system(full, range(m + 1))
     x = _unit_batch(full, cfg.seed, 0, cfg.samples)
-    gap = float(np.abs(pi_c(sub, x) - pi_c(full, x)[:, : m + 1]).max())
+    gap = np.abs(pi_c(sub, x) - pi_c(full, x)[:, : m + 1])
 
     rng = rng_from(cfg.seed, 1)
     v = sample_unit_vectors(rng, m + 1, 1)[0] * 0.6
     c = float(np.sqrt(1.0 - v @ v))
     ends = np.array([np.append(v, c), np.append(v, -c)])
     xs, ys = fiber_sample(full, ends, 4, cfg.seed + np.array([2, 3]))
-    same_sub = float(np.abs(pi_c(sub, xs) - pi_c(sub, ys)).max())
-    opposite = float(np.abs(pi_c(full, xs)[:, m + 1] + pi_c(full, ys)[:, m + 1]).max())
-    nontrivial = float(np.abs(pi_c(full, xs)[:, m + 1]).min())
+    extended = pi_c(full, xs)[:, m + 1]
+    witness = np.abs(np.column_stack([pi_c(sub, xs) - pi_c(sub, ys),
+                                      extended + pi_c(full, ys)[:, m + 1]]))
     return [
         CheckResult(
             "projection_factorizes", "the restricted map equals the truncated extended map, bitwise",
             gap, 0.0),
         CheckResult(
             "disconnected_witness", "a same-fiber pair with opposite extended coordinate exists",
-            max(same_sub, opposite), 1e-10),
+            witness, 1e-10),
         CheckResult(
             "witness_nontrivial", "the witness pair has extended coordinate bounded away from zero",
-            max(0.0, 0.1 - nontrivial), 0.0),
+            0.1 - np.abs(extended), 0.0),
     ]
 
 
@@ -294,17 +284,14 @@ def _suite_geodesics(cfg: SuiteConfig):
     q = project_geodesic_params(system, x_plus, x_minus)
     curve = pi_c(system, geodesic_eval(x_plus, x_minus, ts))
     pred = -np.cos(2 * ts)[:, None, None] * p + np.sin(2 * ts)[:, None, None] * q
-    res = float(np.abs(curve - pred).max())
-    q_norm = float(np.max(row_norms(q))) - 1.0
-    pq = float(np.max(np.abs(row_dots(p, q))))
     return [
         CheckResult(
             "projected_geodesic", "horizontal great circles project onto disk geodesics "
-            "traversed at twice the speed", res, 1e-10),
-        CheckResult(
-            "q_in_disk", "the projected-geodesic parameter stays in the unit disk",
-            max(0.0, q_norm), 1e-12),
-        CheckResult("q_orthogonal", "the projected-geodesic parameters are orthogonal", pq, 1e-12),
+            "traversed at twice the speed", np.abs(curve - pred), 1e-10),
+        CheckResult("q_in_disk", "the projected-geodesic parameter stays in the unit disk",
+                    row_norms(q) - 1.0, 1e-12),
+        CheckResult("q_orthogonal", "the projected-geodesic parameters are orthogonal",
+                    np.abs(row_dots(p, q)), 1e-12),
     ]
 
 
@@ -319,26 +306,22 @@ def _suite_quotient_metric(cfg: SuiteConfig):
     a = quotient_lift(curve[0])
     b = quotient_lift(pi_c(system, geodesic_eval(x_plus, x_minus, np.pi / 4.0)))
     pred = np.cos(2 * ts)[:, None, None] * a + np.sin(2 * ts)[:, None, None] * b
-    lift_res = float(np.abs(quotient_lift(curve) - pred).max())
-    frame_err = float(max(np.max(np.abs(row_norms(a) - 0.5)), np.max(np.abs(row_norms(b) - 0.5)),
-                          np.max(np.abs(row_dots(a, b)))))
     d = quotient_distance(curve[si], curve[ti])
-    speed_err = float(np.max(np.abs(d - np.abs(ts[si] - ts[ti])[:, None])))
     p = sample_unit_vectors(rng_from(cfg.seed, 5), system.m + 1, 8)
-    anti = float(np.max(np.abs(quotient_distance(p, -p) - np.pi / 2.0)))
-    self_d = float(np.max(np.abs(quotient_distance(p * 0.5, p * 0.5))))
     return [
         CheckResult(
             "lifted_great_circle", "projected geodesics lift to great circles of the "
-            "radius-1/2 hemisphere", lift_res, 1e-9),
+            "radius-1/2 hemisphere", np.abs(quotient_lift(curve) - pred), 1e-9),
         CheckResult(
-            "lift_frame", "the lifted circle frame is orthogonal of radius 1/2", frame_err, 1e-9),
+            "lift_frame", "the lifted circle frame is orthogonal of radius 1/2",
+            np.abs([row_norms(a) - 0.5, row_norms(b) - 0.5, row_dots(a, b)]), 1e-9),
         CheckResult(
             "unit_speed", "projected geodesics are unit speed for the disk metric",
-            speed_err, 1e-8),
-        CheckResult(
-            "antipodal_boundary", "antipodal boundary points sit at distance pi/2", anti, 1e-12),
-        CheckResult("self_distance", "the distance of a point to itself vanishes", self_d, 1e-7),
+            np.abs(d - np.abs(ts[si] - ts[ti])[:, None]), 1e-8),
+        CheckResult("antipodal_boundary", "antipodal boundary points sit at distance pi/2",
+                    np.abs(quotient_distance(p, -p) - np.pi / 2.0), 1e-12),
+        CheckResult("self_distance", "the distance of a point to itself vanishes",
+                    np.abs(quotient_distance(p * 0.5, p * 0.5)), 1e-7),
     ]
 
 
@@ -354,13 +337,12 @@ def _suite_symmetry(cfg: SuiteConfig):
     q -= row_dots(q, p)[:, None] * p
     q /= row_norms(q)[:, None]
     v = pi_c(system, x)
-    refl = max_abs(pi_c(system, reflect_symmetry(system, p, x))
-                   - reflected_disk_point(v, p[:, None]))
-    spin = max_abs(pi_c(system, spin_rotate(system, p, q, theta, x))
-                   - rotated_disk_point(v, p[:, None], q[:, None], theta[:, None, None]))
-    half_turn = max_abs(pi_c(system, spin_rotate(system, p, q, np.pi, x)) - v)
+    refl = np.abs(pi_c(system, reflect_symmetry(system, p, x)) - reflected_disk_point(v, p[:, None]))
+    spin = np.abs(pi_c(system, spin_rotate(system, p, q, theta, x))
+                  - rotated_disk_point(v, p[:, None], q[:, None], theta[:, None, None]))
+    half_turn = np.abs(pi_c(system, spin_rotate(system, p, q, np.pi, x)) - v)
     e = np.eye(system.m + 1)
-    ident = max_abs(spin_rotate(system, e[0], e[1], 0.0, x) - x)
+    ident = np.abs(spin_rotate(system, e[0], e[1], 0.0, x) - x)
     return [
         CheckResult(
             "reflection", "boundary elements act as disk reflections through their axis",
@@ -379,23 +361,23 @@ def _suite_fkm_consistency(cfg: SuiteConfig):
     v = pi_c(system, x)
     checks = [CheckResult(
         "two_evaluations", "the quartic form equals its factorization through the quotient map",
-        float(np.abs(fkm_f0(system, x) - (1.0 - 2.0 * row_dots(v, v))).max()), 1e-12)]
+        np.abs(fkm_f0(system, x) - (1.0 - 2.0 * row_dots(v, v))), 1e-12)]
     p = sample_unit_vectors(rng_from(cfg.seed, 1), system.m + 1, 1)[0]
     xb = fiber_sample(system, p, 64, cfg.seed + 2)
     checks.append(CheckResult(
         "boundary_value", "the form equals -1 on boundary fibers",
-        float(np.abs(fkm_f0(system, xb) + 1.0).max()), 1e-10))
+        np.abs(fkm_f0(system, xb) + 1.0), 1e-10))
     if system.l >= system.m + 1:
         xm = fiber_sample(system, np.zeros(system.m + 1), 64, cfg.seed + 3)
         checks.append(CheckResult(
             "focal_value", "the form equals +1 on the focal manifold",
-            float(np.abs(fkm_f0(system, xm) - 1.0).max()), 1e-10))
+            np.abs(fkm_f0(system, xm) - 1.0), 1e-10))
     if system.l > system.m + 1:
         v = 0.5 * p
         xr = fiber_sample(system, v, 64, cfg.seed + 4)
         checks.append(CheckResult(
             "half_radius_value", "the form equals 1/2 on fibers at radius 1/2",
-            float(np.abs(fkm_f0(system, xr) - 0.5).max()), 1e-10))
+            np.abs(fkm_f0(system, xr) - 0.5), 1e-10))
     return checks
 
 
@@ -403,34 +385,26 @@ def _suite_invariants_classification(cfg: SuiteConfig):
     system = cfg.system
     prof = equivalence_profile(system)
     m, k = prof.m, prof.k
-    kappa_gap = zeros = 0.0
-    values = set()
-    for j in range(k + 1):
-        variant = build_system(m, k, j)
-        t = trace_invariant(variant)
-        if m % 4 == 0:
-            kappa_gap = max(kappa_gap, abs(t - abs(k - 2 * j)))
-            values.add(int(round(t)))
-        else:
-            zeros = max(zeros, abs(t))
+    flips = np.arange(k + 1)
+    traces = np.array([trace_invariant(build_system(m, k, j)) for j in flips])
     if m % 4 == 0:
         checks = [
             CheckResult("trace_values", "the flip count sets the normalized trace to |k - 2j|",
-                        kappa_gap, 1e-12),
+                        np.abs(traces - np.abs(k - 2 * flips)), 1e-12),
             CheckResult("class_count", "flips realize floor(k/2)+1 distinct classes",
-                        float(abs(len(values) - (k // 2 + 1))), 0.0)]
+                        abs(len({round(t) for t in traces}) - (k // 2 + 1)), 0.0)]
     else:
         checks = [CheckResult(
             "trace_vanishes", "off the multiples of four the generator product is traceless",
-            zeros, 1e-12)]
+            np.abs(traces), 1e-12)]
     base_t = trace_invariant(system)
-    drift = mismatch = 0.0
+    drift, mismatch = [], []
     rngs = rng_streams(cfg.seed, 200 + np.arange(cfg.knob("conjugations", 10)))
     for a in sign_fixed_q(gaussian_rows(rngs, (system.dim, system.dim))):
-        conj = conjugate_system(system, a)
-        drift = max(drift, abs(trace_invariant(conj) - base_t))
-        mismatch = max(mismatch, float(equivalence_profile(conj) != prof),
-                       float(not all(c.passed for c in verify_relations(conj))))
+        conj = conjugate_system(system, a)  # one conjugate alive at a time
+        drift.append(abs(trace_invariant(conj) - base_t))
+        mismatch.append(equivalence_profile(conj) != prof
+                        or not all(c.passed for c in verify_relations(conj)))
     checks.append(CheckResult(
         "conjugation_invariance", "the profile survives orthogonal conjugation", drift, 1e-9))
     checks.append(CheckResult(
@@ -441,10 +415,9 @@ def _suite_invariants_classification(cfg: SuiteConfig):
     x = sample_unit_vectors(rng, system.dim, 50)[:, None]
     px = system.span_apply(pq[:, 0], x)[:, 0]
     qx = system.span_apply(pq[:, 1], x)[:, 0]
-    iso = float(np.max(np.abs(row_dots(px, qx) - row_dots(pq[:, 0], pq[:, 1]))))
     checks.append(CheckResult(
         "span_isometry", "span elements multiply like their coordinates on every unit vector",
-        iso, 1e-12))
+        np.abs(row_dots(px, qx) - row_dots(pq[:, 0], pq[:, 1])), 1e-12))
     return checks
 
 
@@ -460,14 +433,13 @@ def _suite_homogeneous_orbits(cfg: SuiteConfig):
     system = cfg.system
     k = system.l // delta(system.m)
     mat = sample_group_element(system.m, k, cfg.seed * 10000 + np.arange(cfg.samples))
-    ortho = max_abs(np.swapaxes(mat, -1, -2) @ mat - np.eye(mat.shape[-1]))
+    ortho = np.abs(np.swapaxes(mat, -1, -2) @ mat - np.eye(mat.shape[-1]))
     rngs = rng_streams(cfg.seed, 300 + np.arange(cfg.samples))
     x = sample_unit_vectors(rngs, system.dim, 1)[:, 0]
     gx = diagonal_act(mat, x)
-    invariance = float(np.abs(pi_c(system, gx) - pi_c(system, x)).max())
+    invariance = np.abs(pi_c(system, gx) - pi_c(system, x))
     g1 = sample_group_element(system.m, k, cfg.seed + 1)
     g2 = sample_group_element(system.m, k, cfg.seed + 1)
-    det = float(np.abs(g1 - g2).max())
     return [
         CheckResult(
             "orbit_in_fiber", "the diagonal group action preserves the quotient map",
@@ -476,7 +448,8 @@ def _suite_homogeneous_orbits(cfg: SuiteConfig):
             "group_orthogonality", "sampled group elements are orthogonal in the real representation",
             ortho, 1e-12),
         CheckResult(
-            "sampling_determinism", "equal seeds give bit-identical group elements", det, 0.0),
+            "sampling_determinism", "equal seeds give bit-identical group elements",
+            np.abs(g1 - g2), 0.0),
     ]
 
 
@@ -487,7 +460,7 @@ def _suite_normal_forms(cfg: SuiteConfig):
     pairs = max(1, n // 2)
     xs = sample_unit_vectors(rng_streams(cfg.seed, 400 + np.arange(pairs)), system.dim, 1)[:, 0]
     gxs = diagonal_act(sample_group_element(m, k, cfg.seed * 20000 + np.arange(pairs)), xs)
-    orbit = float(np.abs(normal_form(xs, m) - normal_form(gxs, m)).max())
+    orbit = np.abs(normal_form(xs, m) - normal_form(gxs, m))
 
     per = max(4, n // 100)
     if system.l > system.m + 1:
@@ -503,7 +476,7 @@ def _suite_normal_forms(cfg: SuiteConfig):
         p = sample_unit_vectors(rng_from(cfg.seed, 404), system.m + 1, 2)
         batches = list(fiber_sample(system, p, per, cfg.seed + np.array([5, 6])))
     forms = [normal_form(batch, m) for batch in batches]
-    same_fiber = max(float(np.abs(bn - bn[0]).max()) for bn in forms)
+    same_fiber = np.abs(np.concatenate([bn - bn[0] for bn in forms]))
     pis = pi_c(system, np.concatenate(batches))
 
     x = _unit_batch(system, cfg.seed, 402, n)
@@ -513,13 +486,12 @@ def _suite_normal_forms(cfg: SuiteConfig):
     i, j = rng.integers(0, len(pool_pi), size=(n, 2)).T
     pi_close = np.abs(pool_pi[i] - pool_pi[j]).max(axis=1) <= 1e-8
     nf_close = np.abs(pool_nf[i] - pool_nf[j]).max(axis=1) <= 1e-9
-    mismatches = int(np.sum(pi_close != nf_close))
     return [
         CheckResult("orbit_constancy", "normal forms are constant along group orbits", orbit, 1e-9),
         CheckResult("fiber_constancy", "normal forms are constant along fibers", same_fiber, 1e-9),
         CheckResult(
             "form_determines_fiber", "equal normal forms and equal quotient values coincide",
-            float(mismatches), 0.0),
+            np.sum(pi_close != nf_close), 0.0),
     ]
 
 
@@ -539,33 +511,31 @@ def _suite_composed_identities(cfg: SuiteConfig):
     b = fiber_sample(system, r[:, None] * v[:, 1], 1, seeds + 1000)[:, 0]
     c = fiber_sample(system, (r2[:, None] * v[:, 1])[has_c], 1, (seeds + 2000)[has_c])[:, 0]
     # same fiber -> same leaf for every spec; same radius only for one_leaf
-    wrong = int(np.sum(~same_leaf(system, pts, a0, a1)) + np.sum(~same_leaf(system, pts, a0, -a0))
-                + np.sum(same_leaf(system, pts, a0, b)) + np.sum(~same_leaf(system, one, a0, b))
-                + np.sum(same_leaf(system, one, a0[has_c], c)))
-    radius_law = float(np.max(np.abs(fkm_f0(system, a0) - fkm_f0(system, b))))
+    wrong = (np.sum(~same_leaf(system, pts, a0, a1)) + np.sum(~same_leaf(system, pts, a0, -a0))
+             + np.sum(same_leaf(system, pts, a0, b)) + np.sum(~same_leaf(system, one, a0, b))
+             + np.sum(same_leaf(system, one, a0[has_c], c)))
     xm = fiber_sample(system, np.zeros(m + 1), 4, cfg.seed + 7)
     cls = composed_class(system, pts, xm[0])
     origin_ok = cls.tail is None and cls.radius <= 1e-10
     x = _unit_batch(system, cfg.seed, 501, 64)
     d1 = composed_quotient_distance(system, pts, x[0::2], x[1::2])
     d2 = quotient_distance(pi_c(system, x[0::2]), pi_c(system, x[1::2]))
-    dist_identity = float(np.max(np.abs(d1 - d2)))
     p0 = np.eye(m + 1)[0]
     xb = fiber_sample(system, p0, 1, cfg.seed + 8)[0]
     apex = abs(composed_quotient_distance(system, one, xm[0], xb) - np.pi / 4.0)
     return [
         CheckResult(
             "membership_identities", "point leaves reproduce the fibers and the one-leaf "
-            "spec reproduces the level sets", float(wrong), 0.0),
+            "spec reproduces the level sets", wrong, 0.0),
         CheckResult(
             "equal_radius_law", "points of one composed leaf share the quartic value",
-            radius_law, 2e-9),
+            np.abs(fkm_f0(system, a0) - fkm_f0(system, b)), 2e-9),
         CheckResult(
             "origin_class", "the focal manifold forms a single tailless class",
             0.0 if origin_ok else 1.0, 0.0),
         CheckResult(
             "points_distance_identity", "the cone metric collapses to the disk metric for "
-            "point leaves", dist_identity, 1e-9),
+            "point leaves", np.abs(d1 - d2), 1e-9),
         CheckResult(
             "apex_to_boundary", "focal-to-boundary classes sit at distance pi/4", apex, 1e-7),
     ]
@@ -578,7 +548,6 @@ def _suite_transnormality(cfg: SuiteConfig):
     hgt = builtin_spec("height", m)
     pairs = cfg.knob("pairs", 8)
     leaf_budget = cfg.knob("leaf_budget", 1500)
-    worst_points = worst_height = undercut = 0.0
     rngs = rng_streams(cfg.seed, 600 + np.arange(pairs))
     va, vb = np.empty((2, pairs, m + 1))
     for v in (va, vb):  # each pair's stream draws a direction, then a radius, for each end
@@ -587,19 +556,17 @@ def _suite_transnormality(cfg: SuiteConfig):
     seeds = cfg.seed * 4000 + np.arange(pairs)
     xas = fiber_sample(system, va, 1, seeds)[:, 0]
     xbs = fiber_sample(system, vb, 1, seeds + 2000)[:, 0]
-    dqs = composed_quotient_distance(system, pts, xas, xbs)
-    dqhs = composed_quotient_distance(system, hgt, xas, xbs)
-    for i, (xa, xb, dq, dqh) in enumerate(zip(xas, xbs, dqs, dqhs)):
-        # the 1e-3 route sweeps every descent start: thin global basins on
-        # high-dimensional fibers are not reliably caught by a few starts
-        da = leaf_to_leaf_ambient_distance(system, pts, xa, xb, leaf_budget,
-                                           cfg.seed * 5000 + i, starts=64)
-        worst_points = max(worst_points, abs(da - dq))
-        undercut = max(undercut, dq - da)
-        dah = leaf_to_leaf_ambient_distance(system, hgt, xa, xb, leaf_budget,
-                                            cfg.seed * 5000 + 3000 + i, starts=6)
-        worst_height = max(worst_height, abs(dah - dqh))
-        undercut = max(undercut, dqh - dah)
+    # [pair, spec]: each pair's (points, height) quotient distances and ambient estimates,
+    # estimated in that order; the 1e-3 route sweeps every descent start: thin global
+    # basins on high-dimensional fibers are not reliably caught by a few starts
+    dq = np.column_stack([composed_quotient_distance(system, spec, xas, xbs)
+                          for spec in (pts, hgt)])
+    da = np.array([[leaf_to_leaf_ambient_distance(system, pts, xa, xb, leaf_budget,
+                                                  cfg.seed * 5000 + i, starts=64),
+                    leaf_to_leaf_ambient_distance(system, hgt, xa, xb, leaf_budget,
+                                                  cfg.seed * 5000 + 3000 + i, starts=6)]
+                   for i, (xa, xb) in enumerate(zip(xas, xbs))])
+    gap = np.abs(da - dq)
     rng = rng_from(cfg.seed, 601)
     v = sample_unit_vectors(rng, m + 1, 1)[0] * 0.5
     zz = fiber_sample(system, v, 2, cfg.seed + 9)
@@ -612,13 +579,13 @@ def _suite_transnormality(cfg: SuiteConfig):
     return [
         CheckResult(
             "fiber_equidistance", "ambient fiber distances match the disk metric",
-            worst_points, 1e-3),
+            gap[:, 0], 1e-3),
         CheckResult(
             "composed_equidistance", "ambient composed-leaf distances match the cone metric",
-            worst_height, 1e-2),
+            gap[:, 1], 1e-2),
         CheckResult(
             "no_undercut", "ambient estimates never fall below the quotient lower bound",
-            max(0.0, undercut), 1e-9),
+            dq - da, 1e-9),
         CheckResult("same_leaf_zero", "a leaf has distance zero to itself", zero, 1e-6),
         CheckResult(
             "perpendicular_boundary_fibers", "opposite boundary fibers sit at distance pi/2",
@@ -639,14 +606,13 @@ def _suite_diameter(cfg: SuiteConfig):
     pool = np.concatenate(pools)
     n_pairs = cfg.samples
     idx = rng_from(cfg.seed, 701).integers(0, len(pool), size=(n_pairs, 2))
-    sup = float(np.max(composed_quotient_distance(system, ten, pool[idx[:, 0]], pool[idx[:, 1]])))
-    checks = [CheckResult(
-        "diameter_upper", "the composed quotient has diameter at most pi/4",
-        max(0.0, sup - np.pi / 4.0), 1e-6)]
+    d = composed_quotient_distance(system, ten, pool[idx[:, 0]], pool[idx[:, 1]])
+    checks = [CheckResult("diameter_upper", "the composed quotient has diameter at most pi/4",
+                          d - np.pi / 4.0, 1e-6)]
     if system.l > system.m + 1:
         checks.append(CheckResult(
             "diameter_attained", "sampled pairs come within 0.05 of the diameter pi/4",
-            max(0.0, (np.pi / 4.0 - 0.05) - sup), 0.0))
+            (np.pi / 4.0 - 0.05) - np.max(d), 0.0))
 
     # the tensor spec's invariant, which depends on no system: checked once per m = 8 system,
     # on blocks of 100 images U M W^T of one random matrix M each, for Haar U and W drawn
@@ -657,10 +623,9 @@ def _suite_diameter(cfg: SuiteConfig):
     pmat = np.repeat(pmat / row_norms(pmat)[:, None], 100, axis=0)[:rotations]
     uw = sign_fixed_rotation(rngr.standard_normal((rotations, 2, 3, 3)))
     orbit = uw[:, 0] @ pmat.reshape(-1, 3, 3) @ np.swapaxes(uw[:, 1], -1, -2)
-    rot = max_abs(signed_svd_triple(orbit) - signed_svd_triple(pmat))
     checks.append(CheckResult(
         "tensor_invariance", "the signed singular triple is constant on rotate-both-sides "
-        "orbits", rot, 1e-10))
+        "orbits", np.abs(signed_svd_triple(orbit) - signed_svd_triple(pmat)), 1e-10))
     return checks
 
 

@@ -25,9 +25,10 @@ import clifford_foliations
 from clifford_foliations import algebra, clifford, foliation, homogeneity
 from clifford_foliations.algebra import (cd_units, rng_from, rng_streams, row_dots, row_norms,
                                          sample_unit_vectors)
-from clifford_foliations.clifford import (CliffordSystem, build_complex_structures,
-                                          build_system, delta, sub_system, system_from_dict,
-                                          system_to_dict, verify_relations)
+from clifford_foliations.clifford import (CliffordSystem, EquivalenceProfile,
+                                          build_complex_structures, build_system, delta,
+                                          sub_system, system_from_dict, system_to_dict,
+                                          verify_relations)
 from clifford_foliations.composed import (BUILTIN_SPEC_NAMES, FoliationSpec, builtin_spec,
                                           composed_quotient_distance,
                                           leaf_to_leaf_ambient_distance, same_leaf)
@@ -122,6 +123,23 @@ def test_row_reductions_go_through_row_dots():
                 and "norm" in {alias.name for alias in n.names} for n in ast.walk(tree)):
             norms.append(path.name)
     assert sums == {"algebra.py": 1} and norms == []
+
+
+def test_checks_hand_over_their_rows():
+    # CheckResult owns the one reduction of a check's rows, which keeps a NaN; a Python
+    # max, min or float built in front of it would drop one or hide the rows
+    built = []
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        for n in ast.walk(ast.parse(path.read_text())):
+            if isinstance(n, ast.Call) and isinstance(n.func, ast.Name) \
+                    and n.func.id == "CheckResult":
+                violation = n.args[2:3] + [k.value for k in n.keywords if k.arg == "violation"]
+                assert len(violation) == 1, f"{path.name}:{n.lineno}"
+                value = violation[0]
+                if isinstance(value, ast.Call) and isinstance(value.func, ast.Name) \
+                        and value.func.id in {"max", "min", "float"}:
+                    built.append(f"{path.name}:{n.lineno}")
+    assert built == []
 
 
 def test_no_module_warns():
@@ -379,6 +397,9 @@ INTEGER_ARGUMENTS = {
     "rng_streams.path": ("path entry", lambda v: rng_streams(np.arange(8), v), 1, -1),
     "default_plan.max_dim": ("max_dim", default_plan, 8, 0),
     "cd_units": ("d", cd_units, 4, 0),
+    "EquivalenceProfile.m": ("m", lambda v: EquivalenceProfile(v, 2), 2, 0),
+    "EquivalenceProfile.k": ("k", lambda v: EquivalenceProfile(2, v), 2, 0),
+    "EquivalenceProfile.kappa": ("kappa", lambda v: EquivalenceProfile(4, 2, v), 2, -1),
 }
 
 

@@ -12,7 +12,6 @@ from clifford_foliations.algebra import _blocks, eig_split, max_abs, rng_from, s
 from clifford_foliations.clifford import (
     CliffordSystem,
     EquivalenceProfile,
-    _relation_violations,
     _span_sum,
     MalformedSystemError,
     build_complex_structures,
@@ -186,6 +185,11 @@ def pair_loop_violations(system):
     return float(sym), float(invol), float(anti)
 
 
+def relation_violations(system):
+    """The symmetry, involution and anticommutation violations verify_relations reports."""
+    return tuple(c.violation for c in verify_relations(system))
+
+
 class TestRelationViolations:
     def test_exact_values_match_dense_on_broken_systems(self):
         # the exact gather comparison must report what the dense matmuls report
@@ -221,7 +225,7 @@ class TestRelationViolations:
         with pytest.raises(ValueError, match="at least two"):
             sub_system(conj, [1])
         for system in (twin, conj, sub_system(conj, [2, 1])):
-            got = _relation_violations(system)
+            got = relation_violations(system)
             assert np.array(got).tobytes() == np.array(pair_loop_violations(system)).tobytes()
             assert max(got) <= 1e-12
 
@@ -233,13 +237,13 @@ class TestRelationViolations:
                 gens = twin.generators.copy()
                 gens[j] = gens[i]  # P_i P_j + P_j P_i = 2 Id; every other relation holds
                 broken = CliffordSystem(gens)
-                assert _relation_violations(broken) == pair_loop_violations(broken) == (0, 0, 2)
+                assert relation_violations(broken) == pair_loop_violations(broken) == (0, 0, 2)
         skew, scaled = twin.generators.copy(), twin.generators.copy()
         skew[2, 0, 1] += 1e-9
         scaled[3] *= 1.0 + 2**-40
         for gens, failing in ((skew, "symmetry"), (scaled, "involution")):
             system = CliffordSystem(gens)
-            got = _relation_violations(system)
+            got = relation_violations(system)
             assert np.array(got).tobytes() == np.array(pair_loop_violations(system)).tobytes()
             assert failing in [c.name for c in verify_relations(system) if not c.passed]
 
@@ -249,7 +253,7 @@ class TestRelationViolations:
         payload["generators"][3][5] = float("nan")
         gens = np.array(payload["generators"]).reshape(5, 16, 16)
         with np.errstate(invalid="ignore"):
-            assert np.isnan(_relation_violations(CliffordSystem(gens))).all()
+            assert np.isnan(relation_violations(CliffordSystem(gens))).all()
         with pytest.raises(MalformedSystemError, match="violation nan"):
             system_from_dict(payload)
 
@@ -259,7 +263,7 @@ class TestRelationViolations:
         twin = system_from_dict(system_to_dict(build_system(12, 1), "dense"))
         tracemalloc.start()
         try:
-            assert _relation_violations(twin) == (0.0, 0.0, 0.0)
+            assert relation_violations(twin) == (0.0, 0.0, 0.0)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

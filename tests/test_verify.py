@@ -376,6 +376,35 @@ class TestCheckSensitivity:
                 passed = {c.name: c.passed for c in report.checks}
                 assert [passed[name] for name in checks] == [not patched] * len(checks)
 
+    def test_nan_rows_fail_their_checks(self, s22, monkeypatch):
+        # a check is its rows' worst excess: one NaN row reads NaN and fails it, whatever
+        # the other rows read, in the one-sided bounds as in the two-sided gaps
+        def nan_rows(*args, **kwargs):
+            return np.full(np.shape(args[2])[:-1], np.nan)
+
+        exact = verify.project_geodesic_params
+
+        def nan_coordinate(*args):
+            q = exact(*args)
+            q[0, 1] = np.nan
+            return q
+
+        cases = [
+            ("leaf_to_leaf_ambient_distance", nan_rows, "transnormality", s22,
+             ["fiber_equidistance", "composed_equidistance", "no_undercut"]),
+            ("composed_quotient_distance", nan_rows, "diameter", build_system(8, 2),
+             ["diameter_upper", "diameter_attained"]),
+            ("project_geodesic_params", nan_coordinate, "geodesics", s22, ["q_in_disk"]),
+        ]
+        for name, patch, suite, system, checks in cases:
+            with monkeypatch.context() as patched:
+                patched.setattr(verify, name, patch)
+                report = run_suite(SuiteConfig(suite, system, seed=1, samples=40,
+                                               budget=dict(FAST_BUDGET)))
+            read = {c.name: c for c in report.checks}
+            for check in checks:
+                assert np.isnan(read[check].violation) and not read[check].passed, check
+
 
 class TestReportFormat:
     def test_json_schema(self, s22):
@@ -397,6 +426,15 @@ class TestReportFormat:
         assert check.to_json_dict()["pass"] is True
         with pytest.raises(TypeError):
             CheckResult("x", "y", 1.0, 0.0, True)
+        # one reduction: the violation is the worst row's excess, never negative, and NaN if
+        # any row is NaN; no rows read 0 and -0.0 reads +0.0
+        check = CheckResult("x", "y", [-1.0, np.nan], 0.0)
+        assert np.isnan(check.violation) and not check.passed
+        for rows in ([], [-0.0], [-1.0], -0.0):
+            check = CheckResult("x", "y", rows, 0.0)
+            assert check.violation == 0.0 and np.copysign(1.0, check.violation) == 1.0
+        assert CheckResult("x", "y", np.array([[0.5, 2.0], [1.0, -3.0]]), 1.0).violation == 2.0
+        assert CheckResult("x", "y", np.int64(3), 0.0).violation == 3.0
 
     def test_report_that_gains_a_failing_check_fails(self, s22):
         report = run_suite(SuiteConfig("relations", s22, seed=0, samples=10))
