@@ -158,13 +158,10 @@ def _cmd_compose(args) -> int:
     if 2 * args.check_pairs > args.count:
         raise ValueError("--check-pairs needs at least two samples per pair")
     x = sample_unit_vectors(rng_from(args.seed), system.dim, args.count)
-    classes = composed_class(system, spec, x)
-    tail_dim = max((0 if c.tail is None else len(c.tail) for c in classes), default=0)
-    rows = []
-    for c in classes:
-        tail = [""] * tail_dim if c.tail is None else [f"{t:.17g}" for t in c.tail]
-        rows.append([f"{c.radius:.17g}"] + tail)
-    _write_csv(args.out, ["radius"] + [f"tail{i}" for i in range(tail_dim)], rows)
+    radii, tails = composed_class(system, spec, x)
+    rows = ([f"{r:.17g}"] + ["" if np.isnan(t) else f"{t:.17g}" for t in tail]
+            for r, tail in zip(radii, tails))
+    _write_csv(args.out, ["radius"] + [f"tail{i}" for i in range(tails.shape[1])], rows)
     pairs = x[:2 * args.check_pairs]
     for i, same in enumerate(same_leaf(system, spec, pairs[0::2], pairs[1::2])):
         print(f"pair {i}: same_leaf = {same}")

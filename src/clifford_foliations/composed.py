@@ -32,7 +32,6 @@ __all__ = [
     "BUILTIN_SPEC_NAMES",
     "signed_svd_triple",
     "tensor_orbit_distance",
-    "ComposedClass",
     "composed_class",
     "same_leaf",
     "composed_quotient_distance",
@@ -211,17 +210,6 @@ def builtin_spec(name: str, m: int) -> FoliationSpec:
 # Leaf classes and membership
 # --------------------------------------------------------------------------- #
 
-@dataclass
-class ComposedClass:
-    """Leaf label of a point: quotient radius plus direction invariant.
-
-    ``tail`` is absent at the origin class (the focal manifold is one leaf).
-    """
-
-    radius: float
-    tail: Optional[np.ndarray]
-
-
 def _check_spec(system: CliffordSystem, spec: FoliationSpec):
     if spec.ambient_dim != system.m + 1:
         raise ValueError(f"spec {spec.name!r} lives on R^{spec.ambient_dim}, "
@@ -242,15 +230,18 @@ def _check_pair(x: np.ndarray, y: np.ndarray):
 
 
 def composed_class(system: CliffordSystem, spec: FoliationSpec, x: np.ndarray):
-    """Leaf class of x: one :class:`ComposedClass` for a point (2l,), a list for rows (n, 2l)."""
+    """Leaf class (radius, tail) of x: a float and (t,) for a point (2l,), arrays for rows.
+
+    Rows (n, 2l) give (n,) and (n, t), each row its single call's.  The tail, the spec's
+    invariant of the direction, is NaN on the origin class, the focal manifold.
+    """
     _check_spec(system, spec)
     v, r = _disk_points(system, x)
-    tails = [None] * len(r)
-    off = np.flatnonzero(r > _ORIGIN_TOL)
-    for i, tail in zip(off, spec.invariant_map(v[off] / r[off, None])):
-        tails[i] = tail
-    classes = [ComposedClass(float(ri), tail) for ri, tail in zip(r, tails)]
-    return classes[0] if np.ndim(x) == 1 else classes
+    off = r > _ORIGIN_TOL
+    invariant = spec.invariant_map(v[off] / r[off, None])
+    tails = np.full((len(r), invariant.shape[1]), np.nan)
+    tails[off] = invariant
+    return (float(r[0]), tails[0]) if np.ndim(x) == 1 else (r, tails)
 
 
 def same_leaf(system: CliffordSystem, spec: FoliationSpec, x: np.ndarray, y: np.ndarray):

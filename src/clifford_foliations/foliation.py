@@ -71,10 +71,12 @@ def _quadratic_values(system: CliffordSystem, x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _check_width(system: CliffordSystem, x: np.ndarray) -> None:
-    """Raise unless x holds points of R^(2l) along its last axis."""
+def _unit_points(system: CliffordSystem, x) -> np.ndarray:
+    """x as floats, after checking it holds unit points of R^(2l) along its last axis."""
+    x = np.asarray(x, dtype=float)
     if x.shape[-1:] != (system.dim,):
         raise ValueError(f"points must have shape (..., {system.dim}) = (..., 2l), got {x.shape}")
+    return check_unit(x)
 
 
 def _in_blocks(system: CliffordSystem, x: np.ndarray, values, size: int) -> np.ndarray:
@@ -101,9 +103,7 @@ def pi_c(system: CliffordSystem, x: np.ndarray) -> np.ndarray:
     (:func:`_blocks`), so the (rows, m, l) image stack of a large batch is
     never built whole, and each row's values are the same in any block.
     """
-    x = np.asarray(x, dtype=float)
-    _check_width(system, x)
-    x = check_unit(x)
+    x = _unit_points(system, x)
     return _in_blocks(system, x, lambda rows: _quadratic_values(system, rows), system.m * system.l)
 
 
@@ -278,10 +278,10 @@ def _pi_rows(system: CliffordSystem, x: np.ndarray, v: np.ndarray) -> np.ndarray
 def pi_jacobian_rows(system: CliffordSystem, x: np.ndarray) -> np.ndarray:
     """Rows X_{P_i}(x) = 2 P_i x - 2 <P_i x, x> x of the differential of pi_C.
 
-    Shape x.shape[:-1] + (m+1, 2l): (m+1, 2l) for a single point.
+    Shape x.shape[:-1] + (m+1, 2l): (m+1, 2l) for a single point; x is checked
+    as :func:`pi_c` checks it.
     """
-    x = np.asarray(x, dtype=float)
-    _check_width(system, x)
+    x = _unit_points(system, x)
     return _pi_rows(system, x, _quadratic_values(system, x))
 
 
@@ -294,9 +294,7 @@ def fkm_f0(system: CliffordSystem, x: np.ndarray) -> np.ndarray:
     shares no arithmetic with pi_c's E_+-(P_0) kernel and 1 - 2 |pi_C(x)|^2, its
     factorization through the quotient map, is an independent second evaluation.
     """
-    x = np.asarray(x, dtype=float)
-    _check_width(system, x)
-    x = check_unit(x)
+    x = _unit_points(system, x)
     q = _in_blocks(system, x, lambda y: row_dots(system.generator_images(y), y[:, None, :]),
                    (system.m + 1) * system.dim)
     sq = row_dots(x, x)
@@ -333,7 +331,11 @@ def geodesic_eval(x_plus: np.ndarray, x_minus: np.ndarray, t) -> np.ndarray:
 
 
 def project_geodesic_params(system: CliffordSystem, x_plus, x_minus) -> np.ndarray:
-    """Q_i = <P_i x_plus, x_minus> row by row, so pi_C(gamma(t)) = -cos(2t) P + sin(2t) Q."""
+    """Q_i = <P_i x_plus, x_minus> row by row, so pi_C(gamma(t)) = -cos(2t) P + sin(2t) Q.
+
+    Both endpoints are checked as :func:`pi_c` checks its points.
+    """
+    x_plus, x_minus = _unit_points(system, x_plus), _unit_points(system, x_minus)
     # generator images and one row dot per Q_i, both row by row: rows equal singles
     return row_dots(system.generator_images(x_plus), x_minus[..., None, :])
 

@@ -199,67 +199,31 @@ class HomogeneityVerdict:
     status: str  # "homogeneous" | "non_homogeneous" | "conditionally"
     group: Optional[str] = None
     condition: Optional[str] = None
-    source: str = ""
 
     def __str__(self) -> str:
-        if self.status == "homogeneous":
-            return f"homogeneous ({self.group}) -- {self.source}"
-        if self.status == "conditionally":
-            return f"conditionally ({self.condition}) -- {self.source}"
-        return f"non_homogeneous -- {self.source}"
+        detail = self.group or self.condition
+        return self.status if detail is None else f"{self.status} ({detail})"
 
 
 def classify_homogeneity(profile: EquivalenceProfile) -> HomogeneityVerdict:
     """Decision table over equivalence profiles, each one that some system has.
 
-    Constructive cases carry the acting group; everything else is settled by
-    the known classification of these foliations, quoted as plain statements.
+    l = m: the fibers are the Hopf fibrations, orbits of U(1) on S^3 and of Sp(1)
+    on S^7; the fibration of S^15 over S^8 has no transitive fiber group.  m = 1,
+    m = 2, and m = 4 with kappa = k (the generator product is +-Id): the diagonal
+    SO(k), SU(k) or Sp(k) action on F^k x F^k fills the fibers (:func:`diagonal_act`).
+    l = m+1: the fibers are antipodal sphere pairs, homogeneous at most per component.
+    Every other profile is called non-homogeneous, after the source paper
+    (arXiv:1401.2546) and Ferus, Karcher and Muenzner (Math. Z. 177, 1981); no
+    check here computes these verdicts.
     """
     m, k, kappa = profile.m, profile.k, profile.kappa
     l = k * delta(m)
+    group = None
     if l == m:
-        # quotient is the boundary sphere: the three Hopf projections
-        if m == 2:
-            return HomogeneityVerdict(
-                "homogeneous", group="U(1)",
-                source="quotient-sphere case: circle fibration of the 3-sphere over the 2-sphere")
-        if m == 4:
-            return HomogeneityVerdict(
-                "homogeneous", group="Sp(1)",
-                source="quotient-sphere case: unit-quaternion fibration of the 7-sphere over the 4-sphere")
-        return HomogeneityVerdict(
-            "non_homogeneous",
-            source="quotient-sphere case: the 15-sphere fibration over the 8-sphere "
-                   "is the unique regular foliation with no transitive fiber group")
-    if m == 1 and k >= 2:
-        return HomogeneityVerdict(
-            "homogeneous", group=f"SO({k}) diagonal",
-            source="orbits of the diagonal rotation action on R^k x R^k fill the fibers")
-    if m == 2:
-        return HomogeneityVerdict(
-            "homogeneous", group=f"SU({k}) diagonal",
-            source="orbits of the diagonal special-unitary action on C^k x C^k fill the fibers")
-    if m == 4:
-        if kappa == k:
-            return HomogeneityVerdict(
-                "homogeneous", group=f"Sp({k}) diagonal",
-                source="generator product is +-Id (trace invariant at maximum), so the "
-                       "diagonal symplectic action on H^k x H^k fills the fibers")
-        return HomogeneityVerdict(
-            "non_homogeneous",
-            source="trace invariant below maximum: the generator product is not +-Id, "
-                   "which rules out every transitive candidate action")
-    if l == m + 1:
-        return HomogeneityVerdict(
-            "conditionally", condition="fibers disconnected (l = m+1)",
-            source="the fibers split into antipodal sphere pairs, so leafwise "
-                   "homogeneity is not defined for the fiber partition itself")
-    if (m, k) == (9, 1):
-        return HomogeneityVerdict(
-            "non_homogeneous",
-            source="rank-10 system on R^32: no isometry group of the required "
-                   "dimension acts transitively on its 15-sphere leaves")
-    return HomogeneityVerdict(
-        "non_homogeneous",
-        source="the codimension-one family of this system is already inhomogeneous, "
-               "so the finer fiber foliation is too")
+        group = {2: "U(1)", 4: "Sp(1)"}.get(m)
+    elif m in (1, 2) or (m == 4 and kappa == k):
+        group = {1: "SO", 2: "SU", 4: "Sp"}[m] + f"({k}) diagonal"
+    elif l == m + 1:
+        return HomogeneityVerdict("conditionally", condition="fibers disconnected (l = m+1)")
+    return HomogeneityVerdict("homogeneous" if group else "non_homogeneous", group)

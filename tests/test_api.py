@@ -22,7 +22,7 @@ import numpy as np
 import pytest
 
 import clifford_foliations
-from clifford_foliations import algebra, clifford, foliation, homogeneity
+from clifford_foliations import algebra, clifford, composed, foliation, homogeneity
 from clifford_foliations.algebra import (cd_units, rng_from, rng_streams, row_dots, row_norms,
                                          sample_unit_vectors)
 from clifford_foliations.clifford import (CliffordSystem, EquivalenceProfile,
@@ -30,7 +30,7 @@ from clifford_foliations.clifford import (CliffordSystem, EquivalenceProfile,
                                           sub_system, system_from_dict, system_to_dict,
                                           verify_relations)
 from clifford_foliations.composed import (BUILTIN_SPEC_NAMES, FoliationSpec, builtin_spec,
-                                          composed_quotient_distance,
+                                          composed_class, composed_quotient_distance,
                                           leaf_to_leaf_ambient_distance, same_leaf)
 from clifford_foliations.foliation import (boundary_fiber_sample, fiber_sample, mplus_sample,
                                            pi_c, project_geodesic_params,
@@ -186,18 +186,21 @@ def test_clifford_system_is_its_generators():
 
 
 def test_value_types_store_only_their_data():
-    # a check's verdict is read off its numbers and a report's off its checks
+    # a check's verdict is read off its numbers and a report's off its checks; a
+    # homogeneity verdict is what the table decides, with no quoted reason beside it
     assert [f.name for f in dataclasses.fields(CheckResult)] == [
         "name", "claim", "violation", "tol"]
     assert [f.name for f in dataclasses.fields(VerificationReport)] == [
         "suite", "seed", "samples", "checks", "system"]
+    assert [f.name for f in dataclasses.fields(homogeneity.HomogeneityVerdict)] == [
+        "status", "group", "condition"]
 
 
 def test_results_are_what_callers_read():
     # a normal form is its array [u1, v1, v2], a group element its action matrix, a
-    # geodesic its three arrays (p, x_plus, x_minus), its projection Q alone and a relation
-    # check its three CheckResults, with no wrapper type or field tag; the 2l cap has no
-    # function or setting of its own
+    # geodesic its three arrays (p, x_plus, x_minus), its projection Q alone, a leaf class
+    # its radius and tail and a relation check its three CheckResults, with no wrapper
+    # type or field tag; the 2l cap has no function or setting of its own
     form = normal_form(np.eye(8)[0], 2)
     assert type(form) is np.ndarray and form.shape == (4,)
     mat = sample_group_element(2, 2, 5)
@@ -214,6 +217,13 @@ def test_results_are_what_callers_read():
     assert type(checks) is list and all(type(c) is CheckResult for c in checks)
     assert [c.name for c in checks] == ["symmetry", "involution", "anticommutation"]
     assert not hasattr(homogeneity, "NormalForm")
+    x = sample_unit_vectors(rng_from(6), S22.dim, 5)
+    radius, tail = composed_class(S22, builtin_spec("height", 2), x[0])
+    assert type(radius) is float and type(tail) is np.ndarray and tail.shape == (1,)
+    radii, tails = composed_class(S22, builtin_spec("points", 2), x)
+    assert type(radii) is np.ndarray and radii.shape == (5,)
+    assert type(tails) is np.ndarray and tails.shape == (5, 3)
+    assert not hasattr(composed, "ComposedClass")
     assert not {"dimension_cap", "DEFAULT_DIM_CAP"} & set(dir(clifford))
 
 

@@ -506,7 +506,8 @@ class TestComposeAndHomogeneity:
         out = tmp_path / "classes.csv"
         assert run("compose", "--system", system, "--spec", "height",
                    "--count", 0, "--out", out) == 0
-        assert out.read_text().splitlines() == ["radius"]
+        # the columns follow the spec's invariant width, not the rows drawn
+        assert out.read_text().splitlines() == ["radius,tail0"]
 
     def test_homogeneity_verdicts(self, tmp_path, capsys):
         system = tmp_path / "s.json"

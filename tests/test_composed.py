@@ -265,15 +265,17 @@ class TestComposedClasses:
         spec = builtin_spec("points", 2)
         v = np.array([0.2, -0.4, 0.1])
         x = fiber_sample(s22, v, 1, 7)[0]
-        cls = composed_class(s22, spec, x)
-        assert abs(cls.radius - np.linalg.norm(v)) <= 1e-12
-        np.testing.assert_allclose(cls.tail, v / np.linalg.norm(v), atol=1e-10)
+        radius, tail = composed_class(s22, spec, x)
+        assert type(radius) is float and tail.shape == (3,)
+        assert abs(radius - np.linalg.norm(v)) <= 1e-12
+        np.testing.assert_allclose(tail, v / np.linalg.norm(v), atol=1e-10)
 
     def test_origin_class_has_no_tail(self, s22):
-        for name in ("points", "one_leaf", "height"):
+        # the focal manifold has no direction: its tail is NaN, at the spec's width
+        for name, width in (("points", 3), ("one_leaf", 1), ("height", 1)):
             spec = builtin_spec(name, 2)
-            cls = composed_class(s22, spec, mplus_sample(s22, 1, 8)[0])
-            assert cls.tail is None and cls.radius <= 1e-10
+            radius, tail = composed_class(s22, spec, mplus_sample(s22, 1, 8)[0])
+            assert tail.shape == (width,) and np.isnan(tail).all() and radius <= 1e-10
 
     def test_dimension_mismatch_rejected(self, s22):
         with pytest.raises(ValueError):
@@ -518,17 +520,17 @@ class TestRowWise:
         system = build_system(*mk)
         spec = builtin_spec(name, system.m)
         x, _ = mixed_pairs(system, 42)
-        rows = composed_class(system, spec, x)
-        assert len(rows) == len(x)
-        for row, point in zip(rows, x):
+        radii, tails = composed_class(system, spec, x)
+        assert radii.shape == (len(x),) and tails.ndim == 2 and len(tails) == len(x)
+        for radius, tail, point in zip(radii, tails, x):
             alone = composed_class(system, spec, point)
-            assert row.radius == alone.radius
-            if alone.tail is None:
-                assert row.tail is None
-            else:
-                np.testing.assert_array_equal(row.tail, alone.tail)
+            assert radius == alone[0]
+            # NaN where the origin class has no tail, equal bits elsewhere
+            np.testing.assert_array_equal(tail, alone[1])
+        origin = np.isnan(tails).all(axis=1)
+        assert (origin == np.isnan(tails).any(axis=1)).all()
         if system.l >= system.m + 1:
-            assert any(row.tail is None for row in rows)
+            assert origin.any()
 
     def test_radius_is_the_single_point_norm(self, s22):
         # row 0 of this draw is a norm trap: with pi_C taken in E_+-(P_0) coefficients its
@@ -538,8 +540,8 @@ class TestRowWise:
         x = sample_unit_vectors(rng_from(31), s22.dim, 8)
         points, one_leaf = builtin_spec("points", 2), builtin_spec("one_leaf", 2)
         r = float(row_norms(pi_c(s22, x[0])))
-        assert composed_class(s22, points, x)[0].radius == r
-        assert composed_class(s22, points, x[0]).radius == r
+        assert composed_class(s22, points, x)[0][0] == r
+        assert composed_class(s22, points, x[0])[0] == r
         r0 = float(row_norms(pi_c(s22, x[3])))
         cone = [np.array([np.sqrt(1.0 - t * t), t, 0.0]) for t in (r, r0)]
         expected = 0.5 * unit_angle(*cone)

@@ -163,6 +163,11 @@ class TestPiC:
                     pi_c(s22, x)
                 with pytest.raises(ValueError, match=rf"shape \(\.\.\., {s22.dim}\)"):
                     pi_jacobian_rows(s22, x)
+                # either endpoint of a geodesic, the other unit rows e_0 of the right width
+                e0 = np.eye(s22.dim)[np.zeros(x.shape[:-1], dtype=int)]
+                for ends in ((x, e0), (e0, x)):
+                    with pytest.raises(ValueError, match=rf"shape \(\.\.\., {s22.dim}\)"):
+                        project_geodesic_params(s22, *ends)
 
 
 NON_FINITE = [np.nan, np.inf, -np.inf]
@@ -206,6 +211,27 @@ class TestNonFiniteInputs:
         x[1, 0] = bad
         with pytest.raises(ValueError, match="unit vector"):
             fkm_f0(s22, x)
+
+    @pytest.mark.parametrize("bad", NON_FINITE + [HUGE, 3.0])
+    def test_pi_jacobian_rows(self, s22, bad):
+        # 3.0 makes a finite non-unit row, whose rows would be read as if it were unit
+        x = np.zeros(s22.dim)
+        x[0] = bad
+        with pytest.raises(ValueError, match="unit vector"):
+            pi_jacobian_rows(s22, x)
+        batch = np.eye(s22.dim)[:3].copy()
+        batch[1, 2] = bad
+        with pytest.raises(ValueError, match="unit vector"):
+            pi_jacobian_rows(s22, batch)
+
+    @pytest.mark.parametrize("bad", NON_FINITE + [HUGE, 3.0])
+    def test_project_geodesic_params(self, s22, bad):
+        # either endpoint
+        for i in range(2):
+            ends = [a.copy() for a in random_horizontal_geodesic(s22, 4)[1:]]
+            ends[i][1] = bad
+            with pytest.raises(ValueError, match="unit vector"):
+                project_geodesic_params(s22, *ends)
 
     @pytest.mark.parametrize("bad", NON_FINITE + [HUGE])
     def test_quotient_lift(self, bad):

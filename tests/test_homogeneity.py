@@ -245,17 +245,29 @@ def expected_verdict(m, k, kappa):
     return "non_homogeneous"
 
 
+def supported_profiles():
+    """(m, k, profile) of every (m, k, flips) class that build_system builds."""
+    return [(m, k, equivalence_profile(build_system(m, k, flips)))
+            for m in range(1, 13) for k in range(1, 5)
+            if (m, k) != (1, 1) and 2 * k * delta(m) <= 512 for flips in range(k + 1)]
+
+
 class TestClassification:
     def test_table_on_all_supported_profiles(self):
-        for m in range(1, 13):
-            for k in range(1, 5):
-                if (m, k) == (1, 1) or 2 * k * delta(m) > 512:
-                    continue
-                for flips in range(k + 1):
-                    profile = equivalence_profile(build_system(m, k, flips))
-                    verdict = classify_homogeneity(profile)
-                    assert verdict.status == expected_verdict(m, k, profile.kappa), \
-                        f"profile {profile}"
+        for m, k, profile in supported_profiles():
+            verdict = classify_homogeneity(profile)
+            assert verdict.status == expected_verdict(m, k, profile.kappa), f"profile {profile}"
+
+    def test_verdicts_print_their_status_and_group(self):
+        # a verdict prints what the table decides: its status, with the acting group of a
+        # homogeneous verdict or the condition of a conditional one, and no quoted reason
+        for _, _, profile in supported_profiles():
+            verdict = classify_homogeneity(profile)
+            assert (verdict.group is None) == (verdict.status != "homogeneous")
+            assert (verdict.condition is None) == (verdict.status != "conditionally")
+            detail = verdict.group or verdict.condition
+            assert str(verdict) == (verdict.status if detail is None
+                                    else f"{verdict.status} ({detail})")
 
     def test_group_names(self):
         assert classify_homogeneity(EquivalenceProfile(1, 3)).group == "SO(3) diagonal"
