@@ -51,7 +51,6 @@ _DELTA_SMALL = (1, 2, 4, 4, 8, 8, 8, 8)
 
 # the largest 2l build_system makes: the widest system of the default plan, 2 * 4 delta(12)
 _DIM_CAP = 512
-_ONE_ONE = "(m, k) = (1, 1) is degenerate (fibers are point pairs) and not supported"
 
 
 class MalformedSystemError(ValueError):
@@ -156,15 +155,26 @@ class CliffordSystem:
     generators as signed permutations in one gather pair ``(cols, signs)``, int arrays
     of shape (m+1, 2l): entry r of P_i x is ``signs[i, r] * x[cols[i, r]]``.  Other
     systems (conjugated or loaded dense) hold one (m+1, 2l, 2l) float stack.  The rank
-    m+1, the width 2l and whether the generators are the construction's
-    (:attr:`standard_layout`) are read off them, in either form.  Treat instances as
-    immutable: m, l, that predicate, the diagonals of the generators, the E_+-(P_0)
-    split (an index pair where P_0 is a +-1 diagonal) or :attr:`p0_eigenbases`, the
-    blocks of P_1..P_m between them, their copy count and the signed indices are cached
+    m+1, the width 2l, the multiplicity k and whether the generators are the
+    construction's (:attr:`standard_layout`) are read off them, in either form.  Treat
+    instances as immutable: m, l, k, that predicate, the diagonals of the generators, the
+    E_+-(P_0) split (an index pair where P_0 is a +-1 diagonal) or :attr:`p0_eigenbases`,
+    the blocks of P_1..P_m between them, their copy count and the signed indices are cached
     lazily.
     """
 
     generators: tuple
+
+    def __post_init__(self):
+        """Refuse a shape no system has, with a ValueError (on ``dataclasses.replace`` too):
+        m below 1, l not a positive multiple of delta(m), and (m, k) = (1, 1)."""
+        d = delta(self.m)
+        if _count(self.l, "l", 1) % d:
+            raise ValueError(f"l = {self.l} is not a multiple of delta(m) = "
+                             f"2^{d.bit_length() - 1}")
+        if (self.m, self.k) == (1, 1):
+            raise ValueError("(m, k) = (1, 1) is degenerate (fibers are point pairs) and not"
+                             " supported")
 
     @cached_property
     def m(self) -> int:
@@ -175,6 +185,11 @@ class CliffordSystem:
     def l(self) -> int:
         """Half the generators' width, read off :attr:`_diagonals`' shape (m+1, 2l)."""
         return self._diagonals.shape[1] // 2
+
+    @cached_property
+    def k(self) -> int:
+        """The multiplicity l / delta(m): the count of irreducible modules on R^(2l)."""
+        return self.l // delta(self.m)
 
     @property
     def dim(self) -> int:
@@ -187,24 +202,22 @@ class CliffordSystem:
     def dense_generator(self, i: int) -> np.ndarray:
         """P_i as a dense matrix: the stored one, or :meth:`span_matrix` of e_i for exact P_i."""
         i = _count(i, "i", 0)
+        if i > self.m:
+            raise ValueError("generator index out of range")
         if not self.exact:
             return self.generators[i]
         return self.span_matrix(np.eye(self.m + 1)[i])
 
     @cached_property
     def standard_layout(self) -> bool:
-        """Whether the generators are the unflipped ``build_system(m, l / delta(m))``'s.
+        """Whether the generators are the unflipped ``build_system(m, k)``'s.
 
-        The construction is built without the dimension cap or the (1, 1) rejection and
-        compared with the gather pair or the dense stack, entry for entry.  A sub-system
-        keeping every generator, the identity conjugate and a dense copy of an unflipped
-        built system read True; a flipped system, a conjugate that moves an entry and a
-        coordinate-permuted file read False.
+        The construction is built without the dimension cap and compared with the gather
+        pair or the dense stack, entry for entry.  A sub-system keeping every generator, the
+        identity conjugate and a dense copy of an unflipped built system read True; a flipped
+        system, a conjugate that moves an entry and a coordinate-permuted file read False.
         """
-        d = delta(self.m)
-        if self.l % d:
-            return False
-        built = _construction(self.m, self.l // d, 0)
+        built = _construction(self.m, self.k, 0)
         if not self.exact:
             built = _span_sum(np.eye(self.m + 1), _scatter_index(built), self.dim)
         return all(map(np.array_equal, self.generators, built))
@@ -341,6 +354,8 @@ class CliffordSystem:
         lays out coordinate axis outermost.  Other bases take the products, one (1, 2l) row
         at a time as :meth:`p0_assemble` does.
         """
+        if x.shape[-1:] != (self.dim,):
+            raise ValueError(f"points must have shape (..., {self.dim}), got {x.shape}")
         if self._p0_split is None:
             b_plus, b_minus = self.p0_eigenbases
             return (x[..., None, :] @ b_plus)[..., 0, :], (x[..., None, :] @ b_minus)[..., 0, :]
@@ -455,8 +470,10 @@ def _images(blocks, signed, x: np.ndarray) -> np.ndarray:
     :func:`_signed_index`, which returns a new C-contiguous stack whatever
     the batch size; a negation rounds nothing, so this equals gathering x
     and multiplying by the signs.  A stack takes one (1, width) product per
-    row and block, so a row's bits do not depend on its batch.
+    row and block, so a row's bits do not depend on its batch.  Rows of another width raise.
     """
+    if x.shape[-1:] != blocks[0].shape[-1:]:
+        raise ValueError(f"points must have shape (..., {blocks[0].shape[-1]}), got {x.shape}")
     if isinstance(blocks, tuple):
         return np.concatenate((x, -x), axis=-1).take(signed, axis=-1)
     return (x[..., None, None, :] @ np.swapaxes(blocks, -1, -2))[..., 0, :]
@@ -471,18 +488,14 @@ def build_system(m: int, k: int, flips: int = 0) -> CliffordSystem:
     """Rank-(m+1) system of multiplicity k on R^(2 k delta(m)), built exactly.
 
     ``flips`` of the k irreducible blocks carry -P_0 instead of P_0; with none flipped the
-    system is in the :attr:`~CliffordSystem.standard_layout`.  The degenerate pair
-    (m, k) = (1, 1) is rejected, as :func:`system_from_dict` rejects it: its boundary fibers
-    are antipodal point pairs, which none of the geometry downstream supports.  2l may not
-    exceed 512, the widest system of the default plan, which bounds what a command-line
-    argument can allocate.  The arguments are read as Python ints (numpy integers too); a
-    bool raises TypeError.
+    system is in the :attr:`~CliffordSystem.standard_layout`.  :class:`CliffordSystem`
+    refuses the degenerate pair (m, k) = (1, 1).  2l may not exceed 512, the widest system
+    of the default plan, which bounds what a command-line argument can allocate.  The
+    arguments are read as Python ints (numpy integers too); a bool raises TypeError.
     """
     m, k, flips = _count(m, "m", 1), _count(k, "k", 1), _index(flips, "flips")
     if not (0 <= flips <= k):
         raise ValueError("flips must lie in [0, k]")
-    if (m, k) == (1, 1):
-        raise ValueError(_ONE_ONE)
     # delta(m) >= 16^((m - 1) // 8): a large m is over the cap before delta(m) is formed
     if 4 * ((m - 1) // 8) >= _DIM_CAP.bit_length() or 2 * k * delta(m) > _DIM_CAP:
         raise ValueError(f"system dimension 2l = 2k delta(m) at m = {m}, k = {k} exceeds the"
@@ -491,7 +504,7 @@ def build_system(m: int, k: int, flips: int = 0) -> CliffordSystem:
 
 
 def _construction(m: int, k: int, flips: int):
-    """The gather pair of ``build_system(m, k, flips)``, without its cap or (1, 1) rejection;
+    """The gather pair of ``build_system(m, k, flips)``, without its cap;
     :attr:`CliffordSystem.standard_layout` compares the generators with the unflipped one."""
     d = delta(m)
     l = k * d
@@ -585,12 +598,9 @@ def trace_invariant(system: CliffordSystem) -> float:
 
 def equivalence_profile(system: CliffordSystem) -> EquivalenceProfile:
     """Profile (m, k, kappa) deciding the geometric equivalence class, read off the generators:
-    k = l / delta(m), as :attr:`CliffordSystem.standard_layout` reads it, and kappa."""
-    d = delta(system.m)
-    if system.l % d:
-        raise MalformedSystemError(f"l = {system.l} is not divisible by delta({system.m}) = {d}")
+    the system's m and k, and kappa, the rounded trace invariant where 4 divides m."""
     kappa = int(round(trace_invariant(system))) if system.m % 4 == 0 else None
-    return EquivalenceProfile(system.m, system.l // d, kappa)
+    return EquivalenceProfile(system.m, system.k, kappa)
 
 
 def conjugate_system(system: CliffordSystem, a: np.ndarray) -> CliffordSystem:
@@ -608,12 +618,10 @@ def conjugate_system(system: CliffordSystem, a: np.ndarray) -> CliffordSystem:
 
 
 def sub_system(system: CliffordSystem, indices: Sequence[int]) -> CliffordSystem:
-    """Restriction to a subsequence of at least two distinct generators, given by integer
-    indices, so the rank is at least 2 (m >= 1) as everywhere else; keeping every index in
+    """Restriction to a subsequence of distinct generators, given by integer indices; fewer
+    than two leave m below 1, which :class:`CliffordSystem` refuses.  Keeping every index in
     order keeps an unflipped built system's standard layout."""
     indices = [_index(i, "generator index") for i in indices]
-    if len(indices) < 2:
-        raise ValueError("sub_system needs at least two generator indices (m >= 1)")
     if any(i < 0 or i > system.m for i in indices):
         raise ValueError("generator index out of range")
     if len(set(indices)) < len(indices):
@@ -655,9 +663,10 @@ def system_from_dict(data: dict) -> CliffordSystem:
 
     Any payload that does not describe a system (not a JSON object, a missing
     key, a field of the wrong type or shape, generators failing
-    :func:`verify_relations`) raises :class:`MalformedSystemError`, and so does
-    (m, l) = (1, 1), which :func:`build_system` refuses too.  No dimension cap
-    applies.  The ``provenance`` key of files written by older versions is ignored.
+    :func:`verify_relations`) raises :class:`MalformedSystemError`, and so do generators
+    :class:`CliffordSystem` refuses, before their relations are checked: l off a multiple
+    of delta(m) and (m, l) = (1, 1).  No dimension cap applies.  The ``provenance`` key of
+    files written by older versions is ignored.
     """
     if not isinstance(data, dict):
         raise MalformedSystemError("system payload must be a JSON object")
@@ -687,17 +696,10 @@ def _system_from_fields(data: dict) -> CliffordSystem:
     _require_types([m, l], {int}, "m and l must be integers")
     if m < 1 or l < 1:
         raise MalformedSystemError("m and l must be at least 1")
-    if (m, l) == (1, 1):  # l = k, as delta(1) = 1
-        raise MalformedSystemError(_ONE_ONE)
     encoding = data["encoding"]
     payload = data["generators"]
     if len(payload) != m + 1:
         raise MalformedSystemError("generator count does not match rank")
-    # true of every Clifford system, and cheap where the relation check costs (m+1)^2 2l
-    # gathers; the count above bounds m, and so the size of delta(m), by the payload's
-    if l % delta(m):
-        raise MalformedSystemError(f"l = {l} is not a multiple of delta(m) = "
-                                   f"2^{delta(m).bit_length() - 1}")
     if encoding == "signed_perm":
         if any(len(pairs) != 2 * l for pairs in payload):
             raise MalformedSystemError("each signed_perm generator must list 2l columns")
@@ -718,7 +720,7 @@ def _system_from_fields(data: dict) -> CliffordSystem:
                          for cols in payload])
     else:
         raise MalformedSystemError(f"unknown encoding {encoding!r}")
-    system = CliffordSystem(gens)
+    system = CliffordSystem(gens)  # refuses a shape no system has, as a ValueError
     # relations hold exactly for signed permutations and to 1e-12 for dense generators;
     # inf/NaN entries fail them, and numpy need not warn about them first
     with np.errstate(invalid="ignore", over="ignore"):

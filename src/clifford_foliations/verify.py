@@ -431,7 +431,7 @@ def _orbit_requirements(system: CliffordSystem) -> Optional[str]:
 
 def _suite_homogeneous_orbits(cfg: SuiteConfig):
     system = cfg.system
-    k = system.l // delta(system.m)
+    k = system.k
     mat = sample_group_element(system.m, k, cfg.seed * 10000 + np.arange(cfg.samples))
     ortho = np.abs(np.swapaxes(mat, -1, -2) @ mat - np.eye(mat.shape[-1]))
     rngs = rng_streams(cfg.seed, 300 + np.arange(cfg.samples))
@@ -455,7 +455,7 @@ def _suite_homogeneous_orbits(cfg: SuiteConfig):
 
 def _suite_normal_forms(cfg: SuiteConfig):
     system = cfg.system
-    m, k = system.m, system.l // delta(system.m)
+    m, k = system.m, system.k
     n = cfg.samples
     pairs = max(1, n // 2)
     xs = sample_unit_vectors(rng_streams(cfg.seed, 400 + np.arange(pairs)), system.dim, 1)[:, 0]
@@ -680,7 +680,7 @@ def compatible_suites(system: CliffordSystem) -> list:
 
 
 def _profile(system: CliffordSystem) -> Optional[dict]:
-    """equivalence_profile as JSON, or None where it raises (where delta(m) does not divide l)."""
+    """equivalence_profile as JSON, or None where it raises (on a kappa its (m, k) cannot have)."""
     try:
         return equivalence_profile(system).to_json_dict()
     except (ArithmeticError, ValueError):

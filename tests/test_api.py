@@ -6,7 +6,8 @@ neither, FoliationSpec has its six fields, CliffordSystem, CheckResult and
 VerificationReport only the data they cannot derive, the orbit and geodesic layers and
 verify_relations return only what their callers read, only FoliationSpec's construction check and
 composed._fiber_leaf ask whether a spec carries its leaf metric and closed forms, only
-composed._solve_rows solves linear systems, only algebra tests for integers, every integer
+composed._solve_rows solves linear systems, only algebra tests for integers, only
+CliffordSystem's construction takes the rules of a system's shape, every integer
 argument takes numpy integers and refuses bools, floats, strings and values below its
 range, a draw's seeds are read once, by rng_streams, library calls leave read-only inputs
 untouched, and every python block of README.md runs."""
@@ -354,6 +355,62 @@ def test_only_algebra_checks_integers():
         inside += len(allowed)
         stray += [f"{path.name}:{n.lineno}" for n in integer_tests(tree) if id(n) not in allowed]
     assert stray == [] and inside == 1
+
+
+def scopes(tree):
+    """(qualified name, node) of each function and method under tree, and ("<module>", stmt)
+    of each statement outside them; a nested function belongs to the function around it."""
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            yield node.name, node
+        elif isinstance(node, ast.ClassDef):
+            for fn in node.body:
+                yield (f"{node.name}.{fn.name}" if isinstance(fn, ast.FunctionDef)
+                       else "<module>"), fn
+        else:
+            yield "<module>", node
+
+
+def is_delta_call(node) -> bool:
+    return (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id == "delta")
+
+
+def shape_rules(scope) -> list:
+    """The nodes under scope that take x % delta(...), or x % d for a d bound to delta(...) in
+    scope, or compare with the tuple (1, 1)."""
+    bound = {t.id for n in ast.walk(scope) if isinstance(n, ast.Assign) and is_delta_call(n.value)
+             for t in n.targets if isinstance(t, ast.Name)}
+    return [n for n in ast.walk(scope)
+            if (isinstance(n, ast.BinOp) and isinstance(n.op, ast.Mod)
+                and (is_delta_call(n.right) or (isinstance(n.right, ast.Name)
+                                                and n.right.id in bound)))
+            or (isinstance(n, ast.Compare)
+                and any(isinstance(o, ast.Tuple)
+                        and [getattr(e, "value", None) for e in o.elts] == [1, 1]
+                        for o in [n.left, *n.comparators]))]
+
+
+# where a rule of a system's shape may be taken besides CliffordSystem.__post_init__, its one
+# home: a profile is also built without a system, the default plan skips (1, 1) before it
+# builds, the relations suite's dimension check is in every report, and a set of complex
+# structures checks its own target dimension
+SHAPE_RULE_GUESTS = {"EquivalenceProfile.__post_init__", "default_plan", "_suite_relations",
+                     "build_complex_structures"}
+
+
+def test_only_the_type_holds_the_shape_rules():
+    # m >= 1, l a positive multiple of delta(m) and (m, k) != (1, 1) are refused where a
+    # CliffordSystem is made, so no other function of src/ tests them again
+    stray, home = [], 0
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        for name, scope in scopes(ast.parse(path.read_text())):
+            rules = shape_rules(scope)
+            if path.name == "clifford.py" and name == "CliffordSystem.__post_init__":
+                home += len(rules)
+            elif name not in SHAPE_RULE_GUESTS:
+                stray += [f"{path.name}:{name}:{n.lineno}" for n in rules]
+    assert stray == [] and home == 2
 
 
 S22 = build_system(2, 2)

@@ -1,5 +1,6 @@
 """System construction, relations, invariants, equivalence, serialization."""
 
+import dataclasses
 import json
 import tracemalloc
 import warnings
@@ -100,6 +101,36 @@ ALL_PAIRS = [(m, k) for m in range(1, 13) for k in range(1, 5)
              if (m, k) != (1, 1) and 2 * k * delta(m) <= 512]
 
 
+def identities(m, l):
+    """m + 1 identity generators on R^(2l) as a gather pair: a shape, whatever its relations."""
+    return np.tile(np.arange(2 * l), (m + 1, 1)), np.ones((m + 1, 2 * l), dtype=np.int64)
+
+
+# P_0 = diag(1, -1) and P_1 the swap: a Clifford pair on R^2, (m, l) = (1, 1)
+ONE_ONE = np.array([[0, 1], [1, 0]]), np.array([[1, -1], [1, 1]])
+REFUSED_SHAPES = {
+    "m_zero": (identities(0, 4), r"^m must be at least 1, got 0$"),
+    "no_generators": (identities(-1, 4), r"^m must be at least 1, got -1$"),
+    "l_zero": (identities(2, 0), r"^l must be at least 1, got 0$"),
+    "l_off_delta_2": (identities(2, 1), r"^l = 1 is not a multiple of delta\(m\) = 2\^1$"),
+    "l_off_delta_4": (identities(4, 6), r"^l = 6 is not a multiple of delta\(m\) = 2\^2$"),
+    "one_one": (ONE_ONE, r"^\(m, k\) = \(1, 1\) is degenerate \(fibers are point pairs\)"),
+}
+
+
+class TestSystemShape:
+    """A CliffordSystem that exists has a system's shape: m >= 1, l a positive multiple of
+    delta(m), and (m, k) != (1, 1)."""
+
+    @pytest.mark.parametrize("gens,message", REFUSED_SHAPES.values(), ids=REFUSED_SHAPES)
+    def test_refused_in_either_form_and_on_replace(self, gens, message):
+        for generators in (gens, gather_dense(*gens).astype(float)):
+            with pytest.raises(ValueError, match=message):
+                CliffordSystem(generators)
+            with pytest.raises(ValueError, match=message):
+                dataclasses.replace(build_system(2, 2), generators=generators)
+
+
 class TestBuildSystem:
     def test_rejects_degenerate_and_bad_args(self):
         with pytest.raises(ValueError):
@@ -138,16 +169,17 @@ class TestBuildSystem:
         assert s.dim == 32 and s.generators[0].shape == (10, 32)
 
     def test_rank_and_width_are_read_off_the_generators(self):
-        # m and l are the generators' count less one and half their width, as Python ints,
-        # on a gather pair, its dense twin, a sub-system keeping every index and a Haar
-        # conjugate; a rank and width cannot be given beside the generators
+        # m and l are the generators' count less one and half their width, and k is
+        # l / delta(m), as Python ints, on a gather pair, its dense twin, a sub-system keeping
+        # every index and a Haar conjugate; a rank and width cannot be given beside the
+        # generators
         for m, k in ALL_PAIRS:
             if 2 * k * delta(m) <= 64:
                 s = build_system(m, k, min(1, k - 1))
                 for t in (s, dense_stack(s), sub_system(s, range(m + 1)),
                           conjugate_system(s, haar(90 + m, s.dim))):
-                    assert (t.m, t.l) == (m, k * delta(m)), (m, k)
-                    assert {type(t.m), type(t.l)} == {int}
+                    assert (t.m, t.l, t.k) == (m, k * delta(m), k), (m, k)
+                    assert {type(t.m), type(t.l), type(t.k)} == {int}
         with pytest.raises(TypeError):
             CliffordSystem(1, 4, build_system(2, 2).generators)
 
@@ -222,7 +254,7 @@ class TestRelationViolations:
         built = build_system(*mkf)
         twin = system_from_dict(system_to_dict(built, "dense"))
         conj = conjugate_system(built, haar(33 + built.m, built.dim))
-        with pytest.raises(ValueError, match="at least two"):
+        with pytest.raises(ValueError, match="^m must be at least 1, got 0$"):
             sub_system(conj, [1])
         for system in (twin, conj, sub_system(conj, [2, 1])):
             got = relation_violations(system)
@@ -314,6 +346,27 @@ def assert_block_actions(system, seed, tol):
     assert max_abs(system.span_apply(q[0], x[0, 0]) - expected[0, 0]) <= tol
 
 
+ARGUMENT_ERRORS = {
+    "generator_images": (lambda s: s.generator_images(np.arange(10.0)),
+                         r"^points must have shape \(\.\.\., 8\), got \(10,\)$"),
+    "generator_images_rows": (lambda s: s.generator_images(np.ones((3, 7))),
+                              r"^points must have shape \(\.\.\., 8\), got \(3, 7\)$"),
+    "p0_images": (lambda s: s.p0_images(np.arange(6.0)),
+                  r"^points must have shape \(\.\.\., 4\), got \(6,\)$"),
+    "p0_coefficients": (lambda s: s.p0_coefficients(np.arange(10.0)),
+                        r"^points must have shape \(\.\.\., 8\), got \(10,\)$"),
+    "dense_generator": (lambda s: s.dense_generator(3), "^generator index out of range$"),
+    "span_matrix": (lambda s: s.span_matrix(np.ones(4)),
+                    r"^span coordinates must have length m\+1$"),
+    "conjugate_system": (lambda s: conjugate_system(s, np.eye(6)),
+                         "^conjugating matrix has the wrong shape$"),
+    "signed_perm_of_dense": (
+        lambda s: system_to_dict(conjugate_system(s, np.eye(8)), "signed_perm"),
+        "^system has dense generators; use dense encoding$"),
+    "unknown_encoding": (lambda s: system_to_dict(s, "csv"), "^unknown encoding 'csv'$"),
+}
+
+
 class TestGeneratorPaths:
     @pytest.mark.parametrize("m,k", ALL_PAIRS)
     def test_signed_gather_and_scattered_lift_match_products(self, m, k):
@@ -366,8 +419,18 @@ class TestGeneratorPaths:
         # m = 0 is refused, exact or dense: every system has m >= 1, as the loader requires
         for system in (build_system(3, 2), conjugate_system(build_system(3, 2), haar(24, 16))):
             for i in range(4):
-                with pytest.raises(ValueError, match="at least two generator indices"):
+                with pytest.raises(ValueError, match="^m must be at least 1, got 0$"):
                     sub_system(system, [i])
+
+    @pytest.mark.parametrize("dense", [False, True], ids=["exact", "dense"])
+    @pytest.mark.parametrize("call,message", ARGUMENT_ERRORS.values(), ids=ARGUMENT_ERRORS)
+    def test_argument_errors_name_the_argument(self, call, message, dense):
+        # on build_system(2, 2), 2l = 8 and l = 4, and on a Haar conjugate of it
+        system = build_system(2, 2)
+        if dense:
+            system = conjugate_system(system, haar(28, system.dim))
+        with pytest.raises(ValueError, match=message):
+            call(system)
 
     def test_span_apply_rejects_other_widths(self):
         system = build_system(3, 2)
@@ -653,10 +716,14 @@ class TestSpanTrace:
     def test_fixed_rows_carry_the_trace(self):
         # a Clifford generator is traceless; a lone signed permutation need not be
         assert build_system(4, 3, 1).span_trace(np.arange(5.0)) == 0.0
-        cols = np.array([[0, 1, 3, 2, 4, 5]])
-        signs = np.array([[1, 1, 1, 1, -1, 1]])
-        lone = CliffordSystem((cols, signs))
-        assert lone.span_trace(np.array([0.5])) == 0.5 * np.trace(lone.dense_generator(0)) == 1.0
+        # m = 1 and l = 3: two signed permutations with no entry in common, so the dense
+        # generators are exact, with fixed rows of trace 2 and -2
+        cols = np.array([[0, 1, 3, 2, 4, 5], [1, 0, 2, 3, 5, 4]])
+        signs = np.array([[1, 1, 1, 1, -1, 1], [1, 1, -1, -1, 1, 1]])
+        pair = CliffordSystem((cols, signs))
+        assert [np.trace(pair.dense_generator(i)) for i in range(2)] == [2.0, -2.0]
+        assert pair.span_trace(np.array([0.5, 0.0])) == 1.0
+        assert pair.span_trace(np.array([0.5, 0.25])) == 0.5
 
 
 class TestTraceInvariant:
@@ -848,9 +915,11 @@ class TestStandardLayout:
         assert sub_system(build_system(2, 2), range(2)).standard_layout
 
     def test_l_not_a_multiple_of_delta(self):
-        # no construction has l = 1 at m = 2 (delta = 2), so none is built to compare
+        # no construction has l = 1 at m = 2 (delta = 2), and no system either: the type
+        # refuses the generators before any layout is read off them
         gens = (np.tile([1, 0], (3, 1)), np.ones((3, 2), dtype=np.int64))
-        assert not CliffordSystem(gens).standard_layout
+        with pytest.raises(ValueError, match=r"^l = 1 is not a multiple of delta\(m\) = 2\^1$"):
+            CliffordSystem(gens)
 
 
 class TestSerialization:
@@ -948,6 +1017,7 @@ class TestSerialization:
     def test_one_one_refused_as_build_system_refuses_it(self):
         # a hand-written (m, l) = (1, 1) file passes every relation; since delta(1) = 1, l = k
         # and the loader refuses it in either encoding, with build_system(1, 1)'s reason
+        # after its own prefix
         with pytest.raises(ValueError) as built:
             build_system(1, 1)
         signed = {"m": 1, "l": 1, "encoding": "signed_perm",
@@ -956,7 +1026,7 @@ class TestSerialization:
         for payload in (signed, dense):
             with pytest.raises(MalformedSystemError) as loaded:
                 system_from_dict(payload)
-            assert str(loaded.value) == str(built.value)
+            assert str(loaded.value) == f"malformed system payload: {built.value}"
 
     @pytest.mark.parametrize("prov", [False, 0, 0.0, "", [], {}, None, {"k": 1, "flips": 0},
                                       {"k": 2, "flips": 1}, {"k": 2.7, "flips": True}],

@@ -168,6 +168,10 @@ class TestPiC:
                 for ends in ((x, e0), (e0, x)):
                     with pytest.raises(ValueError, match=rf"shape \(\.\.\., {s22.dim}\)"):
                         project_geodesic_params(s22, *ends)
+        # a disk point of another width than m + 1 = 3, or with a third axis, for the sampler
+        for v in (np.zeros(4), np.zeros((2, 2)), np.zeros((1, 2, 3))):
+            with pytest.raises(ValueError, match=r"^points must have shape \(3,\) or \(k, 3\)$"):
+                fiber_sample(s22, v, 2, 0)
 
 
 NON_FINITE = [np.nan, np.inf, -np.inf]

@@ -199,6 +199,16 @@ class TestNormalForm:
         with pytest.raises(ValueError):
             normal_form(np.ones(4), 1)
 
+    @pytest.mark.parametrize("x,m,message", [
+        (np.eye(4)[None, :1], 1, r"^normal_form expects a point \(2l,\) or rows \(n, 2l\)$"),
+        (np.eye(6)[0], 4, "^point dimension is not a multiple of dim F$"),
+        (np.eye(6)[:2], 2, "^point dimension is not a multiple of dim F$"),
+    ], ids=["three_axes", "point_width", "rows_width"])
+    def test_rejects_other_shapes(self, x, m, message):
+        # unit rows of l = 3 hold no whole column of H (m = 4) or of C (m = 2)
+        with pytest.raises(ValueError, match=message):
+            normal_form(x, m)
+
     def test_rejects_unknown_field(self):
         # an m that is no dim F of R, C, H, as sample_group_element does, for a point
         # and for rows

@@ -521,15 +521,17 @@ class TestRunMatrix:
                                       "error": "RuntimeError: no luck"}]
 
     def test_unreadable_profile_is_none(self, monkeypatch):
-        # m = 4 and l = 2: every generator is the identity, and l is no multiple of
-        # delta(4) = 4, so the relations fail and no profile can be read, in a report, a
-        # failed entry or an error entry alike
-        bad = clifford.CliffordSystem((np.tile(np.arange(4), (5, 1)),
-                                       np.ones((5, 4), dtype=np.int64)))
-        assert (bad.m, bad.l) == (4, 2)
+        # m = 4 and l = 4 (k = 1): P_0 = diag(1, 1, 1, 1, -1, -1, -1, -1) and four
+        # identities, so the relations fail and the product, P_0, has trace 0: kappa = 0,
+        # which no system of k = 1 has, so no profile can be read, in a report, a failed
+        # entry or an error entry alike
+        signs = np.ones((5, 8), dtype=np.int64)
+        signs[0, 4:] = -1
+        bad = clifford.CliffordSystem((np.tile(np.arange(8), (5, 1)), signs))
+        assert (bad.m, bad.l, bad.k) == (4, 4, 1)
         report = run_suite(SuiteConfig("relations", bad))
         failing = {c.name: c.violation for c in report.checks if not c.passed}
-        assert failing == {"anticommutation": 2.0, "dimension": 2.0}
+        assert failing == {"anticommutation": 2.0}
         assert report.system is None and not report.passed
 
         monkeypatch.setitem(verify._SUITES, "geodesics", BROKEN)
@@ -539,7 +541,7 @@ class TestRunMatrix:
         assert summary["total"] == 2 and summary["passed"] == 0
         [failed], [error] = summary["failed"], summary["errors"]
         assert failed["system"] is None and error["system"] is None
-        assert [c["name"] for c in failed["checks"]] == ["anticommutation", "dimension"]
+        assert [c["name"] for c in failed["checks"]] == ["anticommutation"]
         assert error["error"] == "RuntimeError: no luck"
 
     def test_default_plan_full_width_passes(self):
